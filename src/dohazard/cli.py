@@ -30,6 +30,7 @@ from .errors import DohazardError, InvalidArgumentError, NumericalError, ParseEr
 from .simulate import (
     Dataset,
     ScenarioConfig,
+    _read_json_object,
     generate,
     load_dataset,
     load_scenario_config,
@@ -100,14 +101,7 @@ class ExperimentConfig:
 
 
 def _load_experiment_config(path) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: experiment config must be a JSON object")
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict(_read_json_object(path, "experiment config"))
 
 
 def _info(args, message: str) -> None:
@@ -236,7 +230,7 @@ def cmd_frontdoor(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config = _scenario_with_seed(load_scenario_config(args.config), None)
+    config = load_scenario_config(args.config)
     seed = int(args.seed) if args.seed is not None else config.seed + _ORACLE_SEED_OFFSET
     t = args.t if args.t is not None else config.horizon_t
     payload = {"n": args.n, "seed": seed, "t": t}

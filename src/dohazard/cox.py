@@ -1,18 +1,17 @@
 """Cox proportional hazards: Breslow partial likelihood, Newton solver,
 and the Breslow baseline cumulative hazard.
 
-The baseline is anchored at the reference covariate vector baseline_x0
-(all zeros unless overridden), so the linear predictor is exactly 0 there
-and exp(beta . (x - x0)) multiplies the reported baseline directly. Ties
-are handled with the Breslow convention: every subject with a tied time
-sits in the risk set of that time.
+The baseline is anchored at the zero covariate vector, so the linear
+predictor is exactly 0 there and exp(beta . x) multiplies the reported
+baseline directly. Ties are handled with the Breslow convention: every
+subject with a tied time sits in the risk set of that time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,10 +21,9 @@ from .errors import (
     MonotoneLikelihoodError,
     NoEventsError,
     NumericalError,
-    ParseError,
     ValidationError,
 )
-from .simulate import Dataset
+from .simulate import Dataset, _read_json_object, _require_int, _require_number
 
 _MAX_HALVINGS = 30
 _BETA_BOUND = 50.0
@@ -146,8 +144,8 @@ def breslow_baseline(dataset: Dataset, beta, covariate_names=None) -> StepFuncti
 class CoxFit:
     """Fitted proportional-hazards model plus its baseline.
 
-    The linear predictor is beta . (covariates - baseline_x0), exactly
-    zero at the reference vector baseline_x0.
+    The linear predictor is beta . covariates; the baseline cumulative
+    hazard is the one at the zero covariate vector.
     """
 
     beta: np.ndarray
@@ -160,11 +158,6 @@ class CoxFit:
     converged: bool
     iterations: int
     final_score_norm: float
-    baseline_x0: np.ndarray = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.baseline_x0 is None:
-            self.baseline_x0 = np.zeros(len(self.covariate_names))
 
     def coef(self, name: str) -> float:
         return float(self.beta[self._index(name)])
@@ -254,14 +247,14 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
 
 
 def linear_predictor(fit: CoxFit, covariates) -> float:
-    """beta . (covariates - baseline_x0) for one covariate vector, in the
-    order of fit.covariate_names."""
+    """beta . covariates for one covariate vector, in the order of
+    fit.covariate_names."""
     x = np.atleast_1d(np.asarray(covariates, dtype=np.float64))
     if x.shape != fit.beta.shape:
         raise InvalidArgumentError(
             f"covariates must have length {fit.beta.shape[0]} (order {fit.covariate_names}), got shape {x.shape}"
         )
-    return float(fit.beta @ (x - fit.baseline_x0))
+    return float(fit.beta @ x)
 
 
 def predict_cumhaz(fit: CoxFit, covariates, t):
@@ -279,7 +272,6 @@ def save_fit(fit: CoxFit, path) -> None:
         "covariate_names": list(fit.covariate_names),
         "baseline_knots": [float(k) for k in fit.baseline_cumhaz.knots],
         "baseline_values": [float(v) for v in fit.baseline_cumhaz.values],
-        "baseline_x0": [float(v) for v in fit.baseline_x0],
         "n": fit.n,
         "n_events": fit.n_events,
         "log_likelihood": fit.log_likelihood,
@@ -292,33 +284,68 @@ def save_fit(fit: CoxFit, path) -> None:
         fh.write("\n")
 
 
+def _finite_numbers(value, shape) -> bool:
+    """value is a nested list of finite JSON numbers of exactly this shape;
+    a None length matches any."""
+    if not shape:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    return (
+        isinstance(value, list)
+        and shape[0] in (None, len(value))
+        and all(_finite_numbers(v, shape[1:]) for v in value)
+    )
+
+
+def _array_field(path, raw: dict, key: str, shape, what: str) -> np.ndarray:
+    if not _finite_numbers(raw[key], shape):
+        raise ValidationError(f"{path}: field '{key}' must be {what}")
+    return np.asarray(raw[key], dtype=np.float64)
+
+
 def load_fit(path) -> CoxFit:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    """Read a fit written by save_fit; ValidationError names the first field
+    that is missing or malformed."""
+    raw = _read_json_object(path, "fit file")
     required = (
         "beta", "covariance", "covariate_names", "baseline_knots", "baseline_values",
-        "baseline_x0", "n", "n_events", "log_likelihood", "converged", "iterations",
-        "final_score_norm",
+        "n", "n_events", "log_likelihood", "converged", "iterations", "final_score_norm",
     )
     for key in required:
         if key not in raw:
             raise ValidationError(f"{path}: fit file is missing field '{key}'")
+    names = raw["covariate_names"]
+    if not (isinstance(names, list) and names and all(isinstance(c, str) for c in names)):
+        raise ValidationError(f"{path}: field 'covariate_names' must be a nonempty list of strings")
+    p = len(names)
+    beta = _array_field(path, raw, "beta", (p,), f"a list of {p} finite numbers, one per covariate name")
+    covariance = _array_field(path, raw, "covariance", (p, p), f"a {p}x{p} matrix of finite numbers")
+    knots = _array_field(path, raw, "baseline_knots", (None,), "a list of finite numbers")
+    values = _array_field(
+        path, raw, "baseline_values", (knots.size,), f"a list of {knots.size} finite numbers, one per knot"
+    )
+    # Files written before the baseline had one anchor carry baseline_x0;
+    # only the zero anchor, which every fit used, still means the same fit.
+    if "baseline_x0" in raw and np.any(
+        _array_field(path, raw, "baseline_x0", (p,), f"a list of {p} finite numbers")
+    ):
+        raise ValidationError(
+            f"{path}: field 'baseline_x0' must be all zeros; the baseline is anchored at the zero covariate vector"
+        )
+    if not isinstance(raw["converged"], bool):
+        raise ValidationError(f"{path}: field 'converged' must be true or false")
+    try:
+        baseline = StepFunction(knots=knots, values=values)
+    except InvalidArgumentError as exc:
+        raise ValidationError(f"{path}: field 'baseline_knots' is invalid: {exc}") from exc
     return CoxFit(
-        beta=np.asarray(raw["beta"], dtype=np.float64),
-        covariance=np.asarray(raw["covariance"], dtype=np.float64),
-        covariate_names=list(raw["covariate_names"]),
-        baseline_cumhaz=StepFunction(
-            knots=np.asarray(raw["baseline_knots"], dtype=np.float64),
-            values=np.asarray(raw["baseline_values"], dtype=np.float64),
-        ),
-        n=int(raw["n"]),
-        n_events=int(raw["n_events"]),
-        log_likelihood=float(raw["log_likelihood"]),
-        converged=bool(raw["converged"]),
-        iterations=int(raw["iterations"]),
-        final_score_norm=float(raw["final_score_norm"]),
-        baseline_x0=np.asarray(raw["baseline_x0"], dtype=np.float64),
+        beta=beta,
+        covariance=covariance,
+        covariate_names=names,
+        baseline_cumhaz=baseline,
+        n=_require_int(raw, "n"),
+        n_events=_require_int(raw, "n_events"),
+        log_likelihood=_require_number(raw, "log_likelihood"),
+        converged=raw["converged"],
+        iterations=_require_int(raw, "iterations"),
+        final_score_norm=_require_number(raw, "final_score_norm"),
     )

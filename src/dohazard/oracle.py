@@ -1,11 +1,12 @@
 """Ground truth by brute force.
 
-An intervention do(X=x) is simulated by severing every arrow into the
-exposure: the confounder (or hidden cause) is still drawn from its own
-equation, the exposure is set to the forced value, and everything
-downstream uses that value. The fraction of failures by the horizon is
-the interventional incidence the analytic estimators approximate, with a
-plain binomial standard error.
+Every arm is drawn through ``simulate.draw_scm``, the same structural model
+that generates the observed cohort, on its own block of stream ids. An
+intervention do(X=x) severs every arrow into the exposure: the confounder
+(or hidden cause) is still drawn from its own equation, the exposure is set
+to the forced value, and everything downstream uses that value. The
+fraction of failures by the horizon is the interventional incidence the
+analytic estimators approximate, with a plain binomial standard error.
 
 No random censoring is applied: the target is the latent failure CDF,
 so censoring cannot masquerade as estimator error.
@@ -20,14 +21,7 @@ import numpy as np
 
 from .cox import CoxFit
 from .errors import DegenerateOracleError, InvalidArgumentError, NumericalError
-from .simulate import (
-    Dataset,
-    ScenarioConfig,
-    backdoor_log_hazard,
-    frontdoor_log_hazard,
-    inverse_survival_time,
-)
-from .stats import RngStream
+from .simulate import Dataset, ScenarioConfig, draw_scm
 
 # Each simulation arm gets its own block of stream ids so arms never share
 # bits unless sharing is asked for explicitly.
@@ -62,28 +56,6 @@ class OracleRatio:
     denominator: OracleResult
 
 
-def _failure_times(config: ScenarioConfig, x_forced: float | None, n: int, seed: int, offset: int):
-    """Latent failure times for n subjects; x_forced severs arrows into X."""
-    coef = config.coefficients
-    if config.dag_kind == "backdoor":
-        z = config.z_dist.draw(RngStream(seed, offset + 1), n)
-        if x_forced is None:
-            x = coef.a_zx * z + RngStream(seed, offset + 2).normal(0.0, coef.sigma_x, n)
-        else:
-            x = np.full(n, float(x_forced))
-        eta = backdoor_log_hazard(coef, x, z)
-    else:
-        u = RngStream(seed, offset + 1).normal(0.0, 1.0, n)
-        if x_forced is None:
-            x = coef.c_ux * u + RngStream(seed, offset + 2).normal(0.0, coef.sigma_x, n)
-        else:
-            x = np.full(n, float(x_forced))
-        z = coef.alpha * x + RngStream(seed, offset + 3).normal(0.0, coef.sigma_z, n)
-        eta = frontdoor_log_hazard(coef, z, u)
-    failure = inverse_survival_time(RngStream(seed, offset + 4).uniform(n), eta, config.baseline_hazard)
-    return failure, x
-
-
 def _check_horizon(config: ScenarioConfig, t: float) -> None:
     if not (math.isfinite(t) and 0 < t <= config.horizon_t):
         raise InvalidArgumentError(f"t must lie in (0, horizon_t={config.horizon_t}], got {t}")
@@ -115,7 +87,7 @@ def simulate_do(
     if not math.isfinite(x_value):
         raise InvalidArgumentError(f"x_value must be finite, got {x_value}")
     _check_horizon(config, t)
-    failure, _ = _failure_times(config, x_value, n, seed, stream_offset)
+    failure = draw_scm(config, n, seed, stream_offset, x_forced=x_value)[3]
     return _result(failure <= t, x_value, t, seed)
 
 
@@ -127,7 +99,7 @@ def simulate_factual(
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
     _check_horizon(config, t)
-    failure, _ = _failure_times(config, None, n, seed, stream_offset)
+    failure = draw_scm(config, n, seed, stream_offset)[3]
     return _result(failure <= t, math.nan, t, seed)
 
 
@@ -148,7 +120,7 @@ def factual_conditional_incidence(
     if not (math.isfinite(window) and window > 0):
         raise InvalidArgumentError(f"window must be > 0, got {window}")
     _check_horizon(config, t)
-    failure, x = _failure_times(config, None, n, seed, stream_offset)
+    x, _, _, failure = draw_scm(config, n, seed, stream_offset)
     keep = np.abs(x - x_value) <= window
     m = int(np.count_nonzero(keep))
     if m == 0:

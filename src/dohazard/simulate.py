@@ -8,7 +8,9 @@ h(t) = h0(t) * exp(eta) inverted by the standard uniform transform, with
 administrative censoring at the study horizon and optional independent
 exponential censoring.
 
-Structural log-hazards live in ``backdoor_log_hazard`` and
+``draw_scm`` is the one home of the structural equations: ``generate``
+censors one draw of it, and the intervention oracle draws its arms through
+it with X forced. Structural log-hazards live in ``backdoor_log_hazard`` and
 ``frontdoor_log_hazard``; the frontdoor one takes no exposure argument,
 which makes the exclusion restriction a property of the code, not of a
 statistical check.
@@ -21,15 +23,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ParseError, ValidationError
 from .stats import RngStream
 
-# Stream ids per structural variable, so adding a variable never perturbs
-# the draws of another.
+# Stream ids per structural variable, relative to an arm's stream offset,
+# so adding a variable never perturbs the draws of another.
 _STREAM_Z_OR_U = 1
 _STREAM_X_NOISE = 2
 _STREAM_Z_NOISE = 3
@@ -267,26 +269,21 @@ def _z_dist_from_dict(raw) -> ZDistribution:
     raise ValidationError(f"field 'z_dist' must be 'standard_normal' or a bernoulli object, got {raw!r}")
 
 
-def load_scenario_config(path) -> ScenarioConfig:
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object stored at path; ParseError with the line number for
+    malformed JSON, ValidationError when the top level is not an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: scenario config must be a JSON object")
-    return ScenarioConfig.from_dict(raw)
+        raise ValidationError(f"{path}: {what} must be a JSON object")
+    return raw
 
 
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One cohort row; x and z are the exposure and adjustment blocks."""
-
-    time: float
-    event: bool
-    x: np.ndarray
-    z: np.ndarray
-    u_latent: float | None = None
+def load_scenario_config(path) -> ScenarioConfig:
+    return ScenarioConfig.from_dict(_read_json_object(path, "scenario config"))
 
 
 @dataclass
@@ -337,14 +334,6 @@ class Dataset:
     def n_events(self) -> int:
         return int(np.count_nonzero(self.event))
 
-    @property
-    def x_names(self) -> list[str]:
-        return [c for c in self.covariate_names if c.startswith("x")]
-
-    @property
-    def z_names(self) -> list[str]:
-        return [c for c in self.covariate_names if c.startswith("z")]
-
     def column_index(self, name: str) -> int:
         try:
             return self.covariate_names.index(name)
@@ -353,18 +342,6 @@ class Dataset:
 
     def column(self, name: str) -> np.ndarray:
         return self.covariates[:, self.column_index(name)]
-
-    def records(self) -> Iterator[SubjectRecord]:
-        x_idx = [self.column_index(c) for c in self.x_names]
-        z_idx = [self.column_index(c) for c in self.z_names]
-        for i in range(self.n):
-            yield SubjectRecord(
-                time=float(self.time[i]),
-                event=bool(self.event[i]),
-                x=self.covariates[i, x_idx],
-                z=self.covariates[i, z_idx],
-                u_latent=float(self.u_latent[i]) if self.u_latent is not None else None,
-            )
 
 
 def inverse_survival_time(u, eta, baseline_hazard: BaselineHazard):
@@ -390,59 +367,56 @@ def _censoring_times(config: ScenarioConfig, rng: RngStream, n: int) -> np.ndarr
     return np.full(n, config.horizon_t)
 
 
-def _observe(failure: np.ndarray, censoring: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def draw_scm(config: ScenarioConfig, n: int, seed: int, offset: int = 0, x_forced: float | None = None):
+    """One draw of the structural model for n subjects: (x, z, u, failure).
+
+    z is the measured covariate (the confounder of the backdoor DAG, the
+    mediator of the frontdoor DAG), u the hidden confounder of the frontdoor
+    DAG (None for the backdoor DAG), and failure the latent failure times.
+    Variable v draws from stream (seed, offset + _STREAM_v), so an arm at
+    another offset is an independent copy of the model. x_forced simulates
+    do(X=x_forced): X is set to that value, its noise stream is not drawn,
+    and every other variable keeps the draw it has at the same offset.
+    """
+    coef = config.coefficients
+
+    def stream(variable: int) -> RngStream:
+        return RngStream(seed, offset + variable)
+
+    def exposure(cause: np.ndarray, weight: float) -> np.ndarray:
+        if x_forced is not None:
+            return np.full(n, float(x_forced))
+        return weight * cause + stream(_STREAM_X_NOISE).normal(0.0, coef.sigma_x, n)
+
+    if config.dag_kind == "backdoor":
+        u = None
+        z = config.z_dist.draw(stream(_STREAM_Z_OR_U), n)
+        x = exposure(z, coef.a_zx)
+        eta = backdoor_log_hazard(coef, x, z)
+    else:
+        u = stream(_STREAM_Z_OR_U).normal(0.0, 1.0, n)
+        x = exposure(u, coef.c_ux)
+        z = coef.alpha * x + stream(_STREAM_Z_NOISE).normal(0.0, coef.sigma_z, n)
+        eta = frontdoor_log_hazard(coef, z, u)
+    failure = inverse_survival_time(stream(_STREAM_FAILURE).uniform(n), eta, config.baseline_hazard)
+    return x, z, u, failure
+
+
+def generate(config: ScenarioConfig) -> Dataset:
+    """Observed cohort: one draw of the structural model, censored at the
+    horizon and, when censor_rate > 0, at independent exponential times."""
+    n = config.n_subjects
+    x, z, u, failure = draw_scm(config, n, config.seed)
+    censoring = _censoring_times(config, RngStream(config.seed, _STREAM_CENSOR), n)
     event = failure <= censoring
-    return np.where(event, failure, censoring), event
-
-
-def generate_backdoor(config: ScenarioConfig) -> Dataset:
-    """Cohort from the confounded DAG: Z -> X, (X, Z) -> hazard."""
-    if config.dag_kind != "backdoor":
-        raise InvalidArgumentError(f"generate_backdoor needs dag_kind 'backdoor', got {config.dag_kind!r}")
-    coef = config.coefficients
-    n = config.n_subjects
-    z = config.z_dist.draw(RngStream(config.seed, _STREAM_Z_OR_U), n)
-    x = coef.a_zx * z + RngStream(config.seed, _STREAM_X_NOISE).normal(0.0, coef.sigma_x, n)
-    eta = backdoor_log_hazard(coef, x, z)
-    failure = inverse_survival_time(RngStream(config.seed, _STREAM_FAILURE).uniform(n), eta, config.baseline_hazard)
-    censoring = _censoring_times(config, RngStream(config.seed, _STREAM_CENSOR), n)
-    time, event = _observe(failure, censoring)
     return Dataset(
-        time=time,
-        event=event,
-        covariates=np.column_stack([x, z]),
-        covariate_names=["x", "z"],
-        provenance=config,
-    )
-
-
-def generate_frontdoor(config: ScenarioConfig) -> Dataset:
-    """Cohort from the mediated DAG: U -> X -> Z, (Z, U) -> hazard."""
-    if config.dag_kind != "frontdoor":
-        raise InvalidArgumentError(f"generate_frontdoor needs dag_kind 'frontdoor', got {config.dag_kind!r}")
-    coef = config.coefficients
-    n = config.n_subjects
-    u = RngStream(config.seed, _STREAM_Z_OR_U).normal(0.0, 1.0, n)
-    x = coef.c_ux * u + RngStream(config.seed, _STREAM_X_NOISE).normal(0.0, coef.sigma_x, n)
-    z = coef.alpha * x + RngStream(config.seed, _STREAM_Z_NOISE).normal(0.0, coef.sigma_z, n)
-    eta = frontdoor_log_hazard(coef, z, u)
-    failure = inverse_survival_time(RngStream(config.seed, _STREAM_FAILURE).uniform(n), eta, config.baseline_hazard)
-    censoring = _censoring_times(config, RngStream(config.seed, _STREAM_CENSOR), n)
-    time, event = _observe(failure, censoring)
-    return Dataset(
-        time=time,
+        time=np.where(event, failure, censoring),
         event=event,
         covariates=np.column_stack([x, z]),
         covariate_names=["x", "z"],
         u_latent=u,
         provenance=config,
     )
-
-
-def generate(config: ScenarioConfig) -> Dataset:
-    if config.dag_kind == "backdoor":
-        return generate_backdoor(config)
-    return generate_frontdoor(config)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -89,18 +89,6 @@ class RngStream:
         return -np.log1p(-u) / rate
 
 
-def draw_uniform(rng: RngStream) -> float:
-    return rng.uniform()
-
-
-def draw_normal(rng: RngStream, spec: GaussianSpec) -> float:
-    return rng.normal(spec.mean, spec.sd)
-
-
-def draw_bernoulli(rng: RngStream, p: float) -> int:
-    return rng.bernoulli(p)
-
-
 def gaussian_exponential_moment(beta: float, spec: GaussianSpec) -> float:
     """E[exp(beta * X)] for X ~ N(mean, sd^2): exp(beta*mean + sd^2*beta^2/2)."""
     if not math.isfinite(beta):

@@ -8,7 +8,7 @@ import dohazard as dh
 from conftest import make_tiny_dataset
 
 
-def hand_fit(beta, names, knots, values, covariance=None, x0=None):
+def hand_fit(beta, names, knots, values, covariance=None):
     return dh.CoxFit(
         beta=np.asarray(beta, dtype=float),
         covariance=np.eye(len(names)) * 0.01 if covariance is None else np.asarray(covariance, dtype=float),
@@ -20,7 +20,6 @@ def hand_fit(beta, names, knots, values, covariance=None, x0=None):
         converged=True,
         iterations=3,
         final_score_norm=0.0,
-        baseline_x0=None if x0 is None else np.asarray(x0, dtype=float),
     )
 
 

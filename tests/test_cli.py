@@ -150,6 +150,21 @@ def test_exit_2_on_bad_contrast(tmp_path, scenario_path, capsys):
     assert "contrast" in capsys.readouterr().err
 
 
+def test_exit_2_on_malformed_fit_file(tmp_path, scenario_path, capsys):
+    run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
+    run(["fit", tmp_path / "cohort.csv", "--out-dir", tmp_path, "--quiet"])
+    fit = tmp_path / "fit.json"
+    bad_beta = {**json.loads(fit.read_text()), "beta": "abc"}
+    for content, message in (("5\n", "must be a JSON object"), (json.dumps(bad_beta), "field 'beta'")):
+        fit.write_text(content)
+        rc = run([
+            "backdoor", tmp_path / "cohort.csv", "--fit", fit, "--contrast", "1,0", "--t", 10,
+            "--out-dir", tmp_path, "--quiet",
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+
 def test_exit_3_on_degenerate_covariate(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     path.write_text(

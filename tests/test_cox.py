@@ -301,20 +301,9 @@ def test_linear_predictor_and_prediction():
     with pytest.raises(dh.InvalidArgumentError):
         dh.linear_predictor(fit, [1.0, 2.0])
 
-    shifted = dh.CoxFit(
-        beta=np.array([math.log(2.0)]),
-        covariance=np.eye(1),
-        covariate_names=["x"],
-        baseline_cumhaz=base,
-        n=10,
-        n_events=5,
-        log_likelihood=-1.0,
-        converged=True,
-        iterations=3,
-        final_score_norm=0.0,
-        baseline_x0=np.array([1.0]),
-    )
-    assert dh.linear_predictor(shifted, [1.0]) == 0.0
+    # the baseline is anchored at the zero vector: the linear predictor is beta . x
+    assert dh.linear_predictor(fit, [1.0]) == math.log(2.0)
+    assert dh.linear_predictor(fit, [-2.0]) == -2.0 * math.log(2.0)
 
 
 def test_fit_save_load_roundtrip(tmp_path):
@@ -328,7 +317,7 @@ def test_fit_save_load_roundtrip(tmp_path):
     assert back.covariate_names == fit.covariate_names
     assert np.array_equal(back.baseline_cumhaz.knots, fit.baseline_cumhaz.knots)
     assert np.array_equal(back.baseline_cumhaz.values, fit.baseline_cumhaz.values)
-    assert np.array_equal(back.baseline_x0, fit.baseline_x0)
+    assert "baseline_x0" not in json.loads(path.read_text())
     assert (back.n, back.n_events, back.converged, back.iterations) == (
         fit.n, fit.n_events, fit.converged, fit.iterations,
     )
@@ -341,10 +330,36 @@ def test_load_fit_errors(tmp_path):
     path.write_text("{ not json\n")
     with pytest.raises(dh.ParseError):
         dh.load_fit(path)
+    path.write_text("5\n")
+    with pytest.raises(dh.ValidationError, match="must be a JSON object"):
+        dh.load_fit(path)
     ds = dh.generate(make_backdoor_config(n_subjects=300, seed=6))
     dh.save_fit(dh.fit_cox(ds), path)
-    raw = json.loads(path.read_text())
-    del raw["covariance"]
-    path.write_text(json.dumps(raw))
+    good = json.loads(path.read_text())
+
+    def load_with(**changes):
+        raw = {**good, **changes}
+        path.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+        return dh.load_fit(path)
+
     with pytest.raises(dh.ValidationError, match="covariance"):
-        dh.load_fit(path)
+        load_with(covariance=None)
+    bad_fields = [
+        ("beta", "abc"),
+        ("beta", [0.3]),
+        ("beta", [0.3, True]),
+        ("covariance", [[1.0, 0.0]]),
+        ("covariance", [[1.0, 0.0], [0.0]]),
+        ("baseline_values", good["baseline_values"][:-1]),
+        ("baseline_knots", "abc"),
+        ("baseline_knots", good["baseline_knots"][::-1]),
+        ("baseline_x0", [1.0, 1.0]),
+        ("covariate_names", []),
+        ("n", "abc"),
+        ("converged", "false"),
+    ]
+    for key, value in bad_fields:
+        with pytest.raises(dh.ValidationError, match=f"field '{key}'"):
+            load_with(**{key: value})
+    # fit files written with the zero anchor key still load
+    assert np.array_equal(load_with(baseline_x0=[0.0, 0.0]).beta, good["beta"])

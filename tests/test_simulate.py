@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dohazard as dh
 
@@ -167,15 +169,6 @@ def test_bernoulli_z_support():
     assert 0.3 < float(z.mean()) < 0.5
 
 
-def test_generator_checks_dag_kind():
-    bcfg = make_backdoor_config(n_subjects=10)
-    fcfg = make_frontdoor_config(n_subjects=10)
-    with pytest.raises(dh.InvalidArgumentError):
-        dh.generate_backdoor(fcfg)
-    with pytest.raises(dh.InvalidArgumentError):
-        dh.generate_frontdoor(bcfg)
-
-
 def test_save_load_roundtrip(tmp_path):
     ds = dh.generate(make_frontdoor_config(n_subjects=500))
     path = tmp_path / "cohort.csv"
@@ -301,14 +294,86 @@ def test_dataset_validation():
         dh.Dataset(time=[1.0], event=[1], covariates=[[math.nan]], covariate_names=["x"])
 
 
-def test_dataset_records_split_blocks():
+def test_dataset_column_lookup():
     ds = dh.generate(make_frontdoor_config(n_subjects=5))
-    recs = list(ds.records())
-    assert len(recs) == 5
-    first = recs[0]
-    assert first.x.shape == (1,)
-    assert first.z.shape == (1,)
-    assert first.u_latent is not None
-    assert float(first.x[0]) == float(ds.column("x")[0])
+    assert np.array_equal(ds.column("x"), ds.covariates[:, 0])
+    assert np.array_equal(ds.column("z"), ds.covariates[:, 1])
     with pytest.raises(dh.InvalidArgumentError, match="unknown covariate"):
         ds.column("w")
+
+
+# Property tests of the one structural model: draw_scm serves both the
+# cohort generator and the intervention oracle, so an intervention must
+# leave what X does not cause untouched, and generate must be its censoring.
+
+@st.composite
+def scm_scenarios(draw, **coefficient_overrides):
+    """A small scenario over both DAGs, both baseline kinds and both Z laws."""
+    moderate = st.floats(-1.0, 1.0)
+    sd = st.floats(0.0, 1.5)
+    if draw(st.sampled_from(["backdoor", "frontdoor"])) == "backdoor":
+        dag_kind = "backdoor"
+        coefficients = dict(a_zx=draw(moderate), sigma_x=draw(sd), beta_x=draw(moderate), beta_z=draw(moderate))
+    else:
+        dag_kind = "frontdoor"
+        coefficients = dict(
+            c_ux=draw(moderate), sigma_x=draw(sd), alpha=draw(moderate),
+            sigma_z=draw(sd), beta_z=draw(moderate), beta_u=draw(moderate),
+        )
+    coefficients.update({k: v for k, v in coefficient_overrides.items() if k in coefficients})
+    if draw(st.booleans()):
+        hazard = dh.ExponentialHazard(draw(st.floats(1e-3, 0.5)))
+    else:
+        hazard = dh.WeibullHazard(draw(st.floats(0.5, 3.0)), draw(st.floats(1.0, 50.0)))
+    z_dist = dh.BernoulliZ(draw(st.floats(0.0, 1.0))) if draw(st.booleans()) else dh.StandardNormalZ()
+    return dh.ScenarioConfig(
+        dag_kind=dag_kind,
+        n_subjects=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**32)),
+        baseline_hazard=hazard,
+        horizon_t=10.0,
+        censor_rate=draw(st.sampled_from([0.0, 0.05])),
+        coefficients=(dh.BackdoorCoefficients if dag_kind == "backdoor" else dh.FrontdoorCoefficients)(**coefficients),
+        z_dist=z_dist,
+    )
+
+
+arm_offsets = st.integers(0, 100)
+forced_x = st.floats(-3.0, 3.0)
+scm_settings = settings(max_examples=60, deadline=None)
+
+
+@scm_settings
+@given(scm_scenarios(), arm_offsets, forced_x)
+def test_do_arm_keeps_non_descendants_of_x(config, offset, x_value):
+    n, seed = config.n_subjects, config.seed
+    x, z, u, _ = dh.draw_scm(config, n, seed, offset)
+    x_do, z_do, u_do, _ = dh.draw_scm(config, n, seed, offset, x_forced=x_value)
+    assert np.all(x_do == x_value)
+    if config.dag_kind == "backdoor":
+        assert u is None and u_do is None
+        assert z_do.tobytes() == z.tobytes()
+    else:
+        assert u_do.tobytes() == u.tobytes()
+
+
+@scm_settings
+@given(scm_scenarios(beta_x=0.0, alpha=0.0), arm_offsets, forced_x)
+def test_do_arm_without_x_to_t_path_keeps_failure_times(config, offset, x_value):
+    n, seed = config.n_subjects, config.seed
+    factual = dh.draw_scm(config, n, seed, offset)[3]
+    forced = dh.draw_scm(config, n, seed, offset, x_forced=x_value)[3]
+    assert forced.tobytes() == factual.tobytes()
+
+
+@scm_settings
+@given(scm_scenarios())
+def test_generate_censors_one_scm_draw(config):
+    x, z, u, failure = dh.draw_scm(config, config.n_subjects, config.seed)
+    ds = dh.generate(config)
+    assert ds.time[ds.event].tobytes() == failure[ds.event].tobytes()
+    assert np.all(ds.time <= failure)
+    assert ds.covariates.tobytes() == np.column_stack([x, z]).tobytes()
+    assert (ds.u_latent is None) == (u is None)
+    if u is not None:
+        assert ds.u_latent.tobytes() == u.tobytes()

@@ -179,17 +179,8 @@ def test_exponential():
         dh.RngStream(8, 1).exponential(0.0)
 
 
-def test_draw_helpers_match_stream():
-    spec = dh.GaussianSpec(1.0, 2.0)
-    want = 1.0 + 2.0 * dh.RngStream(11, 4).normal()
-    assert dh.draw_normal(dh.RngStream(11, 4), spec) == want
-    assert dh.draw_uniform(dh.RngStream(11, 5)) == dh.RngStream(11, 5).uniform()
-    assert dh.draw_bernoulli(dh.RngStream(11, 6), 0.5) in (0, 1)
-
-
 def test_draw_normal_point_mass():
-    spec = dh.GaussianSpec(2.5, 0.0)
-    assert dh.draw_normal(dh.RngStream(1, 1), spec) == 2.5
+    assert dh.RngStream(1, 1).normal(2.5, 0.0) == 2.5
     v = dh.RngStream(1, 2).normal(2.5, 0.0, size=10)
     assert np.all(v == 2.5)
 
