@@ -123,25 +123,18 @@ def do_cdf(fit: CoxFit, summary: BackdoorSummary, x, t) -> CausalEstimate:
     )
 
 
-def causal_rr(fit: CoxFit, x, x0, x_columns=None) -> CausalEstimate:
+def causal_rr(fit: CoxFit, summary: BackdoorSummary, x, x0) -> CausalEstimate:
     """Causal relative risk exp(eta_x(x) - eta_x(x0)).
 
-    Only exposure coefficients enter; adjustment coefficients cancel in
-    the incidence ratio and are excluded by construction. Asking for a
-    contrast over an adjustment column is refused: such a ratio has no
-    interventional reading here.
+    The exposures are the fit's covariates outside summary.z_columns, as
+    for do_cdf; adjustment coefficients cancel in the incidence ratio and
+    never enter.
     """
-    if x_columns is None:
-        x_columns = [c for c in fit.covariate_names if c.startswith("x")]
-    else:
-        x_columns = list(x_columns)
-        bad = [c for c in x_columns if not c.startswith("x")]
-        if bad:
-            raise InvalidArgumentError(
-                f"causal_rr contrasts exposure columns only; refusing adjustment column(s) {bad}"
-            )
+    x_columns = _x_columns(fit, summary.z_columns)
     if not x_columns:
-        raise InvalidArgumentError("fit has no exposure columns (names starting with 'x')")
+        raise InvalidArgumentError(
+            f"no exposure columns: every fit covariate {fit.covariate_names} is an adjustment column"
+        )
     x_vec = _as_values(x, x_columns, "x")
     x0_vec = _as_values(x0, x_columns, "x0")
     idx = [fit._index(c) for c in x_columns]
@@ -177,17 +170,16 @@ def do_interval_hazard(fit: CoxFit, summary: BackdoorSummary, x, t1, t2) -> floa
     return (do_cumhaz(fit, summary, x, t2) - do_cumhaz(fit, summary, x, t1)) / (t2 - t1)
 
 
-def paf(dataset: Dataset, fit: CoxFit, summary: BackdoorSummary, x0=None) -> float:
+def paf(fit: CoxFit, summary: BackdoorSummary, x0=None) -> float:
     """Population attributable fraction 1 - exp(eta_x(x0)) * a_z / mean(exp(eta)).
 
     Compares the factual population incidence against everyone forced to
     the reference exposure x0 (all-zero baseline by default); the baseline
-    hazard cancels in the ratio.
+    hazard cancels in the ratio, and mean(exp(eta)) is the summary's
+    mean_joint_risk.
     """
-    full_idx = [dataset.column_index(c) for c in fit.covariate_names]
-    mean_joint = float(np.mean(np.exp(dataset.covariates[:, full_idx] @ fit.beta)))
     eta_x0 = 0.0 if x0 is None else _eta_x(fit, summary, x0)
-    return 1.0 - math.exp(eta_x0) * summary.a_z / mean_joint
+    return 1.0 - math.exp(eta_x0) * summary.a_z / summary.mean_joint_risk
 
 
 def naive_rr(dataset: Dataset, x_column: str, x, x0) -> CausalEstimate:

@@ -37,8 +37,8 @@ from .simulate import (
     save_dataset,
 )
 
-# Experiments derive the oracle seed from the scenario seed by a fixed
-# offset, so one config pins the whole pipeline.
+# `experiment` and `oracle` derive the oracle seed from the scenario seed
+# by a fixed offset, so one config (or one --seed) pins the whole pipeline.
 _ORACLE_SEED_OFFSET = 1_000_003
 
 
@@ -178,7 +178,7 @@ def cmd_backdoor(args) -> int:
     x, x0 = _parse_contrast(args.contrast)
     z_columns = args.z_columns.split(",") if args.z_columns else ["z"]
     summary = bd.compute_az(dataset, fit, z_columns, horizon_t=args.t)
-    rr = bd.causal_rr(fit, x, x0)
+    rr = bd.causal_rr(fit, summary, x, x0)
     payload = {
         "a_z": summary.a_z,
         "mean_joint_risk": summary.mean_joint_risk,
@@ -188,7 +188,7 @@ def cmd_backdoor(args) -> int:
         "do_cdf_x": _estimate_dict(bd.do_cdf(fit, summary, x, args.t)),
         "do_cdf_x0": _estimate_dict(bd.do_cdf(fit, summary, x0, args.t)),
         "do_cumhaz_x": bd.do_cumhaz(fit, summary, x, args.t),
-        "paf": bd.paf(dataset, fit, summary),
+        "paf": bd.paf(fit, summary),
         "t": args.t,
         "x": x,
         "x0": x0,
@@ -230,8 +230,8 @@ def cmd_frontdoor(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config = load_scenario_config(args.config)
-    seed = int(args.seed) if args.seed is not None else config.seed + _ORACLE_SEED_OFFSET
+    config = _scenario_with_seed(load_scenario_config(args.config), args.seed)
+    seed = config.seed + _ORACLE_SEED_OFFSET
     t = args.t if args.t is not None else config.horizon_t
     payload = {"n": args.n, "seed": seed, "t": t}
     if args.x0 is not None:
@@ -280,7 +280,7 @@ def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: 
                 "rarity_flag": summary.rarity_flag,
             }
         }
-        estimate_rr = lambda x, x0: bd.causal_rr(fit, x, x0)
+        estimate_rr = lambda x, x0: bd.causal_rr(fit, summary, x, x0)
         estimate_cdf = lambda x, t: bd.do_cdf(fit, summary, x, t)
     else:
         params = fd.estimate_frontdoor_params(dataset, fit)
@@ -325,8 +325,8 @@ def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: 
                 row("do_cdf", x, float("nan"), t, est.value, est.std_err, ora.incidence, ora.standard_error, est.rarity_flag)
             )
     if scenario.dag_kind == "backdoor":
+        value = bd.paf(fit, summary)
         for t in exp.horizon_grid:
-            value = bd.paf(dataset, fit, summary)
             o_paf, o_se = orc.oracle_paf(scenario, exp.oracle_n, oracle_seed, t)
             rows.append(row("paf", float("nan"), 0.0, t, value, float("nan"), o_paf, o_se, False))
     for x in x_values:
@@ -340,8 +340,7 @@ def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: 
 
 def cmd_experiment(args) -> int:
     exp = _load_experiment_config(args.config)
-    if args.seed is not None:
-        exp = dataclasses.replace(exp, scenario=dataclasses.replace(exp.scenario, seed=int(args.seed)))
+    exp = dataclasses.replace(exp, scenario=_scenario_with_seed(exp.scenario, args.seed))
     out_dir = Path(args.out_dir) if args.out_dir else Path(exp.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -5,6 +5,11 @@ The baseline is anchored at the zero covariate vector, so the linear
 predictor is exactly 0 there and exp(beta . x) multiplies the reported
 baseline directly. Ties are handled with the Breslow convention: every
 subject with a tied time sits in the risk set of that time.
+
+The fitter, the likelihood and the baseline share one path: _prepared
+checks the inputs and sorts by time, and _risk_sets takes exp(eta) and
+finds each event row's tie-group head, where a reversed cumulative sum
+holds that row's risk-set sum. Sums are read at event rows only.
 """
 
 from __future__ import annotations
@@ -55,49 +60,51 @@ class StepFunction:
         return float(out) if np.isscalar(t) else out
 
 
-def _design(dataset: Dataset, covariate_names) -> tuple:
+def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
+    """Every input check plus the stable time sort: (names, beta, t_s, d_s,
+    x_s). beta, when given, must have one entry per design column."""
     names = list(covariate_names) if covariate_names is not None else list(dataset.covariate_names)
     if not names:
         raise InvalidArgumentError("at least one covariate is required")
     x = dataset.covariates[:, [dataset.column_index(c) for c in names]]
-    return names, x
+    if beta is not None:
+        beta = np.asarray(beta, dtype=np.float64)
+        if beta.shape != (len(names),):
+            raise InvalidArgumentError(f"beta must have length {len(names)}, got shape {beta.shape}")
+    if dataset.n_events == 0:
+        raise NoEventsError("no events in the data; the partial likelihood and baseline hazard are undefined")
+    order = np.argsort(dataset.time, kind="stable")
+    return names, beta, dataset.time[order], dataset.event[order], x[order]
 
 
-def _check_beta(beta, p: int) -> np.ndarray:
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (p,):
-        raise InvalidArgumentError(f"beta must have length {p}, got shape {beta.shape}")
-    return beta
-
-
-def _sorted_arrays(time, event, covariates):
-    order = np.argsort(time, kind="stable")
-    return time[order], event[order], covariates[order]
-
-
-def _nlpl(beta, t_s, d_s, x_s):
-    """Negative Breslow log partial likelihood plus derivatives on
-    time-sorted arrays."""
+def _risk_sets(beta, t_s, d_s, x_s) -> tuple:
+    """(eta, w = exp(eta), event rows, tie head of each event row) on
+    time-sorted arrays. Rows sharing a time share the risk set, so a
+    reversed cumulative sum read at the head is that risk set's sum."""
     eta = x_s @ beta
     if np.max(np.abs(eta)) > _ETA_BOUND:
         raise NumericalError(
             "linear predictor exceeds exp() range; rescale covariates to moderate magnitudes"
         )
-    w = np.exp(eta)
-    s0 = np.cumsum(w[::-1])[::-1]
-    s1 = np.cumsum((w[:, None] * x_s)[::-1], axis=0)[::-1]
-    xx = x_s[:, :, None] * x_s[:, None, :]
-    s2 = np.cumsum((w[:, None, None] * xx)[::-1], axis=0)[::-1]
-    # rows sharing a time share the risk set: read sums at the tie group head
-    first = np.searchsorted(t_s, t_s, side="left")
-    ev = np.flatnonzero(d_s)
-    s0_e = s0[first][ev]
-    ratio1 = s1[first][ev] / s0_e[:, None]
+    event_rows = np.flatnonzero(d_s)
+    return eta, np.exp(eta), event_rows, np.searchsorted(t_s, t_s[event_rows], side="left")
+
+
+def _tail_sums(a) -> np.ndarray:
+    """Sum over each row and every row after it, along axis 0."""
+    return np.cumsum(a[::-1], axis=0)[::-1]
+
+
+def _nlpl(beta, t_s, d_s, x_s):
+    """Negative Breslow log partial likelihood plus derivatives on
+    time-sorted arrays."""
+    eta, w, ev, head = _risk_sets(beta, t_s, d_s, x_s)
+    s0_e = _tail_sums(w)[head]
+    ratio1 = _tail_sums(w[:, None] * x_s)[head] / s0_e[:, None]
+    s2_e = _tail_sums(w[:, None, None] * (x_s[:, :, None] * x_s[:, None, :]))[head]
     value = -float(np.sum(eta[ev] - np.log(s0_e)))
     gradient = -np.sum(x_s[ev] - ratio1, axis=0)
-    hessian = np.sum(
-        s2[first][ev] / s0_e[:, None, None] - ratio1[:, :, None] * ratio1[:, None, :], axis=0
-    )
+    hessian = np.sum(s2_e / s0_e[:, None, None] - ratio1[:, :, None] * ratio1[:, None, :], axis=0)
     return value, gradient, hessian
 
 
@@ -107,36 +114,21 @@ def neg_log_partial_likelihood(dataset: Dataset, beta, covariate_names=None):
     Returns (value, gradient, hessian); the Hessian is the observed
     information, positive semidefinite by construction.
     """
-    names, x = _design(dataset, covariate_names)
-    beta = _check_beta(beta, len(names))
-    if dataset.n_events == 0:
-        raise NoEventsError("no events in the data; the partial likelihood is undefined")
-    t_s, d_s, x_s = _sorted_arrays(dataset.time, dataset.event, x)
+    _, beta, t_s, d_s, x_s = _prepared(dataset, covariate_names, beta)
     return _nlpl(beta, t_s, d_s, x_s)
 
 
 def _breslow(beta, t_s, d_s, x_s) -> StepFunction:
-    eta = x_s @ beta
-    if np.max(np.abs(eta)) > _ETA_BOUND:
-        raise NumericalError(
-            "linear predictor exceeds exp() range; rescale covariates to moderate magnitudes"
-        )
-    w = np.exp(eta)
-    s0 = np.cumsum(w[::-1])[::-1]
-    knots, counts = np.unique(t_s[d_s], return_counts=True)
-    ev_first = np.searchsorted(t_s, knots, side="left")
-    increments = counts / s0[ev_first]
+    _, w, ev, head = _risk_sets(beta, t_s, d_s, x_s)
+    knots, first, counts = np.unique(t_s[ev], return_index=True, return_counts=True)
+    increments = counts / _tail_sums(w)[head[first]]
     return StepFunction(knots=knots, values=np.cumsum(increments))
 
 
 def breslow_baseline(dataset: Dataset, beta, covariate_names=None) -> StepFunction:
     """Baseline cumulative hazard at the zero covariate vector: at each
     distinct event time, the event count over the risk-set sum of exp(eta)."""
-    names, x = _design(dataset, covariate_names)
-    beta = _check_beta(beta, len(names))
-    if dataset.n_events == 0:
-        raise NoEventsError("no events in the data; the baseline hazard is undefined")
-    t_s, d_s, x_s = _sorted_arrays(dataset.time, dataset.event, x)
+    _, beta, t_s, d_s, x_s = _prepared(dataset, covariate_names, beta)
     return _breslow(beta, t_s, d_s, x_s)
 
 
@@ -184,13 +176,10 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
     running past 50 raises MonotoneLikelihoodError naming the covariate
     (separated data has no finite optimum).
     """
-    names, x = _design(dataset, covariate_names)
+    names, _, t_s, d_s, x_s = _prepared(dataset, covariate_names)
     for j, name in enumerate(names):
-        if np.ptp(x[:, j]) == 0.0:
+        if np.ptp(x_s[:, j]) == 0.0:
             raise DegenerateCovariateError(f"covariate {name!r} is constant; its effect is unidentifiable")
-    if dataset.n_events == 0:
-        raise NoEventsError("no events in the data; the partial likelihood is undefined")
-    t_s, d_s, x_s = _sorted_arrays(dataset.time, dataset.event, x)
 
     beta = np.zeros(len(names))
     value, gradient, hessian = _nlpl(beta, t_s, d_s, x_s)

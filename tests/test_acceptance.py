@@ -42,7 +42,7 @@ def test_criterion_1_backdoor_rr_vs_oracle_grid(capsys, backdoor_dataset, backdo
     failures = []
 
     def one_cell(config, dataset, fit, label):
-        rr = dh.causal_rr(fit, 1.0, 0.0)
+        rr = dh.causal_rr(fit, dh.compute_az(dataset, fit, ["z"]), 1.0, 0.0)
         oracle = dh.oracle_rr(config, 1.0, 0.0, 1_000_000, config.seed + ORACLE_SEED_OFFSET, 10.0)
         tol = max(0.10 * oracle.ratio, 3.0 * oracle.standard_error)
         gap = abs(rr.value - oracle.ratio)
@@ -80,7 +80,7 @@ def test_criterion_2_conditioning_is_not_intervening(capsys):
            f"naive RR {naive.value:.4f} only {naive_gap / oracle.standard_error:.1f} SE from oracle {oracle.ratio:.4f}")
 
     fit = dh.fit_cox(dataset, ["x", "z"])
-    adjusted = dh.causal_rr(fit, 1.0, 0.0)
+    adjusted = dh.causal_rr(fit, dh.compute_az(dataset, fit, ["z"]), 1.0, 0.0)
     tol = max(0.10 * oracle.ratio, 3.0 * oracle.standard_error)
     _check(failures, abs(adjusted.value - oracle.ratio) <= tol,
            f"adjusted RR {adjusted.value:.4f} misses oracle {oracle.ratio:.4f} beyond {tol:.4f}")
@@ -276,7 +276,7 @@ def test_criterion_8_cox_fitter_correctness(capsys):
 
 def test_criterion_9_paf_vs_oracle(capsys, backdoor_config, backdoor_dataset, backdoor_fit, backdoor_summary):
     failures = []
-    formula = dh.paf(backdoor_dataset, backdoor_fit, backdoor_summary)
+    formula = dh.paf(backdoor_fit, backdoor_summary)
     oracle_value, oracle_se = dh.oracle_paf(
         backdoor_config, 8_000_000, backdoor_config.seed + ORACLE_SEED_OFFSET, 10.0
     )

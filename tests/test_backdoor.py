@@ -23,6 +23,13 @@ def hand_fit(beta, names, knots, values, covariance=None):
     )
 
 
+def adjusting(*z_columns):
+    """A summary that only names the adjustment columns, for causal_rr."""
+    return dh.BackdoorSummary(
+        a_z=1.0, mean_joint_risk=1.0, horizon_t=1.0, max_cumhaz=0.0, rarity_flag=False, z_columns=z_columns, n=1
+    )
+
+
 def two_column_dataset(x, z):
     n = len(x)
     return make_tiny_dataset(np.linspace(1.0, 2.0, n), np.ones(n, dtype=int), x, z)
@@ -123,28 +130,28 @@ def test_do_cdf_reference_vs_oracle(backdoor_config, backdoor_fit, backdoor_summ
     assert abs(est.value - oracle.incidence) / oracle.incidence <= 0.10
 
 
-def test_causal_rr_identity_contrast(backdoor_fit):
-    est = dh.causal_rr(backdoor_fit, [1.3], [1.3])
+def test_causal_rr_identity_contrast(backdoor_fit, backdoor_summary):
+    est = dh.causal_rr(backdoor_fit, backdoor_summary, [1.3], [1.3])
     assert est.value == 1.0
     assert est.std_err == 0.0
 
 
 def test_causal_rr_scalar_doubling():
     fit = hand_fit([math.log(2.0), 0.9], ["x", "z"], [1.0], [0.05])
-    est = dh.causal_rr(fit, [1.0], [0.0])
+    est = dh.causal_rr(fit, adjusting("z"), [1.0], [0.0])
     assert est.value == pytest.approx(2.0, rel=1e-15)
     assert est.diagnostics["log_rr"] == math.log(2.0)
 
 
-def test_causal_rr_log_antisymmetry(backdoor_fit):
-    fwd = dh.causal_rr(backdoor_fit, [1.7], [0.4])
-    rev = dh.causal_rr(backdoor_fit, [0.4], [1.7])
+def test_causal_rr_log_antisymmetry(backdoor_fit, backdoor_summary):
+    fwd = dh.causal_rr(backdoor_fit, backdoor_summary, [1.7], [0.4])
+    rev = dh.causal_rr(backdoor_fit, backdoor_summary, [0.4], [1.7])
     assert fwd.diagnostics["log_rr"] == -rev.diagnostics["log_rr"]
     assert fwd.value * rev.value == pytest.approx(1.0, rel=1e-14)
 
 
-def test_causal_rr_independent_of_z_coefficient(backdoor_fit):
-    base = dh.causal_rr(backdoor_fit, [1.0], [0.0])
+def test_causal_rr_independent_of_z_coefficient(backdoor_fit, backdoor_summary):
+    base = dh.causal_rr(backdoor_fit, backdoor_summary, [1.0], [0.0])
     perturbed_beta = backdoor_fit.beta.copy()
     perturbed_beta[backdoor_fit.covariate_names.index("z")] += 0.37
     perturbed = dh.CoxFit(
@@ -159,20 +166,23 @@ def test_causal_rr_independent_of_z_coefficient(backdoor_fit):
         iterations=backdoor_fit.iterations,
         final_score_norm=backdoor_fit.final_score_norm,
     )
-    assert dh.causal_rr(perturbed, [1.0], [0.0]).value == base.value
+    assert dh.causal_rr(perturbed, backdoor_summary, [1.0], [0.0]).value == base.value
 
 
-def test_causal_rr_refuses_adjustment_columns(backdoor_fit):
-    with pytest.raises(dh.InvalidArgumentError, match="refus"):
-        dh.causal_rr(backdoor_fit, [1.0], [0.0], x_columns=["z"])
+def test_causal_rr_roles_ignore_x_prefix():
+    # an adjustment column named like an exposure stays an adjustment column,
+    # and an exposure with any name is contrasted
+    fit = hand_fit([math.log(2.0), 0.4], ["exposure", "xage"], [1.0], [0.05])
+    est = dh.causal_rr(fit, adjusting("xage"), [1.0], [0.0])
+    assert est.value == pytest.approx(2.0, rel=1e-15)
+    assert est.diagnostics["log_rr"] == math.log(2.0)
 
 
-def test_causal_rr_argument_checks(backdoor_fit):
+def test_causal_rr_argument_checks(backdoor_fit, backdoor_summary):
     with pytest.raises(dh.InvalidArgumentError):
-        dh.causal_rr(backdoor_fit, [1.0, 2.0], [0.0])
-    no_exposure = hand_fit([0.3, 0.7], ["w", "z"], [1.0], [0.05])
-    with pytest.raises(dh.InvalidArgumentError):
-        dh.causal_rr(no_exposure, [1.0], [0.0])
+        dh.causal_rr(backdoor_fit, backdoor_summary, [1.0, 2.0], [0.0])
+    with pytest.raises(dh.InvalidArgumentError, match="no exposure columns"):
+        dh.causal_rr(backdoor_fit, adjusting("x", "z"), [], [])
 
 
 def test_causal_rr_multivariate_delta_se():
@@ -182,7 +192,7 @@ def test_causal_rr_multivariate_delta_se():
         [0.0, 0.0, 0.25],
     ])
     fit = hand_fit([0.2, -0.5, 0.9], ["x1", "x2", "z"], [1.0], [0.05], covariance=cov)
-    est = dh.causal_rr(fit, [1.0, 2.0], [0.0, 1.0], x_columns=["x1", "x2"])
+    est = dh.causal_rr(fit, adjusting("z"), [1.0, 2.0], [0.0, 1.0])
     log_rr = 0.2 * 1.0 + (-0.5) * 1.0
     var_log = 0.04 + 0.09 + 2 * 0.01
     assert est.value == pytest.approx(math.exp(log_rr), rel=1e-15)
@@ -191,7 +201,7 @@ def test_causal_rr_multivariate_delta_se():
 
 def test_do_cdf_ratio_matches_causal_rr(backdoor_fit, backdoor_summary):
     # float rounding keeps this at the 1e-13 level rather than bit-exact
-    rr = dh.causal_rr(backdoor_fit, [1.3], [0.2]).value
+    rr = dh.causal_rr(backdoor_fit, backdoor_summary, [1.3], [0.2]).value
     for t in (5.0, 10.0):
         num = dh.do_cdf(backdoor_fit, backdoor_summary, [1.3], t).value
         den = dh.do_cdf(backdoor_fit, backdoor_summary, [0.2], t).value
@@ -218,16 +228,16 @@ def test_paf_zero_when_everyone_at_reference():
     z = np.linspace(-2, 2, 60)
     ds = two_column_dataset(np.zeros(60), z)
     summary = dh.compute_az(ds, fit, ["z"], horizon_t=1.0)
-    assert dh.paf(ds, fit, summary) == 0.0
+    assert dh.paf(fit, summary) == 0.0
 
 
 def test_paf_two_point_exposure():
     fit = hand_fit([math.log(2.0), 0.5], ["x", "z"], [1.0], [0.05])
     ds = two_column_dataset(np.tile([0.0, 1.0], 50), np.zeros(100))
     summary = dh.compute_az(ds, fit, ["z"], horizon_t=1.0)
-    assert dh.paf(ds, fit, summary) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert dh.paf(fit, summary) == pytest.approx(1.0 / 3.0, rel=1e-14)
     # protective reference exposure gives a negative attributable fraction
-    assert dh.paf(ds, fit, summary, x0=[1.0]) == pytest.approx(-1.0 / 3.0, rel=1e-13)
+    assert dh.paf(fit, summary, x0=[1.0]) == pytest.approx(-1.0 / 3.0, rel=1e-13)
 
 
 def test_naive_rr_single_covariate(backdoor_dataset):

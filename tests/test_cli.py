@@ -85,6 +85,25 @@ def test_backdoor_command(tmp_path, scenario_path):
     assert "paf" in payload
 
 
+@pytest.mark.parametrize("adjustment", ["age", "xage"])
+def test_backdoor_command_named_columns(tmp_path, adjustment):
+    # roles come from --z-columns alone: neither a missing nor a leading 'x'
+    # in a column name changes which coefficient the causal RR reads
+    ds = dh.generate(make_backdoor_config(n_subjects=4_000))
+    dh.save_dataset(
+        dh.Dataset(time=ds.time, event=ds.event, covariates=ds.covariates, covariate_names=("exposure", adjustment)),
+        tmp_path / "named.csv",
+    )
+    rc = run([
+        "backdoor", tmp_path / "named.csv", "--contrast", "1,0", "--t", 10, "--z-columns", adjustment,
+        "--out-dir", tmp_path, "--quiet",
+    ])
+    assert rc == 0
+    payload = json.loads((tmp_path / "backdoor.json").read_text())
+    fit = dh.fit_cox(dh.load_dataset(tmp_path / "named.csv"))
+    assert payload["causal_rr"]["value"] == math.exp(fit.coef("exposure"))
+
+
 def test_frontdoor_command(tmp_path, fd_scenario_path):
     run(["simulate", fd_scenario_path, "--out-dir", tmp_path, "--out", "fd.csv", "--quiet"])
     rc = run([
@@ -106,6 +125,22 @@ def test_oracle_command_incidence(tmp_path, scenario_path):
     payload = json.loads((tmp_path / "oracle.json").read_text())
     assert 0.0 < payload["incidence"] < 0.2
     assert payload["seed"] == 42 + 1_000_003  # derived from the scenario seed
+
+
+def test_oracle_seed_means_the_scenario_seed(tmp_path):
+    # --seed replaces the scenario seed in oracle as in experiment, so both
+    # derive the same oracle seed and draw the same arm
+    experiment = json.loads(experiment_config(tmp_path, oracle_n=50_000).read_text())
+    scenario = write_scenario(tmp_path / "scenario.json", dh.ScenarioConfig.from_dict(experiment["scenario"]))
+    assert run(["experiment", tmp_path / "experiment.json", "--seed", 5, "--out-dir", tmp_path, "--quiet"]) == 0
+    assert run([
+        "oracle", scenario, "--x", 1.0, "--n", 50_000, "--t", 10, "--seed", 5, "--out-dir", tmp_path, "--quiet",
+    ]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    payload = json.loads((tmp_path / "oracle.json").read_text())
+    assert payload["seed"] == report["oracle_seed"] == 5 + 1_000_003
+    oracle_row = next(r for r in report["estimates"] if r["method"] == "oracle" and r["x"] == 1.0 and r["t"] == 10.0)
+    assert payload["incidence"] == oracle_row["oracle_value"]
 
 
 def test_oracle_command_shared_streams_identity(tmp_path, scenario_path):

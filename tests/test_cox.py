@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dohazard as dh
 
@@ -363,3 +365,98 @@ def test_load_fit_errors(tmp_path):
             load_with(**{key: value})
     # fit files written with the zero anchor key still load
     assert np.array_equal(load_with(baseline_x0=[0.0, 0.0]).beta, good["beta"])
+
+
+# Property tests: small cohorts whose times come from a handful of values,
+# so most event rows share their risk set with a tie group.
+
+_TIED_TIMES = (0.5, 1.0, 1.5, 2.0, 3.0)
+cox_settings = settings(max_examples=80, deadline=None)
+
+
+@st.composite
+def tied_cohorts(draw, min_n=2):
+    """(dataset, beta): 1-3 normal covariates, at least one event."""
+    n = draw(st.integers(min_n, 30))
+    p = draw(st.integers(1, 3))
+    time = draw(st.lists(st.sampled_from(_TIED_TIMES), min_size=n, max_size=n))
+    event = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    event[draw(st.integers(0, n - 1))] = True
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dataset = dh.Dataset(
+        time=np.array(time),
+        event=np.array(event),
+        covariates=rng.normal(size=(n, p)),
+        covariate_names=[f"c{j}" for j in range(p)],
+    )
+    beta = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p)))
+    return dataset, beta
+
+
+def fitted(dataset, tol=1e-9):
+    """fit_cox, discarding cohorts with no finite optimum: the fitter's own
+    refusals (separation, collinearity, a constant column), and separated
+    cohorts it does not refuse, where the objective stops changing in
+    floating point before |beta| reaches the guard at 50 and the fit
+    reports convergence at an arbitrary point of a flat likelihood."""
+    try:
+        fit = dh.fit_cox(dataset, tol=tol)
+    except dh.NumericalError:
+        assume(False)
+    assume(np.max(np.abs(fit.beta)) < 10.0)
+    return fit
+
+
+def hand_breslow(dataset, beta):
+    """Per-knot loop: events at the knot over the sum of exp(eta) over
+    every subject still at risk there."""
+    w = np.exp(dataset.covariates @ beta)
+    knots = np.unique(dataset.time[dataset.event])
+    increments = [np.sum(dataset.event & (dataset.time == k)) / w[dataset.time >= k].sum() for k in knots]
+    return knots, np.cumsum(increments)
+
+
+@cox_settings
+@given(tied_cohorts())
+def test_nlpl_matches_direct_computation_under_ties(case):
+    dataset, beta = case
+    value, _, _ = dh.neg_log_partial_likelihood(dataset, beta)
+    assert value == pytest.approx(hand_nlpl(dataset, beta), rel=1e-12)
+
+
+@cox_settings
+@given(tied_cohorts())
+def test_breslow_matches_per_knot_loop(case):
+    dataset, beta = case
+    base = dh.breslow_baseline(dataset, beta)
+    knots, values = hand_breslow(dataset, beta)
+    assert np.array_equal(base.knots, knots)
+    np.testing.assert_allclose(base.values, values, rtol=1e-12, atol=0.0)
+
+
+@cox_settings
+@given(tied_cohorts(min_n=10))
+def test_fit_baseline_is_breslow_at_fitted_beta(case):
+    dataset, _ = case
+    fit = fitted(dataset)
+    base = dh.breslow_baseline(dataset, fit.beta)
+    assert fit.baseline_cumhaz.knots.tobytes() == base.knots.tobytes()
+    assert fit.baseline_cumhaz.values.tobytes() == base.values.tobytes()
+
+
+@cox_settings
+@given(tied_cohorts(min_n=10), st.randoms(use_true_random=False))
+def test_fit_beta_invariant_to_row_order(case, random):
+    dataset, _ = case
+    perm = np.array(random.sample(range(dataset.n), dataset.n))
+    shuffled = dh.Dataset(
+        time=dataset.time[perm],
+        event=dataset.event[perm],
+        covariates=dataset.covariates[perm],
+        covariate_names=dataset.covariate_names,
+    )
+    # the stopping rule pins beta only to about tol over the smallest
+    # information eigenvalue, so a row order can stop one step earlier;
+    # a tight tol puts both fits on the optimum itself
+    np.testing.assert_allclose(fitted(shuffled, 1e-13).beta, fitted(dataset, 1e-13).beta, rtol=1e-9, atol=1e-9)
+
