@@ -8,8 +8,12 @@ Exit codes: 0 success, 2 invalid input (bad JSON, bad fields, bad files),
 ``experiment`` runs the full pipeline: simulate a cohort, fit it, compute
 every causal estimate, run the brute-force intervention oracle, and write
 estimates.csv plus report.json. Outputs are byte-stable: rerunning the
-same config reproduces both files exactly, and numeric CSV fields carry
-12 significant digits so parse/format round-trips are lossless.
+same config reproduces both files exactly. Numeric fields of
+estimates.csv are rounded to 12 significant digits (%.12g), so they read
+back close to, not exactly as, the float64 values; report.json carries
+the same rows at full precision. A fit that did not converge and a
+tripped rare-event approximation flag are warned about on stderr, even
+under --quiet.
 """
 
 from __future__ import annotations
@@ -109,6 +113,11 @@ def _info(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _warn_unconverged(fit) -> None:
+    if not fit.converged:
+        print(f"warning: fit did not converge in {fit.iterations} iterations", file=sys.stderr)
+
+
 def _out_path(args, name: str) -> Path:
     base = Path(args.out_dir) if args.out_dir else Path(".")
     base.mkdir(parents=True, exist_ok=True)
@@ -166,8 +175,7 @@ def cmd_fit(args) -> int:
     fit = fit_cox(dataset, names)
     out = _out_path(args, args.out)
     save_fit(fit, out)
-    if not fit.converged:
-        print(f"warning: fit did not converge in {fit.iterations} iterations", file=sys.stderr)
+    _warn_unconverged(fit)
     _info(args, f"fit {fit.covariate_names} on {fit.n} subjects -> {out}")
     return 0
 
@@ -349,9 +357,16 @@ def cmd_experiment(args) -> int:
     _info(args, f"simulating {scenario.n_subjects} subjects ({scenario.dag_kind})")
     dataset = generate(scenario)
     fit = fit_cox(dataset, ["x", "z"])
+    _warn_unconverged(fit)
     _info(args, f"fit converged={fit.converged} in {fit.iterations} iterations; running oracle (n={exp.oracle_n}/arm)")
     rows, extra = _experiment_rows(exp, dataset, fit, oracle_seed)
     approx = orc.approx_error_report(fit, dataset, max(exp.horizon_grid))
+    if approx.flagged:
+        print(
+            f"warning: rare-event approximation flagged at t={approx.horizon_t:g}: relative error "
+            f"up to {approx.max_rel_error:.3g} (max cumulative hazard {approx.max_cumhaz:.3g})",
+            file=sys.stderr,
+        )
 
     columns = ["method", "x", "x0", "t", "estimate", "std_err", "oracle_value", "oracle_se", "rel_err", "rarity_flag"]
     written = []

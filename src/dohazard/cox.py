@@ -172,9 +172,11 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
     with step halving whenever the objective fails to decrease.
 
     Stops when the gradient max-norm or the relative objective change
-    drops to tol; hitting max_iter returns converged=False. A coefficient
-    running past 50 raises MonotoneLikelihoodError naming the covariate
-    (separated data has no finite optimum).
+    drops to tol; hitting max_iter returns converged=False. Separated data
+    has no finite optimum: a coefficient running past 50, or a converged
+    fit whose Newton step |H^-1 g| still exceeds sqrt(tol) * max(1, |beta|)
+    for some coefficient, raises MonotoneLikelihoodError naming the
+    covariate.
     """
     names, _, t_s, d_s, x_s = _prepared(dataset, covariate_names)
     for j, name in enumerate(names):
@@ -221,6 +223,18 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
         covariance = np.linalg.inv(hessian)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"observed information is singular: {exc}") from exc
+    if converged:
+        # The toler.inf rule of R's coxph: where the likelihood flattens
+        # toward an infinite coefficient, the score underflows below tol
+        # while the Newton step stays large.
+        newton = np.abs(covariance @ gradient)
+        scale = np.maximum(1.0, np.abs(beta))
+        worst = int(np.argmax(newton / scale))
+        if newton[worst] > math.sqrt(tol) * scale[worst]:
+            raise MonotoneLikelihoodError(
+                f"coefficient for {names[worst]!r} looks infinite: the fit stopped at {beta[worst]:.6g} "
+                f"with a Newton step of {newton[worst]:.3g} still to go; the likelihood appears monotone (separation)"
+            )
     return CoxFit(
         beta=beta,
         covariance=covariance,

@@ -19,8 +19,10 @@ statistical check.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -37,6 +39,10 @@ _STREAM_X_NOISE = 2
 _STREAM_Z_NOISE = 3
 _STREAM_FAILURE = 4
 _STREAM_CENSOR = 5
+
+# Rows per formatted block in save_dataset: the per-block overhead vanishes
+# while a block's strings stay a few MB.
+_ROWS_PER_WRITE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -420,29 +426,39 @@ def generate(config: ScenarioConfig) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write the cohort as CSV; floats carry 17 significant digits so the
-    save/load round trip is value-exact."""
-    columns = ["time", "event"] + list(dataset.covariate_names)
+    """Write the cohort as CSV: time, event, the covariates, then u_latent
+    when present. Floats are written with %.17g, so load_dataset reads back
+    the same float64 bits; events are 0 or 1; rows end in CRLF, as the
+    csv.writer header does. Each block of _ROWS_PER_WRITE rows is one
+    %-substitution into a repeated row template: no Python loop runs per
+    value and no list of the whole cohort is built."""
+    header = ["time", "event"] + list(dataset.covariate_names)
+    columns = [dataset.time, dataset.event] + list(dataset.covariates.T)
     if dataset.u_latent is not None:
-        columns.append("u_latent")
+        header.append("u_latent")
+        columns.append(dataset.u_latent)
+    row = ",".join(["%.17g", "%d"] + ["%.17g"] * (len(columns) - 2)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for i in range(dataset.n):
-            row = ["%.17g" % dataset.time[i], "1" if dataset.event[i] else "0"]
-            row.extend("%.17g" % v for v in dataset.covariates[i])
-            if dataset.u_latent is not None:
-                row.append("%.17g" % dataset.u_latent[i])
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for start in range(0, dataset.n, _ROWS_PER_WRITE):
+            block = [c[start:start + _ROWS_PER_WRITE].tolist() for c in columns]
+            fh.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def load_dataset(path) -> Dataset:
     """Read a cohort CSV; raises ParseError with the offending line number,
-    or ValidationError when values break the dataset invariants."""
+    or ValidationError when values break the dataset invariants.
+
+    numpy's C parser reads the body in one call. When it fails, finds no
+    rows or the wrong number of fields, or reads an event other than 0 or
+    1, the body is read again by the csv row loop (_parse_rows): it takes
+    quoted fields and every spelling float() takes, and names the line of
+    the first bad row.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            # readline, not iteration over fh, so that tell() still works
+            header = next(csv.reader(iter(fh.readline, "")))
         except StopIteration:
             raise ValidationError(f"{path}: file is empty") from None
         for required in ("time", "event"):
@@ -451,27 +467,45 @@ def load_dataset(path) -> Dataset:
         names = [c for c in header if c not in ("time", "event", "u_latent")]
         has_u = "u_latent" in header
         index = {c: header.index(c) for c in header}
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
-            try:
-                parsed = [float(v) for v in row]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line_no}: {exc}") from exc
-            if parsed[index["event"]] not in (0.0, 1.0):
-                raise ValidationError(f"{path}:{line_no}: event must be 0 or 1")
-            rows.append(parsed)
-        if not rows:
-            raise ValidationError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
+        body = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                # a body with no rows is reported by _parse_rows below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or len(data) == 0 or data.shape[1] != len(header) or not np.all(
+            np.isin(data[:, index["event"]], (0.0, 1.0))
+        ):
+            fh.seek(body)
+            data = _parse_rows(path, csv.reader(fh), len(header), index["event"])
     return Dataset(
         time=data[:, index["time"]],
         event=data[:, index["event"]].astype(bool),
-        covariates=data[:, [index[c] for c in names]] if names else np.empty((len(rows), 0)),
+        covariates=data[:, [index[c] for c in names]] if names else np.empty((len(data), 0)),
         covariate_names=names,
         u_latent=data[:, index["u_latent"]] if has_u else None,
         provenance=str(path),
     )
+
+
+def _parse_rows(path, reader, width: int, event_col: int) -> np.ndarray:
+    """The data rows of a cohort CSV, one csv record at a time; the first
+    bad row raises with its line number (the header is line 1)."""
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(f"{path}:{line_no}: expected {width} fields, got {len(row)}")
+        try:
+            parsed = [float(v) for v in row]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line_no}: {exc}") from exc
+        if parsed[event_col] not in (0.0, 1.0):
+            raise ValidationError(f"{path}:{line_no}: event must be 0 or 1")
+        rows.append(parsed)
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=np.float64)

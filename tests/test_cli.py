@@ -211,8 +211,8 @@ def test_exit_3_on_degenerate_covariate(tmp_path, capsys):
     assert "'x'" in capsys.readouterr().err
 
 
-def experiment_config(tmp_path, oracle_n=200_000):
-    scenario = make_backdoor_config().to_dict()
+def experiment_config(tmp_path, oracle_n=200_000, **scenario_overrides):
+    scenario = make_backdoor_config(**scenario_overrides).to_dict()
     exp = {
         "scenario": scenario,
         "contrasts": [[1.0, 0.0]],
@@ -264,6 +264,28 @@ def test_experiment_pipeline(tmp_path):
     assert set(report["approximation"]) == {"horizon_t", "max_cumhaz", "mean_cumhaz", "max_rel_error", "flagged"}
     assert len(report["estimates"]) == len(rows)
     assert "backdoor_summary" in report
+
+
+def test_experiment_warns_on_stderr(tmp_path, monkeypatch, capsys):
+    # warnings are not progress notes: --quiet keeps them
+    rare = experiment_config(
+        tmp_path, oracle_n=20_000, n_subjects=20_000, baseline_hazard=dh.ExponentialHazard(0.0005)
+    )
+    assert run(["experiment", rare, "--out-dir", tmp_path / "rare", "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+    # at the reference rate the largest cumulative hazards are not rare
+    common = experiment_config(tmp_path, oracle_n=20_000, n_subjects=4_000)
+    assert run(["experiment", common, "--out-dir", tmp_path / "common", "--quiet"]) == 0
+    report = json.loads((tmp_path / "common" / "report.json").read_text())
+    assert report["approximation"]["flagged"] is True
+    err = capsys.readouterr().err
+    assert "warning: rare-event approximation flagged at t=10" in err
+    assert "did not converge" not in err
+
+    monkeypatch.setattr(cli, "fit_cox", lambda dataset, names: dh.fit_cox(dataset, names, max_iter=1))
+    assert run(["experiment", common, "--out-dir", tmp_path / "unconverged", "--quiet"]) == 0
+    assert "warning: fit did not converge in 1 iterations" in capsys.readouterr().err
 
 
 def test_experiment_config_validation(tmp_path, capsys):

@@ -241,6 +241,15 @@ def test_fit_detects_separation():
         dh.fit_cox(ds)
 
 
+def test_fit_detects_separation_where_the_score_underflows():
+    # ten subjects tied at t=0.5, one event at the lowest covariate: the
+    # likelihood rises toward beta = -inf, and near beta = -21 the score
+    # drops below tol while the Newton step is still a full unit
+    ds = make_tiny_dataset([0.5] * 10, [1] + [0] * 9, np.arange(10.0))
+    with pytest.raises(dh.MonotoneLikelihoodError, match="'x'"):
+        dh.fit_cox(ds)
+
+
 def test_fit_detects_collinearity():
     rng = np.random.default_rng(8)
     x = rng.normal(size=30)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,11 +191,84 @@ def test_save_is_byte_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_save_writes_pinned_bytes(tmp_path):
+    ds = dh.Dataset(
+        time=[0.1, 2.5, 1e-5],
+        event=[1, 0, 1],
+        covariates=[[-0.0], [5e-324], [1.0 / 3.0]],
+        covariate_names=["x"],
+        u_latent=[1e308, -2.0, 0.5],
+    )
+    path = tmp_path / "cohort.csv"
+    dh.save_dataset(ds, path)
+    assert path.read_bytes() == (
+        b"time,event,x,u_latent\r\n"
+        b"0.10000000000000001,1,-0,1e+308\r\n"
+        b"2.5,0,4.9406564584124654e-324,-2\r\n"
+        b"1.0000000000000001e-05,1,0.33333333333333331,0.5\r\n"
+    )
+
+
+# finite float64 values, with the edges of the format drawn often
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+)
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.sampled_from(
+    [5e-324, 1e308]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_save_load_roundtrip_is_bit_exact(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 30))
+    p = data.draw(st.integers(0, 3))
+    ds = dh.Dataset(
+        time=data.draw(st.lists(positive_floats, min_size=n, max_size=n)),
+        event=data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        covariates=np.array(data.draw(st.lists(finite_floats, min_size=n * p, max_size=n * p))).reshape(n, p),
+        covariate_names=[f"c{j}" for j in range(p)],
+        u_latent=data.draw(st.none() | st.lists(finite_floats, min_size=n, max_size=n)),
+    )
+    path = tmp_path_factory.mktemp("roundtrip") / "cohort.csv"
+    dh.save_dataset(ds, path)
+    back = dh.load_dataset(path)
+    assert back.time.tobytes() == ds.time.tobytes()
+    assert back.event.tobytes() == ds.event.tobytes()
+    assert back.covariates.shape == (n, p)
+    assert back.covariates.tobytes() == ds.covariates.tobytes()
+    assert back.covariate_names == ds.covariate_names
+    assert (back.u_latent is None) == (ds.u_latent is None)
+    if ds.u_latent is not None:
+        assert back.u_latent.tobytes() == ds.u_latent.tobytes()
+
+
+def test_load_row_parser_reads_what_the_fast_path_refuses(tmp_path):
+    # quoted fields, blank lines and float() spellings the C parser rejects
+    # all go through the row parser and read as they always have
+    path = tmp_path / "odd.csv"
+    path.write_bytes(b'time,event,x\r\n"1.5",1,0.25\r\n\r\n2_5,"0", -3\r\n3,1.0,1e-3')
+    ds = dh.load_dataset(path)
+    assert ds.time.tolist() == [1.5, 25.0, 3.0]
+    assert ds.event.tolist() == [True, False, True]
+    assert ds.column("x").tolist() == [0.25, -3.0, 1e-3]
+
+
 def test_load_rejects_malformed_rows(tmp_path):
     path = tmp_path / "bad.csv"
 
     path.write_text("time,event,x\n1.0,1,0.5\n2.0,one,0.1\n")
     with pytest.raises(dh.ParseError, match=r":3:"):
+        dh.load_dataset(path)
+
+    # line numbers count the blank lines the parser skips
+    path.write_text("time,event,x\n1.0,1,0.5\n\n2.0,oops,0.1\n")
+    with pytest.raises(dh.ParseError, match=r":4: could not convert string to float: 'oops'"):
+        dh.load_dataset(path)
+
+    # an event that parses as a number but is not 0/1: the fourth data row
+    path.write_text("time,event,x\n1,1,0\n2,0,0\n3,1,0\n4,2,0\n5,0,0\n")
+    with pytest.raises(dh.ValidationError, match=r":5: event must be 0 or 1"):
         dh.load_dataset(path)
 
     path.write_text("time,event,x\n1.0,1\n")
@@ -214,8 +288,10 @@ def test_load_rejects_malformed_rows(tmp_path):
         dh.load_dataset(path)
 
     path.write_text("time,event,x\n")
-    with pytest.raises(dh.ValidationError, match="no data rows"):
-        dh.load_dataset(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not leak
+        with pytest.raises(dh.ValidationError, match="no data rows"):
+            dh.load_dataset(path)
 
     path.write_text("")
     with pytest.raises(dh.ValidationError):
