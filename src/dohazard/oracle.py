@@ -1,12 +1,17 @@
 """Ground truth by brute force.
 
-Every arm is drawn through ``simulate.draw_scm``, the same structural model
-that generates the observed cohort, on its own block of stream ids. An
-intervention do(X=x) severs every arrow into the exposure: the confounder
-(or hidden cause) is still drawn from its own equation, the exposure is set
-to the forced value, and everything downstream uses that value. The
-fraction of failures by the horizon is the interventional incidence the
-analytic estimators approximate, with a plain binomial standard error.
+Every arm is drawn through ``simulate._scm_blocks``, the structural model
+that also generates the observed cohort, on its own range of stream ids.
+An intervention do(X=x) severs every arrow into the exposure: the
+confounder (or hidden cause) is still drawn from its own equation, the
+exposure is set to the forced value, and everything downstream uses that
+value. The fraction of failures by the horizon is the interventional
+incidence the analytic estimators approximate, with a plain binomial
+standard error.
+
+An arm is streamed: each block of subjects is reduced to integer counts as
+it is drawn, so an arm never holds an n-length array, and its incidence is
+the count over n, the same float as the mean of the whole arm's indicators.
 
 No random censoring is applied: the target is the latent failure CDF,
 so censoring cannot masquerade as estimator error.
@@ -21,7 +26,7 @@ import numpy as np
 
 from .cox import CoxFit
 from .errors import DegenerateOracleError, InvalidArgumentError, NumericalError
-from .simulate import Dataset, ScenarioConfig, draw_scm
+from .simulate import Dataset, ScenarioConfig, _scm_blocks
 
 # Each simulation arm gets its own block of stream ids so arms never share
 # bits unless sharing is asked for explicitly.
@@ -61,9 +66,8 @@ def _check_horizon(config: ScenarioConfig, t: float) -> None:
         raise InvalidArgumentError(f"t must lie in (0, horizon_t={config.horizon_t}], got {t}")
 
 
-def _result(failed: np.ndarray, x_value: float, t: float, seed: int) -> OracleResult:
-    n = failed.size
-    p = float(np.mean(failed))
+def _result(events: int, n: int, x_value: float, t: float, seed: int) -> OracleResult:
+    p = events / n
     return OracleResult(
         incidence=p,
         standard_error=math.sqrt(p * (1.0 - p) / n),
@@ -74,6 +78,11 @@ def _result(failed: np.ndarray, x_value: float, t: float, seed: int) -> OracleRe
     )
 
 
+def _events(blocks, t: float) -> int:
+    """Subjects of the blocks that fail by t."""
+    return sum(int(np.count_nonzero(failure <= t)) for _, _, _, failure in blocks)
+
+
 def simulate_do(
     config: ScenarioConfig, x_value: float, n: int, seed: int, t: float, stream_offset: int = 0
 ) -> OracleResult:
@@ -82,13 +91,11 @@ def simulate_do(
     Only administrative truncation at t applies; the returned fraction
     estimates the latent failure CDF under the intervention.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
     if not math.isfinite(x_value):
         raise InvalidArgumentError(f"x_value must be finite, got {x_value}")
     _check_horizon(config, t)
-    failure = draw_scm(config, n, seed, stream_offset, x_forced=x_value)[3]
-    return _result(failure <= t, x_value, t, seed)
+    events = _events(_scm_blocks(config, n, seed, stream_offset, x_forced=x_value), t)
+    return _result(events, n, x_value, t, seed)
 
 
 def simulate_factual(
@@ -96,11 +103,8 @@ def simulate_factual(
 ) -> OracleResult:
     """Factual (no-intervention) incidence by simulation, same conventions
     as simulate_do."""
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
     _check_horizon(config, t)
-    failure = draw_scm(config, n, seed, stream_offset)[3]
-    return _result(failure <= t, math.nan, t, seed)
+    return _result(_events(_scm_blocks(config, n, seed, stream_offset), t), n, math.nan, t, seed)
 
 
 def factual_conditional_incidence(
@@ -115,19 +119,19 @@ def factual_conditional_incidence(
     """Conditional incidence P(T <= t | X within window of x_value) in the
     factual world. Conditioning is not intervening: with confounding this
     differs from simulate_do at the same x."""
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
     if not (math.isfinite(window) and window > 0):
         raise InvalidArgumentError(f"window must be > 0, got {window}")
     _check_horizon(config, t)
-    x, _, _, failure = draw_scm(config, n, seed, stream_offset)
-    keep = np.abs(x - x_value) <= window
-    m = int(np.count_nonzero(keep))
-    if m == 0:
+    kept = events = 0
+    for x, _, _, failure in _scm_blocks(config, n, seed, stream_offset):
+        keep = np.abs(x - x_value) <= window
+        kept += int(np.count_nonzero(keep))
+        events += int(np.count_nonzero(failure[keep] <= t))
+    if kept == 0:
         raise DegenerateOracleError(
             f"no subjects within {window} of x={x_value}; widen the window or increase n"
         )
-    return _result(failure[keep] <= t, float(x_value), t, seed)
+    return _result(events, kept, float(x_value), t, seed)
 
 
 def oracle_rr(

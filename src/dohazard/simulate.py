@@ -8,12 +8,13 @@ h(t) = h0(t) * exp(eta) inverted by the standard uniform transform, with
 administrative censoring at the study horizon and optional independent
 exponential censoring.
 
-``draw_scm`` is the one home of the structural equations: ``generate``
-censors one draw of it, and the intervention oracle draws its arms through
-it with X forced. Structural log-hazards live in ``backdoor_log_hazard`` and
-``frontdoor_log_hazard``; the frontdoor one takes no exposure argument,
-which makes the exclusion restriction a property of the code, not of a
-statistical check.
+``_scm_blocks`` is the one home of the structural equations, drawn in
+blocks of ``_BLOCK`` subjects: ``draw_scm`` joins its blocks into columns,
+``generate`` censors one ``draw_scm`` draw, and the intervention oracle
+streams its arms through the blocks with X forced. Structural log-hazards
+live in ``backdoor_log_hazard`` and ``frontdoor_log_hazard``; the frontdoor
+one takes no exposure argument, which makes the exclusion restriction a
+property of the code, not of a statistical check.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ _STREAM_X_NOISE = 2
 _STREAM_Z_NOISE = 3
 _STREAM_FAILURE = 4
 _STREAM_CENSOR = 5
+
+# Subjects per block of the structural model (see _scm_blocks).
+_BLOCK = 1 << 13
 
 # Rows per formatted block in save_dataset: the per-block overhead vanishes
 # while a block's strings stay a few MB.
@@ -373,6 +377,49 @@ def _censoring_times(config: ScenarioConfig, rng: RngStream, n: int) -> np.ndarr
     return np.full(n, config.horizon_t)
 
 
+def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, x_forced: float | None = None):
+    """The structural model for n subjects as consecutive blocks of at most
+    _BLOCK subjects: an iterator of (x, z, u, failure), as draw_scm returns
+    them for the subjects of the block.
+
+    Each variable's stream is opened once and read on from block to block.
+    Philox is counter-based, so a stream read in consecutive blocks gives
+    the bits of one read of the whole length, and every equation acts on
+    one subject at a time: the blocks, joined, are the whole-array draw bit
+    for bit, whatever n. _BLOCK = 2**13 keeps every float64 temporary at
+    64 KiB, below glibc's 128 KiB mmap threshold, so no temporary is mapped
+    and faulted in afresh, and a block's working set stays in L2.
+    """
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    coef = config.coefficients
+    frontdoor = config.dag_kind == "frontdoor"
+    z_or_u = RngStream(seed, offset + _STREAM_Z_OR_U)
+    x_noise = None if x_forced is not None else RngStream(seed, offset + _STREAM_X_NOISE)
+    z_noise = RngStream(seed, offset + _STREAM_Z_NOISE) if frontdoor else None
+    failure = RngStream(seed, offset + _STREAM_FAILURE)
+
+    def exposure(cause: np.ndarray, weight: float, size: int) -> np.ndarray:
+        if x_noise is None:
+            return np.full(size, float(x_forced))
+        return weight * cause + x_noise.normal(0.0, coef.sigma_x, size)
+
+    def block(size: int):
+        if frontdoor:
+            u = z_or_u.normal(0.0, 1.0, size)
+            x = exposure(u, coef.c_ux, size)
+            z = coef.alpha * x + z_noise.normal(0.0, coef.sigma_z, size)
+            eta = frontdoor_log_hazard(coef, z, u)
+        else:
+            u = None
+            z = config.z_dist.draw(z_or_u, size)
+            x = exposure(z, coef.a_zx, size)
+            eta = backdoor_log_hazard(coef, x, z)
+        return x, z, u, inverse_survival_time(failure.uniform(size), eta, config.baseline_hazard)
+
+    return (block(min(_BLOCK, n - start)) for start in range(0, n, _BLOCK))
+
+
 def draw_scm(config: ScenarioConfig, n: int, seed: int, offset: int = 0, x_forced: float | None = None):
     """One draw of the structural model for n subjects: (x, z, u, failure).
 
@@ -383,28 +430,21 @@ def draw_scm(config: ScenarioConfig, n: int, seed: int, offset: int = 0, x_force
     another offset is an independent copy of the model. x_forced simulates
     do(X=x_forced): X is set to that value, its noise stream is not drawn,
     and every other variable keeps the draw it has at the same offset.
+
+    The columns are preallocated and filled block by block from
+    _scm_blocks, which holds the equations. The blocks join into the
+    whole-array draw bit for bit, so the result does not depend on the
+    block size; _BLOCK is 2**13 so that no float64 temporary of a block
+    reaches glibc's mmap threshold. Raises InvalidArgumentError when n < 1.
     """
-    coef = config.coefficients
-
-    def stream(variable: int) -> RngStream:
-        return RngStream(seed, offset + variable)
-
-    def exposure(cause: np.ndarray, weight: float) -> np.ndarray:
-        if x_forced is not None:
-            return np.full(n, float(x_forced))
-        return weight * cause + stream(_STREAM_X_NOISE).normal(0.0, coef.sigma_x, n)
-
-    if config.dag_kind == "backdoor":
-        u = None
-        z = config.z_dist.draw(stream(_STREAM_Z_OR_U), n)
-        x = exposure(z, coef.a_zx)
-        eta = backdoor_log_hazard(coef, x, z)
-    else:
-        u = stream(_STREAM_Z_OR_U).normal(0.0, 1.0, n)
-        x = exposure(u, coef.c_ux)
-        z = coef.alpha * x + stream(_STREAM_Z_NOISE).normal(0.0, coef.sigma_z, n)
-        eta = frontdoor_log_hazard(coef, z, u)
-    failure = inverse_survival_time(stream(_STREAM_FAILURE).uniform(n), eta, config.baseline_hazard)
+    blocks = _scm_blocks(config, n, seed, offset, x_forced)  # checks n before anything is allocated
+    x, z, failure = np.empty(n), np.empty(n), np.empty(n)
+    u = np.empty(n) if config.dag_kind == "frontdoor" else None
+    for start, (xb, zb, ub, fb) in zip(range(0, n, _BLOCK), blocks):
+        rows = slice(start, start + fb.size)
+        x[rows], z[rows], failure[rows] = xb, zb, fb
+        if u is not None:
+            u[rows] = ub
     return x, z, u, failure
 
 

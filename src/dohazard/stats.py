@@ -63,14 +63,19 @@ class RngStream:
     def uniform(self, size: int | None = None):
         """Uniform draws strictly inside (0, 1)."""
         raw = self._bits.random_raw(1 if size is None else size)
-        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
+        raw >>= np.uint64(11)
+        u = raw.astype(np.float64)
+        u += 0.5
+        u *= _U53
         return float(u[0]) if size is None else u
 
     def normal(self, mean: float = 0.0, sd: float = 1.0, size: int | None = None):
         if sd < 0:
             raise InvalidArgumentError(f"sd must be >= 0, got {sd}")
-        u = self.uniform(size)
-        return mean + sd * ndtri(u)
+        v = ndtri(self.uniform(size))
+        v *= sd
+        v += mean
+        return v
 
     def bernoulli(self, p: float, size: int | None = None):
         """0/1 draws; integer dtype for arrays."""

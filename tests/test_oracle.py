@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dohazard as dh
+from dohazard.simulate import _BLOCK
 
 from conftest import (
     make_backdoor_config,
@@ -39,7 +41,7 @@ def test_simulate_do_is_deterministic(backdoor_config):
 
 
 def test_simulate_do_argument_checks(backdoor_config):
-    with pytest.raises(dh.InvalidArgumentError):
+    with pytest.raises(dh.InvalidArgumentError, match="^n must be >= 1, got 0$"):
         dh.simulate_do(backdoor_config, 1.0, 0, 7, 10.0)
     with pytest.raises(dh.InvalidArgumentError):
         dh.simulate_do(backdoor_config, math.inf, 100, 7, 10.0)
@@ -170,3 +172,48 @@ def test_approx_report_reference(backdoor_dataset, backdoor_fit, backdoor_summar
 
     with pytest.raises(dh.InvalidArgumentError):
         dh.approx_error_report(backdoor_fit, backdoor_dataset, -1.0)
+
+
+@pytest.mark.parametrize(
+    "arm",
+    [
+        lambda cfg, n: dh.simulate_do(cfg, 1.0, n, 7, 10.0),
+        lambda cfg, n: dh.simulate_factual(cfg, n, 7, 10.0),
+        lambda cfg, n: dh.factual_conditional_incidence(cfg, 1.0, 0.5, n, 7, 10.0),
+    ],
+    ids=["do", "factual", "conditional"],
+)
+def test_oracle_arms_reject_empty_draw(backdoor_config, arm):
+    with pytest.raises(dh.InvalidArgumentError, match="^n must be >= 1, got -1$"):
+        arm(backdoor_config, -1)
+
+
+def test_simulate_do_streams_in_blocks(backdoor_config):
+    dh.simulate_do(backdoor_config, 1.0, 1_000, 7, 10.0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        dh.simulate_do(backdoor_config, 1.0, 200_000, 7, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 200k-subject float64 column alone is 1.6 MB
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("make_config", [make_backdoor_config, make_frontdoor_config], ids=["backdoor", "frontdoor"])
+def test_oracle_counts_equal_scm_columns(make_config):
+    cfg = make_config()
+    n, seed, t = 3 * _BLOCK + 5, 19, 7.5
+
+    do = dh.simulate_do(cfg, 1.0, n, seed, t, stream_offset=16)
+    failure = dh.draw_scm(cfg, n, seed, 16, x_forced=1.0)[3]
+    assert do.incidence == np.mean(failure <= t) and do.n == n
+
+    factual = dh.simulate_factual(cfg, n, seed, t, stream_offset=48)
+    x, _, _, failure = dh.draw_scm(cfg, n, seed, 48)
+    assert factual.incidence == np.mean(failure <= t) and factual.n == n
+
+    cond = dh.factual_conditional_incidence(cfg, 1.0, 0.25, n, seed, t, stream_offset=48)
+    keep = np.abs(x - 1.0) <= 0.25
+    assert cond.incidence == np.mean(failure[keep] <= t)
+    assert cond.n == np.count_nonzero(keep)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dohazard as dh
+from dohazard.simulate import _BLOCK
 
 from conftest import make_backdoor_config, make_frontdoor_config
 
@@ -453,3 +455,83 @@ def test_generate_censors_one_scm_draw(config):
     assert (ds.u_latent is None) == (u is None)
     if u is not None:
         assert ds.u_latent.tobytes() == u.tobytes()
+
+
+# draw_scm fills its columns block by block; the blocks must join into the
+# whole-array draw whatever n, so each variable's stream is read on from
+# block to block and never reopened.
+
+def whole_array_scm(config, n, seed, offset, x_forced):
+    """The structural equations over all n subjects at once, from one read
+    of each variable's stream (ids 1: Z or U, 2: X noise, 3: Z noise,
+    4: failure)."""
+    coef = config.coefficients
+
+    def stream(variable):
+        return dh.RngStream(seed, offset + variable)
+
+    def exposure(cause, weight):
+        if x_forced is not None:
+            return np.full(n, x_forced)
+        return weight * cause + stream(2).normal(0.0, coef.sigma_x, n)
+
+    if config.dag_kind == "backdoor":
+        u = None
+        z = stream(1).normal(0.0, 1.0, n)
+        x = exposure(z, coef.a_zx)
+        eta = coef.beta_x * x + coef.beta_z * z
+    else:
+        u = stream(1).normal(0.0, 1.0, n)
+        x = exposure(u, coef.c_ux)
+        z = coef.alpha * x + stream(3).normal(0.0, coef.sigma_z, n)
+        eta = coef.beta_z * z + coef.beta_u * u
+    failure = dh.inverse_survival_time(stream(4).uniform(n), eta, config.baseline_hazard)
+    return x, z, u, failure
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("x_forced", [None, 1.5])
+@pytest.mark.parametrize(
+    "hazard", [dh.ExponentialHazard(0.002), dh.WeibullHazard(1.5, 120.0)], ids=["exponential", "weibull"]
+)
+@pytest.mark.parametrize("make_config", [make_backdoor_config, make_frontdoor_config], ids=["backdoor", "frontdoor"])
+def test_draw_scm_is_block_invariant(make_config, hazard, x_forced, n):
+    config = make_config(baseline_hazard=hazard)
+    got = dh.draw_scm(config, n, 11, 16, x_forced=x_forced)
+    want = whole_array_scm(config, n, 11, 16, x_forced)
+    for name, a, b in zip(("x", "z", "u", "failure"), got, want):
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == (n,) and a.tobytes() == b.tobytes(), name
+
+
+# sha256 of the draw_scm columns (x, z, u, failure) at n=40_000 for the two
+# reference scenarios, frozen from the whole-array draw before blocks.
+SCM_DIGESTS = {
+    "backdoor": (
+        "644ff50c4c20d8f66eccb2c88732e6cb3651e07e6c74569443a54d2cdbb61b41",
+        "c430b9eeef8db172d01efc23f97bb035baa8230534fd81485e070e8d4a658b72",
+        None,
+        "897d9084851ecfea1d7db38faa41a309de8d33ad0d7ea119814fcda84cf61ec6",
+    ),
+    "frontdoor": (
+        "3a4c6acb4bdf7267428419d1959976ca03314d447d41a411bb05779baebb81e4",
+        "00a820a4b85e94d20e82467686b8645dd779c9e9a5b0a13c9c3c3079c76a14a5",
+        "82180f8f2ce8fb42e4253f6a00179f18256197d96ccdc16fec7486e64ddec8e8",
+        "660a776d45b4c9b26a71afef0fe530552441c23f1740f9a769120be5a401bbc4",
+    ),
+}
+
+
+@pytest.mark.parametrize("make_config", [make_backdoor_config, make_frontdoor_config], ids=["backdoor", "frontdoor"])
+def test_draw_scm_pinned_digests(make_config):
+    config = make_config()
+    columns = dh.draw_scm(config, 40_000, config.seed)
+    got = tuple(None if c is None else hashlib.sha256(c.tobytes()).hexdigest() for c in columns)
+    assert got == SCM_DIGESTS[config.dag_kind]
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_draw_scm_rejects_empty_draw(backdoor_config, n):
+    with pytest.raises(dh.InvalidArgumentError, match=f"^n must be >= 1, got {n}$"):
+        dh.draw_scm(backdoor_config, n, 1)
