@@ -162,14 +162,6 @@ def do_cumhaz(fit: CoxFit, summary: BackdoorSummary, x, t) -> float:
     return math.exp(_eta_x(fit, summary, x)) * summary.a_z * fit.baseline_cumhaz(t)
 
 
-def do_interval_hazard(fit: CoxFit, summary: BackdoorSummary, x, t1, t2) -> float:
-    """Average interventional hazard over (t1, t2]: the difference quotient
-    of do_cumhaz."""
-    if t2 <= t1:
-        raise InvalidArgumentError(f"need t2 > t1, got t1={t1}, t2={t2}")
-    return (do_cumhaz(fit, summary, x, t2) - do_cumhaz(fit, summary, x, t1)) / (t2 - t1)
-
-
 def paf(fit: CoxFit, summary: BackdoorSummary, x0=None) -> float:
     """Population attributable fraction 1 - exp(eta_x(x0)) * a_z / mean(exp(eta)).
 

@@ -5,6 +5,10 @@ All data goes to files; stderr carries progress notes and error text.
 Exit codes: 0 success, 2 invalid input (bad JSON, bad fields, bad files),
 3 numerical failure (non-convergence, degenerate data).
 
+``backdoor``, ``frontdoor`` and ``experiment`` share one estimate step per
+DAG (``_estimator``): one contrast at one horizon for the first two, the
+whole grid for ``experiment``.
+
 ``experiment`` runs the full pipeline: simulate a cohort, fit it, compute
 every causal estimate, run the brute-force intervention oracle, and write
 estimates.csv plus report.json. Outputs are byte-stable: rerunning the
@@ -21,10 +25,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import backdoor as bd
 from . import frontdoor as fd
@@ -34,7 +38,9 @@ from .errors import DohazardError, InvalidArgumentError, NumericalError, ParseEr
 from .simulate import (
     Dataset,
     ScenarioConfig,
+    _finite_numbers,
     _read_json_object,
+    _require_int,
     generate,
     load_dataset,
     load_scenario_config,
@@ -44,6 +50,9 @@ from .simulate import (
 # `experiment` and `oracle` derive the oracle seed from the scenario seed
 # by a fixed offset, so one config (or one --seed) pins the whole pipeline.
 _ORACLE_SEED_OFFSET = 1_000_003
+
+# Columns of a simulated cohort: the exposure, then the confounder or mediator.
+_ROLES = ("x", "z")
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,7 @@ class ExperimentConfig:
         if not self.horizon_grid:
             raise ValidationError("field 'horizon_grid' must be a nonempty list of times")
         for t in self.horizon_grid:
-            if not (math.isfinite(t) and 0 < t <= self.scenario.horizon_t):
+            if not 0 < t <= self.scenario.horizon_t:
                 raise ValidationError(
                     f"field 'horizon_grid' values must lie in (0, scenario.horizon_t={self.scenario.horizon_t}], got {t}"
                 )
@@ -81,25 +90,25 @@ class ExperimentConfig:
         if not isinstance(raw["scenario"], dict):
             raise ValidationError("field 'scenario' must be an object")
         contrasts = raw["contrasts"]
-        if not isinstance(contrasts, list) or any(
-            not isinstance(c, (list, tuple)) or len(c) != 2 for c in contrasts
-        ):
-            raise ValidationError("field 'contrasts' must be a list of [x, x0] pairs")
+        if not _finite_numbers(contrasts, (None, 2)):
+            raise ValidationError(
+                f"field 'contrasts' must be a list of [x, x0] pairs of finite numbers, got {contrasts!r}"
+            )
         horizon = raw["horizon_grid"]
-        if not isinstance(horizon, list):
-            raise ValidationError("field 'horizon_grid' must be a list of times")
-        oracle_n = raw["oracle_n"]
-        if not isinstance(oracle_n, int) or isinstance(oracle_n, bool):
-            raise ValidationError(f"field 'oracle_n' must be an integer, got {oracle_n!r}")
+        if not _finite_numbers(horizon, (None,)):
+            raise ValidationError(f"field 'horizon_grid' must be a list of finite numbers, got {horizon!r}")
         emit = raw.get("emit", ["csv", "json"])
-        if not isinstance(emit, list):
-            raise ValidationError("field 'emit' must be a list")
+        if not isinstance(emit, list) or not all(isinstance(e, str) for e in emit):
+            raise ValidationError(f"field 'emit' must be a list of strings, got {emit!r}")
+        output_dir = raw.get("output_dir", ".")
+        if not isinstance(output_dir, str):
+            raise ValidationError(f"field 'output_dir' must be a string, got {output_dir!r}")
         return ExperimentConfig(
             scenario=ScenarioConfig.from_dict(raw["scenario"]),
             contrasts=tuple((float(x), float(x0)) for x, x0 in contrasts),
             horizon_grid=tuple(float(t) for t in horizon),
-            oracle_n=oracle_n,
-            output_dir=str(raw.get("output_dir", ".")),
+            oracle_n=_require_int(raw, "oracle_n"),
+            output_dir=output_dir,
             emit=frozenset(emit),
         )
 
@@ -171,7 +180,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     dataset = load_dataset(args.data)
-    names = args.covariates.split(",") if args.covariates else None
+    names = None if args.covariates is None else args.covariates.split(",")
     fit = fit_cox(dataset, names)
     out = _out_path(args, args.out)
     save_fit(fit, out)
@@ -180,60 +189,83 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_backdoor(args) -> int:
-    dataset = load_dataset(args.data)
-    fit = load_fit(args.fit) if args.fit else fit_cox(dataset)
-    x, x0 = _parse_contrast(args.contrast)
-    z_columns = args.z_columns.split(",") if args.z_columns else ["z"]
-    summary = bd.compute_az(dataset, fit, z_columns, horizon_t=args.t)
-    rr = bd.causal_rr(fit, summary, x, x0)
-    payload = {
-        "a_z": summary.a_z,
-        "mean_joint_risk": summary.mean_joint_risk,
-        "max_cumhaz": summary.max_cumhaz,
-        "rarity_flag": summary.rarity_flag,
-        "causal_rr": _estimate_dict(rr),
-        "do_cdf_x": _estimate_dict(bd.do_cdf(fit, summary, x, args.t)),
-        "do_cdf_x0": _estimate_dict(bd.do_cdf(fit, summary, x0, args.t)),
-        "do_cumhaz_x": bd.do_cumhaz(fit, summary, x, args.t),
-        "paf": bd.paf(fit, summary),
-        "t": args.t,
-        "x": x,
-        "x0": x0,
-    }
-    out = _out_path(args, args.out)
-    _write_json(out, payload)
-    _info(args, f"backdoor estimates for ({x} vs {x0}) at t={args.t} -> {out}")
-    return 0
+@dataclass(frozen=True)
+class _Estimator:
+    """One DAG's estimate step on a fitted cohort. paf is None where the DAG
+    does not identify it; facts are the fitted numbers as report.json names
+    them; extras are the DAG's own keys of the subcommand's output."""
+
+    rr: Callable  # (x, x0) -> CausalEstimate
+    cdf: Callable  # (x, t) -> CausalEstimate
+    paf: Callable | None  # () -> float
+    facts: dict
+    extras: Callable  # (x, x0, t) -> dict
 
 
-def cmd_frontdoor(args) -> int:
-    dataset = load_dataset(args.data)
-    fit = fit_cox(dataset, ["x", "z"])
+def _estimator(dag_kind: str, dataset: Dataset, fit, z_columns, horizon_t: float) -> _Estimator:
+    # estimators are looked up on their modules at call time, so a wrapper
+    # installed there sees every call
+    if dag_kind == "backdoor":
+        summary = bd.compute_az(dataset, fit, z_columns, horizon_t=horizon_t)
+        diagnostics = {
+            "a_z": summary.a_z,
+            "mean_joint_risk": summary.mean_joint_risk,
+            "max_cumhaz": summary.max_cumhaz,
+            "rarity_flag": summary.rarity_flag,
+        }
+        return _Estimator(
+            rr=lambda x, x0: bd.causal_rr(fit, summary, x, x0),
+            cdf=lambda x, t: bd.do_cdf(fit, summary, x, t),
+            paf=lambda: bd.paf(fit, summary),
+            facts={"backdoor_summary": {**diagnostics, "horizon_t": summary.horizon_t}},
+            extras=lambda x, x0, t: {**diagnostics, "do_cumhaz_x": bd.do_cumhaz(fit, summary, x, t)},
+        )
     params = fd.estimate_frontdoor_params(dataset, fit)
-    x, x0 = _parse_contrast(args.contrast)
-    h0_t = fit.baseline_cumhaz(args.t)
-    rr = fd.frontdoor_causal_rr(params, x, x0)
-    payload = {
-        "params": {
-            "beta_x": params.beta_x,
-            "beta_z": params.beta_z,
-            "alpha": params.alpha,
-            "mu_x": params.mu_x,
-            "sigma_x": params.sigma_x,
-            "sigma_z": params.sigma_z,
+    fitted = {
+        "beta_x": params.beta_x,
+        "beta_z": params.beta_z,
+        "alpha": params.alpha,
+        "mu_x": params.mu_x,
+        "sigma_x": params.sigma_x,
+        "sigma_z": params.sigma_z,
+    }
+    return _Estimator(
+        rr=lambda x, x0: fd.frontdoor_causal_rr(params, x, x0),
+        cdf=lambda x, t: fd.frontdoor_do_cdf_gaussian(params, fit.baseline_cumhaz(t), x),
+        paf=None,
+        facts={"frontdoor_params": fitted},
+        extras=lambda x, x0, t: {
+            "params": fitted,
+            "mediation_indirect_rr": _estimate_dict(fd.mediation_indirect_rr(params, x, x0)),
         },
-        "causal_rr": _estimate_dict(rr),
-        "mediation_indirect_rr": _estimate_dict(fd.mediation_indirect_rr(params, x, x0)),
-        "do_cdf_x": _estimate_dict(fd.frontdoor_do_cdf_gaussian(params, h0_t, x)),
-        "do_cdf_x0": _estimate_dict(fd.frontdoor_do_cdf_gaussian(params, h0_t, x0)),
+    )
+
+
+def cmd_estimate(args) -> int:
+    """backdoor and frontdoor: one contrast at one horizon, from a cohort."""
+    x, x0 = _parse_contrast(args.contrast)
+    dataset = load_dataset(args.data)
+    if args.command == "backdoor":
+        fit = load_fit(args.fit) if args.fit else fit_cox(dataset)
+        z_columns = args.z_columns.split(",")
+    else:
+        fit = fit_cox(dataset, list(_ROLES))
+        z_columns = None
+    est = _estimator(args.command, dataset, fit, z_columns, args.t)
+    payload = {
+        "causal_rr": _estimate_dict(est.rr(x, x0)),
+        "do_cdf_x": _estimate_dict(est.cdf(x, args.t)),
+        "do_cdf_x0": _estimate_dict(est.cdf(x0, args.t)),
+        **est.extras(x, x0, args.t),
         "t": args.t,
         "x": x,
         "x0": x0,
     }
+    if est.paf is not None:
+        payload["paf"] = est.paf()
     out = _out_path(args, args.out)
     _write_json(out, payload)
-    _info(args, f"frontdoor estimates for ({x} vs {x0}) at t={args.t} -> {out}")
+    _info(args, f"{args.command} estimates for ({x} vs {x0}) at t={args.t} -> {out}")
     return 0
 
 
@@ -263,47 +295,17 @@ def cmd_oracle(args) -> int:
 
 
 def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: int) -> tuple:
-    """All estimate rows plus the scenario-level diagnostics payload."""
+    """All estimate rows plus the DAG's fitted numbers for report.json."""
     scenario = exp.scenario
     rows = []
-    x_values = []
-    for x, x0 in exp.contrasts:
-        for v in (x, x0):
-            if v not in x_values:
-                x_values.append(v)
+    x_values = list(dict.fromkeys(v for contrast in exp.contrasts for v in contrast))
     do_results = {
         (x, t): orc.simulate_do(scenario, x, exp.oracle_n, oracle_seed, t)
         for x in x_values
         for t in exp.horizon_grid
     }
 
-    if scenario.dag_kind == "backdoor":
-        summary = bd.compute_az(dataset, fit, ["z"], horizon_t=max(exp.horizon_grid))
-        extra = {
-            "backdoor_summary": {
-                "a_z": summary.a_z,
-                "mean_joint_risk": summary.mean_joint_risk,
-                "horizon_t": summary.horizon_t,
-                "max_cumhaz": summary.max_cumhaz,
-                "rarity_flag": summary.rarity_flag,
-            }
-        }
-        estimate_rr = lambda x, x0: bd.causal_rr(fit, summary, x, x0)
-        estimate_cdf = lambda x, t: bd.do_cdf(fit, summary, x, t)
-    else:
-        params = fd.estimate_frontdoor_params(dataset, fit)
-        extra = {
-            "frontdoor_params": {
-                "beta_x": params.beta_x,
-                "beta_z": params.beta_z,
-                "alpha": params.alpha,
-                "mu_x": params.mu_x,
-                "sigma_x": params.sigma_x,
-                "sigma_z": params.sigma_z,
-            }
-        }
-        estimate_rr = lambda x, x0: fd.frontdoor_causal_rr(params, x, x0)
-        estimate_cdf = lambda x, t: fd.frontdoor_do_cdf_gaussian(params, fit.baseline_cumhaz(t), x)
+    est = _estimator(scenario.dag_kind, dataset, fit, _ROLES[1:], max(exp.horizon_grid))
 
     def row(method, x, x0, t, estimate, std_err, oracle_value, oracle_se, rarity_flag):
         rel = abs(estimate - oracle_value) / abs(oracle_value) if oracle_value else float("nan")
@@ -321,19 +323,19 @@ def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: 
         }
 
     for x, x0 in exp.contrasts:
-        rr = estimate_rr(x, x0)
+        rr = est.rr(x, x0)
         for t in exp.horizon_grid:
             ora = orc.oracle_rr(scenario, x, x0, exp.oracle_n, oracle_seed, t)
             rows.append(row("causal_rr", x, x0, t, rr.value, rr.std_err, ora.ratio, ora.standard_error, rr.rarity_flag))
     for x in x_values:
         for t in exp.horizon_grid:
-            est = estimate_cdf(x, t)
+            cdf = est.cdf(x, t)
             ora = do_results[(x, t)]
             rows.append(
-                row("do_cdf", x, float("nan"), t, est.value, est.std_err, ora.incidence, ora.standard_error, est.rarity_flag)
+                row("do_cdf", x, float("nan"), t, cdf.value, cdf.std_err, ora.incidence, ora.standard_error, cdf.rarity_flag)
             )
-    if scenario.dag_kind == "backdoor":
-        value = bd.paf(fit, summary)
+    if est.paf is not None:
+        value = est.paf()
         for t in exp.horizon_grid:
             o_paf, o_se = orc.oracle_paf(scenario, exp.oracle_n, oracle_seed, t)
             rows.append(row("paf", float("nan"), 0.0, t, value, float("nan"), o_paf, o_se, False))
@@ -343,7 +345,7 @@ def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: 
             rows.append(
                 row("oracle", x, float("nan"), t, ora.incidence, ora.standard_error, ora.incidence, ora.standard_error, False)
             )
-    return rows, extra
+    return rows, est.facts
 
 
 def cmd_experiment(args) -> int:
@@ -356,10 +358,10 @@ def cmd_experiment(args) -> int:
     oracle_seed = scenario.seed + _ORACLE_SEED_OFFSET
     _info(args, f"simulating {scenario.n_subjects} subjects ({scenario.dag_kind})")
     dataset = generate(scenario)
-    fit = fit_cox(dataset, ["x", "z"])
+    fit = fit_cox(dataset, list(_ROLES))
     _warn_unconverged(fit)
     _info(args, f"fit converged={fit.converged} in {fit.iterations} iterations; running oracle (n={exp.oracle_n}/arm)")
-    rows, extra = _experiment_rows(exp, dataset, fit, oracle_seed)
+    rows, facts = _experiment_rows(exp, dataset, fit, oracle_seed)
     approx = orc.approx_error_report(fit, dataset, max(exp.horizon_grid))
     if approx.flagged:
         print(
@@ -401,7 +403,7 @@ def cmd_experiment(args) -> int:
                 "flagged": approx.flagged,
             },
             "estimates": rows,
-            **extra,
+            **facts,
         }
         json_path = out_dir / "report.json"
         _write_json(json_path, report)
@@ -446,10 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", default=None, help="fit JSON (default: fit on the fly)")
     p.add_argument("--contrast", required=True, help="exposure contrast 'x,x0'")
     p.add_argument("--t", type=float, required=True, help="horizon time")
-    p.add_argument("--z-columns", default="z", help="comma-separated adjustment columns")
+    p.add_argument("--z-columns", default=_ROLES[1], help="comma-separated adjustment columns")
     p.add_argument("--out", default="backdoor.json", help="output JSON name")
     _add_common(p, suppress=True)
-    p.set_defaults(func=cmd_backdoor)
+    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("frontdoor", help="mediator-based causal estimates from a cohort")
     p.add_argument("data", help="cohort CSV")
@@ -457,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True, help="horizon time")
     p.add_argument("--out", default="frontdoor.json", help="output JSON name")
     _add_common(p, suppress=True)
-    p.set_defaults(func=cmd_frontdoor)
+    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("oracle", help="simulate do-interventions directly on a scenario")
     p.add_argument("config", help="scenario config JSON")

@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .simulate import Dataset, _read_json_object, _require_int, _require_number
+from .simulate import Dataset, _finite_numbers, _read_json_object, _require_int, _require_number
 
 _MAX_HALVINGS = 30
 _BETA_BOUND = 50.0
@@ -249,25 +249,6 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
     )
 
 
-def linear_predictor(fit: CoxFit, covariates) -> float:
-    """beta . covariates for one covariate vector, in the order of
-    fit.covariate_names."""
-    x = np.atleast_1d(np.asarray(covariates, dtype=np.float64))
-    if x.shape != fit.beta.shape:
-        raise InvalidArgumentError(
-            f"covariates must have length {fit.beta.shape[0]} (order {fit.covariate_names}), got shape {x.shape}"
-        )
-    return float(fit.beta @ x)
-
-
-def predict_cumhaz(fit: CoxFit, covariates, t):
-    """Model cumulative hazard exp(eta) * H0(t) at one covariate vector;
-    vectorizes over t."""
-    if np.any(np.asarray(t) < 0):
-        raise InvalidArgumentError("t must be >= 0")
-    return fit.baseline_cumhaz(t) * math.exp(linear_predictor(fit, covariates))
-
-
 def save_fit(fit: CoxFit, path) -> None:
     payload = {
         "beta": [float(b) for b in fit.beta],
@@ -285,18 +266,6 @@ def save_fit(fit: CoxFit, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _finite_numbers(value, shape) -> bool:
-    """value is a nested list of finite JSON numbers of exactly this shape;
-    a None length matches any."""
-    if not shape:
-        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    return (
-        isinstance(value, list)
-        and shape[0] in (None, len(value))
-        and all(_finite_numbers(v, shape[1:]) for v in value)
-    )
 
 
 def _array_field(path, raw: dict, key: str, shape, what: str) -> np.ndarray:

@@ -12,7 +12,7 @@ exponential censoring.
 blocks of ``_BLOCK`` subjects: ``draw_scm`` joins its blocks into columns,
 ``generate`` censors one ``draw_scm`` draw, and the intervention oracle
 streams its arms through the blocks with X forced. Structural log-hazards
-live in ``backdoor_log_hazard`` and ``frontdoor_log_hazard``; the frontdoor
+live in ``_backdoor_log_hazard`` and ``_frontdoor_log_hazard``; the frontdoor
 one takes no exposure argument, which makes the exclusion restriction a
 property of the code, not of a statistical check.
 """
@@ -23,9 +23,9 @@ import csv
 import itertools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -158,12 +158,12 @@ def _require_finite_fields(obj, prefix: str) -> None:
             raise ValidationError(f"{prefix}.{name} must be finite, got {value}")
 
 
-def backdoor_log_hazard(coef: BackdoorCoefficients, x, z):
+def _backdoor_log_hazard(coef: BackdoorCoefficients, x, z):
     """Structural log relative hazard for the confounded DAG."""
     return coef.beta_x * np.asarray(x) + coef.beta_z * np.asarray(z)
 
 
-def frontdoor_log_hazard(coef: FrontdoorCoefficients, z, u):
+def _frontdoor_log_hazard(coef: FrontdoorCoefficients, z, u):
     """Structural log relative hazard for the mediated DAG.
 
     Depends on (z, u) only: the exposure has no direct hazard term.
@@ -253,6 +253,19 @@ def _require_number(raw: dict, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"field '{key}' must be a number, got {value!r}")
     return float(value)
+
+
+def _finite_numbers(value, shape) -> bool:
+    """value is a nested list of finite JSON numbers of exactly this shape;
+    a None length matches any. An integer too large for a float64 is not
+    finite here, so the later float conversion cannot overflow."""
+    if not shape:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return (
+        isinstance(value, list)
+        and shape[0] in (None, len(value))
+        and all(_finite_numbers(v, shape[1:]) for v in value)
+    )
 
 
 def _hazard_from_dict(raw) -> BaselineHazard:
@@ -409,12 +422,12 @@ def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, x_fo
             u = z_or_u.normal(0.0, 1.0, size)
             x = exposure(u, coef.c_ux, size)
             z = coef.alpha * x + z_noise.normal(0.0, coef.sigma_z, size)
-            eta = frontdoor_log_hazard(coef, z, u)
+            eta = _frontdoor_log_hazard(coef, z, u)
         else:
             u = None
             z = config.z_dist.draw(z_or_u, size)
             x = exposure(z, coef.a_zx, size)
-            eta = backdoor_log_hazard(coef, x, z)
+            eta = _backdoor_log_hazard(coef, x, z)
         return x, z, u, inverse_survival_time(failure.uniform(size), eta, config.baseline_hazard)
 
     return (block(min(_BLOCK, n - start)) for start in range(0, n, _BLOCK))

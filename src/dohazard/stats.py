@@ -56,10 +56,6 @@ class RngStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._bits = np.random.Philox(key=key)
 
-    def substream(self, stream_id: int) -> "RngStream":
-        """Fresh stream from the same seed; independent of this one."""
-        return RngStream(self.seed, stream_id)
-
     def uniform(self, size: int | None = None):
         """Uniform draws strictly inside (0, 1)."""
         raw = self._bits.random_raw(1 if size is None else size)

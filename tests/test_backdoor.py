@@ -208,19 +208,12 @@ def test_do_cdf_ratio_matches_causal_rr(backdoor_fit, backdoor_summary):
         assert num / den == pytest.approx(rr, rel=1e-13)
 
 
-def test_do_cumhaz_and_interval_hazard():
+def test_do_cumhaz():
     fit = hand_fit([math.log(2.0), 0.4], ["x", "z"], [1.0, 2.0, 3.0], [0.01, 0.04, 0.09])
     ds = two_column_dataset(np.linspace(-1, 1, 40), np.zeros(40))
     summary = dh.compute_az(ds, fit, ["z"], horizon_t=3.0)
     assert dh.do_cumhaz(fit, summary, [0.0], 2.5) == 0.04
     assert dh.do_cumhaz(fit, summary, [1.0], 2.5) == pytest.approx(0.08, rel=1e-15)
-    # interval hazards telescope
-    h12 = dh.do_interval_hazard(fit, summary, [1.0], 1.0, 2.0)
-    h23 = dh.do_interval_hazard(fit, summary, [1.0], 2.0, 3.0)
-    h13 = dh.do_interval_hazard(fit, summary, [1.0], 1.0, 3.0)
-    assert h13 == pytest.approx((h12 + h23) / 2.0, rel=1e-12)
-    with pytest.raises(dh.InvalidArgumentError):
-        dh.do_interval_hazard(fit, summary, [1.0], 2.0, 2.0)
 
 
 def test_paf_zero_when_everyone_at_reference():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -185,6 +186,22 @@ def test_exit_2_on_bad_contrast(tmp_path, scenario_path, capsys):
     assert "contrast" in capsys.readouterr().err
 
 
+def test_exit_2_on_empty_column_name(tmp_path, scenario_path, capsys):
+    # an empty column list is refused, not read as the default: 'z' for
+    # backdoor --z-columns, every covariate for fit --covariates
+    run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
+    rc = run([
+        "backdoor", tmp_path / "cohort.csv", "--contrast", "1,0", "--t", 10, "--z-columns", "",
+        "--out-dir", tmp_path, "--quiet",
+    ])
+    assert rc == 2
+    assert "fit has no covariate ''" in capsys.readouterr().err
+    assert not (tmp_path / "backdoor.json").exists()
+    assert run(["fit", tmp_path / "cohort.csv", "--covariates", "", "--out-dir", tmp_path, "--quiet"]) == 2
+    assert "unknown covariate ''" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_exit_2_on_malformed_fit_file(tmp_path, scenario_path, capsys):
     run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
     run(["fit", tmp_path / "cohort.csv", "--out-dir", tmp_path, "--quiet"])
@@ -288,7 +305,7 @@ def test_experiment_warns_on_stderr(tmp_path, monkeypatch, capsys):
     assert "warning: fit did not converge in 1 iterations" in capsys.readouterr().err
 
 
-def test_experiment_config_validation(tmp_path, capsys):
+def test_experiment_config_validation(tmp_path, monkeypatch, capsys):
     scenario = make_backdoor_config(n_subjects=100).to_dict()
     bad = {
         "scenario": scenario,
@@ -306,3 +323,87 @@ def test_experiment_config_validation(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     assert run(["experiment", path, "--out-dir", tmp_path]) == 2
     assert "horizon_grid" in capsys.readouterr().err
+
+    # every entry is a JSON number (no bool, no string) and contrasts are
+    # finite; the config is refused when it is read, before any simulation
+    monkeypatch.chdir(tmp_path)
+    good = {**bad, "horizon_grid": [5.0]}
+    for field, value in (
+        ("contrasts", [["a", 0]]),
+        ("contrasts", [[1, None]]),
+        ("contrasts", [[True, 0]]),
+        ("contrasts", [["1.5", 0]]),
+        ("contrasts", [[float("nan"), 0]]),
+        ("contrasts", [[1, float("-inf")]]),
+        ("contrasts", [[1, 0, 2]]),
+        ("contrasts", [[10**400, 0]]),
+        ("horizon_grid", ["a"]),
+        ("horizon_grid", [[10]]),
+        ("horizon_grid", [True]),
+        ("horizon_grid", ["1.5"]),
+        ("horizon_grid", [float("nan")]),
+        ("horizon_grid", [10**400]),
+        ("oracle_n", True),
+        ("emit", [["csv"]]),
+        ("emit", "csv"),
+        ("output_dir", 5),
+    ):
+        path.write_text(json.dumps({**good, field: value}))
+        assert run(["experiment", path]) == 2, (field, value)
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err, (field, value, err)
+        assert "simulating" not in err
+    assert not (tmp_path / "5").exists()
+
+
+# sha256 of the CLI's outputs on the conftest scenarios at n=20_000: backdoor
+# with and without --fit, frontdoor, and experiment for both DAGs. Equal
+# digests mean a change left every answer the CLI writes as it was.
+PINNED_DIGESTS = {
+    "backdoor --fit 1,0 t=10": "34611d2073a7f29f00d5441327f8f4da8605b514bd2a2562222357fb01588549",
+    "backdoor --fit 2,-1 t=5": "ef700f3905a0ddf868b9a0adfa111bb742fd05703d6129deda816595bb4f33f3",
+    "backdoor 1,0 t=10": "34611d2073a7f29f00d5441327f8f4da8605b514bd2a2562222357fb01588549",
+    "backdoor 2,-1 t=5": "ef700f3905a0ddf868b9a0adfa111bb742fd05703d6129deda816595bb4f33f3",
+    "experiment backdoor estimates.csv": "b147134287ae1112bcf3e1a549e51d944de40010c8418a3eb24a6f64a4220b6a",
+    "experiment backdoor report.json": "3de79107041b1a8c25a36867f211bb030312e2faf966535a37641a04fe89407a",
+    "experiment frontdoor estimates.csv": "c4fe5956b6d316d4f5c816258cd0fd4fd717bf6006873ae906e52e2a6eb6223e",
+    "experiment frontdoor report.json": "980077d6d5f3efe8deb88392123df11ec8c53cb821b0af88b782e6e4d7ef417e",
+    "frontdoor 1,0 t=10": "7c90f9440959280c003eaa1eac0cab5dfcdea885ff7e328a97bf21c0a080f05e",
+    "frontdoor 2,-1 t=5": "352607f5faf5de3b96ee18e8a116bf30db6867f894274863a47b84b4f5915085",
+}
+
+
+def test_cli_outputs_match_pinned_digests(tmp_path):
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    got = {}
+    for dag, config in (("backdoor", make_backdoor_config), ("frontdoor", make_frontdoor_config)):
+        scenario = config(n_subjects=20_000)
+        cohort = tmp_path / f"{dag}.csv"
+        assert run(["simulate", write_scenario(tmp_path / f"{dag}.json", scenario), "--out-dir", tmp_path,
+                    "--out", cohort.name, "--quiet"]) == 0
+        variants = [[]]
+        if dag == "backdoor":
+            assert run(["fit", cohort, "--out-dir", tmp_path, "--quiet"]) == 0
+            variants.append(["--fit", tmp_path / "fit.json"])
+        for contrast, t in (("1,0", 10), ("2,-1", 5)):
+            for extra in variants:
+                name = " ".join([dag, *map(str, extra[:1]), contrast, f"t={t}"])
+                out = tmp_path / "estimate.json"
+                assert run([dag, cohort, "--contrast", contrast, "--t", t, *extra,
+                            "--out-dir", tmp_path, "--out", out.name, "--quiet"]) == 0
+                got[name] = sha(out)
+
+        experiment = {
+            "scenario": scenario.to_dict(),
+            "contrasts": [[1, 0], [2, -1]],
+            "horizon_grid": [5, 10],
+            "oracle_n": 20_000,
+        }
+        (tmp_path / "experiment.json").write_text(json.dumps(experiment))
+        out_dir = tmp_path / f"experiment_{dag}"
+        assert run(["experiment", tmp_path / "experiment.json", "--out-dir", out_dir, "--quiet"]) == 0
+        for name in ("estimates.csv", "report.json"):
+            got[f"experiment {dag} {name}"] = sha(out_dir / name)
+    assert got == PINNED_DIGESTS

@@ -202,8 +202,8 @@ def test_fit_scaling_invariance(backdoor_dataset):
     assert f2.coef("x") == pytest.approx(f1.coef("x") / 10.0, rel=1e-8)
     assert f2.coef("z") == pytest.approx(f1.coef("z"), rel=1e-8)
     for i in range(5):
-        lp1 = dh.linear_predictor(f1, sub.covariates[i])
-        lp2 = dh.linear_predictor(f2, scaled.covariates[i])
+        lp1 = float(f1.beta @ sub.covariates[i])
+        lp2 = float(f2.beta @ scaled.covariates[i])
         assert lp2 == pytest.approx(lp1, rel=1e-8, abs=1e-10)
 
 
@@ -303,18 +303,21 @@ def test_linear_predictor_and_prediction():
         iterations=3,
         final_score_norm=0.0,
     )
-    assert dh.linear_predictor(fit, [0.0]) == 0.0
-    assert dh.predict_cumhaz(fit, [0.0], 1.5) == 0.1
-    assert dh.predict_cumhaz(fit, [1.0], 1.5) == pytest.approx(0.2, rel=1e-15)
-    assert dh.predict_cumhaz(fit, [1.0], 0.5) == 0.0
+    # with an empty adjustment set a_z = 1, so do_cumhaz is the model's
+    # cumulative hazard exp(beta . x) * H0(t) at one covariate vector
+    summary = dh.compute_az(make_tiny_dataset([1.0, 2.0], [1, 1], [0.5, -0.5]), fit, [], horizon_t=2.0)
+    assert summary.a_z == 1.0
+    assert dh.do_cumhaz(fit, summary, [0.0], 1.5) == 0.1
+    assert dh.do_cumhaz(fit, summary, [1.0], 1.5) == pytest.approx(0.2, rel=1e-15)
+    assert dh.do_cumhaz(fit, summary, [1.0], 0.5) == 0.0
     with pytest.raises(dh.InvalidArgumentError):
-        dh.predict_cumhaz(fit, [1.0], -1.0)
+        dh.do_cumhaz(fit, summary, [1.0], -1.0)
     with pytest.raises(dh.InvalidArgumentError):
-        dh.linear_predictor(fit, [1.0, 2.0])
+        dh.do_cumhaz(fit, summary, [1.0, 2.0], 1.5)
 
     # the baseline is anchored at the zero vector: the linear predictor is beta . x
-    assert dh.linear_predictor(fit, [1.0]) == math.log(2.0)
-    assert dh.linear_predictor(fit, [-2.0]) == -2.0 * math.log(2.0)
+    assert dh.do_cumhaz(fit, summary, [1.0], 2.0) == math.exp(math.log(2.0)) * 0.3
+    assert dh.do_cumhaz(fit, summary, [-2.0], 2.0) == math.exp(-2.0 * math.log(2.0)) * 0.3
 
 
 def test_fit_save_load_roundtrip(tmp_path):
@@ -359,6 +362,7 @@ def test_load_fit_errors(tmp_path):
         ("beta", "abc"),
         ("beta", [0.3]),
         ("beta", [0.3, True]),
+        ("beta", [0.3, 10**400]),
         ("covariance", [[1.0, 0.0]]),
         ("covariance", [[1.0, 0.0], [0.0]]),
         ("baseline_values", good["baseline_values"][:-1]),

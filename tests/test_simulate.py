@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dohazard as dh
-from dohazard.simulate import _BLOCK
+from dohazard.simulate import _BLOCK, _frontdoor_log_hazard
 
 from conftest import make_backdoor_config, make_frontdoor_config
 
@@ -151,13 +151,13 @@ def test_frontdoor_null_hazard_coefficients():
 
 def test_exposure_excluded_from_frontdoor_hazard():
     # structural: the mediated log hazard takes no exposure argument at all
-    params = list(inspect.signature(dh.frontdoor_log_hazard).parameters)
+    params = list(inspect.signature(_frontdoor_log_hazard).parameters)
     assert params == ["coef", "z", "u"]
 
     # and the generated times are reproducible from (z, u) alone
     cfg = make_frontdoor_config(n_subjects=1_000)
     ds = dh.generate(cfg)
-    eta = dh.frontdoor_log_hazard(cfg.coefficients, ds.column("z"), ds.u_latent)
+    eta = _frontdoor_log_hazard(cfg.coefficients, ds.column("z"), ds.u_latent)
     u_fail = dh.RngStream(cfg.seed, 4).uniform(size=cfg.n_subjects)
     failure = dh.inverse_survival_time(u_fail, eta, cfg.baseline_hazard)
     assert np.array_equal(np.minimum(failure, cfg.horizon_t), ds.time)

@@ -183,13 +183,3 @@ def test_draw_normal_point_mass():
     assert dh.RngStream(1, 1).normal(2.5, 0.0) == 2.5
     v = dh.RngStream(1, 2).normal(2.5, 0.0, size=10)
     assert np.all(v == 2.5)
-
-
-def test_substream_independence():
-    base = dh.RngStream(3, 1)
-    sub = base.substream(9)
-    assert isinstance(sub, dh.RngStream)
-    a = sub.uniform(size=100)
-    b = dh.RngStream(3, 1).substream(9).uniform(size=100)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, dh.RngStream(3, 1).uniform(size=100))
