@@ -7,9 +7,15 @@ baseline directly. Ties are handled with the Breslow convention: every
 subject with a tied time sits in the risk set of that time.
 
 The fitter, the likelihood and the baseline share one path: _prepared
-checks the inputs and sorts by time, and _risk_sets takes exp(eta) and
-finds each event row's tie-group head, where a reversed cumulative sum
-holds that row's risk-set sum. Sums are read at event rows only.
+checks the inputs and sorts by time, _risk_sets takes exp(eta) and finds
+each event row's tie-group head, and _head_sums reads each event's
+risk-set sums at its head. Those sums are reversed cumulative sums,
+streamed from the last row back in blocks of _BLOCK rows, so the weighted
+products exist one block at a time: memory is O(_BLOCK * p^2) for the
+products plus O(events * p^2) for the sums read at the event rows, on
+top of the sorted inputs. The floats equal those of one reversed
+cumulative sum over all rows. fit_cox takes the Breslow baseline from
+the risk-set sums of its last accepted likelihood evaluation.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ from .simulate import Dataset, _finite_numbers, _read_json_object, _require_int,
 _MAX_HALVINGS = 30
 _BETA_BOUND = 50.0
 _ETA_BOUND = 500.0
+
+# Rows per block of the streamed risk-set sums (see _head_sums).
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,7 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     names = list(covariate_names) if covariate_names is not None else list(dataset.covariate_names)
     if not names:
         raise InvalidArgumentError("at least one covariate is required")
-    x = dataset.covariates[:, [dataset.column_index(c) for c in names]]
+    idx = [dataset.column_index(c) for c in names]
     if beta is not None:
         beta = np.asarray(beta, dtype=np.float64)
         if beta.shape != (len(names),):
@@ -74,7 +83,7 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     if dataset.n_events == 0:
         raise NoEventsError("no events in the data; the partial likelihood and baseline hazard are undefined")
     order = np.argsort(dataset.time, kind="stable")
-    return names, beta, dataset.time[order], dataset.event[order], x[order]
+    return names, beta, dataset.time[order], dataset.event[order], dataset.covariates[order[:, None], idx]
 
 
 def _risk_sets(beta, t_s, d_s, x_s) -> tuple:
@@ -90,22 +99,54 @@ def _risk_sets(beta, t_s, d_s, x_s) -> tuple:
     return eta, np.exp(eta), event_rows, np.searchsorted(t_s, t_s[event_rows], side="left")
 
 
-def _tail_sums(a) -> np.ndarray:
-    """Sum over each row and every row after it, along axis 0."""
-    return np.cumsum(a[::-1], axis=0)[::-1]
+def _head_sums(w, x, head) -> tuple:
+    """Risk-set sums read at the ascending rows head: (s0, s1, s2), the sums
+    of w, of w * x_j and of w * (x_i * x_j) over each head's row and every
+    row after it, one row of each per head.
+
+    The reversed cumulative sum runs from the last row back in blocks of
+    _BLOCK rows. Each block's products, rows reversed, follow the running
+    total in one buffer, and np.cumsum adds sequentially down axis 0, so
+    every sum is the float that one reversed cumsum over all rows gives.
+    The running total starts at -0.0, for which -0.0 + a is a, bit for bit.
+    Only the pairs i <= j are summed; x_i * x_j == x_j * x_i mirrors them.
+    """
+    n, p = x.shape
+    i, j = np.triu_indices(p)
+    sums = np.empty((head.size, 1 + p + i.size))
+    buf = np.empty((min(n, _BLOCK) + 1, sums.shape[1]))
+    buf[0] = -0.0
+    for stop in range(n, 0, -_BLOCK):
+        start = max(stop - _BLOCK, 0)
+        m = stop - start
+        wb = w[start:stop][::-1, None]
+        xb = x[start:stop][::-1]
+        block = buf[:m + 1]
+        block[1:, :1] = wb
+        np.multiply(wb, xb, out=block[1:, 1:1 + p])
+        np.multiply(wb, xb[:, i] * xb[:, j], out=block[1:, 1 + p:])
+        np.cumsum(block, axis=0, out=block)
+        lo, hi = np.searchsorted(head, (start, stop))
+        sums[lo:hi] = block[stop - head[lo:hi]]
+        buf[0] = block[m]
+    pair = np.empty((p, p), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(1 + p, 1 + p + i.size)
+    # np.take returns C order where fancy indexing would put the head axis
+    # innermost; sums over axis 0 of s2 then add row by row, as they do on
+    # a whole-array cumsum read at the heads.
+    return sums[:, 0], sums[:, 1:1 + p], np.take(sums, pair, axis=1)
 
 
 def _nlpl(beta, t_s, d_s, x_s):
     """Negative Breslow log partial likelihood plus derivatives on
-    time-sorted arrays."""
+    time-sorted arrays, and s0 = sum of exp(eta) over each event's risk set."""
     eta, w, ev, head = _risk_sets(beta, t_s, d_s, x_s)
-    s0_e = _tail_sums(w)[head]
-    ratio1 = _tail_sums(w[:, None] * x_s)[head] / s0_e[:, None]
-    s2_e = _tail_sums(w[:, None, None] * (x_s[:, :, None] * x_s[:, None, :]))[head]
+    s0_e, s1_e, s2_e = _head_sums(w, x_s, head)
+    ratio1 = s1_e / s0_e[:, None]
     value = -float(np.sum(eta[ev] - np.log(s0_e)))
     gradient = -np.sum(x_s[ev] - ratio1, axis=0)
     hessian = np.sum(s2_e / s0_e[:, None, None] - ratio1[:, :, None] * ratio1[:, None, :], axis=0)
-    return value, gradient, hessian
+    return value, gradient, hessian, s0_e
 
 
 def neg_log_partial_likelihood(dataset: Dataset, beta, covariate_names=None):
@@ -115,21 +156,23 @@ def neg_log_partial_likelihood(dataset: Dataset, beta, covariate_names=None):
     information, positive semidefinite by construction.
     """
     _, beta, t_s, d_s, x_s = _prepared(dataset, covariate_names, beta)
-    return _nlpl(beta, t_s, d_s, x_s)
+    return _nlpl(beta, t_s, d_s, x_s)[:3]
 
 
-def _breslow(beta, t_s, d_s, x_s) -> StepFunction:
-    _, w, ev, head = _risk_sets(beta, t_s, d_s, x_s)
-    knots, first, counts = np.unique(t_s[ev], return_index=True, return_counts=True)
-    increments = counts / _tail_sums(w)[head[first]]
-    return StepFunction(knots=knots, values=np.cumsum(increments))
+def _breslow(t_s, d_s, s0_e) -> StepFunction:
+    """Baseline from s0_e, the risk-set sum of exp(eta) at each event row:
+    a knot's increment is its event count over the sum at its first event."""
+    knots, first, counts = np.unique(t_s[d_s], return_index=True, return_counts=True)
+    return StepFunction(knots=knots, values=np.cumsum(counts / s0_e[first]))
 
 
 def breslow_baseline(dataset: Dataset, beta, covariate_names=None) -> StepFunction:
     """Baseline cumulative hazard at the zero covariate vector: at each
     distinct event time, the event count over the risk-set sum of exp(eta)."""
     _, beta, t_s, d_s, x_s = _prepared(dataset, covariate_names, beta)
-    return _breslow(beta, t_s, d_s, x_s)
+    _, w, _, head = _risk_sets(beta, t_s, d_s, x_s)
+    # with no covariate columns, _head_sums sums exp(eta) alone
+    return _breslow(t_s, d_s, _head_sums(w, x_s[:, :0], head)[0])
 
 
 @dataclass
@@ -184,7 +227,7 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
             raise DegenerateCovariateError(f"covariate {name!r} is constant; its effect is unidentifiable")
 
     beta = np.zeros(len(names))
-    value, gradient, hessian = _nlpl(beta, t_s, d_s, x_s)
+    value, gradient, hessian, s0_e = _nlpl(beta, t_s, d_s, x_s)
     converged = float(np.max(np.abs(gradient))) <= tol
     iterations = 0
     while not converged and iterations < max_iter:
@@ -209,7 +252,7 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
         if not accepted:
             break
         improvement = value - new[0]
-        beta, (value, gradient, hessian) = candidate, new
+        beta, (value, gradient, hessian, s0_e) = candidate, new
         worst = int(np.argmax(np.abs(beta)))
         if abs(beta[worst]) > _BETA_BOUND:
             raise MonotoneLikelihoodError(
@@ -239,7 +282,7 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
         beta=beta,
         covariance=covariance,
         covariate_names=names,
-        baseline_cumhaz=_breslow(beta, t_s, d_s, x_s),
+        baseline_cumhaz=_breslow(t_s, d_s, s0_e),
         n=dataset.n,
         n_events=dataset.n_events,
         log_likelihood=-value,

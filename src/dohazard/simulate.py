@@ -507,6 +507,9 @@ def load_dataset(path) -> Dataset:
     1, the body is read again by the csv row loop (_parse_rows): it takes
     quoted fields and every spelling float() takes, and names the line of
     the first bad row.
+
+    Every column of the returned Dataset is a copy that owns its memory,
+    so the whole parse buffer is freed when the call returns.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
@@ -534,11 +537,11 @@ def load_dataset(path) -> Dataset:
             fh.seek(body)
             data = _parse_rows(path, csv.reader(fh), len(header), index["event"])
     return Dataset(
-        time=data[:, index["time"]],
+        time=data[:, index["time"]].copy(),
         event=data[:, index["event"]].astype(bool),
         covariates=data[:, [index[c] for c in names]] if names else np.empty((len(data), 0)),
         covariate_names=names,
-        u_latent=data[:, index["u_latent"]] if has_u else None,
+        u_latent=data[:, index["u_latent"]].copy() if has_u else None,
         provenance=str(path),
     )
 

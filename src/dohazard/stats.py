@@ -5,8 +5,10 @@ The random number scheme is pinned so that golden-value tests are portable:
 * bits come from the Philox 4x64 counter-based generator keyed by
   ``(seed, stream_id)``, so distinct stream ids give independent sequences
   from one seed;
-* uniforms map the top 53 bits to ``(k + 0.5) * 2**-53``, which lies
-  strictly inside (0, 1) -- ``-log(1 - u)`` is always finite;
+* uniforms map the top 53 bits k to ``(k + 0.5) * 2**-53``, except that
+  k = 2**53 - 1, where ``k + 0.5`` rounds up to 2**53, maps to the largest
+  double below 1; so every draw lies strictly inside (0, 1) and
+  ``-log(1 - u)`` is always finite;
 * normal variates use the inverse CDF (Cephes ``ndtri`` rational
   approximation) applied to those uniforms.
 
@@ -25,6 +27,7 @@ from scipy.special import ndtri
 from .errors import DegenerateCovariateError, InvalidArgumentError
 
 _U53 = 2.0 ** -53
+_BELOW_ONE = 1.0 - _U53
 
 
 @dataclass(frozen=True)
@@ -58,11 +61,7 @@ class RngStream:
 
     def uniform(self, size: int | None = None):
         """Uniform draws strictly inside (0, 1)."""
-        raw = self._bits.random_raw(1 if size is None else size)
-        raw >>= np.uint64(11)
-        u = raw.astype(np.float64)
-        u += 0.5
-        u *= _U53
+        u = _uniforms(self._bits.random_raw(1 if size is None else size))
         return float(u[0]) if size is None else u
 
     def normal(self, mean: float = 0.0, sd: float = 1.0, size: int | None = None):
@@ -88,6 +87,18 @@ class RngStream:
             raise InvalidArgumentError(f"rate must be > 0, got {rate}")
         u = self.uniform(size)
         return -np.log1p(-u) / rate
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """Map raw 64-bit words to uniforms strictly inside (0, 1), shifting raw
+    in place: the top 53 bits k give (k + 0.5) * 2**-53, and the one code
+    that rounds to 1.0 (k = 2**53 - 1) gives the largest double below 1."""
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= _U53
+    np.minimum(u, _BELOW_ONE, out=u)
+    return u
 
 
 def gaussian_exponential_moment(beta: float, spec: GaussianSpec) -> float:
@@ -122,14 +133,16 @@ def ols_fit(x, z) -> tuple[float, float, float]:
         raise InvalidArgumentError(f"ols_fit needs length >= 3, got {n}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
         raise InvalidArgumentError("ols_fit inputs contain non-finite values")
+    # np.sum of the products, not np.dot: BLAS splits a dot product across
+    # its threads, so its bits would depend on the thread count.
     x_bar = np.mean(x)
     z_bar = np.mean(z)
     dx = x - x_bar
-    sxx = float(np.dot(dx, dx))
+    sxx = float(np.sum(dx * dx))
     if sxx == 0.0:
         raise DegenerateCovariateError("x has zero variance; slope is undefined")
-    slope = float(np.dot(dx, z - z_bar)) / sxx
+    slope = float(np.sum(dx * (z - z_bar))) / sxx
     intercept = float(z_bar - slope * x_bar)
     resid = z - (intercept + slope * x)
-    sigma = math.sqrt(max(float(np.dot(resid, resid)), 0.0) / (n - 2))
+    sigma = math.sqrt(max(float(np.sum(resid * resid)), 0.0) / (n - 2))
     return slope, intercept, sigma

@@ -256,6 +256,22 @@ def test_load_row_parser_reads_what_the_fast_path_refuses(tmp_path):
     assert ds.column("x").tolist() == [0.25, -3.0, 1e-3]
 
 
+@pytest.mark.parametrize("quote", [False, True], ids=["loadtxt", "row_parser"])
+def test_loaded_dataset_holds_no_parse_buffer(tmp_path, quote):
+    path = tmp_path / "cohort.csv"
+    dh.save_dataset(dh.generate(make_frontdoor_config(n_subjects=500)), path)
+    if quote:  # a quoted field sends the body through the row parser
+        header, first, rest = path.read_bytes().split(b"\r\n", 2)
+        path.write_bytes(b"\r\n".join([header, b'"' + first.replace(b",", b'",', 1), rest]))
+    ds = dh.load_dataset(path)
+    for name in ("time", "event", "covariates", "u_latent"):
+        column = held = getattr(ds, name)
+        while held.base is not None:
+            held = held.base
+        # a view into the parsed table would keep every column of it alive
+        assert held.nbytes == column.nbytes, name
+
+
 def test_load_rejects_malformed_rows(tmp_path):
     path = tmp_path / "bad.csv"
 

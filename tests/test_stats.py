@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dohazard as dh
+from dohazard.stats import _uniforms
 
 # frozen first draws for seed 42, stream 0
 GOLDEN_UNIFORMS = [
@@ -153,6 +158,26 @@ def test_uniform_open_interval():
     assert abs(float(u.mean()) - 0.5) < 4.0 * math.sqrt(1.0 / 12.0 / 100_000)
 
 
+@pytest.mark.parametrize(
+    "code, expected",
+    [
+        (0, 2.0 ** -54),
+        (2**52 - 1, 0.5 - 2.0 ** -54),
+        (2**52, 0.5),  # 2**52 + 0.5 is a tie, rounded to even
+        (2**53 - 2, 1.0 - 2.0 ** -52),
+        (2**53 - 1, 1.0 - 2.0 ** -53),  # rounds to 1.0 unless clamped
+    ],
+)
+def test_uniform_map_at_the_edge_codes(code, expected):
+    # the low 11 bits of a raw word are dropped, whatever they hold
+    for low in (0, 0x7FF):
+        raw = np.array([code << 11 | low], dtype=np.uint64)
+        u = _uniforms(raw)
+        assert u[0] == expected
+        assert 0.0 < u[0] < 1.0
+    assert math.isfinite(-math.log1p(-expected))
+
+
 def test_normal_moments():
     v = dh.RngStream(6, 2).normal(size=200_000)
     assert abs(float(v.mean())) < 4.0 / math.sqrt(200_000)
@@ -183,3 +208,20 @@ def test_draw_normal_point_mass():
     assert dh.RngStream(1, 1).normal(2.5, 0.0) == 2.5
     v = dh.RngStream(1, 2).normal(2.5, 0.0, size=10)
     assert np.all(v == 2.5)
+
+
+def test_ols_fit_bits_do_not_depend_on_blas_threads():
+    src = Path(dh.__file__).resolve().parent.parent
+    script = (
+        "import dohazard as dh\n"
+        "x = dh.RngStream(11, 1).normal(size=200_000)\n"
+        "z = x + 0.5 * dh.RngStream(11, 2).normal(size=200_000)\n"
+        "print(*(v.hex() for v in dh.ols_fit(x, z)))\n"
+    )
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        results.append(proc.stdout)
+    assert results[0] == results[1]
