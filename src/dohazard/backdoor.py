@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cox import CoxFit
+from .cox import CoxFit, _horizon
 from .errors import InvalidArgumentError, NumericalError
 from .results import CausalEstimate
 from .simulate import Dataset
@@ -71,33 +71,37 @@ def compute_az(dataset: Dataset, fit: CoxFit, z_columns, horizon_t: float | None
     standing in for the confounder law exactly (equal weights).
 
     horizon_t defaults to the last event time of the fitted baseline; it
-    only feeds the rarity diagnostic, not a_z itself.
+    only feeds the rarity diagnostic, not a_z itself. It must be finite
+    and >= 0.
+
+    One cohort-sized product is held at a time: the full linear predictor,
+    whose exp gives mean_joint_risk and max_cumhaz, is freed before the
+    confounder part is formed.
     """
     z_columns = tuple(z_columns)
     for name in z_columns:
         fit._index(name)  # raises InvalidArgumentError for unknown names
         dataset.column_index(name)
     if horizon_t is None:
-        horizon_t = float(fit.baseline_cumhaz.knots[-1]) if fit.baseline_cumhaz.knots.size else 0.0
-    elif not (math.isfinite(horizon_t) and horizon_t >= 0):
-        raise InvalidArgumentError(f"horizon_t must be >= 0, got {horizon_t}")
+        horizon_t = float(fit.baseline_cumhaz.knots[-1])
+    horizon_t = _horizon(horizon_t, "horizon_t")
+
+    full_idx = [dataset.column_index(c) for c in fit.covariate_names]
+    joint_risk = np.exp(dataset.covariates[:, full_idx] @ fit.beta)
+    mean_joint_risk = float(np.mean(joint_risk))
+    max_cumhaz = float(np.max(joint_risk) * fit.baseline_cumhaz(horizon_t))
+    del joint_risk
 
     z_idx = [fit._index(c) for c in z_columns]
     eta_z = dataset.covariates[:, [dataset.column_index(c) for c in z_columns]] @ fit.beta[z_idx]
-    full_idx = [dataset.column_index(c) for c in fit.covariate_names]
-    eta_full = dataset.covariates[:, full_idx] @ fit.beta
-
     a_z = float(np.mean(np.exp(eta_z)))
     jensen_floor = math.exp(float(np.mean(eta_z)))
     if a_z < jensen_floor * (1.0 - 1e-12):
         raise NumericalError(f"a_z = {a_z} fell below its Jensen floor {jensen_floor}")
-
-    h0 = fit.baseline_cumhaz(horizon_t)
-    max_cumhaz = float(np.max(np.exp(eta_full)) * h0)
     return BackdoorSummary(
         a_z=a_z,
-        mean_joint_risk=float(np.mean(np.exp(eta_full))),
-        horizon_t=float(horizon_t),
+        mean_joint_risk=mean_joint_risk,
+        horizon_t=horizon_t,
         max_cumhaz=max_cumhaz,
         rarity_flag=max_cumhaz > RARITY_THRESHOLD,
         z_columns=z_columns,
@@ -111,8 +115,7 @@ def do_cdf(fit: CoxFit, summary: BackdoorSummary, x, t) -> CausalEstimate:
     The returned estimate is flagged when its value exceeds 0.1, where it
     stops being a credible probability approximation.
     """
-    if t < 0:
-        raise InvalidArgumentError(f"t must be >= 0, got {t}")
+    t = _horizon(t)
     value = math.exp(_eta_x(fit, summary, x)) * fit.baseline_cumhaz(t) * summary.a_z
     return CausalEstimate(
         value=value,
@@ -157,8 +160,7 @@ def do_cumhaz(fit: CoxFit, summary: BackdoorSummary, x, t) -> float:
     """Interventional cumulative hazard exp(eta_x(x)) * a_z * H0(t).
 
     Exact under the fitted model (no rare-outcome step involved)."""
-    if t < 0:
-        raise InvalidArgumentError(f"t must be >= 0, got {t}")
+    t = _horizon(t)
     return math.exp(_eta_x(fit, summary, x)) * summary.a_z * fit.baseline_cumhaz(t)
 
 

@@ -33,7 +33,7 @@ from typing import Callable
 from . import backdoor as bd
 from . import frontdoor as fd
 from . import oracle as orc
-from .cox import fit_cox, load_fit, save_fit
+from .cox import _horizon, fit_cox, load_fit, save_fit
 from .errors import DohazardError, InvalidArgumentError, NumericalError, ParseError, ValidationError
 from .simulate import (
     Dataset,
@@ -244,6 +244,7 @@ def _estimator(dag_kind: str, dataset: Dataset, fit, z_columns, horizon_t: float
 def cmd_estimate(args) -> int:
     """backdoor and frontdoor: one contrast at one horizon, from a cohort."""
     x, x0 = _parse_contrast(args.contrast)
+    _horizon(args.t, "--t")
     dataset = load_dataset(args.data)
     if args.command == "backdoor":
         fit = load_fit(args.fit) if args.fit else fit_cox(dataset)

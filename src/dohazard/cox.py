@@ -7,15 +7,16 @@ baseline directly. Ties are handled with the Breslow convention: every
 subject with a tied time sits in the risk set of that time.
 
 The fitter, the likelihood and the baseline share one path: _prepared
-checks the inputs and sorts by time, _risk_sets takes exp(eta) and finds
-each event row's tie-group head, and _head_sums reads each event's
+checks the inputs, sorts by time and finds each event row's tie-group
+head, _eta forms the linear predictor, and _head_sums reads each event's
 risk-set sums at its head. Those sums are reversed cumulative sums,
-streamed from the last row back in blocks of _BLOCK rows, so the weighted
-products exist one block at a time: memory is O(_BLOCK * p^2) for the
-products plus O(events * p^2) for the sums read at the event rows, on
-top of the sorted inputs. The floats equal those of one reversed
-cumulative sum over all rows. fit_cox takes the Breslow baseline from
-the risk-set sums of its last accepted likelihood evaluation.
+streamed from the last row back in blocks of _BLOCK rows, with exp(eta)
+and the weighted products taken one block at a time. At n rows and p
+covariates the cohort-sized arrays are the sorted covariates (n * p) and
+eta (n); the rest is O(_BLOCK * p^2) for the products plus O(events * p^2)
+for the sums read at the event rows. The floats equal those of one
+reversed cumulative sum over all rows. fit_cox takes the Breslow baseline
+from the risk-set sums of its last accepted likelihood evaluation.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ _BLOCK = 1 << 13
 @dataclass(frozen=True)
 class StepFunction:
     """Right-continuous step function, zero before the first knot and
-    constant after the last."""
+    constant after the last; it has at least one knot."""
 
     knots: np.ndarray
     values: np.ndarray
@@ -57,7 +58,9 @@ class StepFunction:
         values = np.asarray(self.values, dtype=np.float64)
         if knots.ndim != 1 or knots.shape != values.shape:
             raise InvalidArgumentError("knots and values must be 1-d arrays of equal length")
-        if knots.size and np.any(np.diff(knots) <= 0):
+        if not knots.size:
+            raise InvalidArgumentError("knots must not be empty")
+        if np.any(np.diff(knots) <= 0):
             raise InvalidArgumentError("knots must be strictly increasing")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
@@ -69,12 +72,31 @@ class StepFunction:
         return float(out) if np.isscalar(t) else out
 
 
+def _horizon(t, name: str = "t") -> float:
+    """t as a float, when it is a horizon at which a cumulative hazard can
+    be read: finite and >= 0. InvalidArgumentError names it otherwise."""
+    t = float(t)
+    if not (math.isfinite(t) and t >= 0):
+        raise InvalidArgumentError(f"{name} must be finite and >= 0, got {t}")
+    return t
+
+
 def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
-    """Every input check plus the stable time sort: (names, beta, t_s, d_s,
-    x_s). beta, when given, must have one entry per design column."""
+    """Every input check plus the stable time sort: (names, beta, x_s, ev,
+    head, event_times). x_s holds the named covariates in time order, ev
+    the rows of x_s that are events, head the tie head of each event row
+    (the first row of its time: rows sharing a time share the risk set, so
+    a reversed cumulative sum read at the head is that risk set's sum) and
+    event_times the time of each event row. The sorted times are dropped
+    before the covariates are gathered, so x_s and the order are the only
+    cohort-sized arrays held at once. beta, when given, must have one entry
+    per design column."""
     names = list(covariate_names) if covariate_names is not None else list(dataset.covariate_names)
     if not names:
         raise InvalidArgumentError("at least one covariate is required")
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise InvalidArgumentError(f"covariate {name!r} is named more than once")
     idx = [dataset.column_index(c) for c in names]
     if beta is not None:
         beta = np.asarray(beta, dtype=np.float64)
@@ -83,43 +105,51 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     if dataset.n_events == 0:
         raise NoEventsError("no events in the data; the partial likelihood and baseline hazard are undefined")
     order = np.argsort(dataset.time, kind="stable")
-    return names, beta, dataset.time[order], dataset.event[order], dataset.covariates[order[:, None], idx]
+    t_s = dataset.time[order]
+    ev = np.flatnonzero(dataset.event[order])
+    event_times = t_s[ev]
+    head = np.searchsorted(t_s, event_times, side="left")
+    del t_s
+    return names, beta, dataset.covariates[order[:, None], idx], ev, head, event_times
 
 
-def _risk_sets(beta, t_s, d_s, x_s) -> tuple:
-    """(eta, w = exp(eta), event rows, tie head of each event row) on
-    time-sorted arrays. Rows sharing a time share the risk set, so a
-    reversed cumulative sum read at the head is that risk set's sum."""
+def _eta(beta, x_s) -> np.ndarray:
+    """The linear predictor x_s @ beta, refused past _ETA_BOUND, where
+    exp() would overflow in the risk-set sums."""
     eta = x_s @ beta
-    if np.max(np.abs(eta)) > _ETA_BOUND:
+    if max(eta.max(), -eta.min()) > _ETA_BOUND:
         raise NumericalError(
             "linear predictor exceeds exp() range; rescale covariates to moderate magnitudes"
         )
-    event_rows = np.flatnonzero(d_s)
-    return eta, np.exp(eta), event_rows, np.searchsorted(t_s, t_s[event_rows], side="left")
+    return eta
 
 
-def _head_sums(w, x, head) -> tuple:
-    """Risk-set sums read at the ascending rows head: (s0, s1, s2), the sums
-    of w, of w * x_j and of w * (x_i * x_j) over each head's row and every
-    row after it, one row of each per head.
+def _head_sums(eta, x, head) -> tuple:
+    """Risk-set sums read at the ascending rows head, with w = exp(eta):
+    (s0, s1, s2), the sums of w, of w * x_j and of w * (x_i * x_j) over
+    each head's row and every row after it, one row of each per head.
 
     The reversed cumulative sum runs from the last row back in blocks of
-    _BLOCK rows. Each block's products, rows reversed, follow the running
-    total in one buffer, and np.cumsum adds sequentially down axis 0, so
-    every sum is the float that one reversed cumsum over all rows gives.
-    The running total starts at -0.0, for which -0.0 + a is a, bit for bit.
-    Only the pairs i <= j are summed; x_i * x_j == x_j * x_i mirrors them.
+    _BLOCK rows, and exp(eta) is taken one block at a time. np.exp runs on
+    the block's forward, contiguous slice and the result is reversed after:
+    on a reversed (negative-stride) view numpy takes another exp loop,
+    whose results differ in the last bit for some inputs. Each block's
+    products, rows reversed, follow the running total in one buffer, and
+    np.cumsum adds sequentially down axis 0, so every sum is the float that
+    one reversed cumsum over all rows of exp(eta) gives. The running total
+    starts at -0.0, for which -0.0 + a is a, bit for bit. Only the pairs
+    i <= j are summed; x_i * x_j == x_j * x_i mirrors them.
     """
     n, p = x.shape
     i, j = np.triu_indices(p)
     sums = np.empty((head.size, 1 + p + i.size))
     buf = np.empty((min(n, _BLOCK) + 1, sums.shape[1]))
+    w = np.empty(min(n, _BLOCK))
     buf[0] = -0.0
     for stop in range(n, 0, -_BLOCK):
         start = max(stop - _BLOCK, 0)
         m = stop - start
-        wb = w[start:stop][::-1, None]
+        wb = np.exp(eta[start:stop], out=w[:m])[::-1, None]
         xb = x[start:stop][::-1]
         block = buf[:m + 1]
         block[1:, :1] = wb
@@ -137,11 +167,11 @@ def _head_sums(w, x, head) -> tuple:
     return sums[:, 0], sums[:, 1:1 + p], np.take(sums, pair, axis=1)
 
 
-def _nlpl(beta, t_s, d_s, x_s):
+def _nlpl(beta, x_s, ev, head):
     """Negative Breslow log partial likelihood plus derivatives on
-    time-sorted arrays, and s0 = sum of exp(eta) over each event's risk set."""
-    eta, w, ev, head = _risk_sets(beta, t_s, d_s, x_s)
-    s0_e, s1_e, s2_e = _head_sums(w, x_s, head)
+    time-sorted covariates, and s0 = sum of exp(eta) over each event's risk set."""
+    eta = _eta(beta, x_s)
+    s0_e, s1_e, s2_e = _head_sums(eta, x_s, head)
     ratio1 = s1_e / s0_e[:, None]
     value = -float(np.sum(eta[ev] - np.log(s0_e)))
     gradient = -np.sum(x_s[ev] - ratio1, axis=0)
@@ -155,24 +185,23 @@ def neg_log_partial_likelihood(dataset: Dataset, beta, covariate_names=None):
     Returns (value, gradient, hessian); the Hessian is the observed
     information, positive semidefinite by construction.
     """
-    _, beta, t_s, d_s, x_s = _prepared(dataset, covariate_names, beta)
-    return _nlpl(beta, t_s, d_s, x_s)[:3]
+    _, beta, x_s, ev, head, _ = _prepared(dataset, covariate_names, beta)
+    return _nlpl(beta, x_s, ev, head)[:3]
 
 
-def _breslow(t_s, d_s, s0_e) -> StepFunction:
+def _breslow(event_times, s0_e) -> StepFunction:
     """Baseline from s0_e, the risk-set sum of exp(eta) at each event row:
     a knot's increment is its event count over the sum at its first event."""
-    knots, first, counts = np.unique(t_s[d_s], return_index=True, return_counts=True)
+    knots, first, counts = np.unique(event_times, return_index=True, return_counts=True)
     return StepFunction(knots=knots, values=np.cumsum(counts / s0_e[first]))
 
 
 def breslow_baseline(dataset: Dataset, beta, covariate_names=None) -> StepFunction:
     """Baseline cumulative hazard at the zero covariate vector: at each
     distinct event time, the event count over the risk-set sum of exp(eta)."""
-    _, beta, t_s, d_s, x_s = _prepared(dataset, covariate_names, beta)
-    _, w, _, head = _risk_sets(beta, t_s, d_s, x_s)
+    _, beta, x_s, _, head, event_times = _prepared(dataset, covariate_names, beta)
     # with no covariate columns, _head_sums sums exp(eta) alone
-    return _breslow(t_s, d_s, _head_sums(w, x_s[:, :0], head)[0])
+    return _breslow(event_times, _head_sums(_eta(beta, x_s), x_s[:, :0], head)[0])
 
 
 @dataclass
@@ -221,13 +250,13 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
     for some coefficient, raises MonotoneLikelihoodError naming the
     covariate.
     """
-    names, _, t_s, d_s, x_s = _prepared(dataset, covariate_names)
+    names, _, x_s, ev, head, event_times = _prepared(dataset, covariate_names)
     for j, name in enumerate(names):
         if np.ptp(x_s[:, j]) == 0.0:
             raise DegenerateCovariateError(f"covariate {name!r} is constant; its effect is unidentifiable")
 
     beta = np.zeros(len(names))
-    value, gradient, hessian, s0_e = _nlpl(beta, t_s, d_s, x_s)
+    value, gradient, hessian, s0_e = _nlpl(beta, x_s, ev, head)
     converged = float(np.max(np.abs(gradient))) <= tol
     iterations = 0
     while not converged and iterations < max_iter:
@@ -241,7 +270,7 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
         for _ in range(_MAX_HALVINGS):
             candidate = beta + step * direction
             try:
-                new = _nlpl(candidate, t_s, d_s, x_s)
+                new = _nlpl(candidate, x_s, ev, head)
             except NumericalError:
                 step *= 0.5
                 continue
@@ -282,7 +311,7 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
         beta=beta,
         covariance=covariance,
         covariate_names=names,
-        baseline_cumhaz=_breslow(t_s, d_s, s0_e),
+        baseline_cumhaz=_breslow(event_times, s0_e),
         n=dataset.n,
         n_events=dataset.n_events,
         log_likelihood=-value,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cox import CoxFit, fit_cox
+from .cox import CoxFit, _horizon, fit_cox
 from .errors import EmptyStratumError, InvalidArgumentError
 from .results import CausalEstimate
 from .simulate import Dataset
@@ -144,8 +144,7 @@ def frontdoor_do_cdf_empirical(
     """
     if x_bins < 1 or z_bins < 1:
         raise InvalidArgumentError("x_bins and z_bins must be >= 1")
-    if t < 0:
-        raise InvalidArgumentError(f"t must be >= 0, got {t}")
+    t = _horizon(t)
     x = dataset.column("x")
     z = dataset.column("z")
     if not (np.min(x) <= x_value <= np.max(x)):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cox import CoxFit
+from .cox import CoxFit, _horizon
 from .errors import DegenerateOracleError, InvalidArgumentError, NumericalError
 from .simulate import Dataset, ScenarioConfig, _scm_blocks
 
@@ -221,8 +221,7 @@ def approx_error_report(fit: CoxFit, dataset: Dataset, t: float) -> ApproxErrorR
 
     The closed-form bound rel <= H/2 * (1 + H) is verified on every call.
     """
-    if t < 0:
-        raise InvalidArgumentError(f"t must be >= 0, got {t}")
+    t = _horizon(t)
     idx = [dataset.column_index(c) for c in fit.covariate_names]
     eta = dataset.covariates[:, idx] @ fit.beta
     h = np.exp(eta) * fit.baseline_cumhaz(t)

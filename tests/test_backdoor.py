@@ -115,6 +115,20 @@ def test_do_cdf_rejects_negative_t(backdoor_fit, backdoor_summary):
         dh.do_cdf(backdoor_fit, backdoor_summary, [1.0], -0.1)
 
 
+@pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
+def test_horizon_must_be_finite_and_nonnegative(backdoor_dataset, backdoor_fit, backdoor_summary, t):
+    # one rule for every reader of the baseline; NaN used to read its last knot
+    message = f"must be finite and >= 0, got {t}"
+    with pytest.raises(dh.InvalidArgumentError, match=f"^t {message}$"):
+        dh.do_cdf(backdoor_fit, backdoor_summary, [1.0], t)
+    with pytest.raises(dh.InvalidArgumentError, match=f"^t {message}$"):
+        dh.do_cumhaz(backdoor_fit, backdoor_summary, [1.0], t)
+    with pytest.raises(dh.InvalidArgumentError, match=f"^t {message}$"):
+        dh.approx_error_report(backdoor_fit, backdoor_dataset, t)
+    with pytest.raises(dh.InvalidArgumentError, match=f"^horizon_t {message}$"):
+        dh.compute_az(backdoor_dataset, backdoor_fit, ["z"], horizon_t=t)
+
+
 def test_do_cdf_flag_triggers_strictly_above_threshold():
     fit = hand_fit([0.3, 0.7], ["x", "z"], [1.0, 2.0, 3.0], [0.05, 0.1, 0.100001])
     ds = two_column_dataset(np.linspace(-1, 1, 40), np.zeros(40))

@@ -206,8 +206,14 @@ def test_exit_2_on_malformed_fit_file(tmp_path, scenario_path, capsys):
     run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
     run(["fit", tmp_path / "cohort.csv", "--out-dir", tmp_path, "--quiet"])
     fit = tmp_path / "fit.json"
-    bad_beta = {**json.loads(fit.read_text()), "beta": "abc"}
-    for content, message in (("5\n", "must be a JSON object"), (json.dumps(bad_beta), "field 'beta'")):
+    good = json.loads(fit.read_text())
+    bad_beta = {**good, "beta": "abc"}
+    no_baseline = {**good, "baseline_knots": [], "baseline_values": []}
+    for content, message in (
+        ("5\n", "must be a JSON object"),
+        (json.dumps(bad_beta), "field 'beta'"),
+        (json.dumps(no_baseline), "field 'baseline_knots'"),
+    ):
         fit.write_text(content)
         rc = run([
             "backdoor", tmp_path / "cohort.csv", "--fit", fit, "--contrast", "1,0", "--t", 10,
@@ -215,6 +221,26 @@ def test_exit_2_on_malformed_fit_file(tmp_path, scenario_path, capsys):
         ])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "-0.5"])
+@pytest.mark.parametrize("command", ["backdoor", "frontdoor"])
+def test_exit_2_on_bad_horizon(tmp_path, scenario_path, capsys, command, t):
+    # a NaN horizon read the baseline at its last knot and exited 0
+    run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
+    rc = run([command, tmp_path / "cohort.csv", "--contrast", "1,0", f"--t={t}", "--out-dir", tmp_path, "--quiet"])
+    assert rc == 2
+    assert f"--t must be finite and >= 0, got {float(t)}" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_exit_2_on_repeated_covariate(tmp_path, scenario_path, capsys):
+    # the repeated column made the information singular (exit 3)
+    run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
+    rc = run(["fit", tmp_path / "cohort.csv", "--covariates", "x,x", "--out-dir", tmp_path, "--quiet"])
+    assert rc == 2
+    assert "covariate 'x' is named more than once" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
 
 
 def test_exit_3_on_degenerate_covariate(tmp_path, capsys):

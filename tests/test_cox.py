@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dohazard as dh
-from dohazard.cox import _BLOCK, _head_sums, _nlpl, _risk_sets
+from dohazard.cox import _BLOCK, _head_sums, _nlpl
 
 from conftest import make_backdoor_config, make_tiny_dataset
 
@@ -221,12 +221,23 @@ def test_step_function_semantics():
         dh.StepFunction(knots=[2.0, 1.0], values=[0.1, 0.3])
     with pytest.raises(dh.InvalidArgumentError):
         dh.StepFunction(knots=[1.0], values=[0.1, 0.3])
+    with pytest.raises(dh.InvalidArgumentError, match="knots must not be empty"):
+        dh.StepFunction(knots=[], values=[])
 
 
 def test_fit_rejects_no_events():
     ds = make_tiny_dataset([1.0, 2.0], [0, 0], [0.0, 1.0])
     with pytest.raises(dh.NoEventsError):
         dh.fit_cox(ds)
+
+
+def test_fit_rejects_repeated_covariate_names():
+    ds = make_tiny_dataset([1.0, 2.0, 3.0], [1, 0, 1], [0.0, 1.0, 0.5], [0.3, 0.1, 0.2])
+    for names in (["x", "x"], ["z", "x", "z"]):
+        with pytest.raises(dh.InvalidArgumentError, match=f"covariate '{names[-1]}' is named more than once"):
+            dh.fit_cox(ds, names)
+    with pytest.raises(dh.InvalidArgumentError, match="named more than once"):
+        dh.neg_log_partial_likelihood(ds, [0.1, 0.1], ["x", "x"])
 
 
 def test_fit_rejects_constant_covariate():
@@ -378,6 +389,9 @@ def test_load_fit_errors(tmp_path):
     for key, value in bad_fields:
         with pytest.raises(dh.ValidationError, match=f"field '{key}'"):
             load_with(**{key: value})
+    # a baseline with no knots at all, values matching, names the knots
+    with pytest.raises(dh.ValidationError, match="field 'baseline_knots' is invalid: knots must not be empty"):
+        load_with(baseline_knots=[], baseline_values=[])
     # fit files written with the zero anchor key still load
     assert np.array_equal(load_with(baseline_x0=[0.0, 0.0]).beta, good["beta"])
 
@@ -484,10 +498,17 @@ def whole_array_tail(a, head):
     return np.cumsum(a[::-1], axis=0)[::-1][head]
 
 
+def whole_array_risk_sets(beta, t_s, d_s, x_s):
+    """(eta, w = exp(eta) over all rows at once, event rows, tie heads)."""
+    eta = x_s @ beta
+    ev = np.flatnonzero(d_s)
+    return eta, np.exp(eta), ev, np.searchsorted(t_s, t_s[ev], side="left")
+
+
 def whole_array_nlpl(beta, t_s, d_s, x_s):
     """The likelihood from whole-array products, each summed by one
     reversed cumsum over all n rows."""
-    eta, w, ev, head = _risk_sets(beta, t_s, d_s, x_s)
+    eta, w, ev, head = whole_array_risk_sets(beta, t_s, d_s, x_s)
     s0_e = whole_array_tail(w, head)
     ratio1 = whole_array_tail(w[:, None] * x_s, head) / s0_e[:, None]
     s2_e = whole_array_tail(w[:, None, None] * (x_s[:, :, None] * x_s[:, None, :]), head)
@@ -528,15 +549,17 @@ def sorted_cohorts(draw):
 @given(sorted_cohorts())
 def test_blocked_tail_sums_equal_whole_array_sums(case):
     beta, t_s, d_s, x_s = case
-    _, w, _, head = _risk_sets(beta, t_s, d_s, x_s)
+    eta, w, ev, head = whole_array_risk_sets(beta, t_s, d_s, x_s)
     want = (
         whole_array_tail(w, head),
         whole_array_tail(w[:, None] * x_s, head),
         whole_array_tail(w[:, None, None] * (x_s[:, :, None] * x_s[:, None, :]), head),
     )
-    for got, expected in zip(_head_sums(w, x_s, head), want):
+    # _head_sums takes exp(eta) block by block; its sums must equal those
+    # of one np.exp over the whole array
+    for got, expected in zip(_head_sums(eta, x_s, head), want):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-    for got, expected in zip(_nlpl(beta, t_s, d_s, x_s), whole_array_nlpl(beta, t_s, d_s, x_s)):
+    for got, expected in zip(_nlpl(beta, x_s, ev, head), whole_array_nlpl(beta, t_s, d_s, x_s)):
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
@@ -549,6 +572,7 @@ def test_fit_streams_risk_sets_in_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the sorted inputs, eta and exp(eta) take 9.8 MB; one n x p x p
-    # product array alone would add 6.4 MB
-    assert peak < 12_000_000
+    # the sorted covariates and eta take 4.8 MB and the blocks about 1.6 MB;
+    # a whole-array exp(eta) held through the sums would add 1.6 MB, and
+    # one n x p x p product array 6.4 MB
+    assert peak < 7_500_000

@@ -134,8 +134,9 @@ def test_empirical_matches_gaussian_reference(frontdoor_dataset, frontdoor_fit, 
 def test_empirical_argument_checks(frontdoor_dataset, frontdoor_fit):
     with pytest.raises(dh.InvalidArgumentError):
         dh.frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, 99.0, 10.0)
-    with pytest.raises(dh.InvalidArgumentError):
-        dh.frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, 0.5, -1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(dh.InvalidArgumentError, match=f"^t must be finite and >= 0, got {t}$"):
+            dh.frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, 0.5, t)
     with pytest.raises(dh.InvalidArgumentError):
         dh.frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, 0.5, 10.0, x_bins=0)
 

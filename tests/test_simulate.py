@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dohazard as dh
-from dohazard.simulate import _BLOCK, _frontdoor_log_hazard
+from dohazard import simulate
+from dohazard.simulate import _BLOCK, _ROWS_PER_WRITE, _frontdoor_log_hazard
 
 from conftest import make_backdoor_config, make_frontdoor_config
 
@@ -272,6 +274,146 @@ def test_loaded_dataset_holds_no_parse_buffer(tmp_path, quote):
         assert held.nbytes == column.nbytes, name
 
 
+def saved_cohort(tmp_path, n):
+    dataset = dh.generate(make_frontdoor_config(n_subjects=n))
+    path = tmp_path / "cohort.csv"
+    dh.save_dataset(dataset, path)
+    return dataset, path
+
+
+def assert_same_cohort(got, want):
+    for name in ("time", "event", "covariates", "u_latent"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert a.base is None, name  # owns its memory, so nothing larger stays alive behind it
+    assert got.covariate_names == want.covariate_names
+
+
+def refuse_row_loop(*args):
+    raise AssertionError("a well-formed cohort must not need the row parser")
+
+
+@pytest.mark.parametrize("n", [1, _ROWS_PER_WRITE - 1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1, 2 * _ROWS_PER_WRITE + 3])
+def test_load_fills_the_columns_chunk_by_chunk(tmp_path, monkeypatch, n):
+    # rows on both sides of each chunk edge land in their own places, and a
+    # body that ends on a chunk edge reads no phantom chunk after it
+    dataset, path = saved_cohort(tmp_path, n)
+    monkeypatch.setattr(simulate, "_parse_rows", refuse_row_loop)
+    assert_same_cohort(dh.load_dataset(path), dataset)
+
+
+def _blank_line_at_chunk_edge(rows):
+    return rows[:_ROWS_PER_WRITE - 1] + [b""] + rows[_ROWS_PER_WRITE - 1:]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _blank_line_at_chunk_edge,
+        lambda rows: [b"", b""] + rows + [b"", b""],
+        lambda rows: rows[:3] + [b""] * 3 + rows[3:],
+    ],
+    ids=["blank_line_at_chunk_edge", "blank_lines_around_body", "blank_lines_inside"],
+)
+@pytest.mark.parametrize("final_newline", [True, False], ids=["final_newline", "no_final_newline"])
+@pytest.mark.parametrize("n", [_ROWS_PER_WRITE, _ROWS_PER_WRITE + 2])
+def test_load_skips_blank_lines(tmp_path, monkeypatch, edit, final_newline, n):
+    # numpy warns once per blank line when it reads a chunk; the loader must
+    # neither let that warning out (pytest makes it an error) nor count the
+    # blank lines as rows, nor read the body again in the row loop
+    dataset, path = saved_cohort(tmp_path, n)
+    header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+    path.write_bytes(b"\r\n".join([header] + edit(rows)) + b"\r\n" * final_newline)
+    monkeypatch.setattr(simulate, "_parse_rows", refuse_row_loop)
+    loaded = dh.load_dataset(path)
+    assert_same_cohort(loaded, dataset)
+    assert loaded.covariates.flags.f_contiguous  # the layout every loaded cohort has
+
+
+@pytest.mark.parametrize("n", [1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1])
+def test_load_reads_a_last_row_without_line_end(tmp_path, monkeypatch, n):
+    dataset, path = saved_cohort(tmp_path, n)
+    path.write_bytes(path.read_bytes()[:-2])
+    monkeypatch.setattr(simulate, "_parse_rows", refuse_row_loop)
+    assert_same_cohort(dh.load_dataset(path), dataset)
+
+
+def _one_lone_cr(data):
+    cut = data.index(b"\r\n", len(data) // 2)
+    return data[:cut] + b"\r" + data[cut + 2:]
+
+
+@pytest.mark.parametrize(
+    "ends, counted",
+    [
+        (lambda data: data.replace(b"\r\n", b"\r"), True),
+        (_one_lone_cr, True),
+        (lambda data: _one_lone_cr(data).replace(b"\r\n", b"\n"), False),
+    ],
+    ids=["cr_only", "crlf_and_a_lone_cr", "lf_and_a_lone_cr"],
+)
+@pytest.mark.parametrize("n", [3, _ROWS_PER_WRITE + 1])
+def test_load_reads_every_line_end(tmp_path, monkeypatch, ends, counted, n):
+    # "\r", "\n" and "\r\n" each end a row for both parsers. The line count
+    # falls short only where lone CRs and lone LFs meet in one file; at
+    # n = _ROWS_PER_WRITE + 1 it is then one whole chunk, and the row after
+    # that chunk must still be read
+    dataset, path = saved_cohort(tmp_path, n)
+    path.write_bytes(ends(path.read_bytes()))
+    if counted:
+        monkeypatch.setattr(simulate, "_parse_rows", refuse_row_loop)
+    assert_same_cohort(dh.load_dataset(path), dataset)
+
+
+def test_load_reads_a_header_that_spans_lines(tmp_path):
+    # a quoted header name holding a lone CR and a lone LF: the header's
+    # three lines hold more line ends than the count of either kind sees
+    path = tmp_path / "header.csv"
+    header = b'time,"a\rb\nc",event\r\n'
+    path.write_bytes(header + b"1.5,0.25,1\r\n2,0.5,0\r\n")
+    ds = dh.load_dataset(path)
+    assert ds.time.tolist() == [1.5, 2.0]
+    assert ds.event.tolist() == [True, False]
+    assert ds.covariate_names == ["a\rb\nc"]
+    assert ds.covariates.tolist() == [[0.25], [0.5]]
+    path.write_bytes(header)
+    with pytest.raises(dh.ValidationError, match="no data rows"):
+        dh.load_dataset(path)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _held_bytes(dataset):
+    return sum(a.nbytes for a in (dataset.time, dataset.event, dataset.covariates, dataset.u_latent))
+
+
+# One more cohort-sized float64 array at n=200_000 takes 1.6 MB.
+_ONE_COLUMN = 8 * 200_000
+
+
+def test_generate_fills_the_cohort_block_by_block():
+    dh.generate(make_frontdoor_config(n_subjects=1_000, censor_rate=0.02))  # first-call allocations
+    dataset, peak = _traced_peak(lambda: dh.generate(make_frontdoor_config(n_subjects=200_000, censor_rate=0.02)))
+    # the cohort takes 6.6 MB; the whole-array draw held 6.8 MB more
+    assert peak < _held_bytes(dataset) + _ONE_COLUMN
+
+
+def test_load_fills_the_cohort_chunk_by_chunk(tmp_path):
+    _, small = saved_cohort(tmp_path, 1_000)
+    dh.load_dataset(small)  # first-call allocations
+    _, path = saved_cohort(tmp_path, 200_000)
+    dataset, peak = _traced_peak(lambda: dh.load_dataset(path))
+    # the cohort takes 6.6 MB; a table of the whole body held 8.4 MB more
+    assert peak < _held_bytes(dataset) + _ONE_COLUMN
+
+
 def test_load_rejects_malformed_rows(tmp_path):
     path = tmp_path / "bad.csv"
 
@@ -467,6 +609,28 @@ def test_generate_censors_one_scm_draw(config):
     ds = dh.generate(config)
     assert ds.time[ds.event].tobytes() == failure[ds.event].tobytes()
     assert np.all(ds.time <= failure)
+    assert ds.covariates.tobytes() == np.column_stack([x, z]).tobytes()
+    assert (ds.u_latent is None) == (u is None)
+    if u is not None:
+        assert ds.u_latent.tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("censor_rate", [0.0, 0.05])
+@pytest.mark.parametrize("make_config", [make_backdoor_config, make_frontdoor_config], ids=["backdoor", "frontdoor"])
+def test_generate_is_the_censored_whole_array_draw(make_config, censor_rate, n):
+    # generate censors each block with the next draws of one censoring
+    # stream (id 5); the blocks must join into the whole-array cohort
+    config = make_config(n_subjects=n, censor_rate=censor_rate)
+    x, z, u, failure = dh.draw_scm(config, n, config.seed)
+    if censor_rate > 0:
+        censoring = np.minimum(config.horizon_t, dh.RngStream(config.seed, 5).exponential(censor_rate, n))
+    else:
+        censoring = np.full(n, config.horizon_t)
+    event = failure <= censoring
+    ds = dh.generate(config)
+    assert ds.event.tobytes() == event.tobytes()
+    assert ds.time.tobytes() == np.where(event, failure, censoring).tobytes()
     assert ds.covariates.tobytes() == np.column_stack([x, z]).tobytes()
     assert (ds.u_latent is None) == (u is None)
     if u is not None:
