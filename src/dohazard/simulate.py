@@ -17,16 +17,32 @@ beyond the columns it returns. Structural log-hazards live in
 ``_backdoor_log_hazard`` and ``_frontdoor_log_hazard``; the frontdoor one
 takes no exposure argument, which makes the exclusion restriction a
 property of the code, not of a statistical check.
+
+A cohort is saved as CSV (``save_dataset``) with a column cache beside
+it: ``<path>.npz``, a numpy archive of the CSV's sha256 and the columns
+in the layout ``load_dataset`` returns. ``load_dataset`` reads the
+columns from the cache only while the CSV's bytes still have that digest
+and the archive has exactly the expected members, dtypes and shapes;
+otherwise it parses the CSV. Both the cache's writer and its reader live
+here. Parsing a float64 from its 17 significant digits is most of a CSV
+read, so the cache makes each read of a saved cohort a hash and a copy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import io
 import itertools
 import json
 import math
+import os
 import sys
 import warnings
+import zipfile
+import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -49,6 +65,18 @@ _BLOCK = 1 << 13
 # Rows per formatted block in save_dataset: the per-block overhead vanishes
 # while a block's strings stay a few MB.
 _ROWS_PER_WRITE = 1 << 14
+
+# Bytes per read when load_dataset hashes a cohort CSV or reads its column
+# cache, and per write into the cache: below glibc's 128 KiB mmap threshold,
+# so no buffer is mapped and faulted in afresh.
+_CACHE_CHUNK = 1 << 16
+
+# What reading a column cache raises when it is not one save_dataset wrote:
+# missing or unreadable (OSError), empty (EOFError), not numpy's format,
+# pickled or a malformed header (ValueError), a damaged zip or member
+# (BadZipFile, zlib.error), or a zip feature zipfile does not read, such as
+# an encrypted member or another compression (RuntimeError).
+_CACHE_ERRORS = (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile, zlib.error)
 
 
 @dataclass(frozen=True)
@@ -503,33 +531,93 @@ def save_dataset(dataset: Dataset, path) -> None:
     the same float64 bits; events are 0 or 1; rows end in CRLF, as the
     csv.writer header does. Each block of _ROWS_PER_WRITE rows is one
     %-substitution into a repeated row template: no Python loop runs per
-    value and no list of the whole cohort is built."""
+    value and no list of the whole cohort is built.
+
+    The CSV's bytes are hashed with sha256 as they are written, and the
+    columns then go to the column cache <path>.npz with that digest
+    (_write_cache), from which load_dataset reads them back for as long as
+    the CSV keeps those bytes."""
     header = ["time", "event"] + list(dataset.covariate_names)
     columns = [dataset.time, dataset.event] + list(dataset.covariates.T)
     if dataset.u_latent is not None:
         header.append("u_latent")
         columns.append(dataset.u_latent)
     row = ",".join(["%.17g", "%d"] + ["%.17g"] * (len(columns) - 2)) + "\r\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def write(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        write(head.getvalue())
         for start in range(0, dataset.n, _ROWS_PER_WRITE):
             block = [c[start:start + _ROWS_PER_WRITE].tolist() for c in columns]
-            fh.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
+            write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
+    _write_cache(dataset, path, digest.digest())
+
+
+def _cache_path(path) -> str:
+    return f"{os.fsdecode(path)}.npz"
+
+
+def _write_cache(dataset: Dataset, path, digest: bytes) -> None:
+    """Write the column cache of the cohort CSV at path: <path>.npz, a
+    numpy archive of the CSV's sha256 (digest), the covariate names (names)
+    and the columns in the layout load_dataset returns (time, event,
+    covariates in column-major order, u_latent when present), each written
+    in chunks. It goes to a temporary name first and os.replace moves it into
+    place, so a reader finds the old cache or the new one, never part of
+    one. Its members carry a fixed zip date, so equal cohorts give equal
+    bytes."""
+    members = [
+        ("digest", np.frombuffer(digest, dtype=np.uint8)),
+        ("names", np.array(dataset.covariate_names, dtype=str)),
+        ("time", dataset.time),
+        ("event", dataset.event),
+        ("covariates", dataset.covariates),
+    ] + [("u_latent", dataset.u_latent)] * (dataset.u_latent is not None)
+    cache = _cache_path(path)
+    tmp = f"{cache}.{os.getpid()}.tmp"
+    try:
+        with zipfile.ZipFile(tmp, "w") as zf:
+            for key, values in members:
+                with zf.open(zipfile.ZipInfo(f"{key}.npy"), "w", force_zip64=True) as fp:
+                    np.lib.format.write_array_header_1_0(fp, {
+                        "descr": np.lib.format.dtype_to_descr(values.dtype),
+                        "fortran_order": values.ndim == 2,
+                        "shape": values.shape,
+                    })
+                    rows = max(_CACHE_CHUNK // values.itemsize, 1)
+                    for column in values.T if values.ndim == 2 else [values]:
+                        for start in range(0, len(column), rows):
+                            fp.write(column[start:start + rows].tobytes())
+        os.replace(tmp, cache)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_dataset(path) -> Dataset:
     """Read a cohort CSV; raises ParseError with the offending line number,
     or ValidationError when values break the dataset invariants.
 
-    A binary scan counts the body's lines, the columns are preallocated for
-    that many rows, and numpy's C parser fills them in chunks of
-    _ROWS_PER_WRITE rows, so no table of the whole cohort is built. Blank
-    lines, which numpy skips, leave fewer rows than lines, and the columns
-    are cut to the rows read. When a chunk fails to parse, has the wrong
-    number of fields or an event other than 0 or 1, or there are more rows
-    than counted lines, the body is read again by the csv row loop
-    (_parse_rows): it takes quoted fields and every spelling float()
-    takes, and names the line of the first bad row.
+    When the column cache save_dataset wrote beside the CSV is sound and
+    holds the sha256 of the CSV's current bytes, the columns are read from
+    it and the body is not parsed (_cached_columns). Otherwise a binary
+    scan counts the body's lines, the columns are preallocated for that
+    many rows, and numpy's C parser fills them in chunks of _ROWS_PER_WRITE
+    rows, so no table of the whole cohort is built. Blank lines, which
+    numpy skips, leave fewer rows than lines, and the columns are cut to
+    the rows read. When a chunk fails to parse, has the wrong number of
+    fields or an event other than 0 or 1, or there are more rows than
+    counted lines, the csv row loop (_parse_rows) fills the columns again
+    from the body's start: it takes quoted fields and every spelling
+    float() takes, and names the line of the first bad row.
 
     Every column of the returned Dataset owns its memory.
     """
@@ -548,17 +636,18 @@ def load_dataset(path) -> Dataset:
         # the header column of each Dataset column, in _columns order
         sources = [header.index(c) for c in ["time", "event", *names] + ["u_latent"] * has_u]
         body = fh.tell()
-        # the file's lines less the header's; where the count is short (lone
-        # CRs and lone LFs in one file), the row loop reads the body
-        columns = _columns(max(_count_lines(path) - reader.line_num, 0), len(names), has_u)
-        rows = _read_chunks(fh, columns, sources, len(header))
-        if rows is None:
-            fh.seek(body)
-            data = _parse_rows(path, csv.reader(fh), len(header), sources[1])
-            columns = _columns(len(data), len(names), has_u)
-            _fill(columns, sources, 0, data)
-        elif rows < len(columns[0]):
-            columns = [None if c is None else c[:rows].copy(order="K") for c in columns]
+        columns = _cached_columns(path, fh.buffer, names, has_u)
+        if columns is None:
+            fh.seek(body)  # the cache check may have read on
+            # the file's lines less the header's; where the count is short
+            # (lone CRs and lone LFs in one file), the row loop grows the columns
+            columns = _columns(max(_count_lines(path) - reader.line_num, 0), len(names), has_u)
+            rows = _read_chunks(fh, columns, sources, len(header))
+            if rows is None:
+                fh.seek(body)
+                columns, rows = _parse_rows(path, csv.reader(fh), columns, sources, len(header))
+            if rows < len(columns[0]):
+                columns = [None if c is None else c[:rows].copy(order="K") for c in columns]
     time, event, covariates, u_latent = columns
     return Dataset(
         time=time,
@@ -568,6 +657,82 @@ def load_dataset(path) -> Dataset:
         u_latent=u_latent,
         provenance=str(path),
     )
+
+
+def _cached_columns(path, fb, names: list, has_u: bool) -> tuple | None:
+    """(time, event, covariates, u_latent) from the column cache of the CSV
+    at path, or None unless <path>.npz opens with np.load(allow_pickle=False)
+    as a zip archive and _read_cache finds it sound; fb is the CSV's binary
+    handle. The cache file is opened here, not by np.load, which leaves its
+    own handle open when the zip is damaged."""
+    try:
+        with open(_cache_path(path), "rb") as fc:
+            cache = np.load(fc, allow_pickle=False)
+            if not isinstance(cache, np.lib.npyio.NpzFile):  # a lone .npy array
+                return None
+            with cache:
+                return _read_cache(cache, fb, names, has_u)
+    except _CACHE_ERRORS:
+        return None
+
+
+def _read_cache(cache, fb, names: list, has_u: bool) -> tuple | None:
+    """The columns of an open column cache, or None unless it holds the
+    members _write_cache writes and no others, its names are the header's,
+    its digest is the sha256 of the CSV's bytes, read from fb, and each
+    column has the dtype and shape load_dataset returns."""
+    keys = ["digest", "names", "time", "event", "covariates"] + ["u_latent"] * has_u
+    if sorted(cache.zip.namelist()) != sorted(f"{k}.npy" for k in keys):
+        return None
+    if cache["names"].tolist() != names or cache["digest"].tobytes() != _sha256(fb):
+        return None
+    time = _read_member(cache, "time", np.float64, (None,))
+    if time is None:
+        return None
+    n = len(time)
+    event = _read_member(cache, "event", np.bool_, (n,))
+    covariates = _read_member(cache, "covariates", np.float64, (n, len(names)))
+    u_latent = _read_member(cache, "u_latent", np.float64, (n,)) if has_u else None
+    if event is None or covariates is None or (has_u and u_latent is None):
+        return None
+    return time, event, covariates, u_latent
+
+
+def _sha256(fb) -> bytes:
+    """The sha256 of the whole file behind the binary handle fb."""
+    digest = hashlib.sha256()
+    buf = bytearray(_CACHE_CHUNK)
+    fb.seek(0)
+    while size := fb.readinto(buf):
+        digest.update(memoryview(buf)[:size])
+    return digest.digest()
+
+
+def _read_member(cache, key: str, dtype, shape: tuple) -> np.ndarray | None:
+    """The array stored as key.npy in the cache, read in chunks of
+    _CACHE_CHUNK bytes into a new array, column-major when it is a matrix;
+    None unless its header is npy format 1.0 with this dtype, this shape
+    (a None length matches any) and column-major order for a matrix, and
+    its data ends where that shape does."""
+    with cache.zip.open(f"{key}.npy") as fp:
+        if np.lib.format.read_magic(fp) != (1, 0):
+            return None
+        stored, fortran, stored_dtype = np.lib.format.read_array_header_1_0(fp)
+        if (
+            stored_dtype != dtype
+            or fortran != (len(shape) == 2)
+            or len(stored) != len(shape)
+            or any(want not in (None, got) for want, got in zip(shape, stored))
+        ):
+            return None
+        out = np.empty(stored, dtype=dtype, order="F")
+        data = memoryview(out.reshape(-1, order="F")).cast("B")  # its bytes in storage order
+        for start in range(0, data.nbytes, _CACHE_CHUNK):
+            chunk = data[start:start + _CACHE_CHUNK]
+            if fp.readinto(chunk) != chunk.nbytes:
+                return None
+        # nothing may follow the data; zipfile checks the CRC at the member's end
+        return out if fp.read(1) == b"" else None
 
 
 def _count_lines(path) -> int:
@@ -635,22 +800,49 @@ def _read_chunks(fh, columns, sources, width: int) -> int | None:
     return filled or None
 
 
-def _parse_rows(path, reader, width: int, event_col: int) -> np.ndarray:
-    """The data rows of a cohort CSV, one csv record at a time; the first
-    bad row raises with its line number (the header is line 1)."""
-    rows = []
+def _parse_rows(path, reader, columns, sources, width: int) -> tuple:
+    """Fill the columns from the body's csv records, one block of
+    _ROWS_PER_WRITE rows at a time, and return (columns, rows read); the
+    columns are grown when the rows outnumber them. A block is a flat run
+    of float64 values, so memory beyond the columns stays one block of
+    rows. The first bad row raises with its line number (the header is
+    line 1)."""
+    event = sources[1] - width  # the event's offset from the end of a row's values
+    filled = 0
+    block = array("d")
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != width:
             raise ParseError(f"{path}:{line_no}: expected {width} fields, got {len(row)}")
         try:
-            parsed = [float(v) for v in row]
+            block.extend(map(float, row))
         except ValueError as exc:
             raise ParseError(f"{path}:{line_no}: {exc}") from exc
-        if parsed[event_col] not in (0.0, 1.0):
+        if block[event] not in (0.0, 1.0):
             raise ValidationError(f"{path}:{line_no}: event must be 0 or 1")
-        rows.append(parsed)
-    if not rows:
+        if len(block) == width * _ROWS_PER_WRITE:
+            columns = _put(columns, sources, filled, block, width)
+            filled, block = filled + _ROWS_PER_WRITE, array("d")
+    if block:
+        columns = _put(columns, sources, filled, block, width)
+        filled += len(block) // width
+    if not filled:
         raise ValidationError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    return columns, filled
+
+
+def _put(columns, sources, start: int, values, width: int) -> tuple:
+    """_fill with the rows of a flat run of values, width to a row, from
+    row start on; the columns are first grown, at least twofold, when they
+    are too short to hold them. Returns the columns."""
+    table = np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+    stop = start + len(table)
+    if stop > len(columns[0]):
+        grown = _columns(max(stop, 2 * len(columns[0])), columns[2].shape[1], columns[3] is not None)
+        for old, new in zip(columns, grown):
+            if new is not None:
+                new[:start] = old[:start]
+        columns = grown
+    _fill(columns, sources, start, table)
+    return columns

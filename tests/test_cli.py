@@ -179,6 +179,29 @@ def test_exit_2_on_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_exit_2_on_missing_cohort_beside_its_cache(tmp_path, scenario_path, capsys):
+    # the column cache is read only for the CSV it was written with
+    run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
+    (tmp_path / "cohort.csv").unlink()
+    assert (tmp_path / "cohort.csv.npz").exists()
+    rc = run(["fit", tmp_path / "cohort.csv", "--out-dir", tmp_path, "--quiet"])
+    assert rc == 2
+    assert "cohort.csv" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_outputs_do_not_depend_on_the_column_cache(tmp_path, scenario_path):
+    run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
+    outputs = []
+    for _ in range(2):  # with the cache, then from the CSV alone
+        assert run(["fit", tmp_path / "cohort.csv", "--out-dir", tmp_path, "--quiet"]) == 0
+        assert run(["backdoor", tmp_path / "cohort.csv", "--fit", tmp_path / "fit.json", "--contrast", "1,0",
+                    "--t", 10, "--out-dir", tmp_path, "--quiet"]) == 0
+        outputs.append([(tmp_path / name).read_bytes() for name in ("fit.json", "backdoor.json")])
+        (tmp_path / "cohort.csv.npz").unlink(missing_ok=True)
+    assert outputs[0] == outputs[1]
+
+
 def test_exit_2_on_bad_contrast(tmp_path, scenario_path, capsys):
     run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
     rc = run(["backdoor", tmp_path / "cohort.csv", "--contrast", "1", "--t", 10, "--out-dir", tmp_path])

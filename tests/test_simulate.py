@@ -1,9 +1,12 @@
 import hashlib
 import inspect
+import io
 import json
 import math
 import tracemalloc
 import warnings
+import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,6 +177,42 @@ def test_bernoulli_z_support():
     assert 0.3 < float(z.mean()) < 0.5
 
 
+def saved_with_cache(tmp_path, n=50):
+    dataset = dh.generate(make_frontdoor_config(n_subjects=n))
+    path = tmp_path / "cohort.csv"
+    dh.save_dataset(dataset, path)
+    return dataset, path
+
+
+def saved_cohort(tmp_path, n):
+    """A cohort saved as CSV without its column cache, so that loading it
+    exercises the CSV reader."""
+    dataset, path = saved_with_cache(tmp_path, n)
+    cache_of(path).unlink()
+    return dataset, path
+
+
+def cache_of(path):
+    return path.with_name(path.name + ".npz")
+
+
+def load_csv(path):
+    """load_dataset with the column cache deleted first: the CSV reader's result."""
+    cache_of(path).unlink(missing_ok=True)
+    return dh.load_dataset(path)
+
+
+def assert_same_cohort(got, want):
+    for name in ("time", "event", "covariates", "u_latent"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert a.base is None, name  # owns its memory, so nothing larger stays alive behind it
+    assert got.covariate_names == want.covariate_names
+
+
 def test_save_load_roundtrip(tmp_path):
     ds = dh.generate(make_frontdoor_config(n_subjects=500))
     path = tmp_path / "cohort.csv"
@@ -193,6 +232,7 @@ def test_save_is_byte_deterministic(tmp_path):
     dh.save_dataset(ds, p1)
     dh.save_dataset(ds, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    assert cache_of(p1).read_bytes() == cache_of(p2).read_bytes()
 
 
 def test_save_writes_pinned_bytes(tmp_path):
@@ -236,15 +276,12 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path_factory, data):
     )
     path = tmp_path_factory.mktemp("roundtrip") / "cohort.csv"
     dh.save_dataset(ds, path)
-    back = dh.load_dataset(path)
-    assert back.time.tobytes() == ds.time.tobytes()
-    assert back.event.tobytes() == ds.event.tobytes()
-    assert back.covariates.shape == (n, p)
-    assert back.covariates.tobytes() == ds.covariates.tobytes()
-    assert back.covariate_names == ds.covariate_names
-    assert (back.u_latent is None) == (ds.u_latent is None)
-    if ds.u_latent is not None:
-        assert back.u_latent.tobytes() == ds.u_latent.tobytes()
+    with mock.patch.object(simulate, "_count_lines", refuse_csv_reader):
+        from_cache = dh.load_dataset(path)
+    for back in (from_cache, load_csv(path)):
+        assert_same_cohort(back, ds)
+        assert back.covariates.flags.f_contiguous
+        assert back.provenance == str(path)
 
 
 def test_load_row_parser_reads_what_the_fast_path_refuses(tmp_path):
@@ -258,13 +295,16 @@ def test_load_row_parser_reads_what_the_fast_path_refuses(tmp_path):
     assert ds.column("x").tolist() == [0.25, -3.0, 1e-3]
 
 
+def quote_first_field(path):
+    header, first, rest = path.read_bytes().split(b"\r\n", 2)
+    path.write_bytes(b"\r\n".join([header, b'"' + first.replace(b",", b'",', 1), rest]))
+
+
 @pytest.mark.parametrize("quote", [False, True], ids=["loadtxt", "row_parser"])
 def test_loaded_dataset_holds_no_parse_buffer(tmp_path, quote):
-    path = tmp_path / "cohort.csv"
-    dh.save_dataset(dh.generate(make_frontdoor_config(n_subjects=500)), path)
+    _, path = saved_cohort(tmp_path, 500)
     if quote:  # a quoted field sends the body through the row parser
-        header, first, rest = path.read_bytes().split(b"\r\n", 2)
-        path.write_bytes(b"\r\n".join([header, b'"' + first.replace(b",", b'",', 1), rest]))
+        quote_first_field(path)
     ds = dh.load_dataset(path)
     for name in ("time", "event", "covariates", "u_latent"):
         column = held = getattr(ds, name)
@@ -274,23 +314,12 @@ def test_loaded_dataset_holds_no_parse_buffer(tmp_path, quote):
         assert held.nbytes == column.nbytes, name
 
 
-def saved_cohort(tmp_path, n):
-    dataset = dh.generate(make_frontdoor_config(n_subjects=n))
-    path = tmp_path / "cohort.csv"
-    dh.save_dataset(dataset, path)
-    return dataset, path
-
-
-def assert_same_cohort(got, want):
-    for name in ("time", "event", "covariates", "u_latent"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-        assert a.base is None, name  # owns its memory, so nothing larger stays alive behind it
-    assert got.covariate_names == want.covariate_names
-
-
 def refuse_row_loop(*args):
     raise AssertionError("a well-formed cohort must not need the row parser")
+
+
+def refuse_csv_reader(*args):
+    raise AssertionError("a cohort with a sound column cache must not be parsed")
 
 
 @pytest.mark.parametrize("n", [1, _ROWS_PER_WRITE - 1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1, 2 * _ROWS_PER_WRITE + 3])
@@ -412,6 +441,156 @@ def test_load_fills_the_cohort_chunk_by_chunk(tmp_path):
     dataset, peak = _traced_peak(lambda: dh.load_dataset(path))
     # the cohort takes 6.6 MB; a table of the whole body held 8.4 MB more
     assert peak < _held_bytes(dataset) + _ONE_COLUMN
+
+
+def test_load_reads_the_cache_chunk_by_chunk(tmp_path, monkeypatch):
+    _, small = saved_with_cache(tmp_path, 1_000)
+    dh.load_dataset(small)  # first-call allocations
+    want, path = saved_with_cache(tmp_path, 200_000)
+    monkeypatch.setattr(simulate, "_count_lines", refuse_csv_reader)
+    dataset, peak = _traced_peak(lambda: dh.load_dataset(path))
+    assert_same_cohort(dataset, want)
+    assert peak < _held_bytes(dataset) + _ONE_COLUMN
+
+
+def test_row_loop_fills_the_cohort_chunk_by_chunk(tmp_path):
+    _, small = saved_cohort(tmp_path, 1_000)
+    dh.load_dataset(small)  # first-call allocations
+    want, path = saved_cohort(tmp_path, 200_000)
+    quote_first_field(path)
+    dataset, peak = _traced_peak(lambda: dh.load_dataset(path))
+    assert_same_cohort(dataset, want)
+    # a list of every row as Python floats held 64 MB more
+    assert peak < _held_bytes(dataset) + _ONE_COLUMN
+
+
+def cache_members(path):
+    with np.load(cache_of(path)) as cache:
+        return {key: cache[key] for key in cache.files}
+
+
+def with_time_shifted(members):
+    # a cache that reads other times than its CSV, so that using it shows
+    return {**members, "time": members["time"] + 1.0}
+
+
+def test_load_trusts_a_sound_cache(tmp_path):
+    # the positive control of the tests below: a cache in the right layout
+    # that records the CSV's digest is read instead of the CSV
+    want, path = saved_with_cache(tmp_path)
+    np.savez(cache_of(path), **with_time_shifted(cache_members(path)))
+    got = dh.load_dataset(path)
+    assert got.time.tobytes() == (want.time + 1.0).tobytes()
+    assert got.covariates.flags.f_contiguous and got.covariates.base is None
+
+
+CACHE_MEMBER_DAMAGE = {
+    "missing_key": lambda m: {k: v for k, v in m.items() if k != "event"},
+    "extra_key": lambda m: {**m, "extra": m["time"]},
+    "event_as_float": lambda m: {**m, "event": m["event"].astype(np.float64)},
+    "time_as_float32": lambda m: {**m, "time": m["time"].astype(np.float32)},
+    "time_big_endian": lambda m: {**m, "time": m["time"].astype(">f8")},
+    "short_time": lambda m: {**m, "time": m["time"][:-1]},
+    "short_event": lambda m: {**m, "event": m["event"][:-1]},
+    "one_covariate": lambda m: {**m, "covariates": np.asfortranarray(m["covariates"][:, :1])},
+    "row_major_covariates": lambda m: {**m, "covariates": np.ascontiguousarray(m["covariates"])},
+    "other_names": lambda m: {**m, "names": m["names"][::-1]},
+    "hex_digest": lambda m: {**m, "digest": np.array(m["digest"].tobytes().hex())},
+    "other_digest": lambda m: {**m, "digest": m["digest"] ^ np.uint8(1)},
+    "pickled_names": lambda m: {**m, "names": m["names"].astype(object)},
+}
+
+
+@pytest.mark.parametrize("damage", CACHE_MEMBER_DAMAGE.values(), ids=CACHE_MEMBER_DAMAGE)
+def test_load_reads_the_csv_past_a_cache_of_another_layout(tmp_path, damage):
+    want, path = saved_with_cache(tmp_path)
+    np.savez(cache_of(path), **damage(with_time_shifted(cache_members(path))))
+    assert_same_cohort(dh.load_dataset(path), want)
+
+
+@pytest.mark.parametrize("resize", [lambda data: data[:-8], lambda data: data + bytes(8)], ids=["short", "long"])
+def test_load_reads_the_csv_past_a_member_of_another_length(tmp_path, resize):
+    # a time member whose data is one value shorter or longer than its header says
+    want, path = saved_with_cache(tmp_path)
+    members = with_time_shifted(cache_members(path))
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": "<f8", "fortran_order": False, "shape": (want.n,)})
+    with zipfile.ZipFile(cache_of(path), "w") as zf:
+        for key, value in members.items():
+            if key == "time":
+                zf.writestr("time.npy", header.getvalue() + resize(value.tobytes()))
+            else:
+                with zf.open(f"{key}.npy", "w") as fp:
+                    np.lib.format.write_array(fp, value)
+    assert_same_cohort(dh.load_dataset(path), want)
+
+
+def _flip_middle_byte(data):
+    middle = len(data) // 2
+    return data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1:]
+
+
+CACHE_FILE_DAMAGE = {
+    "truncated": lambda data: data[: len(data) // 2],
+    "flipped_byte": _flip_middle_byte,
+    "not_a_zip": lambda data: b"time,event\r\n",
+    "empty": lambda data: b"",
+}
+
+
+@pytest.mark.parametrize("damage", CACHE_FILE_DAMAGE.values(), ids=CACHE_FILE_DAMAGE)
+def test_load_reads_the_csv_past_a_damaged_cache(tmp_path, damage):
+    want, path = saved_with_cache(tmp_path)
+    cache_of(path).write_bytes(damage(cache_of(path).read_bytes()))
+    assert_same_cohort(dh.load_dataset(path), want)
+
+
+def test_load_reads_the_csv_past_a_lone_array(tmp_path):
+    want, path = saved_with_cache(tmp_path)
+    with open(cache_of(path), "wb") as fh:  # np.save to a file object keeps the name
+        np.save(fh, want.time)
+    assert_same_cohort(dh.load_dataset(path), want)
+
+
+def test_load_reads_an_edited_csv_not_its_cache(tmp_path):
+    want, path = saved_with_cache(tmp_path)
+    header, first, rest = path.read_bytes().split(b"\r\n", 2)
+    path.write_bytes(b"\r\n".join([header, b"1.25" + first[first.index(b","):], rest]))
+    got = dh.load_dataset(path)
+    assert got.time[0] == 1.25
+    assert got.time[1:].tobytes() == want.time[1:].tobytes()
+    assert_same_cohort(got, load_csv(path))
+
+
+def test_load_raises_on_a_bad_row_despite_the_cache(tmp_path):
+    # the same error, line number included, as the CSV reader gives alone
+    _, path = saved_with_cache(tmp_path)
+    rows = path.read_bytes().split(b"\r\n")
+    rows[3] = b"oops" + rows[3][rows[3].index(b","):]
+    path.write_bytes(b"\r\n".join(rows))
+    with pytest.raises(dh.ParseError, match=r"cohort.csv:4: could not convert string to float: 'oops'$"):
+        dh.load_dataset(path)
+    cache_of(path).unlink()
+    with pytest.raises(dh.ParseError, match=r"cohort.csv:4: could not convert string to float: 'oops'$"):
+        dh.load_dataset(path)
+
+
+def test_load_never_reads_a_cache_without_its_csv(tmp_path):
+    _, path = saved_with_cache(tmp_path)
+    path.unlink()
+    assert cache_of(path).exists()
+    with pytest.raises(FileNotFoundError):
+        dh.load_dataset(path)
+
+
+def test_load_takes_the_roles_from_the_csv_header(tmp_path):
+    # a covariate named u_latent is the hidden column once written as CSV;
+    # the cache holds it as a covariate, so it must not be read
+    path = tmp_path / "cohort.csv"
+    dh.save_dataset(dh.Dataset(time=[1.0, 2.0], event=[1, 0], covariates=[[0.5], [0.25]], covariate_names=["u_latent"]), path)
+    got = dh.load_dataset(path)
+    assert got.covariate_names == [] and got.u_latent.tolist() == [0.5, 0.25]
+    assert_same_cohort(got, load_csv(path))
 
 
 def test_load_rejects_malformed_rows(tmp_path):
