@@ -26,6 +26,13 @@ and the archive has exactly the expected members, dtypes and shapes;
 otherwise it parses the CSV. Both the cache's writer and its reader live
 here. Parsing a float64 from its 17 significant digits is most of a CSV
 read, so the cache makes each read of a saved cohort a hash and a copy.
+
+The CSV holds each float as Python's ``'%.17g' %`` writes it, byte for
+byte, but ``save_dataset`` formats them in numpy (``_format_floats``):
+exact integer arithmetic gives the 17 digits of every finite normal value
+from 1e-4 up to 2**52 and a lookup table lays out its text, while the few
+other values (zeros, subnormals, smaller or larger magnitudes) go to
+Python's own formatter.
 """
 
 from __future__ import annotations
@@ -525,13 +532,76 @@ def generate(config: ScenarioConfig) -> Dataset:
     )
 
 
+# Bytes per float field of a saved row: the longest %.17g text,
+# "-2.2250738585072014e-308", and a CRLF.
+_FIELD = 26
+
+# Tables of _format_floats, built with numpy arithmetic at import. A value's
+# row of the digits buffer is _DIGIT_WORDS uint32 words, 24 bytes in memory
+# order: NUL, "0", "-", the 17 digits of D, ".", the two separator bytes
+# (the second NUL after a comma) and NUL. _LEAD[d] is the first word for
+# leading digit d; _DIGITS4[c] the four digits of c in 0..9999 as one word;
+# _ZEROS4[c] the number of trailing zero digits of those four.
+_DIGIT_WORDS = 6
+_NUL, _ZERO, _MINUS, _DIGIT, _POINT, _SEP = 0, 1, 2, 3, 20, 21
+_POW5 = 5 ** np.arange(21, dtype=np.uint64)
+_C = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row c: the four digits of c
+_DIGITS4 = np.ascontiguousarray(_C + ord("0")).view(np.uint32).ravel()
+_ZEROS4 = np.logical_and.accumulate(_C[:, ::-1] == 0, axis=1).sum(axis=1, dtype=np.uint8)
+_LEAD = np.zeros((10, 4), dtype=np.uint8)
+_LEAD[:, _ZERO], _LEAD[:, _MINUS], _LEAD[:, _DIGIT] = ord("0"), ord("-"), ord("0") + np.arange(10)
+_LEAD = _LEAD.view(np.uint32).ravel()
+# the offset of each row of a _BLOCK-row digits buffer, in bytes
+_DIGIT_ROWS = (np.arange(_BLOCK) * 4 * _DIGIT_WORDS)[:, None]
+del _C
+
+
+def _float_layouts() -> np.ndarray:
+    """The rows of _LAYOUT: row (sign * 21 + x + 4) * 17 + k - 1 lists, for
+    each byte of a _FIELD-byte field, the byte of a digits row that goes
+    there, for a value with that sign (1 when negative), decimal exponent x
+    in -4..16 and k significant digits once trailing zeros are stripped
+    (1..17): %.17g's fixed notation, then the separator and NUL padding.
+
+    For x >= 0 the text is the first x + 1 digits, then, when any of the k
+    digits is left, the point and those digits; for x < 0 it is "0.", -x - 1
+    zeros and the k digits; a negative value has "-" in front."""
+    sign = np.arange(2)[:, None, None, None]
+    x = np.arange(-4, 17)[None, :, None, None]
+    k = np.arange(1, 18)[None, None, :, None]
+    j = np.arange(_FIELD) - sign  # the byte's place in the unsigned text
+    whole = x + 1  # digits before the point when x >= 0
+    zeros = -x - 1  # zeros after the point when x < 0
+    fixed = np.where(x < 0, 2 + zeros + k, np.where(k > whole, k + 1, whole))  # the text's length
+    table = np.select(
+        [
+            j < 0,
+            (x < 0) & (j == 0), (x < 0) & (j == 1), (x < 0) & (j < 2 + zeros), (x < 0) & (j < fixed),
+            j < whole, (j == whole) & (j < fixed), j < fixed,
+            j == fixed, j == fixed + 1,
+        ],
+        [
+            _MINUS,
+            _ZERO, _POINT, _ZERO, _DIGIT + j - 2 - zeros,
+            _DIGIT + j, _POINT, _DIGIT + j - 1,
+            _SEP, _SEP + 1,
+        ],
+        _NUL,
+    )
+    return table.reshape(-1, _FIELD).astype(np.uint8)
+
+
+_LAYOUT = _float_layouts()
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Write the cohort as CSV: time, event, the covariates, then u_latent
-    when present. Floats are written with %.17g, so load_dataset reads back
-    the same float64 bits; events are 0 or 1; rows end in CRLF, as the
-    csv.writer header does. Each block of _ROWS_PER_WRITE rows is one
-    %-substitution into a repeated row template: no Python loop runs per
-    value and no list of the whole cohort is built.
+    when present. Floats are written as %.17g writes them, so load_dataset
+    reads back the same float64 bits; events are 0 or 1; rows end in CRLF,
+    as the csv.writer header does. The rows are formatted in numpy,
+    _ROWS_PER_WRITE at a time (_csv_rows): no Python loop runs per value,
+    except for the rare values _format_floats hands to Python's own
+    '%.17g' %, and no list of the whole cohort is built.
 
     The CSV's bytes are hashed with sha256 as they are written, and the
     columns then go to the column cache <path>.npz with that digest
@@ -542,22 +612,137 @@ def save_dataset(dataset: Dataset, path) -> None:
     if dataset.u_latent is not None:
         header.append("u_latent")
         columns.append(dataset.u_latent)
-    row = ",".join(["%.17g", "%d"] + ["%.17g"] * (len(columns) - 2)) + "\r\n"
     head = io.StringIO()
     csv.writer(head).writerow(header)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-
-        def write(text: str) -> None:
-            data = text.encode("utf-8")
+        for data in itertools.chain([head.getvalue().encode("utf-8")], _csv_rows(columns)):
             digest.update(data)
             fh.write(data)
-
-        write(head.getvalue())
-        for start in range(0, dataset.n, _ROWS_PER_WRITE):
-            block = [c[start:start + _ROWS_PER_WRITE].tolist() for c in columns]
-            write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
     _write_cache(dataset, path, digest.digest())
+
+
+def _csv_rows(columns):
+    """The CSV rows of the columns, _ROWS_PER_WRITE rows at a time, each
+    block as a uint8 array of its bytes. columns[1] is the event column
+    (bool), written as 0 or 1 (%d); every other column is float64, written
+    as %.17g; fields are joined by commas and rows end in CRLF.
+
+    Each field, with the separator after it, is written left-aligned into a
+    fixed slot of the block's row buffer (_FIELD bytes for a float, 3 for
+    an event: its digit and up to two separator bytes) and padded with
+    NULs. No text holds a NUL, so dropping every NUL byte of the buffer in
+    one boolean compaction leaves the block's CSV bytes. Floats are
+    formatted _BLOCK at a time, so that their 8-byte temporaries stay at
+    64 KiB, below glibc's mmap threshold; the larger buffers are allocated
+    once here and reused for every block."""
+    n = len(columns[0])
+    seps = [b","] * (len(columns) - 1) + [b"\r\n"]
+    slots = np.cumsum([0] + [3 if k == 1 else _FIELD for k in range(len(columns))])
+    rows = np.empty((min(n, _ROWS_PER_WRITE), slots[-1]), dtype=np.uint8)
+    keep = np.empty(rows.shape, dtype=bool)
+    field = np.empty((_BLOCK, _FIELD), dtype=np.uint8)
+    index = np.empty((_BLOCK, _FIELD), dtype=np.intp)
+    digits = np.empty((_BLOCK, _DIGIT_WORDS), dtype=np.uint32)
+    for start in range(0, n, _ROWS_PER_WRITE):
+        block = rows[:min(_ROWS_PER_WRITE, n - start)]
+        for k, (column, sep) in enumerate(zip(columns, seps)):
+            slot = block[:, slots[k]:slots[k + 1]]
+            if k == 1:
+                slot[:, 0] = column[start:start + len(block)].view(np.uint8) + ord("0")
+                slot[:, 1:] = np.frombuffer(sep.ljust(2, b"\0"), dtype=np.uint8)
+                continue
+            for sub in range(0, len(block), _BLOCK):
+                values = column[start + sub:start + min(sub + _BLOCK, len(block))]
+                slot[sub:sub + len(values)] = _format_floats(values, sep, field, index, digits)
+        np.not_equal(block, 0, out=keep[:len(block)])
+        yield block[keep[:len(block)]]
+
+
+def _format_floats(values, sep: bytes, field, index, digits):
+    """The %.17g text of each value followed by sep, as the rows of
+    field[:len(values)]: left-aligned and NUL-padded to _FIELD bytes.
+    len(values) <= _BLOCK; field, index and digits are scratch buffers of
+    _BLOCK rows that the caller reuses.
+
+    A value takes the exact path below when it is a finite normal double
+    with decimal exponent x in -4..16 and |v| < 2**52 (so that %.17g writes
+    it in fixed notation and the product below needs no left shift). With
+    v = M * 2**e (M the 53-bit significand) and q = 16 - x, the digit string
+    is D = round(|v| * 10**q) = round(M * 5**q / 2**s), s = -(e + q). M * 5**q
+    (q <= 20, so < 2**100) is formed exactly in two uint64 limbs and shifted
+    right by s, rounding half to even on the exact remainder, as Python's
+    correctly rounded conversion does. x is floor(log10|v|) in float
+    arithmetic, which may be off by one next to a power of ten; the path
+    therefore also requires floor(|v| * 10**q) >= 10**16 and D < 10**17,
+    which hold only when x is the exponent of the value rounded to 17
+    digits. The text is then laid out from D's digits by _LAYOUT, keyed by
+    the sign, x and the number of digits left once trailing zeros are
+    stripped. Every other value (zeros, subnormals, |v| < 1e-4 or
+    >= 2**52, a failed check, inf, nan) is written by Python's own
+    '%.17g' %, so no value is ever approximated."""
+    n = len(values)
+    bits = values.view(np.uint64)
+    biased = (bits >> 52) & 0x7FF
+    normal = (biased != 0) & (biased != 0x7FF)
+    x = _decimal_exponents(np.where(normal, np.abs(values), 1.0))
+    s = 1075 - biased.astype(np.intp) - 16 + x  # -(e + q), e = biased - 1075
+    exact = normal & (x >= -4) & (x <= 16) & (s >= 0) & (s < 64)
+    x = np.where(exact, x, 0)
+    s = np.where(exact, s, 0).astype(np.uint64)
+    # M * 5**q in two limbs: (M_hi 2**32 + M_lo)(F_hi 2**32 + F_lo), with
+    # M_hi < 2**21 and F_hi < 2**15, so no partial product overflows
+    m = (bits & ((1 << 52) - 1)) | (1 << 52)
+    f = _POW5[16 - x]
+    m_lo, m_hi, f_lo, f_hi = m & 0xFFFFFFFF, m >> 32, f & 0xFFFFFFFF, f >> 32
+    mid = m_hi * f_lo + m_lo * f_hi
+    low = m_lo * f_lo
+    lo = low + (mid << 32)
+    hi = m_hi * f_hi + (mid >> 32) + (lo < low)
+    floor = ((hi << 1) << (63 - s)) | (lo >> s)  # two shifts: hi << 64 is undefined
+    unit = np.uint64(1) << s
+    twice = (lo & (unit - 1)) << 1  # twice the remainder, against the divisor 2**s
+    d = floor + ((twice > unit) | ((twice == unit) & ((floor & 1) == 1)))
+    exact &= ((hi >> s) == 0) & (floor >= 10**16) & (d < 10**17)
+    d = np.where(exact, d, 10**16)
+    # D = d0 c1 c2 c3 c4: a leading digit and four chunks of four digits
+    top, bottom = np.divmod(d, 10**8)
+    d0, top = np.divmod(top, 10**8)
+    c1, c2 = np.divmod(top, 10**4)
+    c3, c4 = np.divmod(bottom, 10**4)
+    digits = digits[:n]
+    digits[:, 0] = _LEAD[d0]
+    for word, chunk in enumerate((c1, c2, c3, c4), start=1):
+        digits[:, word] = _DIGITS4[chunk]
+    digits[:, 5] = np.frombuffer(b"." + sep.ljust(2, b"\0") + b"\0", dtype=np.uint32)[0]
+    zeros = _ZEROS4[c4] + (c4 == 0) * (_ZEROS4[c3] + (c3 == 0) * (_ZEROS4[c2] + (c2 == 0) * _ZEROS4[c1]))
+    key = ((bits >> 63).astype(np.intp) * 21 + x + 4) * 17 + 16 - zeros
+    # byte j of row i of the field is byte _LAYOUT[key[i], j] of digits row
+    # i; every index is in range, and mode="clip" spares take's buffering
+    field = field[:n]
+    np.take(_LAYOUT, key, axis=0, out=field, mode="clip")
+    index = np.add(field, _DIGIT_ROWS[:n], out=index[:n])
+    np.take(digits.view(np.uint8).ravel(), index, out=field, mode="clip")
+    other = np.flatnonzero(~exact)
+    if len(other):
+        field[other] = _python_formatted(values[other], sep)
+    return field
+
+
+def _decimal_exponents(magnitudes) -> np.ndarray:
+    """floor(log10(a)) of each positive normal a, in float arithmetic: the
+    decimal exponent, though one off next to a power of ten, where log10
+    rounds to the integer. _format_floats checks its digit count and so
+    never relies on the estimate."""
+    return np.floor(np.log10(magnitudes)).astype(np.intp)
+
+
+def _python_formatted(values, sep: bytes) -> np.ndarray:
+    """Python's own '%.17g' % of each value followed by sep, as the rows of
+    a uint8 array, left-aligned and NUL-padded to _FIELD bytes: the values
+    _format_floats does not take on its exact path."""
+    texts = [("%.17g" % v).encode() + sep for v in values.tolist()]
+    return np.array(texts, dtype=f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
 
 
 def _cache_path(path) -> str:
@@ -645,7 +830,7 @@ def load_dataset(path) -> Dataset:
             rows = _read_chunks(fh, columns, sources, len(header))
             if rows is None:
                 fh.seek(body)
-                columns, rows = _parse_rows(path, csv.reader(fh), columns, sources, len(header))
+                columns, rows = _parse_rows(path, csv.reader(fh), columns, sources, len(header), reader.line_num)
             if rows < len(columns[0]):
                 columns = [None if c is None else c[:rows].copy(order="K") for c in columns]
     time, event, covariates, u_latent = columns
@@ -800,17 +985,21 @@ def _read_chunks(fh, columns, sources, width: int) -> int | None:
     return filled or None
 
 
-def _parse_rows(path, reader, columns, sources, width: int) -> tuple:
+def _parse_rows(path, reader, columns, sources, width: int, header_lines: int) -> tuple:
     """Fill the columns from the body's csv records, one block of
     _ROWS_PER_WRITE rows at a time, and return (columns, rows read); the
     columns are grown when the rows outnumber them. A block is a flat run
     of float64 values, so memory beyond the columns stays one block of
-    rows. The first bad row raises with its line number (the header is
-    line 1)."""
+    rows. The first bad row raises with the number of the line its record
+    starts on: the header takes lines 1 to header_lines, and a quoted field
+    may span lines, so this is the reader's line count, not a count of
+    records."""
     event = sources[1] - width  # the event's offset from the end of a row's values
     filled = 0
     block = array("d")
-    for line_no, row in enumerate(reader, start=2):
+    read = 0  # the body's lines before the record
+    for row in reader:
+        line_no, read = header_lines + read + 1, reader.line_num
         if not row:
             continue
         if len(row) != width:

@@ -405,9 +405,10 @@ def test_experiment_config_validation(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "5").exists()
 
 
-# sha256 of the CLI's outputs on the conftest scenarios at n=20_000: backdoor
-# with and without --fit, frontdoor, and experiment for both DAGs. Equal
-# digests mean a change left every answer the CLI writes as it was.
+# sha256 of the CLI's outputs on the conftest scenarios at n=20_000: the
+# simulated cohort CSVs, backdoor with and without --fit, frontdoor, and
+# experiment for both DAGs. Equal digests mean a change left every answer
+# and every cohort byte the CLI writes as it was.
 PINNED_DIGESTS = {
     "backdoor --fit 1,0 t=10": "34611d2073a7f29f00d5441327f8f4da8605b514bd2a2562222357fb01588549",
     "backdoor --fit 2,-1 t=5": "ef700f3905a0ddf868b9a0adfa111bb742fd05703d6129deda816595bb4f33f3",
@@ -419,6 +420,8 @@ PINNED_DIGESTS = {
     "experiment frontdoor report.json": "980077d6d5f3efe8deb88392123df11ec8c53cb821b0af88b782e6e4d7ef417e",
     "frontdoor 1,0 t=10": "7c90f9440959280c003eaa1eac0cab5dfcdea885ff7e328a97bf21c0a080f05e",
     "frontdoor 2,-1 t=5": "352607f5faf5de3b96ee18e8a116bf30db6867f894274863a47b84b4f5915085",
+    "simulate backdoor cohort.csv": "ea5c55f8b84d75989fcebb1d647be27531f7a8f274ea5b6549b096ef64917eba",
+    "simulate frontdoor cohort.csv": "d704a4a7db273d2967b8c171c603b49c3a74017895d29041adbafa3744c2284d",
 }
 
 
@@ -432,6 +435,7 @@ def test_cli_outputs_match_pinned_digests(tmp_path):
         cohort = tmp_path / f"{dag}.csv"
         assert run(["simulate", write_scenario(tmp_path / f"{dag}.json", scenario), "--out-dir", tmp_path,
                     "--out", cohort.name, "--quiet"]) == 0
+        got[f"simulate {dag} cohort.csv"] = sha(cohort)
         variants = [[]]
         if dag == "backdoor":
             assert run(["fit", cohort, "--out-dir", tmp_path, "--quiet"]) == 0

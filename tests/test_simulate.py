@@ -253,6 +253,123 @@ def test_save_writes_pinned_bytes(tmp_path):
     )
 
 
+def percent_template_body(dataset):
+    """The rows as save_dataset wrote them with a repeated '%.17g'/'%d'
+    row template, one %-substitution per value: the reference its numpy
+    formatter must match byte for byte."""
+    columns = [dataset.time, dataset.event] + list(dataset.covariates.T)
+    if dataset.u_latent is not None:
+        columns.append(dataset.u_latent)
+    row = ",".join(["%.17g", "%d"] + ["%.17g"] * (len(columns) - 2)) + "\r\n"
+    return "".join(row % values for values in zip(*(c.tolist() for c in columns))).encode()
+
+
+def assert_saved_as_percent_template(path, dataset):
+    """Save the dataset at path and check its body against the reference;
+    returns how many values the formatter handed to Python's '%.17g' %."""
+    handed = []
+    real = simulate._python_formatted
+
+    def python_formatted(values, sep):
+        handed.append(len(values))
+        return real(values, sep)
+
+    with mock.patch.object(simulate, "_python_formatted", python_formatted):
+        dh.save_dataset(dataset, path)
+    header, body = path.read_bytes().split(b"\r\n", 1)
+    assert body == percent_template_body(dataset)
+    return sum(handed)
+
+
+# %.17g's edges: zeros, subnormals, the switch between fixed and exponent
+# notation at 1e-4 and 1e17, the exact path's limits at 1e-4 and 2**52,
+# powers of ten and their neighbours (where a float log10 overshoots), and
+# exact ties that round half to even, down and up
+FORMAT_EDGES = sorted(
+    {0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308, 0.5, 0.1, 1.0 / 3.0}
+    | {float(f"{m}e{k}") for m in ("1", "9.999999999999999", "9.99999999999999999") for k in range(-6, 19)}
+    | {math.nextafter(float(f"1e{k}"), to) for k in range(-6, 19) for to in (0.0, math.inf)}
+    | {v for p in (2.0**52, 2.0**53) for v in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))}
+    | {123456789012345.625, 123456789012345.875}
+)
+FORMAT_EDGES = FORMAT_EDGES + [-v for v in FORMAT_EDGES]
+
+
+def random_doubles(rng, n):
+    """Finite float64 values from uniform random bit patterns, a quarter of
+    them replaced by the edges of the format."""
+    values = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    values[~np.isfinite(values)] = 1.5
+    edges = rng.random(n) < 0.25
+    values[edges] = rng.choice(FORMAT_EDGES, size=int(edges.sum()))
+    return values
+
+
+@pytest.mark.parametrize("n", [_ROWS_PER_WRITE - 1, _ROWS_PER_WRITE + 1])
+def test_save_matches_the_percent_template(tmp_path, n):
+    # across block and sub-block edges, with a u_latent column: random bit
+    # patterns (mostly outside the exact path's range), the format's edges,
+    # and a generated cohort's values (mostly inside it)
+    rng = np.random.default_rng(n)
+    cohort = dh.generate(make_frontdoor_config(n_subjects=n))
+    ds = dh.Dataset(
+        time=np.where(rng.random(n) < 0.5, np.abs(random_doubles(rng, n)), cohort.time).clip(5e-324),
+        event=cohort.event,
+        covariates=np.stack([random_doubles(rng, n), cohort.column("x"), cohort.column("z")], axis=1),
+        covariate_names=["bits", "x", "z"],
+        u_latent=np.where(rng.random(n) < 0.5, random_doubles(rng, n), cohort.u_latent),
+    )
+    handed = assert_saved_as_percent_template(tmp_path / "cohort.csv", ds)
+    assert 0 < handed < 5 * ds.n  # both paths ran
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_save_matches_the_percent_template_on_any_double(tmp_path_factory, data):
+    doubles = (
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from(FORMAT_EDGES)
+        | st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))).filter(math.isfinite)
+    )
+    n = data.draw(st.integers(1, 40))
+    values = data.draw(st.lists(doubles, min_size=3 * n, max_size=3 * n))
+    ds = dh.Dataset(
+        time=np.abs(values[:n]).clip(5e-324),
+        event=data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        covariates=np.reshape(values[n:], (n, 2)),
+        covariate_names=["x", "z"],
+    )
+    assert_saved_as_percent_template(tmp_path_factory.mktemp("format") / "cohort.csv", ds)
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_save_checks_its_exponent_estimate(tmp_path, monkeypatch, off):
+    # a decimal exponent one off makes the exact path's digit string one
+    # digit long or short; the check on its length sends such a value to
+    # Python's formatter instead of printing wrong digits
+    estimate = simulate._decimal_exponents
+    monkeypatch.setattr(simulate, "_decimal_exponents", lambda magnitudes: estimate(magnitudes) + off)
+    edges = np.array(FORMAT_EDGES)
+    cohort = dh.generate(make_frontdoor_config(n_subjects=len(edges)))
+    ds = dh.Dataset(
+        time=cohort.time, event=cohort.event, covariates=edges[:, None], covariate_names=["x"], u_latent=cohort.u_latent
+    )
+    assert_saved_as_percent_template(tmp_path / "cohort.csv", ds)
+
+
+def test_save_takes_both_paths_on_the_edges(tmp_path):
+    edges = np.array(FORMAT_EDGES)
+    ds = dh.Dataset(
+        time=np.abs(edges).clip(5e-324),
+        event=np.arange(len(edges)) % 2,
+        covariates=edges[:, None],
+        covariate_names=["x"],
+        u_latent=edges[::-1],
+    )
+    handed = assert_saved_as_percent_template(tmp_path / "cohort.csv", ds)
+    assert 0 < handed < 3 * len(edges)
+
+
 # finite float64 values, with the edges of the format drawn often
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
@@ -634,6 +751,25 @@ def test_load_rejects_malformed_rows(tmp_path):
 
     path.write_text("")
     with pytest.raises(dh.ValidationError):
+        dh.load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (b'time,"a\nb",event\n1.0,0.5,1\noops,0.1,0\n', 4),
+        (b'time,"a\r\nb",event\r\n1.0,0.5,1\r\noops,0.1,0\r\n', 4),
+        (b'time,event,x\r\n1,1,"0.5\r\n"\r\n2,oops,0.1\r\n', 4),
+        (b'time,event,x\n"1\n\n",1,0.5\n\n2,oops,0.1\n', 6),
+    ],
+    ids=["header_spans_lines", "header_spans_crlf_lines", "field_spans_lines", "field_spans_lines_then_blank"],
+)
+def test_load_names_the_line_a_bad_record_starts_on(tmp_path, text, line):
+    # line numbers count lines, not records, when a quoted header name or
+    # field holds a line end
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text)
+    with pytest.raises(dh.ParseError, match=rf":{line}: could not convert string to float: 'oops'"):
         dh.load_dataset(path)
 
 
