@@ -51,8 +51,10 @@ from .simulate import (
 # by a fixed offset, so one config (or one --seed) pins the whole pipeline.
 _ORACLE_SEED_OFFSET = 1_000_003
 
-# Columns of a simulated cohort: the exposure, then the confounder or mediator.
+# Columns of a simulated cohort (the exposure, then the confounder or
+# mediator) and of estimates.csv, whose keys report.json's rows share.
 _ROLES = ("x", "z")
+_COLUMNS = ("method", "x", "x0", "t", "estimate", "std_err", "oracle_value", "oracle_se", "rel_err", "rarity_flag")
 
 
 @dataclass(frozen=True)
@@ -300,33 +302,25 @@ def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: 
     scenario = exp.scenario
     rows = []
     x_values = list(dict.fromkeys(v for contrast in exp.contrasts for v in contrast))
-    do_results = {
-        (x, t): orc.simulate_do(scenario, x, exp.oracle_n, oracle_seed, t)
-        for x in x_values
-        for t in exp.horizon_grid
-    }
-
     est = _estimator(scenario.dag_kind, dataset, fit, _ROLES[1:], max(exp.horizon_grid))
+
+    def arms(offset, xs):
+        return orc._incidences(scenario, exp.oracle_n, oracle_seed, offset, xs, exp.horizon_grid)
+
+    # One draw of the noise at each offset simulate_do, oracle_rr and oracle_paf
+    # use serves every (x, t) there; oracle_paf's do(0) sits with the numerators.
+    do_results = arms(0, x_values)
+    numerators = arms(orc._NUMERATOR_OFFSET, [x for x, _ in exp.contrasts] + ([0.0] if est.paf else []))
+    denominators = arms(orc._DENOMINATOR_OFFSET, [x0 for _, x0 in exp.contrasts])
 
     def row(method, x, x0, t, estimate, std_err, oracle_value, oracle_se, rarity_flag):
         rel = abs(estimate - oracle_value) / abs(oracle_value) if oracle_value else float("nan")
-        return {
-            "method": method,
-            "x": x,
-            "x0": x0,
-            "t": t,
-            "estimate": estimate,
-            "std_err": std_err,
-            "oracle_value": oracle_value,
-            "oracle_se": oracle_se,
-            "rel_err": rel,
-            "rarity_flag": rarity_flag,
-        }
+        return dict(zip(_COLUMNS, (method, x, x0, t, estimate, std_err, oracle_value, oracle_se, rel, rarity_flag)))
 
     for x, x0 in exp.contrasts:
         rr = est.rr(x, x0)
         for t in exp.horizon_grid:
-            ora = orc.oracle_rr(scenario, x, x0, exp.oracle_n, oracle_seed, t)
+            ora = orc._ratio(numerators[x, t], denominators[x0, t])
             rows.append(row("causal_rr", x, x0, t, rr.value, rr.std_err, ora.ratio, ora.standard_error, rr.rarity_flag))
     for x in x_values:
         for t in exp.horizon_grid:
@@ -337,8 +331,9 @@ def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: 
             )
     if est.paf is not None:
         value = est.paf()
+        factual = arms(orc._FACTUAL_OFFSET, [None])
         for t in exp.horizon_grid:
-            o_paf, o_se = orc.oracle_paf(scenario, exp.oracle_n, oracle_seed, t)
+            o_paf, o_se = orc._paf(factual[None, t], numerators[0.0, t])
             rows.append(row("paf", float("nan"), 0.0, t, value, float("nan"), o_paf, o_se, False))
     for x in x_values:
         for t in exp.horizon_grid:
@@ -371,14 +366,13 @@ def cmd_experiment(args) -> int:
             file=sys.stderr,
         )
 
-    columns = ["method", "x", "x0", "t", "estimate", "std_err", "oracle_value", "oracle_se", "rel_err", "rarity_flag"]
     written = []
     if "csv" in exp.emit:
         csv_path = out_dir / "estimates.csv"
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(columns) + "\n")
+            fh.write(",".join(_COLUMNS) + "\n")
             for r in rows:
-                fh.write(",".join(r["method"] if c == "method" else _fmt(r[c]) for c in columns) + "\n")
+                fh.write(",".join(r["method"] if c == "method" else _fmt(r[c]) for c in _COLUMNS) + "\n")
         written.append(str(csv_path))
     if "json" in exp.emit:
         report = {

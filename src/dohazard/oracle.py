@@ -1,17 +1,18 @@
 """Ground truth by brute force.
 
 Every arm is drawn through ``simulate._scm_blocks``, the structural model
-that also generates the observed cohort, on its own range of stream ids.
-An intervention do(X=x) severs every arrow into the exposure: the
-confounder (or hidden cause) is still drawn from its own equation, the
-exposure is set to the forced value, and everything downstream uses that
-value. The fraction of failures by the horizon is the interventional
-incidence the analytic estimators approximate, with a plain binomial
-standard error.
+that also generates the observed cohort. An intervention do(X=x) severs
+every arrow into the exposure: the confounder (or hidden cause) is still
+drawn from its own equation, the exposure is set to the forced value, and
+everything downstream uses that value. The fraction of failures by the
+horizon is the interventional incidence the analytic estimators
+approximate, with a plain binomial standard error.
 
-An arm is streamed: each block of subjects is reduced to integer counts as
-it is drawn, so an arm never holds an n-length array, and its incidence is
-the count over n, the same float as the mean of the whole arm's indicators.
+The arms at one stream offset differ only in the forced x, so
+``_event_counts`` counts every (x, t) of an offset from one draw of its
+noise, block by block (common random numbers), each count bit for bit
+that of a draw of the arm alone. The ratio and PAF arms keep their own
+offsets, so their errors stay independent and the delta-method SEs hold.
 
 No random censoring is applied: the target is the latent failure CDF,
 so censoring cannot masquerade as estimator error.
@@ -61,26 +62,39 @@ class OracleRatio:
     denominator: OracleResult
 
 
-def _check_horizon(config: ScenarioConfig, t: float) -> None:
-    if not (math.isfinite(t) and 0 < t <= config.horizon_t):
-        raise InvalidArgumentError(f"t must lie in (0, horizon_t={config.horizon_t}], got {t}")
+def _check_arms(config: ScenarioConfig, xs, ts) -> None:
+    """Every forced x finite (None: the factual arm), every t in (0, horizon_t]."""
+    for x in xs:
+        if x is not None and not math.isfinite(x):
+            raise InvalidArgumentError(f"x_value must be finite, got {x}")
+    for t in ts:
+        if not (math.isfinite(t) and 0 < t <= config.horizon_t):
+            raise InvalidArgumentError(f"t must lie in (0, horizon_t={config.horizon_t}], got {t}")
 
 
 def _result(events: int, n: int, x_value: float, t: float, seed: int) -> OracleResult:
     p = events / n
-    return OracleResult(
-        incidence=p,
-        standard_error=math.sqrt(p * (1.0 - p) / n),
-        n=n,
-        x_value=x_value,
-        horizon_t=float(t),
-        seed=seed,
-    )
+    return OracleResult(p, math.sqrt(p * (1.0 - p) / n), n, x_value, float(t), seed)
 
 
-def _events(blocks, t: float) -> int:
-    """Subjects of the blocks that fail by t."""
-    return sum(int(np.count_nonzero(failure <= t)) for _, _, _, failure in blocks)
+def _event_counts(config: ScenarioConfig, n: int, seed: int, offset: int, xs, ts) -> dict:
+    """Subjects failing by t under do(X=x), keyed (x, t) for every x of xs
+    (None: the factual arm) and t of ts, from one draw of the exogenous
+    noise at offset. Every x and t is checked before any stream opens."""
+    _check_arms(config, xs, ts)
+    xs, ts = list(dict.fromkeys(xs)), list(dict.fromkeys(ts))
+    counts = {(x, t): 0 for x in xs for t in ts}
+    for arms in _scm_blocks(config, n, seed, offset, xs):
+        for x, (_, _, _, failure) in zip(xs, arms):
+            for t in ts:
+                counts[x, t] += int(np.count_nonzero(failure <= t))
+    return counts
+
+
+def _incidences(config: ScenarioConfig, n: int, seed: int, offset: int, xs, ts) -> dict:
+    """_event_counts as OracleResults; the factual arm's x_value is NaN."""
+    counts = _event_counts(config, n, seed, offset, xs, ts)
+    return {(x, t): _result(c, n, math.nan if x is None else x, t, seed) for (x, t), c in counts.items()}
 
 
 def simulate_do(
@@ -91,11 +105,7 @@ def simulate_do(
     Only administrative truncation at t applies; the returned fraction
     estimates the latent failure CDF under the intervention.
     """
-    if not math.isfinite(x_value):
-        raise InvalidArgumentError(f"x_value must be finite, got {x_value}")
-    _check_horizon(config, t)
-    events = _events(_scm_blocks(config, n, seed, stream_offset, x_forced=x_value), t)
-    return _result(events, n, x_value, t, seed)
+    return _incidences(config, n, seed, stream_offset, [x_value], [t])[x_value, t]
 
 
 def simulate_factual(
@@ -103,8 +113,7 @@ def simulate_factual(
 ) -> OracleResult:
     """Factual (no-intervention) incidence by simulation, same conventions
     as simulate_do."""
-    _check_horizon(config, t)
-    return _result(_events(_scm_blocks(config, n, seed, stream_offset), t), n, math.nan, t, seed)
+    return _incidences(config, n, seed, stream_offset, [None], [t])[None, t]
 
 
 def factual_conditional_incidence(
@@ -121,16 +130,14 @@ def factual_conditional_incidence(
     differs from simulate_do at the same x."""
     if not (math.isfinite(window) and window > 0):
         raise InvalidArgumentError(f"window must be > 0, got {window}")
-    _check_horizon(config, t)
+    _check_arms(config, [], [t])
     kept = events = 0
-    for x, _, _, failure in _scm_blocks(config, n, seed, stream_offset):
+    for [(x, _, _, failure)] in _scm_blocks(config, n, seed, stream_offset):
         keep = np.abs(x - x_value) <= window
         kept += int(np.count_nonzero(keep))
         events += int(np.count_nonzero(failure[keep] <= t))
     if kept == 0:
-        raise DegenerateOracleError(
-            f"no subjects within {window} of x={x_value}; widen the window or increase n"
-        )
+        raise DegenerateOracleError(f"no subjects within {window} of x={x_value}; widen the window or increase n")
     return _result(events, kept, float(x_value), t, seed)
 
 
@@ -151,47 +158,43 @@ def oracle_rr(
     the x == x0 ratio exactly one; its SE is not meaningful and is
     reported as zero when the arms coincide.
     """
-    num_off = 0 if shared_streams else _NUMERATOR_OFFSET
-    den_off = 0 if shared_streams else _DENOMINATOR_OFFSET
+    _check_arms(config, [x, x0], [t])
+    num_off, den_off = (0, 0) if shared_streams else (_NUMERATOR_OFFSET, _DENOMINATOR_OFFSET)
     numerator = simulate_do(config, x, n, seed, t, stream_offset=num_off)
     denominator = simulate_do(config, x0, n, seed, t, stream_offset=den_off)
+    return _ratio(numerator, denominator, coincide=shared_streams and x == x0)
+
+
+def _ratio(numerator: OracleResult, denominator: OracleResult, coincide: bool = False) -> OracleRatio:
+    """oracle_rr from its two arms; coincide: both are one draw, SE zero."""
     for arm, label in ((numerator, "numerator"), (denominator, "denominator")):
         if arm.incidence == 0.0:
-            raise DegenerateOracleError(
-                f"no events in the {label} arm (x={arm.x_value}); increase n or t"
-            )
+            raise DegenerateOracleError(f"no events in the {label} arm (x={arm.x_value}); increase n or t")
     ratio = numerator.incidence / denominator.incidence
-    if shared_streams and x == x0:
-        se_log = 0.0
-    else:
-        se_log = math.sqrt(
-            (1.0 - numerator.incidence) / (n * numerator.incidence)
-            + (1.0 - denominator.incidence) / (n * denominator.incidence)
-        )
-    return OracleRatio(
-        ratio=ratio,
-        standard_error=ratio * se_log,
-        log_standard_error=se_log,
-        numerator=numerator,
-        denominator=denominator,
-    )
+    se_log = 0.0 if coincide else _log_ratio_se(numerator, denominator)
+    return OracleRatio(ratio, ratio * se_log, se_log, numerator, denominator)
+
+
+def _log_ratio_se(a: OracleResult, b: OracleResult) -> float:
+    """Delta-method SE of log(a / b) for independent binomial arms."""
+    return math.sqrt((1.0 - a.incidence) / (a.n * a.incidence) + (1.0 - b.incidence) / (b.n * b.incidence))
 
 
 def oracle_paf(config: ScenarioConfig, n: int, seed: int, t: float, x0: float = 0.0) -> tuple[float, float]:
     """Simulated population attributable fraction
     (I_factual - I_do(x0)) / I_factual, with a delta-method SE."""
-    factual = simulate_factual(config, n, seed, t)
-    counterfactual = simulate_do(config, x0, n, seed, t, stream_offset=_NUMERATOR_OFFSET)
+    counterfactual = simulate_do(config, x0, n, seed, t, stream_offset=_NUMERATOR_OFFSET)  # checks x0 and t first
+    return _paf(simulate_factual(config, n, seed, t), counterfactual)
+
+
+def _paf(factual: OracleResult, counterfactual: OracleResult) -> tuple[float, float]:
+    """oracle_paf from its factual and do(x0) arms."""
     if factual.incidence == 0.0:
         raise DegenerateOracleError("no factual events; increase n or t")
     if counterfactual.incidence == 0.0:
         raise DegenerateOracleError("no events under do(x0); increase n or t")
     ratio = counterfactual.incidence / factual.incidence
-    se_log = math.sqrt(
-        (1.0 - counterfactual.incidence) / (n * counterfactual.incidence)
-        + (1.0 - factual.incidence) / (n * factual.incidence)
-    )
-    return 1.0 - ratio, ratio * se_log
+    return 1.0 - ratio, ratio * _log_ratio_se(counterfactual, factual)
 
 
 def taylor_relative_error(h: float) -> float:

@@ -410,14 +410,16 @@ def inverse_survival_time(u, eta, baseline_hazard: BaselineHazard):
     Accepts scalars or arrays; u must lie strictly inside (0, 1).
     """
     u_arr = np.asarray(u, dtype=np.float64)
-    eta_arr = np.asarray(eta, dtype=np.float64)
     if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
         raise InvalidArgumentError("u must lie strictly inside (0, 1)")
-    if not np.all(np.isfinite(eta_arr)):
-        raise InvalidArgumentError("eta must be finite")
-    target = -np.log1p(-u_arr) * np.exp(-eta_arr)
-    t = baseline_hazard.invert(target)
+    t = _failure_times(-np.log1p(-u_arr), np.asarray(eta, dtype=np.float64), baseline_hazard)
     return float(t) if np.isscalar(u) and np.isscalar(eta) else t
+
+
+def _failure_times(exponential, eta, baseline_hazard: BaselineHazard):  # exponential = -log(1 - u)
+    if not np.all(np.isfinite(eta)):
+        raise InvalidArgumentError("eta must be finite")
+    return baseline_hazard.invert(exponential * np.exp(-eta))
 
 
 def _censoring_times(config: ScenarioConfig, rng: RngStream, n: int) -> np.ndarray:
@@ -427,45 +429,45 @@ def _censoring_times(config: ScenarioConfig, rng: RngStream, n: int) -> np.ndarr
     return np.full(n, config.horizon_t)
 
 
-def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, x_forced: float | None = None):
+def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(None,)):
     """The structural model for n subjects as consecutive blocks of at most
-    _BLOCK subjects: an iterator of (x, z, u, failure), as draw_scm returns
-    them for the subjects of the block.
+    _BLOCK subjects: per block, one (x, z, u, failure) for each x of xs
+    (None: the factual arm, X drawn), as draw_scm returns them.
 
-    Each variable's stream is opened once and read on from block to block.
-    Philox is counter-based, so a stream read in consecutive blocks gives
-    the bits of one read of the whole length, and every equation acts on
-    one subject at a time: the blocks, joined, are the whole-array draw bit
-    for bit, whatever n. _BLOCK = 2**13 keeps every float64 temporary at
-    64 KiB, below glibc's 128 KiB mmap threshold, so no temporary is mapped
-    and faulted in afresh, and a block's working set stays in L2.
+    Each exogenous stream is opened once, read on from block to block and
+    shared by every x (common random numbers): only X and what it drives
+    are formed per x, with the floats of a one-arm draw. Philox is
+    counter-based, so the blocks, joined, are the whole-array draw bit for
+    bit, whatever n. _BLOCK = 2**13 keeps every float64 temporary at 64 KiB,
+    below glibc's 128 KiB mmap threshold, and a block's working set in L2.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
     coef = config.coefficients
     frontdoor = config.dag_kind == "frontdoor"
     z_or_u = RngStream(seed, offset + _STREAM_Z_OR_U)
-    x_noise = None if x_forced is not None else RngStream(seed, offset + _STREAM_X_NOISE)
+    x_noise = RngStream(seed, offset + _STREAM_X_NOISE) if None in xs else None
     z_noise = RngStream(seed, offset + _STREAM_Z_NOISE) if frontdoor else None
     failure = RngStream(seed, offset + _STREAM_FAILURE)
 
-    def exposure(cause: np.ndarray, weight: float, size: int) -> np.ndarray:
-        if x_noise is None:
-            return np.full(size, float(x_forced))
-        return weight * cause + x_noise.normal(0.0, coef.sigma_x, size)
-
-    def block(size: int):
+    def block(size: int) -> list:
         if frontdoor:
-            u = z_or_u.normal(0.0, 1.0, size)
-            x = exposure(u, coef.c_ux, size)
-            z = coef.alpha * x + z_noise.normal(0.0, coef.sigma_z, size)
-            eta = _frontdoor_log_hazard(coef, z, u)
+            u = cause = z_or_u.normal(0.0, 1.0, size)
+            mediator_noise = z_noise.normal(0.0, coef.sigma_z, size)
         else:
             u = None
-            z = config.z_dist.draw(z_or_u, size)
-            x = exposure(z, coef.a_zx, size)
-            eta = _backdoor_log_hazard(coef, x, z)
-        return x, z, u, inverse_survival_time(failure.uniform(size), eta, config.baseline_hazard)
+            z = cause = config.z_dist.draw(z_or_u, size)
+        if x_noise is not None:
+            drawn = (coef.c_ux if frontdoor else coef.a_zx) * cause + x_noise.normal(0.0, coef.sigma_x, size)
+        exponential = -np.log1p(-failure.uniform(size))
+        arms = []
+        for x_forced in xs:
+            x = drawn if x_forced is None else np.full(size, float(x_forced))
+            if frontdoor:
+                z = coef.alpha * x + mediator_noise
+            eta = _frontdoor_log_hazard(coef, z, u) if frontdoor else _backdoor_log_hazard(coef, x, z)
+            arms.append((x, z, u, _failure_times(exponential, eta, config.baseline_hazard)))
+        return arms
 
     return (block(min(_BLOCK, n - start)) for start in range(0, n, _BLOCK))
 
@@ -482,15 +484,16 @@ def draw_scm(config: ScenarioConfig, n: int, seed: int, offset: int = 0, x_force
     and every other variable keeps the draw it has at the same offset.
 
     The columns are preallocated and filled block by block from
-    _scm_blocks, which holds the equations. The blocks join into the
-    whole-array draw bit for bit, so the result does not depend on the
-    block size; _BLOCK is 2**13 so that no float64 temporary of a block
-    reaches glibc's mmap threshold. Raises InvalidArgumentError when n < 1.
+    _scm_blocks, which holds the equations (and gives the oracle every x of
+    an offset from one draw). The blocks join into the whole-array draw bit
+    for bit, so the result does not depend on the block size; _BLOCK is
+    2**13 so that no float64 temporary of a block reaches glibc's mmap
+    threshold. Raises InvalidArgumentError when n < 1.
     """
-    blocks = _scm_blocks(config, n, seed, offset, x_forced)  # checks n before anything is allocated
+    blocks = _scm_blocks(config, n, seed, offset, (x_forced,))  # checks n before anything is allocated
     x, z, failure = np.empty(n), np.empty(n), np.empty(n)
     u = np.empty(n) if config.dag_kind == "frontdoor" else None
-    for start, (xb, zb, ub, fb) in zip(range(0, n, _BLOCK), blocks):
+    for start, [(xb, zb, ub, fb)] in zip(range(0, n, _BLOCK), blocks):
         rows = slice(start, start + fb.size)
         x[rows], z[rows], failure[rows] = xb, zb, fb
         if u is not None:
@@ -513,7 +516,7 @@ def generate(config: ScenarioConfig) -> Dataset:
     censor = RngStream(config.seed, _STREAM_CENSOR)
     time, event, covariates = np.empty(n), np.empty(n, dtype=bool), np.empty((n, 2))
     u_latent = np.empty(n) if config.dag_kind == "frontdoor" else None
-    for start, (x, z, u, failure) in zip(range(0, n, _BLOCK), blocks):
+    for start, [(x, z, u, failure)] in zip(range(0, n, _BLOCK), blocks):
         rows = slice(start, start + failure.size)
         censoring = _censoring_times(config, censor, failure.size)
         observed = failure <= censoring

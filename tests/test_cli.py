@@ -420,6 +420,14 @@ PINNED_DIGESTS = {
     "experiment frontdoor report.json": "980077d6d5f3efe8deb88392123df11ec8c53cb821b0af88b782e6e4d7ef417e",
     "frontdoor 1,0 t=10": "7c90f9440959280c003eaa1eac0cab5dfcdea885ff7e328a97bf21c0a080f05e",
     "frontdoor 2,-1 t=5": "352607f5faf5de3b96ee18e8a116bf30db6867f894274863a47b84b4f5915085",
+    "oracle backdoor --x 1": "5dcb31fce7b5ba6ae24bad054f92c60594fd87b71ea1893307f94c1689fbf05f",
+    "oracle backdoor --x 1 --x0 0": "e75b884994748447983e5350c256e4b3bda50aafeb40b4f4249e99b13e8fb127",
+    "oracle backdoor --x 2 --x0 -1": "33407e4a53e63e9d01ad96c291ad98ea6ff2f5b5d2f0310b99393bc16c1c620c",
+    "oracle backdoor --x 1 --x0 0 --shared-streams": "aa2e22de307e0335bfd2677489361755fa1f3e8b339242207b305253e1410a7e",
+    "oracle frontdoor --x 1": "5aabc3c1fa0af91d556d6a03e62410173c675ef59ae0f9cb783c29881064bfc6",
+    "oracle frontdoor --x 1 --x0 0": "ed5b4f99fea1c00858dd1cbfc019befe782e7389cc1c147634fa574c4a805d03",
+    "oracle frontdoor --x 2 --x0 -1": "f727f3d7305eb9cc42b031b74b6a2ac574f024b3f26903bed04b45ebb45dc161",
+    "oracle frontdoor --x 1 --x0 0 --shared-streams": "e9b009bb4afaacf3fba15c9048c65d95e1154ad71da9c60b30ef31220cf4d7a4",
     "simulate backdoor cohort.csv": "ea5c55f8b84d75989fcebb1d647be27531f7a8f274ea5b6549b096ef64917eba",
     "simulate frontdoor cohort.csv": "d704a4a7db273d2967b8c171c603b49c3a74017895d29041adbafa3744c2284d",
 }
@@ -447,6 +455,10 @@ def test_cli_outputs_match_pinned_digests(tmp_path):
                 assert run([dag, cohort, "--contrast", contrast, "--t", t, *extra,
                             "--out-dir", tmp_path, "--out", out.name, "--quiet"]) == 0
                 got[name] = sha(out)
+        for x, extra in (("1", []), ("1", ["--x0", "0"]), ("2", ["--x0", "-1"]), ("1", ["--x0", "0", "--shared-streams"])):
+            assert run(["oracle", tmp_path / f"{dag}.json", "--x", x, *extra, "--n", 20_000,
+                        "--out-dir", tmp_path, "--out", "oracle.json", "--quiet"]) == 0
+            got[" ".join(["oracle", dag, "--x", x, *extra])] = sha(tmp_path / "oracle.json")
 
         experiment = {
             "scenario": scenario.to_dict(),
@@ -460,3 +472,48 @@ def test_cli_outputs_match_pinned_digests(tmp_path):
         for name in ("estimates.csv", "report.json"):
             got[f"experiment {dag} {name}"] = sha(out_dir / name)
     assert got == PINNED_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "make_config, streams",
+    [
+        # do(x) arms at offsets 0, 16 and 32 draw Z (id 1) and the failure
+        # uniforms (id 4); the factual arm of the PAF at 48 draws X's noise too
+        (make_backdoor_config, {1, 4, 17, 20, 33, 36, 49, 50, 52}),
+        # frontdoor draws U (1), the mediator noise (3) and the uniforms (4),
+        # and has no PAF
+        (make_frontdoor_config, {1, 3, 4, 17, 19, 20, 33, 35, 36}),
+    ],
+    ids=["backdoor", "frontdoor"],
+)
+def test_experiment_draws_each_oracle_offset_once(tmp_path, monkeypatch, make_config, streams):
+    scenario, oracle_n = make_config(n_subjects=3_000), 5_000
+    experiment = {
+        "scenario": scenario.to_dict(),
+        "contrasts": [[1, 0], [2, 0], [-1, 0]],
+        "horizon_grid": [2.5, 5, 10],
+        "oracle_n": oracle_n,
+    }
+    (tmp_path / "experiment.json").write_text(json.dumps(experiment))
+    opened, drawn = [], []
+    init, uniform = dh.RngStream.__init__, dh.RngStream.uniform
+
+    def spy_init(self, seed, stream_id=0):
+        opened.append((seed, stream_id))
+        init(self, seed, stream_id)
+
+    def spy_uniform(self, size=None):
+        drawn.append(1 if size is None else size)
+        return uniform(self, size)
+
+    monkeypatch.setattr(dh.RngStream, "__init__", spy_init)
+    monkeypatch.setattr(dh.RngStream, "uniform", spy_uniform)
+    assert run(["experiment", tmp_path / "experiment.json", "--out-dir", tmp_path, "--quiet"]) == 0
+    oracle_seed = scenario.seed + cli._ORACLE_SEED_OFFSET
+    oracle_streams = [stream for seed, stream in opened if seed == oracle_seed]
+    assert sorted(oracle_streams) == sorted(streams)  # each stream opened once
+    variates = sum(drawn)
+
+    drawn.clear()
+    dh.generate(scenario)
+    assert variates == sum(drawn) + oracle_n * len(streams)

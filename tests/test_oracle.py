@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dohazard as dh
+from dohazard.oracle import _event_counts
 from dohazard.simulate import _BLOCK
 
 from conftest import (
@@ -188,16 +191,24 @@ def test_oracle_arms_reject_empty_draw(backdoor_config, arm):
         arm(backdoor_config, -1)
 
 
-def test_simulate_do_streams_in_blocks(backdoor_config):
-    dh.simulate_do(backdoor_config, 1.0, 1_000, 7, 10.0)  # first-call allocations
+def traced_peak(call, n):
+    call(1_000)  # first-call allocations
     tracemalloc.start()
     try:
-        dh.simulate_do(backdoor_config, 1.0, 200_000, 7, 10.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        call(n)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_simulate_do_streams_in_blocks(backdoor_config):
     # one 200k-subject float64 column alone is 1.6 MB
-    assert peak < 2_000_000
+    assert traced_peak(lambda n: dh.simulate_do(backdoor_config, 1.0, n, 7, 10.0), 200_000) < 2_000_000
+
+
+def test_event_counts_stream_in_blocks(backdoor_config):
+    xs, ts = [2.0, 1.0, 0.0, -1.0], [2.5, 5.0, 7.5, 10.0]
+    assert traced_peak(lambda n: _event_counts(backdoor_config, n, 7, 0, xs, ts), 200_000) < 2_000_000
 
 
 @pytest.mark.parametrize("make_config", [make_backdoor_config, make_frontdoor_config], ids=["backdoor", "frontdoor"])
@@ -217,3 +228,47 @@ def test_oracle_counts_equal_scm_columns(make_config):
     keep = np.abs(x - 1.0) <= 0.25
     assert cond.incidence == np.mean(failure[keep] <= t)
     assert cond.n == np.count_nonzero(keep)
+
+
+@st.composite
+def oracle_requests(draw):
+    """A scenario and one offset's request: x values (None: the factual
+    arm) with duplicates and in any order, and several horizons."""
+    hazard = draw(st.sampled_from([dh.ExponentialHazard(0.002), dh.ExponentialHazard(0.05), dh.WeibullHazard(1.5, 20.0)]))
+    if draw(st.booleans()):
+        z_dist = dh.BernoulliZ(draw(st.floats(0.0, 1.0))) if draw(st.booleans()) else dh.StandardNormalZ()
+        config = make_backdoor_config(baseline_hazard=hazard, z_dist=z_dist)
+    else:
+        config = make_frontdoor_config(baseline_hazard=hazard)
+    xs = draw(st.lists(st.none() | st.sampled_from([-1.0, 0.0, 1.0, 2.0]) | st.floats(-3.0, 3.0), min_size=1, max_size=6))
+    ts = draw(st.lists(st.sampled_from([2.5, 10.0]) | st.floats(0.01, 10.0), min_size=1, max_size=4))
+    n = draw(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]))
+    return config, n, draw(st.integers(0, 2**32)), draw(st.sampled_from([0, 16, 32, 48, 7])), xs, ts
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_requests())
+def test_event_counts_equal_one_arm_draws(case):
+    # one draw of an offset's noise must count every (x, t) as a draw of
+    # that arm alone does
+    config, n, seed, offset, xs, ts = case
+    counts = _event_counts(config, n, seed, offset, xs, ts)
+    assert set(counts) == {(x, t) for x in xs for t in ts}
+    for x in dict.fromkeys(xs):
+        failure = dh.draw_scm(config, n, seed, offset, x_forced=x)[3]
+        for t in ts:
+            assert counts[x, t] == np.count_nonzero(failure <= t), (x, t)
+
+
+def test_event_counts_check_every_argument_before_drawing(backdoor_config, monkeypatch):
+    opened = []
+    monkeypatch.setattr(dh.RngStream, "__init__", lambda self, *args: opened.append(args))
+    with pytest.raises(dh.InvalidArgumentError, match="^x_value must be finite, got nan$"):
+        _event_counts(backdoor_config, 1_000, 7, 0, [1.0, None, 2.0, math.nan], [5.0])
+    with pytest.raises(dh.InvalidArgumentError, match=r"^t must lie in \(0, horizon_t=10.0\], got 10.5$"):
+        _event_counts(backdoor_config, 1_000, 7, 0, [1.0, 2.0], [5.0, 10.5])
+    with pytest.raises(dh.InvalidArgumentError, match="^x_value must be finite, got inf$"):
+        dh.oracle_rr(backdoor_config, 1.0, math.inf, 1_000, 7, 10.0)
+    with pytest.raises(dh.InvalidArgumentError, match="^x_value must be finite, got nan$"):
+        dh.oracle_paf(backdoor_config, 1_000, 7, 10.0, x0=math.nan)
+    assert opened == []
