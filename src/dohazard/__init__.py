@@ -15,6 +15,7 @@ from .backdoor import (
     naive_rr,
     paf,
 )
+from .cohort import Dataset, load_dataset, save_dataset
 from .cox import (
     CoxFit,
     StepFunction,
@@ -61,7 +62,6 @@ from .results import CausalEstimate
 from .simulate import (
     BackdoorCoefficients,
     BernoulliZ,
-    Dataset,
     ExponentialHazard,
     FrontdoorCoefficients,
     ScenarioConfig,
@@ -69,10 +69,7 @@ from .simulate import (
     WeibullHazard,
     draw_scm,
     generate,
-    inverse_survival_time,
-    load_dataset,
     load_scenario_config,
-    save_dataset,
 )
 from .stats import (
     GaussianSpec,
@@ -130,7 +127,6 @@ __all__ = [
     "gaussian_exponential_moment",
     "gaussian_moment_factorization",
     "generate",
-    "inverse_survival_time",
     "load_dataset",
     "load_fit",
     "load_scenario_config",

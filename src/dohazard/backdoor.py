@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cohort import Dataset
 from .cox import CoxFit, _horizon
 from .errors import InvalidArgumentError, NumericalError
 from .results import CausalEstimate
-from .simulate import Dataset
 
 RARITY_THRESHOLD = 0.1
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,19 +32,12 @@ from typing import Callable
 from . import backdoor as bd
 from . import frontdoor as fd
 from . import oracle as orc
+from ._json import read_object, require_int, require_number, write_object
+from .cohort import Dataset, load_dataset, save_dataset
 from .cox import _horizon, fit_cox, load_fit, save_fit
 from .errors import DohazardError, InvalidArgumentError, NumericalError, ParseError, ValidationError
-from .simulate import (
-    Dataset,
-    ScenarioConfig,
-    _finite_numbers,
-    _read_json_object,
-    _require_int,
-    generate,
-    load_dataset,
-    load_scenario_config,
-    save_dataset,
-)
+from .simulate import ScenarioConfig, generate, load_scenario_config
+from .stats import SEED_LIMIT
 
 # `experiment` and `oracle` derive the oracle seed from the scenario seed
 # by a fixed offset, so one config (or one --seed) pins the whole pipeline.
@@ -91,14 +83,8 @@ class ExperimentConfig:
                 raise ValidationError(f"experiment config is missing field '{key}'")
         if not isinstance(raw["scenario"], dict):
             raise ValidationError("field 'scenario' must be an object")
-        contrasts = raw["contrasts"]
-        if not _finite_numbers(contrasts, (None, 2)):
-            raise ValidationError(
-                f"field 'contrasts' must be a list of [x, x0] pairs of finite numbers, got {contrasts!r}"
-            )
-        horizon = raw["horizon_grid"]
-        if not _finite_numbers(horizon, (None,)):
-            raise ValidationError(f"field 'horizon_grid' must be a list of finite numbers, got {horizon!r}")
+        contrasts = require_number(raw, "contrasts", shape=(None, 2), what="a list of [x, x0] pairs of finite numbers")
+        horizon = require_number(raw, "horizon_grid", shape=(None,), what="a list of finite numbers")
         emit = raw.get("emit", ["csv", "json"])
         if not isinstance(emit, list) or not all(isinstance(e, str) for e in emit):
             raise ValidationError(f"field 'emit' must be a list of strings, got {emit!r}")
@@ -109,14 +95,10 @@ class ExperimentConfig:
             scenario=ScenarioConfig.from_dict(raw["scenario"]),
             contrasts=tuple((float(x), float(x0)) for x, x0 in contrasts),
             horizon_grid=tuple(float(t) for t in horizon),
-            oracle_n=_require_int(raw, "oracle_n"),
+            oracle_n=require_int(raw, "oracle_n"),
             output_dir=output_dir,
             emit=frozenset(emit),
         )
-
-
-def _load_experiment_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(_read_json_object(path, "experiment config"))
 
 
 def _info(args, message: str) -> None:
@@ -152,12 +134,6 @@ def _parse_contrast(text: str) -> tuple:
         raise InvalidArgumentError(f"--contrast must hold two numbers, got {text!r}") from exc
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _estimate_dict(est) -> dict:
     return {
         "value": est.value,
@@ -169,6 +145,14 @@ def _estimate_dict(est) -> dict:
 
 def _scenario_with_seed(config: ScenarioConfig, seed) -> ScenarioConfig:
     return config if seed is None else dataclasses.replace(config, seed=int(seed))
+
+
+def _oracle_seed(config: ScenarioConfig) -> int:
+    """The oracle's seed, refused before anything is drawn unless it is below 2**64."""
+    seed = config.seed + _ORACLE_SEED_OFFSET
+    if seed >= SEED_LIMIT:
+        raise InvalidArgumentError(f"the oracle seed, seed + {_ORACLE_SEED_OFFSET}, must be below 2**64, got {seed}")
+    return seed
 
 
 def cmd_simulate(args) -> int:
@@ -267,14 +251,14 @@ def cmd_estimate(args) -> int:
     if est.paf is not None:
         payload["paf"] = est.paf()
     out = _out_path(args, args.out)
-    _write_json(out, payload)
+    write_object(out, payload)
     _info(args, f"{args.command} estimates for ({x} vs {x0}) at t={args.t} -> {out}")
     return 0
 
 
 def cmd_oracle(args) -> int:
     config = _scenario_with_seed(load_scenario_config(args.config), args.seed)
-    seed = config.seed + _ORACLE_SEED_OFFSET
+    seed = _oracle_seed(config)
     t = args.t if args.t is not None else config.horizon_t
     payload = {"n": args.n, "seed": seed, "t": t}
     if args.x0 is not None:
@@ -293,7 +277,7 @@ def cmd_oracle(args) -> int:
         payload.update(incidence=result.incidence, standard_error=result.standard_error, x=args.x)
         _info(args, f"oracle incidence {result.incidence:.6g} +- {result.standard_error:.2g}")
     out = _out_path(args, args.out)
-    _write_json(out, payload)
+    write_object(out, payload)
     return 0
 
 
@@ -345,13 +329,13 @@ def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: 
 
 
 def cmd_experiment(args) -> int:
-    exp = _load_experiment_config(args.config)
+    exp = ExperimentConfig.from_dict(read_object(args.config, "experiment config"))
     exp = dataclasses.replace(exp, scenario=_scenario_with_seed(exp.scenario, args.seed))
+    scenario = exp.scenario
+    oracle_seed = _oracle_seed(scenario)
     out_dir = Path(args.out_dir) if args.out_dir else Path(exp.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    scenario = exp.scenario
-    oracle_seed = scenario.seed + _ORACLE_SEED_OFFSET
     _info(args, f"simulating {scenario.n_subjects} subjects ({scenario.dag_kind})")
     dataset = generate(scenario)
     fit = fit_cox(dataset, list(_ROLES))
@@ -401,7 +385,7 @@ def cmd_experiment(args) -> int:
             **facts,
         }
         json_path = out_dir / "report.json"
-        _write_json(json_path, report)
+        write_object(json_path, report)
         written.append(str(json_path))
     _info(args, "wrote " + ", ".join(written))
     return 0

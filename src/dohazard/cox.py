@@ -21,12 +21,13 @@ from the risk-set sums of its last accepted likelihood evaluation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._json import finite_numbers, read_object, require_int, require_number, write_object
+from .cohort import Dataset
 from .errors import (
     DegenerateCovariateError,
     InvalidArgumentError,
@@ -35,14 +36,11 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .simulate import Dataset, _finite_numbers, _read_json_object, _require_int, _require_number
+from .stats import _BLOCK
 
 _MAX_HALVINGS = 30
 _BETA_BOUND = 50.0
 _ETA_BOUND = 500.0
-
-# Rows per block of the streamed risk-set sums (see _head_sums).
-_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -335,13 +333,11 @@ def save_fit(fit: CoxFit, path) -> None:
         "iterations": fit.iterations,
         "final_score_norm": fit.final_score_norm,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_object(path, payload)
 
 
 def _array_field(path, raw: dict, key: str, shape, what: str) -> np.ndarray:
-    if not _finite_numbers(raw[key], shape):
+    if not finite_numbers(raw[key], shape):
         raise ValidationError(f"{path}: field '{key}' must be {what}")
     return np.asarray(raw[key], dtype=np.float64)
 
@@ -349,7 +345,7 @@ def _array_field(path, raw: dict, key: str, shape, what: str) -> np.ndarray:
 def load_fit(path) -> CoxFit:
     """Read a fit written by save_fit; ValidationError names the first field
     that is missing or malformed."""
-    raw = _read_json_object(path, "fit file")
+    raw = read_object(path, "fit file")
     required = (
         "beta", "covariance", "covariate_names", "baseline_knots", "baseline_values",
         "n", "n_events", "log_likelihood", "converged", "iterations", "final_score_norm",
@@ -386,10 +382,10 @@ def load_fit(path) -> CoxFit:
         covariance=covariance,
         covariate_names=names,
         baseline_cumhaz=baseline,
-        n=_require_int(raw, "n"),
-        n_events=_require_int(raw, "n_events"),
-        log_likelihood=_require_number(raw, "log_likelihood"),
+        n=require_int(raw, "n"),
+        n_events=require_int(raw, "n_events"),
+        log_likelihood=require_number(raw, "log_likelihood"),
         converged=raw["converged"],
-        iterations=_require_int(raw, "iterations"),
-        final_score_norm=_require_number(raw, "final_score_norm"),
+        iterations=require_int(raw, "iterations"),
+        final_score_norm=require_number(raw, "final_score_norm"),
     )

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cohort import Dataset
 from .cox import CoxFit, _horizon, fit_cox
 from .errors import EmptyStratumError, InvalidArgumentError
 from .results import CausalEstimate
-from .simulate import Dataset
 from .stats import empirical_moments, gaussian_exponential_moment, ols_fit, GaussianSpec
 
 RARITY_THRESHOLD = 0.1

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cohort import Dataset
 from .cox import CoxFit, _horizon
 from .errors import DegenerateOracleError, InvalidArgumentError, NumericalError
-from .simulate import Dataset, ScenarioConfig, _scm_blocks
+from .simulate import ScenarioConfig, _scm_blocks
 
 # Each simulation arm gets its own block of stream ids so arms never share
 # bits unless sharing is asked for explicitly.
@@ -154,15 +155,17 @@ def oracle_rr(
 
     Arms run on disjoint stream blocks of the same seed, so the binomial
     errors are independent and the delta-method SE on the log ratio is
-    valid. shared_streams=True reuses one block for both arms, which makes
-    the x == x0 ratio exactly one; its SE is not meaningful and is
-    reported as zero when the arms coincide.
+    valid. shared_streams=True counts both arms from one draw at offset 0,
+    which makes the x == x0 ratio exactly one; its SE is not meaningful and
+    is reported as zero when the arms coincide.
     """
     _check_arms(config, [x, x0], [t])
-    num_off, den_off = (0, 0) if shared_streams else (_NUMERATOR_OFFSET, _DENOMINATOR_OFFSET)
-    numerator = simulate_do(config, x, n, seed, t, stream_offset=num_off)
-    denominator = simulate_do(config, x0, n, seed, t, stream_offset=den_off)
-    return _ratio(numerator, denominator, coincide=shared_streams and x == x0)
+    if shared_streams:
+        arms = _incidences(config, n, seed, 0, [x, x0], [t])
+        return _ratio(arms[x, t], arms[x0, t], coincide=x == x0)
+    numerator = simulate_do(config, x, n, seed, t, stream_offset=_NUMERATOR_OFFSET)
+    denominator = simulate_do(config, x0, n, seed, t, stream_offset=_DENOMINATOR_OFFSET)
+    return _ratio(numerator, denominator)
 
 
 def _ratio(numerator: OracleResult, denominator: OracleResult, coincide: bool = False) -> OracleRatio:

@@ -12,51 +12,25 @@ exponential censoring.
 blocks of ``_BLOCK`` subjects: ``draw_scm`` joins its blocks into columns,
 ``generate`` censors them block by block into the cohort's columns, and
 the intervention oracle streams its arms through the blocks with X forced.
-Neither ``generate`` nor ``load_dataset`` holds a cohort-sized array
-beyond the columns it returns. Structural log-hazards live in
+``generate`` holds no cohort-sized array beyond the columns it returns;
+``cohort`` saves and loads them. Structural log-hazards live in
 ``_backdoor_log_hazard`` and ``_frontdoor_log_hazard``; the frontdoor one
 takes no exposure argument, which makes the exclusion restriction a
 property of the code, not of a statistical check.
-
-A cohort is saved as CSV (``save_dataset``) with a column cache beside
-it: ``<path>.npz``, a numpy archive of the CSV's sha256 and the columns
-in the layout ``load_dataset`` returns. ``load_dataset`` reads the
-columns from the cache only while the CSV's bytes still have that digest
-and the archive has exactly the expected members, dtypes and shapes;
-otherwise it parses the CSV. Both the cache's writer and its reader live
-here. Parsing a float64 from its 17 significant digits is most of a CSV
-read, so the cache makes each read of a saved cohort a hash and a copy.
-
-The CSV holds each float as Python's ``'%.17g' %`` writes it, byte for
-byte, but ``save_dataset`` formats them in numpy (``_format_floats``):
-exact integer arithmetic gives the 17 digits of every finite normal value
-from 1e-4 up to 2**52 and a lookup table lays out its text, while the few
-other values (zeros, subnormals, smaller or larger magnitudes) go to
-Python's own formatter.
 """
 
 from __future__ import annotations
 
-import contextlib
-import csv
-import hashlib
-import io
-import itertools
-import json
 import math
-import os
-import sys
-import warnings
-import zipfile
-import zlib
-from array import array
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ParseError, ValidationError
-from .stats import RngStream
+from ._json import read_object, require_int, require_number
+from .cohort import Dataset, load_dataset  # load_dataset: perfbench reads cohorts back through this module
+from .errors import InvalidArgumentError, ValidationError
+from .stats import _BLOCK, RngStream
 
 # Stream ids per structural variable, relative to an arm's stream offset,
 # so adding a variable never perturbs the draws of another.
@@ -66,35 +40,21 @@ _STREAM_Z_NOISE = 3
 _STREAM_FAILURE = 4
 _STREAM_CENSOR = 5
 
-# Subjects per block of the structural model (see _scm_blocks).
-_BLOCK = 1 << 13
 
-# Rows per formatted block in save_dataset: the per-block overhead vanishes
-# while a block's strings stay a few MB.
-_ROWS_PER_WRITE = 1 << 14
+class _Hazard:
+    """Every parameter is a finite number > 0."""
 
-# Bytes per read when load_dataset hashes a cohort CSV or reads its column
-# cache, and per write into the cache: below glibc's 128 KiB mmap threshold,
-# so no buffer is mapped and faulted in afresh.
-_CACHE_CHUNK = 1 << 16
-
-# What reading a column cache raises when it is not one save_dataset wrote:
-# missing or unreadable (OSError), empty (EOFError), not numpy's format,
-# pickled or a malformed header (ValueError), a damaged zip or member
-# (BadZipFile, zlib.error), or a zip feature zipfile does not read, such as
-# an encrypted member or another compression (RuntimeError).
-_CACHE_ERRORS = (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile, zlib.error)
+    def __post_init__(self) -> None:
+        for name in vars(self):
+            if not require_number(vars(self), name, f"baseline_hazard.{name}") > 0:
+                raise ValidationError(f"baseline_hazard.{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
-class ExponentialHazard:
+class ExponentialHazard(_Hazard):
     """Constant baseline hazard: H0(t) = rate * t."""
 
     rate: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValidationError(f"baseline_hazard.rate must be > 0, got {self.rate}")
 
     def cumulative(self, t):
         return self.rate * np.asarray(t, dtype=np.float64)
@@ -107,17 +67,11 @@ class ExponentialHazard:
 
 
 @dataclass(frozen=True)
-class WeibullHazard:
+class WeibullHazard(_Hazard):
     """Weibull baseline: H0(t) = (t / scale) ** shape."""
 
     shape: float
     scale: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.shape) and self.shape > 0):
-            raise ValidationError(f"baseline_hazard.shape must be > 0, got {self.shape}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValidationError(f"baseline_hazard.scale must be > 0, got {self.scale}")
 
     def cumulative(self, t):
         return (np.asarray(t, dtype=np.float64) / self.scale) ** self.shape
@@ -159,40 +113,32 @@ class BernoulliZ:
 ZDistribution = Union[StandardNormalZ, BernoulliZ]
 
 
+class _Coefficients:
+    """Every coefficient is a finite number, and every sd (sigma_*) >= 0."""
+
+    def __post_init__(self) -> None:
+        for name in vars(self):
+            value = require_number(vars(self), name, f"coefficients.{name}")
+            if name.startswith("sigma_") and value < 0:
+                raise ValidationError(f"coefficients.{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
-class BackdoorCoefficients:
+class BackdoorCoefficients(_Coefficients):
     a_zx: float      # effect of Z on X
     sigma_x: float   # sd of X given Z
     beta_x: float    # log-hazard effect of X
     beta_z: float    # log-hazard effect of Z
 
-    def __post_init__(self) -> None:
-        _require_finite_fields(self, "coefficients")
-        if self.sigma_x < 0:
-            raise ValidationError(f"coefficients.sigma_x must be >= 0, got {self.sigma_x}")
-
 
 @dataclass(frozen=True)
-class FrontdoorCoefficients:
+class FrontdoorCoefficients(_Coefficients):
     c_ux: float      # effect of hidden U on X
     sigma_x: float   # sd of X given U
     alpha: float     # effect of X on the mediator Z
     sigma_z: float   # sd of Z given X
     beta_z: float    # log-hazard effect of Z
     beta_u: float    # log-hazard effect of hidden U
-
-    def __post_init__(self) -> None:
-        _require_finite_fields(self, "coefficients")
-        if self.sigma_x < 0:
-            raise ValidationError(f"coefficients.sigma_x must be >= 0, got {self.sigma_x}")
-        if self.sigma_z < 0:
-            raise ValidationError(f"coefficients.sigma_z must be >= 0, got {self.sigma_z}")
-
-
-def _require_finite_fields(obj, prefix: str) -> None:
-    for name, value in vars(obj).items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{prefix}.{name} must be finite, got {value}")
 
 
 def _backdoor_log_hazard(coef: BackdoorCoefficients, x, z):
@@ -257,52 +203,22 @@ class ScenarioConfig:
         coefs = raw["coefficients"]
         if not isinstance(coefs, dict):
             raise ValidationError("field 'coefficients' must be an object")
+        if dag_kind not in ("backdoor", "frontdoor"):
+            raise ValidationError(f"dag_kind must be 'backdoor' or 'frontdoor', got {dag_kind!r}")
         try:
-            if dag_kind == "backdoor":
-                coefficients = BackdoorCoefficients(**coefs)
-            elif dag_kind == "frontdoor":
-                coefficients = FrontdoorCoefficients(**coefs)
-            else:
-                raise ValidationError(f"dag_kind must be 'backdoor' or 'frontdoor', got {dag_kind!r}")
+            coefficients = (BackdoorCoefficients if dag_kind == "backdoor" else FrontdoorCoefficients)(**coefs)
         except TypeError as exc:
             raise ValidationError(f"field 'coefficients' invalid for {dag_kind}: {exc}") from exc
         return ScenarioConfig(
             dag_kind=dag_kind,
-            n_subjects=_require_int(raw, "n_subjects"),
-            seed=_require_int(raw, "seed"),
+            n_subjects=require_int(raw, "n_subjects"),
+            seed=require_int(raw, "seed"),
             baseline_hazard=_hazard_from_dict(raw["baseline_hazard"]),
-            horizon_t=_require_number(raw, "horizon_t"),
-            censor_rate=_require_number(raw, "censor_rate") if "censor_rate" in raw else 0.0,
+            horizon_t=require_number(raw, "horizon_t"),
+            censor_rate=require_number(raw, "censor_rate") if "censor_rate" in raw else 0.0,
             coefficients=coefficients,
             z_dist=_z_dist_from_dict(raw.get("z_dist", "standard_normal")),
         )
-
-
-def _require_int(raw: dict, key: str) -> int:
-    value = raw[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"field '{key}' must be an integer, got {value!r}")
-    return value
-
-
-def _require_number(raw: dict, key: str) -> float:
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"field '{key}' must be a number, got {value!r}")
-    return float(value)
-
-
-def _finite_numbers(value, shape) -> bool:
-    """value is a nested list of finite JSON numbers of exactly this shape;
-    a None length matches any. An integer too large for a float64 is not
-    finite here, so the later float conversion cannot overflow."""
-    if not shape:
-        return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    return (
-        isinstance(value, list)
-        and shape[0] in (None, len(value))
-        and all(_finite_numbers(v, shape[1:]) for v in value)
-    )
 
 
 def _hazard_from_dict(raw) -> BaselineHazard:
@@ -311,9 +227,12 @@ def _hazard_from_dict(raw) -> BaselineHazard:
     kind = raw["kind"]
     try:
         if kind == "exponential":
-            return ExponentialHazard(rate=float(raw["rate"]))
+            return ExponentialHazard(rate=require_number(raw, "rate", "baseline_hazard.rate"))
         if kind == "weibull":
-            return WeibullHazard(shape=float(raw["shape"]), scale=float(raw["scale"]))
+            return WeibullHazard(
+                shape=require_number(raw, "shape", "baseline_hazard.shape"),
+                scale=require_number(raw, "scale", "baseline_hazard.scale"),
+            )
     except KeyError as exc:
         raise ValidationError(f"baseline_hazard is missing field {exc}") from exc
     raise ValidationError(f"baseline_hazard.kind must be 'exponential' or 'weibull', got {kind!r}")
@@ -325,95 +244,12 @@ def _z_dist_from_dict(raw) -> ZDistribution:
     if isinstance(raw, dict) and raw.get("kind") == "bernoulli":
         if "p" not in raw:
             raise ValidationError("z_dist of kind 'bernoulli' is missing field 'p'")
-        return BernoulliZ(p=float(raw["p"]))
+        return BernoulliZ(p=require_number(raw, "p", "z_dist.p"))
     raise ValidationError(f"field 'z_dist' must be 'standard_normal' or a bernoulli object, got {raw!r}")
 
 
-def _read_json_object(path, what: str) -> dict:
-    """The JSON object stored at path; ParseError with the line number for
-    malformed JSON, ValidationError when the top level is not an object."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: {what} must be a JSON object")
-    return raw
-
-
 def load_scenario_config(path) -> ScenarioConfig:
-    return ScenarioConfig.from_dict(_read_json_object(path, "scenario config"))
-
-
-@dataclass
-class Dataset:
-    """Column-oriented cohort with named covariates.
-
-    ``u_latent`` holds the hidden confounder of the mediated DAG. It is kept
-    outside the covariate matrix, so estimators that select covariates by
-    name can never see it; only the intervention oracle reads it.
-    """
-
-    time: np.ndarray
-    event: np.ndarray
-    covariates: np.ndarray
-    covariate_names: list[str]
-    u_latent: np.ndarray | None = None
-    provenance: ScenarioConfig | str | None = None
-
-    def __post_init__(self) -> None:
-        self.time = np.asarray(self.time, dtype=np.float64)
-        self.event = np.asarray(self.event, dtype=bool)
-        self.covariates = np.asarray(self.covariates, dtype=np.float64)
-        if self.covariates.ndim != 2:
-            raise ValidationError("covariates must be a 2-d matrix")
-        n = self.time.shape[0]
-        if n == 0:
-            raise ValidationError("dataset is empty")
-        if self.event.shape[0] != n or self.covariates.shape[0] != n:
-            raise ValidationError("time, event and covariates must have equal length")
-        if len(self.covariate_names) != self.covariates.shape[1]:
-            raise ValidationError("covariate_names must match the covariate columns")
-        if len(set(self.covariate_names)) != len(self.covariate_names):
-            raise ValidationError("covariate_names must be unique")
-        if not np.all(np.isfinite(self.time)) or not np.all(np.isfinite(self.covariates)):
-            raise ValidationError("dataset contains non-finite values")
-        if np.any(self.time <= 0):
-            raise ValidationError("all times must be positive")
-        if self.u_latent is not None:
-            self.u_latent = np.asarray(self.u_latent, dtype=np.float64)
-            if self.u_latent.shape[0] != n or not np.all(np.isfinite(self.u_latent)):
-                raise ValidationError("u_latent must be finite and match the cohort size")
-
-    @property
-    def n(self) -> int:
-        return int(self.time.shape[0])
-
-    @property
-    def n_events(self) -> int:
-        return int(np.count_nonzero(self.event))
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self.covariate_names.index(name)
-        except ValueError:
-            raise InvalidArgumentError(f"unknown covariate {name!r}; dataset has {self.covariate_names}") from None
-
-    def column(self, name: str) -> np.ndarray:
-        return self.covariates[:, self.column_index(name)]
-
-
-def inverse_survival_time(u, eta, baseline_hazard: BaselineHazard):
-    """Failure time T solving H0(T) * exp(eta) = -log(1 - u).
-
-    Accepts scalars or arrays; u must lie strictly inside (0, 1).
-    """
-    u_arr = np.asarray(u, dtype=np.float64)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
-        raise InvalidArgumentError("u must lie strictly inside (0, 1)")
-    t = _failure_times(-np.log1p(-u_arr), np.asarray(eta, dtype=np.float64), baseline_hazard)
-    return float(t) if np.isscalar(u) and np.isscalar(eta) else t
+    return ScenarioConfig.from_dict(read_object(path, "scenario config"))
 
 
 def _failure_times(exponential, eta, baseline_hazard: BaselineHazard):  # exponential = -log(1 - u)
@@ -533,508 +369,3 @@ def generate(config: ScenarioConfig) -> Dataset:
         u_latent=u_latent,
         provenance=config,
     )
-
-
-# Bytes per float field of a saved row: the longest %.17g text,
-# "-2.2250738585072014e-308", and a CRLF.
-_FIELD = 26
-
-# Tables of _format_floats, built with numpy arithmetic at import. A value's
-# row of the digits buffer is _DIGIT_WORDS uint32 words, 24 bytes in memory
-# order: NUL, "0", "-", the 17 digits of D, ".", the two separator bytes
-# (the second NUL after a comma) and NUL. _LEAD[d] is the first word for
-# leading digit d; _DIGITS4[c] the four digits of c in 0..9999 as one word;
-# _ZEROS4[c] the number of trailing zero digits of those four.
-_DIGIT_WORDS = 6
-_NUL, _ZERO, _MINUS, _DIGIT, _POINT, _SEP = 0, 1, 2, 3, 20, 21
-_POW5 = 5 ** np.arange(21, dtype=np.uint64)
-_C = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row c: the four digits of c
-_DIGITS4 = np.ascontiguousarray(_C + ord("0")).view(np.uint32).ravel()
-_ZEROS4 = np.logical_and.accumulate(_C[:, ::-1] == 0, axis=1).sum(axis=1, dtype=np.uint8)
-_LEAD = np.zeros((10, 4), dtype=np.uint8)
-_LEAD[:, _ZERO], _LEAD[:, _MINUS], _LEAD[:, _DIGIT] = ord("0"), ord("-"), ord("0") + np.arange(10)
-_LEAD = _LEAD.view(np.uint32).ravel()
-# the offset of each row of a _BLOCK-row digits buffer, in bytes
-_DIGIT_ROWS = (np.arange(_BLOCK) * 4 * _DIGIT_WORDS)[:, None]
-del _C
-
-
-def _float_layouts() -> np.ndarray:
-    """The rows of _LAYOUT: row (sign * 21 + x + 4) * 17 + k - 1 lists, for
-    each byte of a _FIELD-byte field, the byte of a digits row that goes
-    there, for a value with that sign (1 when negative), decimal exponent x
-    in -4..16 and k significant digits once trailing zeros are stripped
-    (1..17): %.17g's fixed notation, then the separator and NUL padding.
-
-    For x >= 0 the text is the first x + 1 digits, then, when any of the k
-    digits is left, the point and those digits; for x < 0 it is "0.", -x - 1
-    zeros and the k digits; a negative value has "-" in front."""
-    sign = np.arange(2)[:, None, None, None]
-    x = np.arange(-4, 17)[None, :, None, None]
-    k = np.arange(1, 18)[None, None, :, None]
-    j = np.arange(_FIELD) - sign  # the byte's place in the unsigned text
-    whole = x + 1  # digits before the point when x >= 0
-    zeros = -x - 1  # zeros after the point when x < 0
-    fixed = np.where(x < 0, 2 + zeros + k, np.where(k > whole, k + 1, whole))  # the text's length
-    table = np.select(
-        [
-            j < 0,
-            (x < 0) & (j == 0), (x < 0) & (j == 1), (x < 0) & (j < 2 + zeros), (x < 0) & (j < fixed),
-            j < whole, (j == whole) & (j < fixed), j < fixed,
-            j == fixed, j == fixed + 1,
-        ],
-        [
-            _MINUS,
-            _ZERO, _POINT, _ZERO, _DIGIT + j - 2 - zeros,
-            _DIGIT + j, _POINT, _DIGIT + j - 1,
-            _SEP, _SEP + 1,
-        ],
-        _NUL,
-    )
-    return table.reshape(-1, _FIELD).astype(np.uint8)
-
-
-_LAYOUT = _float_layouts()
-
-
-def save_dataset(dataset: Dataset, path) -> None:
-    """Write the cohort as CSV: time, event, the covariates, then u_latent
-    when present. Floats are written as %.17g writes them, so load_dataset
-    reads back the same float64 bits; events are 0 or 1; rows end in CRLF,
-    as the csv.writer header does. The rows are formatted in numpy,
-    _ROWS_PER_WRITE at a time (_csv_rows): no Python loop runs per value,
-    except for the rare values _format_floats hands to Python's own
-    '%.17g' %, and no list of the whole cohort is built.
-
-    The CSV's bytes are hashed with sha256 as they are written, and the
-    columns then go to the column cache <path>.npz with that digest
-    (_write_cache), from which load_dataset reads them back for as long as
-    the CSV keeps those bytes."""
-    header = ["time", "event"] + list(dataset.covariate_names)
-    columns = [dataset.time, dataset.event] + list(dataset.covariates.T)
-    if dataset.u_latent is not None:
-        header.append("u_latent")
-        columns.append(dataset.u_latent)
-    head = io.StringIO()
-    csv.writer(head).writerow(header)
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for data in itertools.chain([head.getvalue().encode("utf-8")], _csv_rows(columns)):
-            digest.update(data)
-            fh.write(data)
-    _write_cache(dataset, path, digest.digest())
-
-
-def _csv_rows(columns):
-    """The CSV rows of the columns, _ROWS_PER_WRITE rows at a time, each
-    block as a uint8 array of its bytes. columns[1] is the event column
-    (bool), written as 0 or 1 (%d); every other column is float64, written
-    as %.17g; fields are joined by commas and rows end in CRLF.
-
-    Each field, with the separator after it, is written left-aligned into a
-    fixed slot of the block's row buffer (_FIELD bytes for a float, 3 for
-    an event: its digit and up to two separator bytes) and padded with
-    NULs. No text holds a NUL, so dropping every NUL byte of the buffer in
-    one boolean compaction leaves the block's CSV bytes. Floats are
-    formatted _BLOCK at a time, so that their 8-byte temporaries stay at
-    64 KiB, below glibc's mmap threshold; the larger buffers are allocated
-    once here and reused for every block."""
-    n = len(columns[0])
-    seps = [b","] * (len(columns) - 1) + [b"\r\n"]
-    slots = np.cumsum([0] + [3 if k == 1 else _FIELD for k in range(len(columns))])
-    rows = np.empty((min(n, _ROWS_PER_WRITE), slots[-1]), dtype=np.uint8)
-    keep = np.empty(rows.shape, dtype=bool)
-    field = np.empty((_BLOCK, _FIELD), dtype=np.uint8)
-    index = np.empty((_BLOCK, _FIELD), dtype=np.intp)
-    digits = np.empty((_BLOCK, _DIGIT_WORDS), dtype=np.uint32)
-    for start in range(0, n, _ROWS_PER_WRITE):
-        block = rows[:min(_ROWS_PER_WRITE, n - start)]
-        for k, (column, sep) in enumerate(zip(columns, seps)):
-            slot = block[:, slots[k]:slots[k + 1]]
-            if k == 1:
-                slot[:, 0] = column[start:start + len(block)].view(np.uint8) + ord("0")
-                slot[:, 1:] = np.frombuffer(sep.ljust(2, b"\0"), dtype=np.uint8)
-                continue
-            for sub in range(0, len(block), _BLOCK):
-                values = column[start + sub:start + min(sub + _BLOCK, len(block))]
-                slot[sub:sub + len(values)] = _format_floats(values, sep, field, index, digits)
-        np.not_equal(block, 0, out=keep[:len(block)])
-        yield block[keep[:len(block)]]
-
-
-def _format_floats(values, sep: bytes, field, index, digits):
-    """The %.17g text of each value followed by sep, as the rows of
-    field[:len(values)]: left-aligned and NUL-padded to _FIELD bytes.
-    len(values) <= _BLOCK; field, index and digits are scratch buffers of
-    _BLOCK rows that the caller reuses.
-
-    A value takes the exact path below when it is a finite normal double
-    with decimal exponent x in -4..16 and |v| < 2**52 (so that %.17g writes
-    it in fixed notation and the product below needs no left shift). With
-    v = M * 2**e (M the 53-bit significand) and q = 16 - x, the digit string
-    is D = round(|v| * 10**q) = round(M * 5**q / 2**s), s = -(e + q). M * 5**q
-    (q <= 20, so < 2**100) is formed exactly in two uint64 limbs and shifted
-    right by s, rounding half to even on the exact remainder, as Python's
-    correctly rounded conversion does. x is floor(log10|v|) in float
-    arithmetic, which may be off by one next to a power of ten; the path
-    therefore also requires floor(|v| * 10**q) >= 10**16 and D < 10**17,
-    which hold only when x is the exponent of the value rounded to 17
-    digits. The text is then laid out from D's digits by _LAYOUT, keyed by
-    the sign, x and the number of digits left once trailing zeros are
-    stripped. Every other value (zeros, subnormals, |v| < 1e-4 or
-    >= 2**52, a failed check, inf, nan) is written by Python's own
-    '%.17g' %, so no value is ever approximated."""
-    n = len(values)
-    bits = values.view(np.uint64)
-    biased = (bits >> 52) & 0x7FF
-    normal = (biased != 0) & (biased != 0x7FF)
-    x = _decimal_exponents(np.where(normal, np.abs(values), 1.0))
-    s = 1075 - biased.astype(np.intp) - 16 + x  # -(e + q), e = biased - 1075
-    exact = normal & (x >= -4) & (x <= 16) & (s >= 0) & (s < 64)
-    x = np.where(exact, x, 0)
-    s = np.where(exact, s, 0).astype(np.uint64)
-    # M * 5**q in two limbs: (M_hi 2**32 + M_lo)(F_hi 2**32 + F_lo), with
-    # M_hi < 2**21 and F_hi < 2**15, so no partial product overflows
-    m = (bits & ((1 << 52) - 1)) | (1 << 52)
-    f = _POW5[16 - x]
-    m_lo, m_hi, f_lo, f_hi = m & 0xFFFFFFFF, m >> 32, f & 0xFFFFFFFF, f >> 32
-    mid = m_hi * f_lo + m_lo * f_hi
-    low = m_lo * f_lo
-    lo = low + (mid << 32)
-    hi = m_hi * f_hi + (mid >> 32) + (lo < low)
-    floor = ((hi << 1) << (63 - s)) | (lo >> s)  # two shifts: hi << 64 is undefined
-    unit = np.uint64(1) << s
-    twice = (lo & (unit - 1)) << 1  # twice the remainder, against the divisor 2**s
-    d = floor + ((twice > unit) | ((twice == unit) & ((floor & 1) == 1)))
-    exact &= ((hi >> s) == 0) & (floor >= 10**16) & (d < 10**17)
-    d = np.where(exact, d, 10**16)
-    # D = d0 c1 c2 c3 c4: a leading digit and four chunks of four digits
-    top, bottom = np.divmod(d, 10**8)
-    d0, top = np.divmod(top, 10**8)
-    c1, c2 = np.divmod(top, 10**4)
-    c3, c4 = np.divmod(bottom, 10**4)
-    digits = digits[:n]
-    digits[:, 0] = _LEAD[d0]
-    for word, chunk in enumerate((c1, c2, c3, c4), start=1):
-        digits[:, word] = _DIGITS4[chunk]
-    digits[:, 5] = np.frombuffer(b"." + sep.ljust(2, b"\0") + b"\0", dtype=np.uint32)[0]
-    zeros = _ZEROS4[c4] + (c4 == 0) * (_ZEROS4[c3] + (c3 == 0) * (_ZEROS4[c2] + (c2 == 0) * _ZEROS4[c1]))
-    key = ((bits >> 63).astype(np.intp) * 21 + x + 4) * 17 + 16 - zeros
-    # byte j of row i of the field is byte _LAYOUT[key[i], j] of digits row
-    # i; every index is in range, and mode="clip" spares take's buffering
-    field = field[:n]
-    np.take(_LAYOUT, key, axis=0, out=field, mode="clip")
-    index = np.add(field, _DIGIT_ROWS[:n], out=index[:n])
-    np.take(digits.view(np.uint8).ravel(), index, out=field, mode="clip")
-    other = np.flatnonzero(~exact)
-    if len(other):
-        field[other] = _python_formatted(values[other], sep)
-    return field
-
-
-def _decimal_exponents(magnitudes) -> np.ndarray:
-    """floor(log10(a)) of each positive normal a, in float arithmetic: the
-    decimal exponent, though one off next to a power of ten, where log10
-    rounds to the integer. _format_floats checks its digit count and so
-    never relies on the estimate."""
-    return np.floor(np.log10(magnitudes)).astype(np.intp)
-
-
-def _python_formatted(values, sep: bytes) -> np.ndarray:
-    """Python's own '%.17g' % of each value followed by sep, as the rows of
-    a uint8 array, left-aligned and NUL-padded to _FIELD bytes: the values
-    _format_floats does not take on its exact path."""
-    texts = [("%.17g" % v).encode() + sep for v in values.tolist()]
-    return np.array(texts, dtype=f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
-
-
-def _cache_path(path) -> str:
-    return f"{os.fsdecode(path)}.npz"
-
-
-def _write_cache(dataset: Dataset, path, digest: bytes) -> None:
-    """Write the column cache of the cohort CSV at path: <path>.npz, a
-    numpy archive of the CSV's sha256 (digest), the covariate names (names)
-    and the columns in the layout load_dataset returns (time, event,
-    covariates in column-major order, u_latent when present), each written
-    in chunks. It goes to a temporary name first and os.replace moves it into
-    place, so a reader finds the old cache or the new one, never part of
-    one. Its members carry a fixed zip date, so equal cohorts give equal
-    bytes."""
-    members = [
-        ("digest", np.frombuffer(digest, dtype=np.uint8)),
-        ("names", np.array(dataset.covariate_names, dtype=str)),
-        ("time", dataset.time),
-        ("event", dataset.event),
-        ("covariates", dataset.covariates),
-    ] + [("u_latent", dataset.u_latent)] * (dataset.u_latent is not None)
-    cache = _cache_path(path)
-    tmp = f"{cache}.{os.getpid()}.tmp"
-    try:
-        with zipfile.ZipFile(tmp, "w") as zf:
-            for key, values in members:
-                with zf.open(zipfile.ZipInfo(f"{key}.npy"), "w", force_zip64=True) as fp:
-                    np.lib.format.write_array_header_1_0(fp, {
-                        "descr": np.lib.format.dtype_to_descr(values.dtype),
-                        "fortran_order": values.ndim == 2,
-                        "shape": values.shape,
-                    })
-                    rows = max(_CACHE_CHUNK // values.itemsize, 1)
-                    for column in values.T if values.ndim == 2 else [values]:
-                        for start in range(0, len(column), rows):
-                            fp.write(column[start:start + rows].tobytes())
-        os.replace(tmp, cache)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
-def load_dataset(path) -> Dataset:
-    """Read a cohort CSV; raises ParseError with the offending line number,
-    or ValidationError when values break the dataset invariants.
-
-    When the column cache save_dataset wrote beside the CSV is sound and
-    holds the sha256 of the CSV's current bytes, the columns are read from
-    it and the body is not parsed (_cached_columns). Otherwise a binary
-    scan counts the body's lines, the columns are preallocated for that
-    many rows, and numpy's C parser fills them in chunks of _ROWS_PER_WRITE
-    rows, so no table of the whole cohort is built. Blank lines, which
-    numpy skips, leave fewer rows than lines, and the columns are cut to
-    the rows read. When a chunk fails to parse, has the wrong number of
-    fields or an event other than 0 or 1, or there are more rows than
-    counted lines, the csv row loop (_parse_rows) fills the columns again
-    from the body's start: it takes quoted fields and every spelling
-    float() takes, and names the line of the first bad row.
-
-    Every column of the returned Dataset owns its memory.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        # readline, not iteration over fh, so that tell() still works
-        reader = csv.reader(iter(fh.readline, ""))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty") from None
-        for required in ("time", "event"):
-            if required not in header:
-                raise ValidationError(f"{path}: missing required column '{required}'")
-        names = [c for c in header if c not in ("time", "event", "u_latent")]
-        has_u = "u_latent" in header
-        # the header column of each Dataset column, in _columns order
-        sources = [header.index(c) for c in ["time", "event", *names] + ["u_latent"] * has_u]
-        body = fh.tell()
-        columns = _cached_columns(path, fh.buffer, names, has_u)
-        if columns is None:
-            fh.seek(body)  # the cache check may have read on
-            # the file's lines less the header's; where the count is short
-            # (lone CRs and lone LFs in one file), the row loop grows the columns
-            columns = _columns(max(_count_lines(path) - reader.line_num, 0), len(names), has_u)
-            rows = _read_chunks(fh, columns, sources, len(header))
-            if rows is None:
-                fh.seek(body)
-                columns, rows = _parse_rows(path, csv.reader(fh), columns, sources, len(header), reader.line_num)
-            if rows < len(columns[0]):
-                columns = [None if c is None else c[:rows].copy(order="K") for c in columns]
-    time, event, covariates, u_latent = columns
-    return Dataset(
-        time=time,
-        event=event,
-        covariates=covariates,
-        covariate_names=names,
-        u_latent=u_latent,
-        provenance=str(path),
-    )
-
-
-def _cached_columns(path, fb, names: list, has_u: bool) -> tuple | None:
-    """(time, event, covariates, u_latent) from the column cache of the CSV
-    at path, or None unless <path>.npz opens with np.load(allow_pickle=False)
-    as a zip archive and _read_cache finds it sound; fb is the CSV's binary
-    handle. The cache file is opened here, not by np.load, which leaves its
-    own handle open when the zip is damaged."""
-    try:
-        with open(_cache_path(path), "rb") as fc:
-            cache = np.load(fc, allow_pickle=False)
-            if not isinstance(cache, np.lib.npyio.NpzFile):  # a lone .npy array
-                return None
-            with cache:
-                return _read_cache(cache, fb, names, has_u)
-    except _CACHE_ERRORS:
-        return None
-
-
-def _read_cache(cache, fb, names: list, has_u: bool) -> tuple | None:
-    """The columns of an open column cache, or None unless it holds the
-    members _write_cache writes and no others, its names are the header's,
-    its digest is the sha256 of the CSV's bytes, read from fb, and each
-    column has the dtype and shape load_dataset returns."""
-    keys = ["digest", "names", "time", "event", "covariates"] + ["u_latent"] * has_u
-    if sorted(cache.zip.namelist()) != sorted(f"{k}.npy" for k in keys):
-        return None
-    if cache["names"].tolist() != names or cache["digest"].tobytes() != _sha256(fb):
-        return None
-    time = _read_member(cache, "time", np.float64, (None,))
-    if time is None:
-        return None
-    n = len(time)
-    event = _read_member(cache, "event", np.bool_, (n,))
-    covariates = _read_member(cache, "covariates", np.float64, (n, len(names)))
-    u_latent = _read_member(cache, "u_latent", np.float64, (n,)) if has_u else None
-    if event is None or covariates is None or (has_u and u_latent is None):
-        return None
-    return time, event, covariates, u_latent
-
-
-def _sha256(fb) -> bytes:
-    """The sha256 of the whole file behind the binary handle fb."""
-    digest = hashlib.sha256()
-    buf = bytearray(_CACHE_CHUNK)
-    fb.seek(0)
-    while size := fb.readinto(buf):
-        digest.update(memoryview(buf)[:size])
-    return digest.digest()
-
-
-def _read_member(cache, key: str, dtype, shape: tuple) -> np.ndarray | None:
-    """The array stored as key.npy in the cache, read in chunks of
-    _CACHE_CHUNK bytes into a new array, column-major when it is a matrix;
-    None unless its header is npy format 1.0 with this dtype, this shape
-    (a None length matches any) and column-major order for a matrix, and
-    its data ends where that shape does."""
-    with cache.zip.open(f"{key}.npy") as fp:
-        if np.lib.format.read_magic(fp) != (1, 0):
-            return None
-        stored, fortran, stored_dtype = np.lib.format.read_array_header_1_0(fp)
-        if (
-            stored_dtype != dtype
-            or fortran != (len(shape) == 2)
-            or len(stored) != len(shape)
-            or any(want not in (None, got) for want, got in zip(shape, stored))
-        ):
-            return None
-        out = np.empty(stored, dtype=dtype, order="F")
-        data = memoryview(out.reshape(-1, order="F")).cast("B")  # its bytes in storage order
-        for start in range(0, data.nbytes, _CACHE_CHUNK):
-            chunk = data[start:start + _CACHE_CHUNK]
-            if fp.readinto(chunk) != chunk.nbytes:
-                return None
-        # nothing may follow the data; zipfile checks the CRC at the member's end
-        return out if fp.read(1) == b"" else None
-
-
-def _count_lines(path) -> int:
-    """The file's line count, by a binary scan in blocks of 1 MiB: line
-    feeds or carriage returns, whichever are more, plus a last line that
-    has no line end. This is exact for LF, CRLF and CR line ends, and for
-    CRLF with some lone CRs or LFs. The vectorized numpy compares count
-    2.5 times as fast as bytes.count does."""
-    lf = cr = 0
-    last = 10
-    buf = np.empty(1 << 20, dtype=np.uint8)
-    with open(path, "rb") as fb:
-        while size := fb.readinto(buf):
-            block = buf[:size]
-            lf += int(np.count_nonzero(block == 10))
-            cr += int(np.count_nonzero(block == 13))
-            last = block[-1]
-    return max(lf, cr) + (last not in (10, 13))
-
-
-def _columns(n: int, p: int, has_u: bool) -> tuple:
-    """Empty (time, event, covariates, u_latent) for n rows. The covariates
-    are column-major, so each covariate is one contiguous column."""
-    return np.empty(n), np.empty(n, dtype=bool), np.empty((n, p), order="F"), np.empty(n) if has_u else None
-
-
-def _fill(columns, sources, start: int, table) -> None:
-    """Copy the rows of a parsed table into the columns from row start on;
-    sources[k] is the table column of the k-th Dataset column."""
-    time, event, covariates, u_latent = columns
-    rows = slice(start, start + len(table))
-    for target, source in zip([time, event, *covariates.T, u_latent], sources):
-        target[rows] = table[:, source]
-
-
-def _read_chunks(fh, columns, sources, width: int) -> int | None:
-    """Fill the columns from the body by np.loadtxt, _ROWS_PER_WRITE rows
-    per call, and return the number of rows read. None when the row loop
-    must read the body instead: a chunk fails to parse, has the wrong width
-    or an event other than 0 or 1, or the rows are none or more than the
-    columns hold."""
-    n = len(columns[0])
-    filled = 0
-    with warnings.catch_warnings():
-        # blank lines, which numpy skips, and an empty body, which has no rows
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data", UserWarning)
-        while True:
-            try:
-                chunk = np.loadtxt(
-                    fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, max_rows=_ROWS_PER_WRITE
-                )
-            except ValueError:
-                return None
-            if not len(chunk):
-                break
-            if chunk.shape[1] != width or filled + len(chunk) > n or not np.all(
-                np.isin(chunk[:, sources[1]], (0.0, 1.0))
-            ):
-                return None
-            _fill(columns, sources, filled, chunk)
-            filled += len(chunk)
-            if len(chunk) < _ROWS_PER_WRITE:  # only the last chunk is short
-                break
-    return filled or None
-
-
-def _parse_rows(path, reader, columns, sources, width: int, header_lines: int) -> tuple:
-    """Fill the columns from the body's csv records, one block of
-    _ROWS_PER_WRITE rows at a time, and return (columns, rows read); the
-    columns are grown when the rows outnumber them. A block is a flat run
-    of float64 values, so memory beyond the columns stays one block of
-    rows. The first bad row raises with the number of the line its record
-    starts on: the header takes lines 1 to header_lines, and a quoted field
-    may span lines, so this is the reader's line count, not a count of
-    records."""
-    event = sources[1] - width  # the event's offset from the end of a row's values
-    filled = 0
-    block = array("d")
-    read = 0  # the body's lines before the record
-    for row in reader:
-        line_no, read = header_lines + read + 1, reader.line_num
-        if not row:
-            continue
-        if len(row) != width:
-            raise ParseError(f"{path}:{line_no}: expected {width} fields, got {len(row)}")
-        try:
-            block.extend(map(float, row))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{line_no}: {exc}") from exc
-        if block[event] not in (0.0, 1.0):
-            raise ValidationError(f"{path}:{line_no}: event must be 0 or 1")
-        if len(block) == width * _ROWS_PER_WRITE:
-            columns = _put(columns, sources, filled, block, width)
-            filled, block = filled + _ROWS_PER_WRITE, array("d")
-    if block:
-        columns = _put(columns, sources, filled, block, width)
-        filled += len(block) // width
-    if not filled:
-        raise ValidationError(f"{path}: no data rows")
-    return columns, filled
-
-
-def _put(columns, sources, start: int, values, width: int) -> tuple:
-    """_fill with the rows of a flat run of values, width to a row, from
-    row start on; the columns are first grown, at least twofold, when they
-    are too short to hold them. Returns the columns."""
-    table = np.frombuffer(values, dtype=np.float64).reshape(-1, width)
-    stop = start + len(table)
-    if stop > len(columns[0]):
-        grown = _columns(max(stop, 2 * len(columns[0])), columns[2].shape[1], columns[3] is not None)
-        for old, new in zip(columns, grown):
-            if new is not None:
-                new[:start] = old[:start]
-        columns = grown
-    _fill(columns, sources, start, table)
-    return columns

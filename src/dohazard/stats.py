@@ -29,6 +29,13 @@ from .errors import DegenerateCovariateError, InvalidArgumentError
 _U53 = 2.0 ** -53
 _BELOW_ONE = 1.0 - _U53
 
+# A Philox key is two 64-bit words: the seed and the stream id.
+SEED_LIMIT = 1 << 64
+
+# Rows per block of the structural model, the Cox risk-set sums and the
+# cohort CSV's float formatting (see simulate._scm_blocks).
+_BLOCK = 1 << 13
+
 
 @dataclass(frozen=True)
 class GaussianSpec:
@@ -52,8 +59,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
-            raise InvalidArgumentError("seed and stream_id must be nonnegative")
+        if not (0 <= seed < SEED_LIMIT and 0 <= stream_id < SEED_LIMIT):
+            raise InvalidArgumentError(f"seed and stream_id must lie in [0, 2**64), got {seed} and {stream_id}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +162,11 @@ def test_exit_2_on_malformed_json(tmp_path, capsys):
     rc = run(["simulate", bad, "--out-dir", tmp_path])
     assert rc == 2
     assert "line 2" in capsys.readouterr().err
+    # bytes that are not UTF-8, and an integer json cannot convert
+    for text in (b'{"seed": "\xff"}', b'{"seed": 1' + b"0" * 5000 + b"}"):
+        bad.write_bytes(text)
+        assert run(["simulate", bad, "--out-dir", tmp_path]) == 2
+        assert "bad.json: invalid JSON: " in capsys.readouterr().err
 
 
 def test_exit_2_names_missing_field(tmp_path, capsys):
@@ -190,16 +196,36 @@ def test_exit_2_on_missing_cohort_beside_its_cache(tmp_path, scenario_path, caps
     assert not (tmp_path / "fit.json").exists()
 
 
-def test_outputs_do_not_depend_on_the_column_cache(tmp_path, scenario_path):
-    run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
+@pytest.mark.parametrize("dag", ["backdoor", "frontdoor"])
+def test_outputs_do_not_depend_on_the_column_cache(tmp_path, scenario_path, fd_scenario_path, dag):
+    # the frontdoor cohort's cache also holds u_latent
+    run(["simulate", scenario_path if dag == "backdoor" else fd_scenario_path, "--out-dir", tmp_path, "--quiet"])
+    estimate = [dag, tmp_path / "cohort.csv", "--contrast", "1,0", "--t", 10, "--out-dir", tmp_path, "--quiet"]
     outputs = []
     for _ in range(2):  # with the cache, then from the CSV alone
         assert run(["fit", tmp_path / "cohort.csv", "--out-dir", tmp_path, "--quiet"]) == 0
-        assert run(["backdoor", tmp_path / "cohort.csv", "--fit", tmp_path / "fit.json", "--contrast", "1,0",
-                    "--t", 10, "--out-dir", tmp_path, "--quiet"]) == 0
-        outputs.append([(tmp_path / name).read_bytes() for name in ("fit.json", "backdoor.json")])
+        assert run(estimate + (["--fit", tmp_path / "fit.json"] if dag == "backdoor" else [])) == 0
+        outputs.append([(tmp_path / name).read_bytes() for name in ("fit.json", f"{dag}.json")])
         (tmp_path / "cohort.csv.npz").unlink(missing_ok=True)
     assert outputs[0] == outputs[1]
+
+
+def test_exit_2_on_a_seed_philox_cannot_hold(tmp_path, scenario_path, monkeypatch, capsys):
+    # a seed of 2**64 or more is an argument error; experiment and oracle
+    # check their derived seed (seed + 1_000_003) before anything is drawn
+    assert run(["simulate", scenario_path, "--seed", 2**64, "--out-dir", tmp_path, "--quiet"]) == 2
+    assert "2**64" in capsys.readouterr().err
+    experiment = tmp_path / "experiment.json"
+    scenario = json.loads(Path(scenario_path).read_text())
+    experiment.write_text(json.dumps({"scenario": scenario, "contrasts": [[1, 0]], "horizon_grid": [10], "oracle_n": 10}))
+    opened = []
+    monkeypatch.setattr(dh.RngStream, "__init__", lambda self, *args: opened.append(args))
+    seed = 2**64 - cli._ORACLE_SEED_OFFSET
+    for argv in (["experiment", experiment], ["oracle", scenario_path, "--x", 1, "--x0", 0, "--n", 1000]):
+        assert run([*argv, "--seed", seed, "--out-dir", tmp_path / "out", "--quiet"]) == 2
+        assert f"the oracle seed, seed + 1000003, must be below 2**64, got {2**64}" in capsys.readouterr().err
+    assert opened == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_2_on_bad_contrast(tmp_path, scenario_path, capsys):

@@ -1,0 +1,82 @@
+"""The package's import layering, and the names the benchmark looks up.
+
+The estimators read cohorts through ``dohazard.cohort`` and JSON files
+through ``dohazard._json``, so they do not import the simulator. The
+benchmark under ``perfbench/`` imports dohazard names and wraps functions
+where the CLI looks them up; a name it needs that went missing would break
+only the benchmark, so each one is checked here.
+"""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dohazard"
+
+
+def imports(path):
+    """(module, name) for every import in a file, relative imports resolved
+    against dohazard; name is None for a plain import statement."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["dohazard" if node.level else None, node.module]))
+            for alias in node.names:
+                if module == "dohazard" and (PACKAGE / f"{alias.name}.py").exists():
+                    yield f"dohazard.{alias.name}", None  # from . import <module>
+                else:
+                    yield module, alias.name
+
+
+@pytest.mark.parametrize("module", ["cohort", "_json", "cox", "backdoor", "frontdoor"])
+def test_estimators_and_cohort_io_do_not_import_the_simulator(module):
+    assert "dohazard.simulate" not in {m for m, _ in imports(PACKAGE / f"{module}.py")}
+
+
+@pytest.mark.parametrize("module", ["cox", "cli"])
+def test_no_private_name_is_imported_from_the_simulator(module):
+    names = [name for m, name in imports(PACKAGE / f"{module}.py") if m == "dohazard.simulate"]
+    assert not [name for name in names if name.startswith("_")]
+
+
+def test_the_simulator_does_no_file_io():
+    modules = {m for m, _ in imports(PACKAGE / "simulate.py")}
+    assert modules.isdisjoint({"csv", "json", "zipfile", "hashlib"})
+
+
+def test_one_json_writer_and_one_block_size():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert [name for name, text in sources.items() if "json.dump(" in text] == ["_json.py"]
+    assert [name for name, text in sources.items() if "\n_BLOCK = " in text] == ["stats.py"]
+
+
+def test_every_dohazard_name_the_benchmark_imports_exists():
+    wanted = [
+        (module, name)
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        for module, name in imports(path)
+        if module.startswith("dohazard")
+    ]
+    assert ("dohazard.simulate", "load_dataset") in wanted
+    for module, name in wanted:
+        imported = importlib.import_module(module)
+        assert name is None or hasattr(imported, name), f"{module}.{name}"
+
+
+def test_every_function_the_benchmark_wraps_exists(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look their module up
+    spec.loader.exec_module(spans)
+    table = spans._patch_table(spans.Tracer())
+    import dohazard.cli as cli
+
+    assert (cli, "load_dataset") in [(owner, attr) for owner, attr, *_ in table]
+    for owner, attr, *_ in table:
+        assert callable(owner.__dict__.get(attr)), f"{owner.__name__}.{attr}"

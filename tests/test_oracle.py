@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import dohazard as dh
 from dohazard.oracle import _event_counts
-from dohazard.simulate import _BLOCK
+from dohazard.stats import _BLOCK
 
 from conftest import (
     make_backdoor_config,
@@ -84,6 +84,25 @@ def test_oracle_rr_shared_streams_identity(backdoor_config):
     assert rr.ratio == 1.0
     assert rr.standard_error == 0.0
     assert rr.log_standard_error == 0.0
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+def test_oracle_rr_shared_streams_draw_offset_zero_once(backdoor_config, monkeypatch, x0):
+    # both arms are counted from one draw of offset 0: each of its streams
+    # opens once, and the counts are those of the arms drawn alone
+    opened = []
+    init = dh.RngStream.__init__
+
+    def spy_init(self, seed, stream_id=0):
+        opened.append(stream_id)
+        init(self, seed, stream_id)
+
+    monkeypatch.setattr(dh.RngStream, "__init__", spy_init)
+    rr = dh.oracle_rr(backdoor_config, 1.0, x0, 20_000, 9, 10.0, shared_streams=True)
+    assert sorted(opened) == [1, 4]
+    monkeypatch.undo()
+    assert rr.numerator == dh.simulate_do(backdoor_config, 1.0, 20_000, 9, 10.0)
+    assert rr.denominator == dh.simulate_do(backdoor_config, x0, 20_000, 9, 10.0)
 
 
 def test_oracle_rr_independent_arms(backdoor_config):

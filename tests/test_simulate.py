@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dohazard as dh
-from dohazard import simulate
-from dohazard.simulate import _BLOCK, _ROWS_PER_WRITE, _frontdoor_log_hazard
+from dohazard import cohort
+from dohazard.cohort import _ROWS_PER_WRITE
+from dohazard.simulate import _failure_times, _frontdoor_log_hazard
+from dohazard.stats import _BLOCK
 
 from conftest import make_backdoor_config, make_frontdoor_config
 
@@ -27,32 +29,24 @@ FRONTDOOR_FIRST = (10.0, 0.74532190738205462, 0.72291593477349925, 1.18740898025
 
 
 def test_inverse_time_exponential_identity():
-    u = 1.0 - math.exp(-1.0)
-    assert dh.inverse_survival_time(u, 0.0, dh.ExponentialHazard(1.0)) == pytest.approx(1.0, rel=1e-15)
-    assert dh.inverse_survival_time(u, math.log(2.0), dh.ExponentialHazard(1.0)) == pytest.approx(0.5, rel=1e-15)
+    # _failure_times takes the exponential variate -log(1 - u)
+    assert _failure_times(1.0, 0.0, dh.ExponentialHazard(1.0)) == pytest.approx(1.0, rel=1e-15)
+    assert _failure_times(1.0, math.log(2.0), dh.ExponentialHazard(1.0)) == pytest.approx(0.5, rel=1e-15)
+    with pytest.raises(dh.InvalidArgumentError, match="eta must be finite"):
+        _failure_times(1.0, math.nan, dh.ExponentialHazard(1.0))
 
 
 def test_inverse_time_weibull():
-    u = 1.0 - math.exp(-1.0)
-    got = dh.inverse_survival_time(u, 0.0, dh.WeibullHazard(2.0, 1.0))
+    got = _failure_times(1.0, 0.0, dh.WeibullHazard(2.0, 1.0))
     assert got == pytest.approx(1.0, rel=1e-15)
     # H0(T) e^eta = -log(1-u) holds for random draws
     rng = np.random.default_rng(3)
     haz = dh.WeibullHazard(1.7, 3.0)
-    u_arr = rng.uniform(0.01, 0.99, size=50)
+    exponential = -np.log1p(-rng.uniform(0.01, 0.99, size=50))
     eta = rng.normal(size=50)
-    t = dh.inverse_survival_time(u_arr, eta, haz)
+    t = _failure_times(exponential, eta, haz)
     lhs = haz.cumulative(t) * np.exp(eta)
-    assert np.allclose(lhs, -np.log1p(-u_arr), rtol=1e-12)
-
-
-def test_inverse_time_bounds():
-    with pytest.raises(dh.InvalidArgumentError):
-        dh.inverse_survival_time(0.0, 0.0, dh.ExponentialHazard(1.0))
-    with pytest.raises(dh.InvalidArgumentError):
-        dh.inverse_survival_time(1.0, 0.0, dh.ExponentialHazard(1.0))
-    with pytest.raises(dh.InvalidArgumentError):
-        dh.inverse_survival_time(0.5, math.nan, dh.ExponentialHazard(1.0))
+    assert np.allclose(lhs, exponential, rtol=1e-12)
 
 
 def test_hazard_validation():
@@ -62,6 +56,8 @@ def test_hazard_validation():
         dh.WeibullHazard(-1.0, 1.0)
     with pytest.raises(dh.ValidationError):
         dh.WeibullHazard(1.0, 0.0)
+    with pytest.raises(dh.ValidationError, match="field 'baseline_hazard.scale' must be a finite number"):
+        dh.WeibullHazard(1.0, math.inf)
 
 
 def test_null_coefficients_event_fraction():
@@ -164,7 +160,7 @@ def test_exposure_excluded_from_frontdoor_hazard():
     ds = dh.generate(cfg)
     eta = _frontdoor_log_hazard(cfg.coefficients, ds.column("z"), ds.u_latent)
     u_fail = dh.RngStream(cfg.seed, 4).uniform(size=cfg.n_subjects)
-    failure = dh.inverse_survival_time(u_fail, eta, cfg.baseline_hazard)
+    failure = _failure_times(-np.log1p(-u_fail), eta, cfg.baseline_hazard)
     assert np.array_equal(np.minimum(failure, cfg.horizon_t), ds.time)
     assert np.array_equal(failure <= cfg.horizon_t, ds.event)
 
@@ -268,13 +264,13 @@ def assert_saved_as_percent_template(path, dataset):
     """Save the dataset at path and check its body against the reference;
     returns how many values the formatter handed to Python's '%.17g' %."""
     handed = []
-    real = simulate._python_formatted
+    real = cohort._python_formatted
 
     def python_formatted(values, sep):
         handed.append(len(values))
         return real(values, sep)
 
-    with mock.patch.object(simulate, "_python_formatted", python_formatted):
+    with mock.patch.object(cohort, "_python_formatted", python_formatted):
         dh.save_dataset(dataset, path)
     header, body = path.read_bytes().split(b"\r\n", 1)
     assert body == percent_template_body(dataset)
@@ -347,12 +343,12 @@ def test_save_checks_its_exponent_estimate(tmp_path, monkeypatch, off):
     # a decimal exponent one off makes the exact path's digit string one
     # digit long or short; the check on its length sends such a value to
     # Python's formatter instead of printing wrong digits
-    estimate = simulate._decimal_exponents
-    monkeypatch.setattr(simulate, "_decimal_exponents", lambda magnitudes: estimate(magnitudes) + off)
+    estimate = cohort._decimal_exponents
+    monkeypatch.setattr(cohort, "_decimal_exponents", lambda magnitudes: estimate(magnitudes) + off)
     edges = np.array(FORMAT_EDGES)
-    cohort = dh.generate(make_frontdoor_config(n_subjects=len(edges)))
+    drawn = dh.generate(make_frontdoor_config(n_subjects=len(edges)))
     ds = dh.Dataset(
-        time=cohort.time, event=cohort.event, covariates=edges[:, None], covariate_names=["x"], u_latent=cohort.u_latent
+        time=drawn.time, event=drawn.event, covariates=edges[:, None], covariate_names=["x"], u_latent=drawn.u_latent
     )
     assert_saved_as_percent_template(tmp_path / "cohort.csv", ds)
 
@@ -393,7 +389,7 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path_factory, data):
     )
     path = tmp_path_factory.mktemp("roundtrip") / "cohort.csv"
     dh.save_dataset(ds, path)
-    with mock.patch.object(simulate, "_count_lines", refuse_csv_reader):
+    with mock.patch.object(cohort, "_count_lines", refuse_csv_reader):
         from_cache = dh.load_dataset(path)
     for back in (from_cache, load_csv(path)):
         assert_same_cohort(back, ds)
@@ -444,7 +440,7 @@ def test_load_fills_the_columns_chunk_by_chunk(tmp_path, monkeypatch, n):
     # rows on both sides of each chunk edge land in their own places, and a
     # body that ends on a chunk edge reads no phantom chunk after it
     dataset, path = saved_cohort(tmp_path, n)
-    monkeypatch.setattr(simulate, "_parse_rows", refuse_row_loop)
+    monkeypatch.setattr(cohort, "_parse_rows", refuse_row_loop)
     assert_same_cohort(dh.load_dataset(path), dataset)
 
 
@@ -470,7 +466,7 @@ def test_load_skips_blank_lines(tmp_path, monkeypatch, edit, final_newline, n):
     dataset, path = saved_cohort(tmp_path, n)
     header, *rows = path.read_bytes().split(b"\r\n")[:-1]
     path.write_bytes(b"\r\n".join([header] + edit(rows)) + b"\r\n" * final_newline)
-    monkeypatch.setattr(simulate, "_parse_rows", refuse_row_loop)
+    monkeypatch.setattr(cohort, "_parse_rows", refuse_row_loop)
     loaded = dh.load_dataset(path)
     assert_same_cohort(loaded, dataset)
     assert loaded.covariates.flags.f_contiguous  # the layout every loaded cohort has
@@ -480,7 +476,7 @@ def test_load_skips_blank_lines(tmp_path, monkeypatch, edit, final_newline, n):
 def test_load_reads_a_last_row_without_line_end(tmp_path, monkeypatch, n):
     dataset, path = saved_cohort(tmp_path, n)
     path.write_bytes(path.read_bytes()[:-2])
-    monkeypatch.setattr(simulate, "_parse_rows", refuse_row_loop)
+    monkeypatch.setattr(cohort, "_parse_rows", refuse_row_loop)
     assert_same_cohort(dh.load_dataset(path), dataset)
 
 
@@ -507,7 +503,7 @@ def test_load_reads_every_line_end(tmp_path, monkeypatch, ends, counted, n):
     dataset, path = saved_cohort(tmp_path, n)
     path.write_bytes(ends(path.read_bytes()))
     if counted:
-        monkeypatch.setattr(simulate, "_parse_rows", refuse_row_loop)
+        monkeypatch.setattr(cohort, "_parse_rows", refuse_row_loop)
     assert_same_cohort(dh.load_dataset(path), dataset)
 
 
@@ -564,7 +560,7 @@ def test_load_reads_the_cache_chunk_by_chunk(tmp_path, monkeypatch):
     _, small = saved_with_cache(tmp_path, 1_000)
     dh.load_dataset(small)  # first-call allocations
     want, path = saved_with_cache(tmp_path, 200_000)
-    monkeypatch.setattr(simulate, "_count_lines", refuse_csv_reader)
+    monkeypatch.setattr(cohort, "_count_lines", refuse_csv_reader)
     dataset, peak = _traced_peak(lambda: dh.load_dataset(path))
     assert_same_cohort(dataset, want)
     assert peak < _held_bytes(dataset) + _ONE_COLUMN
@@ -830,6 +826,31 @@ def test_config_type_checks():
     raw["z_dist"] = {"kind": "poisson"}
     with pytest.raises(dh.ValidationError, match="z_dist"):
         dh.ScenarioConfig.from_dict(raw)
+    # every scenario number is a finite JSON number, and a refusal names
+    # its dotted field: no string, boolean, list or float-overflowing int
+    # passes, and none escapes as a TypeError or an OverflowError
+    weibull = {"kind": "weibull", "shape": 1.5, "scale": 120.0}
+    for section, value, field in [
+        ("baseline_hazard", {"kind": "exponential", "rate": "0.002"}, "baseline_hazard.rate"),
+        ("baseline_hazard", {"kind": "exponential", "rate": True}, "baseline_hazard.rate"),
+        ("baseline_hazard", {"kind": "exponential", "rate": [1]}, "baseline_hazard.rate"),
+        ("baseline_hazard", {**weibull, "shape": "1.5"}, "baseline_hazard.shape"),
+        ("baseline_hazard", {**weibull, "scale": 10**400}, "baseline_hazard.scale"),
+        ("z_dist", {"kind": "bernoulli", "p": True}, "z_dist.p"),
+        ("z_dist", {"kind": "bernoulli", "p": "0.5"}, "z_dist.p"),
+        ("beta_x", True, "coefficients.beta_x"),
+        ("beta_x", "0.3", "coefficients.beta_x"),
+        ("beta_z", 10**400, "coefficients.beta_z"),
+        ("horizon_t", 10**400, "horizon_t"),
+        ("censor_rate", 10**400, "censor_rate"),
+    ]:
+        raw = make_backdoor_config().to_dict()
+        if section.startswith("beta"):
+            raw["coefficients"][section] = value
+        else:
+            raw[section] = value
+        with pytest.raises(dh.ValidationError, match=f"field '{field}' must be a finite number"):
+            dh.ScenarioConfig.from_dict(raw)
 
 
 def test_dataset_validation():
@@ -980,7 +1001,7 @@ def whole_array_scm(config, n, seed, offset, x_forced):
         x = exposure(u, coef.c_ux)
         z = coef.alpha * x + stream(3).normal(0.0, coef.sigma_z, n)
         eta = coef.beta_z * z + coef.beta_u * u
-    failure = dh.inverse_survival_time(stream(4).uniform(n), eta, config.baseline_hazard)
+    failure = _failure_times(-np.log1p(-stream(4).uniform(n)), eta, config.baseline_hazard)
     return x, z, u, failure
 
 

@@ -140,6 +140,16 @@ def test_stream_golden_values():
     assert dh.RngStream(42, 0).normal() == GOLDEN_NORMAL
 
 
+@pytest.mark.parametrize("seed, stream_id", [(2**64, 0), (0, 2**64), (-1, 0), (0, -1)])
+def test_stream_key_must_fit_philox(seed, stream_id):
+    # a Philox key is two 64-bit words; anything outside them is refused
+    # as an argument error, not left to numpy's OverflowError
+    with pytest.raises(dh.InvalidArgumentError, match=r"must lie in \[0, 2\*\*64\)"):
+        dh.RngStream(seed, stream_id)
+    largest = dh.RngStream(2**64 - 1, 2**64 - 1).uniform(size=3)
+    assert np.all((largest > 0) & (largest < 1))
+
+
 def test_stream_determinism():
     a = dh.RngStream(9, 3).uniform(size=1000)
     b = dh.RngStream(9, 3).uniform(size=1000)
