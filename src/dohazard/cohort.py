@@ -385,35 +385,43 @@ def load_dataset(path) -> Dataset:
     from the body's start: it takes quoted fields and every spelling
     float() takes, and names the line of the first bad row.
 
+    Bytes that are not UTF-8, in the header or the body, raise ParseError
+    naming the line they are on (_not_utf8).
+
     Every column of the returned Dataset owns its memory.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        # readline, not iteration over fh, so that tell() still works
-        reader = csv.reader(iter(fh.readline, ""))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty") from None
-        for required in ("time", "event"):
-            if required not in header:
-                raise ValidationError(f"{path}: missing required column '{required}'")
-        names = [c for c in header if c not in ("time", "event", "u_latent")]
-        has_u = "u_latent" in header
-        # the header column of each Dataset column, in _columns order
-        sources = [header.index(c) for c in ["time", "event", *names] + ["u_latent"] * has_u]
-        body = fh.tell()
-        columns = _cached_columns(path, fh.buffer, names, has_u)
-        if columns is None:
-            fh.seek(body)  # the cache check may have read on
-            # the file's lines less the header's; where the count is short
-            # (lone CRs and lone LFs in one file), the row loop grows the columns
-            columns = _columns(max(_count_lines(path) - reader.line_num, 0), len(names), has_u)
-            rows = _read_chunks(fh, columns, sources, len(header))
-            if rows is None:
-                fh.seek(body)
-                columns, rows = _parse_rows(path, csv.reader(fh), columns, sources, len(header), reader.line_num)
-            if rows < len(columns[0]):
-                columns = [None if c is None else c[:rows].copy(order="K") for c in columns]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            # readline, not iteration over fh, so that tell() still works
+            reader = csv.reader(iter(fh.readline, ""))
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError(f"{path}: file is empty") from None
+            for required in ("time", "event"):
+                if required not in header:
+                    raise ValidationError(f"{path}: missing required column '{required}'")
+            names = [c for c in header if c not in ("time", "event", "u_latent")]
+            has_u = "u_latent" in header
+            # the header column of each Dataset column, in _columns order
+            sources = [header.index(c) for c in ["time", "event", *names] + ["u_latent"] * has_u]
+            body = fh.tell()
+            columns = _cached_columns(path, fh.buffer, names, has_u)
+            if columns is None:
+                fh.seek(body)  # the cache check may have read on
+                # the file's lines less the header's; where the count is short
+                # (lone CRs and lone LFs in one file), the row loop grows the columns
+                columns = _columns(max(_count_lines(path) - reader.line_num, 0), len(names), has_u)
+                rows = _read_chunks(fh, columns, sources, len(header))
+                if rows is None:
+                    fh.seek(body)
+                    columns, rows = _parse_rows(
+                        path, csv.reader(fh), columns, sources, len(header), reader.line_num
+                    )
+                if rows < len(columns[0]):
+                    columns = [None if c is None else c[:rows].copy(order="K") for c in columns]
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     time, event, covariates, u_latent = columns
     return Dataset(
         time=time,
@@ -423,6 +431,26 @@ def load_dataset(path) -> Dataset:
         u_latent=u_latent,
         provenance=str(path),
     )
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError for a cohort CSV whose text did not decode as UTF-8,
+    naming the line of the first bad byte and its position in that line.
+    exc, raised by the text layer, places the byte only within the chunk it
+    decoded, so the file is scanned again line by line. LF, CRLF and a lone
+    CR each end a line, as for the csv reader, and no byte of a multi-byte
+    UTF-8 sequence is a CR or an LF, so the first line that fails to decode
+    on its own is the one that holds the byte."""
+    line_no = 0
+    with open(path, "rb") as fb:
+        for chunk in fb:  # each ends at an LF
+            for line in chunk.splitlines():
+                line_no += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as error:
+                    return ParseError(f"{path}:{line_no}: not UTF-8: {error}")
+    return ParseError(f"{path}: not UTF-8: {exc}")  # the file changed since it was read
 
 
 def _cached_columns(path, fb, names: list, has_u: bool) -> tuple | None:
@@ -551,6 +579,8 @@ def _read_chunks(fh, columns, sources, width: int) -> int | None:
                 chunk = np.loadtxt(
                     fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, max_rows=_ROWS_PER_WRITE
                 )
+            except UnicodeDecodeError:
+                raise  # the row loop would decode the same bytes
             except ValueError:
                 return None
             if not len(chunk):

@@ -11,10 +11,13 @@ checks the inputs, sorts by time and finds each event row's tie-group
 head, _eta forms the linear predictor, and _head_sums reads each event's
 risk-set sums at its head. Those sums are reversed cumulative sums,
 streamed from the last row back in blocks of _BLOCK rows, with exp(eta)
-and the weighted products taken one block at a time. At n rows and p
-covariates the cohort-sized arrays are the sorted covariates (n * p) and
-eta (n); the rest is O(_BLOCK * p^2) for the products plus O(events * p^2)
-for the sums read at the event rows. The floats equal those of one
+and the weighted products taken one block at a time. A block is held
+column-major: one contiguous row per risk-set sum in a buffer reused for
+every block and filled in place, so no block allocates a temporary and
+numpy's loops run over whole rows. At n rows and p covariates the
+cohort-sized arrays are the sorted covariates (n * p) and eta (n); the
+rest is O(_BLOCK * p^2) for the block plus O(events * p^2) for the sums
+read at the event rows, returned in C order. The floats equal those of one
 reversed cumulative sum over all rows. fit_cox takes the Breslow baseline
 from the risk-set sums of its last accepted likelihood evaluation.
 """
@@ -131,32 +134,44 @@ def _head_sums(eta, x, head) -> tuple:
     _BLOCK rows, and exp(eta) is taken one block at a time. np.exp runs on
     the block's forward, contiguous slice and the result is reversed after:
     on a reversed (negative-stride) view numpy takes another exp loop,
-    whose results differ in the last bit for some inputs. Each block's
-    products, rows reversed, follow the running total in one buffer, and
-    np.cumsum adds sequentially down axis 0, so every sum is the float that
-    one reversed cumsum over all rows of exp(eta) gives. The running total
-    starts at -0.0, for which -0.0 + a is a, bit for bit. Only the pairs
-    i <= j are summed; x_i * x_j == x_j * x_i mirrors them.
+    whose results differ in the last bit for some inputs.
+
+    The block is column-major: buf holds one row of _BLOCK + 1 per sum, k =
+    1 + p + p(p+1)/2 rows in all (w, then w * x_j, then w * (x_i * x_j) for
+    i <= j; x_i * x_j == x_j * x_i mirrors the rest). Column 0 is the
+    running total and columns 1..m the block's rows reversed. The block's
+    covariates are copied, reversed and transposed, into the w * x_j rows;
+    each pair row is formed from them as x_i * x_j and scaled by w in place,
+    and then the w * x_j rows are scaled by w in place. So numpy runs each
+    multiply and the cumsum over contiguous rows, and no block allocates a
+    temporary. np.cumsum adds sequentially along each row, so every sum is
+    the float that one reversed cumsum over all rows of exp(eta) gives; the
+    running total starts at -0.0, for which -0.0 + a is a, bit for bit. Each
+    head's column is copied into one C-order (events, k) array, and s0, s1
+    and s2 are cut from it in C order: the likelihood sums them over axis 0,
+    and on a transposed layout numpy would sum pairwise, in another order.
     """
     n, p = x.shape
     i, j = np.triu_indices(p)
     sums = np.empty((head.size, 1 + p + i.size))
-    buf = np.empty((min(n, _BLOCK) + 1, sums.shape[1]))
+    buf = np.empty((sums.shape[1], min(n, _BLOCK) + 1))
     w = np.empty(min(n, _BLOCK))
-    buf[0] = -0.0
+    buf[:, 0] = -0.0
     for stop in range(n, 0, -_BLOCK):
         start = max(stop - _BLOCK, 0)
         m = stop - start
-        wb = np.exp(eta[start:stop], out=w[:m])[::-1, None]
-        xb = x[start:stop][::-1]
-        block = buf[:m + 1]
-        block[1:, :1] = wb
-        np.multiply(wb, xb, out=block[1:, 1:1 + p])
-        np.multiply(wb, xb[:, i] * xb[:, j], out=block[1:, 1 + p:])
-        np.cumsum(block, axis=0, out=block)
+        block = buf[:, :m + 1]
+        wb, xb = block[0, 1:], block[1:1 + p, 1:]
+        wb[:] = np.exp(eta[start:stop], out=w[:m])[::-1]
+        xb[:] = x[start:stop][::-1].T
+        for row, (a, b) in enumerate(zip(i, j), start=1 + p):
+            out = block[row, 1:]
+            np.multiply(wb, np.multiply(xb[a], xb[b], out=out), out=out)
+        np.multiply(wb, xb, out=xb)
+        np.cumsum(block, axis=1, out=block)
         lo, hi = np.searchsorted(head, (start, stop))
-        sums[lo:hi] = block[stop - head[lo:hi]]
-        buf[0] = block[m]
+        sums[lo:hi] = block[:, stop - head[lo:hi]].T
+        buf[:, 0] = block[:, m]
     pair = np.empty((p, p), dtype=np.intp)
     pair[i, j] = pair[j, i] = np.arange(1 + p, 1 + p + i.size)
     # np.take returns C order where fancy indexing would put the head axis

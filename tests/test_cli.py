@@ -196,6 +196,19 @@ def test_exit_2_on_missing_cohort_beside_its_cache(tmp_path, scenario_path, caps
     assert not (tmp_path / "fit.json").exists()
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [(b"time,event,x\xff\r\n1.0,1,2\r\n", 1), (b"time,event,x\r\n1.0,1,\xff\r\n", 2)],
+    ids=["header", "body"],
+)
+def test_exit_2_on_a_cohort_that_is_not_utf8(tmp_path, capsys, text, line):
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(text)
+    assert run(["fit", path, "--out-dir", tmp_path, "--quiet"]) == 2
+    assert f"cohort.csv:{line}: not UTF-8: " in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
 @pytest.mark.parametrize("dag", ["backdoor", "frontdoor"])
 def test_outputs_do_not_depend_on_the_column_cache(tmp_path, scenario_path, fd_scenario_path, dag):
     # the frontdoor cohort's cache also holds u_latent

@@ -523,9 +523,12 @@ def sorted_cohorts(draw):
     """Time-sorted (beta, t_s, d_s, x_s) around the block size: tie groups
     of every length, one tie group across each block edge, signed zeros
     among the covariates, and at times a run of -0.0 rows at the end, each
-    an event at its own time, where a sum started from +0.0 would read +0.0."""
+    an event at its own time, where a sum started from +0.0 would read +0.0.
+    p, the number of covariates summed, runs from 0 to 4; beta and x_s hold
+    max(p, 1) columns, so that eta is never all zeros, and the sums take the
+    first p of them: at p = 0 exp(eta) alone, as breslow_baseline sums it."""
     n = draw(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]))
-    p = draw(st.integers(1, 3))
+    p = draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t_s = np.sort(rng.integers(0, draw(st.sampled_from([1, 7, 500, 4 * n])), n)).astype(np.float64)
     # _head_sums cuts its blocks at n - k * _BLOCK
@@ -533,23 +536,24 @@ def sorted_cohorts(draw):
         t_s[edge - 3:edge + 2] = t_s[edge - 3]
     d_s = rng.random(n) < draw(st.sampled_from([0.01, 0.5, 1.0]))
     d_s[draw(st.integers(0, n - 1))] = True
-    x_s = rng.normal(size=(n, p))
-    x_s[rng.random((n, p)) < 0.05] = 0.0
-    x_s[rng.random((n, p)) < 0.05] = -0.0
+    x_s = rng.normal(size=(n, max(p, 1)))
+    x_s[rng.random(x_s.shape) < 0.05] = 0.0
+    x_s[rng.random(x_s.shape) < 0.05] = -0.0
     tail = draw(st.sampled_from([0, 1, 3]))
     if tail:
         t_s[n - tail:] = t_s[n - tail - 1] + np.arange(1, tail + 1)
         d_s[n - tail:] = True
         x_s[n - tail:] = -0.0
-    beta = rng.uniform(-1.0, 1.0, p)
-    return beta, t_s, d_s, x_s
+    beta = rng.uniform(-1.0, 1.0, x_s.shape[1])
+    return beta, t_s, d_s, x_s, p
 
 
 @settings(max_examples=30, deadline=None)
 @given(sorted_cohorts())
 def test_blocked_tail_sums_equal_whole_array_sums(case):
-    beta, t_s, d_s, x_s = case
+    beta, t_s, d_s, x_s, p = case
     eta, w, ev, head = whole_array_risk_sets(beta, t_s, d_s, x_s)
+    x_s = x_s[:, :p]
     want = (
         whole_array_tail(w, head),
         whole_array_tail(w[:, None] * x_s, head),
@@ -559,8 +563,32 @@ def test_blocked_tail_sums_equal_whole_array_sums(case):
     # of one np.exp over the whole array
     for got, expected in zip(_head_sums(eta, x_s, head), want):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    if not p:
+        return
     for got, expected in zip(_nlpl(beta, x_s, ev, head), whole_array_nlpl(beta, t_s, d_s, x_s)):
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_head_sums_hold_only_their_block_buffers():
+    # one row of _BLOCK + 1 per risk-set sum (k of them) and the block's
+    # exp(eta) (_BLOCK); the rest is the returned arrays and the per-block
+    # gathers at the heads
+    n, p = 3 * _BLOCK + 5, 2
+    k = 1 + p + p * (p + 1) // 2
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(n, p))
+    eta = x @ np.array([0.3, 0.4])
+    head = np.flatnonzero(rng.random(n) < 0.1)
+    _head_sums(eta, x, head)  # first-call allocations
+    tracemalloc.start()
+    try:
+        s0, s1, s2 = _head_sums(eta, x, head)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s1.base is s0.base and s2.base is None
+    returned = s0.base.nbytes + s2.nbytes
+    assert peak - returned <= (k * (_BLOCK + 1) + _BLOCK) * 8 + 64 * 1024
 
 
 def test_fit_streams_risk_sets_in_blocks():

@@ -706,6 +706,26 @@ def test_load_takes_the_roles_from_the_csv_header(tmp_path):
     assert_same_cohort(got, load_csv(path))
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["chunk_reader", "row_loop"])
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, monkeypatch, quoted):
+    # far enough into the body that the header read, which decodes the
+    # file's first 8 KiB, does not reach it; a quoted field sends the body
+    # to the row loop, which the chunk reader must not do on its own
+    rows = [b"time,event,x"] + [b"%d.5,1,0.25" % k for k in range(1, 2000)]
+    if quoted:
+        rows[1] = b'"1.5",1,0.25'
+    rows[1500] = b"1500.5,1,0.\xe9"
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(b"\r\n".join(rows) + b"\r\n")
+    row_loops = []
+    parse_rows = cohort._parse_rows
+    monkeypatch.setattr(cohort, "_parse_rows", lambda *args: row_loops.append(1) or parse_rows(*args))
+    message = r"cohort.csv:1501: not UTF-8: .* position 11: unexpected end of data$"
+    with pytest.raises(dh.ParseError, match=message):
+        dh.load_dataset(path)
+    assert len(row_loops) == quoted
+
+
 def test_load_rejects_malformed_rows(tmp_path):
     path = tmp_path / "bad.csv"
 
