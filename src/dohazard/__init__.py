@@ -43,7 +43,6 @@ from .frontdoor import (
     frontdoor_causal_rr,
     frontdoor_do_cdf_empirical,
     frontdoor_do_cdf_gaussian,
-    gaussian_moment_factorization,
     mediation_indirect_rr,
 )
 from .oracle import (
@@ -51,7 +50,6 @@ from .oracle import (
     OracleRatio,
     OracleResult,
     approx_error_report,
-    factual_conditional_incidence,
     oracle_paf,
     oracle_rr,
     simulate_do,
@@ -119,13 +117,11 @@ __all__ = [
     "draw_scm",
     "empirical_moments",
     "estimate_frontdoor_params",
-    "factual_conditional_incidence",
     "fit_cox",
     "frontdoor_causal_rr",
     "frontdoor_do_cdf_empirical",
     "frontdoor_do_cdf_gaussian",
     "gaussian_exponential_moment",
-    "gaussian_moment_factorization",
     "generate",
     "load_dataset",
     "load_fit",

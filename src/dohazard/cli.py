@@ -262,7 +262,7 @@ def cmd_oracle(args) -> int:
     t = args.t if args.t is not None else config.horizon_t
     payload = {"n": args.n, "seed": seed, "t": t}
     if args.x0 is not None:
-        ratio = orc.oracle_rr(config, args.x, args.x0, args.n, seed, t, shared_streams=args.shared_streams)
+        ratio = orc.oracle_rr(config, args.x, args.x0, args.n, seed, t)
         payload.update(
             ratio=ratio.ratio,
             standard_error=ratio.standard_error,
@@ -283,19 +283,16 @@ def cmd_oracle(args) -> int:
 
 def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: int) -> tuple:
     """All estimate rows plus the DAG's fitted numbers for report.json."""
-    scenario = exp.scenario
+    scenario, n = exp.scenario, exp.oracle_n
     rows = []
     x_values = list(dict.fromkeys(v for contrast in exp.contrasts for v in contrast))
     est = _estimator(scenario.dag_kind, dataset, fit, _ROLES[1:], max(exp.horizon_grid))
 
-    def arms(offset, xs):
-        return orc._incidences(scenario, exp.oracle_n, oracle_seed, offset, xs, exp.horizon_grid)
-
-    # One draw of the noise at each offset simulate_do, oracle_rr and oracle_paf
-    # use serves every (x, t) there; oracle_paf's do(0) sits with the numerators.
-    do_results = arms(0, x_values)
-    numerators = arms(orc._NUMERATOR_OFFSET, [x for x, _ in exp.contrasts] + ([0.0] if est.paf else []))
-    denominators = arms(orc._DENOMINATOR_OFFSET, [x0 for _, x0 in exp.contrasts])
+    # One draw of the oracle's noise at offset 0 counts every arm and every
+    # compared pair of the pass; the PAF compares the factual arm with do(0).
+    pairs = list(exp.contrasts) + ([(None, 0.0)] if est.paf else [])
+    counts = orc._event_counts(scenario, n, oracle_seed, 0, x_values, exp.horizon_grid, pairs)
+    do_results = {(x, t): orc._result(counts[x, t], n, x, t, oracle_seed) for x in x_values for t in exp.horizon_grid}
 
     def row(method, x, x0, t, estimate, std_err, oracle_value, oracle_se, rarity_flag):
         rel = abs(estimate - oracle_value) / abs(oracle_value) if oracle_value else float("nan")
@@ -304,7 +301,7 @@ def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: 
     for x, x0 in exp.contrasts:
         rr = est.rr(x, x0)
         for t in exp.horizon_grid:
-            ora = orc._ratio(numerators[x, t], denominators[x0, t])
+            ora = orc._ratio(counts, n, oracle_seed, x, x0, t)
             rows.append(row("causal_rr", x, x0, t, rr.value, rr.std_err, ora.ratio, ora.standard_error, rr.rarity_flag))
     for x in x_values:
         for t in exp.horizon_grid:
@@ -315,9 +312,8 @@ def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: 
             )
     if est.paf is not None:
         value = est.paf()
-        factual = arms(orc._FACTUAL_OFFSET, [None])
         for t in exp.horizon_grid:
-            o_paf, o_se = orc._paf(factual[None, t], numerators[0.0, t])
+            o_paf, o_se = orc._paf(counts, n, 0.0, t)
             rows.append(row("paf", float("nan"), 0.0, t, value, float("nan"), o_paf, o_se, False))
     for x in x_values:
         for t in exp.horizon_grid:
@@ -446,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, default=None, help="reference value (enables the ratio)")
     p.add_argument("--n", type=int, default=1_000_000, help="subjects per arm")
     p.add_argument("--t", type=float, default=None, help="horizon (default: scenario horizon)")
-    p.add_argument("--shared-streams", action="store_true", help="draw both arms from one stream block")
     p.add_argument("--out", default="oracle.json", help="output JSON name")
     _add_common(p, suppress=True)
     p.set_defaults(func=cmd_oracle)

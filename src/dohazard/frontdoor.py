@@ -24,7 +24,7 @@ from .cohort import Dataset
 from .cox import CoxFit, _horizon, fit_cox
 from .errors import EmptyStratumError, InvalidArgumentError
 from .results import CausalEstimate
-from .stats import empirical_moments, gaussian_exponential_moment, ols_fit, GaussianSpec
+from .stats import empirical_moments, ols_fit
 
 RARITY_THRESHOLD = 0.1
 
@@ -106,15 +106,6 @@ def frontdoor_do_cdf_gaussian(params: FrontdoorParams, h0_t: float, x: float) ->
         rarity_flag=value > RARITY_THRESHOLD,
         diagnostics={"h0_t": h0_t},
     )
-
-
-def gaussian_moment_factorization(params: FrontdoorParams, h0_t: float, x: float) -> float:
-    """The same closed form written as two exponential moments:
-    E[exp(beta_x X')] for X' ~ N(mu_x, sigma_x^2) times E[exp(beta_z Z)]
-    for Z ~ N(alpha*x, sigma_z^2), times the baseline."""
-    m_x = gaussian_exponential_moment(params.beta_x, GaussianSpec(params.mu_x, params.sigma_x))
-    m_z = gaussian_exponential_moment(params.beta_z, GaussianSpec(params.alpha * x, params.sigma_z))
-    return h0_t * m_x * m_z
 
 
 def _quantile_edges(values: np.ndarray, bins: int) -> np.ndarray:

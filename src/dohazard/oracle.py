@@ -11,8 +11,9 @@ approximate, with a plain binomial standard error.
 The arms at one stream offset differ only in the forced x, so
 ``_event_counts`` counts every (x, t) of an offset from one draw of its
 noise, block by block (common random numbers), each count bit for bit
-that of a draw of the arm alone. The ratio and PAF arms keep their own
-offsets, so their errors stay independent and the delta-method SEs hold.
+that of a draw of the arm alone. A ratio or PAF compares two arms of that
+one draw, so it also counts the subjects failing under both, and its
+delta-method SE is the paired one.
 
 No random censoring is applied: the target is the latent failure CDF,
 so censoring cannot masquerade as estimator error.
@@ -29,13 +30,6 @@ from .cohort import Dataset
 from .cox import CoxFit, _horizon
 from .errors import DegenerateOracleError, InvalidArgumentError, NumericalError
 from .simulate import ScenarioConfig, _scm_blocks
-
-# Each simulation arm gets its own block of stream ids so arms never share
-# bits unless sharing is asked for explicitly.
-_ARM_STRIDE = 16
-_NUMERATOR_OFFSET = _ARM_STRIDE
-_DENOMINATOR_OFFSET = 2 * _ARM_STRIDE
-_FACTUAL_OFFSET = 3 * _ARM_STRIDE
 
 _FLAG_THRESHOLD = 0.05
 
@@ -54,7 +48,8 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class OracleRatio:
-    """Ratio of two interventional incidences with a delta-method SE."""
+    """Ratio of two interventional incidences of one draw with a paired
+    delta-method SE."""
 
     ratio: float
     standard_error: float
@@ -73,29 +68,31 @@ def _check_arms(config: ScenarioConfig, xs, ts) -> None:
             raise InvalidArgumentError(f"t must lie in (0, horizon_t={config.horizon_t}], got {t}")
 
 
-def _result(events: int, n: int, x_value: float, t: float, seed: int) -> OracleResult:
+def _result(events: int, n: int, x_value: float | None, t: float, seed: int) -> OracleResult:
+    """events of n as an OracleResult; the factual arm's (None) x_value is NaN."""
     p = events / n
+    x_value = math.nan if x_value is None else x_value
     return OracleResult(p, math.sqrt(p * (1.0 - p) / n), n, x_value, float(t), seed)
 
 
-def _event_counts(config: ScenarioConfig, n: int, seed: int, offset: int, xs, ts) -> dict:
+def _event_counts(config: ScenarioConfig, n: int, seed: int, offset: int, xs, ts, pairs=()) -> dict:
     """Subjects failing by t under do(X=x), keyed (x, t) for every x of xs
-    (None: the factual arm) and t of ts, from one draw of the exogenous
-    noise at offset. Every x and t is checked before any stream opens."""
+    and of pairs (None: the factual arm) and t of ts, and subjects failing
+    by t under both arms of a pair (x, x0), keyed (x, x0, t), all from one
+    draw of the exogenous noise at offset. Every x and t is checked before
+    any stream opens."""
+    xs = list(dict.fromkeys([*xs, *(x for pair in pairs for x in pair)]))
     _check_arms(config, xs, ts)
-    xs, ts = list(dict.fromkeys(xs)), list(dict.fromkeys(ts))
-    counts = {(x, t): 0 for x in xs for t in ts}
+    ts, pairs = list(dict.fromkeys(ts)), list(dict.fromkeys(pairs))
+    counts = dict.fromkeys([(x, t) for x in xs for t in ts] + [(x, x0, t) for x, x0 in pairs for t in ts], 0)
     for arms in _scm_blocks(config, n, seed, offset, xs):
-        for x, (_, _, _, failure) in zip(xs, arms):
+        failed = {(x, t): failure <= t for x, (_, _, _, failure) in zip(xs, arms) for t in ts}
+        for key, hit in failed.items():
+            counts[key] += int(np.count_nonzero(hit))
+        for x, x0 in pairs:
             for t in ts:
-                counts[x, t] += int(np.count_nonzero(failure <= t))
+                counts[x, x0, t] += int(np.count_nonzero(failed[x, t] & failed[x0, t]))
     return counts
-
-
-def _incidences(config: ScenarioConfig, n: int, seed: int, offset: int, xs, ts) -> dict:
-    """_event_counts as OracleResults; the factual arm's x_value is NaN."""
-    counts = _event_counts(config, n, seed, offset, xs, ts)
-    return {(x, t): _result(c, n, math.nan if x is None else x, t, seed) for (x, t), c in counts.items()}
 
 
 def simulate_do(
@@ -106,98 +103,62 @@ def simulate_do(
     Only administrative truncation at t applies; the returned fraction
     estimates the latent failure CDF under the intervention.
     """
-    return _incidences(config, n, seed, stream_offset, [x_value], [t])[x_value, t]
+    counts = _event_counts(config, n, seed, stream_offset, [x_value], [t])
+    return _result(counts[x_value, t], n, x_value, t, seed)
 
 
-def simulate_factual(
-    config: ScenarioConfig, n: int, seed: int, t: float, stream_offset: int = _FACTUAL_OFFSET
-) -> OracleResult:
+def simulate_factual(config: ScenarioConfig, n: int, seed: int, t: float, stream_offset: int = 0) -> OracleResult:
     """Factual (no-intervention) incidence by simulation, same conventions
-    as simulate_do."""
-    return _incidences(config, n, seed, stream_offset, [None], [t])[None, t]
+    as simulate_do; x_value is NaN."""
+    return _result(_event_counts(config, n, seed, stream_offset, [None], [t])[None, t], n, None, t, seed)
 
 
-def factual_conditional_incidence(
-    config: ScenarioConfig,
-    x_value: float,
-    window: float,
-    n: int,
-    seed: int,
-    t: float,
-    stream_offset: int = _FACTUAL_OFFSET,
-) -> OracleResult:
-    """Conditional incidence P(T <= t | X within window of x_value) in the
-    factual world. Conditioning is not intervening: with confounding this
-    differs from simulate_do at the same x."""
-    if not (math.isfinite(window) and window > 0):
-        raise InvalidArgumentError(f"window must be > 0, got {window}")
-    _check_arms(config, [], [t])
-    kept = events = 0
-    for [(x, _, _, failure)] in _scm_blocks(config, n, seed, stream_offset):
-        keep = np.abs(x - x_value) <= window
-        kept += int(np.count_nonzero(keep))
-        events += int(np.count_nonzero(failure[keep] <= t))
-    if kept == 0:
-        raise DegenerateOracleError(f"no subjects within {window} of x={x_value}; widen the window or increase n")
-    return _result(events, kept, float(x_value), t, seed)
-
-
-def oracle_rr(
-    config: ScenarioConfig,
-    x: float,
-    x0: float,
-    n: int,
-    seed: int,
-    t: float,
-    shared_streams: bool = False,
-) -> OracleRatio:
+def oracle_rr(config: ScenarioConfig, x: float, x0: float, n: int, seed: int, t: float) -> OracleRatio:
     """Ratio of interventional incidences at x versus x0.
 
-    Arms run on disjoint stream blocks of the same seed, so the binomial
-    errors are independent and the delta-method SE on the log ratio is
-    valid. shared_streams=True counts both arms from one draw at offset 0,
-    which makes the x == x0 ratio exactly one; its SE is not meaningful and
-    is reported as zero when the arms coincide.
+    Both arms are counted from one draw of the noise at offset 0 (common
+    random numbers): the ratio at x == x0 is exactly one with SE zero, and
+    the SE of the log ratio is the paired delta-method one.
     """
-    _check_arms(config, [x, x0], [t])
-    if shared_streams:
-        arms = _incidences(config, n, seed, 0, [x, x0], [t])
-        return _ratio(arms[x, t], arms[x0, t], coincide=x == x0)
-    numerator = simulate_do(config, x, n, seed, t, stream_offset=_NUMERATOR_OFFSET)
-    denominator = simulate_do(config, x0, n, seed, t, stream_offset=_DENOMINATOR_OFFSET)
-    return _ratio(numerator, denominator)
+    return _ratio(_event_counts(config, n, seed, 0, [], [t], [(x, x0)]), n, seed, x, x0, t)
 
 
-def _ratio(numerator: OracleResult, denominator: OracleResult, coincide: bool = False) -> OracleRatio:
-    """oracle_rr from its two arms; coincide: both are one draw, SE zero."""
+def _ratio(counts: dict, n: int, seed: int, x: float, x0: float, t: float) -> OracleRatio:
+    """oracle_rr from the _event_counts of the pair (x, x0) at t."""
+    numerator, denominator = _result(counts[x, t], n, x, t, seed), _result(counts[x0, t], n, x0, t, seed)
     for arm, label in ((numerator, "numerator"), (denominator, "denominator")):
         if arm.incidence == 0.0:
             raise DegenerateOracleError(f"no events in the {label} arm (x={arm.x_value}); increase n or t")
     ratio = numerator.incidence / denominator.incidence
-    se_log = 0.0 if coincide else _log_ratio_se(numerator, denominator)
+    se_log = _log_ratio_se(counts[x, t], counts[x0, t], counts[x, x0, t])
     return OracleRatio(ratio, ratio * se_log, se_log, numerator, denominator)
 
 
-def _log_ratio_se(a: OracleResult, b: OracleResult) -> float:
-    """Delta-method SE of log(a / b) for independent binomial arms."""
-    return math.sqrt((1.0 - a.incidence) / (a.n * a.incidence) + (1.0 - b.incidence) / (b.n * b.incidence))
+def _log_ratio_se(a: int, b: int, both: int) -> float:
+    """Delta-method SE of log(a / b) for two arms counted on the same n
+    subjects, a and b failing under each and both under the two:
+    se^2 = (a + b - 2 both) / (a b), whose numerator counts the subjects
+    failing under exactly one arm, so it is never negative and is zero for
+    an arm against itself."""
+    return math.sqrt((a + b - 2 * both) / (a * b))
 
 
 def oracle_paf(config: ScenarioConfig, n: int, seed: int, t: float, x0: float = 0.0) -> tuple[float, float]:
     """Simulated population attributable fraction
-    (I_factual - I_do(x0)) / I_factual, with a delta-method SE."""
-    counterfactual = simulate_do(config, x0, n, seed, t, stream_offset=_NUMERATOR_OFFSET)  # checks x0 and t first
-    return _paf(simulate_factual(config, n, seed, t), counterfactual)
+    (I_factual - I_do(x0)) / I_factual, with the paired delta-method SE:
+    both arms are counted from one draw of the noise at offset 0."""
+    return _paf(_event_counts(config, n, seed, 0, [], [t], [(None, x0)]), n, x0, t)
 
 
-def _paf(factual: OracleResult, counterfactual: OracleResult) -> tuple[float, float]:
-    """oracle_paf from its factual and do(x0) arms."""
-    if factual.incidence == 0.0:
+def _paf(counts: dict, n: int, x0: float, t: float) -> tuple[float, float]:
+    """oracle_paf from the _event_counts of the pair (None, x0) at t."""
+    factual, counterfactual = counts[None, t], counts[x0, t]
+    if factual == 0:
         raise DegenerateOracleError("no factual events; increase n or t")
-    if counterfactual.incidence == 0.0:
+    if counterfactual == 0:
         raise DegenerateOracleError("no events under do(x0); increase n or t")
-    ratio = counterfactual.incidence / factual.incidence
-    return 1.0 - ratio, ratio * _log_ratio_se(counterfactual, factual)
+    ratio = (counterfactual / n) / (factual / n)
+    return 1.0 - ratio, ratio * _log_ratio_se(counterfactual, factual, counts[None, x0, t])
 
 
 def taylor_relative_error(h: float) -> float:

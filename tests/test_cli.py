@@ -146,14 +146,16 @@ def test_oracle_seed_means_the_scenario_seed(tmp_path):
 
 
 def test_oracle_command_shared_streams_identity(tmp_path, scenario_path):
-    rc = run([
-        "oracle", scenario_path, "--x", 1.0, "--x0", 1.0, "--n", 20_000,
-        "--shared-streams", "--out-dir", tmp_path, "--quiet",
-    ])
-    assert rc == 0
+    # both arms are counted from one draw, so a ratio of an arm to itself is
+    # exactly one; the flag that used to ask for that draw is gone
+    args = ["oracle", scenario_path, "--x", 1.0, "--x0", 1.0, "--n", 20_000, "--out-dir", tmp_path, "--quiet"]
+    assert run(args) == 0
     payload = json.loads((tmp_path / "oracle.json").read_text())
     assert payload["ratio"] == 1.0
     assert payload["standard_error"] == 0.0
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--shared-streams"])
+    assert exc.value.code == 2
 
 
 def test_exit_2_on_malformed_json(tmp_path, capsys):
@@ -453,20 +455,18 @@ PINNED_DIGESTS = {
     "backdoor --fit 2,-1 t=5": "ef700f3905a0ddf868b9a0adfa111bb742fd05703d6129deda816595bb4f33f3",
     "backdoor 1,0 t=10": "34611d2073a7f29f00d5441327f8f4da8605b514bd2a2562222357fb01588549",
     "backdoor 2,-1 t=5": "ef700f3905a0ddf868b9a0adfa111bb742fd05703d6129deda816595bb4f33f3",
-    "experiment backdoor estimates.csv": "b147134287ae1112bcf3e1a549e51d944de40010c8418a3eb24a6f64a4220b6a",
-    "experiment backdoor report.json": "3de79107041b1a8c25a36867f211bb030312e2faf966535a37641a04fe89407a",
-    "experiment frontdoor estimates.csv": "c4fe5956b6d316d4f5c816258cd0fd4fd717bf6006873ae906e52e2a6eb6223e",
-    "experiment frontdoor report.json": "980077d6d5f3efe8deb88392123df11ec8c53cb821b0af88b782e6e4d7ef417e",
+    "experiment backdoor estimates.csv": "3f24b4f6a60042f7fe039a3736438dff540f42d2c0e316d56b45e5c66b142e4f",
+    "experiment backdoor report.json": "2f54e5209bb1615da03d12a8ba60b55f0d415fba49dab2bb5ddd758372f606b7",
+    "experiment frontdoor estimates.csv": "f9a13b075e8b43de646204c132c8dcc50214be02cae50de24980fecf4c28050f",
+    "experiment frontdoor report.json": "82ef63c817ed8747d970cb8b8224171caca8c6e05f7b4a9bf6bc5e3f93368feb",
     "frontdoor 1,0 t=10": "7c90f9440959280c003eaa1eac0cab5dfcdea885ff7e328a97bf21c0a080f05e",
     "frontdoor 2,-1 t=5": "352607f5faf5de3b96ee18e8a116bf30db6867f894274863a47b84b4f5915085",
     "oracle backdoor --x 1": "5dcb31fce7b5ba6ae24bad054f92c60594fd87b71ea1893307f94c1689fbf05f",
-    "oracle backdoor --x 1 --x0 0": "e75b884994748447983e5350c256e4b3bda50aafeb40b4f4249e99b13e8fb127",
-    "oracle backdoor --x 2 --x0 -1": "33407e4a53e63e9d01ad96c291ad98ea6ff2f5b5d2f0310b99393bc16c1c620c",
-    "oracle backdoor --x 1 --x0 0 --shared-streams": "aa2e22de307e0335bfd2677489361755fa1f3e8b339242207b305253e1410a7e",
+    "oracle backdoor --x 1 --x0 0": "3ea3285623e1d54360e90fdd853e9ae7c4603f6e60390c5cdafb87fd7b199baf",
+    "oracle backdoor --x 2 --x0 -1": "5c25fb35a330021c50404e1aaa8b23dd214c844bf31e304b02b8f4baaafd75a7",
     "oracle frontdoor --x 1": "5aabc3c1fa0af91d556d6a03e62410173c675ef59ae0f9cb783c29881064bfc6",
-    "oracle frontdoor --x 1 --x0 0": "ed5b4f99fea1c00858dd1cbfc019befe782e7389cc1c147634fa574c4a805d03",
-    "oracle frontdoor --x 2 --x0 -1": "f727f3d7305eb9cc42b031b74b6a2ac574f024b3f26903bed04b45ebb45dc161",
-    "oracle frontdoor --x 1 --x0 0 --shared-streams": "e9b009bb4afaacf3fba15c9048c65d95e1154ad71da9c60b30ef31220cf4d7a4",
+    "oracle frontdoor --x 1 --x0 0": "cf2e0cb7cef0ce4a021fc0bd1632b333c5325d4de636f3aac91bc39b3ec9a34f",
+    "oracle frontdoor --x 2 --x0 -1": "a179a02e8d78f7519a62efbd602ca93c2fce013ec2b1687abd93e811716f2641",
     "simulate backdoor cohort.csv": "ea5c55f8b84d75989fcebb1d647be27531f7a8f274ea5b6549b096ef64917eba",
     "simulate frontdoor cohort.csv": "d704a4a7db273d2967b8c171c603b49c3a74017895d29041adbafa3744c2284d",
 }
@@ -494,7 +494,7 @@ def test_cli_outputs_match_pinned_digests(tmp_path):
                 assert run([dag, cohort, "--contrast", contrast, "--t", t, *extra,
                             "--out-dir", tmp_path, "--out", out.name, "--quiet"]) == 0
                 got[name] = sha(out)
-        for x, extra in (("1", []), ("1", ["--x0", "0"]), ("2", ["--x0", "-1"]), ("1", ["--x0", "0", "--shared-streams"])):
+        for x, extra in (("1", []), ("1", ["--x0", "0"]), ("2", ["--x0", "-1"])):
             assert run(["oracle", tmp_path / f"{dag}.json", "--x", x, *extra, "--n", 20_000,
                         "--out-dir", tmp_path, "--out", "oracle.json", "--quiet"]) == 0
             got[" ".join(["oracle", dag, "--x", x, *extra])] = sha(tmp_path / "oracle.json")
@@ -516,12 +516,12 @@ def test_cli_outputs_match_pinned_digests(tmp_path):
 @pytest.mark.parametrize(
     "make_config, streams",
     [
-        # do(x) arms at offsets 0, 16 and 32 draw Z (id 1) and the failure
-        # uniforms (id 4); the factual arm of the PAF at 48 draws X's noise too
-        (make_backdoor_config, {1, 4, 17, 20, 33, 36, 49, 50, 52}),
+        # one draw at offset 0 serves every arm: Z (id 1), X's noise (2) for
+        # the factual arm of the PAF, and the failure uniforms (4)
+        (make_backdoor_config, {1, 2, 4}),
         # frontdoor draws U (1), the mediator noise (3) and the uniforms (4),
         # and has no PAF
-        (make_frontdoor_config, {1, 3, 4, 17, 19, 20, 33, 35, 36}),
+        (make_frontdoor_config, {1, 3, 4}),
     ],
     ids=["backdoor", "frontdoor"],
 )

@@ -78,14 +78,18 @@ def test_gaussian_cdf_flag_threshold():
 
 
 def test_gaussian_equals_moment_factorization():
+    # the same closed form written as two exponential moments, E[exp(beta_x X')]
+    # for X' ~ N(mu_x, sigma_x^2) and E[exp(beta_z Z)] for Z ~ N(alpha*x, sigma_z^2),
+    # times the baseline
     rng = np.random.default_rng(414)
     for _ in range(50):
         params = random_params(rng)
         x = float(rng.normal())
         h0 = float(rng.uniform(0.0, 0.1))
         direct = dh.frontdoor_do_cdf_gaussian(params, h0, x).value
-        factored = dh.gaussian_moment_factorization(params, h0, x)
-        assert direct == pytest.approx(factored, rel=1e-12)
+        m_x = dh.gaussian_exponential_moment(params.beta_x, dh.GaussianSpec(params.mu_x, params.sigma_x))
+        m_z = dh.gaussian_exponential_moment(params.beta_z, dh.GaussianSpec(params.alpha * x, params.sigma_z))
+        assert direct == pytest.approx(h0 * m_x * m_z, rel=1e-12)
 
 
 def test_gaussian_ratio_matches_causal_rr():

@@ -61,12 +61,13 @@ def test_simulate_do_monotone_in_t(backdoor_config):
 
 
 def test_oracle_rr_null_effect_backdoor():
+    # with beta_x = 0 the forced x moves no failure time of the one draw
     cfg = make_backdoor_config(
         seed=23,
         coefficients=dh.BackdoorCoefficients(a_zx=0.5, sigma_x=1.0, beta_x=0.0, beta_z=0.4),
     )
     rr = dh.oracle_rr(cfg, 1.0, 0.0, 200_000, 301, 10.0)
-    assert abs(rr.ratio - 1.0) < 3.0 * rr.standard_error
+    assert (rr.ratio, rr.standard_error, rr.log_standard_error) == (1.0, 0.0, 0.0)
 
 
 def test_oracle_rr_null_effect_frontdoor():
@@ -75,12 +76,12 @@ def test_oracle_rr_null_effect_frontdoor():
             c_ux=0.8, sigma_x=0.6, alpha=0.0, sigma_z=0.5, beta_z=0.5, beta_u=0.7
         ),
     )
-    rr = dh.oracle_rr(cfg, 3.0, 0.0, 200_000, 303, 10.0)
-    assert abs(rr.ratio - 1.0) < 3.0 * rr.standard_error
+    rr = dh.oracle_rr(cfg, 3.0, 0.0, 200_000, 303, 10.0)  # alpha = 0: x moves no mediator
+    assert (rr.ratio, rr.standard_error, rr.log_standard_error) == (1.0, 0.0, 0.0)
 
 
 def test_oracle_rr_shared_streams_identity(backdoor_config):
-    rr = dh.oracle_rr(backdoor_config, 1.0, 1.0, 50_000, 9, 10.0, shared_streams=True)
+    rr = dh.oracle_rr(backdoor_config, 1.0, 1.0, 50_000, 9, 10.0)
     assert rr.ratio == 1.0
     assert rr.standard_error == 0.0
     assert rr.log_standard_error == 0.0
@@ -98,18 +99,11 @@ def test_oracle_rr_shared_streams_draw_offset_zero_once(backdoor_config, monkeyp
         init(self, seed, stream_id)
 
     monkeypatch.setattr(dh.RngStream, "__init__", spy_init)
-    rr = dh.oracle_rr(backdoor_config, 1.0, x0, 20_000, 9, 10.0, shared_streams=True)
+    rr = dh.oracle_rr(backdoor_config, 1.0, x0, 20_000, 9, 10.0)
     assert sorted(opened) == [1, 4]
     monkeypatch.undo()
     assert rr.numerator == dh.simulate_do(backdoor_config, 1.0, 20_000, 9, 10.0)
     assert rr.denominator == dh.simulate_do(backdoor_config, x0, 20_000, 9, 10.0)
-
-
-def test_oracle_rr_independent_arms(backdoor_config):
-    rr = dh.oracle_rr(backdoor_config, 1.0, 1.0, 200_000, 9, 10.0)
-    assert rr.ratio != 1.0  # different stream blocks
-    assert abs(rr.ratio - 1.0) < 4.0 * rr.standard_error
-    assert rr.numerator.n == rr.denominator.n == 200_000
 
 
 def test_oracle_rr_recovers_log_hazard_contrast():
@@ -124,18 +118,14 @@ def test_oracle_rr_recovers_log_hazard_contrast():
 def test_conditional_differs_from_interventional_under_confounding():
     cfg = make_strong_confounding_config()
     do = dh.simulate_do(cfg, 1.0, 1_000_000, 777, 10.0)
-    cond = dh.factual_conditional_incidence(cfg, 1.0, 0.2, 1_000_000, 777, 10.0)
-    gap = abs(cond.incidence - do.incidence)
-    combined = math.hypot(cond.standard_error, do.standard_error)
+    # P(T <= t | X within 0.2 of 1) in the factual world of the same draw
+    x, _, _, failure = dh.draw_scm(cfg, 1_000_000, 777)
+    hit = failure[np.abs(x - 1.0) <= 0.2] <= 10.0
+    cond = np.mean(hit)
+    gap = abs(cond - do.incidence)
+    combined = math.hypot(math.sqrt(cond * (1.0 - cond) / hit.size), do.standard_error)
     assert gap > 4.0 * combined
-    assert cond.incidence > do.incidence  # confounding inflates the conditional risk
-
-
-def test_conditional_incidence_empty_window(backdoor_config):
-    with pytest.raises(dh.DegenerateOracleError):
-        dh.factual_conditional_incidence(backdoor_config, 50.0, 0.1, 10_000, 5, 10.0)
-    with pytest.raises(dh.InvalidArgumentError):
-        dh.factual_conditional_incidence(backdoor_config, 1.0, 0.0, 10_000, 5, 10.0)
+    assert cond > do.incidence  # confounding inflates the conditional risk
 
 
 def test_oracle_rr_degenerate_arm():
@@ -149,7 +139,26 @@ def test_oracle_paf_null_exposure():
         coefficients=dh.BackdoorCoefficients(a_zx=0.5, sigma_x=1.0, beta_x=0.0, beta_z=0.4),
     )
     value, se = dh.oracle_paf(cfg, 200_000, 41, 10.0)
-    assert abs(value) < 4.0 * se
+    assert (value, se) == (0.0, 0.0)  # beta_x = 0: the drawn and the forced x fail alike
+
+
+@pytest.mark.parametrize(
+    "make_config, x",
+    [(make_backdoor_config, 1.0), (make_backdoor_config, -1.0), (make_frontdoor_config, 1.0)],
+    ids=["backdoor 1 vs 0", "backdoor -1 vs 0", "frontdoor 1 vs 0"],
+)
+def test_paired_log_ratio_se_matches_spread_over_seeds(make_config, x):
+    # the arms share one draw, so the SE must carry their correlation: the
+    # spread of the log ratio over seeds is what the mean reported SE says
+    cfg = make_config()
+    ratios = [dh.oracle_rr(cfg, x, 0.0, 20_000, seed, 10.0) for seed in range(200)]
+    spread = np.std([math.log(r.ratio) for r in ratios], ddof=1)
+    assert 0.8 <= spread / np.mean([r.log_standard_error for r in ratios]) <= 1.25
+
+
+def test_paired_paf_se_matches_spread_over_seeds(backdoor_config):
+    values, ses = zip(*(dh.oracle_paf(backdoor_config, 20_000, seed, 10.0) for seed in range(200)))
+    assert 0.8 <= np.std(values, ddof=1) / np.mean(ses) <= 1.25
 
 
 def test_oracle_paf_positive_for_harmful_exposure(backdoor_config):
@@ -201,9 +210,8 @@ def test_approx_report_reference(backdoor_dataset, backdoor_fit, backdoor_summar
     [
         lambda cfg, n: dh.simulate_do(cfg, 1.0, n, 7, 10.0),
         lambda cfg, n: dh.simulate_factual(cfg, n, 7, 10.0),
-        lambda cfg, n: dh.factual_conditional_incidence(cfg, 1.0, 0.5, n, 7, 10.0),
     ],
-    ids=["do", "factual", "conditional"],
+    ids=["do", "factual"],
 )
 def test_oracle_arms_reject_empty_draw(backdoor_config, arm):
     with pytest.raises(dh.InvalidArgumentError, match="^n must be >= 1, got -1$"):
@@ -226,8 +234,8 @@ def test_simulate_do_streams_in_blocks(backdoor_config):
 
 
 def test_event_counts_stream_in_blocks(backdoor_config):
-    xs, ts = [2.0, 1.0, 0.0, -1.0], [2.5, 5.0, 7.5, 10.0]
-    assert traced_peak(lambda n: _event_counts(backdoor_config, n, 7, 0, xs, ts), 200_000) < 2_000_000
+    xs, ts, pairs = [2.0, 1.0, 0.0, -1.0], [2.5, 5.0, 7.5, 10.0], [(1.0, 0.0), (-1.0, 0.0), (None, 0.0)]
+    assert traced_peak(lambda n: _event_counts(backdoor_config, n, 7, 0, xs, ts, pairs), 200_000) < 2_000_000
 
 
 @pytest.mark.parametrize("make_config", [make_backdoor_config, make_frontdoor_config], ids=["backdoor", "frontdoor"])
@@ -240,19 +248,15 @@ def test_oracle_counts_equal_scm_columns(make_config):
     assert do.incidence == np.mean(failure <= t) and do.n == n
 
     factual = dh.simulate_factual(cfg, n, seed, t, stream_offset=48)
-    x, _, _, failure = dh.draw_scm(cfg, n, seed, 48)
+    failure = dh.draw_scm(cfg, n, seed, 48)[3]
     assert factual.incidence == np.mean(failure <= t) and factual.n == n
-
-    cond = dh.factual_conditional_incidence(cfg, 1.0, 0.25, n, seed, t, stream_offset=48)
-    keep = np.abs(x - 1.0) <= 0.25
-    assert cond.incidence == np.mean(failure[keep] <= t)
-    assert cond.n == np.count_nonzero(keep)
 
 
 @st.composite
 def oracle_requests(draw):
     """A scenario and one offset's request: x values (None: the factual
-    arm) with duplicates and in any order, and several horizons."""
+    arm) with duplicates and in any order, several horizons, and pairs of
+    those x values."""
     hazard = draw(st.sampled_from([dh.ExponentialHazard(0.002), dh.ExponentialHazard(0.05), dh.WeibullHazard(1.5, 20.0)]))
     if draw(st.booleans()):
         z_dist = dh.BernoulliZ(draw(st.floats(0.0, 1.0))) if draw(st.booleans()) else dh.StandardNormalZ()
@@ -262,21 +266,26 @@ def oracle_requests(draw):
     xs = draw(st.lists(st.none() | st.sampled_from([-1.0, 0.0, 1.0, 2.0]) | st.floats(-3.0, 3.0), min_size=1, max_size=6))
     ts = draw(st.lists(st.sampled_from([2.5, 10.0]) | st.floats(0.01, 10.0), min_size=1, max_size=4))
     n = draw(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]))
-    return config, n, draw(st.integers(0, 2**32)), draw(st.sampled_from([0, 16, 32, 48, 7])), xs, ts
+    pairs = draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(xs)), max_size=4))
+    return config, n, draw(st.integers(0, 2**32)), draw(st.sampled_from([0, 16, 32, 48, 7])), xs, ts, pairs
 
 
 @settings(max_examples=40, deadline=None)
 @given(oracle_requests())
 def test_event_counts_equal_one_arm_draws(case):
     # one draw of an offset's noise must count every (x, t) as a draw of
-    # that arm alone does
-    config, n, seed, offset, xs, ts = case
-    counts = _event_counts(config, n, seed, offset, xs, ts)
-    assert set(counts) == {(x, t) for x in xs for t in ts}
-    for x in dict.fromkeys(xs):
-        failure = dh.draw_scm(config, n, seed, offset, x_forced=x)[3]
+    # that arm alone does, and every pair's joint failures as the two arms'
+    # draws do
+    config, n, seed, offset, xs, ts, pairs = case
+    counts = _event_counts(config, n, seed, offset, xs, ts, pairs)
+    assert set(counts) == {(x, t) for x in xs for t in ts} | {(x, x0, t) for x, x0 in pairs for t in ts}
+    failures = {x: dh.draw_scm(config, n, seed, offset, x_forced=x)[3] for x in xs}
+    for x, failure in failures.items():
         for t in ts:
             assert counts[x, t] == np.count_nonzero(failure <= t), (x, t)
+    for x, x0 in pairs:
+        for t in ts:
+            assert counts[x, x0, t] == np.count_nonzero((failures[x] <= t) & (failures[x0] <= t)), (x, x0, t)
 
 
 def test_event_counts_check_every_argument_before_drawing(backdoor_config, monkeypatch):
@@ -286,6 +295,8 @@ def test_event_counts_check_every_argument_before_drawing(backdoor_config, monke
         _event_counts(backdoor_config, 1_000, 7, 0, [1.0, None, 2.0, math.nan], [5.0])
     with pytest.raises(dh.InvalidArgumentError, match=r"^t must lie in \(0, horizon_t=10.0\], got 10.5$"):
         _event_counts(backdoor_config, 1_000, 7, 0, [1.0, 2.0], [5.0, 10.5])
+    with pytest.raises(dh.InvalidArgumentError, match="^x_value must be finite, got inf$"):
+        _event_counts(backdoor_config, 1_000, 7, 0, [1.0], [5.0], [(None, math.inf)])
     with pytest.raises(dh.InvalidArgumentError, match="^x_value must be finite, got inf$"):
         dh.oracle_rr(backdoor_config, 1.0, math.inf, 1_000, 7, 10.0)
     with pytest.raises(dh.InvalidArgumentError, match="^x_value must be finite, got nan$"):
