@@ -29,7 +29,6 @@ from .errors import (
     DegenerateCovariateError,
     DegenerateOracleError,
     DohazardError,
-    EmptyStratumError,
     InvalidArgumentError,
     MonotoneLikelihoodError,
     NoEventsError,
@@ -41,7 +40,6 @@ from .frontdoor import (
     FrontdoorParams,
     estimate_frontdoor_params,
     frontdoor_causal_rr,
-    frontdoor_do_cdf_empirical,
     frontdoor_do_cdf_gaussian,
     mediation_indirect_rr,
 )
@@ -69,13 +67,7 @@ from .simulate import (
     generate,
     load_scenario_config,
 )
-from .stats import (
-    GaussianSpec,
-    RngStream,
-    empirical_moments,
-    gaussian_exponential_moment,
-    ols_fit,
-)
+from .stats import RngStream, empirical_moments, ols_fit
 
 __version__ = "0.1.0"
 
@@ -90,11 +82,9 @@ __all__ = [
     "DegenerateCovariateError",
     "DegenerateOracleError",
     "DohazardError",
-    "EmptyStratumError",
     "ExponentialHazard",
     "FrontdoorCoefficients",
     "FrontdoorParams",
-    "GaussianSpec",
     "InvalidArgumentError",
     "MonotoneLikelihoodError",
     "NoEventsError",
@@ -119,9 +109,7 @@ __all__ = [
     "estimate_frontdoor_params",
     "fit_cox",
     "frontdoor_causal_rr",
-    "frontdoor_do_cdf_empirical",
     "frontdoor_do_cdf_gaussian",
-    "gaussian_exponential_moment",
     "generate",
     "load_dataset",
     "load_fit",

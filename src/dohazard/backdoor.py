@@ -20,9 +20,7 @@ import numpy as np
 from .cohort import Dataset
 from .cox import CoxFit, _horizon
 from .errors import InvalidArgumentError, NumericalError
-from .results import CausalEstimate
-
-RARITY_THRESHOLD = 0.1
+from .results import RARITY_THRESHOLD, CausalEstimate
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ class ExperimentConfig:
     contrasts: tuple
     horizon_grid: tuple
     oracle_n: int
-    output_dir: str
     emit: frozenset
 
     def __post_init__(self) -> None:
@@ -88,15 +87,13 @@ class ExperimentConfig:
         emit = raw.get("emit", ["csv", "json"])
         if not isinstance(emit, list) or not all(isinstance(e, str) for e in emit):
             raise ValidationError(f"field 'emit' must be a list of strings, got {emit!r}")
-        output_dir = raw.get("output_dir", ".")
-        if not isinstance(output_dir, str):
-            raise ValidationError(f"field 'output_dir' must be a string, got {output_dir!r}")
+        if "output_dir" in raw:
+            raise ValidationError("field 'output_dir' is not read; give the output directory with --out-dir")
         return ExperimentConfig(
             scenario=ScenarioConfig.from_dict(raw["scenario"]),
             contrasts=tuple((float(x), float(x0)) for x, x0 in contrasts),
             horizon_grid=tuple(float(t) for t in horizon),
             oracle_n=require_int(raw, "oracle_n"),
-            output_dir=output_dir,
             emit=frozenset(emit),
         )
 
@@ -329,7 +326,7 @@ def cmd_experiment(args) -> int:
     exp = dataclasses.replace(exp, scenario=_scenario_with_seed(exp.scenario, args.seed))
     scenario = exp.scenario
     oracle_seed = _oracle_seed(scenario)
-    out_dir = Path(args.out_dir) if args.out_dir else Path(exp.output_dir)
+    out_dir = Path(args.out_dir) if args.out_dir else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     _info(args, f"simulating {scenario.n_subjects} subjects ({scenario.dag_kind})")

@@ -72,7 +72,10 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.time = np.asarray(self.time, dtype=np.float64)
-        self.event = np.asarray(self.event, dtype=bool)
+        event = np.asarray(self.event)
+        if event.dtype != bool and not np.all((event == 0) | (event == 1)):
+            raise ValidationError("event must hold only 0 and 1 (or booleans)")
+        self.event = event.astype(bool, copy=False)
         self.covariates = np.asarray(self.covariates, dtype=np.float64)
         if self.covariates.ndim != 2:
             raise ValidationError("covariates must be a 2-d matrix")

@@ -39,9 +39,5 @@ class MonotoneLikelihoodError(NumericalError):
     """A coefficient diverged during fitting (separable data)."""
 
 
-class EmptyStratumError(NumericalError):
-    """A conditioning bin contains no subjects."""
-
-
 class DegenerateOracleError(NumericalError):
     """A Monte Carlo arm produced no events; the ratio is undefined."""

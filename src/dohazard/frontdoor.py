@@ -18,15 +18,11 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cohort import Dataset
-from .cox import CoxFit, _horizon, fit_cox
-from .errors import EmptyStratumError, InvalidArgumentError
-from .results import CausalEstimate
+from .cox import CoxFit, fit_cox
+from .errors import InvalidArgumentError
+from .results import RARITY_THRESHOLD, CausalEstimate
 from .stats import empirical_moments, ols_fit
-
-RARITY_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -63,11 +59,10 @@ def estimate_frontdoor_params(dataset: Dataset, fit: CoxFit | None = None) -> Fr
     """
     x = dataset.column("x")
     z = dataset.column("z")
-    alpha, _, sigma_z = ols_fit(x, z)
+    alpha, _, sigma_z, se_alpha = ols_fit(x, z)
     mu_x, sigma_x = empirical_moments(x)
     if fit is None:
         fit = fit_cox(dataset, ["x", "z"])
-    sxx = float(np.sum((x - np.mean(x)) ** 2))
     return FrontdoorParams(
         beta_x=fit.coef("x"),
         beta_z=fit.coef("z"),
@@ -75,7 +70,7 @@ def estimate_frontdoor_params(dataset: Dataset, fit: CoxFit | None = None) -> Fr
         mu_x=mu_x,
         sigma_x=sigma_x,
         sigma_z=sigma_z,
-        se_alpha=sigma_z / math.sqrt(sxx),
+        se_alpha=se_alpha,
         se_beta_z=fit.std_err("z"),
     )
 
@@ -106,66 +101,6 @@ def frontdoor_do_cdf_gaussian(params: FrontdoorParams, h0_t: float, x: float) ->
         rarity_flag=value > RARITY_THRESHOLD,
         diagnostics={"h0_t": h0_t},
     )
-
-
-def _quantile_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    return np.quantile(values, np.linspace(0.0, 1.0, bins + 1))
-
-
-def _bin_of(edges: np.ndarray, value: float) -> int:
-    idx = int(np.searchsorted(edges, value, side="right")) - 1
-    return min(max(idx, 0), len(edges) - 2)
-
-
-def frontdoor_do_cdf_empirical(
-    dataset: Dataset,
-    fit: CoxFit,
-    x_value: float,
-    t: float,
-    x_bins: int = 50,
-    z_bins: int = 50,
-) -> float:
-    """Nonparametric double sum behind the closed form.
-
-    Quantile-bins x, takes the subjects in the bin containing x_value to
-    estimate the mediator law given the intervention (z quantile-binned,
-    bin means as representatives), and multiplies H0(t), the binned
-    conditional sum of exp(beta_z z), and the cohort-wide average of
-    exp(beta_x x').
-    """
-    if x_bins < 1 or z_bins < 1:
-        raise InvalidArgumentError("x_bins and z_bins must be >= 1")
-    t = _horizon(t)
-    x = dataset.column("x")
-    z = dataset.column("z")
-    if not (np.min(x) <= x_value <= np.max(x)):
-        raise InvalidArgumentError(f"x_value {x_value} is outside the observed exposure range")
-    beta_x = fit.coef("x")
-    beta_z = fit.coef("z")
-
-    edges = _quantile_edges(x, x_bins)
-    bin_idx = _bin_of(edges, x_value)
-    lo, hi = edges[bin_idx], edges[bin_idx + 1]
-    in_bin = (x >= lo) & (x <= hi) if bin_idx == x_bins - 1 else (x >= lo) & (x < hi)
-    if not np.any(in_bin):
-        raise EmptyStratumError(f"x bin {bin_idx} [{lo}, {hi}] containing x_value={x_value} is empty")
-    z_sel = z[in_bin]
-
-    conditional = 0.0
-    z_edges = np.unique(_quantile_edges(z_sel, z_bins))
-    n_sel = z_sel.size
-    for k in range(len(z_edges) - 1 if len(z_edges) > 1 else 1):
-        if len(z_edges) == 1:
-            members = z_sel
-        else:
-            zlo, zhi = z_edges[k], z_edges[k + 1]
-            members = z_sel[(z_sel >= zlo) & (z_sel <= zhi)] if k == len(z_edges) - 2 else z_sel[(z_sel >= zlo) & (z_sel < zhi)]
-        if members.size == 0:
-            continue
-        conditional += (members.size / n_sel) * math.exp(beta_z * float(np.mean(members)))
-
-    marginal = float(np.mean(np.exp(beta_x * x)))
-    return fit.baseline_cumhaz(t) * conditional * marginal
 
 
 def frontdoor_causal_rr(params: FrontdoorParams, x: float, x0: float) -> CausalEstimate:

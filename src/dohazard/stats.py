@@ -19,7 +19,6 @@ function of (seed, stream_id, position).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -35,20 +34,6 @@ SEED_LIMIT = 1 << 64
 # Rows per block of the structural model, the Cox risk-set sums and the
 # cohort CSV's float formatting (see simulate._scm_blocks).
 _BLOCK = 1 << 13
-
-
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Normal distribution parameters; sd == 0 is a point mass at mean."""
-
-    mean: float
-    sd: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and math.isfinite(self.sd)):
-            raise InvalidArgumentError("GaussianSpec requires finite mean and sd")
-        if self.sd < 0:
-            raise InvalidArgumentError(f"GaussianSpec sd must be >= 0, got {self.sd}")
 
 
 class RngStream:
@@ -108,13 +93,6 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def gaussian_exponential_moment(beta: float, spec: GaussianSpec) -> float:
-    """E[exp(beta * X)] for X ~ N(mean, sd^2): exp(beta*mean + sd^2*beta^2/2)."""
-    if not math.isfinite(beta):
-        raise InvalidArgumentError(f"beta must be finite, got {beta}")
-    return math.exp(beta * spec.mean + 0.5 * (spec.sd * beta) ** 2)
-
-
 def empirical_moments(sample) -> tuple[float, float]:
     """Sample mean and standard deviation (n-1 denominator)."""
     x = np.asarray(sample, dtype=np.float64)
@@ -125,11 +103,13 @@ def empirical_moments(sample) -> tuple[float, float]:
     return float(np.mean(x)), float(np.std(x, ddof=1))
 
 
-def ols_fit(x, z) -> tuple[float, float, float]:
+def ols_fit(x, z) -> tuple[float, float, float, float]:
     """Least-squares line of z on x.
 
-    Returns (slope, intercept, residual sd), the residual sd using the
-    n-2 denominator. Raises DegenerateCovariateError when x is constant.
+    Returns (slope, intercept, residual sd, slope standard error), the
+    residual sd using the n-2 denominator and the slope's SE being
+    sigma / sqrt(sum (x - x_bar)^2). Raises DegenerateCovariateError when
+    x is constant.
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -152,4 +132,4 @@ def ols_fit(x, z) -> tuple[float, float, float]:
     intercept = float(z_bar - slope * x_bar)
     resid = z - (intercept + slope * x)
     sigma = math.sqrt(max(float(np.sum(resid * resid)), 0.0) / (n - 2))
-    return slope, intercept, sigma
+    return slope, intercept, sigma, sigma / math.sqrt(sxx)

@@ -22,6 +22,7 @@ from conftest import (
 )
 from test_backdoor import hand_fit, two_column_dataset
 from test_cox import three_subject_fixture
+from truth import GaussianSpec, frontdoor_do_cdf_empirical, gaussian_exponential_moment
 
 ORACLE_SEED_OFFSET = 1_000_003
 
@@ -181,8 +182,8 @@ def test_criterion_6_gaussian_factorization(capsys, frontdoor_dataset, frontdoor
         product = (
             h0
             * math.exp(params.beta_z * params.alpha * x)
-            * dh.gaussian_exponential_moment(params.beta_x, dh.GaussianSpec(params.mu_x, params.sigma_x))
-            * dh.gaussian_exponential_moment(params.beta_z, dh.GaussianSpec(0.0, params.sigma_z))
+            * gaussian_exponential_moment(params.beta_x, GaussianSpec(params.mu_x, params.sigma_x))
+            * gaussian_exponential_moment(params.beta_z, GaussianSpec(0.0, params.sigma_z))
         )
         rel = abs(value - product) / abs(product)
         _check(failures, rel <= 1e-12, f"case {i}: factorization off by {rel:.2e}")
@@ -190,7 +191,7 @@ def test_criterion_6_gaussian_factorization(capsys, frontdoor_dataset, frontdoor
     h0_10 = frontdoor_fit.baseline_cumhaz(10.0)
     for x in (0.0, 0.5, 1.0):
         gauss = dh.frontdoor_do_cdf_gaussian(frontdoor_params, h0_10, x).value
-        emp = dh.frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, x, 10.0)
+        emp = frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, x, 10.0)
         rel = abs(gauss - emp) / emp
         _check(failures, rel <= 0.03, f"x={x}: gaussian {gauss:.5f} vs empirical {emp:.5f} rel {rel:.4f}")
 

@@ -6,6 +6,7 @@ import pytest
 import dohazard as dh
 
 from conftest import make_tiny_dataset
+from truth import GaussianSpec, gaussian_exponential_moment
 
 
 def hand_fit(beta, names, knots, values, covariance=None):
@@ -58,7 +59,7 @@ def test_az_matches_gaussian_moment():
     x = dh.RngStream(17, 2).normal(size=100_000)
     ds = two_column_dataset(x, z)
     summary = dh.compute_az(ds, fit, ["z"], horizon_t=1.0)
-    want = dh.gaussian_exponential_moment(beta_z, dh.GaussianSpec(0.0, 1.0))
+    want = gaussian_exponential_moment(beta_z, GaussianSpec(0.0, 1.0))
     assert summary.a_z == pytest.approx(want, rel=0.02)
 
 

@@ -437,6 +437,7 @@ def test_experiment_config_validation(tmp_path, monkeypatch, capsys):
         ("emit", [["csv"]]),
         ("emit", "csv"),
         ("output_dir", 5),
+        ("output_dir", "out"),
     ):
         path.write_text(json.dumps({**good, field: value}))
         assert run(["experiment", path]) == 2, (field, value)
@@ -444,6 +445,7 @@ def test_experiment_config_validation(tmp_path, monkeypatch, capsys):
         assert f"field '{field}'" in err, (field, value, err)
         assert "simulating" not in err
     assert not (tmp_path / "5").exists()
+    assert not (tmp_path / "out").exists()
 
 
 # sha256 of the CLI's outputs on the conftest scenarios at n=20_000: the

@@ -7,6 +7,7 @@ import dohazard as dh
 
 from conftest import make_frontdoor_config, make_tiny_dataset
 from test_backdoor import hand_fit
+from truth import EmptyStratumError, GaussianSpec, frontdoor_do_cdf_empirical, gaussian_exponential_moment
 
 
 def random_params(rng):
@@ -87,8 +88,8 @@ def test_gaussian_equals_moment_factorization():
         x = float(rng.normal())
         h0 = float(rng.uniform(0.0, 0.1))
         direct = dh.frontdoor_do_cdf_gaussian(params, h0, x).value
-        m_x = dh.gaussian_exponential_moment(params.beta_x, dh.GaussianSpec(params.mu_x, params.sigma_x))
-        m_z = dh.gaussian_exponential_moment(params.beta_z, dh.GaussianSpec(params.alpha * x, params.sigma_z))
+        m_x = gaussian_exponential_moment(params.beta_x, GaussianSpec(params.mu_x, params.sigma_x))
+        m_z = gaussian_exponential_moment(params.beta_z, GaussianSpec(params.alpha * x, params.sigma_z))
         assert direct == pytest.approx(h0 * m_x * m_z, rel=1e-12)
 
 
@@ -108,7 +109,7 @@ def test_empirical_one_x_bin_factorizes():
     x = rng.normal(size=400)
     ds = make_tiny_dataset(rng.uniform(1.0, 2.0, 400), np.ones(400, dtype=int), x, x.copy())
     fit = hand_fit([0.4, 0.0], ["x", "z"], [1.0], [0.05])
-    got = dh.frontdoor_do_cdf_empirical(ds, fit, 0.0, 1.0, x_bins=1, z_bins=10)
+    got = frontdoor_do_cdf_empirical(ds, fit, 0.0, 1.0, x_bins=1, z_bins=10)
     want = 0.05 * float(np.mean(np.exp(0.4 * x)))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -122,7 +123,7 @@ def test_empirical_binary_mediator_exact():
     beta_z = 0.7
     fit = hand_fit([0.0, beta_z], ["x", "z"], [1.0], [0.04])
     # intervention pinned inside the x = 1 bin: conditional z mass sits at 1
-    got = dh.frontdoor_do_cdf_empirical(ds, fit, 1.0, 1.0, x_bins=2, z_bins=10)
+    got = frontdoor_do_cdf_empirical(ds, fit, 1.0, 1.0, x_bins=2, z_bins=10)
     want = 0.04 * math.exp(beta_z) * float(np.mean(np.exp(0.0 * x)))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -131,18 +132,18 @@ def test_empirical_matches_gaussian_reference(frontdoor_dataset, frontdoor_fit, 
     h0 = frontdoor_fit.baseline_cumhaz(10.0)
     for x in (0.5, 1.0):
         gaussian = dh.frontdoor_do_cdf_gaussian(frontdoor_params, h0, x).value
-        empirical = dh.frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, x, 10.0)
+        empirical = frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, x, 10.0)
         assert empirical == pytest.approx(gaussian, rel=0.03)
 
 
 def test_empirical_argument_checks(frontdoor_dataset, frontdoor_fit):
     with pytest.raises(dh.InvalidArgumentError):
-        dh.frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, 99.0, 10.0)
+        frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, 99.0, 10.0)
     for t in (-1.0, math.nan, math.inf):
         with pytest.raises(dh.InvalidArgumentError, match=f"^t must be finite and >= 0, got {t}$"):
-            dh.frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, 0.5, t)
+            frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, 0.5, t)
     with pytest.raises(dh.InvalidArgumentError):
-        dh.frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, 0.5, 10.0, x_bins=0)
+        frontdoor_do_cdf_empirical(frontdoor_dataset, frontdoor_fit, 0.5, 10.0, x_bins=0)
 
 
 def test_empirical_empty_stratum():
@@ -150,8 +151,8 @@ def test_empirical_empty_stratum():
     x = np.array([0.0, 0.0, 10.0, 10.0])
     ds = make_tiny_dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], x, x.copy())
     fit = hand_fit([0.1, 0.1], ["x", "z"], [1.0], [0.05])
-    with pytest.raises(dh.EmptyStratumError, match="bin"):
-        dh.frontdoor_do_cdf_empirical(ds, fit, 5.0, 1.0, x_bins=5, z_bins=2)
+    with pytest.raises(EmptyStratumError, match="bin"):
+        frontdoor_do_cdf_empirical(ds, fit, 5.0, 1.0, x_bins=5, z_bins=2)
 
 
 def test_causal_rr_identity_and_nulls():

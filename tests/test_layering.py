@@ -4,7 +4,9 @@ The estimators read cohorts through ``dohazard.cohort`` and JSON files
 through ``dohazard._json``, so they do not import the simulator. The
 benchmark under ``perfbench/`` imports dohazard names and wraps functions
 where the CLI looks them up; a name it needs that went missing would break
-only the benchmark, so each one is checked here.
+only the benchmark, so each one is checked here. No package module keeps
+an import it does not use, so a moved or deleted name leaves no stray
+import behind.
 """
 
 import ast
@@ -80,3 +82,33 @@ def test_every_function_the_benchmark_wraps_exists(monkeypatch):
     assert (cli, "load_dataset") in [(owner, attr) for owner, attr, *_ in table]
     for owner, attr, *_ in table:
         assert callable(owner.__dict__.get(attr)), f"{owner.__name__}.{attr}"
+
+
+# Imported names a module keeps without using them, each with its reason.
+UNUSED_IMPORTS_ALLOWED = {
+    # perfbench/workloads.py reads saved cohorts back through the simulator
+    ("simulate", "load_dataset"),
+}
+
+
+def unused_imports(path):
+    """Names a module imports at top level and never uses. A name listed in
+    the module's __all__ counts as used, so re-exports are not unused."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(name for name in imported if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    unused = [name for name in unused_imports(path) if (path.stem, name) not in UNUSED_IMPORTS_ALLOWED]
+    assert not unused, f"{path.name} imports {unused} without using them"

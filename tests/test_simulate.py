@@ -884,6 +884,11 @@ def test_dataset_validation():
         dh.Dataset(time=[0.0], event=[1], covariates=np.zeros((1, 1)), covariate_names=["x"])
     with pytest.raises(dh.ValidationError):
         dh.Dataset(time=[1.0], event=[1], covariates=[[math.nan]], covariate_names=["x"])
+    for event in ([2, 0, 1], [0.5, 0, 1], [math.nan, 0, 1]):
+        with pytest.raises(dh.ValidationError, match="event"):
+            dh.Dataset(time=[1.0, 2.0, 3.0], event=event, covariates=np.zeros((3, 1)), covariate_names=["x"])
+    ds = dh.Dataset(time=[1.0, 2.0, 3.0], event=[1, 0, 1], covariates=np.zeros((3, 1)), covariate_names=["x"])
+    assert ds.event.tolist() == [True, False, True] and ds.n_events == 2
 
 
 def test_dataset_column_lookup():

