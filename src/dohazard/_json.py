@@ -32,6 +32,14 @@ def write_object(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def refuse_unknown(raw: dict, known, what: str) -> None:
+    """ValidationError naming the first key of raw, in sorted order, that
+    is not in known; what names the object, such as 'scenario config'."""
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValidationError(f"{what} has unknown field '{unknown[0]}'")
+
+
 def require_int(raw: dict, key: str) -> int:
     value = raw[key]
     if not isinstance(value, int) or isinstance(value, bool):

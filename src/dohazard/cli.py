@@ -32,7 +32,7 @@ from typing import Callable
 from . import backdoor as bd
 from . import frontdoor as fd
 from . import oracle as orc
-from ._json import read_object, require_int, require_number, write_object
+from ._json import read_object, refuse_unknown, require_int, require_number, write_object
 from .cohort import Dataset, load_dataset, save_dataset
 from .cox import _horizon, fit_cox, load_fit, save_fit
 from .errors import DohazardError, InvalidArgumentError, NumericalError, ParseError, ValidationError
@@ -80,6 +80,9 @@ class ExperimentConfig:
         for key in ("scenario", "contrasts", "horizon_grid", "oracle_n"):
             if key not in raw:
                 raise ValidationError(f"experiment config is missing field '{key}'")
+        if "output_dir" in raw:
+            raise ValidationError("field 'output_dir' is not read; give the output directory with --out-dir")
+        refuse_unknown(raw, [f.name for f in dataclasses.fields(ExperimentConfig)], "experiment config")
         if not isinstance(raw["scenario"], dict):
             raise ValidationError("field 'scenario' must be an object")
         contrasts = require_number(raw, "contrasts", shape=(None, 2), what="a list of [x, x0] pairs of finite numbers")
@@ -87,8 +90,6 @@ class ExperimentConfig:
         emit = raw.get("emit", ["csv", "json"])
         if not isinstance(emit, list) or not all(isinstance(e, str) for e in emit):
             raise ValidationError(f"field 'emit' must be a list of strings, got {emit!r}")
-        if "output_dir" in raw:
-            raise ValidationError("field 'output_dir' is not read; give the output directory with --out-dir")
         return ExperimentConfig(
             scenario=ScenarioConfig.from_dict(raw["scenario"]),
             contrasts=tuple((float(x), float(x0)) for x, x0 in contrasts),

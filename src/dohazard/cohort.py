@@ -5,9 +5,11 @@ it: ``<path>.npz``, a numpy archive of the CSV's sha256 and the columns
 in the layout ``load_dataset`` returns. ``load_dataset`` reads the
 columns from the cache only while the CSV's bytes still have that digest
 and the archive has exactly the expected members, dtypes and shapes;
-otherwise it parses the CSV. Both the cache's writer and its reader live
-here. Parsing a float64 from its 17 significant digits is most of a CSV
-read, so the cache makes each read of a saved cohort a hash and a copy.
+otherwise numpy's parser reads the CSV, quoted fields and every line end
+included, and a csv scan runs only to name the line of a record numpy
+refuses. Both the cache's writer and its reader live here. Parsing a
+float64 from its 17 significant digits is most of a CSV read, so the
+cache makes each read of a saved cohort a hash and a copy.
 
 The CSV holds each float as Python's ``'%.17g' %`` writes it, byte for
 byte, but ``save_dataset`` formats them in numpy (``_format_floats``):
@@ -28,7 +30,6 @@ import os
 import warnings
 import zipfile
 import zlib
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -378,15 +379,14 @@ def load_dataset(path) -> Dataset:
     When the column cache save_dataset wrote beside the CSV is sound and
     holds the sha256 of the CSV's current bytes, the columns are read from
     it and the body is not parsed (_cached_columns). Otherwise a binary
-    scan counts the body's lines, the columns are preallocated for that
-    many rows, and numpy's C parser fills them in chunks of _ROWS_PER_WRITE
-    rows, so no table of the whole cohort is built. Blank lines, which
-    numpy skips, leave fewer rows than lines, and the columns are cut to
-    the rows read. When a chunk fails to parse, has the wrong number of
-    fields or an event other than 0 or 1, or there are more rows than
-    counted lines, the csv row loop (_parse_rows) fills the columns again
-    from the body's start: it takes quoted fields and every spelling
-    float() takes, and names the line of the first bad row.
+    scan counts the body's lines (_count_lines), the columns are
+    preallocated for that many rows, and numpy's C parser fills them in
+    chunks of _ROWS_PER_WRITE rows (_read_chunks), so no table of the whole
+    cohort is built. numpy reads quoted fields, LF, CRLF and lone CR line
+    ends, and skips blank lines; a row takes at least one line, so the
+    columns always hold the rows, and they are cut to the rows read. When
+    numpy refuses the body, one csv scan from its start names the line of
+    the first bad record (_first_bad_record).
 
     Bytes that are not UTF-8, in the header or the body, raise ParseError
     naming the line they are on (_not_utf8).
@@ -401,6 +401,9 @@ def load_dataset(path) -> Dataset:
                 header = next(reader)
             except StopIteration:
                 raise ValidationError(f"{path}: file is empty") from None
+            for role in ("time", "event", "u_latent"):
+                if header.count(role) > 1:
+                    raise ValidationError(f"{path}: column '{role}' appears more than once")
             for required in ("time", "event"):
                 if required not in header:
                     raise ValidationError(f"{path}: missing required column '{required}'")
@@ -412,15 +415,17 @@ def load_dataset(path) -> Dataset:
             columns = _cached_columns(path, fh.buffer, names, has_u)
             if columns is None:
                 fh.seek(body)  # the cache check may have read on
-                # the file's lines less the header's; where the count is short
-                # (lone CRs and lone LFs in one file), the row loop grows the columns
                 columns = _columns(max(_count_lines(path) - reader.line_num, 0), len(names), has_u)
-                rows = _read_chunks(fh, columns, sources, len(header))
-                if rows is None:
+                try:
+                    rows = _read_chunks(fh, columns, sources, len(header))
+                except UnicodeDecodeError:
+                    raise
+                except ValueError as exc:
                     fh.seek(body)
-                    columns, rows = _parse_rows(
-                        path, csv.reader(fh), columns, sources, len(header), reader.line_num
-                    )
+                    bad = _first_bad_record(path, csv.reader(fh), len(header), sources[1], reader.line_num, exc)
+                    raise bad from None
+                if not rows:
+                    raise ValidationError(f"{path}: no data rows")
                 if rows < len(columns[0]):
                     columns = [None if c is None else c[:rows].copy(order="K") for c in columns]
     except UnicodeDecodeError as exc:
@@ -533,21 +538,22 @@ def _read_member(cache, key: str, dtype, shape: tuple) -> np.ndarray | None:
 
 
 def _count_lines(path) -> int:
-    """The file's line count, by a binary scan in blocks of 1 MiB: line
-    feeds or carriage returns, whichever are more, plus a last line that
-    has no line end. This is exact for LF, CRLF and CR line ends, and for
-    CRLF with some lone CRs or LFs. The vectorized numpy compares count
-    2.5 times as fast as bytes.count does."""
-    lf = cr = 0
+    """The file's line count as the text layer splits its lines, which is
+    len(data.splitlines()) of its bytes: each LF, each CR that no LF
+    follows, and a last line that has no line end. A binary scan in blocks
+    of 1 MiB; a CRLF may straddle two blocks. The vectorized numpy compares
+    count 2.5 times as fast as bytes.count does."""
+    lines = 0
     last = 10
     buf = np.empty(1 << 20, dtype=np.uint8)
     with open(path, "rb") as fb:
         while size := fb.readinto(buf):
             block = buf[:size]
-            lf += int(np.count_nonzero(block == 10))
-            cr += int(np.count_nonzero(block == 13))
+            lf, cr = block == 10, block == 13
+            crlf = np.count_nonzero(cr[:-1] & lf[1:]) + (last == 13 and lf[0])
+            lines += int(np.count_nonzero(lf) + np.count_nonzero(cr) - crlf)
             last = block[-1]
-    return max(lf, cr) + (last not in (10, 13))
+    return lines + (last not in (10, 13))
 
 
 def _columns(n: int, p: int, has_u: bool) -> tuple:
@@ -565,12 +571,12 @@ def _fill(columns, sources, start: int, table) -> None:
         target[rows] = table[:, source]
 
 
-def _read_chunks(fh, columns, sources, width: int) -> int | None:
+def _read_chunks(fh, columns, sources, width: int) -> int:
     """Fill the columns from the body by np.loadtxt, _ROWS_PER_WRITE rows
-    per call, and return the number of rows read. None when the row loop
-    must read the body instead: a chunk fails to parse, has the wrong width
-    or an event other than 0 or 1, or the rows are none or more than the
-    columns hold."""
+    per call, and return the number of rows read. Raises ValueError when a
+    chunk fails to parse, has the wrong width or an event other than 0 or
+    1, or holds more rows than the columns (the file changed since its
+    lines were counted)."""
     n = len(columns[0])
     filled = 0
     with warnings.catch_warnings():
@@ -578,74 +584,42 @@ def _read_chunks(fh, columns, sources, width: int) -> int | None:
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data", UserWarning)
         while True:
-            try:
-                chunk = np.loadtxt(
-                    fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2, max_rows=_ROWS_PER_WRITE
-                )
-            except UnicodeDecodeError:
-                raise  # the row loop would decode the same bytes
-            except ValueError:
-                return None
+            chunk = np.loadtxt(
+                fh, delimiter=",", comments=None, quotechar='"', dtype=np.float64, ndmin=2, max_rows=_ROWS_PER_WRITE
+            )
             if not len(chunk):
                 break
-            if chunk.shape[1] != width or filled + len(chunk) > n or not np.all(
-                np.isin(chunk[:, sources[1]], (0.0, 1.0))
-            ):
-                return None
+            if chunk.shape[1] != width or not np.all(np.isin(chunk[:, sources[1]], (0.0, 1.0))):
+                raise ValueError(f"a row with other than {width} fields or an event other than 0 or 1")
+            if filled + len(chunk) > n:
+                raise ValueError("more rows than lines: the file changed while it was read")
             _fill(columns, sources, filled, chunk)
             filled += len(chunk)
             if len(chunk) < _ROWS_PER_WRITE:  # only the last chunk is short
                 break
-    return filled or None
+    return filled
 
 
-def _parse_rows(path, reader, columns, sources, width: int, header_lines: int) -> tuple:
-    """Fill the columns from the body's csv records, one block of
-    _ROWS_PER_WRITE rows at a time, and return (columns, rows read); the
-    columns are grown when the rows outnumber them. A block is a flat run
-    of float64 values, so memory beyond the columns stays one block of
-    rows. The first bad row raises with the number of the line its record
-    starts on: the header takes lines 1 to header_lines, and a quoted field
-    may span lines, so this is the reader's line count, not a count of
-    records."""
-    event = sources[1] - width  # the event's offset from the end of a row's values
-    filled = 0
-    block = array("d")
+def _first_bad_record(path, reader, width: int, event: int, header_lines: int, refusal: ValueError) -> Exception:
+    """The error for the first bad record of the body, which reader reads
+    from its start: ParseError for a record with other than width fields or
+    a field float() refuses, ValidationError for an event (field event)
+    other than 0 or 1. It names the line the record starts on: the header
+    takes lines 1 to header_lines, and a quoted field may span lines, so
+    this is the reader's line count, not a count of records. When every
+    record passes, as for a spelling float() takes and numpy refuses (2_5),
+    it is ParseError with numpy's refusal."""
     read = 0  # the body's lines before the record
     for row in reader:
         line_no, read = header_lines + read + 1, reader.line_num
         if not row:
             continue
         if len(row) != width:
-            raise ParseError(f"{path}:{line_no}: expected {width} fields, got {len(row)}")
+            return ParseError(f"{path}:{line_no}: expected {width} fields, got {len(row)}")
         try:
-            block.extend(map(float, row))
+            values = [float(field) for field in row]
         except ValueError as exc:
-            raise ParseError(f"{path}:{line_no}: {exc}") from exc
-        if block[event] not in (0.0, 1.0):
-            raise ValidationError(f"{path}:{line_no}: event must be 0 or 1")
-        if len(block) == width * _ROWS_PER_WRITE:
-            columns = _put(columns, sources, filled, block, width)
-            filled, block = filled + _ROWS_PER_WRITE, array("d")
-    if block:
-        columns = _put(columns, sources, filled, block, width)
-        filled += len(block) // width
-    if not filled:
-        raise ValidationError(f"{path}: no data rows")
-    return columns, filled
-
-
-def _put(columns, sources, start: int, values, width: int) -> tuple:
-    """_fill with the rows of a flat run of values, width to a row, from
-    row start on; the columns are first grown, at least twofold, when they
-    are too short to hold them. Returns the columns."""
-    table = np.frombuffer(values, dtype=np.float64).reshape(-1, width)
-    stop = start + len(table)
-    if stop > len(columns[0]):
-        grown = _columns(max(stop, 2 * len(columns[0])), columns[2].shape[1], columns[3] is not None)
-        for old, new in zip(columns, grown):
-            if new is not None:
-                new[:start] = old[:start]
-        columns = grown
-    _fill(columns, sources, start, table)
-    return columns
+            return ParseError(f"{path}:{line_no}: {exc}")
+        if values[event] not in (0.0, 1.0):
+            return ValidationError(f"{path}:{line_no}: event must be 0 or 1")
+    return ParseError(f"{path}: {refusal}")

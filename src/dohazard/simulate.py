@@ -22,12 +22,12 @@ property of the code, not of a statistical check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
 
-from ._json import read_object, require_int, require_number
+from ._json import read_object, refuse_unknown, require_int, require_number
 from .cohort import Dataset, load_dataset  # load_dataset: perfbench reads cohorts back through this module
 from .errors import InvalidArgumentError, ValidationError
 from .stats import _BLOCK, RngStream
@@ -199,6 +199,7 @@ class ScenarioConfig:
         for key in ("dag_kind", "n_subjects", "seed", "baseline_hazard", "horizon_t", "coefficients"):
             if key not in raw:
                 raise ValidationError(f"scenario config is missing field '{key}'")
+        refuse_unknown(raw, [f.name for f in fields(ScenarioConfig)], "scenario config")
         dag_kind = raw["dag_kind"]
         coefs = raw["coefficients"]
         if not isinstance(coefs, dict):
@@ -227,8 +228,10 @@ def _hazard_from_dict(raw) -> BaselineHazard:
     kind = raw["kind"]
     try:
         if kind == "exponential":
+            refuse_unknown(raw, ("kind", "rate"), "baseline_hazard")
             return ExponentialHazard(rate=require_number(raw, "rate", "baseline_hazard.rate"))
         if kind == "weibull":
+            refuse_unknown(raw, ("kind", "shape", "scale"), "baseline_hazard")
             return WeibullHazard(
                 shape=require_number(raw, "shape", "baseline_hazard.shape"),
                 scale=require_number(raw, "scale", "baseline_hazard.scale"),
@@ -244,6 +247,7 @@ def _z_dist_from_dict(raw) -> ZDistribution:
     if isinstance(raw, dict) and raw.get("kind") == "bernoulli":
         if "p" not in raw:
             raise ValidationError("z_dist of kind 'bernoulli' is missing field 'p'")
+        refuse_unknown(raw, ("kind", "p"), "z_dist")
         return BernoulliZ(p=require_number(raw, "p", "z_dist.p"))
     raise ValidationError(f"field 'z_dist' must be 'standard_normal' or a bernoulli object, got {raw!r}")
 

@@ -307,6 +307,16 @@ def test_exit_2_on_repeated_covariate(tmp_path, scenario_path, capsys):
     assert not (tmp_path / "fit.json").exists()
 
 
+@pytest.mark.parametrize("header, role", [("time,event,x,event", "event"), ("time,time,event,x", "time")], ids=["event", "time"])
+def test_exit_2_on_a_repeated_role_column(tmp_path, capsys, header, role):
+    # read from its first copy, the repeated column was silently dropped
+    path = tmp_path / "cohort.csv"
+    path.write_text(f"{header}\n1.0,1,0.5,0\n2.0,0,0.25,1\n")
+    assert run(["fit", path, "--out-dir", tmp_path, "--quiet"]) == 2
+    assert f"cohort.csv: column '{role}' appears more than once" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_exit_3_on_degenerate_covariate(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     path.write_text(
@@ -446,6 +456,25 @@ def test_experiment_config_validation(tmp_path, monkeypatch, capsys):
         assert "simulating" not in err
     assert not (tmp_path / "5").exists()
     assert not (tmp_path / "out").exists()
+
+    # an unknown key is refused by name at any depth, not ignored
+    scenario = good["scenario"]
+
+    def with_scenario(**fields):
+        return {**good, "scenario": {**scenario, **fields}}
+
+    for config, key in (
+        ({**good, "emits": ["json"]}, "emits"),
+        (with_scenario(censor_rates=0.5), "censor_rates"),
+        (with_scenario(baseline_hazard={**scenario["baseline_hazard"], "shape": 1.5}), "shape"),  # exponential
+        (with_scenario(baseline_hazard={"kind": "weibull", "shape": 1.5, "scale": 120.0, "rate": 0.002}), "rate"),
+        (with_scenario(z_dist={"kind": "bernoulli", "p": 0.5, "q": 0.5}), "q"),
+    ):
+        path.write_text(json.dumps(config))
+        assert run(["experiment", path]) == 2, key
+        err = capsys.readouterr().err
+        assert f"unknown field '{key}'" in err, (key, err)
+        assert "simulating" not in err
 
 
 # sha256 of the CLI's outputs on the conftest scenarios at n=20_000: the

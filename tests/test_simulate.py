@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import dohazard as dh
@@ -398,14 +398,19 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path_factory, data):
 
 
 def test_load_row_parser_reads_what_the_fast_path_refuses(tmp_path):
-    # quoted fields, blank lines and float() spellings the C parser rejects
-    # all go through the row parser and read as they always have
+    # quoted fields, blank lines, a padded number and an event spelled 1.0
+    # read as they always have; 2_5, a Python literal that float() takes
+    # but no CSV number, is refused by name
     path = tmp_path / "odd.csv"
-    path.write_bytes(b'time,event,x\r\n"1.5",1,0.25\r\n\r\n2_5,"0", -3\r\n3,1.0,1e-3')
+    odd = b'time,event,x\r\n"1.5",1,0.25\r\n\r\n%s,"0", -3\r\n3,1.0,1e-3'
+    path.write_bytes(odd % b"25")
     ds = dh.load_dataset(path)
     assert ds.time.tolist() == [1.5, 25.0, 3.0]
     assert ds.event.tolist() == [True, False, True]
     assert ds.column("x").tolist() == [0.25, -3.0, 1e-3]
+    path.write_bytes(odd % b"2_5")
+    with pytest.raises(dh.ParseError, match=r"odd.csv: could not convert string '2_5'"):
+        dh.load_dataset(path)
 
 
 def quote_first_field(path):
@@ -413,10 +418,10 @@ def quote_first_field(path):
     path.write_bytes(b"\r\n".join([header, b'"' + first.replace(b",", b'",', 1), rest]))
 
 
-@pytest.mark.parametrize("quote", [False, True], ids=["loadtxt", "row_parser"])
+@pytest.mark.parametrize("quote", [False, True], ids=["loadtxt", "quoted"])
 def test_loaded_dataset_holds_no_parse_buffer(tmp_path, quote):
     _, path = saved_cohort(tmp_path, 500)
-    if quote:  # a quoted field sends the body through the row parser
+    if quote:
         quote_first_field(path)
     ds = dh.load_dataset(path)
     for name in ("time", "event", "covariates", "u_latent"):
@@ -427,20 +432,15 @@ def test_loaded_dataset_holds_no_parse_buffer(tmp_path, quote):
         assert held.nbytes == column.nbytes, name
 
 
-def refuse_row_loop(*args):
-    raise AssertionError("a well-formed cohort must not need the row parser")
-
-
 def refuse_csv_reader(*args):
     raise AssertionError("a cohort with a sound column cache must not be parsed")
 
 
 @pytest.mark.parametrize("n", [1, _ROWS_PER_WRITE - 1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1, 2 * _ROWS_PER_WRITE + 3])
-def test_load_fills_the_columns_chunk_by_chunk(tmp_path, monkeypatch, n):
+def test_load_fills_the_columns_chunk_by_chunk(tmp_path, n):
     # rows on both sides of each chunk edge land in their own places, and a
     # body that ends on a chunk edge reads no phantom chunk after it
     dataset, path = saved_cohort(tmp_path, n)
-    monkeypatch.setattr(cohort, "_parse_rows", refuse_row_loop)
     assert_same_cohort(dh.load_dataset(path), dataset)
 
 
@@ -459,24 +459,22 @@ def _blank_line_at_chunk_edge(rows):
 )
 @pytest.mark.parametrize("final_newline", [True, False], ids=["final_newline", "no_final_newline"])
 @pytest.mark.parametrize("n", [_ROWS_PER_WRITE, _ROWS_PER_WRITE + 2])
-def test_load_skips_blank_lines(tmp_path, monkeypatch, edit, final_newline, n):
+def test_load_skips_blank_lines(tmp_path, edit, final_newline, n):
     # numpy warns once per blank line when it reads a chunk; the loader must
     # neither let that warning out (pytest makes it an error) nor count the
-    # blank lines as rows, nor read the body again in the row loop
+    # blank lines as rows
     dataset, path = saved_cohort(tmp_path, n)
     header, *rows = path.read_bytes().split(b"\r\n")[:-1]
     path.write_bytes(b"\r\n".join([header] + edit(rows)) + b"\r\n" * final_newline)
-    monkeypatch.setattr(cohort, "_parse_rows", refuse_row_loop)
     loaded = dh.load_dataset(path)
     assert_same_cohort(loaded, dataset)
     assert loaded.covariates.flags.f_contiguous  # the layout every loaded cohort has
 
 
 @pytest.mark.parametrize("n", [1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1])
-def test_load_reads_a_last_row_without_line_end(tmp_path, monkeypatch, n):
+def test_load_reads_a_last_row_without_line_end(tmp_path, n):
     dataset, path = saved_cohort(tmp_path, n)
     path.write_bytes(path.read_bytes()[:-2])
-    monkeypatch.setattr(cohort, "_parse_rows", refuse_row_loop)
     assert_same_cohort(dh.load_dataset(path), dataset)
 
 
@@ -486,24 +484,21 @@ def _one_lone_cr(data):
 
 
 @pytest.mark.parametrize(
-    "ends, counted",
+    "ends",
     [
-        (lambda data: data.replace(b"\r\n", b"\r"), True),
-        (_one_lone_cr, True),
-        (lambda data: _one_lone_cr(data).replace(b"\r\n", b"\n"), False),
+        lambda data: data.replace(b"\r\n", b"\r"),
+        _one_lone_cr,
+        lambda data: _one_lone_cr(data).replace(b"\r\n", b"\n"),
     ],
     ids=["cr_only", "crlf_and_a_lone_cr", "lf_and_a_lone_cr"],
 )
 @pytest.mark.parametrize("n", [3, _ROWS_PER_WRITE + 1])
-def test_load_reads_every_line_end(tmp_path, monkeypatch, ends, counted, n):
-    # "\r", "\n" and "\r\n" each end a row for both parsers. The line count
-    # falls short only where lone CRs and lone LFs meet in one file; at
-    # n = _ROWS_PER_WRITE + 1 it is then one whole chunk, and the row after
-    # that chunk must still be read
+def test_load_reads_every_line_end(tmp_path, ends, n):
+    # "\r", "\n" and "\r\n" each end a row, also where lone CRs and lone
+    # LFs meet in one file; at n = _ROWS_PER_WRITE + 1 the row after the
+    # first chunk must still be read
     dataset, path = saved_cohort(tmp_path, n)
     path.write_bytes(ends(path.read_bytes()))
-    if counted:
-        monkeypatch.setattr(cohort, "_parse_rows", refuse_row_loop)
     assert_same_cohort(dh.load_dataset(path), dataset)
 
 
@@ -521,6 +516,90 @@ def test_load_reads_a_header_that_spans_lines(tmp_path):
     path.write_bytes(header)
     with pytest.raises(dh.ValidationError, match="no data rows"):
         dh.load_dataset(path)
+
+
+# LF, CRLF and CR: each ends one line for the text layer, numpy and csv alike
+LINE_ENDS = (b"\n", b"\r\n", b"\r")
+
+
+def in_a_random_dialect(lines, seed, at_chunk_edge):
+    """The CSV lines (the header, then the rows, without line ends) as one
+    file's bytes in a random dialect, and the offset at which each line
+    starts: any field quoted; each line ended by LF, CRLF or CR; blank
+    lines after any line; and now and then a line end inside a quoted data
+    field, before or after its number. When at_chunk_edge, the rows on both
+    sides of the first chunk edge each quote a line end, and a blank line
+    lies between them."""
+    rng = np.random.default_rng(seed)
+    shape = (len(lines), lines[0].count(b",") + 1)
+    p_quote, p_blank = rng.random(2)  # this file's shares of quoted fields and of lines followed by blanks
+    quoted = rng.random(shape) < p_quote
+    inner = np.where(rng.random(shape) < 0.02, rng.integers(1, 4, shape), 0)  # 1 + the index of a line end
+    inner[0] = 0  # a header name keeps its text
+    before = rng.random(shape) < 0.5
+    ends = rng.integers(0, 3, len(lines))
+    blanks = np.where(rng.random(len(lines)) < p_blank, rng.integers(1, 3, len(lines)), 0)
+    if at_chunk_edge and len(lines) > _ROWS_PER_WRITE + 1:
+        edge = [_ROWS_PER_WRITE, _ROWS_PER_WRITE + 1]  # the header is line 0
+        quoted[edge, 0] = True
+        inner[edge, 0] = rng.integers(1, 4, 2)
+        blanks[_ROWS_PER_WRITE] += 1
+    out, starts = bytearray(), []
+    for k, line in enumerate(lines):
+        starts.append(len(out))
+        fields = line.split(b",")
+        for j in np.flatnonzero(quoted[k]):
+            end = LINE_ENDS[inner[k, j] - 1] if inner[k, j] else b""
+            fields[j] = b'"' + (end + fields[j] if before[k, j] else fields[j] + end) + b'"'
+        # a blank line repeats its line's end, so that no LF follows a CR
+        out += b",".join(fields) + LINE_ENDS[ends[k]] * (1 + blanks[k])
+    return bytes(out), starts
+
+
+# no shrinking: a smaller seed is no simpler a file, so shrinking would
+# only read more cohorts of up to 16385 rows
+@settings(max_examples=20, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    n=st.sampled_from([_ROWS_PER_WRITE - 1, _ROWS_PER_WRITE + 1]) | st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    at_chunk_edge=st.booleans(),
+)
+@example(n=_ROWS_PER_WRITE + 1, seed=0, at_chunk_edge=True)
+def test_load_reads_any_dialect_bit_for_bit(tmp_path_factory, n, seed, at_chunk_edge):
+    dataset, path = saved_cohort(tmp_path_factory.mktemp("dialect"), n)
+    lines = path.read_bytes().split(b"\r\n")[:-1]
+    data, _ = in_a_random_dialect(lines, seed, at_chunk_edge)
+    path.write_bytes(data)
+    assert_same_cohort(dh.load_dataset(path), dataset)
+    # the same file with one bad token: the error names the line its row starts on
+    rng = np.random.default_rng(seed)
+    row = int(rng.integers(1, len(lines)))
+    fields = lines[row].split(b",")
+    fields[rng.integers(len(fields))] = b"oops"
+    lines[row] = b",".join(fields)
+    data, starts = in_a_random_dialect(lines, seed, at_chunk_edge)
+    path.write_bytes(data)
+    line = len(data[:starts[row]].splitlines()) + 1
+    with pytest.raises(dh.ParseError, match=rf"cohort.csv:{line}: could not convert string to float: '[^']*oops[^']*'$"):
+        dh.load_dataset(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([b"\r", b"\n", b"0", b","])).map(b"".join))
+def test_count_lines_is_the_count_of_splitlines(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("lines") / "lines.csv"
+    path.write_bytes(data)
+    assert cohort._count_lines(path) == len(data.splitlines())
+
+
+@pytest.mark.parametrize("edge", [b"\r\n", b"\r0", b"\n\r", b"0\r"], ids=["crlf", "lone_cr", "lf_cr", "cr_after"])
+def test_count_lines_across_the_read_boundary(tmp_path, edge):
+    # the first byte of edge is the last of the scan's first 1 MiB read
+    head = b"0,0\r\n" * 200_000
+    data = head + b"0" * (2**20 - 1 - len(head)) + edge + b"0\n0"
+    path = tmp_path / "lines.csv"
+    path.write_bytes(data)
+    assert cohort._count_lines(path) == len(data.splitlines())
 
 
 def _traced_peak(fn):
@@ -566,14 +645,14 @@ def test_load_reads_the_cache_chunk_by_chunk(tmp_path, monkeypatch):
     assert peak < _held_bytes(dataset) + _ONE_COLUMN
 
 
-def test_row_loop_fills_the_cohort_chunk_by_chunk(tmp_path):
+def test_load_fills_a_quoted_cohort_chunk_by_chunk(tmp_path):
     _, small = saved_cohort(tmp_path, 1_000)
     dh.load_dataset(small)  # first-call allocations
     want, path = saved_cohort(tmp_path, 200_000)
     quote_first_field(path)
     dataset, peak = _traced_peak(lambda: dh.load_dataset(path))
     assert_same_cohort(dataset, want)
-    # a list of every row as Python floats held 64 MB more
+    # a list of every row as Python floats, as a csv row loop builds, held 64 MB more
     assert peak < _held_bytes(dataset) + _ONE_COLUMN
 
 
@@ -706,24 +785,19 @@ def test_load_takes_the_roles_from_the_csv_header(tmp_path):
     assert_same_cohort(got, load_csv(path))
 
 
-@pytest.mark.parametrize("quoted", [False, True], ids=["chunk_reader", "row_loop"])
-def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, monkeypatch, quoted):
+@pytest.mark.parametrize("quoted", [False, True], ids=["chunk_reader", "quoted"])
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, quoted):
     # far enough into the body that the header read, which decodes the
-    # file's first 8 KiB, does not reach it; a quoted field sends the body
-    # to the row loop, which the chunk reader must not do on its own
+    # file's first 8 KiB, does not reach it
     rows = [b"time,event,x"] + [b"%d.5,1,0.25" % k for k in range(1, 2000)]
     if quoted:
         rows[1] = b'"1.5",1,0.25'
     rows[1500] = b"1500.5,1,0.\xe9"
     path = tmp_path / "cohort.csv"
     path.write_bytes(b"\r\n".join(rows) + b"\r\n")
-    row_loops = []
-    parse_rows = cohort._parse_rows
-    monkeypatch.setattr(cohort, "_parse_rows", lambda *args: row_loops.append(1) or parse_rows(*args))
     message = r"cohort.csv:1501: not UTF-8: .* position 11: unexpected end of data$"
     with pytest.raises(dh.ParseError, match=message):
         dh.load_dataset(path)
-    assert len(row_loops) == quoted
 
 
 def test_load_rejects_malformed_rows(tmp_path):
@@ -750,6 +824,12 @@ def test_load_rejects_malformed_rows(tmp_path):
     path.write_text("time,x\n1.0,0.5\n")
     with pytest.raises(dh.ValidationError, match="event"):
         dh.load_dataset(path)
+
+    # a role column given twice is refused, not read from its first copy
+    for header, role in [("time,event,x,event", "event"), ("time,event,time,x", "time"), ("time,event,u_latent,u_latent", "u_latent")]:
+        path.write_text(header + "\n1.0,1,0.5,0\n")
+        with pytest.raises(dh.ValidationError, match=rf"bad.csv: column '{role}' appears more than once$"):
+            dh.load_dataset(path)
 
     path.write_text("time,event,x\n1.0,2,0.5\n")
     with pytest.raises(dh.ValidationError, match="event"):
@@ -796,6 +876,9 @@ def test_config_json_roundtrip(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
     assert dh.load_scenario_config(path) == cfg
+    # to_dict writes only the keys from_dict knows, for every hazard and z law
+    cfg = make_backdoor_config(baseline_hazard=dh.WeibullHazard(1.5, 120.0), z_dist=dh.BernoulliZ(0.3))
+    assert dh.ScenarioConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_config_rejects_missing_field(tmp_path):
