@@ -1,15 +1,14 @@
 """Cohort datasets and their CSV round trip.
 
 A cohort is saved as CSV (``save_dataset``) with a column cache beside
-it: ``<path>.npz``, a numpy archive of the CSV's sha256 and the columns
-in the layout ``load_dataset`` returns. ``load_dataset`` reads the
-columns from the cache only while the CSV's bytes still have that digest
-and the archive has exactly the expected members, dtypes and shapes;
-otherwise numpy's parser reads the CSV, quoted fields and every line end
-included, and a csv scan runs only to name the line of a record numpy
-refuses. Both the cache's writer and its reader live here. Parsing a
-float64 from its 17 significant digits is most of a CSV read, so the
-cache makes each read of a saved cohort a hash and a copy.
+it: ``<path>.cols``, one flat file of the CSV's sha256, a CRC-32 and the
+columns' bytes. ``load_dataset`` reads the columns from the cache only
+while the CSV's bytes still have that digest and the cache's size and CRC
+fit the CSV's header; otherwise numpy's parser reads the CSV, quoted
+fields and every line end included, and a csv scan runs only to name the
+line of a record numpy refuses. Parsing a float64 from its 17 significant
+digits is most of a CSV read, so the cache makes each read of a saved
+cohort a hash and a copy.
 
 The CSV holds each float as Python's ``'%.17g' %`` writes it, byte for
 byte, but ``save_dataset`` formats them in numpy (``_format_floats``):
@@ -28,7 +27,6 @@ import io
 import itertools
 import os
 import warnings
-import zipfile
 import zlib
 from dataclasses import dataclass
 
@@ -47,12 +45,9 @@ _ROWS_PER_WRITE = 1 << 14
 # so no buffer is mapped and faulted in afresh.
 _CACHE_CHUNK = 1 << 16
 
-# What reading a column cache raises when it is not one save_dataset wrote:
-# missing or unreadable (OSError), empty (EOFError), not numpy's format,
-# pickled or a malformed header (ValueError), a damaged zip or member
-# (BadZipFile, zlib.error), or a zip feature zipfile does not read, such as
-# an encrypted member or another compression (RuntimeError).
-_CACHE_ERRORS = (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile, zlib.error)
+# The first 8 bytes of a column cache, naming its layout: this magic, the
+# CSV's sha256, the payload's CRC-32 (little-endian), then the payload.
+_CACHE_MAGIC = b"DOHCOLS1"
 
 
 @dataclass
@@ -69,7 +64,6 @@ class Dataset:
     covariates: np.ndarray
     covariate_names: list[str]
     u_latent: np.ndarray | None = None
-    provenance: object = None  # the ScenarioConfig it was generated from, or the path it was read from
 
     def __post_init__(self) -> None:
         self.time = np.asarray(self.time, dtype=np.float64)
@@ -189,7 +183,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     '%.17g' %, and no list of the whole cohort is built.
 
     The CSV's bytes are hashed with sha256 as they are written, and the
-    columns then go to the column cache <path>.npz with that digest
+    columns then go to the column cache <path>.cols with that digest
     (_write_cache), from which load_dataset reads them back for as long as
     the CSV keeps those bytes."""
     header = ["time", "event"] + list(dataset.covariate_names)
@@ -204,7 +198,7 @@ def save_dataset(dataset: Dataset, path) -> None:
         for data in itertools.chain([head.getvalue().encode("utf-8")], _csv_rows(columns)):
             digest.update(data)
             fh.write(data)
-    _write_cache(dataset, path, digest.digest())
+    _write_cache(columns, path, digest.digest())
 
 
 def _csv_rows(columns):
@@ -331,40 +325,30 @@ def _python_formatted(values, sep: bytes) -> np.ndarray:
 
 
 def _cache_path(path) -> str:
-    return f"{os.fsdecode(path)}.npz"
+    return f"{os.fsdecode(path)}.cols"
 
 
-def _write_cache(dataset: Dataset, path, digest: bytes) -> None:
-    """Write the column cache of the cohort CSV at path: <path>.npz, a
-    numpy archive of the CSV's sha256 (digest), the covariate names (names)
-    and the columns in the layout load_dataset returns (time, event,
-    covariates in column-major order, u_latent when present), each written
-    in chunks. It goes to a temporary name first and os.replace moves it into
-    place, so a reader finds the old cache or the new one, never part of
-    one. Its members carry a fixed zip date, so equal cohorts give equal
-    bytes."""
-    members = [
-        ("digest", np.frombuffer(digest, dtype=np.uint8)),
-        ("names", np.array(dataset.covariate_names, dtype=str)),
-        ("time", dataset.time),
-        ("event", dataset.event),
-        ("covariates", dataset.covariates),
-    ] + [("u_latent", dataset.u_latent)] * (dataset.u_latent is not None)
+def _write_cache(columns, path, digest: bytes) -> None:
+    """Write the column cache of the cohort CSV at path: <path>.cols, the
+    magic, the CSV's sha256 (digest), the CRC-32 of the payload and the
+    payload, the little-endian bytes of each of the CSV's columns in turn,
+    in chunks. It goes to a temporary name first and os.replace moves it
+    into place, so a reader finds the old cache or the new one, never part
+    of one."""
     cache = _cache_path(path)
     tmp = f"{cache}.{os.getpid()}.tmp"
     try:
-        with zipfile.ZipFile(tmp, "w") as zf:
-            for key, values in members:
-                with zf.open(zipfile.ZipInfo(f"{key}.npy"), "w", force_zip64=True) as fp:
-                    np.lib.format.write_array_header_1_0(fp, {
-                        "descr": np.lib.format.dtype_to_descr(values.dtype),
-                        "fortran_order": values.ndim == 2,
-                        "shape": values.shape,
-                    })
-                    rows = max(_CACHE_CHUNK // values.itemsize, 1)
-                    for column in values.T if values.ndim == 2 else [values]:
-                        for start in range(0, len(column), rows):
-                            fp.write(column[start:start + rows].tobytes())
+        with open(tmp, "wb") as fc:
+            fc.write(_CACHE_MAGIC + digest + bytes(4))  # the CRC goes in once the payload is written
+            crc = 0
+            for column in columns:
+                rows = _CACHE_CHUNK // column.itemsize
+                for start in range(0, len(column), rows):
+                    data = column[start:start + rows].astype(column.dtype.newbyteorder("<"), copy=False).tobytes()
+                    crc = zlib.crc32(data, crc)
+                    fc.write(data)
+            fc.seek(40)
+            fc.write(crc.to_bytes(4, "little"))
         os.replace(tmp, cache)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -401,9 +385,9 @@ def load_dataset(path) -> Dataset:
                 header = next(reader)
             except StopIteration:
                 raise ValidationError(f"{path}: file is empty") from None
-            for role in ("time", "event", "u_latent"):
-                if header.count(role) > 1:
-                    raise ValidationError(f"{path}: column '{role}' appears more than once")
+            for name in header:
+                if header.count(name) > 1:
+                    raise ValidationError(f"{path}: column '{name}' appears more than once")
             for required in ("time", "event"):
                 if required not in header:
                     raise ValidationError(f"{path}: missing required column '{required}'")
@@ -412,7 +396,8 @@ def load_dataset(path) -> Dataset:
             # the header column of each Dataset column, in _columns order
             sources = [header.index(c) for c in ["time", "event", *names] + ["u_latent"] * has_u]
             body = fh.tell()
-            columns = _cached_columns(path, fh.buffer, names, has_u)
+            # the cache holds the CSV's columns in header order, which must be the order of _columns
+            columns = _cached_columns(path, fh.buffer, len(names), has_u) if sources == sorted(sources) else None
             if columns is None:
                 fh.seek(body)  # the cache check may have read on
                 columns = _columns(max(_count_lines(path) - reader.line_num, 0), len(names), has_u)
@@ -431,14 +416,7 @@ def load_dataset(path) -> Dataset:
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
     time, event, covariates, u_latent = columns
-    return Dataset(
-        time=time,
-        event=event,
-        covariates=covariates,
-        covariate_names=names,
-        u_latent=u_latent,
-        provenance=str(path),
-    )
+    return Dataset(time, event, covariates, names, u_latent)
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
@@ -461,43 +439,35 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path}: not UTF-8: {exc}")  # the file changed since it was read
 
 
-def _cached_columns(path, fb, names: list, has_u: bool) -> tuple | None:
+def _cached_columns(path, fb, p: int, has_u: bool) -> tuple | None:
     """(time, event, covariates, u_latent) from the column cache of the CSV
-    at path, or None unless <path>.npz opens with np.load(allow_pickle=False)
-    as a zip archive and _read_cache finds it sound; fb is the CSV's binary
-    handle. The cache file is opened here, not by np.load, which leaves its
-    own handle open when the zip is damaged."""
+    at path, whose header gives p covariates and has_u; fb is the CSV's
+    binary handle. None, so that the CSV is parsed, unless the cache has the
+    magic, the sha256 of the CSV's bytes, a payload of at least one whole
+    row, the recorded CRC-32 and only 0 or 1 in its event bytes, and the
+    host is little-endian, as the payload is."""
     try:
         with open(_cache_path(path), "rb") as fc:
-            cache = np.load(fc, allow_pickle=False)
-            if not isinstance(cache, np.lib.npyio.NpzFile):  # a lone .npy array
+            head = fc.read(44)  # magic, sha256, CRC-32
+            if not np.little_endian or head[:8] != _CACHE_MAGIC or head[8:40] != _sha256(fb):
                 return None
-            with cache:
-                return _read_cache(cache, fb, names, has_u)
-    except _CACHE_ERRORS:
+            n, rest = divmod(os.fstat(fc.fileno()).st_size - 44, 8 * (1 + p + has_u) + 1)
+            if rest or n < 1:
+                return None
+            columns = time, event, covariates, u_latent = _columns(n, p, has_u)
+            crc = 0
+            for column in [time, event, *covariates.T] + [u_latent] * has_u:
+                data = memoryview(column).cast("B")
+                for start in range(0, data.nbytes, _CACHE_CHUNK):
+                    chunk = data[start:start + _CACHE_CHUNK]
+                    if fc.readinto(chunk) != chunk.nbytes:
+                        return None
+                    crc = zlib.crc32(chunk, crc)
+    except OSError:
         return None
-
-
-def _read_cache(cache, fb, names: list, has_u: bool) -> tuple | None:
-    """The columns of an open column cache, or None unless it holds the
-    members _write_cache writes and no others, its names are the header's,
-    its digest is the sha256 of the CSV's bytes, read from fb, and each
-    column has the dtype and shape load_dataset returns."""
-    keys = ["digest", "names", "time", "event", "covariates"] + ["u_latent"] * has_u
-    if sorted(cache.zip.namelist()) != sorted(f"{k}.npy" for k in keys):
+    if crc != int.from_bytes(head[40:], "little") or event.view(np.uint8).max() > 1:
         return None
-    if cache["names"].tolist() != names or cache["digest"].tobytes() != _sha256(fb):
-        return None
-    time = _read_member(cache, "time", np.float64, (None,))
-    if time is None:
-        return None
-    n = len(time)
-    event = _read_member(cache, "event", np.bool_, (n,))
-    covariates = _read_member(cache, "covariates", np.float64, (n, len(names)))
-    u_latent = _read_member(cache, "u_latent", np.float64, (n,)) if has_u else None
-    if event is None or covariates is None or (has_u and u_latent is None):
-        return None
-    return time, event, covariates, u_latent
+    return columns
 
 
 def _sha256(fb) -> bytes:
@@ -508,33 +478,6 @@ def _sha256(fb) -> bytes:
     while size := fb.readinto(buf):
         digest.update(memoryview(buf)[:size])
     return digest.digest()
-
-
-def _read_member(cache, key: str, dtype, shape: tuple) -> np.ndarray | None:
-    """The array stored as key.npy in the cache, read in chunks of
-    _CACHE_CHUNK bytes into a new array, column-major when it is a matrix;
-    None unless its header is npy format 1.0 with this dtype, this shape
-    (a None length matches any) and column-major order for a matrix, and
-    its data ends where that shape does."""
-    with cache.zip.open(f"{key}.npy") as fp:
-        if np.lib.format.read_magic(fp) != (1, 0):
-            return None
-        stored, fortran, stored_dtype = np.lib.format.read_array_header_1_0(fp)
-        if (
-            stored_dtype != dtype
-            or fortran != (len(shape) == 2)
-            or len(stored) != len(shape)
-            or any(want not in (None, got) for want, got in zip(shape, stored))
-        ):
-            return None
-        out = np.empty(stored, dtype=dtype, order="F")
-        data = memoryview(out.reshape(-1, order="F")).cast("B")  # its bytes in storage order
-        for start in range(0, data.nbytes, _CACHE_CHUNK):
-            chunk = data[start:start + _CACHE_CHUNK]
-            if fp.readinto(chunk) != chunk.nbytes:
-                return None
-        # nothing may follow the data; zipfile checks the CRC at the member's end
-        return out if fp.read(1) == b"" else None
 
 
 def _count_lines(path) -> int:
@@ -603,12 +546,12 @@ def _read_chunks(fh, columns, sources, width: int) -> int:
 def _first_bad_record(path, reader, width: int, event: int, header_lines: int, refusal: ValueError) -> Exception:
     """The error for the first bad record of the body, which reader reads
     from its start: ParseError for a record with other than width fields or
-    a field float() refuses, ValidationError for an event (field event)
-    other than 0 or 1. It names the line the record starts on: the header
-    takes lines 1 to header_lines, and a quoted field may span lines, so
-    this is the reader's line count, not a count of records. When every
-    record passes, as for a spelling float() takes and numpy refuses (2_5),
-    it is ParseError with numpy's refusal."""
+    a field that is not a number (_float), ValidationError for an event
+    (field event) other than 0 or 1. It names the line the record starts
+    on: the header takes lines 1 to header_lines, and a quoted field may
+    span lines, so this is the reader's line count, not a count of records.
+    When every record passes (the file changed since numpy read it), it is
+    ParseError with numpy's refusal."""
     read = 0  # the body's lines before the record
     for row in reader:
         line_no, read = header_lines + read + 1, reader.line_num
@@ -617,9 +560,17 @@ def _first_bad_record(path, reader, width: int, event: int, header_lines: int, r
         if len(row) != width:
             return ParseError(f"{path}:{line_no}: expected {width} fields, got {len(row)}")
         try:
-            values = [float(field) for field in row]
+            values = [_float(field) for field in row]
         except ValueError as exc:
             return ParseError(f"{path}:{line_no}: {exc}")
         if values[event] not in (0.0, 1.0):
             return ValidationError(f"{path}:{line_no}: event must be 0 or 1")
     return ParseError(f"{path}: {refusal}")
+
+
+def _float(field: str) -> float:
+    """float(field), refusing as numpy's parser does digit groups (2_5) and
+    non-ASCII digits or signs, though not non-ASCII spaces about a number."""
+    if "_" in field or not field.strip().isascii():
+        raise ValueError(f"could not convert string to float: {field!r}")
+    return float(field)

@@ -371,5 +371,4 @@ def generate(config: ScenarioConfig) -> Dataset:
         covariates=covariates,
         covariate_names=["x", "z"],
         u_latent=u_latent,
-        provenance=config,
     )

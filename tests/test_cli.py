@@ -191,7 +191,7 @@ def test_exit_2_on_missing_cohort_beside_its_cache(tmp_path, scenario_path, caps
     # the column cache is read only for the CSV it was written with
     run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
     (tmp_path / "cohort.csv").unlink()
-    assert (tmp_path / "cohort.csv.npz").exists()
+    assert (tmp_path / "cohort.csv.cols").exists()
     rc = run(["fit", tmp_path / "cohort.csv", "--out-dir", tmp_path, "--quiet"])
     assert rc == 2
     assert "cohort.csv" in capsys.readouterr().err
@@ -217,11 +217,12 @@ def test_outputs_do_not_depend_on_the_column_cache(tmp_path, scenario_path, fd_s
     run(["simulate", scenario_path if dag == "backdoor" else fd_scenario_path, "--out-dir", tmp_path, "--quiet"])
     estimate = [dag, tmp_path / "cohort.csv", "--contrast", "1,0", "--t", 10, "--out-dir", tmp_path, "--quiet"]
     outputs = []
-    for _ in range(2):  # with the cache, then from the CSV alone
+    for from_csv in (False, True):  # with the cache, then from the CSV alone
+        if from_csv:
+            (tmp_path / "cohort.csv.cols").unlink()
         assert run(["fit", tmp_path / "cohort.csv", "--out-dir", tmp_path, "--quiet"]) == 0
         assert run(estimate + (["--fit", tmp_path / "fit.json"] if dag == "backdoor" else [])) == 0
         outputs.append([(tmp_path / name).read_bytes() for name in ("fit.json", f"{dag}.json")])
-        (tmp_path / "cohort.csv.npz").unlink(missing_ok=True)
     assert outputs[0] == outputs[1]
 
 
@@ -307,9 +308,14 @@ def test_exit_2_on_repeated_covariate(tmp_path, scenario_path, capsys):
     assert not (tmp_path / "fit.json").exists()
 
 
-@pytest.mark.parametrize("header, role", [("time,event,x,event", "event"), ("time,time,event,x", "time")], ids=["event", "time"])
+@pytest.mark.parametrize(
+    "header, role",
+    [("time,event,x,event", "event"), ("time,time,event,x", "time"), ("time,event,x,x", "x")],
+    ids=["event", "time", "covariate"],
+)
 def test_exit_2_on_a_repeated_role_column(tmp_path, capsys, header, role):
-    # read from its first copy, the repeated column was silently dropped
+    # read from its first copy, a repeated role column was silently dropped;
+    # a repeated covariate was refused without the file or the column named
     path = tmp_path / "cohort.csv"
     path.write_text(f"{header}\n1.0,1,0.5,0\n2.0,0,0.25,1\n")
     assert run(["fit", path, "--out-dir", tmp_path, "--quiet"]) == 2

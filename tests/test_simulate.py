@@ -1,11 +1,10 @@
 import hashlib
 import inspect
-import io
 import json
 import math
 import tracemalloc
 import warnings
-import zipfile
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -189,7 +188,7 @@ def saved_cohort(tmp_path, n):
 
 
 def cache_of(path):
-    return path.with_name(path.name + ".npz")
+    return path.with_name(path.name + ".cols")
 
 
 def load_csv(path):
@@ -219,7 +218,6 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.covariates, ds.covariates)
     assert list(back.covariate_names) == list(ds.covariate_names)
     assert np.array_equal(back.u_latent, ds.u_latent)
-    assert back.provenance == str(path)
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -247,6 +245,12 @@ def test_save_writes_pinned_bytes(tmp_path):
         b"2.5,0,4.9406564584124654e-324,-2\r\n"
         b"1.0000000000000001e-05,1,0.33333333333333331,0.5\r\n"
     )
+    # the cache: the magic, the CSV's sha256, the payload's CRC-32 and the
+    # payload, each column's little-endian bytes in turn, events one byte each
+    columns = [ds.time.astype("<f8"), ds.event.astype("u1"), *ds.covariates.T.astype("<f8"), ds.u_latent.astype("<f8")]
+    payload = b"".join(c.tobytes() for c in columns)
+    crc = zlib.crc32(payload).to_bytes(4, "little")
+    assert cache_of(path).read_bytes() == b"DOHCOLS1" + hashlib.sha256(path.read_bytes()).digest() + crc + payload
 
 
 def percent_template_body(dataset):
@@ -394,13 +398,12 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path_factory, data):
     for back in (from_cache, load_csv(path)):
         assert_same_cohort(back, ds)
         assert back.covariates.flags.f_contiguous
-        assert back.provenance == str(path)
 
 
 def test_load_row_parser_reads_what_the_fast_path_refuses(tmp_path):
     # quoted fields, blank lines, a padded number and an event spelled 1.0
-    # read as they always have; 2_5, a Python literal that float() takes
-    # but no CSV number, is refused by name
+    # read as they always have; 2_5 and a fullwidth digit, which float()
+    # takes but numpy does not, are refused with the line they are on
     path = tmp_path / "odd.csv"
     odd = b'time,event,x\r\n"1.5",1,0.25\r\n\r\n%s,"0", -3\r\n3,1.0,1e-3'
     path.write_bytes(odd % b"25")
@@ -408,9 +411,10 @@ def test_load_row_parser_reads_what_the_fast_path_refuses(tmp_path):
     assert ds.time.tolist() == [1.5, 25.0, 3.0]
     assert ds.event.tolist() == [True, False, True]
     assert ds.column("x").tolist() == [0.25, -3.0, 1e-3]
-    path.write_bytes(odd % b"2_5")
-    with pytest.raises(dh.ParseError, match=r"odd.csv: could not convert string '2_5'"):
-        dh.load_dataset(path)
+    for value in ["2_5", "\uff11"]:
+        path.write_bytes(odd % value.encode())
+        with pytest.raises(dh.ParseError, match=rf"odd.csv:4: could not convert string to float: '{value}'$"):
+            dh.load_dataset(path)
 
 
 def quote_first_field(path):
@@ -656,76 +660,69 @@ def test_load_fills_a_quoted_cohort_chunk_by_chunk(tmp_path):
     assert peak < _held_bytes(dataset) + _ONE_COLUMN
 
 
-def cache_members(path):
-    with np.load(cache_of(path)) as cache:
-        return {key: cache[key] for key in cache.files}
+def sound_cache(path, n):
+    """The magic, digest, CRC and payload of a sound cache for the CSV at
+    path that reads each of its n times one greater, so that using it shows."""
+    data = cache_of(path).read_bytes()
+    payload = (np.frombuffer(data, "<f8", count=n, offset=44) + 1.0).astype("<f8").tobytes() + data[44 + 8 * n:]
+    return with_payload({"magic": data[:8], "digest": data[8:40]}, payload)
 
 
-def with_time_shifted(members):
-    # a cache that reads other times than its CSV, so that using it shows
-    return {**members, "time": members["time"] + 1.0}
+def with_payload(parts, payload):
+    return {**parts, "crc": zlib.crc32(payload).to_bytes(4, "little"), "payload": payload}
+
+
+def write_cache(path, parts):
+    cache_of(path).write_bytes(b"".join(parts[k] for k in ("magic", "digest", "crc", "payload")))
 
 
 def test_load_trusts_a_sound_cache(tmp_path):
     # the positive control of the tests below: a cache in the right layout
     # that records the CSV's digest is read instead of the CSV
     want, path = saved_with_cache(tmp_path)
-    np.savez(cache_of(path), **with_time_shifted(cache_members(path)))
+    write_cache(path, sound_cache(path, want.n))
     got = dh.load_dataset(path)
     assert got.time.tobytes() == (want.time + 1.0).tobytes()
     assert got.covariates.flags.f_contiguous and got.covariates.base is None
 
 
-CACHE_MEMBER_DAMAGE = {
-    "missing_key": lambda m: {k: v for k, v in m.items() if k != "event"},
-    "extra_key": lambda m: {**m, "extra": m["time"]},
-    "event_as_float": lambda m: {**m, "event": m["event"].astype(np.float64)},
-    "time_as_float32": lambda m: {**m, "time": m["time"].astype(np.float32)},
-    "time_big_endian": lambda m: {**m, "time": m["time"].astype(">f8")},
-    "short_time": lambda m: {**m, "time": m["time"][:-1]},
-    "short_event": lambda m: {**m, "event": m["event"][:-1]},
-    "one_covariate": lambda m: {**m, "covariates": np.asfortranarray(m["covariates"][:, :1])},
-    "row_major_covariates": lambda m: {**m, "covariates": np.ascontiguousarray(m["covariates"])},
-    "other_names": lambda m: {**m, "names": m["names"][::-1]},
-    "hex_digest": lambda m: {**m, "digest": np.array(m["digest"].tobytes().hex())},
-    "other_digest": lambda m: {**m, "digest": m["digest"] ^ np.uint8(1)},
-    "pickled_names": lambda m: {**m, "names": m["names"].astype(object)},
+def _set_byte(data, at, value):
+    return data[:at] + bytes([value]) + data[at + 1:]
+
+
+# Each damage leaves the CRC of the payload it writes, so that only the
+# check it names refuses it, except a flipped byte and a trailing byte that
+# the sound CRC does not cover. The cohort has n rows of time, event, x, z
+# and u_latent.
+CACHE_LAYOUT_DAMAGE = {
+    "wrong_magic": lambda c, n: {**c, "magic": b"DOHCOLS2"},
+    "other_digest": lambda c, n: {**c, "digest": _set_byte(c["digest"], 0, c["digest"][0] ^ 1)},
+    "one_byte_short": lambda c, n: with_payload(c, c["payload"][:-1]),
+    "one_byte_long": lambda c, n: {**c, "payload": c["payload"] + b"\0"},
+    "no_rows": lambda c, n: with_payload(c, b""),
+    "flipped_payload_byte": lambda c, n: {**c, "payload": _set_byte(c["payload"], 0, c["payload"][0] ^ 1)},
+    "event_of_2": lambda c, n: with_payload(c, _set_byte(c["payload"], 8 * n, 2)),
+    "one_covariate": lambda c, n: with_payload(c, c["payload"][:17 * n] + c["payload"][25 * n:]),
 }
 
 
-@pytest.mark.parametrize("damage", CACHE_MEMBER_DAMAGE.values(), ids=CACHE_MEMBER_DAMAGE)
+@pytest.mark.parametrize("damage", CACHE_LAYOUT_DAMAGE.values(), ids=CACHE_LAYOUT_DAMAGE)
 def test_load_reads_the_csv_past_a_cache_of_another_layout(tmp_path, damage):
     want, path = saved_with_cache(tmp_path)
-    np.savez(cache_of(path), **damage(with_time_shifted(cache_members(path))))
-    assert_same_cohort(dh.load_dataset(path), want)
-
-
-@pytest.mark.parametrize("resize", [lambda data: data[:-8], lambda data: data + bytes(8)], ids=["short", "long"])
-def test_load_reads_the_csv_past_a_member_of_another_length(tmp_path, resize):
-    # a time member whose data is one value shorter or longer than its header says
-    want, path = saved_with_cache(tmp_path)
-    members = with_time_shifted(cache_members(path))
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(header, {"descr": "<f8", "fortran_order": False, "shape": (want.n,)})
-    with zipfile.ZipFile(cache_of(path), "w") as zf:
-        for key, value in members.items():
-            if key == "time":
-                zf.writestr("time.npy", header.getvalue() + resize(value.tobytes()))
-            else:
-                with zf.open(f"{key}.npy", "w") as fp:
-                    np.lib.format.write_array(fp, value)
+    write_cache(path, damage(sound_cache(path, want.n), want.n))
     assert_same_cohort(dh.load_dataset(path), want)
 
 
 def _flip_middle_byte(data):
     middle = len(data) // 2
-    return data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1:]
+    return _set_byte(data, middle, data[middle] ^ 1)
 
 
 CACHE_FILE_DAMAGE = {
     "truncated": lambda data: data[: len(data) // 2],
     "flipped_byte": _flip_middle_byte,
-    "not_a_zip": lambda data: b"time,event\r\n",
+    "not_a_cache": lambda data: b"time,event\r\n",
+    "cut_in_crc": lambda data: data[:42],
     "empty": lambda data: b"",
 }
 
@@ -737,11 +734,28 @@ def test_load_reads_the_csv_past_a_damaged_cache(tmp_path, damage):
     assert_same_cohort(dh.load_dataset(path), want)
 
 
-def test_load_reads_the_csv_past_a_lone_array(tmp_path):
+def test_save_cut_off_in_the_cache_leaves_the_old_one_whole(tmp_path):
+    # the cache goes to a temporary name first: a save stopped while writing
+    # it leaves no temporary and the old cache as it was, whose digest no
+    # longer matches, so the next load parses the new CSV
+    _, path = saved_with_cache(tmp_path)
+    old = cache_of(path).read_bytes()
+    new = dh.generate(make_frontdoor_config(n_subjects=60))
+    with mock.patch.object(cohort.zlib, "crc32", side_effect=KeyboardInterrupt), pytest.raises(KeyboardInterrupt):
+        dh.save_dataset(new, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cohort.csv", "cohort.csv.cols"]
+    assert cache_of(path).read_bytes() == old
+    assert_same_cohort(dh.load_dataset(path), new)
+
+
+def test_save_and_load_leave_an_old_npz_cache_alone(tmp_path):
     want, path = saved_with_cache(tmp_path)
-    with open(cache_of(path), "wb") as fh:  # np.save to a file object keeps the name
-        np.save(fh, want.time)
+    npz = path.with_name(path.name + ".npz")
+    npz.write_bytes(b"PK\5\6" + bytes(18))  # an empty zip archive
+    assert_same_cohort(load_csv(path), want)
+    dh.save_dataset(want, path)
     assert_same_cohort(dh.load_dataset(path), want)
+    assert npz.read_bytes() == b"PK\5\6" + bytes(18)
 
 
 def test_load_reads_an_edited_csv_not_its_cache(tmp_path):
@@ -777,12 +791,14 @@ def test_load_never_reads_a_cache_without_its_csv(tmp_path):
 
 def test_load_takes_the_roles_from_the_csv_header(tmp_path):
     # a covariate named u_latent is the hidden column once written as CSV;
-    # the cache holds it as a covariate, so it must not be read
+    # the cache holds the columns in the CSV's order, so it may be read only
+    # where that is the order of the loaded columns: u_latent last
     path = tmp_path / "cohort.csv"
-    dh.save_dataset(dh.Dataset(time=[1.0, 2.0], event=[1, 0], covariates=[[0.5], [0.25]], covariate_names=["u_latent"]), path)
-    got = dh.load_dataset(path)
-    assert got.covariate_names == [] and got.u_latent.tolist() == [0.5, 0.25]
-    assert_same_cohort(got, load_csv(path))
+    for names, covariates in [(["u_latent"], [[0.5], [0.25]]), (["a", "u_latent", "b"], [[3.0, 0.5, 4.0], [5.0, 0.25, 6.0]])]:
+        dh.save_dataset(dh.Dataset(time=[1.0, 2.0], event=[1, 0], covariates=covariates, covariate_names=names), path)
+        got = dh.load_dataset(path)
+        assert got.covariate_names == [n for n in names if n != "u_latent"] and got.u_latent.tolist() == [0.5, 0.25]
+        assert_same_cohort(got, load_csv(path))
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["chunk_reader", "quoted"])
@@ -825,8 +841,8 @@ def test_load_rejects_malformed_rows(tmp_path):
     with pytest.raises(dh.ValidationError, match="event"):
         dh.load_dataset(path)
 
-    # a role column given twice is refused, not read from its first copy
-    for header, role in [("time,event,x,event", "event"), ("time,event,time,x", "time"), ("time,event,u_latent,u_latent", "u_latent")]:
+    # a column given twice is refused, not read from its first copy
+    for header, role in [("time,event,x,event", "event"), ("time,event,time,x", "time"), ("time,event,u_latent,u_latent", "u_latent"), ("time,event,x,x", "x")]:
         path.write_text(header + "\n1.0,1,0.5,0\n")
         with pytest.raises(dh.ValidationError, match=rf"bad.csv: column '{role}' appears more than once$"):
             dh.load_dataset(path)
@@ -857,12 +873,14 @@ def test_load_rejects_malformed_rows(tmp_path):
         (b'time,"a\r\nb",event\r\n1.0,0.5,1\r\noops,0.1,0\r\n', 4),
         (b'time,event,x\r\n1,1,"0.5\r\n"\r\n2,oops,0.1\r\n', 4),
         (b'time,event,x\n"1\n\n",1,0.5\n\n2,oops,0.1\n', 6),
+        ("time,event,x\n\u00a01.5\u2003,1,0.5\noops,1,0.1\n".encode(), 3),
     ],
-    ids=["header_spans_lines", "header_spans_crlf_lines", "field_spans_lines", "field_spans_lines_then_blank"],
+    ids=["header_spans_lines", "header_spans_crlf_lines", "field_spans_lines", "field_spans_lines_then_blank", "spaces"],
 )
 def test_load_names_the_line_a_bad_record_starts_on(tmp_path, text, line):
     # line numbers count lines, not records, when a quoted header name or
-    # field holds a line end
+    # field holds a line end; numpy and the scan both take a number padded
+    # with non-ASCII spaces
     path = tmp_path / "bad.csv"
     path.write_bytes(text)
     with pytest.raises(dh.ParseError, match=rf":{line}: could not convert string to float: 'oops'"):
