@@ -174,6 +174,26 @@ def paf(fit: CoxFit, summary: BackdoorSummary, x0=None) -> float:
     return 1.0 - math.exp(eta_x0) * summary.a_z / summary.mean_joint_risk
 
 
+def estimate_table(dataset: Dataset, fit: CoxFit, contrasts, horizons, z_columns) -> tuple[list, BackdoorSummary]:
+    """Every adjustment-formula estimate of a grid as rows
+    (method, x, x0, t, CausalEstimate): causal_rr for each contrast (x, x0)
+    and t, do_cdf for each x of the contrasts and t (x0 NaN), and paf
+    against do(0) for each t (x NaN); plus the summary they share, taken at
+    the last horizon. Each estimator is called through this module's
+    globals, so a wrapper installed on the module sees every call.
+    """
+    summary = compute_az(dataset, fit, z_columns, horizon_t=max(horizons))
+    rows = []
+    for x, x0 in contrasts:
+        rr = causal_rr(fit, summary, x, x0)
+        rows += [("causal_rr", x, x0, t, rr) for t in horizons]
+    for x in dict.fromkeys(v for contrast in contrasts for v in contrast):
+        rows += [("do_cdf", x, math.nan, t, do_cdf(fit, summary, x, t)) for t in horizons]
+    attributable = CausalEstimate(value=paf(fit, summary), std_err=math.nan, method="paf")
+    rows += [("paf", math.nan, 0.0, t, attributable) for t in horizons]
+    return rows, summary
+
+
 def naive_rr(dataset: Dataset, x_column: str, x, x0) -> CausalEstimate:
     """Unadjusted comparator: single-covariate fit on the exposure alone.
 

@@ -5,9 +5,10 @@ All data goes to files; stderr carries progress notes and error text.
 Exit codes: 0 success, 2 invalid input (bad JSON, bad fields, bad files),
 3 numerical failure (non-convergence, degenerate data).
 
-``backdoor``, ``frontdoor`` and ``experiment`` share one estimate step per
-DAG (``_estimator``): one contrast at one horizon for the first two, the
-whole grid for ``experiment``.
+``backdoor``, ``frontdoor`` and ``experiment`` write one estimate table per
+DAG (``estimate_table`` of ``backdoor`` and ``frontdoor``): one contrast at
+one horizon for the first two, and for ``experiment`` the whole grid
+joined to the oracle's reference for each row (``oracle.references``).
 
 ``experiment`` runs the full pipeline: simulate a cohort, fit it, compute
 every causal estimate, run the brute-force intervention oracle, and write
@@ -27,7 +28,6 @@ import dataclasses
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from . import backdoor as bd
 from . import frontdoor as fd
@@ -173,81 +173,35 @@ def cmd_fit(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _Estimator:
-    """One DAG's estimate step on a fitted cohort. paf is None where the DAG
-    does not identify it; facts are the fitted numbers as report.json names
-    them; extras are the DAG's own keys of the subcommand's output."""
-
-    rr: Callable  # (x, x0) -> CausalEstimate
-    cdf: Callable  # (x, t) -> CausalEstimate
-    paf: Callable | None  # () -> float
-    facts: dict
-    extras: Callable  # (x, x0, t) -> dict
-
-
-def _estimator(dag_kind: str, dataset: Dataset, fit, z_columns, horizon_t: float) -> _Estimator:
-    # estimators are looked up on their modules at call time, so a wrapper
-    # installed there sees every call
-    if dag_kind == "backdoor":
-        summary = bd.compute_az(dataset, fit, z_columns, horizon_t=horizon_t)
-        diagnostics = {
-            "a_z": summary.a_z,
-            "mean_joint_risk": summary.mean_joint_risk,
-            "max_cumhaz": summary.max_cumhaz,
-            "rarity_flag": summary.rarity_flag,
-        }
-        return _Estimator(
-            rr=lambda x, x0: bd.causal_rr(fit, summary, x, x0),
-            cdf=lambda x, t: bd.do_cdf(fit, summary, x, t),
-            paf=lambda: bd.paf(fit, summary),
-            facts={"backdoor_summary": {**diagnostics, "horizon_t": summary.horizon_t}},
-            extras=lambda x, x0, t: {**diagnostics, "do_cumhaz_x": bd.do_cumhaz(fit, summary, x, t)},
-        )
-    params = fd.estimate_frontdoor_params(dataset, fit)
-    fitted = {
-        "beta_x": params.beta_x,
-        "beta_z": params.beta_z,
-        "alpha": params.alpha,
-        "mu_x": params.mu_x,
-        "sigma_x": params.sigma_x,
-        "sigma_z": params.sigma_z,
-    }
-    return _Estimator(
-        rr=lambda x, x0: fd.frontdoor_causal_rr(params, x, x0),
-        cdf=lambda x, t: fd.frontdoor_do_cdf_gaussian(params, fit.baseline_cumhaz(t), x),
-        paf=None,
-        facts={"frontdoor_params": fitted},
-        extras=lambda x, x0, t: {
-            "params": fitted,
-            "mediation_indirect_rr": _estimate_dict(fd.mediation_indirect_rr(params, x, x0)),
-        },
-    )
+def _fitted(fitted) -> dict:
+    """The fitted numbers of a DAG's table, as the outputs name them."""
+    if isinstance(fitted, bd.BackdoorSummary):
+        names = ("a_z", "mean_joint_risk", "max_cumhaz", "rarity_flag")
+    else:
+        names = ("beta_x", "beta_z", "alpha", "mu_x", "sigma_x", "sigma_z")
+    return {name: getattr(fitted, name) for name in names}
 
 
 def cmd_estimate(args) -> int:
-    """backdoor and frontdoor: one contrast at one horizon, from a cohort."""
+    """backdoor and frontdoor: the DAG's table for one contrast at one horizon."""
     x, x0 = _parse_contrast(args.contrast)
     _horizon(args.t, "--t")
     dataset = load_dataset(args.data)
     if args.command == "backdoor":
         fit = load_fit(args.fit) if args.fit else fit_cox(dataset)
-        z_columns = args.z_columns.split(",")
+        rows, summary = bd.estimate_table(dataset, fit, [(x, x0)], [args.t], args.z_columns.split(","))
+        payload = {**_fitted(summary), "do_cumhaz_x": bd.do_cumhaz(fit, summary, x, args.t)}
     else:
         fit = fit_cox(dataset, list(_ROLES))
-        z_columns = None
-    est = _estimator(args.command, dataset, fit, z_columns, args.t)
-    payload = {
-        "causal_rr": _estimate_dict(est.rr(x, x0)),
-        "do_cdf_x": _estimate_dict(est.cdf(x, args.t)),
-        "do_cdf_x0": _estimate_dict(est.cdf(x0, args.t)),
-        **est.extras(x, x0, args.t),
-        "t": args.t,
-        "x": x,
-        "x0": x0,
-    }
-    if est.paf is not None:
-        payload["paf"] = est.paf()
+        rows, params = fd.estimate_table(dataset, fit, [(x, x0)], [args.t])
+        indirect = fd.mediation_indirect_rr(params, x, x0)
+        payload = {"params": _fitted(params), "mediation_indirect_rr": _estimate_dict(indirect)}
+    payload.update(t=args.t, x=x, x0=x0)
+    for method, row_x, _, _, est in rows:
+        if method == "do_cdf":  # one row per distinct x of the contrast
+            payload.update({key: _estimate_dict(est) for key, v in (("do_cdf_x", x), ("do_cdf_x0", x0)) if row_x == v})
+        else:
+            payload[method] = est.value if method == "paf" else _estimate_dict(est)
     out = _out_path(args, args.out)
     write_object(out, payload)
     _info(args, f"{args.command} estimates for ({x} vs {x0}) at t={args.t} -> {out}")
@@ -280,46 +234,20 @@ def cmd_oracle(args) -> int:
 
 
 def _experiment_rows(exp: ExperimentConfig, dataset: Dataset, fit, oracle_seed: int) -> tuple:
-    """All estimate rows plus the DAG's fitted numbers for report.json."""
-    scenario, n = exp.scenario, exp.oracle_n
-    rows = []
-    x_values = list(dict.fromkeys(v for contrast in exp.contrasts for v in contrast))
-    est = _estimator(scenario.dag_kind, dataset, fit, _ROLES[1:], max(exp.horizon_grid))
-
-    # One draw of the oracle's noise at offset 0 counts every arm and every
-    # compared pair of the pass; the PAF compares the factual arm with do(0).
-    pairs = list(exp.contrasts) + ([(None, 0.0)] if est.paf else [])
-    counts = orc._event_counts(scenario, n, oracle_seed, 0, x_values, exp.horizon_grid, pairs)
-    do_results = {(x, t): orc._result(counts[x, t], n, x, t, oracle_seed) for x in x_values for t in exp.horizon_grid}
-
-    def row(method, x, x0, t, estimate, std_err, oracle_value, oracle_se, rarity_flag):
-        rel = abs(estimate - oracle_value) / abs(oracle_value) if oracle_value else float("nan")
-        return dict(zip(_COLUMNS, (method, x, x0, t, estimate, std_err, oracle_value, oracle_se, rel, rarity_flag)))
-
-    for x, x0 in exp.contrasts:
-        rr = est.rr(x, x0)
-        for t in exp.horizon_grid:
-            ora = orc._ratio(counts, n, oracle_seed, x, x0, t)
-            rows.append(row("causal_rr", x, x0, t, rr.value, rr.std_err, ora.ratio, ora.standard_error, rr.rarity_flag))
-    for x in x_values:
-        for t in exp.horizon_grid:
-            cdf = est.cdf(x, t)
-            ora = do_results[(x, t)]
-            rows.append(
-                row("do_cdf", x, float("nan"), t, cdf.value, cdf.std_err, ora.incidence, ora.standard_error, cdf.rarity_flag)
-            )
-    if est.paf is not None:
-        value = est.paf()
-        for t in exp.horizon_grid:
-            o_paf, o_se = orc._paf(counts, n, 0.0, t)
-            rows.append(row("paf", float("nan"), 0.0, t, value, float("nan"), o_paf, o_se, False))
-    for x in x_values:
-        for t in exp.horizon_grid:
-            ora = do_results[(x, t)]
-            rows.append(
-                row("oracle", x, float("nan"), t, ora.incidence, ora.standard_error, ora.incidence, ora.standard_error, False)
-            )
-    return rows, est.facts
+    """The DAG's table on the grid joined to the oracle's references, plus
+    the DAG's fitted numbers for report.json."""
+    if exp.scenario.dag_kind == "backdoor":
+        rows, summary = bd.estimate_table(dataset, fit, exp.contrasts, exp.horizon_grid, _ROLES[1:])
+        facts = {"backdoor_summary": {**_fitted(summary), "horizon_t": summary.horizon_t}}
+    else:
+        rows, params = fd.estimate_table(dataset, fit, exp.contrasts, exp.horizon_grid)
+        facts = {"frontdoor_params": _fitted(params)}
+    oracle_rows, refs = orc.references(exp.scenario, exp.oracle_n, oracle_seed, rows)
+    table = []
+    for (method, x, x0, t, est), (ref, ref_se) in zip(rows + oracle_rows, refs):
+        rel = abs(est.value - ref) / abs(ref) if ref else float("nan")
+        table.append(dict(zip(_COLUMNS, (method, x, x0, t, est.value, est.std_err, ref, ref_se, rel, est.rarity_flag))))
+    return table, facts
 
 
 def cmd_experiment(args) -> int:

@@ -140,3 +140,22 @@ def mediation_indirect_rr(params: FrontdoorParams, x: float, x0: float) -> Causa
     """
     est = frontdoor_causal_rr(params, x, x0)
     return dataclasses.replace(est, method="mediation_indirect_rr")
+
+
+def estimate_table(dataset: Dataset, fit: CoxFit, contrasts, horizons) -> tuple[list, FrontdoorParams]:
+    """Every frontdoor estimate of a grid as rows (method, x, x0, t,
+    CausalEstimate): causal_rr for each contrast (x, x0) and t, and do_cdf
+    for each x of the contrasts and t (x0 NaN), and no paf; plus the fitted
+    params. Each estimator is called through this module's globals, so a
+    wrapper installed on the module sees every call.
+    """
+    params = estimate_frontdoor_params(dataset, fit)
+    rows = []
+    for x, x0 in contrasts:
+        rr = frontdoor_causal_rr(params, x, x0)
+        rows += [("causal_rr", x, x0, t, rr) for t in horizons]
+    for x in dict.fromkeys(v for contrast in contrasts for v in contrast):
+        rows += [
+            ("do_cdf", x, math.nan, t, frontdoor_do_cdf_gaussian(params, fit.baseline_cumhaz(t), x)) for t in horizons
+        ]
+    return rows, params

@@ -29,6 +29,7 @@ import numpy as np
 from .cohort import Dataset
 from .cox import CoxFit, _horizon
 from .errors import DegenerateOracleError, InvalidArgumentError
+from .results import CausalEstimate
 from .simulate import ScenarioConfig, _scm_blocks
 
 _FLAG_THRESHOLD = 0.05
@@ -159,6 +160,37 @@ def _paf(counts: dict, n: int, x0: float, t: float) -> tuple[float, float]:
         raise DegenerateOracleError("no events under do(x0); increase n or t")
     ratio = (counterfactual / n) / (factual / n)
     return 1.0 - ratio, ratio * _log_ratio_se(counterfactual, factual, counts[None, x0, t])
+
+
+def references(config: ScenarioConfig, n: int, seed: int, rows) -> tuple[list, list]:
+    """The oracle rows and each row's (oracle_value, oracle_se), all from
+    one draw of the noise at offset 0 (see _event_counts).
+
+    rows are a DAG's estimate table, (method, x, x0, t, CausalEstimate). A
+    causal_rr row's reference is the ratio of its pair, a do_cdf row's the
+    incidence under do(x), a paf row's the PAF of the factual arm against
+    do(x0). Each do_cdf row gives one ("oracle", x, NaN, t, CausalEstimate)
+    row holding that incidence, whose reference is itself; the references
+    are those of rows + oracle rows.
+    """
+    xs = [x for method, x, *_ in rows if method == "do_cdf"]
+    pairs = [(x, x0) for method, x, x0, *_ in rows if method == "causal_rr"]
+    pairs += [(None, x0) for method, _, x0, *_ in rows if method == "paf"]
+    counts = _event_counts(config, n, seed, 0, xs, [row[3] for row in rows], pairs)
+    oracle_rows, refs = [], []
+    for method, x, x0, t, _ in rows:
+        if method == "causal_rr":
+            ratio = _ratio(counts, n, seed, x, x0, t)
+            refs.append((ratio.ratio, ratio.standard_error))
+        elif method == "paf":
+            refs.append(_paf(counts, n, x0, t))
+        elif method == "do_cdf":
+            arm = _result(counts[x, t], n, x, t, seed)
+            refs.append((arm.incidence, arm.standard_error))
+            oracle_rows.append(("oracle", x, math.nan, t, CausalEstimate(arm.incidence, arm.standard_error, "oracle")))
+        else:
+            raise InvalidArgumentError(f"the oracle has no reference for {method!r} rows")
+    return oracle_rows, refs + [(est.value, est.std_err) for *_, est in oracle_rows]
 
 
 def taylor_relative_error(h: float) -> float:

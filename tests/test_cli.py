@@ -118,6 +118,37 @@ def test_frontdoor_command(tmp_path, fd_scenario_path):
     assert set(payload["params"]) == {"beta_x", "beta_z", "alpha", "mu_x", "sigma_x", "sigma_z"}
 
 
+@pytest.mark.parametrize("dag", ["backdoor", "frontdoor"])
+def test_subcommand_is_the_experiment_table_at_one_contrast_and_horizon(tmp_path, dag):
+    # backdoor without --fit fits (x, z), as experiment does, on the same
+    # cohort read back bit for bit, so every shared value is the same float
+    config = (make_backdoor_config if dag == "backdoor" else make_frontdoor_config)(n_subjects=4_000)
+    x, x0, t = 2.0, -1.0, 5.0
+    assert run(["simulate", write_scenario(tmp_path / "scenario.json", config), "--out-dir", tmp_path, "--quiet"]) == 0
+    argv = [dag, tmp_path / "cohort.csv", "--contrast", f"{x},{x0}", "--t", t, "--out-dir", tmp_path, "--quiet"]
+    assert run(argv) == 0
+    experiment = {"scenario": config.to_dict(), "contrasts": [[x, x0]], "horizon_grid": [t], "oracle_n": 20_000}
+    (tmp_path / "experiment.json").write_text(json.dumps(experiment))
+    assert run(["experiment", tmp_path / "experiment.json", "--out-dir", tmp_path, "--quiet"]) == 0
+    payload = json.loads((tmp_path / f"{dag}.json").read_text())
+    rows = json.loads((tmp_path / "report.json").read_text())["estimates"]
+
+    def estimate(method, **key):
+        [row] = [r for r in rows if r["method"] == method and all(r[k] == v for k, v in key.items())]
+        assert row["t"] == t
+        return row["estimate"]
+
+    got = {key: payload[key]["value"] for key in ("causal_rr", "do_cdf_x", "do_cdf_x0")}
+    expected = {
+        "causal_rr": estimate("causal_rr"),
+        "do_cdf_x": estimate("do_cdf", x=x),
+        "do_cdf_x0": estimate("do_cdf", x=x0),
+    }
+    if dag == "backdoor":
+        got["paf"], expected["paf"] = payload["paf"], estimate("paf")
+    assert got == expected
+
+
 def test_oracle_command_incidence(tmp_path, scenario_path):
     rc = run([
         "oracle", scenario_path, "--x", 1.0, "--n", 50_000, "--t", 10,

@@ -4,7 +4,8 @@ The estimators read cohorts through ``dohazard.cohort`` and JSON files
 through ``dohazard._json``, so they do not import the simulator. The
 benchmark under ``perfbench/`` imports dohazard names and wraps functions
 where the CLI looks them up; a name it needs that went missing would break
-only the benchmark, so each one is checked here. No package module keeps
+only the benchmark, so each one is checked here, and so is a span from each
+estimate layer it times. No package module keeps
 an import it does not use, so a moved or deleted name leaves no stray
 import behind.
 """
@@ -12,10 +13,15 @@ import behind.
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from dohazard import cli
+
+from conftest import make_backdoor_config, make_frontdoor_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dohazard"
@@ -71,17 +77,36 @@ def test_every_dohazard_name_the_benchmark_imports_exists():
         assert name is None or hasattr(imported, name), f"{module}.{name}"
 
 
-def test_every_function_the_benchmark_wraps_exists(monkeypatch):
+@pytest.fixture()
+def spans(monkeypatch):
+    """perfbench/spans.py, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look their module up
-    spec.loader.exec_module(spans)
-    table = spans._patch_table(spans.Tracer())
-    import dohazard.cli as cli
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
+
+def test_every_function_the_benchmark_wraps_exists(spans):
+    table = spans._patch_table(spans.Tracer())
     assert (cli, "load_dataset") in [(owner, attr) for owner, attr, *_ in table]
     for owner, attr, *_ in table:
         assert callable(owner.__dict__.get(attr)), f"{owner.__name__}.{attr}"
+
+
+def test_every_estimate_layer_the_benchmark_times_records_spans(spans, tmp_path):
+    # a wrapper sees only the calls made through the name it replaces, so an
+    # estimator called some other way would leave its layer reading zero
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        for config in (make_backdoor_config(n_subjects=2_000), make_frontdoor_config(n_subjects=2_000)):
+            experiment = {"scenario": config.to_dict(), "contrasts": [[1, 0]], "horizon_grid": [10], "oracle_n": 5_000}
+            path = tmp_path / "experiment.json"
+            path.write_text(json.dumps(experiment))
+            assert cli.main(["experiment", str(path), "--out-dir", str(tmp_path / config.dag_kind), "--quiet"]) == 0
+    recorded = {span.name for span in tracer.spans}
+    layers = {"cox.fit", "backdoor.compute_az", "backdoor.estimate", "frontdoor.params", "frontdoor.estimate"}
+    assert layers <= recorded, sorted(layers - recorded)
 
 
 # Imported names a module keeps without using them, each with its reason.
