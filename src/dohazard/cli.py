@@ -178,7 +178,7 @@ def _fitted(fitted) -> dict:
     if isinstance(fitted, bd.BackdoorSummary):
         names = ("a_z", "mean_joint_risk", "max_cumhaz", "rarity_flag")
     else:
-        names = ("beta_x", "beta_z", "alpha", "mu_x", "sigma_x", "sigma_z")
+        names = ("beta_x", "beta_z", "alpha", "gamma", "mu_x", "sigma_x", "sigma_z")
     return {name: getattr(fitted, name) for name in names}
 
 

@@ -1,11 +1,15 @@
 """Mediator-based ("frontdoor") causal estimators for unmeasured confounding.
 
 The hidden confounder U drives both the exposure X and the hazard, but X
-acts on the hazard only through a measured mediator Z. The interventional
-incidence then factorizes into the baseline, a confounded constant (the
-x' average), a mediator-noise constant, and exp(beta_z * alpha * x); only
-the last factor moves with the intervention, so the causal relative risk
-is exp(beta_z * alpha * (x - x0)) no matter how strong the confounding.
+acts on the hazard only through a measured mediator Z = gamma + alpha * X
++ noise. The interventional incidence then factorizes into the baseline, a
+confounded constant (the x' average), a mediator-noise constant, and
+exp(beta_z * (gamma + alpha * x)); only the last factor moves with the
+intervention, so the causal relative risk is exp(beta_z * alpha * (x - x0))
+no matter how strong the confounding. The intercept gamma keeps the
+incidence unchanged when z is shifted by a constant c: the baseline,
+anchored at covariates equal to zero, moves by exp(-beta_z * c), and gamma
+by c.
 
 The same product of coefficients is the natural indirect effect of a
 mediation analysis with no direct pathway; ``mediation_indirect_rr`` is
@@ -30,7 +34,8 @@ class FrontdoorParams:
     """Estimated pieces of the factorized interventional incidence.
 
     beta_x is the confounded exposure coefficient from the (x, z) hazard
-    fit; it enters the incidence level only, never the relative risk.
+    fit, and gamma the intercept of the mediator line z ~ x; both enter the
+    incidence level only, never the relative risk.
     se_alpha and se_beta_z, when present, feed the delta-method standard
     error of the relative risk.
     """
@@ -38,6 +43,7 @@ class FrontdoorParams:
     beta_x: float
     beta_z: float
     alpha: float
+    gamma: float
     mu_x: float
     sigma_x: float
     sigma_z: float
@@ -45,7 +51,7 @@ class FrontdoorParams:
     se_beta_z: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("beta_x", "beta_z", "alpha", "mu_x", "sigma_x", "sigma_z"):
+        for name in ("beta_x", "beta_z", "alpha", "gamma", "mu_x", "sigma_x", "sigma_z"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidArgumentError(f"FrontdoorParams.{name} must be finite")
         if self.sigma_x < 0 or self.sigma_z < 0:
@@ -59,7 +65,7 @@ def estimate_frontdoor_params(dataset: Dataset, fit: CoxFit | None = None) -> Fr
     """
     x = dataset.column("x")
     z = dataset.column("z")
-    alpha, _, sigma_z, se_alpha = ols_fit(x, z)
+    alpha, gamma, sigma_z, se_alpha = ols_fit(x, z)
     mu_x, sigma_x = empirical_moments(x)
     if fit is None:
         fit = fit_cox(dataset, ["x", "z"])
@@ -67,6 +73,7 @@ def estimate_frontdoor_params(dataset: Dataset, fit: CoxFit | None = None) -> Fr
         beta_x=fit.coef("x"),
         beta_z=fit.coef("z"),
         alpha=alpha,
+        gamma=gamma,
         mu_x=mu_x,
         sigma_x=sigma_x,
         sigma_z=sigma_z,
@@ -80,7 +87,7 @@ def frontdoor_do_cdf_gaussian(params: FrontdoorParams, h0_t: float, x: float) ->
     mediator noise:
 
         h0_t * exp(beta_x*mu_x) * exp(sigma_x^2*beta_x^2/2 + sigma_z^2*beta_z^2/2)
-             * exp(beta_z*alpha*x)
+             * exp(beta_z*(gamma + alpha*x))
 
     Flagged when the value exceeds 0.1 (no longer a credible probability).
     """
@@ -92,7 +99,7 @@ def frontdoor_do_cdf_gaussian(params: FrontdoorParams, h0_t: float, x: float) ->
         h0_t
         * math.exp(params.beta_x * params.mu_x)
         * math.exp((params.sigma_x * params.beta_x) ** 2 / 2.0 + (params.sigma_z * params.beta_z) ** 2 / 2.0)
-        * math.exp(params.beta_z * params.alpha * x)
+        * math.exp(params.beta_z * (params.gamma + params.alpha * x))
     )
     return CausalEstimate(
         value=value,

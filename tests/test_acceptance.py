@@ -148,6 +148,7 @@ def test_criterion_5_mediation_equivalence_bit_exact(capsys):
             mu_x=rng.uniform(-1, 1),
             sigma_x=rng.uniform(0, 1.5),
             sigma_z=rng.uniform(0, 1.5),
+            gamma=0.0,
             se_alpha=rng.uniform(0.01, 0.2) if k % 2 else None,
             se_beta_z=rng.uniform(0.01, 0.2) if k % 2 else None,
         )
@@ -172,6 +173,7 @@ def test_criterion_6_gaussian_factorization(capsys, frontdoor_dataset, frontdoor
             mu_x=rng.uniform(-1, 1),
             sigma_x=rng.uniform(0, 1.2),
             sigma_z=rng.uniform(0, 1.2),
+            gamma=rng.uniform(-1, 1),
         )
         for _ in range(50)
     ]
@@ -181,7 +183,7 @@ def test_criterion_6_gaussian_factorization(capsys, frontdoor_dataset, frontdoor
         value = dh.frontdoor_do_cdf_gaussian(params, h0, x).value
         product = (
             h0
-            * math.exp(params.beta_z * params.alpha * x)
+            * math.exp(params.beta_z * (params.gamma + params.alpha * x))
             * gaussian_exponential_moment(params.beta_x, GaussianSpec(params.mu_x, params.sigma_x))
             * gaussian_exponential_moment(params.beta_z, GaussianSpec(0.0, params.sigma_z))
         )

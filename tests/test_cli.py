@@ -115,7 +115,7 @@ def test_frontdoor_command(tmp_path, fd_scenario_path):
     assert rc == 0
     payload = json.loads((tmp_path / "frontdoor.json").read_text())
     assert payload["causal_rr"]["value"] == payload["mediation_indirect_rr"]["value"]
-    assert set(payload["params"]) == {"beta_x", "beta_z", "alpha", "mu_x", "sigma_x", "sigma_z"}
+    assert set(payload["params"]) == {"beta_x", "beta_z", "alpha", "gamma", "mu_x", "sigma_x", "sigma_z"}
 
 
 @pytest.mark.parametrize("dag", ["backdoor", "frontdoor"])
@@ -525,10 +525,10 @@ PINNED_DIGESTS = {
     "backdoor 2,-1 t=5": "ef700f3905a0ddf868b9a0adfa111bb742fd05703d6129deda816595bb4f33f3",
     "experiment backdoor estimates.csv": "3f24b4f6a60042f7fe039a3736438dff540f42d2c0e316d56b45e5c66b142e4f",
     "experiment backdoor report.json": "2f54e5209bb1615da03d12a8ba60b55f0d415fba49dab2bb5ddd758372f606b7",
-    "experiment frontdoor estimates.csv": "f9a13b075e8b43de646204c132c8dcc50214be02cae50de24980fecf4c28050f",
-    "experiment frontdoor report.json": "82ef63c817ed8747d970cb8b8224171caca8c6e05f7b4a9bf6bc5e3f93368feb",
-    "frontdoor 1,0 t=10": "7c90f9440959280c003eaa1eac0cab5dfcdea885ff7e328a97bf21c0a080f05e",
-    "frontdoor 2,-1 t=5": "352607f5faf5de3b96ee18e8a116bf30db6867f894274863a47b84b4f5915085",
+    "experiment frontdoor estimates.csv": "61965313c3cf771203fd1ed9d12d5c184e3471479964bcb8cdea0f880bd850c9",
+    "experiment frontdoor report.json": "303bdedf542fd1339a3524baf9d96153591f9e222c8e257d1b1d185ed656c4e8",
+    "frontdoor 1,0 t=10": "421fe6b34f558de4991e8dfe8a194ce27605bc81261d4d081fdbfbed3ebb867f",
+    "frontdoor 2,-1 t=5": "9e5b67ee6ce665ded5ba91502b855ff04813c4ebd2c12b4c9ec7fca366032885",
     "oracle backdoor --x 1": "5dcb31fce7b5ba6ae24bad054f92c60594fd87b71ea1893307f94c1689fbf05f",
     "oracle backdoor --x 1 --x0 0": "3ea3285623e1d54360e90fdd853e9ae7c4603f6e60390c5cdafb87fd7b199baf",
     "oracle backdoor --x 2 --x0 -1": "5c25fb35a330021c50404e1aaa8b23dd214c844bf31e304b02b8f4baaafd75a7",

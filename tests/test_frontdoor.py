@@ -20,6 +20,7 @@ def random_params(rng):
         sigma_z=float(rng.uniform(0.0, 1.5)),
         se_alpha=float(rng.uniform(0.001, 0.1)),
         se_beta_z=float(rng.uniform(0.001, 0.1)),
+        gamma=float(rng.normal(scale=0.5)),
     )
 
 
@@ -45,13 +46,15 @@ def test_param_estimation_alpha_zero():
 
 def test_params_validate():
     with pytest.raises(dh.InvalidArgumentError):
-        dh.FrontdoorParams(beta_x=math.nan, beta_z=0.0, alpha=0.0, mu_x=0.0, sigma_x=1.0, sigma_z=1.0)
+        dh.FrontdoorParams(beta_x=math.nan, beta_z=0.0, alpha=0.0, gamma=0.0, mu_x=0.0, sigma_x=1.0, sigma_z=1.0)
     with pytest.raises(dh.InvalidArgumentError):
-        dh.FrontdoorParams(beta_x=0.0, beta_z=0.0, alpha=0.0, mu_x=0.0, sigma_x=-1.0, sigma_z=1.0)
+        dh.FrontdoorParams(beta_x=0.0, beta_z=0.0, alpha=0.0, gamma=0.0, mu_x=0.0, sigma_x=-1.0, sigma_z=1.0)
+    with pytest.raises(dh.InvalidArgumentError, match="gamma"):
+        dh.FrontdoorParams(beta_x=0.0, beta_z=0.0, alpha=0.0, gamma=math.inf, mu_x=0.0, sigma_x=1.0, sigma_z=1.0)
 
 
 def test_gaussian_cdf_null_coefficients():
-    params = dh.FrontdoorParams(beta_x=0.0, beta_z=0.0, alpha=1.0, mu_x=0.3, sigma_x=1.0, sigma_z=0.5)
+    params = dh.FrontdoorParams(beta_x=0.0, beta_z=0.0, alpha=1.0, gamma=0.0, mu_x=0.3, sigma_x=1.0, sigma_z=0.5)
     est = dh.frontdoor_do_cdf_gaussian(params, 0.03, 2.0)
     assert est.value == 0.03
     assert not est.rarity_flag
@@ -59,13 +62,13 @@ def test_gaussian_cdf_null_coefficients():
 
 
 def test_gaussian_cdf_point_mass_doubling():
-    params = dh.FrontdoorParams(beta_x=0.0, beta_z=math.log(2.0), alpha=1.0, mu_x=0.0, sigma_x=0.0, sigma_z=0.0)
+    params = dh.FrontdoorParams(beta_x=0.0, beta_z=math.log(2.0), alpha=1.0, gamma=0.0, mu_x=0.0, sigma_x=0.0, sigma_z=0.0)
     est = dh.frontdoor_do_cdf_gaussian(params, 0.03, 1.0)
     assert est.value == pytest.approx(0.06, rel=1e-15)
 
 
 def test_gaussian_cdf_rejects_bad_h0():
-    params = dh.FrontdoorParams(beta_x=0.0, beta_z=0.0, alpha=1.0, mu_x=0.0, sigma_x=1.0, sigma_z=1.0)
+    params = dh.FrontdoorParams(beta_x=0.0, beta_z=0.0, alpha=1.0, gamma=0.0, mu_x=0.0, sigma_x=1.0, sigma_z=1.0)
     with pytest.raises(dh.InvalidArgumentError):
         dh.frontdoor_do_cdf_gaussian(params, -0.01, 1.0)
     with pytest.raises(dh.InvalidArgumentError):
@@ -73,15 +76,15 @@ def test_gaussian_cdf_rejects_bad_h0():
 
 
 def test_gaussian_cdf_flag_threshold():
-    params = dh.FrontdoorParams(beta_x=0.0, beta_z=0.0, alpha=1.0, mu_x=0.0, sigma_x=1.0, sigma_z=1.0)
+    params = dh.FrontdoorParams(beta_x=0.0, beta_z=0.0, alpha=1.0, gamma=0.0, mu_x=0.0, sigma_x=1.0, sigma_z=1.0)
     assert not dh.frontdoor_do_cdf_gaussian(params, 0.1, 1.0).rarity_flag
     assert dh.frontdoor_do_cdf_gaussian(params, 0.100001, 1.0).rarity_flag
 
 
 def test_gaussian_equals_moment_factorization():
     # the same closed form written as two exponential moments, E[exp(beta_x X')]
-    # for X' ~ N(mu_x, sigma_x^2) and E[exp(beta_z Z)] for Z ~ N(alpha*x, sigma_z^2),
-    # times the baseline
+    # for X' ~ N(mu_x, sigma_x^2) and E[exp(beta_z Z)] for
+    # Z ~ N(gamma + alpha*x, sigma_z^2), times the baseline
     rng = np.random.default_rng(414)
     for _ in range(50):
         params = random_params(rng)
@@ -89,7 +92,7 @@ def test_gaussian_equals_moment_factorization():
         h0 = float(rng.uniform(0.0, 0.1))
         direct = dh.frontdoor_do_cdf_gaussian(params, h0, x).value
         m_x = gaussian_exponential_moment(params.beta_x, GaussianSpec(params.mu_x, params.sigma_x))
-        m_z = gaussian_exponential_moment(params.beta_z, GaussianSpec(params.alpha * x, params.sigma_z))
+        m_z = gaussian_exponential_moment(params.beta_z, GaussianSpec(params.gamma + params.alpha * x, params.sigma_z))
         assert direct == pytest.approx(h0 * m_x * m_z, rel=1e-12)
 
 
@@ -157,20 +160,20 @@ def test_empirical_empty_stratum():
 
 def test_causal_rr_identity_and_nulls():
     params = dh.FrontdoorParams(
-        beta_x=0.4, beta_z=0.6, alpha=0.9, mu_x=0.0, sigma_x=1.0, sigma_z=0.5,
+        beta_x=0.4, beta_z=0.6, alpha=0.9, gamma=0.0, mu_x=0.0, sigma_x=1.0, sigma_z=0.5,
         se_alpha=0.01, se_beta_z=0.02,
     )
     same = dh.frontdoor_causal_rr(params, 1.3, 1.3)
     assert same.value == 1.0
     assert same.std_err == 0.0
-    no_effect = dh.FrontdoorParams(beta_x=0.4, beta_z=0.0, alpha=0.9, mu_x=0.0, sigma_x=1.0, sigma_z=0.5)
+    no_effect = dh.FrontdoorParams(beta_x=0.4, beta_z=0.0, alpha=0.9, gamma=0.0, mu_x=0.0, sigma_x=1.0, sigma_z=0.5)
     assert dh.frontdoor_causal_rr(no_effect, 2.0, 0.0).value == 1.0
-    no_link = dh.FrontdoorParams(beta_x=0.4, beta_z=0.6, alpha=0.0, mu_x=0.0, sigma_x=1.0, sigma_z=0.5)
+    no_link = dh.FrontdoorParams(beta_x=0.4, beta_z=0.6, alpha=0.0, gamma=0.0, mu_x=0.0, sigma_x=1.0, sigma_z=0.5)
     assert dh.frontdoor_causal_rr(no_link, 2.0, 0.0).value == 1.0
 
 
 def test_causal_rr_doubling():
-    params = dh.FrontdoorParams(beta_x=0.0, beta_z=math.log(2.0), alpha=1.0, mu_x=0.0, sigma_x=1.0, sigma_z=0.5)
+    params = dh.FrontdoorParams(beta_x=0.0, beta_z=math.log(2.0), alpha=1.0, gamma=0.0, mu_x=0.0, sigma_x=1.0, sigma_z=0.5)
     est = dh.frontdoor_causal_rr(params, 1.0, 0.0)
     assert est.value == pytest.approx(2.0, rel=1e-15)
     assert math.isnan(est.std_err)  # no standard errors supplied
@@ -178,7 +181,7 @@ def test_causal_rr_doubling():
 
 def test_causal_rr_delta_se():
     params = dh.FrontdoorParams(
-        beta_x=0.0, beta_z=0.5, alpha=1.2, mu_x=0.0, sigma_x=1.0, sigma_z=0.5,
+        beta_x=0.0, beta_z=0.5, alpha=1.2, gamma=0.0, mu_x=0.0, sigma_x=1.0, sigma_z=0.5,
         se_alpha=0.03, se_beta_z=0.04,
     )
     delta = 2.0
