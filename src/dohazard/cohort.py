@@ -15,7 +15,9 @@ byte, but ``save_dataset`` formats them in numpy (``_format_floats``):
 exact integer arithmetic gives the 17 digits of every finite normal value
 from 1e-4 up to 2**52 and a lookup table lays out its text, while the few
 other values (zeros, subnormals, smaller or larger magnitudes) go to
-Python's own formatter.
+Python's own formatter. Most times of a rare-outcome cohort are the
+horizon, bit for bit, so each column's maximum is formatted once and its
+text copied into the rows that hold it (``_csv_rows``).
 """
 
 from __future__ import annotations
@@ -214,7 +216,13 @@ def _csv_rows(columns):
     one boolean compaction leaves the block's CSV bytes. Floats are
     formatted _BLOCK at a time, so that their 8-byte temporaries stay at
     64 KiB, below glibc's mmap threshold; the larger buffers are allocated
-    once here and reused for every block."""
+    once here and reused for every block.
+
+    A cohort of a rare outcome has most of its times at the horizon, where
+    follow-up ends, bit for bit. So each float column's maximum is formatted
+    once, and in a sub-block where more than half the values have its bits
+    (bits, not value: -0.0 == 0.0, but %.17g writes "-0" and "0"), its field
+    is copied into every row and only the other values are formatted."""
     n = len(columns[0])
     seps = [b","] * (len(columns) - 1) + [b"\r\n"]
     slots = np.cumsum([0] + [3 if k == 1 else _FIELD for k in range(len(columns))])
@@ -223,6 +231,11 @@ def _csv_rows(columns):
     field = np.empty((_BLOCK, _FIELD), dtype=np.uint8)
     index = np.empty((_BLOCK, _FIELD), dtype=np.intp)
     digits = np.empty((_BLOCK, _DIGIT_WORDS), dtype=np.uint32)
+    tops = {}  # column k -> (the bits of its maximum, that value's field)
+    for k, (column, sep) in enumerate(zip(columns, seps)):
+        if k != 1:
+            top = column.max(keepdims=True)
+            tops[k] = top.view(np.uint64)[0], _format_floats(top, sep, field, index, digits).copy()
     for start in range(0, n, _ROWS_PER_WRITE):
         block = rows[:min(_ROWS_PER_WRITE, n - start)]
         for k, (column, sep) in enumerate(zip(columns, seps)):
@@ -231,9 +244,17 @@ def _csv_rows(columns):
                 slot[:, 0] = column[start:start + len(block)].view(np.uint8) + ord("0")
                 slot[:, 1:] = np.frombuffer(sep.ljust(2, b"\0"), dtype=np.uint8)
                 continue
+            top_bits, top_field = tops[k]
             for sub in range(0, len(block), _BLOCK):
                 values = column[start + sub:start + min(sub + _BLOCK, len(block))]
-                slot[sub:sub + len(values)] = _format_floats(values, sep, field, index, digits)
+                out = slot[sub:sub + len(values)]
+                tied = values.view(np.uint64) == top_bits
+                if 2 * np.count_nonzero(tied) > len(values):
+                    rest = np.flatnonzero(~tied)
+                    out[:] = top_field
+                    out[rest] = _format_floats(values[rest], sep, field, index, digits)
+                else:
+                    out[:] = _format_floats(values, sep, field, index, digits)
         np.not_equal(block, 0, out=keep[:len(block)])
         yield block[keep[:len(block)]]
 

@@ -7,19 +7,22 @@ baseline directly. Ties are handled with the Breslow convention: every
 subject with a tied time sits in the risk set of that time.
 
 The fitter, the likelihood and the baseline share one path: _prepared
-checks the inputs, sorts by time and finds each event row's tie-group
-head, _eta forms the linear predictor, and _head_sums reads each event's
-risk-set sums at its head. Those sums are reversed cumulative sums,
-streamed from the last row back in blocks of _BLOCK rows, with exp(eta)
-and the weighted products taken one block at a time. A block is held
-column-major: one contiguous row per risk-set sum in a buffer reused for
-every block and filled in place, so no block allocates a temporary and
-numpy's loops run over whole rows. At n rows and p covariates the
-cohort-sized arrays are the sorted covariates (n * p) and eta (n); the
-rest is O(_BLOCK * p^2) for the block plus O(events * p^2) for the sums
-read at the event rows, returned in C order. The floats equal those of one
-reversed cumulative sum over all rows. fit_cox takes the Breslow baseline
-from the risk-set sums of its last accepted likelihood evaluation.
+checks the inputs, sorts by time (a stable argsort of the rows below the
+largest time only: in a rare-outcome cohort most rows are censored at
+the horizon, and a stable sort leaves those in row order at the end) and
+finds each event row's tie-group head, _eta forms the linear predictor,
+and _head_sums reads each event's risk-set sums at its head. Those sums
+are reversed cumulative sums, streamed from the last row back in blocks
+of _BLOCK rows, with exp(eta) and the weighted products taken one block
+at a time. A block is held column-major: one contiguous row per risk-set
+sum in a buffer reused for every block and filled in place, so no block
+allocates a temporary and numpy's loops run over whole rows. At n rows
+and p covariates the cohort-sized arrays are the sorted covariates
+(n * p) and eta (n); the rest is O(_BLOCK * p^2) for the block plus
+O(events * p^2) for the sums read at the event rows, returned in C order.
+The floats equal those of one reversed cumulative sum over all rows.
+fit_cox takes the Breslow baseline from the risk-set sums of its last
+accepted likelihood evaluation.
 """
 
 from __future__ import annotations
@@ -88,10 +91,16 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     the rows of x_s that are events, head the tie head of each event row
     (the first row of its time: rows sharing a time share the risk set, so
     a reversed cumulative sum read at the head is that risk set's sum) and
-    event_times the time of each event row. The sorted times are dropped
-    before the covariates are gathered, so x_s and the order are the only
-    cohort-sized arrays held at once. beta, when given, must have one entry
-    per design column."""
+    event_times the time of each event row.
+
+    The order is np.argsort(time, kind="stable") built in two parts: the
+    rows below the largest time, stably sorted, then the rows tied at the
+    largest time in row order, which is where a stable sort puts them. In a
+    rare-outcome cohort most rows are censored at the horizon, so only the
+    few others are sorted, and only their sorted times are kept to find the
+    heads. Those are dropped before the covariates are gathered, so x_s and
+    the order are the only cohort-sized arrays held at once. beta, when
+    given, must have one entry per design column."""
     names = list(covariate_names) if covariate_names is not None else list(dataset.covariate_names)
     if not names:
         raise InvalidArgumentError("at least one covariate is required")
@@ -105,12 +114,22 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
             raise InvalidArgumentError(f"beta must have length {len(names)}, got shape {beta.shape}")
     if dataset.n_events == 0:
         raise NoEventsError("no events in the data; the partial likelihood and baseline hazard are undefined")
-    order = np.argsort(dataset.time, kind="stable")
-    t_s = dataset.time[order]
+    time = dataset.time
+    tied = time == time.max()
+    below = np.flatnonzero(~tied)
+    t_below = time[below]
+    sort = np.argsort(t_below, kind="stable")
+    t_below = t_below[sort]
+    order = np.empty(dataset.n, dtype=np.intp)
+    order[:below.size] = below[sort]
+    order[below.size:] = np.flatnonzero(tied)
+    del tied, below, sort
     ev = np.flatnonzero(dataset.event[order])
-    event_times = t_s[ev]
-    head = np.searchsorted(t_s, event_times, side="left")
-    del t_s
+    event_times = time[order[ev]]
+    # every time in t_below is below the largest, so an event at the largest
+    # time finds its head just past them: the first tied row
+    head = np.searchsorted(t_below, event_times, side="left")
+    del t_below
     return names, beta, dataset.covariates[order[:, None], idx], ev, head, event_times
 
 

@@ -272,7 +272,8 @@ def _censoring_times(config: ScenarioConfig, rng: RngStream, n: int) -> np.ndarr
 def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(None,)):
     """The structural model for n subjects as consecutive blocks of at most
     _BLOCK subjects: per block, one (x, z, u, failure) for each x of xs
-    (None: the factual arm, X drawn), as draw_scm returns them.
+    (None: the factual arm, X drawn), as draw_scm returns them, except that
+    a forced arm's x is the forced value itself, a float, not an array.
 
     Each exogenous stream is opened once, read on from block to block and
     shared by every x (common random numbers): only X and what it drives
@@ -302,7 +303,7 @@ def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(
         exponential = -np.log1p(-failure.uniform(size))
         arms = []
         for x_forced in xs:
-            x = drawn if x_forced is None else np.full(size, float(x_forced))
+            x = drawn if x_forced is None else float(x_forced)
             if frontdoor:
                 z = coef.alpha * x + mediator_noise
             eta = _frontdoor_log_hazard(coef, z, u) if frontdoor else _backdoor_log_hazard(coef, x, z)

@@ -4,11 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dohazard as dh
-from dohazard.cox import _BLOCK, _head_sums, _nlpl
+from dohazard.cox import _BLOCK, _head_sums, _nlpl, _prepared
 
 from conftest import make_backdoor_config, make_tiny_dataset
 
@@ -488,6 +488,45 @@ def test_fit_beta_invariant_to_row_order(case, random):
     # information eigenvalue, so a row order can stop one step earlier;
     # a tight tol puts both fits on the optimum itself
     np.testing.assert_allclose(fitted(shuffled, 1e-13).beta, fitted(dataset, 1e-13).beta, rtol=1e-9, atol=1e-9)
+
+
+@st.composite
+def censored_cohorts(draw):
+    """(time, event) of 1-60 rows: times from a handful of values or any in
+    (0, 10], a share of them (none to all) censored at the horizon 10, and
+    events anywhere, at the horizon too, with at least one."""
+    n = draw(st.integers(1, 60))
+    time = draw(st.lists(st.sampled_from(_TIED_TIMES) | st.floats(0.01, 10.0), min_size=n, max_size=n))
+    at_horizon = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    time = [10.0 if draw(st.floats(0.0, 1.0)) < at_horizon else t for t in time]
+    event = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    event[draw(st.integers(0, n - 1))] = True
+    return time, event
+
+
+@settings(max_examples=150, deadline=None)
+@given(censored_cohorts())
+@example(([10.0] * 6, [True, False, True, False, False, True]))  # every row tied, events at the largest time
+@example(([10.0, 2.0, 10.0, 10.0, 1.0, 10.0], [True, True, False, False, False, True]))  # most rows at the largest time
+@example(([4.0, 1.0, 3.0, 2.0], [True, False, True, True]))  # no ties
+@example(([3.0], [True]))  # one row
+def test_prepared_sorts_as_a_stable_argsort(case):
+    time, event = case
+    n = len(time)
+    dataset = dh.Dataset(
+        time=time,
+        event=event,
+        covariates=np.stack([np.arange(n), -np.arange(n), np.ones(n)], axis=1),
+        covariate_names=["row", "minus_row", "one"],
+    )
+    _, _, x_s, ev, head, event_times = _prepared(dataset, ["minus_row", "row"])
+    order = np.argsort(dataset.time, kind="stable")
+    t_s = dataset.time[order]
+    want_ev = np.flatnonzero(dataset.event[order])
+    assert x_s.flags.c_contiguous and x_s.tobytes() == dataset.covariates[order][:, [1, 0]].tobytes()
+    assert np.array_equal(ev, want_ev)
+    assert np.array_equal(head, np.searchsorted(t_s, t_s[want_ev], side="left"))
+    assert event_times.tobytes() == t_s[want_ev].tobytes()
 
 
 # The streamed risk-set sums against one reversed cumsum over all rows.

@@ -370,6 +370,35 @@ def test_save_takes_both_paths_on_the_edges(tmp_path):
     assert 0 < handed < 3 * len(edges)
 
 
+def test_save_formats_a_tied_maximum_once_per_column(tmp_path):
+    # columns mostly at their maximum, across the sub-block and block edges:
+    # times censored at the horizon; a covariate mostly 0.0 with -0.0 rows
+    # (equal values, other text); maxima that Python's formatter writes
+    # (2**53, 1e-5, the last column); a sub-block exactly half tied and one
+    # tied but for one row
+    n = _ROWS_PER_WRITE + _BLOCK + 1
+    rng = np.random.default_rng(5)
+    tied = rng.random(n) < 0.9
+    time = np.where(rng.random(n) < 0.97, 10.0, rng.uniform(0.1, 10.0, n))
+    zero = np.where(rng.random(n) < 0.1, -0.0, np.where(tied, 0.0, -rng.random(n)))
+    big = np.where(tied, 2.0**53, rng.uniform(-1e3, 1e3, n))
+    big[:_BLOCK] = np.where(np.arange(_BLOCK) % 2 == 0, 2.0**53, 1.0 / 3.0)
+    big[_BLOCK:2 * _BLOCK] = 2.0**53
+    big[_BLOCK + 17] = 0.5
+    small = np.where(tied, 1e-5, -rng.random(n))
+    ds = dh.Dataset(
+        time=time,
+        event=rng.random(n) < 0.03,
+        covariates=np.stack([zero, big], axis=1),
+        covariate_names=["zero", "big"],
+        u_latent=small,
+    )
+    handed = assert_saved_as_percent_template(tmp_path / "cohort.csv", ds)
+    # written one by one, the zeros, 2**53 and 1e-5 would hand Python about
+    # 2.8 values a row; the tied ones are handed once per column
+    assert handed < 1.5 * n
+
+
 # finite float64 values, with the edges of the format drawn often
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
