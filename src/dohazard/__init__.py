@@ -19,10 +19,8 @@ from .cohort import Dataset, load_dataset, save_dataset
 from .cox import (
     CoxFit,
     StepFunction,
-    breslow_baseline,
     fit_cox,
     load_fit,
-    neg_log_partial_likelihood,
     save_fit,
 )
 from .errors import (
@@ -48,10 +46,8 @@ from .oracle import (
     OracleRatio,
     OracleResult,
     approx_error_report,
-    oracle_paf,
     oracle_rr,
     simulate_do,
-    simulate_factual,
     taylor_relative_error,
 )
 from .results import CausalEstimate
@@ -63,7 +59,6 @@ from .simulate import (
     ScenarioConfig,
     StandardNormalZ,
     WeibullHazard,
-    draw_scm,
     generate,
     load_scenario_config,
 )
@@ -99,12 +94,10 @@ __all__ = [
     "ValidationError",
     "WeibullHazard",
     "approx_error_report",
-    "breslow_baseline",
     "causal_rr",
     "compute_az",
     "do_cdf",
     "do_cumhaz",
-    "draw_scm",
     "empirical_moments",
     "estimate_frontdoor_params",
     "fit_cox",
@@ -116,14 +109,11 @@ __all__ = [
     "load_scenario_config",
     "mediation_indirect_rr",
     "naive_rr",
-    "neg_log_partial_likelihood",
     "ols_fit",
-    "oracle_paf",
     "oracle_rr",
     "paf",
     "save_dataset",
     "save_fit",
     "simulate_do",
-    "simulate_factual",
     "taylor_relative_error",
 ]

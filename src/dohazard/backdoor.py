@@ -39,7 +39,6 @@ class BackdoorSummary:
     max_cumhaz: float
     rarity_flag: bool
     z_columns: tuple
-    n: int
 
 
 def _as_values(x, names, what: str) -> np.ndarray:
@@ -103,7 +102,6 @@ def compute_az(dataset: Dataset, fit: CoxFit, z_columns, horizon_t: float | None
         max_cumhaz=max_cumhaz,
         rarity_flag=max_cumhaz > RARITY_THRESHOLD,
         z_columns=z_columns,
-        n=dataset.n,
     )
 
 
@@ -120,7 +118,6 @@ def do_cdf(fit: CoxFit, summary: BackdoorSummary, x, t) -> CausalEstimate:
         std_err=float("nan"),
         method="do_cdf",
         rarity_flag=value > RARITY_THRESHOLD,
-        diagnostics={"a_z": summary.a_z, "h0_t": fit.baseline_cumhaz(t)},
     )
 
 
@@ -140,18 +137,11 @@ def causal_rr(fit: CoxFit, summary: BackdoorSummary, x, x0) -> CausalEstimate:
     x0_vec = _as_values(x0, x_columns, "x0")
     idx = [fit._index(c) for c in x_columns]
     delta = x_vec - x0_vec
-    log_rr = float(fit.beta[idx] @ delta)
     contrast = np.zeros_like(fit.beta)
     contrast[idx] = delta
     se_log = math.sqrt(max(float(contrast @ fit.covariance @ contrast), 0.0))
-    rr = math.exp(log_rr)
-    return CausalEstimate(
-        value=rr,
-        std_err=rr * se_log,
-        method="causal_rr",
-        rarity_flag=False,
-        diagnostics={"log_rr": log_rr, "se_log_rr": se_log},
-    )
+    rr = math.exp(float(fit.beta[idx] @ delta))
+    return CausalEstimate(value=rr, std_err=rr * se_log, method="causal_rr")
 
 
 def do_cumhaz(fit: CoxFit, summary: BackdoorSummary, x, t) -> float:
@@ -207,10 +197,4 @@ def naive_rr(dataset: Dataset, x_column: str, x, x0) -> CausalEstimate:
     se = fit.std_err(x_column)
     delta = float(x) - float(x0)
     rr = math.exp(beta * delta)
-    return CausalEstimate(
-        value=rr,
-        std_err=rr * abs(delta) * se,
-        method="naive_rr",
-        rarity_flag=False,
-        diagnostics={"beta": beta, "se_beta": se},
-    )
+    return CausalEstimate(value=rr, std_err=rr * abs(delta) * se, method="naive_rr")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import backdoor as bd
@@ -35,7 +35,7 @@ from . import oracle as orc
 from ._json import read_object, refuse_unknown, require_int, require_number, write_object
 from .cohort import Dataset, load_dataset, save_dataset
 from .cox import _horizon, fit_cox, load_fit, save_fit
-from .errors import DohazardError, InvalidArgumentError, NumericalError, ParseError, ValidationError
+from .errors import DohazardError, InvalidArgumentError, NumericalError, ValidationError
 from .simulate import ScenarioConfig, generate, load_scenario_config
 from .stats import SEED_LIMIT
 
@@ -132,15 +132,6 @@ def _parse_contrast(text: str) -> tuple:
         raise InvalidArgumentError(f"--contrast must hold two numbers, got {text!r}") from exc
 
 
-def _estimate_dict(est) -> dict:
-    return {
-        "value": est.value,
-        "std_err": est.std_err,
-        "method": est.method,
-        "rarity_flag": est.rarity_flag,
-    }
-
-
 def _scenario_with_seed(config: ScenarioConfig, seed) -> ScenarioConfig:
     return config if seed is None else dataclasses.replace(config, seed=int(seed))
 
@@ -195,13 +186,13 @@ def cmd_estimate(args) -> int:
         fit = fit_cox(dataset, list(_ROLES))
         rows, params = fd.estimate_table(dataset, fit, [(x, x0)], [args.t])
         indirect = fd.mediation_indirect_rr(params, x, x0)
-        payload = {"params": _fitted(params), "mediation_indirect_rr": _estimate_dict(indirect)}
+        payload = {"params": _fitted(params), "mediation_indirect_rr": asdict(indirect)}
     payload.update(t=args.t, x=x, x0=x0)
     for method, row_x, _, _, est in rows:
         if method == "do_cdf":  # one row per distinct x of the contrast
-            payload.update({key: _estimate_dict(est) for key, v in (("do_cdf_x", x), ("do_cdf_x0", x0)) if row_x == v})
+            payload.update({key: asdict(est) for key, v in (("do_cdf_x", x), ("do_cdf_x0", x0)) if row_x == v})
         else:
-            payload[method] = est.value if method == "paf" else _estimate_dict(est)
+            payload[method] = est.value if method == "paf" else asdict(est)
     out = _out_path(args, args.out)
     write_object(out, payload)
     _info(args, f"{args.command} estimates for ({x} vs {x0}) at t={args.t} -> {out}")
@@ -296,13 +287,7 @@ def cmd_experiment(args) -> int:
                 "n_events": fit.n_events,
                 "log_likelihood": fit.log_likelihood,
             },
-            "approximation": {
-                "horizon_t": approx.horizon_t,
-                "max_cumhaz": approx.max_cumhaz,
-                "mean_cumhaz": approx.mean_cumhaz,
-                "max_rel_error": approx.max_rel_error,
-                "flagged": approx.flagged,
-            },
+            "approximation": asdict(approx),
             "estimates": rows,
             **facts,
         }
@@ -385,16 +370,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, InvalidArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except DohazardError as exc:
+    except (DohazardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,11 +37,6 @@ import numpy as np
 from .errors import InvalidArgumentError, ParseError, ValidationError
 from .stats import _BLOCK
 
-
-# Rows per formatted block in save_dataset: the per-block overhead vanishes
-# while a block's strings stay a few MB.
-_ROWS_PER_WRITE = 1 << 14
-
 # Bytes per read when load_dataset hashes a cohort CSV or reads its column
 # cache, and per write into the cache: below glibc's 128 KiB mmap threshold,
 # so no buffer is mapped and faulted in afresh.
@@ -180,7 +175,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     when present. Floats are written as %.17g writes them, so load_dataset
     reads back the same float64 bits; events are 0 or 1; rows end in CRLF,
     as the csv.writer header does. The rows are formatted in numpy,
-    _ROWS_PER_WRITE at a time (_csv_rows): no Python loop runs per value,
+    _BLOCK at a time (_csv_rows): no Python loop runs per value,
     except for the rare values _format_floats hands to Python's own
     '%.17g' %, and no list of the whole cohort is built.
 
@@ -204,8 +199,8 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def _csv_rows(columns):
-    """The CSV rows of the columns, _ROWS_PER_WRITE rows at a time, each
-    block as a uint8 array of its bytes. columns[1] is the event column
+    """The CSV rows of the columns, _BLOCK rows at a time, each block as a
+    uint8 array of its bytes. columns[1] is the event column
     (bool), written as 0 or 1 (%d); every other column is float64, written
     as %.17g; fields are joined by commas and rows end in CRLF.
 
@@ -213,20 +208,19 @@ def _csv_rows(columns):
     fixed slot of the block's row buffer (_FIELD bytes for a float, 3 for
     an event: its digit and up to two separator bytes) and padded with
     NULs. No text holds a NUL, so dropping every NUL byte of the buffer in
-    one boolean compaction leaves the block's CSV bytes. Floats are
-    formatted _BLOCK at a time, so that their 8-byte temporaries stay at
-    64 KiB, below glibc's mmap threshold; the larger buffers are allocated
-    once here and reused for every block.
+    one boolean compaction leaves the block's CSV bytes. A block's 8-byte
+    temporaries stay at 64 KiB, below glibc's mmap threshold; the larger
+    buffers are allocated once here and reused for every block.
 
     A cohort of a rare outcome has most of its times at the horizon, where
     follow-up ends, bit for bit. So each float column's maximum is formatted
-    once, and in a sub-block where more than half the values have its bits
+    once, and in a block where more than half the values have its bits
     (bits, not value: -0.0 == 0.0, but %.17g writes "-0" and "0"), its field
     is copied into every row and only the other values are formatted."""
     n = len(columns[0])
     seps = [b","] * (len(columns) - 1) + [b"\r\n"]
     slots = np.cumsum([0] + [3 if k == 1 else _FIELD for k in range(len(columns))])
-    rows = np.empty((min(n, _ROWS_PER_WRITE), slots[-1]), dtype=np.uint8)
+    rows = np.empty((min(n, _BLOCK), slots[-1]), dtype=np.uint8)
     keep = np.empty(rows.shape, dtype=bool)
     field = np.empty((_BLOCK, _FIELD), dtype=np.uint8)
     index = np.empty((_BLOCK, _FIELD), dtype=np.intp)
@@ -236,25 +230,23 @@ def _csv_rows(columns):
         if k != 1:
             top = column.max(keepdims=True)
             tops[k] = top.view(np.uint64)[0], _format_floats(top, sep, field, index, digits).copy()
-    for start in range(0, n, _ROWS_PER_WRITE):
-        block = rows[:min(_ROWS_PER_WRITE, n - start)]
+    for start in range(0, n, _BLOCK):
+        block = rows[:min(_BLOCK, n - start)]
         for k, (column, sep) in enumerate(zip(columns, seps)):
             slot = block[:, slots[k]:slots[k + 1]]
+            values = column[start:start + len(block)]
             if k == 1:
-                slot[:, 0] = column[start:start + len(block)].view(np.uint8) + ord("0")
+                slot[:, 0] = values.view(np.uint8) + ord("0")
                 slot[:, 1:] = np.frombuffer(sep.ljust(2, b"\0"), dtype=np.uint8)
                 continue
             top_bits, top_field = tops[k]
-            for sub in range(0, len(block), _BLOCK):
-                values = column[start + sub:start + min(sub + _BLOCK, len(block))]
-                out = slot[sub:sub + len(values)]
-                tied = values.view(np.uint64) == top_bits
-                if 2 * np.count_nonzero(tied) > len(values):
-                    rest = np.flatnonzero(~tied)
-                    out[:] = top_field
-                    out[rest] = _format_floats(values[rest], sep, field, index, digits)
-                else:
-                    out[:] = _format_floats(values, sep, field, index, digits)
+            tied = values.view(np.uint64) == top_bits
+            if 2 * np.count_nonzero(tied) > len(values):
+                rest = np.flatnonzero(~tied)
+                slot[:] = top_field
+                slot[rest] = _format_floats(values[rest], sep, field, index, digits)
+            else:
+                slot[:] = _format_floats(values, sep, field, index, digits)
         np.not_equal(block, 0, out=keep[:len(block)])
         yield block[keep[:len(block)]]
 
@@ -386,7 +378,7 @@ def load_dataset(path) -> Dataset:
     it and the body is not parsed (_cached_columns). Otherwise a binary
     scan counts the body's lines (_count_lines), the columns are
     preallocated for that many rows, and numpy's C parser fills them in
-    chunks of _ROWS_PER_WRITE rows (_read_chunks), so no table of the whole
+    chunks of _BLOCK rows (_read_chunks), so no table of the whole
     cohort is built. numpy reads quoted fields, LF, CRLF and lone CR line
     ends, and skips blank lines; a row takes at least one line, so the
     columns always hold the rows, and they are cut to the rows read. When
@@ -536,11 +528,11 @@ def _fill(columns, sources, start: int, table) -> None:
 
 
 def _read_chunks(fh, columns, sources, width: int) -> int:
-    """Fill the columns from the body by np.loadtxt, _ROWS_PER_WRITE rows
-    per call, and return the number of rows read. Raises ValueError when a
-    chunk fails to parse, has the wrong width or an event other than 0 or
-    1, or holds more rows than the columns (the file changed since its
-    lines were counted)."""
+    """Fill the columns from the body by np.loadtxt, _BLOCK rows per call,
+    and return the number of rows read. Raises ValueError when a chunk
+    fails to parse, has the wrong width or an event other than 0 or 1, or
+    holds more rows than the columns (the file changed since its lines
+    were counted)."""
     n = len(columns[0])
     filled = 0
     with warnings.catch_warnings():
@@ -549,7 +541,7 @@ def _read_chunks(fh, columns, sources, width: int) -> int:
         warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data", UserWarning)
         while True:
             chunk = np.loadtxt(
-                fh, delimiter=",", comments=None, quotechar='"', dtype=np.float64, ndmin=2, max_rows=_ROWS_PER_WRITE
+                fh, delimiter=",", comments=None, quotechar='"', dtype=np.float64, ndmin=2, max_rows=_BLOCK
             )
             if not len(chunk):
                 break
@@ -559,7 +551,7 @@ def _read_chunks(fh, columns, sources, width: int) -> int:
                 raise ValueError("more rows than lines: the file changed while it was read")
             _fill(columns, sources, filled, chunk)
             filled += len(chunk)
-            if len(chunk) < _ROWS_PER_WRITE:  # only the last chunk is short
+            if len(chunk) < _BLOCK:  # only the last chunk is short
                 break
     return filled
 

@@ -99,8 +99,11 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     rare-outcome cohort most rows are censored at the horizon, so only the
     few others are sorted, and only their sorted times are kept to find the
     heads. Those are dropped before the covariates are gathered, so x_s and
-    the order are the only cohort-sized arrays held at once. beta, when
-    given, must have one entry per design column."""
+    the order are the only cohort-sized arrays held at once. x_s is C-order,
+    filled _BLOCK rows at a time, one named column at a time: on a loaded
+    (column-major) cohort that gathers about twice as fast as one broadcast
+    index of the whole matrix, and each block's temporary is 64 KiB. beta,
+    when given, must have one entry per design column."""
     names = list(covariate_names) if covariate_names is not None else list(dataset.covariate_names)
     if not names:
         raise InvalidArgumentError("at least one covariate is required")
@@ -130,7 +133,12 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     # time finds its head just past them: the first tied row
     head = np.searchsorted(t_below, event_times, side="left")
     del t_below
-    return names, beta, dataset.covariates[order[:, None], idx], ev, head, event_times
+    x_s = np.empty((dataset.n, len(idx)))
+    for start in range(0, dataset.n, _BLOCK):
+        rows = order[start:start + _BLOCK]
+        for j, column in enumerate(idx):
+            x_s[start:start + rows.size, j] = dataset.covariates[rows, column]
+    return names, beta, x_s, ev, head, event_times
 
 
 def _eta(beta, x_s) -> np.ndarray:
@@ -211,6 +219,7 @@ def _nlpl(beta, x_s, ev, head):
     return value, gradient, hessian, s0_e
 
 
+# Not exported: the benchmark times it by module attribute (perfbench/spans.py).
 def neg_log_partial_likelihood(dataset: Dataset, beta, covariate_names=None):
     """Negative Breslow log partial likelihood with gradient and Hessian.
 
@@ -228,6 +237,7 @@ def _breslow(event_times, s0_e) -> StepFunction:
     return StepFunction(knots=knots, values=np.cumsum(counts / s0_e[first]))
 
 
+# Not exported: the benchmark times it by module attribute (perfbench/spans.py).
 def breslow_baseline(dataset: Dataset, beta, covariate_names=None) -> StepFunction:
     """Baseline cumulative hazard at the zero covariate vector: at each
     distinct event time, the event count over the risk-set sum of exp(eta)."""

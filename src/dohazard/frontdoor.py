@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .cohort import Dataset
-from .cox import CoxFit, fit_cox
+from .cox import CoxFit
 from .errors import InvalidArgumentError
 from .results import RARITY_THRESHOLD, CausalEstimate
 from .stats import empirical_moments, ols_fit
@@ -58,17 +58,16 @@ class FrontdoorParams:
             raise InvalidArgumentError("FrontdoorParams sigmas must be >= 0")
 
 
-def estimate_frontdoor_params(dataset: Dataset, fit: CoxFit | None = None) -> FrontdoorParams:
+def estimate_frontdoor_params(dataset: Dataset, fit: CoxFit) -> FrontdoorParams:
     """Fit every factor from one cohort: the mediator line z ~ x by least
-    squares, the exposure moments empirically, and (beta_x, beta_z) from
-    the proportional-hazards fit on (x, z). Any latent column is ignored.
+    squares and the exposure moments empirically, and take (beta_x, beta_z)
+    from fit, the proportional-hazards fit on (x, z). Any latent column is
+    ignored.
     """
     x = dataset.column("x")
     z = dataset.column("z")
     alpha, gamma, sigma_z, se_alpha = ols_fit(x, z)
     mu_x, sigma_x = empirical_moments(x)
-    if fit is None:
-        fit = fit_cox(dataset, ["x", "z"])
     return FrontdoorParams(
         beta_x=fit.coef("x"),
         beta_z=fit.coef("z"),
@@ -106,7 +105,6 @@ def frontdoor_do_cdf_gaussian(params: FrontdoorParams, h0_t: float, x: float) ->
         std_err=float("nan"),
         method="frontdoor_do_cdf_gaussian",
         rarity_flag=value > RARITY_THRESHOLD,
-        diagnostics={"h0_t": h0_t},
     )
 
 
@@ -120,8 +118,7 @@ def frontdoor_causal_rr(params: FrontdoorParams, x: float, x0: float) -> CausalE
     if not (math.isfinite(x) and math.isfinite(x0)):
         raise InvalidArgumentError("x and x0 must be finite")
     delta = x - x0
-    log_rr = params.beta_z * params.alpha * delta
-    rr = math.exp(log_rr)
+    rr = math.exp(params.beta_z * params.alpha * delta)
     if params.se_alpha is None or params.se_beta_z is None:
         se = float("nan")
     else:
@@ -129,13 +126,7 @@ def frontdoor_causal_rr(params: FrontdoorParams, x: float, x0: float) -> CausalE
             params.alpha ** 2 * params.se_beta_z ** 2 + params.beta_z ** 2 * params.se_alpha ** 2
         )
         se = rr * math.sqrt(var_log)
-    return CausalEstimate(
-        value=rr,
-        std_err=se,
-        method="frontdoor_causal_rr",
-        rarity_flag=False,
-        diagnostics={"log_rr": log_rr},
-    )
+    return CausalEstimate(value=rr, std_err=se, method="frontdoor_causal_rr")
 
 
 def mediation_indirect_rr(params: FrontdoorParams, x: float, x0: float) -> CausalEstimate:

@@ -108,6 +108,7 @@ def simulate_do(
     return _result(counts[x_value, t], n, x_value, t, seed)
 
 
+# Not exported: the benchmark wraps it by module attribute (perfbench/spans.py).
 def simulate_factual(config: ScenarioConfig, n: int, seed: int, t: float, stream_offset: int = 0) -> OracleResult:
     """Factual (no-intervention) incidence by simulation, same conventions
     as simulate_do; x_value is NaN."""
@@ -144,6 +145,7 @@ def _log_ratio_se(a: int, b: int, both: int) -> float:
     return math.sqrt((a + b - 2 * both) / (a * b))
 
 
+# Not exported: the benchmark wraps it by module attribute (perfbench/spans.py).
 def oracle_paf(config: ScenarioConfig, n: int, seed: int, t: float, x0: float = 0.0) -> tuple[float, float]:
     """Simulated population attributable fraction
     (I_factual - I_do(x0)) / I_factual, with the paired delta-method SE:
@@ -195,12 +197,17 @@ def references(config: ScenarioConfig, n: int, seed: int, rows) -> tuple[list, l
 
 def taylor_relative_error(h: float) -> float:
     """Relative error of approximating 1 - exp(-h) by h:
-    (h - 1 + exp(-h)) / (1 - exp(-h)); zero at h = 0."""
+    (h - 1 + exp(-h)) / (1 - exp(-h)); zero at h = 0. It increases with h.
+
+    exp(-h) - 1 is numpy's expm1 of a 1-element array, not math.expm1,
+    which differs from it in the last bit for some h: report.json's
+    max_rel_error holds numpy's bits."""
     if not (math.isfinite(h) and h >= 0):
         raise InvalidArgumentError(f"h must be >= 0, got {h}")
     if h == 0.0:
         return 0.0
-    return (h + math.expm1(-h)) / -math.expm1(-h)
+    m = np.expm1(np.array([-h]))
+    return float((h + m[0]) / -m[0])
 
 
 @dataclass(frozen=True)
@@ -216,15 +223,15 @@ class ApproxErrorReport:
 
 def approx_error_report(fit: CoxFit, dataset: Dataset, t: float) -> ApproxErrorReport:
     """Per-subject cumulative hazards H_i = exp(eta_i) * H0(t) and the worst
-    Taylor error of 1 - exp(-H) ~ H across the cohort; flagged past 5%.
+    Taylor error of 1 - exp(-H) ~ H across the cohort, the error at the
+    largest H_i; flagged past 5%.
     """
     t = _horizon(t)
     idx = [dataset.column_index(c) for c in fit.covariate_names]
     eta = dataset.covariates[:, idx] @ fit.beta
     h = np.exp(eta) * fit.baseline_cumhaz(t)
     max_h = float(np.max(h))
-    rel = np.where(h > 0, (h + np.expm1(-h)) / np.where(h > 0, -np.expm1(-h), 1.0), 0.0)
-    max_rel = float(np.max(rel))
+    max_rel = taylor_relative_error(max_h)
     return ApproxErrorReport(
         horizon_t=float(t),
         max_cumhaz=max_h,

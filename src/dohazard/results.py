@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 RARITY_THRESHOLD = 0.1  # the bound of CausalEstimate.rarity_flag
 
@@ -20,4 +20,3 @@ class CausalEstimate:
     std_err: float
     method: str
     rarity_flag: bool = False
-    diagnostics: dict = field(default_factory=dict)

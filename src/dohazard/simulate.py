@@ -9,9 +9,9 @@ administrative censoring at the study horizon and optional independent
 exponential censoring.
 
 ``_scm_blocks`` is the one home of the structural equations, drawn in
-blocks of ``_BLOCK`` subjects: ``draw_scm`` joins its blocks into columns,
-``generate`` censors them block by block into the cohort's columns, and
-the intervention oracle streams its arms through the blocks with X forced.
+blocks of ``_BLOCK`` subjects: ``generate`` censors them block by block
+into the cohort's columns, and the intervention oracle streams its arms
+through the blocks with X forced.
 ``generate`` holds no cohort-sized array beyond the columns it returns;
 ``cohort`` saves and loads them. Structural log-hazards live in
 ``_backdoor_log_hazard`` and ``_frontdoor_log_hazard``; the frontdoor one
@@ -271,9 +271,13 @@ def _censoring_times(config: ScenarioConfig, rng: RngStream, n: int) -> np.ndarr
 
 def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(None,)):
     """The structural model for n subjects as consecutive blocks of at most
-    _BLOCK subjects: per block, one (x, z, u, failure) for each x of xs
-    (None: the factual arm, X drawn), as draw_scm returns them, except that
-    a forced arm's x is the forced value itself, a float, not an array.
+    _BLOCK subjects: per block, one (x, z, u, failure) for each x of xs.
+    z is the measured covariate, u the hidden confounder (None for the
+    backdoor DAG) and failure the latent failure times. None in xs is the
+    factual arm, X drawn; a forced x simulates do(X=x): X is that float,
+    not an array, its noise stream is not drawn, and every other variable
+    keeps its draw. Variable v draws from stream (seed, offset + _STREAM_v),
+    so an arm at another offset is an independent copy of the model.
 
     Each exogenous stream is opened once, read on from block to block and
     shared by every x (common random numbers): only X and what it drives
@@ -313,35 +317,6 @@ def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(
     return (block(min(_BLOCK, n - start)) for start in range(0, n, _BLOCK))
 
 
-def draw_scm(config: ScenarioConfig, n: int, seed: int, offset: int = 0, x_forced: float | None = None):
-    """One draw of the structural model for n subjects: (x, z, u, failure).
-
-    z is the measured covariate (the confounder of the backdoor DAG, the
-    mediator of the frontdoor DAG), u the hidden confounder of the frontdoor
-    DAG (None for the backdoor DAG), and failure the latent failure times.
-    Variable v draws from stream (seed, offset + _STREAM_v), so an arm at
-    another offset is an independent copy of the model. x_forced simulates
-    do(X=x_forced): X is set to that value, its noise stream is not drawn,
-    and every other variable keeps the draw it has at the same offset.
-
-    The columns are preallocated and filled block by block from
-    _scm_blocks, which holds the equations (and gives the oracle every x of
-    an offset from one draw). The blocks join into the whole-array draw bit
-    for bit, so the result does not depend on the block size; _BLOCK is
-    2**13 so that no float64 temporary of a block reaches glibc's mmap
-    threshold. Raises InvalidArgumentError when n < 1.
-    """
-    blocks = _scm_blocks(config, n, seed, offset, (x_forced,))  # checks n before anything is allocated
-    x, z, failure = np.empty(n), np.empty(n), np.empty(n)
-    u = np.empty(n) if config.dag_kind == "frontdoor" else None
-    for start, [(xb, zb, ub, fb)] in zip(range(0, n, _BLOCK), blocks):
-        rows = slice(start, start + fb.size)
-        x[rows], z[rows], failure[rows] = xb, zb, fb
-        if u is not None:
-            u[rows] = ub
-    return x, z, u, failure
-
-
 def generate(config: ScenarioConfig) -> Dataset:
     """Observed cohort: one draw of the structural model, censored at the
     horizon and, when censor_rate > 0, at independent exponential times.
@@ -350,13 +325,17 @@ def generate(config: ScenarioConfig) -> Dataset:
     _scm_blocks, each block censored by the next draws of one censoring
     stream; like the structural streams it is read on from block to block,
     so the cohort is the censored whole-array draw bit for bit. Beyond the
-    returned columns, memory is a few blocks of temporaries.
+    returned columns, memory is a few blocks of temporaries. A cohort too
+    large to allocate raises ValidationError naming n_subjects.
     """
     n = config.n_subjects
     blocks = _scm_blocks(config, n, config.seed)
     censor = RngStream(config.seed, _STREAM_CENSOR)
-    time, event, covariates = np.empty(n), np.empty(n, dtype=bool), np.empty((n, 2))
-    u_latent = np.empty(n) if config.dag_kind == "frontdoor" else None
+    try:
+        time, event, covariates = np.empty(n), np.empty(n, dtype=bool), np.empty((n, 2))
+        u_latent = np.empty(n) if config.dag_kind == "frontdoor" else None
+    except (MemoryError, ValueError) as exc:
+        raise ValidationError(f"n_subjects is too large to hold in memory, got {n}: {exc}") from None
     for start, [(x, z, u, failure)] in zip(range(0, n, _BLOCK), blocks):
         rows = slice(start, start + failure.size)
         censoring = _censoring_times(config, censor, failure.size)

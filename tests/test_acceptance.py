@@ -13,6 +13,8 @@ import pytest
 
 import dohazard as dh
 from dohazard import cli
+from dohazard.cox import breslow_baseline, neg_log_partial_likelihood
+from dohazard.oracle import oracle_paf
 
 from conftest import (
     make_backdoor_config,
@@ -254,15 +256,15 @@ def test_criterion_8_cox_fitter_correctness(capsys):
             z=rng.normal(0, 1, n) if k == 2 else None,
         )
         beta = rng.normal(0, 0.5, k)
-        _, grad, hess = dh.neg_log_partial_likelihood(ds, beta, names)
+        _, grad, hess = neg_log_partial_likelihood(ds, beta, names)
         h = 1e-6
         grad_fd = np.empty(k)
         hess_fd = np.empty((k, k))
         for j in range(k):
             step = np.zeros(k)
             step[j] = h
-            vp = dh.neg_log_partial_likelihood(ds, beta + step, names)
-            vm = dh.neg_log_partial_likelihood(ds, beta - step, names)
+            vp = neg_log_partial_likelihood(ds, beta + step, names)
+            vm = neg_log_partial_likelihood(ds, beta - step, names)
             grad_fd[j] = (vp[0] - vm[0]) / (2 * h)
             hess_fd[:, j] = (vp[1] - vm[1]) / (2 * h)
         _check(failures, np.allclose(grad, grad_fd, rtol=1e-5, atol=1e-7),
@@ -270,7 +272,7 @@ def test_criterion_8_cox_fitter_correctness(capsys):
         _check(failures, np.allclose(hess, hess_fd, rtol=1e-5, atol=1e-6),
                f"case {case}: hessian mismatch")
 
-    base = dh.breslow_baseline(ds3, np.zeros(1))
+    base = breslow_baseline(ds3, np.zeros(1))
     _check(failures, np.array_equal(base.values, np.cumsum([1 / 3, 1 / 2, 1.0])),
            f"breslow at beta=0 gave {base.values}, want cumsum(1/3, 1/2, 1)")
 
@@ -280,7 +282,7 @@ def test_criterion_8_cox_fitter_correctness(capsys):
 def test_criterion_9_paf_vs_oracle(capsys, backdoor_config, backdoor_dataset, backdoor_fit, backdoor_summary):
     failures = []
     formula = dh.paf(backdoor_fit, backdoor_summary)
-    oracle_value, oracle_se = dh.oracle_paf(
+    oracle_value, oracle_se = oracle_paf(
         backdoor_config, 8_000_000, backdoor_config.seed + ORACLE_SEED_OFFSET, 10.0
     )
     rel = abs(formula - oracle_value) / abs(oracle_value)

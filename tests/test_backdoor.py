@@ -27,7 +27,7 @@ def hand_fit(beta, names, knots, values, covariance=None):
 def adjusting(*z_columns):
     """A summary that only names the adjustment columns, for causal_rr."""
     return dh.BackdoorSummary(
-        a_z=1.0, mean_joint_risk=1.0, horizon_t=1.0, max_cumhaz=0.0, rarity_flag=False, z_columns=z_columns, n=1
+        a_z=1.0, mean_joint_risk=1.0, horizon_t=1.0, max_cumhaz=0.0, rarity_flag=False, z_columns=z_columns
     )
 
 
@@ -42,7 +42,6 @@ def test_az_is_one_for_baseline_population():
     summary = dh.compute_az(ds, fit, ["z"], horizon_t=1.0)
     assert summary.a_z == 1.0
     assert summary.z_columns == ("z",)
-    assert summary.n == 40
 
 
 def test_az_two_point_expectation():
@@ -155,13 +154,11 @@ def test_causal_rr_scalar_doubling():
     fit = hand_fit([math.log(2.0), 0.9], ["x", "z"], [1.0], [0.05])
     est = dh.causal_rr(fit, adjusting("z"), [1.0], [0.0])
     assert est.value == pytest.approx(2.0, rel=1e-15)
-    assert est.diagnostics["log_rr"] == math.log(2.0)
 
 
 def test_causal_rr_log_antisymmetry(backdoor_fit, backdoor_summary):
     fwd = dh.causal_rr(backdoor_fit, backdoor_summary, [1.7], [0.4])
     rev = dh.causal_rr(backdoor_fit, backdoor_summary, [0.4], [1.7])
-    assert fwd.diagnostics["log_rr"] == -rev.diagnostics["log_rr"]
     assert fwd.value * rev.value == pytest.approx(1.0, rel=1e-14)
 
 
@@ -190,7 +187,6 @@ def test_causal_rr_roles_ignore_x_prefix():
     fit = hand_fit([math.log(2.0), 0.4], ["exposure", "xage"], [1.0], [0.05])
     est = dh.causal_rr(fit, adjusting("xage"), [1.0], [0.0])
     assert est.value == pytest.approx(2.0, rel=1e-15)
-    assert est.diagnostics["log_rr"] == math.log(2.0)
 
 
 def test_causal_rr_argument_checks(backdoor_fit, backdoor_summary):
@@ -253,4 +249,3 @@ def test_naive_rr_single_covariate(backdoor_dataset):
     assert est.method == "naive_rr"
     assert est.value > 1.0
     assert est.std_err > 0.0
-    assert "beta" in est.diagnostics

@@ -275,6 +275,17 @@ def test_exit_2_on_a_seed_philox_cannot_hold(tmp_path, scenario_path, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("n", [2**50, 10**30])
+def test_exit_2_on_a_cohort_too_large_to_allocate(tmp_path, capsys, n):
+    # 2**50 subjects take 8 PiB a column, beyond any 48-bit address space,
+    # so the allocation is refused before a page is touched; numpy refuses
+    # 10**30 as a size
+    scenario = write_scenario(tmp_path / "huge.json", make_backdoor_config(n_subjects=n))
+    assert run(["simulate", scenario, "--out-dir", tmp_path, "--quiet"]) == 2
+    assert f"error: n_subjects is too large to hold in memory, got {n}: " in capsys.readouterr().err
+    assert not (tmp_path / "cohort.csv").exists()
+
+
 def test_exit_2_on_bad_contrast(tmp_path, scenario_path, capsys):
     run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
     rc = run(["backdoor", tmp_path / "cohort.csv", "--contrast", "1", "--t", 10, "--out-dir", tmp_path])

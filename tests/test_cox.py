@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dohazard as dh
-from dohazard.cox import _BLOCK, _head_sums, _nlpl, _prepared
+from dohazard.cox import _BLOCK, _head_sums, _nlpl, _prepared, breslow_baseline, neg_log_partial_likelihood
 
 from conftest import make_backdoor_config, make_tiny_dataset
 
@@ -33,7 +33,7 @@ def hand_nlpl(dataset, beta):
 
 def test_nlpl_null_value():
     ds = three_subject_fixture()
-    value, gradient, hessian = dh.neg_log_partial_likelihood(ds, [0.0])
+    value, gradient, hessian = neg_log_partial_likelihood(ds, [0.0])
     assert value == pytest.approx(math.log(6.0), rel=1e-15)
     assert gradient.shape == (1,)
     assert hessian.shape == (1, 1)
@@ -42,7 +42,7 @@ def test_nlpl_null_value():
 def test_nlpl_single_subject_is_zero():
     ds = make_tiny_dataset([1.0], [1], [2.5])
     for beta in (-1.0, 0.0, 0.7):
-        value, _, _ = dh.neg_log_partial_likelihood(ds, [beta])
+        value, _, _ = neg_log_partial_likelihood(ds, [beta])
         assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -57,7 +57,7 @@ def test_nlpl_matches_direct_computation():
             rng.normal(size=n),
         )
         beta = rng.normal(scale=0.5, size=2)
-        value, _, _ = dh.neg_log_partial_likelihood(ds, beta)
+        value, _, _ = neg_log_partial_likelihood(ds, beta)
         assert value == pytest.approx(hand_nlpl(ds, beta), rel=1e-12)
 
 
@@ -66,7 +66,7 @@ def test_nlpl_ties_share_risk_set():
     beta = 0.3
     s = math.exp(0.3) + 1.0 + math.exp(0.6)
     want = -((0.3 - math.log(s)) + (0.0 - math.log(s)) + (0.6 - 0.6))
-    value, _, _ = dh.neg_log_partial_likelihood(ds, [beta])
+    value, _, _ = neg_log_partial_likelihood(ds, [beta])
     assert value == pytest.approx(want, rel=1e-14)
 
 
@@ -82,12 +82,12 @@ def test_gradient_hessian_finite_differences():
             rng.normal(size=n),
         )
         beta = rng.normal(scale=0.5, size=2)
-        value, gradient, hessian = dh.neg_log_partial_likelihood(ds, beta)
+        value, gradient, hessian = neg_log_partial_likelihood(ds, beta)
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            vp, gp, _ = dh.neg_log_partial_likelihood(ds, beta + e)
-            vm, gm, _ = dh.neg_log_partial_likelihood(ds, beta - e)
+            vp, gp, _ = neg_log_partial_likelihood(ds, beta + e)
+            vm, gm, _ = neg_log_partial_likelihood(ds, beta - e)
             fd_grad = (vp - vm) / (2.0 * h)
             assert fd_grad == pytest.approx(gradient[j], rel=1e-5, abs=1e-7)
             fd_hess = (gp - gm) / (2.0 * h)
@@ -108,7 +108,7 @@ def test_three_subject_estimate():
 
 def test_nelson_aalen_fixture():
     ds = three_subject_fixture()
-    base = dh.breslow_baseline(ds, [0.0])
+    base = breslow_baseline(ds, [0.0])
     assert np.array_equal(base.knots, [1.0, 2.0, 3.0])
     # at beta = 0 the increments are exactly 1/3, 1/2, 1/1
     assert np.array_equal(base.values, np.cumsum([1.0 / 3.0, 1.0 / 2.0, 1.0]))
@@ -117,7 +117,7 @@ def test_nelson_aalen_fixture():
 
 def test_breslow_single_event():
     ds = make_tiny_dataset([1.0, 2.0, 3.0, 4.0, 5.0], [1, 0, 0, 0, 0], [0.5, -1.0, 0.2, 0.0, 1.0])
-    base = dh.breslow_baseline(ds, [0.0])
+    base = breslow_baseline(ds, [0.0])
     assert base(1.0) == pytest.approx(1.0 / 5.0, rel=1e-15)
     assert base(0.999) == 0.0
     assert base(100.0) == base(1.0)
@@ -125,7 +125,7 @@ def test_breslow_single_event():
 
 def test_breslow_tied_increment():
     ds = make_tiny_dataset([1.0, 1.0, 2.0], [1, 1, 1], [0.0, 1.0, 2.0])
-    base = dh.breslow_baseline(ds, [0.0])
+    base = breslow_baseline(ds, [0.0])
     assert np.array_equal(base.knots, [1.0, 2.0])
     assert base.values == pytest.approx([2.0 / 3.0, 5.0 / 3.0], rel=1e-15)
 
@@ -137,7 +137,7 @@ def test_breslow_recovers_constant_hazard():
         coefficients=dh.BackdoorCoefficients(a_zx=0.5, sigma_x=1.0, beta_x=0.0, beta_z=0.0),
     )
     ds = dh.generate(cfg)
-    base = dh.breslow_baseline(ds, [0.0, 0.0])
+    base = breslow_baseline(ds, [0.0, 0.0])
     assert base(10.0) == pytest.approx(0.002 * 10.0, rel=0.05)
 
 
@@ -237,7 +237,7 @@ def test_fit_rejects_repeated_covariate_names():
         with pytest.raises(dh.InvalidArgumentError, match=f"covariate '{names[-1]}' is named more than once"):
             dh.fit_cox(ds, names)
     with pytest.raises(dh.InvalidArgumentError, match="named more than once"):
-        dh.neg_log_partial_likelihood(ds, [0.1, 0.1], ["x", "x"])
+        neg_log_partial_likelihood(ds, [0.1, 0.1], ["x", "x"])
 
 
 def test_fit_rejects_constant_covariate():
@@ -279,13 +279,13 @@ def test_fit_detects_collinearity():
 def test_nlpl_overflow_advises_rescaling():
     ds = make_tiny_dataset([1.0, 2.0, 3.0], [1, 1, 1], [0.0, 1.0, 2.0])
     with pytest.raises(dh.NumericalError, match="rescale"):
-        dh.neg_log_partial_likelihood(ds, [600.0])
+        neg_log_partial_likelihood(ds, [600.0])
 
 
 def test_nlpl_checks_arguments():
     ds = three_subject_fixture()
     with pytest.raises(dh.InvalidArgumentError):
-        dh.neg_log_partial_likelihood(ds, [0.0, 0.0])
+        neg_log_partial_likelihood(ds, [0.0, 0.0])
     with pytest.raises(dh.InvalidArgumentError):
         dh.fit_cox(ds, ["nope"])
 
@@ -449,7 +449,7 @@ def hand_breslow(dataset, beta):
 @given(tied_cohorts())
 def test_nlpl_matches_direct_computation_under_ties(case):
     dataset, beta = case
-    value, _, _ = dh.neg_log_partial_likelihood(dataset, beta)
+    value, _, _ = neg_log_partial_likelihood(dataset, beta)
     assert value == pytest.approx(hand_nlpl(dataset, beta), rel=1e-12)
 
 
@@ -457,7 +457,7 @@ def test_nlpl_matches_direct_computation_under_ties(case):
 @given(tied_cohorts())
 def test_breslow_matches_per_knot_loop(case):
     dataset, beta = case
-    base = dh.breslow_baseline(dataset, beta)
+    base = breslow_baseline(dataset, beta)
     knots, values = hand_breslow(dataset, beta)
     assert np.array_equal(base.knots, knots)
     np.testing.assert_allclose(base.values, values, rtol=1e-12, atol=0.0)
@@ -468,7 +468,7 @@ def test_breslow_matches_per_knot_loop(case):
 def test_fit_baseline_is_breslow_at_fitted_beta(case):
     dataset, _ = case
     fit = fitted(dataset)
-    base = dh.breslow_baseline(dataset, fit.beta)
+    base = breslow_baseline(dataset, fit.beta)
     assert fit.baseline_cumhaz.knots.tobytes() == base.knots.tobytes()
     assert fit.baseline_cumhaz.values.tobytes() == base.values.tobytes()
 
@@ -513,20 +513,23 @@ def censored_cohorts(draw):
 def test_prepared_sorts_as_a_stable_argsort(case):
     time, event = case
     n = len(time)
-    dataset = dh.Dataset(
-        time=time,
-        event=event,
-        covariates=np.stack([np.arange(n), -np.arange(n), np.ones(n)], axis=1),
-        covariate_names=["row", "minus_row", "one"],
-    )
-    _, _, x_s, ev, head, event_times = _prepared(dataset, ["minus_row", "row"])
-    order = np.argsort(dataset.time, kind="stable")
-    t_s = dataset.time[order]
-    want_ev = np.flatnonzero(dataset.event[order])
-    assert x_s.flags.c_contiguous and x_s.tobytes() == dataset.covariates[order][:, [1, 0]].tobytes()
-    assert np.array_equal(ev, want_ev)
-    assert np.array_equal(head, np.searchsorted(t_s, t_s[want_ev], side="left"))
-    assert event_times.tobytes() == t_s[want_ev].tobytes()
+    covariates = np.stack([np.arange(n), -np.arange(n), np.ones(n)], axis=1)
+    for layout in ("C", "F"):  # F: a loaded cohort's covariates are column-major
+        dataset = dh.Dataset(
+            time=time,
+            event=event,
+            covariates=covariates.copy(order=layout),
+            covariate_names=["row", "minus_row", "one"],
+        )
+        assert dataset.covariates.flags[f"{layout}_CONTIGUOUS"]
+        _, _, x_s, ev, head, event_times = _prepared(dataset, ["minus_row", "row"])
+        order = np.argsort(dataset.time, kind="stable")
+        t_s = dataset.time[order]
+        want_ev = np.flatnonzero(dataset.event[order])
+        assert x_s.flags.c_contiguous and x_s.tobytes() == covariates[order][:, [1, 0]].tobytes()
+        assert np.array_equal(ev, want_ev)
+        assert np.array_equal(head, np.searchsorted(t_s, t_s[want_ev], side="left"))
+        assert event_times.tobytes() == t_s[want_ev].tobytes()
 
 
 # The streamed risk-set sums against one reversed cumsum over all rows.

@@ -40,7 +40,8 @@ def test_param_estimation_alpha_zero():
             c_ux=0.8, sigma_x=0.6, alpha=0.0, sigma_z=0.5, beta_z=0.5, beta_u=0.7
         ),
     )
-    params = dh.estimate_frontdoor_params(dh.generate(cfg))
+    dataset = dh.generate(cfg)
+    params = dh.estimate_frontdoor_params(dataset, dh.fit_cox(dataset, ["x", "z"]))
     assert abs(params.alpha) < 4.0 * params.se_alpha
 
 

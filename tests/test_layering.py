@@ -7,7 +7,7 @@ where the CLI looks them up; a name it needs that went missing would break
 only the benchmark, so each one is checked here, and so is a span from each
 estimate layer it times. No package module keeps
 an import it does not use, so a moved or deleted name leaves no stray
-import behind.
+import behind, and the package exports no name that only the tests use.
 """
 
 import ast
@@ -19,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
+import dohazard
 from dohazard import cli
 
 from conftest import make_backdoor_config, make_frontdoor_config
+from test_readme import python_blocks
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dohazard"
@@ -137,3 +139,25 @@ def unused_imports(path):
 def test_no_unused_imports(path):
     unused = [name for name in unused_imports(path) if (path.stem, name) not in UNUSED_IMPORTS_ALLOWED]
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+# Exported names that no package module and no python block of the README
+# uses, each with its reason.
+EXPORTS_ALLOWED_UNUSED = {
+    # the unadjusted comparator of acceptance criteria 2 and 4, kept public
+    # while the experiment may still report it (ROADMAP item 6)
+    "naive_rr",
+}
+
+
+def test_every_export_is_used_by_the_package_or_the_readme():
+    # a public name that only the tests reach belongs with the tests
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for source in sources + python_blocks()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unused = sorted(set(dohazard.__all__) - used - EXPORTS_ALLOWED_UNUSED)
+    assert not unused, f"exported but used by no package module and no README block: {unused}"

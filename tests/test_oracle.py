@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dohazard as dh
-from dohazard.oracle import _event_counts
+from dohazard.oracle import _event_counts, oracle_paf, simulate_factual
 from dohazard.stats import _BLOCK
 
 from conftest import (
@@ -15,6 +15,7 @@ from conftest import (
     make_frontdoor_config,
     make_strong_confounding_config,
 )
+from truth import draw_scm
 
 
 def null_backdoor_config(**overrides):
@@ -119,7 +120,7 @@ def test_conditional_differs_from_interventional_under_confounding():
     cfg = make_strong_confounding_config()
     do = dh.simulate_do(cfg, 1.0, 1_000_000, 777, 10.0)
     # P(T <= t | X within 0.2 of 1) in the factual world of the same draw
-    x, _, _, failure = dh.draw_scm(cfg, 1_000_000, 777)
+    x, _, _, failure = draw_scm(cfg, 1_000_000, 777)
     hit = failure[np.abs(x - 1.0) <= 0.2] <= 10.0
     cond = np.mean(hit)
     gap = abs(cond - do.incidence)
@@ -138,7 +139,7 @@ def test_oracle_paf_null_exposure():
     cfg = null_backdoor_config(
         coefficients=dh.BackdoorCoefficients(a_zx=0.5, sigma_x=1.0, beta_x=0.0, beta_z=0.4),
     )
-    value, se = dh.oracle_paf(cfg, 200_000, 41, 10.0)
+    value, se = oracle_paf(cfg, 200_000, 41, 10.0)
     assert (value, se) == (0.0, 0.0)  # beta_x = 0: the drawn and the forced x fail alike
 
 
@@ -157,12 +158,12 @@ def test_paired_log_ratio_se_matches_spread_over_seeds(make_config, x):
 
 
 def test_paired_paf_se_matches_spread_over_seeds(backdoor_config):
-    values, ses = zip(*(dh.oracle_paf(backdoor_config, 20_000, seed, 10.0) for seed in range(200)))
+    values, ses = zip(*(oracle_paf(backdoor_config, 20_000, seed, 10.0) for seed in range(200)))
     assert 0.8 <= np.std(values, ddof=1) / np.mean(ses) <= 1.25
 
 
 def test_oracle_paf_positive_for_harmful_exposure(backdoor_config):
-    value, se = dh.oracle_paf(backdoor_config, 400_000, 43, 10.0)
+    value, se = oracle_paf(backdoor_config, 400_000, 43, 10.0)
     assert value - 3.0 * se > 0.0
 
 
@@ -209,7 +210,7 @@ def test_approx_report_reference(backdoor_dataset, backdoor_fit, backdoor_summar
     "arm",
     [
         lambda cfg, n: dh.simulate_do(cfg, 1.0, n, 7, 10.0),
-        lambda cfg, n: dh.simulate_factual(cfg, n, 7, 10.0),
+        lambda cfg, n: simulate_factual(cfg, n, 7, 10.0),
     ],
     ids=["do", "factual"],
 )
@@ -244,11 +245,11 @@ def test_oracle_counts_equal_scm_columns(make_config):
     n, seed, t = 3 * _BLOCK + 5, 19, 7.5
 
     do = dh.simulate_do(cfg, 1.0, n, seed, t, stream_offset=16)
-    failure = dh.draw_scm(cfg, n, seed, 16, x_forced=1.0)[3]
+    failure = draw_scm(cfg, n, seed, 16, x_forced=1.0)[3]
     assert do.incidence == np.mean(failure <= t) and do.n == n
 
-    factual = dh.simulate_factual(cfg, n, seed, t, stream_offset=48)
-    failure = dh.draw_scm(cfg, n, seed, 48)[3]
+    factual = simulate_factual(cfg, n, seed, t, stream_offset=48)
+    failure = draw_scm(cfg, n, seed, 48)[3]
     assert factual.incidence == np.mean(failure <= t) and factual.n == n
 
 
@@ -279,7 +280,7 @@ def test_event_counts_equal_one_arm_draws(case):
     config, n, seed, offset, xs, ts, pairs = case
     counts = _event_counts(config, n, seed, offset, xs, ts, pairs)
     assert set(counts) == {(x, t) for x in xs for t in ts} | {(x, x0, t) for x, x0 in pairs for t in ts}
-    failures = {x: dh.draw_scm(config, n, seed, offset, x_forced=x)[3] for x in xs}
+    failures = {x: draw_scm(config, n, seed, offset, x_forced=x)[3] for x in xs}
     for x, failure in failures.items():
         for t in ts:
             assert counts[x, t] == np.count_nonzero(failure <= t), (x, t)
@@ -300,5 +301,5 @@ def test_event_counts_check_every_argument_before_drawing(backdoor_config, monke
     with pytest.raises(dh.InvalidArgumentError, match="^x_value must be finite, got inf$"):
         dh.oracle_rr(backdoor_config, 1.0, math.inf, 1_000, 7, 10.0)
     with pytest.raises(dh.InvalidArgumentError, match="^x_value must be finite, got nan$"):
-        dh.oracle_paf(backdoor_config, 1_000, 7, 10.0, x0=math.nan)
+        oracle_paf(backdoor_config, 1_000, 7, 10.0, x0=math.nan)
     assert opened == []

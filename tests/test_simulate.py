@@ -14,11 +14,15 @@ from hypothesis import strategies as st
 
 import dohazard as dh
 from dohazard import cohort
-from dohazard.cohort import _ROWS_PER_WRITE
 from dohazard.simulate import _failure_times, _frontdoor_log_hazard
 from dohazard.stats import _BLOCK
 
 from conftest import make_backdoor_config, make_frontdoor_config
+from truth import draw_scm
+
+# save_dataset and load_dataset work in chunks of _BLOCK rows; this edge
+# ends the second chunk, so the cases around it cross a whole chunk too
+CHUNK_EDGE = 2 * _BLOCK
 
 # frozen regression values for the two reference cohorts
 BACKDOOR_EVENTS = 2460
@@ -305,9 +309,9 @@ def random_doubles(rng, n):
     return values
 
 
-@pytest.mark.parametrize("n", [_ROWS_PER_WRITE - 1, _ROWS_PER_WRITE + 1])
+@pytest.mark.parametrize("n", [CHUNK_EDGE - 1, CHUNK_EDGE + 1])
 def test_save_matches_the_percent_template(tmp_path, n):
-    # across block and sub-block edges, with a u_latent column: random bit
+    # across block edges, with a u_latent column: random bit
     # patterns (mostly outside the exact path's range), the format's edges,
     # and a generated cohort's values (mostly inside it)
     rng = np.random.default_rng(n)
@@ -371,12 +375,12 @@ def test_save_takes_both_paths_on_the_edges(tmp_path):
 
 
 def test_save_formats_a_tied_maximum_once_per_column(tmp_path):
-    # columns mostly at their maximum, across the sub-block and block edges:
+    # columns mostly at their maximum, across block edges:
     # times censored at the horizon; a covariate mostly 0.0 with -0.0 rows
     # (equal values, other text); maxima that Python's formatter writes
-    # (2**53, 1e-5, the last column); a sub-block exactly half tied and one
+    # (2**53, 1e-5, the last column); a block exactly half tied and one
     # tied but for one row
-    n = _ROWS_PER_WRITE + _BLOCK + 1
+    n = 3 * _BLOCK + 1
     rng = np.random.default_rng(5)
     tied = rng.random(n) < 0.9
     time = np.where(rng.random(n) < 0.97, 10.0, rng.uniform(0.1, 10.0, n))
@@ -469,7 +473,7 @@ def refuse_csv_reader(*args):
     raise AssertionError("a cohort with a sound column cache must not be parsed")
 
 
-@pytest.mark.parametrize("n", [1, _ROWS_PER_WRITE - 1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1, 2 * _ROWS_PER_WRITE + 3])
+@pytest.mark.parametrize("n", [1, CHUNK_EDGE - 1, CHUNK_EDGE, CHUNK_EDGE + 1, 2 * CHUNK_EDGE + 3])
 def test_load_fills_the_columns_chunk_by_chunk(tmp_path, n):
     # rows on both sides of each chunk edge land in their own places, and a
     # body that ends on a chunk edge reads no phantom chunk after it
@@ -478,7 +482,7 @@ def test_load_fills_the_columns_chunk_by_chunk(tmp_path, n):
 
 
 def _blank_line_at_chunk_edge(rows):
-    return rows[:_ROWS_PER_WRITE - 1] + [b""] + rows[_ROWS_PER_WRITE - 1:]
+    return rows[:CHUNK_EDGE - 1] + [b""] + rows[CHUNK_EDGE - 1:]
 
 
 @pytest.mark.parametrize(
@@ -491,7 +495,7 @@ def _blank_line_at_chunk_edge(rows):
     ids=["blank_line_at_chunk_edge", "blank_lines_around_body", "blank_lines_inside"],
 )
 @pytest.mark.parametrize("final_newline", [True, False], ids=["final_newline", "no_final_newline"])
-@pytest.mark.parametrize("n", [_ROWS_PER_WRITE, _ROWS_PER_WRITE + 2])
+@pytest.mark.parametrize("n", [CHUNK_EDGE, CHUNK_EDGE + 2])
 def test_load_skips_blank_lines(tmp_path, edit, final_newline, n):
     # numpy warns once per blank line when it reads a chunk; the loader must
     # neither let that warning out (pytest makes it an error) nor count the
@@ -504,7 +508,7 @@ def test_load_skips_blank_lines(tmp_path, edit, final_newline, n):
     assert loaded.covariates.flags.f_contiguous  # the layout every loaded cohort has
 
 
-@pytest.mark.parametrize("n", [1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1])
+@pytest.mark.parametrize("n", [1, CHUNK_EDGE, CHUNK_EDGE + 1])
 def test_load_reads_a_last_row_without_line_end(tmp_path, n):
     dataset, path = saved_cohort(tmp_path, n)
     path.write_bytes(path.read_bytes()[:-2])
@@ -525,11 +529,11 @@ def _one_lone_cr(data):
     ],
     ids=["cr_only", "crlf_and_a_lone_cr", "lf_and_a_lone_cr"],
 )
-@pytest.mark.parametrize("n", [3, _ROWS_PER_WRITE + 1])
+@pytest.mark.parametrize("n", [3, CHUNK_EDGE + 1])
 def test_load_reads_every_line_end(tmp_path, ends, n):
     # "\r", "\n" and "\r\n" each end a row, also where lone CRs and lone
-    # LFs meet in one file; at n = _ROWS_PER_WRITE + 1 the row after the
-    # first chunk must still be read
+    # LFs meet in one file; at n = CHUNK_EDGE + 1 the row after the
+    # last whole chunk must still be read
     dataset, path = saved_cohort(tmp_path, n)
     path.write_bytes(ends(path.read_bytes()))
     assert_same_cohort(dh.load_dataset(path), dataset)
@@ -561,8 +565,8 @@ def in_a_random_dialect(lines, seed, at_chunk_edge):
     starts: any field quoted; each line ended by LF, CRLF or CR; blank
     lines after any line; and now and then a line end inside a quoted data
     field, before or after its number. When at_chunk_edge, the rows on both
-    sides of the first chunk edge each quote a line end, and a blank line
-    lies between them."""
+    sides of the chunk edge at CHUNK_EDGE rows each quote a line end, and a
+    blank line lies between them."""
     rng = np.random.default_rng(seed)
     shape = (len(lines), lines[0].count(b",") + 1)
     p_quote, p_blank = rng.random(2)  # this file's shares of quoted fields and of lines followed by blanks
@@ -572,11 +576,11 @@ def in_a_random_dialect(lines, seed, at_chunk_edge):
     before = rng.random(shape) < 0.5
     ends = rng.integers(0, 3, len(lines))
     blanks = np.where(rng.random(len(lines)) < p_blank, rng.integers(1, 3, len(lines)), 0)
-    if at_chunk_edge and len(lines) > _ROWS_PER_WRITE + 1:
-        edge = [_ROWS_PER_WRITE, _ROWS_PER_WRITE + 1]  # the header is line 0
+    if at_chunk_edge and len(lines) > CHUNK_EDGE + 1:
+        edge = [CHUNK_EDGE, CHUNK_EDGE + 1]  # the header is line 0
         quoted[edge, 0] = True
         inner[edge, 0] = rng.integers(1, 4, 2)
-        blanks[_ROWS_PER_WRITE] += 1
+        blanks[CHUNK_EDGE] += 1
     out, starts = bytearray(), []
     for k, line in enumerate(lines):
         starts.append(len(out))
@@ -593,11 +597,11 @@ def in_a_random_dialect(lines, seed, at_chunk_edge):
 # only read more cohorts of up to 16385 rows
 @settings(max_examples=20, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(
-    n=st.sampled_from([_ROWS_PER_WRITE - 1, _ROWS_PER_WRITE + 1]) | st.integers(1, 40),
+    n=st.sampled_from([CHUNK_EDGE - 1, CHUNK_EDGE + 1]) | st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
     at_chunk_edge=st.booleans(),
 )
-@example(n=_ROWS_PER_WRITE + 1, seed=0, at_chunk_edge=True)
+@example(n=CHUNK_EDGE + 1, seed=0, at_chunk_edge=True)
 def test_load_reads_any_dialect_bit_for_bit(tmp_path_factory, n, seed, at_chunk_edge):
     dataset, path = saved_cohort(tmp_path_factory.mktemp("dialect"), n)
     lines = path.read_bytes().split(b"\r\n")[:-1]
@@ -1074,8 +1078,8 @@ scm_settings = settings(max_examples=60, deadline=None)
 @given(scm_scenarios(), arm_offsets, forced_x)
 def test_do_arm_keeps_non_descendants_of_x(config, offset, x_value):
     n, seed = config.n_subjects, config.seed
-    x, z, u, _ = dh.draw_scm(config, n, seed, offset)
-    x_do, z_do, u_do, _ = dh.draw_scm(config, n, seed, offset, x_forced=x_value)
+    x, z, u, _ = draw_scm(config, n, seed, offset)
+    x_do, z_do, u_do, _ = draw_scm(config, n, seed, offset, x_forced=x_value)
     assert np.all(x_do == x_value)
     if config.dag_kind == "backdoor":
         assert u is None and u_do is None
@@ -1088,15 +1092,15 @@ def test_do_arm_keeps_non_descendants_of_x(config, offset, x_value):
 @given(scm_scenarios(beta_x=0.0, alpha=0.0), arm_offsets, forced_x)
 def test_do_arm_without_x_to_t_path_keeps_failure_times(config, offset, x_value):
     n, seed = config.n_subjects, config.seed
-    factual = dh.draw_scm(config, n, seed, offset)[3]
-    forced = dh.draw_scm(config, n, seed, offset, x_forced=x_value)[3]
+    factual = draw_scm(config, n, seed, offset)[3]
+    forced = draw_scm(config, n, seed, offset, x_forced=x_value)[3]
     assert forced.tobytes() == factual.tobytes()
 
 
 @scm_settings
 @given(scm_scenarios())
 def test_generate_censors_one_scm_draw(config):
-    x, z, u, failure = dh.draw_scm(config, config.n_subjects, config.seed)
+    x, z, u, failure = draw_scm(config, config.n_subjects, config.seed)
     ds = dh.generate(config)
     assert ds.time[ds.event].tobytes() == failure[ds.event].tobytes()
     assert np.all(ds.time <= failure)
@@ -1113,7 +1117,7 @@ def test_generate_is_the_censored_whole_array_draw(make_config, censor_rate, n):
     # generate censors each block with the next draws of one censoring
     # stream (id 5); the blocks must join into the whole-array cohort
     config = make_config(n_subjects=n, censor_rate=censor_rate)
-    x, z, u, failure = dh.draw_scm(config, n, config.seed)
+    x, z, u, failure = draw_scm(config, n, config.seed)
     if censor_rate > 0:
         censoring = np.minimum(config.horizon_t, dh.RngStream(config.seed, 5).exponential(censor_rate, n))
     else:
@@ -1168,7 +1172,7 @@ def whole_array_scm(config, n, seed, offset, x_forced):
 @pytest.mark.parametrize("make_config", [make_backdoor_config, make_frontdoor_config], ids=["backdoor", "frontdoor"])
 def test_draw_scm_is_block_invariant(make_config, hazard, x_forced, n):
     config = make_config(baseline_hazard=hazard)
-    got = dh.draw_scm(config, n, 11, 16, x_forced=x_forced)
+    got = draw_scm(config, n, 11, 16, x_forced=x_forced)
     want = whole_array_scm(config, n, 11, 16, x_forced)
     for name, a, b in zip(("x", "z", "u", "failure"), got, want):
         assert (a is None) == (b is None), name
@@ -1197,7 +1201,7 @@ SCM_DIGESTS = {
 @pytest.mark.parametrize("make_config", [make_backdoor_config, make_frontdoor_config], ids=["backdoor", "frontdoor"])
 def test_draw_scm_pinned_digests(make_config):
     config = make_config()
-    columns = dh.draw_scm(config, 40_000, config.seed)
+    columns = draw_scm(config, 40_000, config.seed)
     got = tuple(None if c is None else hashlib.sha256(c.tobytes()).hexdigest() for c in columns)
     assert got == SCM_DIGESTS[config.dag_kind]
 
@@ -1205,4 +1209,4 @@ def test_draw_scm_pinned_digests(make_config):
 @pytest.mark.parametrize("n", [0, -5])
 def test_draw_scm_rejects_empty_draw(backdoor_config, n):
     with pytest.raises(dh.InvalidArgumentError, match=f"^n must be >= 1, got {n}$"):
-        dh.draw_scm(backdoor_config, n, 1)
+        draw_scm(backdoor_config, n, 1)

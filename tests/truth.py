@@ -12,6 +12,10 @@ them:
 
 Criterion 6 of ``test_acceptance.py`` checks
 ``dohazard.frontdoor_do_cdf_gaussian`` against both.
+
+``draw_scm`` joins the blocks of ``dohazard.simulate._scm_blocks``, the
+one structural model, into whole columns, so that the tests can check an
+arm, or the cohort ``generate`` censors, against the draw itself.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from dohazard.cohort import Dataset
 from dohazard.cox import CoxFit, _horizon
 from dohazard.errors import InvalidArgumentError, NumericalError
+from dohazard.simulate import ScenarioConfig, _scm_blocks
 
 
 class EmptyStratumError(NumericalError):
@@ -109,3 +114,13 @@ def frontdoor_do_cdf_empirical(
 
     marginal = float(np.mean(np.exp(beta_x * x)))
     return fit.baseline_cumhaz(t) * conditional * marginal
+
+
+def draw_scm(config: ScenarioConfig, n: int, seed: int, offset: int = 0, x_forced: float | None = None):
+    """One draw of the structural model for n subjects, as the columns
+    (x, z, u, failure): the blocks of _scm_blocks for the one arm x_forced
+    (None: X drawn), joined. u is None for the backdoor DAG; a forced x is
+    broadcast into a column. Raises InvalidArgumentError when n < 1."""
+    x, z, u, failure = zip(*(arm for [arm] in _scm_blocks(config, n, seed, offset, (x_forced,))))
+    x = np.concatenate([np.broadcast_to(xb, fb.shape) for xb, fb in zip(x, failure)])
+    return x, np.concatenate(z), None if u[0] is None else np.concatenate(u), np.concatenate(failure)
