@@ -1,10 +1,14 @@
 """JSON files: one reader, one writer, and the field rules that configs
-and fit files are checked by."""
+and fit files are checked by. The writer writes the bytes of json.dump
+with sorted keys and an indent of two, but a list of finite floats, such
+as a fit's baseline, goes out a thousand floats per write."""
 
 from __future__ import annotations
 
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError, ValidationError
 
@@ -25,11 +29,58 @@ def read_object(path, what: str) -> dict:
     return raw
 
 
+# Floats per write when write_object writes a list of finite floats: about
+# 25 KB of text, joined from some 80 KB of repr strings, so that a write adds
+# little to the peak memory of a fit's save.
+_FLOATS_PER_WRITE = 1024
+
+
 def write_object(path, payload: dict) -> None:
-    """payload as JSON with sorted keys, indented by two, and a final newline."""
+    """payload as JSON with sorted keys, indented by two, and a final
+    newline: the bytes of json.dump(payload, fh, sort_keys=True, indent=2)
+    and "\n". json.dump's indenting encoder takes a Python step and a
+    write per list item; here each list of finite floats is written from
+    float.__repr__, _FLOATS_PER_WRITE floats per write (_write)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        _write(fh.write, payload, "\n")
         fh.write("\n")
+
+
+def _write(write, value, newline: str) -> None:
+    """Write the JSON text of value, in pieces, with write, as
+    json.dump(value, fh, sort_keys=True, indent=2) writes it; newline is
+    the line break and indent of the line value ends on. A string, an int
+    or a finite float is written as json.dump's encoder writes it; any
+    other scalar or an empty container is json.dumps's text, and a key that
+    is not a string the string of that text, as json.dump writes it."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        for i, (key, item) in enumerate(sorted(value.items())):
+            key = encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key))
+            write(("," if i else "{") + inner + key + ": ")
+            _write(write, item, inner)
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        if _finite_floats(value):
+            for start in range(0, len(value), _FLOATS_PER_WRITE):
+                chunk = map(float.__repr__, value[start:start + _FLOATS_PER_WRITE])
+                write(("," if start else "[") + inner + ("," + inner).join(chunk))
+        else:
+            for i, item in enumerate(value):
+                write(("," if i else "[") + inner)
+                _write(write, item, inner)
+        write(newline + "]")
+    elif isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif type(value) is int or type(value) is float and math.isfinite(value):
+        write(repr(value))
+    else:
+        write(json.dumps(value))
+
+
+def _finite_floats(values) -> bool:
+    """Every item of values is a float (not a subclass) and finite."""
+    return all(type(v) is float for v in values) and all(map(math.isfinite, values))
 
 
 def refuse_unknown(raw: dict, known, what: str) -> None:
@@ -60,11 +111,12 @@ def require_number(raw: dict, key: str, name: str | None = None, shape=(), what:
 def finite_numbers(value, shape) -> bool:
     """value is a nested list of finite JSON numbers of exactly this shape;
     a None length matches any. An integer too large for a float64 is not
-    finite here, so the later float conversion cannot overflow."""
+    finite here, so the later float conversion cannot overflow. A list of
+    floats alone, as a fit file's, is checked in one pass (_finite_floats)."""
     if not shape:
         return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    return (
-        isinstance(value, list)
-        and shape[0] in (None, len(value))
-        and all(finite_numbers(v, shape[1:]) for v in value)
-    )
+    if not isinstance(value, list) or shape[0] not in (None, len(value)):
+        return False
+    if len(shape) == 1 and _finite_floats(value):
+        return True
+    return all(finite_numbers(v, shape[1:]) for v in value)

@@ -13,11 +13,14 @@ cohort a hash and a copy.
 The CSV holds each float as Python's ``'%.17g' %`` writes it, byte for
 byte, but ``save_dataset`` formats them in numpy (``_format_floats``):
 exact integer arithmetic gives the 17 digits of every finite normal value
-from 1e-4 up to 2**52 and a lookup table lays out its text, while the few
-other values (zeros, subnormals, smaller or larger magnitudes) go to
-Python's own formatter. Most times of a rare-outcome cohort are the
-horizon, bit for bit, so each column's maximum is formatted once and its
-text copied into the rows that hold it (``_csv_rows``).
+from 1e-4 up to 2**52. A value below 10 is then written as whole words
+looked up in tables (a lead word, four 4-digit chunks, the separator),
+with NULs for the zeros %.17g strips, and a value from 10 up is laid out
+byte by byte by a lookup table; the few other values (zeros, subnormals,
+smaller or larger magnitudes) go to Python's own formatter. Most times of
+a rare-outcome cohort are the horizon, bit for bit, so each column's
+maximum is formatted once and its text copied into the rows that hold it
+(``_csv_rows``).
 """
 
 from __future__ import annotations
@@ -112,56 +115,69 @@ class Dataset:
 # "-2.2250738585072014e-308", and a CRLF.
 _FIELD = 26
 
-# Tables of _format_floats, built with numpy arithmetic at import. A value's
-# row of the digits buffer is _DIGIT_WORDS uint32 words, 24 bytes in memory
-# order: NUL, "0", "-", the 17 digits of D, ".", the two separator bytes
-# (the second NUL after a comma) and NUL. _LEAD[d] is the first word for
-# leading digit d; _DIGITS4[c] the four digits of c in 0..9999 as one word;
-# _ZEROS4[c] the number of trailing zero digits of those four.
+# Tables of _format_floats, built at import.
+#
+# A value below 10 (decimal exponent x in -4..0) is written as words, the
+# field's bytes in memory order (_WORDS): the 8-byte lead word
+# _LEAD8[((sign * 5 + x + 4) * 10 + d0) * 2 + fraction], which holds "-"
+# for a negative value, "0." and -x - 1 zeros when x < 0, the leading digit
+# d0 and, when x == 0 and any later digit is not zero, the point; then one
+# word per chunk of four digits; then the two separator bytes. _DIGITS4[c]
+# is the four digits of c in 0..9999 as one word, and _DIGITS4[10000 + c]
+# the same word with c's trailing zero digits as NULs, which a chunk takes
+# once every later chunk is zero, so that %.17g's stripped zeros are NULs.
+#
+# A value from 10 up is laid out byte by byte from a row of the digits
+# buffer, _DIGIT_WORDS uint32 words, 24 bytes in memory order: two NULs,
+# "-", the 17 digits of D, ".", the two separator bytes (the second NUL
+# after a comma) and NUL. _LEAD[d] is the first word for leading digit d;
+# _ZEROS4[c] the number of trailing zero digits of c's four.
+_WORDS = np.dtype(
+    {"names": ["lead", "chunks", "sep"], "formats": [np.uint64, (np.uint32, 4), (np.uint8, 2)],
+     "offsets": [0, 8, 24], "itemsize": _FIELD}
+)
 _DIGIT_WORDS = 6
-_NUL, _ZERO, _MINUS, _DIGIT, _POINT, _SEP = 0, 1, 2, 3, 20, 21
+_NUL, _MINUS, _DIGIT, _POINT, _SEP = 0, 2, 3, 20, 21
 _POW5 = 5 ** np.arange(21, dtype=np.uint64)
 _C = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row c: the four digits of c
-_DIGITS4 = np.ascontiguousarray(_C + ord("0")).view(np.uint32).ravel()
 _ZEROS4 = np.logical_and.accumulate(_C[:, ::-1] == 0, axis=1).sum(axis=1, dtype=np.uint8)
+_DIGITS4 = np.concatenate([_C + ord("0"), np.where(np.arange(4) < 4 - _ZEROS4[:, None], _C + ord("0"), 0)])
+_DIGITS4 = np.ascontiguousarray(_DIGITS4, dtype=np.uint8).view(np.uint32).ravel()
 _LEAD = np.zeros((10, 4), dtype=np.uint8)
-_LEAD[:, _ZERO], _LEAD[:, _MINUS], _LEAD[:, _DIGIT] = ord("0"), ord("-"), ord("0") + np.arange(10)
+_LEAD[:, _MINUS], _LEAD[:, _DIGIT] = ord("-"), ord("0") + np.arange(10)
 _LEAD = _LEAD.view(np.uint32).ravel()
+_LEAD8 = np.frombuffer(
+    b"".join(
+        ("-" * sign + ("0." + "0" * (-x - 1) if x < 0 else "") + str(d0) + "." * (x == 0 and fraction))
+        .encode()
+        .ljust(8, b"\0")
+        for sign, x, d0, fraction in itertools.product(range(2), range(-4, 1), range(10), range(2))
+    ),
+    dtype=np.uint64,
+)
 # the offset of each row of a _BLOCK-row digits buffer, in bytes
 _DIGIT_ROWS = (np.arange(_BLOCK) * 4 * _DIGIT_WORDS)[:, None]
 del _C
 
 
 def _float_layouts() -> np.ndarray:
-    """The rows of _LAYOUT: row (sign * 21 + x + 4) * 17 + k - 1 lists, for
+    """The rows of _LAYOUT: row (sign * 16 + x - 1) * 17 + k - 1 lists, for
     each byte of a _FIELD-byte field, the byte of a digits row that goes
     there, for a value with that sign (1 when negative), decimal exponent x
-    in -4..16 and k significant digits once trailing zeros are stripped
+    in 1..16 and k significant digits once trailing zeros are stripped
     (1..17): %.17g's fixed notation, then the separator and NUL padding.
 
-    For x >= 0 the text is the first x + 1 digits, then, when any of the k
-    digits is left, the point and those digits; for x < 0 it is "0.", -x - 1
-    zeros and the k digits; a negative value has "-" in front."""
+    The text is the first x + 1 digits, then, when any of the k digits is
+    left, the point and those digits; a negative value has "-" in front."""
     sign = np.arange(2)[:, None, None, None]
-    x = np.arange(-4, 17)[None, :, None, None]
+    x = np.arange(1, 17)[None, :, None, None]
     k = np.arange(1, 18)[None, None, :, None]
     j = np.arange(_FIELD) - sign  # the byte's place in the unsigned text
-    whole = x + 1  # digits before the point when x >= 0
-    zeros = -x - 1  # zeros after the point when x < 0
-    fixed = np.where(x < 0, 2 + zeros + k, np.where(k > whole, k + 1, whole))  # the text's length
+    whole = x + 1  # digits before the point
+    fixed = np.where(k > whole, k + 1, whole)  # the text's length
     table = np.select(
-        [
-            j < 0,
-            (x < 0) & (j == 0), (x < 0) & (j == 1), (x < 0) & (j < 2 + zeros), (x < 0) & (j < fixed),
-            j < whole, (j == whole) & (j < fixed), j < fixed,
-            j == fixed, j == fixed + 1,
-        ],
-        [
-            _MINUS,
-            _ZERO, _POINT, _ZERO, _DIGIT + j - 2 - zeros,
-            _DIGIT + j, _POINT, _DIGIT + j - 1,
-            _SEP, _SEP + 1,
-        ],
+        [j < 0, j < whole, (j == whole) & (j < fixed), j < fixed, j == fixed, j == fixed + 1],
+        [_MINUS, _DIGIT + j, _POINT, _DIGIT + j - 1, _SEP, _SEP + 1],
         _NUL,
     )
     return table.reshape(-1, _FIELD).astype(np.uint8)
@@ -204,32 +220,38 @@ def _csv_rows(columns):
     (bool), written as 0 or 1 (%d); every other column is float64, written
     as %.17g; fields are joined by commas and rows end in CRLF.
 
-    Each field, with the separator after it, is written left-aligned into a
-    fixed slot of the block's row buffer (_FIELD bytes for a float, 3 for
-    an event: its digit and up to two separator bytes) and padded with
-    NULs. No text holds a NUL, so dropping every NUL byte of the buffer in
-    one boolean compaction leaves the block's CSV bytes. A block's 8-byte
-    temporaries stay at 64 KiB, below glibc's mmap threshold; the larger
-    buffers are allocated once here and reused for every block.
+    Each field, with the separator after it, is written into a fixed slot
+    of the block's row buffer (_FIELD bytes for a float, 3 for an event:
+    its digit and up to two separator bytes), with NULs wherever it has no
+    text: after the text, and, for a float below 10, which _format_floats
+    writes as whole words, between its words. No text holds a NUL, so
+    dropping every NUL byte of the buffer in one boolean compaction leaves
+    the block's CSV bytes. A block's 8-byte temporaries stay at 64 KiB,
+    below glibc's mmap threshold; the larger buffers are allocated once
+    here and reused for every block.
 
     A cohort of a rare outcome has most of its times at the horizon, where
     follow-up ends, bit for bit. So each float column's maximum is formatted
-    once, and in a block where more than half the values have its bits
-    (bits, not value: -0.0 == 0.0, but %.17g writes "-0" and "0"), its field
-    is copied into every row and only the other values are formatted."""
+    once, by Python's '%.17g' %, and in a block where more than half the
+    values have its bits (bits, not value: -0.0 == 0.0, but %.17g writes
+    "-0" and "0"), its field is copied into every row and only the other
+    values are formatted."""
     n = len(columns[0])
     seps = [b","] * (len(columns) - 1) + [b"\r\n"]
     slots = np.cumsum([0] + [3 if k == 1 else _FIELD for k in range(len(columns))])
     rows = np.empty((min(n, _BLOCK), slots[-1]), dtype=np.uint8)
     keep = np.empty(rows.shape, dtype=bool)
-    field = np.empty((_BLOCK, _FIELD), dtype=np.uint8)
-    index = np.empty((_BLOCK, _FIELD), dtype=np.intp)
-    digits = np.empty((_BLOCK, _DIGIT_WORDS), dtype=np.uint32)
+    scratch = (
+        np.empty((_BLOCK, _FIELD), dtype=np.uint8),
+        np.empty((_BLOCK, _FIELD), dtype=np.uint8),
+        np.empty((_BLOCK, _FIELD), dtype=np.intp),
+        np.empty((_BLOCK, _DIGIT_WORDS), dtype=np.uint32),
+    )
     tops = {}  # column k -> (the bits of its maximum, that value's field)
     for k, (column, sep) in enumerate(zip(columns, seps)):
         if k != 1:
             top = column.max(keepdims=True)
-            tops[k] = top.view(np.uint64)[0], _format_floats(top, sep, field, index, digits).copy()
+            tops[k] = top.view(np.uint64)[0], _python_formatted(top, sep)[0]
     for start in range(0, n, _BLOCK):
         block = rows[:min(_BLOCK, n - start)]
         for k, (column, sep) in enumerate(zip(columns, seps)):
@@ -244,18 +266,18 @@ def _csv_rows(columns):
             if 2 * np.count_nonzero(tied) > len(values):
                 rest = np.flatnonzero(~tied)
                 slot[:] = top_field
-                slot[rest] = _format_floats(values[rest], sep, field, index, digits)
+                slot[rest] = _format_floats(values[rest], sep, *scratch)
             else:
-                slot[:] = _format_floats(values, sep, field, index, digits)
+                slot[:] = _format_floats(values, sep, *scratch)
         np.not_equal(block, 0, out=keep[:len(block)])
         yield block[keep[:len(block)]]
 
 
-def _format_floats(values, sep: bytes, field, index, digits):
+def _format_floats(values, sep: bytes, field, texts, index, digits):
     """The %.17g text of each value followed by sep, as the rows of
-    field[:len(values)]: left-aligned and NUL-padded to _FIELD bytes.
-    len(values) <= _BLOCK; field, index and digits are scratch buffers of
-    _BLOCK rows that the caller reuses.
+    field[:len(values)]: _FIELD bytes each, with NULs where there is no
+    text. len(values) <= _BLOCK; field, texts, index and digits are scratch
+    buffers of _BLOCK rows that the caller reuses.
 
     A value takes the exact path below when it is a finite normal double
     with decimal exponent x in -4..16 and |v| < 2**52 (so that %.17g writes
@@ -268,11 +290,17 @@ def _format_floats(values, sep: bytes, field, index, digits):
     arithmetic, which may be off by one next to a power of ten; the path
     therefore also requires floor(|v| * 10**q) >= 10**16 and D < 10**17,
     which hold only when x is the exponent of the value rounded to 17
-    digits. The text is then laid out from D's digits by _LAYOUT, keyed by
-    the sign, x and the number of digits left once trailing zeros are
-    stripped. Every other value (zeros, subnormals, |v| < 1e-4 or
-    >= 2**52, a failed check, inf, nan) is written by Python's own
-    '%.17g' %, so no value is ever approximated."""
+    digits. D is split into its leading digit d0 and four chunks of four
+    digits by intp division.
+
+    Below 10 (x <= 0) the field is written as words: a lead word from
+    _LEAD8 (sign, "0." and zeros, d0, point), a word per chunk from
+    _DIGITS4 (its trailing zeros as NULs once every later chunk is zero)
+    and the separator; the NULs in between are dropped with the padding.
+    From 10 up (1 <= x <= 16) the point falls among the chunks, and
+    _fixed_texts lays the text out byte by byte. Every other value (zeros,
+    subnormals, |v| < 1e-4 or >= 2**52, a failed check, inf, nan) is
+    written by Python's own '%.17g' %, so no value is ever approximated."""
     n = len(values)
     bits = values.view(np.uint64)
     biased = (bits >> 52) & 0x7FF
@@ -296,29 +324,59 @@ def _format_floats(values, sep: bytes, field, index, digits):
     twice = (lo & (unit - 1)) << 1  # twice the remainder, against the divisor 2**s
     d = floor + ((twice > unit) | ((twice == unit) & ((floor & 1) == 1)))
     exact &= ((hi >> s) == 0) & (floor >= 10**16) & (d < 10**17)
-    d = np.where(exact, d, 10**16)
+    del m, f, m_lo, m_hi, f_lo, f_hi, mid, low, lo, hi, floor, unit, twice  # keeps the live temporaries few
     # D = d0 c1 c2 c3 c4: a leading digit and four chunks of four digits
-    top, bottom = np.divmod(d, 10**8)
-    d0, top = np.divmod(top, 10**8)
-    c1, c2 = np.divmod(top, 10**4)
-    c3, c4 = np.divmod(bottom, 10**4)
-    digits = digits[:n]
-    digits[:, 0] = _LEAD[d0]
-    for word, chunk in enumerate((c1, c2, c3, c4), start=1):
-        digits[:, word] = _DIGITS4[chunk]
-    digits[:, 5] = np.frombuffer(b"." + sep.ljust(2, b"\0") + b"\0", dtype=np.uint32)[0]
-    zeros = _ZEROS4[c4] + (c4 == 0) * (_ZEROS4[c3] + (c3 == 0) * (_ZEROS4[c2] + (c2 == 0) * _ZEROS4[c1]))
-    key = ((bits >> 63).astype(np.intp) * 21 + x + 4) * 17 + 16 - zeros
-    # byte j of row i of the field is byte _LAYOUT[key[i], j] of digits row
-    # i; every index is in range, and mode="clip" spares take's buffering
-    field = field[:n]
-    np.take(_LAYOUT, key, axis=0, out=field, mode="clip")
-    index = np.add(field, _DIGIT_ROWS[:n], out=index[:n])
-    np.take(digits.view(np.uint8).ravel(), index, out=field, mode="clip")
+    d = np.where(exact, d, 10**16).astype(np.intp)
+    d0 = d // 10**16
+    fraction = d - d0 * 10**16
+    top = fraction // 10**8
+    bottom = fraction - top * 10**8
+    c1 = top // 10**4
+    c3 = bottom // 10**4
+    c2 = top - c1 * 10**4
+    c4 = bottom - c3 * 10**4
+    sign = (bits >> 63).astype(np.intp)
+    words = field[:n].view(_WORDS)[:, 0]
+    words["lead"] = _LEAD8[((sign * 5 + np.minimum(x, 0) + 4) * 10 + d0) * 2 + (fraction != 0)]
+    chunks = words["chunks"]
+    chunks[:, 0] = _DIGITS4[c1 + 10**4 * ((c2 == 0) & (bottom == 0))]
+    chunks[:, 1] = _DIGITS4[c2 + 10**4 * (bottom == 0)]
+    chunks[:, 2] = _DIGITS4[c3 + 10**4 * (c4 == 0)]
+    chunks[:, 3] = _DIGITS4[c4 + 10**4]
+    words["sep"] = np.frombuffer(sep.ljust(2, b"\0"), dtype=np.uint8)
+    above = np.flatnonzero(exact & (x > 0))
+    if len(above):
+        field[above] = _fixed_texts(
+            sign[above], x[above], d0[above], (c1[above], c2[above], c3[above], c4[above]), sep, texts, index, digits
+        )
     other = np.flatnonzero(~exact)
     if len(other):
         field[other] = _python_formatted(values[other], sep)
-    return field
+    return field[:n]
+
+
+def _fixed_texts(sign, x, d0, chunks, sep: bytes, texts, index, digits):
+    """The texts of _format_floats' exact-path values with x in 1..16, with
+    sep, as the rows of texts[:len(x)], left-aligned and NUL-padded: each
+    digit row is laid out by _LAYOUT, keyed by the sign, x and the number
+    of digits left once trailing zeros are stripped. index and digits are
+    scratch buffers of _BLOCK rows."""
+    m = len(x)
+    c1, c2, c3, c4 = chunks
+    digits = digits[:m]
+    digits[:, 0] = _LEAD[d0]
+    for word, chunk in enumerate(chunks, start=1):
+        digits[:, word] = _DIGITS4[chunk]
+    digits[:, 5] = np.frombuffer(b"." + sep.ljust(2, b"\0") + b"\0", dtype=np.uint32)[0]
+    zeros = _ZEROS4[c4] + (c4 == 0) * (_ZEROS4[c3] + (c3 == 0) * (_ZEROS4[c2] + (c2 == 0) * _ZEROS4[c1]))
+    key = (sign * 16 + x - 1) * 17 + 16 - zeros
+    # byte j of row i of the text is byte _LAYOUT[key[i], j] of digits row
+    # i; every index is in range, and mode="clip" spares take's buffering
+    texts = texts[:m]
+    np.take(_LAYOUT, key, axis=0, out=texts, mode="clip")
+    index = np.add(texts, _DIGIT_ROWS[:m], out=index[:m])
+    np.take(digits.view(np.uint8).ravel(), index, out=texts, mode="clip")
+    return texts
 
 
 def _decimal_exponents(magnitudes) -> np.ndarray:

@@ -368,8 +368,8 @@ def save_fit(fit: CoxFit, path) -> None:
         "beta": [float(b) for b in fit.beta],
         "covariance": [[float(v) for v in row] for row in fit.covariance],
         "covariate_names": list(fit.covariate_names),
-        "baseline_knots": [float(k) for k in fit.baseline_cumhaz.knots],
-        "baseline_values": [float(v) for v in fit.baseline_cumhaz.values],
+        "baseline_knots": fit.baseline_cumhaz.knots.tolist(),  # float64 arrays, so lists of float
+        "baseline_values": fit.baseline_cumhaz.values.tolist(),
         "n": fit.n,
         "n_events": fit.n_events,
         "log_likelihood": fit.log_likelihood,
@@ -388,7 +388,10 @@ def _array_field(path, raw: dict, key: str, shape, what: str) -> np.ndarray:
 
 def load_fit(path) -> CoxFit:
     """Read a fit written by save_fit; ValidationError names the first field
-    that is missing or malformed."""
+    that is missing or malformed, or that no fit could hold: a repeated
+    covariate name, a negative variance, a baseline that is not a
+    cumulative hazard (negative or decreasing), n < 1, n_events outside
+    [0, n] or iterations < 0."""
     raw = read_object(path, "fit file")
     required = (
         "beta", "covariance", "covariate_names", "baseline_knots", "baseline_values",
@@ -400,13 +403,21 @@ def load_fit(path) -> CoxFit:
     names = raw["covariate_names"]
     if not (isinstance(names, list) and names and all(isinstance(c, str) for c in names)):
         raise ValidationError(f"{path}: field 'covariate_names' must be a nonempty list of strings")
+    if len(set(names)) != len(names):
+        raise ValidationError(f"{path}: field 'covariate_names' must not repeat a name, got {names!r}")
     p = len(names)
     beta = _array_field(path, raw, "beta", (p,), f"a list of {p} finite numbers, one per covariate name")
     covariance = _array_field(path, raw, "covariance", (p, p), f"a {p}x{p} matrix of finite numbers")
+    if np.any(np.diag(covariance) < 0):
+        raise ValidationError(f"{path}: field 'covariance' must have a nonnegative diagonal: the variances")
     knots = _array_field(path, raw, "baseline_knots", (None,), "a list of finite numbers")
     values = _array_field(
         path, raw, "baseline_values", (knots.size,), f"a list of {knots.size} finite numbers, one per knot"
     )
+    if np.any(values < 0) or np.any(np.diff(values) < 0):
+        raise ValidationError(
+            f"{path}: field 'baseline_values' must be nonnegative and nondecreasing: a cumulative hazard"
+        )
     # Files written before the baseline had one anchor carry baseline_x0;
     # only the zero anchor, which every fit used, still means the same fit.
     if "baseline_x0" in raw and np.any(
@@ -421,15 +432,24 @@ def load_fit(path) -> CoxFit:
         baseline = StepFunction(knots=knots, values=values)
     except InvalidArgumentError as exc:
         raise ValidationError(f"{path}: field 'baseline_knots' is invalid: {exc}") from exc
+    n = require_int(raw, "n")
+    n_events = require_int(raw, "n_events")
+    iterations = require_int(raw, "iterations")
+    if n < 1:
+        raise ValidationError(f"{path}: field 'n' must be at least 1, got {n}")
+    if not 0 <= n_events <= n:
+        raise ValidationError(f"{path}: field 'n_events' must be from 0 to n ({n}), got {n_events}")
+    if iterations < 0:
+        raise ValidationError(f"{path}: field 'iterations' must be at least 0, got {iterations}")
     return CoxFit(
         beta=beta,
         covariance=covariance,
         covariate_names=names,
         baseline_cumhaz=baseline,
-        n=require_int(raw, "n"),
-        n_events=require_int(raw, "n_events"),
+        n=n,
+        n_events=n_events,
         log_likelihood=require_number(raw, "log_likelihood"),
         converged=raw["converged"],
-        iterations=require_int(raw, "iterations"),
+        iterations=iterations,
         final_score_norm=require_number(raw, "final_score_norm"),
     )

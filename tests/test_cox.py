@@ -385,6 +385,18 @@ def test_load_fit_errors(tmp_path):
         ("covariate_names", []),
         ("n", "abc"),
         ("converged", "false"),
+        # a baseline that is not a cumulative hazard: negative, or decreasing
+        ("baseline_values", [-v for v in good["baseline_values"]]),
+        ("baseline_values", good["baseline_values"][::-1]),
+        # a NaN knot among floats, which finite_numbers checks in one pass
+        ("baseline_knots", [math.nan] + good["baseline_knots"][1:]),
+        # numbers no fit can hold
+        ("covariance", [[-1.0, 0.0], [0.0, -1.0]]),
+        ("n", 0),
+        ("n_events", -5),
+        ("n_events", good["n"] + 1),
+        ("iterations", -1),
+        ("covariate_names", ["x", "x"]),
     ]
     for key, value in bad_fields:
         with pytest.raises(dh.ValidationError, match=f"field '{key}'"):

@@ -62,7 +62,7 @@ def test_the_simulator_does_no_file_io():
 
 def test_one_json_writer_and_one_block_size():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    assert [name for name, text in sources.items() if "json.dump(" in text] == ["_json.py"]
+    assert [name for name, text in sources.items() if "json.dump" in text] == ["_json.py"]
     assert [name for name, text in sources.items() if "\n_BLOCK = " in text] == ["stats.py"]
 
 

@@ -403,6 +403,29 @@ def test_save_formats_a_tied_maximum_once_per_column(tmp_path):
     assert handed < 1.5 * n
 
 
+def test_save_lays_out_only_values_from_10_up_byte_by_byte(tmp_path):
+    # a value below 10 is written as words; only an exact-path value from
+    # 10 up goes through the _LAYOUT gather (_fixed_texts). A rare-outcome
+    # cohort with horizon 10 has no such value, its horizon being formatted
+    # once per column; the same cohort's times in days, times 36.5, have one
+    # per time that is neither tied at the horizon nor below 10
+    laid_out = []
+    real = cohort._fixed_texts
+
+    def fixed_texts(sign, *args):
+        laid_out.append(len(sign))
+        return real(sign, *args)
+
+    drawn = dh.generate(make_backdoor_config(n_subjects=CHUNK_EDGE + 1))
+    assert drawn.time.max() == 10.0 and np.abs(drawn.covariates).max() < 10.0
+    with mock.patch.object(cohort, "_fixed_texts", fixed_texts):
+        assert_saved_as_percent_template(tmp_path / "cohort.csv", drawn)
+        assert laid_out == []
+        days = dh.Dataset(drawn.time * 36.5, drawn.event, drawn.covariates, drawn.covariate_names)
+        assert_saved_as_percent_template(tmp_path / "days.csv", days)
+    assert sum(laid_out) == np.count_nonzero((days.time >= 10.0) & (days.time < days.time.max())) > 0
+
+
 # finite float64 values, with the edges of the format drawn often
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
