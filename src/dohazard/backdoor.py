@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Dataset
-from .cox import CoxFit, _horizon
+from .cox import CoxFit, _horizon, _linear_predictor
 from .errors import InvalidArgumentError, NumericalError
 from .results import RARITY_THRESHOLD, CausalEstimate
 
@@ -71,9 +71,12 @@ def compute_az(dataset: Dataset, fit: CoxFit, z_columns, horizon_t: float | None
     only feeds the rarity diagnostic, not a_z itself. It must be finite
     and >= 0.
 
-    One cohort-sized product is held at a time: the full linear predictor,
-    whose exp gives mean_joint_risk and max_cumhaz, is freed before the
-    confounder part is formed.
+    One cohort-sized array is held at a time: the full linear predictor,
+    whose exp, taken in place, gives mean_joint_risk and max_cumhaz, is
+    freed before the confounder part is formed, and the mean of that part
+    is taken before its exp, in place too. The means are numpy's pairwise
+    sums over the whole array, so the array is not cut into blocks, which
+    would add in another order.
     """
     z_columns = tuple(z_columns)
     for name in z_columns:
@@ -83,16 +86,16 @@ def compute_az(dataset: Dataset, fit: CoxFit, z_columns, horizon_t: float | None
         horizon_t = float(fit.baseline_cumhaz.knots[-1])
     horizon_t = _horizon(horizon_t, "horizon_t")
 
-    full_idx = [dataset.column_index(c) for c in fit.covariate_names]
-    joint_risk = np.exp(dataset.covariates[:, full_idx] @ fit.beta)
+    joint_risk = _linear_predictor(dataset, fit.covariate_names, fit.beta)
+    np.exp(joint_risk, out=joint_risk)
     mean_joint_risk = float(np.mean(joint_risk))
     max_cumhaz = float(np.max(joint_risk) * fit.baseline_cumhaz(horizon_t))
     del joint_risk
 
     z_idx = [fit._index(c) for c in z_columns]
-    eta_z = dataset.covariates[:, [dataset.column_index(c) for c in z_columns]] @ fit.beta[z_idx]
-    a_z = float(np.mean(np.exp(eta_z)))
+    eta_z = _linear_predictor(dataset, z_columns, fit.beta[z_idx])
     jensen_floor = math.exp(float(np.mean(eta_z)))
+    a_z = float(np.mean(np.exp(eta_z, out=eta_z)))
     if a_z < jensen_floor * (1.0 - 1e-12):
         raise NumericalError(f"a_z = {a_z} fell below its Jensen floor {jensen_floor}")
     return BackdoorSummary(

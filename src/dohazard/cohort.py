@@ -109,6 +109,19 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         return self.covariates[:, self.column_index(name)]
 
+    def columns(self, names, rows=slice(None)) -> np.ndarray:
+        """The named covariate columns of covariates[rows], in the order
+        named: a view where the names are a run of adjacent columns in
+        order, else a copy. So a reader of a loaded (column-major) cohort
+        holds no cohort-sized copy for the usual names, all covariates in
+        file order."""
+        idx = [self.column_index(c) for c in names]
+        block = self.covariates[rows]
+        first = idx[0] if idx else 0
+        if idx == list(range(first, first + len(idx))):
+            return block[:, first:first + len(idx)]
+        return block[:, idx]
+
 
 
 # Bytes per float field of a saved row: the longest %.17g text,

@@ -7,22 +7,26 @@ baseline directly. Ties are handled with the Breslow convention: every
 subject with a tied time sits in the risk set of that time.
 
 The fitter, the likelihood and the baseline share one path: _prepared
-checks the inputs, sorts by time (a stable argsort of the rows below the
-largest time only: in a rare-outcome cohort most rows are censored at
-the horizon, and a stable sort leaves those in row order at the end) and
-finds each event row's tie-group head, _eta forms the linear predictor,
-and _head_sums reads each event's risk-set sums at its head. Those sums
-are reversed cumulative sums, streamed from the last row back in blocks
-of _BLOCK rows, with exp(eta) and the weighted products taken one block
-at a time. A block is held column-major: one contiguous row per risk-set
-sum in a buffer reused for every block and filled in place, so no block
-allocates a temporary and numpy's loops run over whole rows. At n rows
-and p covariates the cohort-sized arrays are the sorted covariates
-(n * p) and eta (n); the rest is O(_BLOCK * p^2) for the block plus
-O(events * p^2) for the sums read at the event rows, returned in C order.
-The floats equal those of one reversed cumulative sum over all rows.
-fit_cox takes the Breslow baseline from the risk-set sums of its last
-accepted likelihood evaluation.
+checks the inputs and holds the cohort in the order of one stable time
+sort without copying it (_Sorted): in a rare-outcome cohort most rows are
+censored at the horizon, and a stable sort leaves those in row order at
+the end, so only the rows below the largest time are sorted and copied,
+the tied rows are read from the cohort through a mask, and each event
+row's tie-group head is found once. _head_sums reads each event's
+risk-set sums at its head. Those sums are reversed cumulative sums,
+streamed from the last sorted row back in blocks of at most _BLOCK rows,
+with the linear predictor (_eta), exp(eta) and the weighted products
+taken one block at a time. A block's sums are held column-major: one
+contiguous row per risk-set sum in a buffer reused for every block and
+filled in place, so numpy's loops run over whole rows. At n rows and p
+covariates the one cohort-sized array beyond the cohort is the mask of
+tied rows (n bytes); the rest is the rows below the largest time and the
+event rows (n_below * p and events * p), O(_BLOCK * p^2) for the block
+and O(events * p^2) for the sums read at the event rows, returned in C
+order. The floats equal those of one product x_s @ beta and one reversed
+cumulative sum over all rows of a time-sorted C-order copy x_s. fit_cox
+takes the Breslow baseline from the risk-set sums of its last accepted
+likelihood evaluation.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ from .stats import _BLOCK
 _MAX_HALVINGS = 30
 _BETA_BOUND = 50.0
 _ETA_BOUND = 500.0
+# load_fit's tolerance on a covariance's asymmetry and negative eigenvalues,
+# relative to its largest entry
+_COVARIANCE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,32 +92,92 @@ def _horizon(t, name: str = "t") -> float:
     return t
 
 
-def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
-    """Every input check plus the stable time sort: (names, beta, x_s, ev,
-    head, event_times). x_s holds the named covariates in time order, ev
-    the rows of x_s that are events, head the tie head of each event row
-    (the first row of its time: rows sharing a time share the risk set, so
-    a reversed cumulative sum read at the head is that risk set's sum) and
-    event_times the time of each event row.
+def _linear_predictor(dataset: Dataset, names, beta) -> np.ndarray:
+    """The linear predictor of every row, covariates[:, idx] @ beta for the
+    named columns, as one n-length array. The columns are multiplied in F
+    order, as that fancy index gives them: numpy's products of F-order and
+    of C-order columns differ in the last bit for some rows once p >= 3.
+    Dataset.columns makes them a view of a loaded (column-major) cohort's
+    column run, so the result is the one cohort-sized array formed; a
+    row-major cohort's columns are copied first."""
+    return np.asfortranarray(dataset.columns(names)) @ beta
 
-    The order is np.argsort(time, kind="stable") built in two parts: the
-    rows below the largest time, stably sorted, then the rows tied at the
-    largest time in row order, which is where a stable sort puts them. In a
-    rare-outcome cohort most rows are censored at the horizon, so only the
-    few others are sorted, and only their sorted times are kept to find the
-    heads. Those are dropped before the covariates are gathered, so x_s and
-    the order are the only cohort-sized arrays held at once. x_s is C-order,
-    filled _BLOCK rows at a time, one named column at a time: on a loaded
-    (column-major) cohort that gathers about twice as fast as one broadcast
-    index of the whole matrix, and each block's temporary is 64 KiB. beta,
-    when given, must have one entry per design column."""
+
+@dataclass(frozen=True)
+class _Sorted:
+    """A cohort's named covariates in the order of one stable time sort,
+    np.argsort(time, kind="stable"), without a sorted copy of the cohort.
+
+    That order is the rows below the largest time, stably sorted, then the
+    rows tied at the largest time in row order, which is where a stable
+    sort puts them. In a rare-outcome cohort most rows are censored at the
+    horizon, so only the others are sorted and copied, into x_below, and the
+    tied rows are read from the cohort through the mask tied. x_ev holds
+    the event rows' covariates in time order, head the tie head of each
+    event row (the sorted position of the first row of its time: rows
+    sharing a time share the risk set, so a reversed cumulative sum read at
+    the head is that risk set's sum) and event_times the time of each event
+    row. x_below and x_ev are C order, as the rows of a time-sorted C-order
+    copy of the cohort would be."""
+
+    dataset: Dataset
+    names: list
+    tied: np.ndarray
+    x_below: np.ndarray
+    x_ev: np.ndarray
+    head: np.ndarray
+    event_times: np.ndarray
+
+    def blocks(self):
+        """(stop, x) for C-order blocks x of the sorted covariates, from the
+        last row back, x holding sorted rows stop - len(x) to stop. The tied
+        rows come first: each _BLOCK-row chunk of the cohort, from the last
+        back, gives its tied rows, gathered into one buffer reused for every
+        chunk (the next block overwrites it) by np.take of the chunk's tied
+        row numbers: mode "clip" lets take write into the buffer with no
+        temporary, and no number is out of range. On a row-major cohort each
+        row's named values are adjacent, and one take of whole rows gathers
+        them; on a loaded (column-major) cohort one take per column is
+        faster. A boolean index would take a branch per row, which costs
+        most where tied and untied rows mix. The row numbers are the one
+        temporary, a column of the chunk. Then x_below, _BLOCK rows at a
+        time from its end."""
+        n = stop = self.dataset.n
+        buf = np.empty((min(n, _BLOCK), len(self.names)))
+        row_major = self.dataset.covariates.flags.c_contiguous
+        for start in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+            chunk = slice(start, start + _BLOCK)
+            rows = np.flatnonzero(self.tied[chunk])
+            m = rows.size
+            if not m:
+                continue
+            if row_major:
+                np.take(self.dataset.columns(self.names, chunk), rows, axis=0, out=buf[:m], mode="clip")
+            else:
+                for j, name in enumerate(self.names):
+                    np.take(self.dataset.column(name)[chunk], rows, out=buf[:m, j], mode="clip")
+            yield stop, buf[:m]
+            stop -= m
+        while stop:
+            start = max(stop - _BLOCK, 0)
+            yield stop, self.x_below[start:stop]
+            stop = start
+
+
+def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
+    """Every input check plus the stable time sort: (names, beta, sorted),
+    sorted the _Sorted cohort. Only the rows below the largest time are
+    sorted, and only their sorted times are kept to find the heads; beyond
+    the cohort, the mask of tied rows is the only cohort-sized array held.
+    beta, when given, must have one entry per design column."""
     names = list(covariate_names) if covariate_names is not None else list(dataset.covariate_names)
     if not names:
         raise InvalidArgumentError("at least one covariate is required")
     for k, name in enumerate(names):
         if name in names[:k]:
             raise InvalidArgumentError(f"covariate {name!r} is named more than once")
-    idx = [dataset.column_index(c) for c in names]
+    for name in names:
+        dataset.column_index(name)  # raises InvalidArgumentError for an unknown name
     if beta is not None:
         beta = np.asarray(beta, dtype=np.float64)
         if beta.shape != (len(names),):
@@ -122,29 +189,34 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     below = np.flatnonzero(~tied)
     t_below = time[below]
     sort = np.argsort(t_below, kind="stable")
-    t_below = t_below[sort]
-    order = np.empty(dataset.n, dtype=np.intp)
-    order[:below.size] = below[sort]
-    order[below.size:] = np.flatnonzero(tied)
-    del tied, below, sort
-    ev = np.flatnonzero(dataset.event[order])
-    event_times = time[order[ev]]
+    below, t_below = below[sort], t_below[sort]
+    events = np.concatenate([below[dataset.event[below]], np.flatnonzero(dataset.event & tied)])
+    event_times = time[events]
     # every time in t_below is below the largest, so an event at the largest
     # time finds its head just past them: the first tied row
     head = np.searchsorted(t_below, event_times, side="left")
-    del t_below
-    x_s = np.empty((dataset.n, len(idx)))
-    for start in range(0, dataset.n, _BLOCK):
-        rows = order[start:start + _BLOCK]
-        for j, column in enumerate(idx):
-            x_s[start:start + rows.size, j] = dataset.covariates[rows, column]
-    return names, beta, x_s, ev, head, event_times
+    return names, beta, _Sorted(
+        dataset=dataset,
+        names=names,
+        tied=tied,
+        x_below=np.ascontiguousarray(dataset.columns(names, below)),
+        x_ev=np.ascontiguousarray(dataset.columns(names, events)),
+        head=head,
+        event_times=event_times,
+    )
 
 
-def _eta(beta, x_s) -> np.ndarray:
-    """The linear predictor x_s @ beta, refused past _ETA_BOUND, where
-    exp() would overflow in the risk-set sums."""
-    eta = x_s @ beta
+def _eta(x, beta, n: int) -> np.ndarray:
+    """The linear predictor x @ beta of C-order rows x of the sorted
+    covariates of an n-row cohort, refused past _ETA_BOUND, where exp()
+    would overflow in the risk-set sums.
+
+    Each row gets the bits that one product over all n rows gives it: a
+    product of 2 or more C-order rows gives every row the same float
+    wherever the rows are cut, but numpy computes a 1-row product on
+    another path, whose result differs in the last bit for some rows. So
+    in a cohort of 2 or more rows one row is computed as two."""
+    eta = (np.repeat(x, 2, axis=0) @ beta)[:1] if len(x) == 1 < n else x @ beta
     if max(eta.max(), -eta.min()) > _ETA_BOUND:
         raise NumericalError(
             "linear predictor exceeds exp() range; rescale covariates to moderate magnitudes"
@@ -152,51 +224,55 @@ def _eta(beta, x_s) -> np.ndarray:
     return eta
 
 
-def _head_sums(eta, x, head) -> tuple:
-    """Risk-set sums read at the ascending rows head, with w = exp(eta):
-    (s0, s1, s2), the sums of w, of w * x_j and of w * (x_i * x_j) over
-    each head's row and every row after it, one row of each per head.
+def _head_sums(beta, cohort: _Sorted, moments: bool = True) -> tuple:
+    """Risk-set sums at beta read at cohort.head, with w = exp(eta): (s0, s1,
+    s2), the sums of w, of w * x_j and of w * (x_i * x_j) over each head's
+    sorted row and every row after it, one row of each per head. With
+    moments false only s0 is summed, and s1 and s2 have no columns.
 
-    The reversed cumulative sum runs from the last row back in blocks of
-    _BLOCK rows, and exp(eta) is taken one block at a time. np.exp runs on
-    the block's forward, contiguous slice and the result is reversed after:
-    on a reversed (negative-stride) view numpy takes another exp loop,
-    whose results differ in the last bit for some inputs.
+    The reversed cumulative sum runs from the last sorted row back over
+    cohort.blocks(), and eta and exp(eta) are taken one block at a time.
+    np.exp runs on the block's forward, contiguous eta in place and the
+    result is reversed after: on a reversed (negative-stride) view numpy
+    takes another exp loop, whose results differ in the last bit for some
+    inputs.
 
-    The block is column-major: buf holds one row of _BLOCK + 1 per sum, k =
-    1 + p + p(p+1)/2 rows in all (w, then w * x_j, then w * (x_i * x_j) for
-    i <= j; x_i * x_j == x_j * x_i mirrors the rest). Column 0 is the
+    The sums are held column-major: buf holds one row of _BLOCK + 1 per sum,
+    k = 1 + p + p(p+1)/2 rows in all (w, then w * x_j, then w * (x_i * x_j)
+    for i <= j; x_i * x_j == x_j * x_i mirrors the rest). Column 0 is the
     running total and columns 1..m the block's rows reversed. The block's
     covariates are copied, reversed and transposed, into the w * x_j rows;
     each pair row is formed from them as x_i * x_j and scaled by w in place,
     and then the w * x_j rows are scaled by w in place. So numpy runs each
     multiply and the cumsum over contiguous rows, and no block allocates a
-    temporary. np.cumsum adds sequentially along each row, so every sum is
-    the float that one reversed cumsum over all rows of exp(eta) gives; the
-    running total starts at -0.0, for which -0.0 + a is a, bit for bit. Each
-    head's column is copied into one C-order (events, k) array, and s0, s1
-    and s2 are cut from it in C order: the likelihood sums them over axis 0,
-    and on a transposed layout numpy would sum pairwise, in another order.
+    temporary beyond its eta. np.cumsum adds sequentially along each row,
+    and the running total is carried from block to block, so every sum is
+    the float that one reversed cumsum over all rows of exp(eta) gives,
+    wherever the blocks are cut; the running total starts at -0.0, for
+    which -0.0 + a is a, bit for bit. Each head's column is copied into one
+    C-order (events, k) array, and s0, s1 and s2 are cut from it in C order:
+    the likelihood sums them over axis 0, and on a transposed layout numpy
+    would sum pairwise, in another order.
     """
-    n, p = x.shape
+    n, head = cohort.dataset.n, cohort.head
+    p = beta.size if moments else 0
     i, j = np.triu_indices(p)
     sums = np.empty((head.size, 1 + p + i.size))
     buf = np.empty((sums.shape[1], min(n, _BLOCK) + 1))
-    w = np.empty(min(n, _BLOCK))
     buf[:, 0] = -0.0
-    for stop in range(n, 0, -_BLOCK):
-        start = max(stop - _BLOCK, 0)
-        m = stop - start
+    for stop, x in cohort.blocks():
+        m = len(x)
         block = buf[:, :m + 1]
         wb, xb = block[0, 1:], block[1:1 + p, 1:]
-        wb[:] = np.exp(eta[start:stop], out=w[:m])[::-1]
-        xb[:] = x[start:stop][::-1].T
+        eta = _eta(x, beta, n)
+        wb[:] = np.exp(eta, out=eta)[::-1]
+        xb[:] = x[::-1, :p].T
         for row, (a, b) in enumerate(zip(i, j), start=1 + p):
             out = block[row, 1:]
             np.multiply(wb, np.multiply(xb[a], xb[b], out=out), out=out)
         np.multiply(wb, xb, out=xb)
         np.cumsum(block, axis=1, out=block)
-        lo, hi = np.searchsorted(head, (start, stop))
+        lo, hi = np.searchsorted(head, (stop - m, stop))
         sums[lo:hi] = block[:, stop - head[lo:hi]].T
         buf[:, 0] = block[:, m]
     pair = np.empty((p, p), dtype=np.intp)
@@ -207,14 +283,13 @@ def _head_sums(eta, x, head) -> tuple:
     return sums[:, 0], sums[:, 1:1 + p], np.take(sums, pair, axis=1)
 
 
-def _nlpl(beta, x_s, ev, head):
-    """Negative Breslow log partial likelihood plus derivatives on
-    time-sorted covariates, and s0 = sum of exp(eta) over each event's risk set."""
-    eta = _eta(beta, x_s)
-    s0_e, s1_e, s2_e = _head_sums(eta, x_s, head)
+def _nlpl(beta, cohort: _Sorted):
+    """Negative Breslow log partial likelihood plus derivatives, and s0 =
+    sum of exp(eta) over each event's risk set."""
+    s0_e, s1_e, s2_e = _head_sums(beta, cohort)
     ratio1 = s1_e / s0_e[:, None]
-    value = -float(np.sum(eta[ev] - np.log(s0_e)))
-    gradient = -np.sum(x_s[ev] - ratio1, axis=0)
+    value = -float(np.sum(_eta(cohort.x_ev, beta, cohort.dataset.n) - np.log(s0_e)))
+    gradient = -np.sum(cohort.x_ev - ratio1, axis=0)
     hessian = np.sum(s2_e / s0_e[:, None, None] - ratio1[:, :, None] * ratio1[:, None, :], axis=0)
     return value, gradient, hessian, s0_e
 
@@ -226,8 +301,8 @@ def neg_log_partial_likelihood(dataset: Dataset, beta, covariate_names=None):
     Returns (value, gradient, hessian); the Hessian is the observed
     information, positive semidefinite by construction.
     """
-    _, beta, x_s, ev, head, _ = _prepared(dataset, covariate_names, beta)
-    return _nlpl(beta, x_s, ev, head)[:3]
+    _, beta, cohort = _prepared(dataset, covariate_names, beta)
+    return _nlpl(beta, cohort)[:3]
 
 
 def _breslow(event_times, s0_e) -> StepFunction:
@@ -241,9 +316,8 @@ def _breslow(event_times, s0_e) -> StepFunction:
 def breslow_baseline(dataset: Dataset, beta, covariate_names=None) -> StepFunction:
     """Baseline cumulative hazard at the zero covariate vector: at each
     distinct event time, the event count over the risk-set sum of exp(eta)."""
-    _, beta, x_s, _, head, event_times = _prepared(dataset, covariate_names, beta)
-    # with no covariate columns, _head_sums sums exp(eta) alone
-    return _breslow(event_times, _head_sums(_eta(beta, x_s), x_s[:, :0], head)[0])
+    _, beta, cohort = _prepared(dataset, covariate_names, beta)
+    return _breslow(cohort.event_times, _head_sums(beta, cohort, moments=False)[0])
 
 
 @dataclass
@@ -292,13 +366,13 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
     for some coefficient, raises MonotoneLikelihoodError naming the
     covariate.
     """
-    names, _, x_s, ev, head, event_times = _prepared(dataset, covariate_names)
-    for j, name in enumerate(names):
-        if np.ptp(x_s[:, j]) == 0.0:
+    names, _, cohort = _prepared(dataset, covariate_names)
+    for name in names:
+        if np.ptp(dataset.column(name)) == 0.0:
             raise DegenerateCovariateError(f"covariate {name!r} is constant; its effect is unidentifiable")
 
     beta = np.zeros(len(names))
-    value, gradient, hessian, s0_e = _nlpl(beta, x_s, ev, head)
+    value, gradient, hessian, s0_e = _nlpl(beta, cohort)
     converged = float(np.max(np.abs(gradient))) <= tol
     iterations = 0
     while not converged and iterations < max_iter:
@@ -312,7 +386,7 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
         for _ in range(_MAX_HALVINGS):
             candidate = beta + step * direction
             try:
-                new = _nlpl(candidate, x_s, ev, head)
+                new = _nlpl(candidate, cohort)
             except NumericalError:
                 step *= 0.5
                 continue
@@ -353,7 +427,7 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
         beta=beta,
         covariance=covariance,
         covariate_names=names,
-        baseline_cumhaz=_breslow(event_times, s0_e),
+        baseline_cumhaz=_breslow(cohort.event_times, s0_e),
         n=dataset.n,
         n_events=dataset.n_events,
         log_likelihood=-value,
@@ -389,9 +463,10 @@ def _array_field(path, raw: dict, key: str, shape, what: str) -> np.ndarray:
 def load_fit(path) -> CoxFit:
     """Read a fit written by save_fit; ValidationError names the first field
     that is missing or malformed, or that no fit could hold: a repeated
-    covariate name, a negative variance, a baseline that is not a
-    cumulative hazard (negative or decreasing), n < 1, n_events outside
-    [0, n] or iterations < 0."""
+    covariate name, a negative variance, a covariance that is not symmetric
+    positive semidefinite (to _COVARIANCE_RTOL * max|C|), a baseline that
+    is not a cumulative hazard (negative or decreasing), n < 1, n_events
+    outside [0, n] or iterations < 0. Every message starts with the path."""
     raw = read_object(path, "fit file")
     required = (
         "beta", "covariance", "covariate_names", "baseline_knots", "baseline_values",
@@ -410,6 +485,16 @@ def load_fit(path) -> CoxFit:
     covariance = _array_field(path, raw, "covariance", (p, p), f"a {p}x{p} matrix of finite numbers")
     if np.any(np.diag(covariance) < 0):
         raise ValidationError(f"{path}: field 'covariance' must have a nonnegative diagonal: the variances")
+    # a fitted covariance is the inverse of the observed information, whose
+    # asymmetry and negative eigenvalues are rounding, some 1e-16 * max|C|
+    tol = _COVARIANCE_RTOL * np.max(np.abs(covariance))
+    if np.max(np.abs(covariance - covariance.T)) > tol:
+        raise ValidationError(f"{path}: field 'covariance' must be symmetric, to {_COVARIANCE_RTOL} * max|C|")
+    if np.linalg.eigvalsh((covariance + covariance.T) / 2)[0] < -tol:
+        raise ValidationError(
+            f"{path}: field 'covariance' must be positive semidefinite: "
+            f"no eigenvalue below -{_COVARIANCE_RTOL} * max|C|"
+        )
     knots = _array_field(path, raw, "baseline_knots", (None,), "a list of finite numbers")
     values = _array_field(
         path, raw, "baseline_values", (knots.size,), f"a list of {knots.size} finite numbers, one per knot"
@@ -432,9 +517,11 @@ def load_fit(path) -> CoxFit:
         baseline = StepFunction(knots=knots, values=values)
     except InvalidArgumentError as exc:
         raise ValidationError(f"{path}: field 'baseline_knots' is invalid: {exc}") from exc
-    n = require_int(raw, "n")
-    n_events = require_int(raw, "n_events")
-    iterations = require_int(raw, "iterations")
+    try:
+        n, n_events, iterations = (require_int(raw, key) for key in ("n", "n_events", "iterations"))
+        log_likelihood, final_score_norm = (require_number(raw, key) for key in ("log_likelihood", "final_score_norm"))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     if n < 1:
         raise ValidationError(f"{path}: field 'n' must be at least 1, got {n}")
     if not 0 <= n_events <= n:
@@ -448,8 +535,8 @@ def load_fit(path) -> CoxFit:
         baseline_cumhaz=baseline,
         n=n,
         n_events=n_events,
-        log_likelihood=require_number(raw, "log_likelihood"),
+        log_likelihood=log_likelihood,
         converged=raw["converged"],
         iterations=iterations,
-        final_score_norm=require_number(raw, "final_score_norm"),
+        final_score_norm=final_score_norm,
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Dataset
-from .cox import CoxFit, _horizon
+from .cox import CoxFit, _horizon, _linear_predictor
 from .errors import DegenerateOracleError, InvalidArgumentError
 from .results import CausalEstimate
 from .simulate import ScenarioConfig, _scm_blocks
@@ -224,12 +224,13 @@ class ApproxErrorReport:
 def approx_error_report(fit: CoxFit, dataset: Dataset, t: float) -> ApproxErrorReport:
     """Per-subject cumulative hazards H_i = exp(eta_i) * H0(t) and the worst
     Taylor error of 1 - exp(-H) ~ H across the cohort, the error at the
-    largest H_i; flagged past 5%.
+    largest H_i; flagged past 5%. The H_i are formed in place from the
+    linear predictor, one cohort-sized array.
     """
     t = _horizon(t)
-    idx = [dataset.column_index(c) for c in fit.covariate_names]
-    eta = dataset.covariates[:, idx] @ fit.beta
-    h = np.exp(eta) * fit.baseline_cumhaz(t)
+    h = _linear_predictor(dataset, fit.covariate_names, fit.beta)
+    np.exp(h, out=h)
+    h *= fit.baseline_cumhaz(t)
     max_h = float(np.max(h))
     max_rel = taylor_relative_error(max_h)
     return ApproxErrorReport(

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import dohazard as dh
 
-from conftest import make_tiny_dataset
+from conftest import as_loaded, make_backdoor_config, make_tiny_dataset
 from truth import GaussianSpec, gaussian_exponential_moment
 
 
@@ -249,3 +250,21 @@ def test_naive_rr_single_covariate(backdoor_dataset):
     assert est.method == "naive_rr"
     assert est.value > 1.0
     assert est.std_err > 0.0
+
+
+def test_compute_az_holds_one_cohort_sized_column(backdoor_fit):
+    n = 200_000
+    cohort = dh.generate(make_backdoor_config(n_subjects=n))
+    loaded = as_loaded(cohort)
+    dh.compute_az(loaded, backdoor_fit, ["z"])  # first-call allocations
+    tracemalloc.start()
+    try:
+        summary = dh.compute_az(loaded, backdoor_fit, ["z"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n-length float64 column is 1.6 MB; a copy of the loaded cohort's
+    # covariates would add 3.2 MB, and exp(eta) beside eta 1.6 MB
+    assert peak < 8 * n + 64 * 1024
+    # the row-major cohort's columns are copied, with the same floats
+    assert summary == dh.compute_az(cohort, backdoor_fit, ["z"])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dohazard as dh
-from dohazard.cox import _BLOCK, _head_sums, _nlpl, _prepared, breslow_baseline, neg_log_partial_likelihood
+from dohazard import cox
+from dohazard.cox import _BLOCK, _breslow, _head_sums, _nlpl, _prepared, breslow_baseline, neg_log_partial_likelihood
 
 from conftest import make_backdoor_config, make_tiny_dataset
 
@@ -371,6 +373,7 @@ def test_load_fit_errors(tmp_path):
 
     with pytest.raises(dh.ValidationError, match="covariance"):
         load_with(covariance=None)
+    (v00, _), (_, v11) = good["covariance"]
     bad_fields = [
         ("beta", "abc"),
         ("beta", [0.3]),
@@ -384,6 +387,10 @@ def test_load_fit_errors(tmp_path):
         ("baseline_x0", [1.0, 1.0]),
         ("covariate_names", []),
         ("n", "abc"),
+        ("n_events", 2.5),
+        ("iterations", "3"),
+        ("log_likelihood", "x"),
+        ("final_score_norm", [1.0]),
         ("converged", "false"),
         # a baseline that is not a cumulative hazard: negative, or decreasing
         ("baseline_values", [-v for v in good["baseline_values"]]),
@@ -392,6 +399,10 @@ def test_load_fit_errors(tmp_path):
         ("baseline_knots", [math.nan] + good["baseline_knots"][1:]),
         # numbers no fit can hold
         ("covariance", [[-1.0, 0.0], [0.0, -1.0]]),
+        # a covariance that is not symmetric, or is indefinite though its
+        # variances are not negative
+        ("covariance", [[v00, v00], [0.0, v11]]),
+        ("covariance", [[v00, 1.0], [1.0, v11]]),
         ("n", 0),
         ("n_events", -5),
         ("n_events", good["n"] + 1),
@@ -399,8 +410,15 @@ def test_load_fit_errors(tmp_path):
         ("covariate_names", ["x", "x"]),
     ]
     for key, value in bad_fields:
-        with pytest.raises(dh.ValidationError, match=f"field '{key}'"):
+        with pytest.raises(dh.ValidationError, match=f"^{re.escape(str(path))}: .*field '{key}'"):
             load_with(**{key: value})
+    with pytest.raises(dh.ValidationError, match=r"'covariance' must be symmetric, to 1e-12 \* max\|C\|"):
+        load_with(covariance=[[v00, v00], [0.0, v11]])
+    with pytest.raises(dh.ValidationError, match="'covariance' must be positive semidefinite"):
+        load_with(covariance=[[v00, 1.0], [1.0, v11]])
+    # rounding in a fitted covariance is no asymmetry
+    nudged = [[v00, 1.0001e-12 * v00], [1e-12 * v00, v11]]
+    assert load_with(covariance=nudged).covariance.tolist() == nudged
     # a baseline with no knots at all, values matching, names the knots
     with pytest.raises(dh.ValidationError, match="field 'baseline_knots' is invalid: knots must not be empty"):
         load_with(baseline_knots=[], baseline_values=[])
@@ -516,6 +534,18 @@ def censored_cohorts(draw):
     return time, event
 
 
+def streamed_rows(cohort):
+    """The sorted covariates cohort.blocks() streams, as one array; each
+    block is C order and ends where the one streamed after it starts."""
+    parts, stop = [], cohort.dataset.n
+    for block_stop, x in cohort.blocks():
+        assert block_stop == stop and len(x) and x.flags.c_contiguous
+        parts.append(x.copy())
+        stop -= len(x)
+    assert stop == 0
+    return np.concatenate(parts[::-1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(censored_cohorts())
 @example(([10.0] * 6, [True, False, True, False, False, True]))  # every row tied, events at the largest time
@@ -534,14 +564,17 @@ def test_prepared_sorts_as_a_stable_argsort(case):
             covariate_names=["row", "minus_row", "one"],
         )
         assert dataset.covariates.flags[f"{layout}_CONTIGUOUS"]
-        _, _, x_s, ev, head, event_times = _prepared(dataset, ["minus_row", "row"])
         order = np.argsort(dataset.time, kind="stable")
         t_s = dataset.time[order]
         want_ev = np.flatnonzero(dataset.event[order])
-        assert x_s.flags.c_contiguous and x_s.tobytes() == covariates[order][:, [1, 0]].tobytes()
-        assert np.array_equal(ev, want_ev)
-        assert np.array_equal(head, np.searchsorted(t_s, t_s[want_ev], side="left"))
-        assert event_times.tobytes() == t_s[want_ev].tobytes()
+        # columns out of order are copied, a run of them is a view
+        for names, columns in ((["minus_row", "row"], [1, 0]), (["row", "minus_row"], [0, 1])):
+            _, _, cohort = _prepared(dataset, names)
+            x_s = covariates[order][:, columns]
+            assert streamed_rows(cohort).tobytes() == x_s.tobytes()
+            assert cohort.x_ev.flags.c_contiguous and cohort.x_ev.tobytes() == x_s[want_ev].tobytes()
+            assert np.array_equal(cohort.head, np.searchsorted(t_s, t_s[want_ev], side="left"))
+            assert cohort.event_times.tobytes() == t_s[want_ev].tobytes()
 
 
 # The streamed risk-set sums against one reversed cumsum over all rows.
@@ -572,22 +605,28 @@ def whole_array_nlpl(beta, t_s, d_s, x_s):
     return value, gradient, hessian, s0_e
 
 
+def time_sorted(dataset, names=None):
+    """(t_s, d_s, x_s): the cohort after one stable argsort of its times,
+    the named covariates (default: all) as one C-order array."""
+    order = np.argsort(dataset.time, kind="stable")
+    idx = [dataset.column_index(c) for c in names or dataset.covariate_names]
+    return dataset.time[order], dataset.event[order], np.ascontiguousarray(dataset.covariates[order][:, idx])
+
+
 @st.composite
 def sorted_cohorts(draw):
     """Time-sorted (beta, t_s, d_s, x_s) around the block size: tie groups
-    of every length, one tie group across each block edge, signed zeros
-    among the covariates, and at times a run of -0.0 rows at the end, each
-    an event at its own time, where a sum started from +0.0 would read +0.0.
-    p, the number of covariates summed, runs from 0 to 4; beta and x_s hold
-    max(p, 1) columns, so that eta is never all zeros, and the sums take the
-    first p of them: at p = 0 exp(eta) alone, as breslow_baseline sums it."""
+    of every length, one tie group across each edge of the blocks the rows
+    below the largest time are cut into, signed zeros among the covariates,
+    and at times a run of -0.0 rows at the end, each an event at its own
+    time, where a sum started from +0.0 would read +0.0. p, the number of
+    covariates summed, runs from 0 to 4; beta and x_s hold max(p, 1)
+    columns, so that eta is never all zeros, and at p = 0 the sums take
+    exp(eta) alone, as breslow_baseline sums it."""
     n = draw(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]))
     p = draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    t_s = np.sort(rng.integers(0, draw(st.sampled_from([1, 7, 500, 4 * n])), n)).astype(np.float64)
-    # _head_sums cuts its blocks at n - k * _BLOCK
-    for edge in range(n - _BLOCK, 0, -_BLOCK):
-        t_s[edge - 3:edge + 2] = t_s[edge - 3]
+    t_s = np.sort(rng.integers(1, 1 + draw(st.sampled_from([1, 7, 500, 4 * n])), n)).astype(np.float64)
     d_s = rng.random(n) < draw(st.sampled_from([0.01, 0.5, 1.0]))
     d_s[draw(st.integers(0, n - 1))] = True
     x_s = rng.normal(size=(n, max(p, 1)))
@@ -598,55 +637,157 @@ def sorted_cohorts(draw):
         t_s[n - tail:] = t_s[n - tail - 1] + np.arange(1, tail + 1)
         d_s[n - tail:] = True
         x_s[n - tail:] = -0.0
+    # the rows below the largest time are cut at n_below - k * _BLOCK
+    n_below = int(np.count_nonzero(t_s < t_s[-1]))
+    for edge in range(n_below - _BLOCK, 0, -_BLOCK):
+        t_s[edge - 3:edge + 2] = t_s[edge - 3]
     beta = rng.uniform(-1.0, 1.0, x_s.shape[1])
     return beta, t_s, d_s, x_s, p
 
 
 @settings(max_examples=30, deadline=None)
-@given(sorted_cohorts())
-def test_blocked_tail_sums_equal_whole_array_sums(case):
+@given(sorted_cohorts(), st.booleans(), st.sampled_from("CF"))
+def test_blocked_tail_sums_equal_whole_array_sums(case, shuffle, layout):
     beta, t_s, d_s, x_s, p = case
+    # the rows at the largest time are read from the cohort in row order:
+    # shuffled, they fall in every chunk of the cohort
+    rows = np.random.default_rng(len(t_s)).permutation(len(t_s)) if shuffle else np.arange(len(t_s))
+    dataset = dh.Dataset(
+        time=t_s[rows],
+        event=d_s[rows],
+        covariates=x_s[rows].copy(order=layout),
+        covariate_names=[f"c{j}" for j in range(x_s.shape[1])],
+    )
+    t_s, d_s, x_s = time_sorted(dataset)
+    _, _, cohort = _prepared(dataset, None)
     eta, w, ev, head = whole_array_risk_sets(beta, t_s, d_s, x_s)
-    x_s = x_s[:, :p]
+    x_p = x_s[:, :p]
     want = (
         whole_array_tail(w, head),
-        whole_array_tail(w[:, None] * x_s, head),
-        whole_array_tail(w[:, None, None] * (x_s[:, :, None] * x_s[:, None, :]), head),
+        whole_array_tail(w[:, None] * x_p, head),
+        whole_array_tail(w[:, None, None] * (x_p[:, :, None] * x_p[:, None, :]), head),
     )
-    # _head_sums takes exp(eta) block by block; its sums must equal those
-    # of one np.exp over the whole array
-    for got, expected in zip(_head_sums(eta, x_s, head), want):
+    # _head_sums takes eta and exp(eta) block by block; its sums must equal
+    # those of one product and one np.exp over the whole array
+    for got, expected in zip(_head_sums(beta, cohort, moments=p > 0), want):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
     if not p:
         return
-    for got, expected in zip(_nlpl(beta, x_s, ev, head), whole_array_nlpl(beta, t_s, d_s, x_s)):
+    for got, expected in zip(_nlpl(beta, cohort), whole_array_nlpl(beta, t_s, d_s, x_s)):
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
+@st.composite
+def unsorted_cohorts(draw):
+    """(dataset, names, beta): rows in any order, below the horizon 10 or
+    censored at it, with 1 to 4 covariates in C or F order. The rows below
+    the largest time number 1 more than a multiple of _BLOCK at times, so
+    that the last block of them is one row, and at times the first chunk of
+    the cohort holds exactly one tied row; events fall at the largest time
+    too. names is every covariate (None), or ["z", "x"] or a run of columns
+    from the second, which Dataset.columns copies and views."""
+    n_below = draw(st.sampled_from([0, 1, 2, 9, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1]))
+    n_tied = draw(st.sampled_from([1, 2, 40, _BLOCK + 3]))
+    n = n_below + n_tied
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tied = np.zeros(n, dtype=bool)
+    if n_below >= _BLOCK - 1 and draw(st.booleans()):
+        tied[rng.integers(_BLOCK)] = True
+        tied[_BLOCK:] = rng.permutation(np.arange(n - _BLOCK) < n_tied - 1)
+    else:
+        tied = rng.permutation(np.arange(n) < n_tied)
+    time = np.full(n, 10.0)
+    time[~tied] = rng.choice(np.linspace(0.1, 9.9, draw(st.sampled_from([3, 1000]))), n_below)
+    event = rng.random(n) < draw(st.sampled_from([0.02, 0.3, 1.0]))
+    event[rng.integers(n)] = True
+    if draw(st.booleans()):
+        event[np.flatnonzero(tied)[0]] = True
+    p = draw(st.integers(1, 4))
+    covariates = rng.normal(size=(n, p)).copy(order=draw(st.sampled_from("CF")))
+    columns = ["x", "z", "w", "v"][:p]
+    names = draw(st.sampled_from([None] + [["z", "x"]] * (p >= 2) + [columns[1:]] * (p >= 3)))
+    beta = rng.uniform(-0.5, 0.5, len(names or columns))
+    return dh.Dataset(time=time, event=event, covariates=covariates, covariate_names=columns), names, beta
+
+
+def fit_bytes(dataset, names):
+    """Every field of fit_cox's fit as bytes, or the refusal it raised."""
+    try:
+        fit = dh.fit_cox(dataset, names)
+    except dh.NumericalError as exc:
+        return type(exc).__name__, str(exc)
+    fields = (fit.beta, fit.covariance, fit.baseline_cumhaz.knots, fit.baseline_cumhaz.values, fit.log_likelihood)
+    return [np.asarray(f).tobytes() for f in fields] + [fit.final_score_norm, fit.iterations, fit.converged]
+
+
+@settings(max_examples=40, deadline=None)
+@given(unsorted_cohorts())
+# one row, whose product the whole cohort computes as one row too
+@example((dh.Dataset(time=[3.0], event=[True], covariates=[[0.7, -1.3, 0.2]], covariate_names=["x", "z", "w"]),
+          None, np.array([0.4, -0.3, 0.9])))
+# one row below the largest time and one at it: each a 1-row block
+@example((dh.Dataset(time=[10.0, 3.0], event=[True, True], covariates=[[0.7, -1.3, 0.2], [0.1, 0.5, -0.8]],
+                     covariate_names=["x", "z", "w"]), None, np.array([0.4, -0.3, 0.9])))
+def test_streamed_likelihood_baseline_and_fit_are_whole_array_bytes(case):
+    dataset, names, beta = case
+    t_s, d_s, x_s = time_sorted(dataset, names)
+    value, gradient, hessian, s0_e = whole_array_nlpl(beta, t_s, d_s, x_s)
+    got = neg_log_partial_likelihood(dataset, beta, names)
+    assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in (value, gradient, hessian)]
+    base, want = breslow_baseline(dataset, beta, names), _breslow(t_s[d_s], s0_e)
+    assert (base.knots.tobytes(), base.values.tobytes()) == (want.knots.tobytes(), want.values.tobytes())
+
+    def whole_array_step(beta, cohort):
+        if np.max(np.abs(x_s @ beta)) > cox._ETA_BOUND:
+            raise dh.NumericalError("linear predictor exceeds exp() range")
+        return whole_array_nlpl(beta, t_s, d_s, x_s)
+
+    # the Newton loop on streamed sums, and on whole-array sums
+    streamed = fit_bytes(dataset, names)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cox, "_nlpl", whole_array_step)
+        assert fit_bytes(dataset, names) == streamed
+
+
 def test_head_sums_hold_only_their_block_buffers():
-    # one row of _BLOCK + 1 per risk-set sum (k of them) and the block's
-    # exp(eta) (_BLOCK); the rest is the returned arrays and the per-block
-    # gathers at the heads
+    # one row of _BLOCK + 1 per risk-set sum (k of them), the tied rows'
+    # C-order buffer (_BLOCK x p), one block's eta (_BLOCK) and the gather's
+    # temporary, one column of a chunk (_BLOCK); the rest is the returned
+    # arrays and the per-block gathers at the heads
     n, p = 3 * _BLOCK + 5, 2
     k = 1 + p + p * (p + 1) // 2
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(n, p))
-    eta = x @ np.array([0.3, 0.4])
-    head = np.flatnonzero(rng.random(n) < 0.1)
-    _head_sums(eta, x, head)  # first-call allocations
-    tracemalloc.start()
-    try:
-        s0, s1, s2 = _head_sums(eta, x, head)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert s1.base is s0.base and s2.base is None
-    returned = s0.base.nbytes + s2.nbytes
-    assert peak - returned <= (k * (_BLOCK + 1) + _BLOCK) * 8 + 64 * 1024
+    # more than a block below the largest time, events below it and a few
+    # at it
+    tied = rng.random(n) < 0.6
+    event = ~tied & (rng.random(n) < 0.1)
+    event[np.flatnonzero(tied)[:5]] = True
+    covariates = rng.normal(size=(n, p))
+    beta = np.array([0.3, 0.4])
+    for layout in ("C", "F"):  # F: a loaded cohort's covariates are column-major
+        dataset = dh.Dataset(
+            time=np.where(tied, 10.0, rng.uniform(0.1, 9.0, n)),
+            event=event,
+            covariates=covariates.copy(order=layout),
+            covariate_names=["x", "z"],
+        )
+        _, _, cohort = _prepared(dataset, None)
+        assert cohort.x_below.shape[0] > _BLOCK
+        _head_sums(beta, cohort)  # first-call allocations
+        tracemalloc.start()
+        try:
+            s0, s1, s2 = _head_sums(beta, cohort)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s1.base is s0.base and s2.base is None
+        returned = s0.base.nbytes + s2.nbytes
+        assert peak - returned <= (k * (_BLOCK + 1) + _BLOCK * (p + 2)) * 8 + 64 * 1024
 
 
 def test_fit_streams_risk_sets_in_blocks():
-    dataset = dh.generate(make_backdoor_config(n_subjects=200_000))
+    n = 200_000
+    dataset = dh.generate(make_backdoor_config(n_subjects=n))
     dh.fit_cox(dh.generate(make_backdoor_config(n_subjects=1_000)))  # first-call allocations
     tracemalloc.start()
     try:
@@ -654,7 +795,7 @@ def test_fit_streams_risk_sets_in_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the sorted covariates and eta take 4.8 MB and the blocks about 1.6 MB;
-    # a whole-array exp(eta) held through the sums would add 1.6 MB, and
-    # one n x p x p product array 6.4 MB
-    assert peak < 7_500_000
+    # the fit holds the mask of rows at the largest time (0.2 MB), the rows
+    # below it and the event rows, and the blocks; a sorted copy of the
+    # covariates would take 3.2 MB and a whole-array eta 1.6 MB
+    assert peak < 2 * 8 * n

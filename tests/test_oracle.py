@@ -11,6 +11,7 @@ from dohazard.oracle import _event_counts, oracle_paf, simulate_factual
 from dohazard.stats import _BLOCK
 
 from conftest import (
+    as_loaded,
     make_backdoor_config,
     make_frontdoor_config,
     make_strong_confounding_config,
@@ -204,6 +205,24 @@ def test_approx_report_reference(backdoor_dataset, backdoor_fit, backdoor_summar
 
     with pytest.raises(dh.InvalidArgumentError):
         dh.approx_error_report(backdoor_fit, backdoor_dataset, -1.0)
+
+
+def test_approx_report_holds_one_cohort_sized_column(backdoor_fit):
+    n = 200_000
+    cohort = dh.generate(make_backdoor_config(n_subjects=n))
+    loaded = as_loaded(cohort)
+    dh.approx_error_report(backdoor_fit, loaded, 10.0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        report = dh.approx_error_report(backdoor_fit, loaded, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n-length float64 column is 1.6 MB; a copy of the loaded cohort's
+    # covariates would add 3.2 MB, and exp(eta) or H beside eta 1.6 MB
+    assert peak < 8 * n + 64 * 1024
+    # the row-major cohort's columns are copied, with the same floats
+    assert report == dh.approx_error_report(backdoor_fit, cohort, 10.0)
 
 
 @pytest.mark.parametrize(
