@@ -6,27 +6,33 @@ predictor is exactly 0 there and exp(beta . x) multiplies the reported
 baseline directly. Ties are handled with the Breslow convention: every
 subject with a tied time sits in the risk set of that time.
 
+The linear predictor has one rule everywhere (_weighted_sum): beta_0 *
+x_0 + beta_1 * x_1 + ..., added column by column in name order with
+elementwise numpy operations and no BLAS, so its bits depend neither on
+the covariates' memory layout nor on the BLAS thread count.
+
 The fitter, the likelihood and the baseline share one path: _prepared
 checks the inputs and holds the cohort in the order of one stable time
-sort without copying it (_Sorted): in a rare-outcome cohort most rows are
-censored at the horizon, and a stable sort leaves those in row order at
-the end, so only the rows below the largest time are sorted and copied,
-the tied rows are read from the cohort through a mask, and each event
-row's tie-group head is found once. _head_sums reads each event's
-risk-set sums at its head. Those sums are reversed cumulative sums,
-streamed from the last sorted row back in blocks of at most _BLOCK rows,
-with the linear predictor (_eta), exp(eta) and the weighted products
-taken one block at a time. A block's sums are held column-major: one
-contiguous row per risk-set sum in a buffer reused for every block and
-filled in place, so numpy's loops run over whole rows. At n rows and p
-covariates the one cohort-sized array beyond the cohort is the mask of
-tied rows (n bytes); the rest is the rows below the largest time and the
-event rows (n_below * p and events * p), O(_BLOCK * p^2) for the block
-and O(events * p^2) for the sums read at the event rows, returned in C
-order. The floats equal those of one product x_s @ beta and one reversed
-cumulative sum over all rows of a time-sorted C-order copy x_s. fit_cox
-takes the Breslow baseline from the risk-set sums of its last accepted
-likelihood evaluation.
+sort without copying it (_Sorted). In a rare-outcome cohort most rows are
+censored at the horizon, and a stable sort leaves those rows, tied at
+the largest time, in row order at the end. Only the rows below the
+largest time are sorted and copied; the tied rows are read from the
+cohort through a mask, and each event row's tie-group head is found once.
+_head_sums reads each event's risk-set sums at its head. Every risk set
+holds the whole tied block, and only the block's total is ever read, so
+that total is summed once per evaluation, pairwise (np.add.reduce along
+contiguous rows, _BLOCK-row chunk by chunk, the chunk totals added in row
+order). It is the risk-set sum of every event at the largest time, and
+it starts the reversed cumulative sums over the rows below the largest
+time, streamed from the last back in blocks of at most _BLOCK rows. Sums
+are held one contiguous row per risk-set sum in a buffer reused for every
+chunk and block and filled in place, so numpy's loops run over whole
+rows. At n rows and p covariates the one cohort-sized array beyond the
+cohort is the mask of tied rows (n bytes); the rest is the rows below the
+largest time and the event rows (n_below * p and events * p),
+O(_BLOCK * p^2) for the buffer and O(events * p^2) for the sums read at
+the event rows. fit_cox takes the Breslow baseline from the risk-set sums
+of its last accepted likelihood evaluation.
 """
 
 from __future__ import annotations
@@ -92,15 +98,29 @@ def _horizon(t, name: str = "t") -> float:
     return t
 
 
+def _weighted_sum(x, beta, out=None) -> np.ndarray:
+    """beta[0] * x[0] + beta[1] * x[1] + ..., for rows x[j] of equal length:
+    elementwise products added left to right, into out when given. Each
+    value's bits are the same wherever its rows are cut and whatever their
+    strides, as IEEE products and sums are."""
+    out = np.multiply(x[0], beta[0], out=out)
+    for xj, b in zip(x[1:], beta[1:]):
+        out += xj * b
+    return out
+
+
 def _linear_predictor(dataset: Dataset, names, beta) -> np.ndarray:
-    """The linear predictor of every row, covariates[:, idx] @ beta for the
-    named columns, as one n-length array. The columns are multiplied in F
-    order, as that fancy index gives them: numpy's products of F-order and
-    of C-order columns differ in the last bit for some rows once p >= 3.
-    Dataset.columns makes them a view of a loaded (column-major) cohort's
-    column run, so the result is the one cohort-sized array formed; a
-    row-major cohort's columns are copied first."""
-    return np.asfortranarray(dataset.columns(names)) @ beta
+    """The linear predictor of every row for the named columns, as one
+    n-length array (zeros when no column is named), the one cohort-sized
+    array formed: _weighted_sum of the columns, half a _BLOCK of rows at a
+    time, so no column is copied and each product is a 32 KiB temporary."""
+    columns = [dataset.column(c) for c in names]
+    eta = np.zeros(dataset.n)
+    step = _BLOCK // 2
+    for start in range(0, dataset.n, step) if columns else ():
+        rows = slice(start, start + step)
+        _weighted_sum([c[rows] for c in columns], beta, eta[rows])
+    return eta
 
 
 @dataclass(frozen=True)
@@ -111,14 +131,14 @@ class _Sorted:
     That order is the rows below the largest time, stably sorted, then the
     rows tied at the largest time in row order, which is where a stable
     sort puts them. In a rare-outcome cohort most rows are censored at the
-    horizon, so only the others are sorted and copied, into x_below, and the
-    tied rows are read from the cohort through the mask tied. x_ev holds
-    the event rows' covariates in time order, head the tie head of each
-    event row (the sorted position of the first row of its time: rows
-    sharing a time share the risk set, so a reversed cumulative sum read at
-    the head is that risk set's sum) and event_times the time of each event
-    row. x_below and x_ev are C order, as the rows of a time-sorted C-order
-    copy of the cohort would be."""
+    horizon, so only the others are sorted and copied, into x_below, one
+    contiguous row per name, and the tied rows are read from the cohort
+    through the mask tied. x_ev holds the event rows' covariates in time
+    order (C order, one row per event), head the tie head of each event row
+    (the sorted position of the first row of its time: rows sharing a time
+    share the risk set, so a reversed cumulative sum read at the head is
+    that risk set's sum; an event at the largest time has head n_below) and
+    event_times the time of each event row."""
 
     dataset: Dataset
     names: list
@@ -127,41 +147,6 @@ class _Sorted:
     x_ev: np.ndarray
     head: np.ndarray
     event_times: np.ndarray
-
-    def blocks(self):
-        """(stop, x) for C-order blocks x of the sorted covariates, from the
-        last row back, x holding sorted rows stop - len(x) to stop. The tied
-        rows come first: each _BLOCK-row chunk of the cohort, from the last
-        back, gives its tied rows, gathered into one buffer reused for every
-        chunk (the next block overwrites it) by np.take of the chunk's tied
-        row numbers: mode "clip" lets take write into the buffer with no
-        temporary, and no number is out of range. On a row-major cohort each
-        row's named values are adjacent, and one take of whole rows gathers
-        them; on a loaded (column-major) cohort one take per column is
-        faster. A boolean index would take a branch per row, which costs
-        most where tied and untied rows mix. The row numbers are the one
-        temporary, a column of the chunk. Then x_below, _BLOCK rows at a
-        time from its end."""
-        n = stop = self.dataset.n
-        buf = np.empty((min(n, _BLOCK), len(self.names)))
-        row_major = self.dataset.covariates.flags.c_contiguous
-        for start in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
-            chunk = slice(start, start + _BLOCK)
-            rows = np.flatnonzero(self.tied[chunk])
-            m = rows.size
-            if not m:
-                continue
-            if row_major:
-                np.take(self.dataset.columns(self.names, chunk), rows, axis=0, out=buf[:m], mode="clip")
-            else:
-                for j, name in enumerate(self.names):
-                    np.take(self.dataset.column(name)[chunk], rows, out=buf[:m, j], mode="clip")
-            yield stop, buf[:m]
-            stop -= m
-        while stop:
-            start = max(stop - _BLOCK, 0)
-            yield stop, self.x_below[start:stop]
-            stop = start
 
 
 def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
@@ -195,33 +180,47 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     # every time in t_below is below the largest, so an event at the largest
     # time finds its head just past them: the first tied row
     head = np.searchsorted(t_below, event_times, side="left")
+    x_below = np.empty((len(names), below.size))
+    for x, name in zip(x_below, names):
+        np.take(dataset.column(name), below, out=x)
     return names, beta, _Sorted(
         dataset=dataset,
         names=names,
         tied=tied,
-        x_below=np.ascontiguousarray(dataset.columns(names, below)),
-        x_ev=np.ascontiguousarray(dataset.columns(names, events)),
+        x_below=x_below,
+        x_ev=np.column_stack([dataset.column(name)[events] for name in names]),
         head=head,
         event_times=event_times,
     )
 
 
-def _eta(x, beta, n: int) -> np.ndarray:
-    """The linear predictor x @ beta of C-order rows x of the sorted
-    covariates of an n-row cohort, refused past _ETA_BOUND, where exp()
-    would overflow in the risk-set sums.
-
-    Each row gets the bits that one product over all n rows gives it: a
-    product of 2 or more C-order rows gives every row the same float
-    wherever the rows are cut, but numpy computes a 1-row product on
-    another path, whose result differs in the last bit for some rows. So
-    in a cohort of 2 or more rows one row is computed as two."""
-    eta = (np.repeat(x, 2, axis=0) @ beta)[:1] if len(x) == 1 < n else x @ beta
+def _eta(x, beta, out=None) -> np.ndarray:
+    """The linear predictor _weighted_sum(x, beta, out) of rows x[j], one
+    per covariate, refused past _ETA_BOUND, where exp() would overflow in
+    the risk-set sums."""
+    eta = _weighted_sum(x, beta, out)
     if max(eta.max(), -eta.min()) > _ETA_BOUND:
         raise NumericalError(
             "linear predictor exceeds exp() range; rescale covariates to moderate magnitudes"
         )
     return eta
+
+
+def _weigh(block, beta, pairs) -> None:
+    """Fill block, whose rows 1..p hold the covariates x_j of some sorted
+    rows, with the risk-set terms of those rows in place: row 0 w =
+    exp(eta), rows 1..p w * x_j when pairs is given, and row 1 + p + r the
+    pair term w * (x_i * x_j) of pairs (i[r], j[r]). np.exp runs in place
+    on the contiguous row 0, as it does wherever the rows are cut."""
+    p = beta.size
+    w, x = block[0], block[1:1 + p]
+    np.exp(_eta(x, beta, out=w), out=w)
+    if pairs is None:
+        return
+    for row, (a, b) in enumerate(zip(*pairs), start=1 + p):
+        out = block[row]
+        np.multiply(w, np.multiply(x[a], x[b], out=out), out=out)
+    np.multiply(w, x, out=x)
 
 
 def _head_sums(beta, cohort: _Sorted, moments: bool = True) -> tuple:
@@ -230,56 +229,71 @@ def _head_sums(beta, cohort: _Sorted, moments: bool = True) -> tuple:
     sorted row and every row after it, one row of each per head. With
     moments false only s0 is summed, and s1 and s2 have no columns.
 
-    The reversed cumulative sum runs from the last sorted row back over
-    cohort.blocks(), and eta and exp(eta) are taken one block at a time.
-    np.exp runs on the block's forward, contiguous eta in place and the
-    result is reversed after: on a reversed (negative-stride) view numpy
-    takes another exp loop, whose results differ in the last bit for some
-    inputs.
+    The sums are held in buf, one row of _BLOCK + 1 per sum, k = 1 + p +
+    p(p+1)/2 summed rows in all (w, then w * x_j, then w * (x_i * x_j) for
+    i <= j; x_i * x_j == x_j * x_i mirrors the rest; with moments false buf
+    still holds the covariate rows, which eta is formed from). Column 0
+    holds the running total, from 0.0, and the other columns one chunk or
+    block of rows, filled by _weigh.
 
-    The sums are held column-major: buf holds one row of _BLOCK + 1 per sum,
-    k = 1 + p + p(p+1)/2 rows in all (w, then w * x_j, then w * (x_i * x_j)
-    for i <= j; x_i * x_j == x_j * x_i mirrors the rest). Column 0 is the
-    running total and columns 1..m the block's rows reversed. The block's
-    covariates are copied, reversed and transposed, into the w * x_j rows;
-    each pair row is formed from them as x_i * x_j and scaled by w in place,
-    and then the w * x_j rows are scaled by w in place. So numpy runs each
-    multiply and the cumsum over contiguous rows, and no block allocates a
-    temporary beyond its eta. np.cumsum adds sequentially along each row,
-    and the running total is carried from block to block, so every sum is
-    the float that one reversed cumsum over all rows of exp(eta) gives,
-    wherever the blocks are cut; the running total starts at -0.0, for
-    which -0.0 + a is a, bit for bit. Each head's column is copied into one
-    C-order (events, k) array, and s0, s1 and s2 are cut from it in C order:
-    the likelihood sums them over axis 0, and on a transposed layout numpy
-    would sum pairwise, in another order.
+    First the rows tied at the largest time: each _BLOCK-row chunk of the
+    cohort, in row order, gives its tied rows, taken by np.take of the
+    chunk's tied row numbers straight into the covariate rows of buf (mode
+    "clip" lets take write there with no temporary, and no number is out of
+    range; a boolean index would take a branch per row, which costs most
+    where tied and untied rows mix). Each summed row is reduced by
+    np.add.reduce, numpy's pairwise sum along a contiguous row, and the
+    chunk's totals are added to the running total. That total is the
+    risk-set sum of every event at the largest time.
+
+    Then the rows below the largest time, from the last back in blocks of
+    at most _BLOCK: a block's covariates are copied reversed into buf, so
+    that column c holds the c-th row from the block's end; np.cumsum adds
+    sequentially along each row, from the running total in column 0, which
+    the block's last column carries to the next block. Each head's column
+    is copied into one C-order (events, k) array, and s0, s1 and s2 are cut
+    from it in C order: the likelihood sums them over axis 0, and on a
+    transposed layout numpy would sum pairwise, in another order.
     """
     n, head = cohort.dataset.n, cohort.head
     p = beta.size if moments else 0
     i, j = np.triu_indices(p)
-    sums = np.empty((head.size, 1 + p + i.size))
-    buf = np.empty((sums.shape[1], min(n, _BLOCK) + 1))
-    buf[:, 0] = -0.0
-    for stop, x in cohort.blocks():
-        m = len(x)
-        block = buf[:, :m + 1]
-        wb, xb = block[0, 1:], block[1:1 + p, 1:]
-        eta = _eta(x, beta, n)
-        wb[:] = np.exp(eta, out=eta)[::-1]
-        xb[:] = x[::-1, :p].T
-        for row, (a, b) in enumerate(zip(i, j), start=1 + p):
-            out = block[row, 1:]
-            np.multiply(wb, np.multiply(xb[a], xb[b], out=out), out=out)
-        np.multiply(wb, xb, out=xb)
-        np.cumsum(block, axis=1, out=block)
-        lo, hi = np.searchsorted(head, (stop - m, stop))
-        sums[lo:hi] = block[:, stop - head[lo:hi]].T
-        buf[:, 0] = block[:, m]
+    pairs = (i, j) if moments else None
+    k = 1 + p + i.size
+    sums = np.empty((head.size, k))
+    buf = np.empty((1 + beta.size + i.size, min(n, _BLOCK) + 1))
+    total = buf[:k, 0]
+    total[:] = 0.0
+    columns = [cohort.dataset.column(c) for c in cohort.names]
+    for start in range(0, n, _BLOCK):
+        chunk = slice(start, start + _BLOCK)
+        rows = np.flatnonzero(cohort.tied[chunk])
+        if not rows.size:
+            continue
+        block = buf[:, 1:rows.size + 1]
+        for x, column in zip(block[1:1 + beta.size], columns):
+            np.take(column[chunk], rows, out=x, mode="clip")
+        _weigh(block, beta, pairs)
+        total += np.add.reduce(block[:k], axis=1)
+    stop = cohort.x_below.shape[1]
+    lo = np.searchsorted(head, stop)
+    sums[lo:] = total
+    while stop:
+        start = max(stop - _BLOCK, 0)
+        m = stop - start
+        block = buf[:, 1:m + 1]
+        block[1:1 + beta.size] = cohort.x_below[:, start:stop][:, ::-1]
+        _weigh(block, beta, pairs)
+        run = buf[:k, :m + 1]
+        np.cumsum(run, axis=1, out=run)
+        lo, hi = np.searchsorted(head, (start, stop))
+        sums[lo:hi] = run[:, stop - head[lo:hi]].T
+        total[:] = run[:, m]
+        stop = start
     pair = np.empty((p, p), dtype=np.intp)
-    pair[i, j] = pair[j, i] = np.arange(1 + p, 1 + p + i.size)
+    pair[i, j] = pair[j, i] = np.arange(1 + p, k)
     # np.take returns C order where fancy indexing would put the head axis
-    # innermost; sums over axis 0 of s2 then add row by row, as they do on
-    # a whole-array cumsum read at the heads.
+    # innermost; the likelihood's sums over axis 0 of s2 then add row by row.
     return sums[:, 0], sums[:, 1:1 + p], np.take(sums, pair, axis=1)
 
 
@@ -288,7 +302,7 @@ def _nlpl(beta, cohort: _Sorted):
     sum of exp(eta) over each event's risk set."""
     s0_e, s1_e, s2_e = _head_sums(beta, cohort)
     ratio1 = s1_e / s0_e[:, None]
-    value = -float(np.sum(_eta(cohort.x_ev, beta, cohort.dataset.n) - np.log(s0_e)))
+    value = -float(np.sum(_eta(cohort.x_ev.T, beta) - np.log(s0_e)))
     gradient = -np.sum(cohort.x_ev - ratio1, axis=0)
     hessian = np.sum(s2_e / s0_e[:, None, None] - ratio1[:, :, None] * ratio1[:, None, :], axis=0)
     return value, gradient, hessian, s0_e

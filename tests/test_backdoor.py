@@ -255,16 +255,18 @@ def test_naive_rr_single_covariate(backdoor_dataset):
 def test_compute_az_holds_one_cohort_sized_column(backdoor_fit):
     n = 200_000
     cohort = dh.generate(make_backdoor_config(n_subjects=n))
-    loaded = as_loaded(cohort)
-    dh.compute_az(loaded, backdoor_fit, ["z"])  # first-call allocations
-    tracemalloc.start()
-    try:
-        summary = dh.compute_az(loaded, backdoor_fit, ["z"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one n-length float64 column is 1.6 MB; a copy of the loaded cohort's
-    # covariates would add 3.2 MB, and exp(eta) beside eta 1.6 MB
-    assert peak < 8 * n + 64 * 1024
-    # the row-major cohort's columns are copied, with the same floats
-    assert summary == dh.compute_az(cohort, backdoor_fit, ["z"])
+    results = []
+    # generate's covariates are row-major, a loaded cohort's column-major
+    for dataset in (cohort, as_loaded(cohort)):
+        dh.compute_az(dataset, backdoor_fit, ["z"])  # first-call allocations
+        tracemalloc.start()
+        try:
+            results.append(dh.compute_az(dataset, backdoor_fit, ["z"]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n-length float64 column is 1.6 MB; a copy of the cohort's
+        # covariates would add 3.2 MB, and exp(eta) beside eta 1.6 MB
+        assert peak < 8 * n + 64 * 1024
+    # the linear predictor is summed column by column, so the layout moves no bit
+    assert results[0] == results[1]

@@ -534,18 +534,6 @@ def censored_cohorts(draw):
     return time, event
 
 
-def streamed_rows(cohort):
-    """The sorted covariates cohort.blocks() streams, as one array; each
-    block is C order and ends where the one streamed after it starts."""
-    parts, stop = [], cohort.dataset.n
-    for block_stop, x in cohort.blocks():
-        assert block_stop == stop and len(x) and x.flags.c_contiguous
-        parts.append(x.copy())
-        stop -= len(x)
-    assert stop == 0
-    return np.concatenate(parts[::-1])
-
-
 @settings(max_examples=150, deadline=None)
 @given(censored_cohorts())
 @example(([10.0] * 6, [True, False, True, False, False, True]))  # every row tied, events at the largest time
@@ -567,50 +555,86 @@ def test_prepared_sorts_as_a_stable_argsort(case):
         order = np.argsort(dataset.time, kind="stable")
         t_s = dataset.time[order]
         want_ev = np.flatnonzero(dataset.event[order])
-        # columns out of order are copied, a run of them is a view
+        tied = dataset.time == dataset.time.max()
+        n_below = n - np.count_nonzero(tied)
+        # columns out of order, and a run of them in order
         for names, columns in ((["minus_row", "row"], [1, 0]), (["row", "minus_row"], [0, 1])):
             _, _, cohort = _prepared(dataset, names)
             x_s = covariates[order][:, columns]
-            assert streamed_rows(cohort).tobytes() == x_s.tobytes()
+            # the sorted rows below the largest time, one contiguous row per name
+            assert cohort.x_below.flags.c_contiguous and cohort.x_below.tobytes() == x_s[:n_below].T.tobytes()
+            # the tied rows, read from the cohort in row order, end the sort
+            assert np.array_equal(cohort.tied, tied)
+            assert covariates[tied][:, columns].tobytes() == x_s[n_below:].tobytes()
             assert cohort.x_ev.flags.c_contiguous and cohort.x_ev.tobytes() == x_s[want_ev].tobytes()
             assert np.array_equal(cohort.head, np.searchsorted(t_s, t_s[want_ev], side="left"))
             assert cohort.event_times.tobytes() == t_s[want_ev].tobytes()
 
 
-# The streamed risk-set sums against one reversed cumsum over all rows.
+# The streamed risk-set sums against a reference built from their
+# definition over whole arrays: one linear predictor and one np.exp over
+# all rows; the rows tied at the largest time summed pairwise (np.add.reduce
+# of one contiguous array) per _BLOCK-row chunk of the cohort, the chunk
+# totals added in row order from 0.0; and one reversed cumsum over the
+# time-sorted rows below the largest time, started from that total.
 
 
-def whole_array_tail(a, head):
-    """Sum over each head row and every row after it, along axis 0."""
-    return np.cumsum(a[::-1], axis=0)[::-1][head]
+def linear_predictor(x, beta):
+    """beta . x of every row of x, added column by column from the left."""
+    eta = x[:, 0] * beta[0]
+    for j in range(1, len(beta)):
+        eta = eta + x[:, j] * beta[j]
+    return eta
 
 
-def whole_array_risk_sets(beta, t_s, d_s, x_s):
-    """(eta, w = exp(eta) over all rows at once, event rows, tie heads)."""
-    eta = x_s @ beta
-    ev = np.flatnonzero(d_s)
-    return eta, np.exp(eta), ev, np.searchsorted(t_s, t_s[ev], side="left")
+def risk_set_terms(x, beta, p):
+    """The (n, k) terms of every row: w = exp(eta), then w * x_j for j < p,
+    then w * (x_i * x_j) for i <= j < p."""
+    w = np.exp(linear_predictor(x, beta))
+    pairs = zip(*np.triu_indices(p))
+    return np.column_stack([w] + [w * x[:, a] for a in range(p)] + [w * (x[:, a] * x[:, b]) for a, b in pairs])
 
 
-def whole_array_nlpl(beta, t_s, d_s, x_s):
-    """The likelihood from whole-array products, each summed by one
-    reversed cumsum over all n rows."""
-    eta, w, ev, head = whole_array_risk_sets(beta, t_s, d_s, x_s)
-    s0_e = whole_array_tail(w, head)
-    ratio1 = whole_array_tail(w[:, None] * x_s, head) / s0_e[:, None]
-    s2_e = whole_array_tail(w[:, None, None] * (x_s[:, :, None] * x_s[:, None, :]), head)
-    value = -float(np.sum(eta[ev] - np.log(s0_e)))
-    gradient = -np.sum(x_s[ev] - ratio1, axis=0)
+def tied_totals(terms, tied):
+    """The sum of the tied rows' terms, chunk by chunk of the cohort."""
+    total = np.zeros(terms.shape[1])
+    for start in range(0, len(tied), _BLOCK):
+        chunk = slice(start, start + _BLOCK)
+        if tied[chunk].any():
+            total += [np.add.reduce(column[tied[chunk]]) for column in terms[chunk].T]
+    return total
+
+
+def reference_sums(dataset, names, beta, p):
+    """(s0, s1, s2, x_ev, eta_ev, event_times): the risk-set sums of p
+    covariates at each event row's tie head, in time order, and the event
+    rows' covariates (C order), linear predictor and times."""
+    idx = [dataset.column_index(c) for c in names or dataset.covariate_names]
+    x = np.ascontiguousarray(dataset.covariates[:, idx])
+    terms = risk_set_terms(x, beta, p)
+    tied = dataset.time == dataset.time.max()
+    order = np.argsort(dataset.time, kind="stable")
+    n_below = dataset.n - np.count_nonzero(tied)
+    t_s = dataset.time[order]
+    ev = order[np.flatnonzero(dataset.event[order])]
+    head = np.searchsorted(t_s, dataset.time[ev], side="left")
+    # row q holds the total plus the last q rows below the largest time
+    run = np.cumsum(np.vstack([tied_totals(terms, tied), terms[order[:n_below]][::-1]]), axis=0)
+    sums = run[n_below - head]
+    pair = np.empty((p, p), dtype=np.intp)
+    i, j = np.triu_indices(p)
+    pair[i, j] = pair[j, i] = np.arange(1 + p, 1 + p + i.size)
+    s2 = np.ascontiguousarray(sums[:, pair])
+    return sums[:, 0], sums[:, 1:1 + p], s2, x[ev], linear_predictor(x, beta)[ev], dataset.time[ev]
+
+
+def reference_nlpl(dataset, names, beta):
+    s0_e, s1_e, s2_e, x_ev, eta_ev, _ = reference_sums(dataset, names, beta, len(beta))
+    ratio1 = s1_e / s0_e[:, None]
+    value = -float(np.sum(eta_ev - np.log(s0_e)))
+    gradient = -np.sum(x_ev - ratio1, axis=0)
     hessian = np.sum(s2_e / s0_e[:, None, None] - ratio1[:, :, None] * ratio1[:, None, :], axis=0)
     return value, gradient, hessian, s0_e
-
-
-def time_sorted(dataset, names=None):
-    """(t_s, d_s, x_s): the cohort after one stable argsort of its times,
-    the named covariates (default: all) as one C-order array."""
-    order = np.argsort(dataset.time, kind="stable")
-    idx = [dataset.column_index(c) for c in names or dataset.covariate_names]
-    return dataset.time[order], dataset.event[order], np.ascontiguousarray(dataset.covariates[order][:, idx])
 
 
 @st.composite
@@ -619,7 +643,8 @@ def sorted_cohorts(draw):
     of every length, one tie group across each edge of the blocks the rows
     below the largest time are cut into, signed zeros among the covariates,
     and at times a run of -0.0 rows at the end, each an event at its own
-    time, where a sum started from +0.0 would read +0.0. p, the number of
+    time, so that the rows at the largest time are one row, and numpy's
+    pairwise sum of their -0.0 terms reads +0.0. p, the number of
     covariates summed, runs from 0 to 4; beta and x_s hold max(p, 1)
     columns, so that eta is never all zeros, and at p = 0 the sums take
     exp(eta) alone, as breslow_baseline sums it."""
@@ -658,22 +683,16 @@ def test_blocked_tail_sums_equal_whole_array_sums(case, shuffle, layout):
         covariates=x_s[rows].copy(order=layout),
         covariate_names=[f"c{j}" for j in range(x_s.shape[1])],
     )
-    t_s, d_s, x_s = time_sorted(dataset)
     _, _, cohort = _prepared(dataset, None)
-    eta, w, ev, head = whole_array_risk_sets(beta, t_s, d_s, x_s)
-    x_p = x_s[:, :p]
-    want = (
-        whole_array_tail(w, head),
-        whole_array_tail(w[:, None] * x_p, head),
-        whole_array_tail(w[:, None, None] * (x_p[:, :, None] * x_p[:, None, :]), head),
-    )
-    # _head_sums takes eta and exp(eta) block by block; its sums must equal
-    # those of one product and one np.exp over the whole array
+    want = reference_sums(dataset, None, beta, p)[:3]
+    # _head_sums takes eta and exp(eta) chunk by chunk and block by block;
+    # its sums must equal those of one product and one np.exp over the
+    # whole array, summed as the reference sums them
     for got, expected in zip(_head_sums(beta, cohort, moments=p > 0), want):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
     if not p:
         return
-    for got, expected in zip(_nlpl(beta, cohort), whole_array_nlpl(beta, t_s, d_s, x_s)):
+    for got, expected in zip(_nlpl(beta, cohort), reference_nlpl(dataset, None, beta)):
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
@@ -685,7 +704,7 @@ def unsorted_cohorts(draw):
     that the last block of them is one row, and at times the first chunk of
     the cohort holds exactly one tied row; events fall at the largest time
     too. names is every covariate (None), or ["z", "x"] or a run of columns
-    from the second, which Dataset.columns copies and views."""
+    from the second."""
     n_below = draw(st.sampled_from([0, 1, 2, 9, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1]))
     n_tied = draw(st.sampled_from([1, 2, 40, _BLOCK + 3]))
     n = n_below + n_tied
@@ -730,30 +749,77 @@ def fit_bytes(dataset, names):
                      covariate_names=["x", "z", "w"]), None, np.array([0.4, -0.3, 0.9])))
 def test_streamed_likelihood_baseline_and_fit_are_whole_array_bytes(case):
     dataset, names, beta = case
-    t_s, d_s, x_s = time_sorted(dataset, names)
-    value, gradient, hessian, s0_e = whole_array_nlpl(beta, t_s, d_s, x_s)
+    value, gradient, hessian, s0_e = reference_nlpl(dataset, names, beta)
     got = neg_log_partial_likelihood(dataset, beta, names)
     assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in (value, gradient, hessian)]
-    base, want = breslow_baseline(dataset, beta, names), _breslow(t_s[d_s], s0_e)
+    base, want = breslow_baseline(dataset, beta, names), _breslow(reference_sums(dataset, names, beta, 0)[5], s0_e)
     assert (base.knots.tobytes(), base.values.tobytes()) == (want.knots.tobytes(), want.values.tobytes())
+    idx = [dataset.column_index(c) for c in names or dataset.covariate_names]
 
-    def whole_array_step(beta, cohort):
-        if np.max(np.abs(x_s @ beta)) > cox._ETA_BOUND:
+    def reference_step(beta, cohort):
+        if np.max(np.abs(linear_predictor(dataset.covariates[:, idx], beta))) > cox._ETA_BOUND:
             raise dh.NumericalError("linear predictor exceeds exp() range")
-        return whole_array_nlpl(beta, t_s, d_s, x_s)
+        return reference_nlpl(dataset, names, beta)
 
-    # the Newton loop on streamed sums, and on whole-array sums
+    # the Newton loop on streamed sums, and on the reference sums
     streamed = fit_bytes(dataset, names)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cox, "_nlpl", whole_array_step)
+        patch.setattr(cox, "_nlpl", reference_step)
         assert fit_bytes(dataset, names) == streamed
 
 
+@st.composite
+def named_cohorts(draw):
+    """(dataset, names): an unsorted cohort and any 1 to p of its columns,
+    in any order, so mostly not a run of adjacent columns."""
+    dataset = draw(unsorted_cohorts())[0]
+    columns = draw(st.permutations(dataset.covariate_names))
+    return dataset, columns[:draw(st.integers(1, len(columns)))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(named_cohorts())
+# two columns that are not adjacent, named out of order
+@example((dh.Dataset(time=[10.0, 3.0, 10.0, 2.0, 10.0], event=[True, True, False, True, True],
+                     covariates=[[0.7, -1.3, 0.2], [0.1, 0.5, -0.8], [-0.4, 0.9, 1.1], [1.5, 0.3, -0.2],
+                                 [0.6, -0.7, 0.4]],
+                     covariate_names=["x", "z", "w"]), ["w", "x"]))
+def test_fit_bytes_do_not_depend_on_covariate_layout(case):
+    dataset, names = case
+    copies = [
+        dh.Dataset(time=dataset.time, event=dataset.event, covariates=dataset.covariates.copy(order=layout),
+                   covariate_names=dataset.covariate_names)
+        for layout in "CF"
+    ]
+    assert fit_bytes(copies[0], names) == fit_bytes(copies[1], names)
+
+
+def test_tied_totals_are_within_2_ulp_of_fsum():
+    # the README backdoor scenario censors some 97.5% of its rows at the
+    # horizon; one of them is made an event, so the last event's risk set
+    # is the tied rows alone
+    dataset = dh.generate(make_backdoor_config(n_subjects=120_000))
+    tied = dataset.time == dataset.time.max()
+    assert np.count_nonzero(tied) >= 100_000
+    event = dataset.event.copy()
+    event[np.flatnonzero(tied)[0]] = True
+    dataset = dh.Dataset(time=dataset.time, event=event, covariates=dataset.covariates,
+                         covariate_names=dataset.covariate_names)
+    beta = np.array([0.298, 0.401])
+    _, _, cohort = _prepared(dataset, None)
+    s0, s1, s2 = _head_sums(beta, cohort)
+    got = [s0[-1], *s1[-1], s2[-1, 0, 0], s2[-1, 0, 1], s2[-1, 1, 1]]
+    terms = risk_set_terms(dataset.covariates[tied], beta, 2)
+    for value, column in zip(got, terms.T):
+        exact = math.fsum(column)
+        assert abs(value - exact) <= 2 * np.spacing(abs(exact))
+
+
 def test_head_sums_hold_only_their_block_buffers():
-    # one row of _BLOCK + 1 per risk-set sum (k of them), the tied rows'
-    # C-order buffer (_BLOCK x p), one block's eta (_BLOCK) and the gather's
-    # temporary, one column of a chunk (_BLOCK); the rest is the returned
-    # arrays and the per-block gathers at the heads
+    # one row of _BLOCK + 1 per risk-set sum (k of them), the temporary of
+    # one covariate's product with its coefficient (_BLOCK) and the tied row
+    # numbers of a chunk (_BLOCK); the rest is the returned arrays, the
+    # chunk totals and the per-block gathers at the heads
     n, p = 3 * _BLOCK + 5, 2
     k = 1 + p + p * (p + 1) // 2
     rng = np.random.default_rng(3)
@@ -772,7 +838,7 @@ def test_head_sums_hold_only_their_block_buffers():
             covariate_names=["x", "z"],
         )
         _, _, cohort = _prepared(dataset, None)
-        assert cohort.x_below.shape[0] > _BLOCK
+        assert cohort.x_below.shape[1] > _BLOCK
         _head_sums(beta, cohort)  # first-call allocations
         tracemalloc.start()
         try:
@@ -782,7 +848,7 @@ def test_head_sums_hold_only_their_block_buffers():
             tracemalloc.stop()
         assert s1.base is s0.base and s2.base is None
         returned = s0.base.nbytes + s2.nbytes
-        assert peak - returned <= (k * (_BLOCK + 1) + _BLOCK * (p + 2)) * 8 + 64 * 1024
+        assert peak - returned <= (k * (_BLOCK + 1) + 2 * _BLOCK) * 8 + 64 * 1024
 
 
 def test_fit_streams_risk_sets_in_blocks():
