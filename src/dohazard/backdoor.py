@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Dataset
-from .cox import CoxFit, _horizon, _linear_predictor
+from .cox import CoxFit, _eta, _horizon
 from .errors import InvalidArgumentError, NumericalError
 from .results import RARITY_THRESHOLD, CausalEstimate
+from .stats import _pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,13 @@ def compute_az(dataset: Dataset, fit: CoxFit, z_columns, horizon_t: float | None
     only feeds the rarity diagnostic, not a_z itself. It must be finite
     and >= 0.
 
-    One cohort-sized array is held at a time: the full linear predictor,
-    whose exp, taken in place, gives mean_joint_risk and max_cumhaz, is
-    freed before the confounder part is formed, and the mean of that part
-    is taken before its exp, in place too. The means are numpy's pairwise
-    sums over the whole array, so the array is not cut into blocks, which
-    would add in another order.
+    One pass over the cohort (_pairwise_sum), _BLOCK rows at a time, holds
+    no cohort-sized array: per block, the full linear predictor and the
+    confounder part, each through cox._eta, which refuses |eta| past its
+    bound, as the fit does; exp of the first, in place, gives the sums for
+    mean_joint_risk and the block's share of max_cumhaz; the second gives
+    the sum for the Jensen floor and then, exp in place, the sum for a_z.
+    Each mean has the bits of np.mean over the whole cohort's array.
     """
     z_columns = tuple(z_columns)
     for name in z_columns:
@@ -86,16 +88,26 @@ def compute_az(dataset: Dataset, fit: CoxFit, z_columns, horizon_t: float | None
         horizon_t = float(fit.baseline_cumhaz.knots[-1])
     horizon_t = _horizon(horizon_t, "horizon_t")
 
-    joint_risk = _linear_predictor(dataset, fit.covariate_names, fit.beta)
-    np.exp(joint_risk, out=joint_risk)
-    mean_joint_risk = float(np.mean(joint_risk))
-    max_cumhaz = float(np.max(joint_risk) * fit.baseline_cumhaz(horizon_t))
-    del joint_risk
+    columns = [dataset.column(c) for c in fit.covariate_names]
+    z_cols = [dataset.column(c) for c in z_columns]
+    beta_z = fit.beta[[fit._index(c) for c in z_columns]]
+    peaks = []
 
-    z_idx = [fit._index(c) for c in z_columns]
-    eta_z = _linear_predictor(dataset, z_columns, fit.beta[z_idx])
-    jensen_floor = math.exp(float(np.mean(eta_z)))
-    a_z = float(np.mean(np.exp(eta_z, out=eta_z)))
+    def leaf(rows):
+        joint_risk = _eta([c[rows] for c in columns], fit.beta)
+        np.exp(joint_risk, out=joint_risk)
+        peaks.append(joint_risk.max())
+        if not z_cols:  # eta_z is 0 on every row
+            return np.array([np.add.reduce(joint_risk), 0.0, rows.stop - rows.start])
+        eta_z = _eta([c[rows] for c in z_cols], beta_z)
+        eta_sum = np.add.reduce(eta_z)
+        return np.array([np.add.reduce(joint_risk), eta_sum, np.add.reduce(np.exp(eta_z, out=eta_z))])
+
+    joint_sum, eta_z_sum, risk_z_sum = _pairwise_sum(dataset.n, leaf) / dataset.n
+    mean_joint_risk = float(joint_sum)
+    max_cumhaz = float(max(peaks) * fit.baseline_cumhaz(horizon_t))
+    jensen_floor = math.exp(float(eta_z_sum))
+    a_z = float(risk_z_sum)
     if a_z < jensen_floor * (1.0 - 1e-12):
         raise NumericalError(f"a_z = {a_z} fell below its Jensen floor {jensen_floor}")
     return BackdoorSummary(

@@ -214,8 +214,8 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def _csv_rows(columns):
-    """The CSV rows of the columns, _BLOCK rows at a time, each block as a
-    uint8 array of its bytes. columns[1] is the event column
+    """The CSV rows of the columns, _BLOCK rows at a time, each block as
+    its bytes. columns[1] is the event column
     (bool), written as 0 or 1 (%d); every other column is float64, written
     as %.17g; fields are joined by commas and rows end in CRLF.
 
@@ -224,8 +224,8 @@ def _csv_rows(columns):
     its digit and up to two separator bytes), with NULs wherever it has no
     text: after the text, and, for a float below 10, which _format_floats
     writes as whole words, between its words. No text holds a NUL, so
-    dropping every NUL byte of the buffer in one boolean compaction leaves
-    the block's CSV bytes. A block's 8-byte temporaries stay at 64 KiB,
+    dropping every NUL byte of the buffer (bytes.translate) leaves the
+    block's CSV bytes. A block's 8-byte temporaries stay at 64 KiB,
     below glibc's mmap threshold; the larger buffers are allocated once
     here and reused for every block.
 
@@ -239,7 +239,6 @@ def _csv_rows(columns):
     seps = [b","] * (len(columns) - 1) + [b"\r\n"]
     slots = np.cumsum([0] + [3 if k == 1 else _FIELD for k in range(len(columns))])
     rows = np.empty((min(n, _BLOCK), slots[-1]), dtype=np.uint8)
-    keep = np.empty(rows.shape, dtype=bool)
     scratch = (
         np.empty((_BLOCK, _FIELD), dtype=np.uint8),
         np.empty((_BLOCK, _FIELD), dtype=np.uint8),
@@ -268,8 +267,7 @@ def _csv_rows(columns):
                 slot[rest] = _format_floats(values[rest], sep, *scratch)
             else:
                 slot[:] = _format_floats(values, sep, *scratch)
-        np.not_equal(block, 0, out=keep[:len(block)])
-        yield block[keep[:len(block)]]
+        yield block.tobytes().translate(None, b"\0")
 
 
 def _format_floats(values, sep: bytes, field, texts, index, digits):

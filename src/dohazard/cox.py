@@ -9,15 +9,20 @@ subject with a tied time sits in the risk set of that time.
 The linear predictor has one rule everywhere (_weighted_sum): beta_0 *
 x_0 + beta_1 * x_1 + ..., added column by column in name order with
 elementwise numpy operations and no BLAS, so its bits depend neither on
-the covariates' memory layout nor on the BLAS thread count.
+the covariates' memory layout nor on the BLAS thread count, nor on where
+its rows are cut. _eta refuses it past _ETA_BOUND; the standardization
+(backdoor.compute_az, oracle.approx_error_report) forms it through _eta
+too, a block of rows at a time.
 
 The fitter, the likelihood and the baseline share one path: _prepared
 checks the inputs and holds the cohort in the order of one stable time
 sort without copying it (_Sorted). In a rare-outcome cohort most rows are
 censored at the horizon, and a stable sort leaves those rows, tied at
 the largest time, in row order at the end. Only the rows below the
-largest time are sorted and copied; the tied rows are read from the
-cohort through a mask, and each event row's tie-group head is found once.
+largest time are sorted and copied (numpy's default sort, which gives
+the stable permutation when none of their times tie; the stable sort
+when some do); the tied rows are read from the cohort through a mask,
+and each event row's tie-group head is found once.
 _head_sums reads each event's risk-set sums at its head. Every risk set
 holds the whole tied block, and only the block's total is ever read, so
 that total is summed once per evaluation, pairwise (np.add.reduce along
@@ -31,8 +36,9 @@ rows. At n rows and p covariates the one cohort-sized array beyond the
 cohort is the mask of tied rows (n bytes); the rest is the rows below the
 largest time and the event rows (n_below * p and events * p),
 O(_BLOCK * p^2) for the buffer and O(events * p^2) for the sums read at
-the event rows. fit_cox takes the Breslow baseline from the risk-set sums
-of its last accepted likelihood evaluation.
+the event rows, whose likelihood terms _nlpl forms in place. fit_cox
+takes the Breslow baseline from the risk-set sums of its last accepted
+likelihood evaluation.
 """
 
 from __future__ import annotations
@@ -109,20 +115,6 @@ def _weighted_sum(x, beta, out=None) -> np.ndarray:
     return out
 
 
-def _linear_predictor(dataset: Dataset, names, beta) -> np.ndarray:
-    """The linear predictor of every row for the named columns, as one
-    n-length array (zeros when no column is named), the one cohort-sized
-    array formed: _weighted_sum of the columns, half a _BLOCK of rows at a
-    time, so no column is copied and each product is a 32 KiB temporary."""
-    columns = [dataset.column(c) for c in names]
-    eta = np.zeros(dataset.n)
-    step = _BLOCK // 2
-    for start in range(0, dataset.n, step) if columns else ():
-        rows = slice(start, start + step)
-        _weighted_sum([c[rows] for c in columns], beta, eta[rows])
-    return eta
-
-
 @dataclass(frozen=True)
 class _Sorted:
     """A cohort's named covariates in the order of one stable time sort,
@@ -172,9 +164,15 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     time = dataset.time
     tied = time == time.max()
     below = np.flatnonzero(~tied)
+    # Without tied times the sorted order is unique, so numpy's default sort
+    # gives the stable sort's permutation; only ties need the stable one.
+    # Either way the sorted times are the same values.
     t_below = time[below]
-    sort = np.argsort(t_below, kind="stable")
-    below, t_below = below[sort], t_below[sort]
+    sort = np.argsort(t_below)
+    t_sorted = t_below[sort]
+    if np.any(t_sorted[1:] == t_sorted[:-1]):
+        sort = np.argsort(t_below, kind="stable")
+    below, t_below = below[sort], t_sorted
     events = np.concatenate([below[dataset.event[below]], np.flatnonzero(dataset.event & tied)])
     event_times = time[events]
     # every time in t_below is below the largest, so an event at the largest
@@ -197,7 +195,7 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
 def _eta(x, beta, out=None) -> np.ndarray:
     """The linear predictor _weighted_sum(x, beta, out) of rows x[j], one
     per covariate, refused past _ETA_BOUND, where exp() would overflow in
-    the risk-set sums."""
+    the risk-set sums and the standardization's means."""
     eta = _weighted_sum(x, beta, out)
     if max(eta.max(), -eta.min()) > _ETA_BOUND:
         raise NumericalError(
@@ -251,8 +249,9 @@ def _head_sums(beta, cohort: _Sorted, moments: bool = True) -> tuple:
     that column c holds the c-th row from the block's end; np.cumsum adds
     sequentially along each row, from the running total in column 0, which
     the block's last column carries to the next block. Each head's column
-    is copied into one C-order (events, k) array, and s0, s1 and s2 are cut
-    from it in C order: the likelihood sums them over axis 0, and on a
+    is copied into a C-order (events, 1 + p) array, which s0 and s1 are cut
+    from, and its pair sums into both mirror places of a C-order (events,
+    p, p) array, s2: the likelihood sums s1 and s2 over axis 0, and on a
     transposed layout numpy would sum pairwise, in another order.
     """
     n, head = cohort.dataset.n, cohort.head
@@ -260,7 +259,14 @@ def _head_sums(beta, cohort: _Sorted, moments: bool = True) -> tuple:
     i, j = np.triu_indices(p)
     pairs = (i, j) if moments else None
     k = 1 + p + i.size
-    sums = np.empty((head.size, k))
+    sums = np.empty((head.size, 1 + p))
+    s2 = np.empty((head.size, p, p))
+
+    def put(heads, values):
+        """Store the k sums values (one column per head, or one for all)."""
+        sums[heads] = values[:1 + p].T
+        s2[heads, i, j] = s2[heads, j, i] = values[1 + p:].T
+
     buf = np.empty((1 + beta.size + i.size, min(n, _BLOCK) + 1))
     total = buf[:k, 0]
     total[:] = 0.0
@@ -277,7 +283,7 @@ def _head_sums(beta, cohort: _Sorted, moments: bool = True) -> tuple:
         total += np.add.reduce(block[:k], axis=1)
     stop = cohort.x_below.shape[1]
     lo = np.searchsorted(head, stop)
-    sums[lo:] = total
+    put(slice(lo, None), total)
     while stop:
         start = max(stop - _BLOCK, 0)
         m = stop - start
@@ -287,25 +293,32 @@ def _head_sums(beta, cohort: _Sorted, moments: bool = True) -> tuple:
         run = buf[:k, :m + 1]
         np.cumsum(run, axis=1, out=run)
         lo, hi = np.searchsorted(head, (start, stop))
-        sums[lo:hi] = run[:, stop - head[lo:hi]].T
+        put(slice(lo, hi), run[:, stop - head[lo:hi]])
         total[:] = run[:, m]
         stop = start
-    pair = np.empty((p, p), dtype=np.intp)
-    pair[i, j] = pair[j, i] = np.arange(1 + p, k)
-    # np.take returns C order where fancy indexing would put the head axis
-    # innermost; the likelihood's sums over axis 0 of s2 then add row by row.
-    return sums[:, 0], sums[:, 1:1 + p], np.take(sums, pair, axis=1)
+    return sums[:, 0], sums[:, 1:], s2
 
 
 def _nlpl(beta, cohort: _Sorted):
     """Negative Breslow log partial likelihood plus derivatives, and s0 =
-    sum of exp(eta) over each event's risk set."""
+    sum of exp(eta) over each event's risk set.
+
+    The terms are formed in place in the arrays _head_sums returns, and s0
+    is returned as a copy: a view would keep this evaluation's (events,
+    1 + p) sums alive while fit_cox evaluates the next step. Each event-axis sum
+    runs over the whole axis: numpy adds a C-order (events, p) or (events,
+    p, p) array row by row for p >= 2, but pairwise for p = 1, where it is
+    one contiguous run.
+    """
     s0_e, s1_e, s2_e = _head_sums(beta, cohort)
-    ratio1 = s1_e / s0_e[:, None]
     value = -float(np.sum(_eta(cohort.x_ev.T, beta) - np.log(s0_e)))
-    gradient = -np.sum(cohort.x_ev - ratio1, axis=0)
-    hessian = np.sum(s2_e / s0_e[:, None, None] - ratio1[:, :, None] * ratio1[:, None, :], axis=0)
-    return value, gradient, hessian, s0_e
+    ratio1 = s1_e / s0_e[:, None]
+    s2_e /= s0_e[:, None, None]
+    for i, ratio in enumerate(ratio1.T):
+        s2_e[:, i] -= ratio[:, None] * ratio1
+    hessian = np.sum(s2_e, axis=0)
+    gradient = -np.sum(np.subtract(cohort.x_ev, ratio1, out=ratio1), axis=0)
+    return value, gradient, hessian, s0_e.copy()
 
 
 # Not exported: the benchmark times it by module attribute (perfbench/spans.py).

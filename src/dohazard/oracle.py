@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Dataset
-from .cox import CoxFit, _horizon, _linear_predictor
+from .cox import CoxFit, _eta, _horizon
 from .errors import DegenerateOracleError, InvalidArgumentError
 from .results import CausalEstimate
 from .simulate import ScenarioConfig, _scm_blocks
+from .stats import _pairwise_sum
 
 _FLAG_THRESHOLD = 0.05
 
@@ -224,19 +225,29 @@ class ApproxErrorReport:
 def approx_error_report(fit: CoxFit, dataset: Dataset, t: float) -> ApproxErrorReport:
     """Per-subject cumulative hazards H_i = exp(eta_i) * H0(t) and the worst
     Taylor error of 1 - exp(-H) ~ H across the cohort, the error at the
-    largest H_i; flagged past 5%. The H_i are formed in place from the
-    linear predictor, one cohort-sized array.
+    largest H_i; flagged past 5%. The H_i are formed _BLOCK rows at a time
+    (_pairwise_sum), eta through cox._eta, so no cohort-sized array is
+    held, and mean_cumhaz has the bits of np.mean over all of them.
     """
     t = _horizon(t)
-    h = _linear_predictor(dataset, fit.covariate_names, fit.beta)
-    np.exp(h, out=h)
-    h *= fit.baseline_cumhaz(t)
-    max_h = float(np.max(h))
+    h0 = fit.baseline_cumhaz(t)
+    columns = [dataset.column(c) for c in fit.covariate_names]
+    peaks = []
+
+    def leaf(rows):
+        h = _eta([c[rows] for c in columns], fit.beta)
+        np.exp(h, out=h)
+        h *= h0
+        peaks.append(h.max())
+        return np.add.reduce(h)
+
+    mean_h = _pairwise_sum(dataset.n, leaf) / dataset.n
+    max_h = float(max(peaks))
     max_rel = taylor_relative_error(max_h)
     return ApproxErrorReport(
         horizon_t=float(t),
         max_cumhaz=max_h,
-        mean_cumhaz=float(np.mean(h)),
+        mean_cumhaz=float(mean_h),
         max_rel_error=max_rel,
         flagged=max_rel > _FLAG_THRESHOLD,
     )

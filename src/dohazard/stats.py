@@ -93,14 +93,62 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return u
 
 
+def _pairwise_sum(n: int, leaf):
+    """Sums over rows 0..n-1 with the bits of np.add.reduce over all n,
+    from no array longer than _BLOCK: leaf(rows) returns the np.add.reduce
+    sums of the rows of the slice rows (a float, or an array of them, one
+    per summed quantity), and the sums of sibling row ranges are added in
+    the order numpy's pairwise tree adds them.
+
+    np.add.reduce of a 1-d float64 array, contiguous or strided, adds
+    pairwise (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 4.2): more than 128 values split at half their count, rounded
+    down to a multiple of 8, and each half is summed the same way. This
+    walks that split down to ranges of at most _BLOCK rows, whose own
+    np.add.reduce follows the tree below them. numpy starts each reduce
+    from +0.0, so no sum it returns is -0.0; neither is a sum of two
+    siblings, so only a zero's sign could tell the trees apart, and it
+    does not."""
+
+    def node(start: int, stop: int):
+        if stop - start <= _BLOCK:
+            return leaf(slice(start, stop))
+        half = (stop - start) // 2
+        half -= half % 8
+        return node(start, start + half) + node(start + half, stop)
+
+    return node(0, n)
+
+
+def _finite_sums(columns, message: str) -> np.ndarray:
+    """np.add.reduce of each column, through _pairwise_sum, with
+    InvalidArgumentError(message) when a value is not finite."""
+
+    def leaf(rows):
+        block = [c[rows] for c in columns]
+        if not all(np.isfinite(b).all() for b in block):
+            raise InvalidArgumentError(message)
+        return np.array([np.add.reduce(b) for b in block])
+
+    return _pairwise_sum(columns[0].size, leaf)
+
+
 def empirical_moments(sample) -> tuple[float, float]:
-    """Sample mean and standard deviation (n-1 denominator)."""
+    """Sample mean and standard deviation (n-1 denominator), with the bits
+    of np.mean and np.std(ddof=1): two passes of _pairwise_sum, the sum
+    and then the sum of squared deviations from the mean, so no
+    temporary is longer than _BLOCK."""
     x = np.asarray(sample, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise InvalidArgumentError("empirical_moments needs a 1-d sample of length >= 2")
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError("sample contains non-finite values")
-    return float(np.mean(x)), float(np.std(x, ddof=1))
+    n = x.size
+    mean = _finite_sums([x], "sample contains non-finite values")[0] / n
+
+    def squares(rows):
+        d = np.subtract(x[rows], mean)
+        return np.add.reduce(np.square(d, out=d))
+
+    return float(mean), float(np.sqrt(_pairwise_sum(n, squares) / (n - 1)))
 
 
 def ols_fit(x, z) -> tuple[float, float, float, float]:
@@ -110,6 +158,13 @@ def ols_fit(x, z) -> tuple[float, float, float, float]:
     residual sd using the n-2 denominator and the slope's SE being
     sigma / sqrt(sum (x - x_bar)^2). Raises DegenerateCovariateError when
     x is constant.
+
+    Every sum has the bits of np.sum over the whole vectors and goes
+    through _pairwise_sum, in three passes (the means; the sums of
+    squares and products about them; the residual sum of squares), so no
+    temporary is longer than _BLOCK. They are sums of elementwise
+    products, not np.dot: BLAS splits a dot product across its threads,
+    so its bits would depend on the thread count.
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -118,18 +173,25 @@ def ols_fit(x, z) -> tuple[float, float, float, float]:
     n = x.size
     if n < 3:
         raise InvalidArgumentError(f"ols_fit needs length >= 3, got {n}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-        raise InvalidArgumentError("ols_fit inputs contain non-finite values")
-    # np.sum of the products, not np.dot: BLAS splits a dot product across
-    # its threads, so its bits would depend on the thread count.
-    x_bar = np.mean(x)
-    z_bar = np.mean(z)
-    dx = x - x_bar
-    sxx = float(np.sum(dx * dx))
+    x_bar, z_bar = _finite_sums([x, z], "ols_fit inputs contain non-finite values") / n
+
+    def moments(rows):
+        dx = np.subtract(x[rows], x_bar)
+        dz = np.subtract(z[rows], z_bar)
+        dz *= dx
+        return np.array([np.add.reduce(np.square(dx, out=dx)), np.add.reduce(dz)])
+
+    sxx, sxz = (float(s) for s in _pairwise_sum(n, moments))
     if sxx == 0.0:
         raise DegenerateCovariateError("x has zero variance; slope is undefined")
-    slope = float(np.sum(dx * (z - z_bar))) / sxx
+    slope = sxz / sxx
     intercept = float(z_bar - slope * x_bar)
-    resid = z - (intercept + slope * x)
-    sigma = math.sqrt(max(float(np.sum(resid * resid)), 0.0) / (n - 2))
+
+    def residuals(rows):
+        fitted = np.multiply(x[rows], slope)
+        fitted += intercept
+        resid = np.subtract(z[rows], fitted, out=fitted)
+        return np.add.reduce(np.square(resid, out=resid))
+
+    sigma = math.sqrt(max(float(_pairwise_sum(n, residuals)), 0.0) / (n - 2))
     return slope, intercept, sigma, sigma / math.sqrt(sxx)

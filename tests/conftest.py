@@ -6,6 +6,34 @@ import pytest
 import dohazard as dh
 
 
+# The toolchain every pinned digest holds for (test_cli.PINNED_DIGESTS,
+# test_simulate.SCM_DIGESTS and the sha256sum steps of CI): numpy's exp,
+# log, log1p, expm1 and power give other last bits where its AVX512 loops
+# are not dispatched.
+PINNED_TOOLCHAIN = "numpy 2.4.6, scipy 1.17.1, AVX512 loops dispatched"
+
+
+def toolchain():
+    """The numpy and scipy versions, and whether numpy dispatches its
+    AVX512 loops on this CPU (the dispatch targets it takes, in brackets)."""
+    import scipy
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    taken = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    avx512 = any(target == "X86_V4" or target.startswith("AVX512") for target in taken)
+    return (f"numpy {np.__version__}, scipy {scipy.__version__}, "
+            f"AVX512 loops {'dispatched' if avx512 else 'not dispatched'} [{' '.join(taken)}]")
+
+
+def toolchain_note():
+    """What a digest mismatch is read against: the pinned toolchain and
+    this run's."""
+    return f"they are pinned for {PINNED_TOOLCHAIN}, and this run has {toolchain()}"
+
+
 def make_backdoor_config(**overrides):
     base = dict(
         dag_kind="backdoor",

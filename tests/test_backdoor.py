@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import dohazard as dh
+from dohazard.stats import _BLOCK
 
 from conftest import as_loaded, make_backdoor_config, make_tiny_dataset
-from truth import GaussianSpec, gaussian_exponential_moment
+from truth import GaussianSpec, gaussian_exponential_moment, whole_array_eta
 
 
 def hand_fit(beta, names, knots, values, covariance=None):
@@ -270,3 +271,37 @@ def test_compute_az_holds_one_cohort_sized_column(backdoor_fit):
         assert peak < 8 * n + 64 * 1024
     # the linear predictor is summed column by column, so the layout moves no bit
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("z_columns", [["z"], []])
+@pytest.mark.parametrize("n", [129, 2 * _BLOCK + 8, 50_001])
+def test_compute_az_has_the_bits_of_whole_array_means(backdoor_fit, n, z_columns):
+    cohort = dh.generate(make_backdoor_config(n_subjects=n))
+    beta_z = backdoor_fit.beta[[backdoor_fit.covariate_names.index(c) for c in z_columns]]
+    joint_risk = np.exp(whole_array_eta(cohort, backdoor_fit.covariate_names, backdoor_fit.beta))
+    want = (
+        float(np.mean(joint_risk)),
+        float(np.max(joint_risk) * backdoor_fit.baseline_cumhaz(10.0)),
+        float(np.mean(np.exp(whole_array_eta(cohort, z_columns, beta_z)))),
+    )
+    # generate's covariates are row-major, a loaded cohort's column-major
+    for dataset in (cohort, as_loaded(cohort)):
+        s = dh.compute_az(dataset, backdoor_fit, z_columns, horizon_t=10.0)
+        assert [v.hex() for v in (s.mean_joint_risk, s.max_cumhaz, s.a_z)] == [v.hex() for v in want]
+    if not z_columns:
+        assert s.a_z == 1.0
+
+
+def test_compute_az_holds_no_cohort_sized_array(backdoor_fit):
+    # one 200k-row float64 column is 1.6 MB; the bound is a few _BLOCK-row
+    # temporaries and does not grow with n
+    cohort = dh.generate(make_backdoor_config(n_subjects=200_000))
+    for dataset in (cohort, as_loaded(cohort)):
+        dh.compute_az(dataset, backdoor_fit, ["z"])  # first-call allocations
+        tracemalloc.start()
+        try:
+            dh.compute_az(dataset, backdoor_fit, ["z"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * _BLOCK

@@ -9,7 +9,7 @@ import pytest
 import dohazard as dh
 from dohazard import cli
 
-from conftest import make_backdoor_config, make_frontdoor_config
+from conftest import make_backdoor_config, make_frontdoor_config, toolchain_note
 
 
 def write_scenario(path, config):
@@ -330,6 +330,23 @@ def test_exit_2_on_malformed_fit_file(tmp_path, scenario_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_exit_3_on_fit_whose_linear_predictor_overflows(tmp_path, capsys):
+    # exp(400 * z) overflows; the standardization wrote "a_z": Infinity,
+    # "paf": NaN and infinite do_cdf rows and exited 0
+    scenario = write_scenario(tmp_path / "scenario.json", make_backdoor_config(n_subjects=3_000, seed=5))
+    run(["simulate", scenario, "--out-dir", tmp_path, "--quiet"])
+    run(["fit", tmp_path / "cohort.csv", "--out-dir", tmp_path, "--quiet"])
+    fit = tmp_path / "fit.json"
+    fit.write_text(json.dumps({**json.loads(fit.read_text()), "beta": [0.3, 400]}))
+    rc = run([
+        "backdoor", tmp_path / "cohort.csv", "--fit", fit, "--contrast", "1,0", "--t", 10,
+        "--out-dir", tmp_path, "--quiet",
+    ])
+    assert rc == 3
+    assert "numerical error: linear predictor exceeds exp() range" in capsys.readouterr().err
+    assert not (tmp_path / "backdoor.json").exists()
+
+
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "-0.5"])
 @pytest.mark.parametrize("command", ["backdoor", "frontdoor"])
 def test_exit_2_on_bad_horizon(tmp_path, scenario_path, capsys, command, t):
@@ -529,9 +546,7 @@ def test_experiment_config_validation(tmp_path, monkeypatch, capsys):
 # simulated cohort CSVs, backdoor with and without --fit, frontdoor, and
 # experiment for both DAGs. Equal digests mean a change left every answer
 # and every cohort byte the CLI writes as it was. They hold for the
-# toolchain PINNED_TOOLCHAIN names: numpy's exp, log, log1p, expm1 and
-# power give other last bits where its AVX512 loops are not dispatched.
-PINNED_TOOLCHAIN = "numpy 2.4.6, scipy 1.17.1, AVX512 loops dispatched"
+# toolchain conftest.PINNED_TOOLCHAIN names.
 PINNED_DIGESTS = {
     "backdoor --fit 1,0 t=10": "6fee546065d239f7543a0a84ecb284b65ed72e204ee1469e533dc755ae18d9f8",
     "backdoor --fit 2,-1 t=5": "44bee305689d1267bcf68ff7f0e906ae714469060fc493e2784141790773a331",
@@ -552,21 +567,6 @@ PINNED_DIGESTS = {
     "simulate backdoor cohort.csv": "ea5c55f8b84d75989fcebb1d647be27531f7a8f274ea5b6549b096ef64917eba",
     "simulate frontdoor cohort.csv": "d704a4a7db273d2967b8c171c603b49c3a74017895d29041adbafa3744c2284d",
 }
-
-
-def toolchain():
-    """The numpy and scipy versions, and whether numpy dispatches its
-    AVX512 loops on this CPU (the dispatch targets it takes, in brackets)."""
-    import scipy
-
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    taken = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
-    avx512 = any(target == "X86_V4" or target.startswith("AVX512") for target in taken)
-    return (f"numpy {np.__version__}, scipy {scipy.__version__}, "
-            f"AVX512 loops {'dispatched' if avx512 else 'not dispatched'} [{' '.join(taken)}]")
 
 
 def test_cli_outputs_match_pinned_digests(tmp_path):
@@ -609,8 +609,7 @@ def test_cli_outputs_match_pinned_digests(tmp_path):
             got[f"experiment {dag} {name}"] = sha(out_dir / name)
     differ = sorted(name for name in PINNED_DIGESTS if got.get(name) != PINNED_DIGESTS[name])
     assert got == PINNED_DIGESTS, (
-        f"{len(differ)} outputs differ from their pinned digests ({', '.join(differ)}); "
-        f"they are pinned for {PINNED_TOOLCHAIN}, and this run has {toolchain()}"
+        f"{len(differ)} outputs differ from their pinned digests ({', '.join(differ)}); {toolchain_note()}"
     )
 
 

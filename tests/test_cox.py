@@ -865,3 +865,33 @@ def test_fit_streams_risk_sets_in_blocks():
     # below it and the event rows, and the blocks; a sorted copy of the
     # covariates would take 3.2 MB and a whole-array eta 1.6 MB
     assert peak < 2 * 8 * n
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+def test_prepared_order_is_the_stable_time_sort(ties):
+    # numpy's default sort gives the stable permutation only when no two
+    # times below the largest tie; with ties the stable sort is taken
+    rng = np.random.default_rng(8)
+    n = 3 * _BLOCK + 5
+    time = rng.uniform(0.1, 9.0, n)
+    if ties:
+        time = np.round(time, 1)
+    time[rng.random(n) < 0.5] = 10.0
+    event = rng.random(n) < 0.3
+    covariates = rng.normal(size=(n, 2))
+    dataset = dh.Dataset(time=time, event=event, covariates=covariates, covariate_names=["x", "z"])
+    _, _, cohort = _prepared(dataset, None)
+    order = np.argsort(time, kind="stable")
+    below = order[:cohort.x_below.shape[1]]
+    assert np.all(time[below] < 10.0) and np.all(time[order[below.size:]] == 10.0)
+    assert cohort.x_below.tobytes() == np.ascontiguousarray(covariates[below].T).tobytes()
+    assert cohort.x_ev.tobytes() == covariates[order[event[order]]].tobytes()
+
+
+def test_nlpl_returns_s0_apart_from_its_sums():
+    # a view would keep the evaluation's (events, 1 + p) sums alive
+    dataset = dh.generate(make_backdoor_config(n_subjects=2_000))
+    _, beta, cohort = _prepared(dataset, None, [0.3, 0.4])
+    *_, s0 = _nlpl(beta, cohort)
+    assert s0.base is None
+    assert s0.tobytes() == _head_sums(beta, cohort)[0].tobytes()

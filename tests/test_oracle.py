@@ -16,7 +16,7 @@ from conftest import (
     make_frontdoor_config,
     make_strong_confounding_config,
 )
-from truth import draw_scm
+from truth import draw_scm, whole_array_eta
 
 
 def null_backdoor_config(**overrides):
@@ -324,3 +324,31 @@ def test_event_counts_check_every_argument_before_drawing(backdoor_config, monke
     with pytest.raises(dh.InvalidArgumentError, match="^x_value must be finite, got nan$"):
         oracle_paf(backdoor_config, 1_000, 7, 10.0, x0=math.nan)
     assert opened == []
+
+
+@pytest.mark.parametrize("n", [129, 2 * _BLOCK + 8, 50_001])
+def test_approx_report_has_the_bits_of_whole_array_sums(backdoor_fit, n):
+    cohort = dh.generate(make_backdoor_config(n_subjects=n))
+    h = np.exp(whole_array_eta(cohort, backdoor_fit.covariate_names, backdoor_fit.beta))
+    h *= backdoor_fit.baseline_cumhaz(10.0)
+    # generate's covariates are row-major, a loaded cohort's column-major
+    for dataset in (cohort, as_loaded(cohort)):
+        report = dh.approx_error_report(backdoor_fit, dataset, 10.0)
+        assert (report.max_cumhaz.hex(), report.mean_cumhaz.hex()) == (
+            float(np.max(h)).hex(), float(np.mean(h)).hex()
+        )
+
+
+def test_approx_report_holds_no_cohort_sized_array(backdoor_fit):
+    # one 200k-row float64 column is 1.6 MB; the bound is a few _BLOCK-row
+    # temporaries and does not grow with n
+    cohort = dh.generate(make_backdoor_config(n_subjects=200_000))
+    for dataset in (cohort, as_loaded(cohort)):
+        dh.approx_error_report(backdoor_fit, dataset, 10.0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            dh.approx_error_report(backdoor_fit, dataset, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * _BLOCK

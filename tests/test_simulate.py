@@ -17,7 +17,7 @@ from dohazard import cohort
 from dohazard.simulate import _failure_times, _frontdoor_log_hazard
 from dohazard.stats import _BLOCK
 
-from conftest import make_backdoor_config, make_frontdoor_config
+from conftest import make_backdoor_config, make_frontdoor_config, toolchain_note
 from truth import draw_scm
 
 # save_dataset and load_dataset work in chunks of _BLOCK rows; this edge
@@ -1226,7 +1226,10 @@ def test_draw_scm_pinned_digests(make_config):
     config = make_config()
     columns = draw_scm(config, 40_000, config.seed)
     got = tuple(None if c is None else hashlib.sha256(c.tobytes()).hexdigest() for c in columns)
-    assert got == SCM_DIGESTS[config.dag_kind]
+    differ = [name for name, a, b in zip(("x", "z", "u", "failure"), got, SCM_DIGESTS[config.dag_kind]) if a != b]
+    assert got == SCM_DIGESTS[config.dag_kind], (
+        f"columns {', '.join(differ)} differ from their pinned digests; {toolchain_note()}"
+    )
 
 
 @pytest.mark.parametrize("n", [0, -5])

@@ -2,14 +2,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dohazard as dh
-from dohazard.stats import _uniforms
+from dohazard.stats import _BLOCK, _pairwise_sum, _uniforms
 
+from conftest import as_loaded, make_frontdoor_config
 from truth import GaussianSpec, gaussian_exponential_moment
 
 # frozen first draws for seed 42, stream 0
@@ -239,3 +243,84 @@ def test_ols_fit_bits_do_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr
         results.append(proc.stdout)
     assert results[0] == results[1]
+
+
+# Row counts at the edges of numpy's pairwise tree: its unrolled 8-value
+# loop, its 128-value leaves and _pairwise_sum's _BLOCK-row leaves.
+TREE_EDGES = [1, 7, 8, 9, 127, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 8]
+
+
+def laid_out(values, layout):
+    """values as a contiguous array, or as the middle column of a row-major
+    (strided) or column-major n x 3 matrix, as a cohort holds it."""
+    if layout == "contiguous":
+        return values.copy()
+    matrix = np.zeros((values.size, 3), order="C" if layout == "strided" else "F")
+    matrix[:, 1] = values
+    return matrix[:, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from(TREE_EDGES) | st.integers(1, 300_000),
+    layout=st.sampled_from(["contiguous", "strided", "F-order"]),
+    exponents=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairwise_sum_has_the_bits_of_add_reduce(n, layout, exponents, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted(exponents)
+    x = laid_out(rng.normal(size=n) * 10.0 ** rng.uniform(lo, hi, size=n), layout)
+    total = _pairwise_sum(n, lambda rows: np.add.reduce(x[rows]))
+    assert total.tobytes() == np.add.reduce(x).tobytes()
+    assert (total / n).tobytes() == np.mean(x).tobytes()
+
+
+@pytest.mark.parametrize("n", TREE_EDGES)
+def test_pairwise_sum_keeps_the_sign_of_zero_of_add_reduce(n):
+    x = np.full(n, -0.0)
+    total = _pairwise_sum(n, lambda rows: np.add.reduce(x[rows]))
+    assert total.tobytes() == np.add.reduce(x).tobytes()
+
+
+def whole_array_ols(x, z):
+    """ols_fit with every sum taken over whole arrays."""
+    x_bar, z_bar = np.mean(x), np.mean(z)
+    dx = x - x_bar
+    sxx = float(np.sum(dx * dx))
+    slope = float(np.sum(dx * (z - z_bar))) / sxx
+    intercept = float(z_bar - slope * x_bar)
+    resid = z - (intercept + slope * x)
+    sigma = math.sqrt(max(float(np.sum(resid * resid)), 0.0) / (x.size - 2))
+    return slope, intercept, sigma, sigma / math.sqrt(sxx)
+
+
+@pytest.mark.parametrize("n", [3, 129, 2 * _BLOCK + 8, 50_001])
+def test_ols_fit_and_moments_have_the_bits_of_whole_array_sums(n):
+    cohort = dh.generate(make_frontdoor_config(n_subjects=n))
+    # generate's covariates are row-major, a loaded cohort's column-major
+    for dataset in (cohort, as_loaded(cohort)):
+        x, z = dataset.column("x"), dataset.column("z")
+        assert [v.hex() for v in dh.ols_fit(x, z)] == [v.hex() for v in whole_array_ols(x, z)]
+        mean, sd = dh.empirical_moments(x)
+        assert (mean.hex(), sd.hex()) == (float(np.mean(x)).hex(), float(np.std(x, ddof=1)).hex())
+
+
+def traced_peak(call):
+    call()  # first-call allocations
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ols_fit_and_moments_hold_no_cohort_sized_array():
+    # one 200k-row float64 column is 1.6 MB; the bound is a few _BLOCK-row
+    # temporaries and does not grow with n
+    cohort = dh.generate(make_frontdoor_config(n_subjects=200_000))
+    for dataset in (cohort, as_loaded(cohort)):
+        x, z = dataset.column("x"), dataset.column("z")
+        assert traced_peak(lambda: dh.ols_fit(x, z)) < 4 * 8 * _BLOCK
+        assert traced_peak(lambda: dh.empirical_moments(x)) < 4 * 8 * _BLOCK

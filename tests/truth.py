@@ -13,6 +13,10 @@ them:
 Criterion 6 of ``test_acceptance.py`` checks
 ``dohazard.frontdoor_do_cdf_gaussian`` against both.
 
+``whole_array_eta`` forms the linear predictor of a whole cohort as one
+array, the reference that the standardization's block-by-block sums
+(``dohazard.stats._pairwise_sum``) must match bit for bit.
+
 ``draw_scm`` joins the blocks of ``dohazard.simulate._scm_blocks``, the
 one structural model, into whole columns, so that the tests can check an
 arm, or the cohort ``generate`` censors, against the draw itself.
@@ -124,3 +128,14 @@ def draw_scm(config: ScenarioConfig, n: int, seed: int, offset: int = 0, x_force
     x, z, u, failure = zip(*(arm for [arm] in _scm_blocks(config, n, seed, offset, (x_forced,))))
     x = np.concatenate([np.broadcast_to(xb, fb.shape) for xb, fb in zip(x, failure)])
     return x, np.concatenate(z), None if u[0] is None else np.concatenate(u), np.concatenate(failure)
+
+
+def whole_array_eta(dataset: Dataset, names, beta) -> np.ndarray:
+    """beta[0] * x_0 + beta[1] * x_1 + ... over every row of the named
+    columns, added column by column (zeros when no column is named)."""
+    if not names:
+        return np.zeros(dataset.n)
+    eta = dataset.column(names[0]) * beta[0]
+    for name, b in zip(names[1:], beta[1:]):
+        eta += dataset.column(name) * b
+    return eta
