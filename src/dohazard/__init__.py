@@ -62,7 +62,7 @@ from .simulate import (
     generate,
     load_scenario_config,
 )
-from .stats import RngStream, empirical_moments, ols_fit
+from .stats import RngStream, ols_fit
 
 __version__ = "0.1.0"
 
@@ -98,7 +98,6 @@ __all__ = [
     "compute_az",
     "do_cdf",
     "do_cumhaz",
-    "empirical_moments",
     "estimate_frontdoor_params",
     "fit_cox",
     "frontdoor_causal_rr",

@@ -71,6 +71,8 @@ class ExperimentConfig:
                 )
         if self.oracle_n < 1:
             raise ValidationError(f"field 'oracle_n' must be >= 1, got {self.oracle_n}")
+        if not self.emit:
+            raise ValidationError("field 'emit' must name 'csv', 'json' or both, got []")
         bad = self.emit - {"csv", "json"}
         if bad:
             raise ValidationError(f"field 'emit' may contain only 'csv' and 'json', got {sorted(bad)}")

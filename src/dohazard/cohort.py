@@ -83,6 +83,9 @@ class Dataset:
             raise ValidationError("covariate_names must match the covariate columns")
         if len(set(self.covariate_names)) != len(self.covariate_names):
             raise ValidationError("covariate_names must be unique")
+        for name in ("time", "event", "u_latent"):
+            if name in self.covariate_names:
+                raise ValidationError(f"covariate_names must not hold {name!r}, a column the cohort CSV already has")
         if not np.all(np.isfinite(self.time)) or not np.all(np.isfinite(self.covariates)):
             raise ValidationError("dataset contains non-finite values")
         if np.any(self.time <= 0):

@@ -15,30 +15,15 @@ its rows are cut. _eta refuses it past _ETA_BOUND; the standardization
 too, a block of rows at a time.
 
 The fitter, the likelihood and the baseline share one path: _prepared
-checks the inputs and holds the cohort in the order of one stable time
-sort without copying it (_Sorted). In a rare-outcome cohort most rows are
-censored at the horizon, and a stable sort leaves those rows, tied at
-the largest time, in row order at the end. Only the rows below the
-largest time are sorted and copied (numpy's default sort, which gives
-the stable permutation when none of their times tie; the stable sort
-when some do); the tied rows are read from the cohort through a mask,
-and each event row's tie-group head is found once.
-_head_sums reads each event's risk-set sums at its head. Every risk set
-holds the whole tied block, and only the block's total is ever read, so
-that total is summed once per evaluation, pairwise (np.add.reduce along
-contiguous rows, _BLOCK-row chunk by chunk, the chunk totals added in row
-order). It is the risk-set sum of every event at the largest time, and
-it starts the reversed cumulative sums over the rows below the largest
-time, streamed from the last back in blocks of at most _BLOCK rows. Sums
-are held one contiguous row per risk-set sum in a buffer reused for every
-chunk and block and filled in place, so numpy's loops run over whole
-rows. At n rows and p covariates the one cohort-sized array beyond the
-cohort is the mask of tied rows (n bytes); the rest is the rows below the
-largest time and the event rows (n_below * p and events * p),
-O(_BLOCK * p^2) for the buffer and O(events * p^2) for the sums read at
-the event rows, whose likelihood terms _nlpl forms in place. fit_cox
-takes the Breslow baseline from the risk-set sums of its last accepted
-likelihood evaluation.
+checks the inputs and holds the cohort in stable time order without
+copying it (_Sorted), and _nlpl forms the likelihood from the risk-set
+sums _head_sums reads at each event's tie head; the baseline takes s0
+from the same evaluation. In a rare-outcome cohort most rows are
+censored at the horizon, tied at the largest time, and every risk set
+holds all of them: so only the other rows are sorted and copied, and the
+tied rows' total is summed once per evaluation, pairwise. Beyond the
+cohort the one cohort-sized array is the mask of tied rows (n bytes); the
+rest is O(rows below the largest time * p + _BLOCK * p^2 + events * p^2).
 """
 
 from __future__ import annotations
@@ -142,8 +127,8 @@ class _Sorted:
 
 
 def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
-    """Every input check plus the stable time sort: (names, beta, sorted),
-    sorted the _Sorted cohort. Only the rows below the largest time are
+    """Every input check plus the stable time sort: (beta, sorted), sorted
+    the _Sorted cohort. Only the rows below the largest time are
     sorted, and only their sorted times are kept to find the heads; beyond
     the cohort, the mask of tied rows is the only cohort-sized array held.
     beta, when given, must have one entry per design column."""
@@ -181,7 +166,7 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     x_below = np.empty((len(names), below.size))
     for x, name in zip(x_below, names):
         np.take(dataset.column(name), below, out=x)
-    return names, beta, _Sorted(
+    return beta, _Sorted(
         dataset=dataset,
         names=names,
         tied=tied,
@@ -207,68 +192,38 @@ def _eta(x, beta, out=None) -> np.ndarray:
 def _weigh(block, beta, pairs) -> None:
     """Fill block, whose rows 1..p hold the covariates x_j of some sorted
     rows, with the risk-set terms of those rows in place: row 0 w =
-    exp(eta), rows 1..p w * x_j when pairs is given, and row 1 + p + r the
-    pair term w * (x_i * x_j) of pairs (i[r], j[r]). np.exp runs in place
-    on the contiguous row 0, as it does wherever the rows are cut."""
+    exp(eta), rows 1..p w * x_j, and row 1 + p + r the pair term w * (x_i *
+    x_j) of pairs (i[r], j[r]). np.exp runs in place on the contiguous row
+    0, as it does wherever the rows are cut."""
     p = beta.size
     w, x = block[0], block[1:1 + p]
     np.exp(_eta(x, beta, out=w), out=w)
-    if pairs is None:
-        return
     for row, (a, b) in enumerate(zip(*pairs), start=1 + p):
         out = block[row]
         np.multiply(w, np.multiply(x[a], x[b], out=out), out=out)
     np.multiply(w, x, out=x)
 
 
-def _head_sums(beta, cohort: _Sorted, moments: bool = True) -> tuple:
-    """Risk-set sums at beta read at cohort.head, with w = exp(eta): (s0, s1,
-    s2), the sums of w, of w * x_j and of w * (x_i * x_j) over each head's
-    sorted row and every row after it, one row of each per head. With
-    moments false only s0 is summed, and s1 and s2 have no columns.
+def _head_sums(beta, cohort: _Sorted) -> np.ndarray:
+    """Risk-set sums at beta read at cohort.head, w = exp(eta): a C-order
+    (events, k) array whose row e holds, over head e's sorted row and every
+    row after it, the sum of w, then of each w * x_j, then of w * (x_i *
+    x_j) for the pairs of np.triu_indices(p); k = 1 + p + p(p+1)/2.
 
-    The sums are held in buf, one row of _BLOCK + 1 per sum, k = 1 + p +
-    p(p+1)/2 summed rows in all (w, then w * x_j, then w * (x_i * x_j) for
-    i <= j; x_i * x_j == x_j * x_i mirrors the rest; with moments false buf
-    still holds the covariate rows, which eta is formed from). Column 0
-    holds the running total, from 0.0, and the other columns one chunk or
-    block of rows, filled by _weigh.
-
-    First the rows tied at the largest time: each _BLOCK-row chunk of the
-    cohort, in row order, gives its tied rows, taken by np.take of the
-    chunk's tied row numbers straight into the covariate rows of buf (mode
-    "clip" lets take write there with no temporary, and no number is out of
-    range; a boolean index would take a branch per row, which costs most
-    where tied and untied rows mix). Each summed row is reduced by
-    np.add.reduce, numpy's pairwise sum along a contiguous row, and the
-    chunk's totals are added to the running total. That total is the
-    risk-set sum of every event at the largest time.
-
-    Then the rows below the largest time, from the last back in blocks of
-    at most _BLOCK: a block's covariates are copied reversed into buf, so
-    that column c holds the c-th row from the block's end; np.cumsum adds
-    sequentially along each row, from the running total in column 0, which
-    the block's last column carries to the next block. Each head's column
-    is copied into a C-order (events, 1 + p) array, which s0 and s1 are cut
-    from, and its pair sums into both mirror places of a C-order (events,
-    p, p) array, s2: the likelihood sums s1 and s2 over axis 0, and on a
-    transposed layout numpy would sum pairwise, in another order.
+    buf holds one row of _BLOCK + 1 per sum, so that np.add.reduce and
+    np.cumsum run along contiguous rows; column 0 is the running total.
+    The tied rows are taken chunk by chunk with np.take, mode "clip", which
+    writes into buf with no temporary (a boolean index would branch per
+    row); their pairwise chunk totals, added in row order, are the risk-set
+    sum at the largest time. The rows below it are copied into buf
+    reversed, a block at a time from the last, so a cumsum along each row
+    from the running total gives the sum from each row on.
     """
-    n, head = cohort.dataset.n, cohort.head
-    p = beta.size if moments else 0
-    i, j = np.triu_indices(p)
-    pairs = (i, j) if moments else None
-    k = 1 + p + i.size
-    sums = np.empty((head.size, 1 + p))
-    s2 = np.empty((head.size, p, p))
-
-    def put(heads, values):
-        """Store the k sums values (one column per head, or one for all)."""
-        sums[heads] = values[:1 + p].T
-        s2[heads, i, j] = s2[heads, j, i] = values[1 + p:].T
-
-    buf = np.empty((1 + beta.size + i.size, min(n, _BLOCK) + 1))
-    total = buf[:k, 0]
+    n, head, p = cohort.dataset.n, cohort.head, beta.size
+    pairs = np.triu_indices(p)
+    sums = np.empty((head.size, 1 + p + pairs[0].size))
+    buf = np.empty((sums.shape[1], min(n, _BLOCK) + 1))
+    total = buf[:, 0]
     total[:] = 0.0
     columns = [cohort.dataset.column(c) for c in cohort.names]
     for start in range(0, n, _BLOCK):
@@ -277,48 +232,47 @@ def _head_sums(beta, cohort: _Sorted, moments: bool = True) -> tuple:
         if not rows.size:
             continue
         block = buf[:, 1:rows.size + 1]
-        for x, column in zip(block[1:1 + beta.size], columns):
+        for x, column in zip(block[1:1 + p], columns):
             np.take(column[chunk], rows, out=x, mode="clip")
         _weigh(block, beta, pairs)
-        total += np.add.reduce(block[:k], axis=1)
+        total += np.add.reduce(block, axis=1)
     stop = cohort.x_below.shape[1]
-    lo = np.searchsorted(head, stop)
-    put(slice(lo, None), total)
+    sums[np.searchsorted(head, stop):] = total
     while stop:
         start = max(stop - _BLOCK, 0)
-        m = stop - start
-        block = buf[:, 1:m + 1]
-        block[1:1 + beta.size] = cohort.x_below[:, start:stop][:, ::-1]
-        _weigh(block, beta, pairs)
-        run = buf[:k, :m + 1]
+        run = buf[:, :stop - start + 1]
+        run[1:1 + p, 1:] = cohort.x_below[:, start:stop][:, ::-1]
+        _weigh(run[:, 1:], beta, pairs)
         np.cumsum(run, axis=1, out=run)
         lo, hi = np.searchsorted(head, (start, stop))
-        put(slice(lo, hi), run[:, stop - head[lo:hi]])
-        total[:] = run[:, m]
+        sums[lo:hi] = run[:, stop - head[lo:hi]].T
+        total[:] = run[:, -1]
         stop = start
-    return sums[:, 0], sums[:, 1:], s2
+    return sums
 
 
 def _nlpl(beta, cohort: _Sorted):
     """Negative Breslow log partial likelihood plus derivatives, and s0 =
     sum of exp(eta) over each event's risk set.
 
-    The terms are formed in place in the arrays _head_sums returns, and s0
-    is returned as a copy: a view would keep this evaluation's (events,
-    1 + p) sums alive while fit_cox evaluates the next step. Each event-axis sum
-    runs over the whole axis: numpy adds a C-order (events, p) or (events,
-    p, p) array row by row for p >= 2, but pairwise for p = 1, where it is
-    one contiguous run.
+    The terms are formed in place in the sums _head_sums returns, and s0 is
+    returned as a copy: a view would keep this evaluation's sums alive
+    while fit_cox evaluates the next step. Each event-axis sum runs over
+    the whole axis: numpy adds an (events, m) array row by row for m >= 2,
+    but pairwise for m = 1, where it is one run.
     """
-    s0_e, s1_e, s2_e = _head_sums(beta, cohort)
-    value = -float(np.sum(_eta(cohort.x_ev.T, beta) - np.log(s0_e)))
-    ratio1 = s1_e / s0_e[:, None]
-    s2_e /= s0_e[:, None, None]
-    for i, ratio in enumerate(ratio1.T):
-        s2_e[:, i] -= ratio[:, None] * ratio1
-    hessian = np.sum(s2_e, axis=0)
+    sums, p = _head_sums(beta, cohort), beta.size
+    s0, pair = sums[:, 0], sums[:, 1 + p:]
+    value = -float(np.sum(_eta(cohort.x_ev.T, beta) - np.log(s0)))
+    ratio1 = sums[:, 1:1 + p] / s0[:, None]
+    pair /= s0[:, None]
+    i, j = np.triu_indices(p)
+    for r, (a, b) in enumerate(zip(i, j)):  # one pair at a time, so one event-length temporary
+        pair[:, r] -= ratio1[:, a] * ratio1[:, b]
+    hessian = np.empty((p, p))
+    hessian[i, j] = hessian[j, i] = np.sum(pair, axis=0)
     gradient = -np.sum(np.subtract(cohort.x_ev, ratio1, out=ratio1), axis=0)
-    return value, gradient, hessian, s0_e.copy()
+    return value, gradient, hessian, s0.copy()
 
 
 # Not exported: the benchmark times it by module attribute (perfbench/spans.py).
@@ -328,8 +282,7 @@ def neg_log_partial_likelihood(dataset: Dataset, beta, covariate_names=None):
     Returns (value, gradient, hessian); the Hessian is the observed
     information, positive semidefinite by construction.
     """
-    _, beta, cohort = _prepared(dataset, covariate_names, beta)
-    return _nlpl(beta, cohort)[:3]
+    return _nlpl(*_prepared(dataset, covariate_names, beta))[:3]
 
 
 def _breslow(event_times, s0_e) -> StepFunction:
@@ -343,8 +296,8 @@ def _breslow(event_times, s0_e) -> StepFunction:
 def breslow_baseline(dataset: Dataset, beta, covariate_names=None) -> StepFunction:
     """Baseline cumulative hazard at the zero covariate vector: at each
     distinct event time, the event count over the risk-set sum of exp(eta)."""
-    _, beta, cohort = _prepared(dataset, covariate_names, beta)
-    return _breslow(cohort.event_times, _head_sums(beta, cohort, moments=False)[0])
+    beta, cohort = _prepared(dataset, covariate_names, beta)
+    return _breslow(cohort.event_times, _nlpl(beta, cohort)[3])
 
 
 @dataclass
@@ -393,7 +346,8 @@ def fit_cox(dataset: Dataset, covariate_names=None, tol: float = 1e-9, max_iter:
     for some coefficient, raises MonotoneLikelihoodError naming the
     covariate.
     """
-    names, _, cohort = _prepared(dataset, covariate_names)
+    _, cohort = _prepared(dataset, covariate_names)
+    names = cohort.names
     for name in names:
         if np.ptp(dataset.column(name)) == 0.0:
             raise DegenerateCovariateError(f"covariate {name!r} is constant; its effect is unidentifiable")

@@ -26,7 +26,7 @@ from .cohort import Dataset
 from .cox import CoxFit
 from .errors import InvalidArgumentError
 from .results import RARITY_THRESHOLD, CausalEstimate
-from .stats import empirical_moments, ols_fit
+from .stats import ols_fit
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,11 @@ class FrontdoorParams:
 
 def estimate_frontdoor_params(dataset: Dataset, fit: CoxFit) -> FrontdoorParams:
     """Fit every factor from one cohort: the mediator line z ~ x by least
-    squares and the exposure moments empirically, and take (beta_x, beta_z)
-    from fit, the proportional-hazards fit on (x, z). Any latent column is
-    ignored.
+    squares, with the exposure's sample mean and sd from the same passes,
+    and take (beta_x, beta_z) from fit, the proportional-hazards fit on
+    (x, z). Any latent column is ignored.
     """
-    x = dataset.column("x")
-    z = dataset.column("z")
-    alpha, gamma, sigma_z, se_alpha = ols_fit(x, z)
-    mu_x, sigma_x = empirical_moments(x)
+    alpha, gamma, sigma_z, se_alpha, mu_x, sigma_x = ols_fit(dataset.column("x"), dataset.column("z"))
     return FrontdoorParams(
         beta_x=fit.coef("x"),
         beta_z=fit.coef("z"),

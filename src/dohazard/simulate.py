@@ -181,6 +181,11 @@ class ScenarioConfig:
         expected = BackdoorCoefficients if self.dag_kind == "backdoor" else FrontdoorCoefficients
         if not isinstance(self.coefficients, expected):
             raise ValidationError(f"coefficients do not match dag_kind {self.dag_kind!r}")
+        # a frontdoor Z is the mediator line, which z_dist does not describe
+        if self.dag_kind == "frontdoor" and not isinstance(self.z_dist, StandardNormalZ):
+            raise ValidationError(
+                f"z_dist must be 'standard_normal' for dag_kind 'frontdoor', got {self.z_dist.to_dict()!r}"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -120,51 +120,21 @@ def _pairwise_sum(n: int, leaf):
     return node(0, n)
 
 
-def _finite_sums(columns, message: str) -> np.ndarray:
-    """np.add.reduce of each column, through _pairwise_sum, with
-    InvalidArgumentError(message) when a value is not finite."""
+def ols_fit(x, z) -> tuple[float, float, float, float, float, float]:
+    """Least-squares line of z on x, and x's sample moments.
 
-    def leaf(rows):
-        block = [c[rows] for c in columns]
-        if not all(np.isfinite(b).all() for b in block):
-            raise InvalidArgumentError(message)
-        return np.array([np.add.reduce(b) for b in block])
-
-    return _pairwise_sum(columns[0].size, leaf)
-
-
-def empirical_moments(sample) -> tuple[float, float]:
-    """Sample mean and standard deviation (n-1 denominator), with the bits
-    of np.mean and np.std(ddof=1): two passes of _pairwise_sum, the sum
-    and then the sum of squared deviations from the mean, so no
-    temporary is longer than _BLOCK."""
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise InvalidArgumentError("empirical_moments needs a 1-d sample of length >= 2")
-    n = x.size
-    mean = _finite_sums([x], "sample contains non-finite values")[0] / n
-
-    def squares(rows):
-        d = np.subtract(x[rows], mean)
-        return np.add.reduce(np.square(d, out=d))
-
-    return float(mean), float(np.sqrt(_pairwise_sum(n, squares) / (n - 1)))
-
-
-def ols_fit(x, z) -> tuple[float, float, float, float]:
-    """Least-squares line of z on x.
-
-    Returns (slope, intercept, residual sd, slope standard error), the
-    residual sd using the n-2 denominator and the slope's SE being
-    sigma / sqrt(sum (x - x_bar)^2). Raises DegenerateCovariateError when
-    x is constant.
+    Returns (slope, intercept, residual sd, slope standard error, mean of
+    x, sd of x), the residual sd using the n-2 denominator, the slope's SE
+    being sigma / sqrt(sum (x - x_bar)^2) and x's sd the n-1 one. Raises
+    DegenerateCovariateError when x is constant.
 
     Every sum has the bits of np.sum over the whole vectors and goes
     through _pairwise_sum, in three passes (the means; the sums of
     squares and products about them; the residual sum of squares), so no
-    temporary is longer than _BLOCK. They are sums of elementwise
-    products, not np.dot: BLAS splits a dot product across its threads,
-    so its bits would depend on the thread count.
+    temporary is longer than _BLOCK; x's mean and sd have the bits of
+    np.mean and np.std(ddof=1). They are sums of elementwise products, not
+    np.dot: BLAS splits a dot product across its threads, so its bits
+    would depend on the thread count.
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -173,7 +143,14 @@ def ols_fit(x, z) -> tuple[float, float, float, float]:
     n = x.size
     if n < 3:
         raise InvalidArgumentError(f"ols_fit needs length >= 3, got {n}")
-    x_bar, z_bar = _finite_sums([x, z], "ols_fit inputs contain non-finite values") / n
+
+    def sums(rows):
+        xs, zs = x[rows], z[rows]
+        if not (np.isfinite(xs).all() and np.isfinite(zs).all()):
+            raise InvalidArgumentError("ols_fit inputs contain non-finite values")
+        return np.array([np.add.reduce(xs), np.add.reduce(zs)])
+
+    x_bar, z_bar = _pairwise_sum(n, sums) / n
 
     def moments(rows):
         dx = np.subtract(x[rows], x_bar)
@@ -194,4 +171,4 @@ def ols_fit(x, z) -> tuple[float, float, float, float]:
         return np.add.reduce(np.square(resid, out=resid))
 
     sigma = math.sqrt(max(float(_pairwise_sum(n, residuals)), 0.0) / (n - 2))
-    return slope, intercept, sigma, sigma / math.sqrt(sxx)
+    return slope, intercept, sigma, sigma / math.sqrt(sxx), float(x_bar), math.sqrt(sxx / (n - 1))

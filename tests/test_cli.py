@@ -511,6 +511,7 @@ def test_experiment_config_validation(tmp_path, monkeypatch, capsys):
         ("oracle_n", True),
         ("emit", [["csv"]]),
         ("emit", "csv"),
+        ("emit", []),
         ("output_dir", 5),
         ("output_dir", "out"),
     ):

@@ -559,7 +559,7 @@ def test_prepared_sorts_as_a_stable_argsort(case):
         n_below = n - np.count_nonzero(tied)
         # columns out of order, and a run of them in order
         for names, columns in ((["minus_row", "row"], [1, 0]), (["row", "minus_row"], [0, 1])):
-            _, _, cohort = _prepared(dataset, names)
+            _, cohort = _prepared(dataset, names)
             x_s = covariates[order][:, columns]
             # the sorted rows below the largest time, one contiguous row per name
             assert cohort.x_below.flags.c_contiguous and cohort.x_below.tobytes() == x_s[:n_below].T.tobytes()
@@ -645,16 +645,14 @@ def sorted_cohorts(draw):
     and at times a run of -0.0 rows at the end, each an event at its own
     time, so that the rows at the largest time are one row, and numpy's
     pairwise sum of their -0.0 terms reads +0.0. p, the number of
-    covariates summed, runs from 0 to 4; beta and x_s hold max(p, 1)
-    columns, so that eta is never all zeros, and at p = 0 the sums take
-    exp(eta) alone, as breslow_baseline sums it."""
+    covariates, runs from 1 to 4."""
     n = draw(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]))
-    p = draw(st.integers(0, 4))
+    p = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t_s = np.sort(rng.integers(1, 1 + draw(st.sampled_from([1, 7, 500, 4 * n])), n)).astype(np.float64)
     d_s = rng.random(n) < draw(st.sampled_from([0.01, 0.5, 1.0]))
     d_s[draw(st.integers(0, n - 1))] = True
-    x_s = rng.normal(size=(n, max(p, 1)))
+    x_s = rng.normal(size=(n, p))
     x_s[rng.random(x_s.shape) < 0.05] = 0.0
     x_s[rng.random(x_s.shape) < 0.05] = -0.0
     tail = draw(st.sampled_from([0, 1, 3]))
@@ -683,15 +681,15 @@ def test_blocked_tail_sums_equal_whole_array_sums(case, shuffle, layout):
         covariates=x_s[rows].copy(order=layout),
         covariate_names=[f"c{j}" for j in range(x_s.shape[1])],
     )
-    _, _, cohort = _prepared(dataset, None)
-    want = reference_sums(dataset, None, beta, p)[:3]
+    _, cohort = _prepared(dataset, None)
+    s0, s1, s2 = reference_sums(dataset, None, beta, p)[:3]
+    i, j = np.triu_indices(p)
+    want = np.column_stack([s0, s1, s2[:, i, j]])
     # _head_sums takes eta and exp(eta) chunk by chunk and block by block;
     # its sums must equal those of one product and one np.exp over the
     # whole array, summed as the reference sums them
-    for got, expected in zip(_head_sums(beta, cohort, moments=p > 0), want):
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-    if not p:
-        return
+    got = _head_sums(beta, cohort)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
     for got, expected in zip(_nlpl(beta, cohort), reference_nlpl(dataset, None, beta)):
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
@@ -806,11 +804,9 @@ def test_tied_totals_are_within_2_ulp_of_fsum():
     dataset = dh.Dataset(time=dataset.time, event=event, covariates=dataset.covariates,
                          covariate_names=dataset.covariate_names)
     beta = np.array([0.298, 0.401])
-    _, _, cohort = _prepared(dataset, None)
-    s0, s1, s2 = _head_sums(beta, cohort)
-    got = [s0[-1], *s1[-1], s2[-1, 0, 0], s2[-1, 0, 1], s2[-1, 1, 1]]
+    _, cohort = _prepared(dataset, None)
     terms = risk_set_terms(dataset.covariates[tied], beta, 2)
-    for value, column in zip(got, terms.T):
+    for value, column in zip(_head_sums(beta, cohort)[-1], terms.T, strict=True):
         exact = math.fsum(column)
         assert abs(value - exact) <= 2 * np.spacing(abs(exact))
 
@@ -837,17 +833,17 @@ def test_head_sums_hold_only_their_block_buffers():
             covariates=covariates.copy(order=layout),
             covariate_names=["x", "z"],
         )
-        _, _, cohort = _prepared(dataset, None)
+        _, cohort = _prepared(dataset, None)
         assert cohort.x_below.shape[1] > _BLOCK
         _head_sums(beta, cohort)  # first-call allocations
         tracemalloc.start()
         try:
-            s0, s1, s2 = _head_sums(beta, cohort)
+            sums = _head_sums(beta, cohort)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert s1.base is s0.base and s2.base is None
-        returned = s0.base.nbytes + s2.nbytes
+        assert sums.shape == (cohort.head.size, k) and sums.base is None
+        returned = sums.nbytes
         assert peak - returned <= (k * (_BLOCK + 1) + 2 * _BLOCK) * 8 + 64 * 1024
 
 
@@ -880,7 +876,7 @@ def test_prepared_order_is_the_stable_time_sort(ties):
     event = rng.random(n) < 0.3
     covariates = rng.normal(size=(n, 2))
     dataset = dh.Dataset(time=time, event=event, covariates=covariates, covariate_names=["x", "z"])
-    _, _, cohort = _prepared(dataset, None)
+    _, cohort = _prepared(dataset, None)
     order = np.argsort(time, kind="stable")
     below = order[:cohort.x_below.shape[1]]
     assert np.all(time[below] < 10.0) and np.all(time[order[below.size:]] == 10.0)
@@ -889,9 +885,9 @@ def test_prepared_order_is_the_stable_time_sort(ties):
 
 
 def test_nlpl_returns_s0_apart_from_its_sums():
-    # a view would keep the evaluation's (events, 1 + p) sums alive
+    # a view would keep the evaluation's (events, k) sums alive
     dataset = dh.generate(make_backdoor_config(n_subjects=2_000))
-    _, beta, cohort = _prepared(dataset, None, [0.3, 0.4])
+    beta, cohort = _prepared(dataset, None, [0.3, 0.4])
     *_, s0 = _nlpl(beta, cohort)
     assert s0.base is None
-    assert s0.tobytes() == _head_sums(beta, cohort)[0].tobytes()
+    assert s0.tobytes() == _head_sums(beta, cohort)[:, 0].tobytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dohazard as dh
+from dohazard import stats
 
 from conftest import make_frontdoor_config, make_tiny_dataset
 from test_backdoor import hand_fit
@@ -31,6 +32,17 @@ def test_param_recovery_reference(frontdoor_params):
     assert p.mu_x == pytest.approx(0.0, abs=0.02)
     assert p.sigma_x == pytest.approx(1.0, rel=0.05)  # sqrt(0.8^2 + 0.6^2)
     assert p.sigma_z == pytest.approx(0.5, rel=0.05)
+
+
+def test_params_take_three_passes_over_the_cohort(frontdoor_dataset, frontdoor_fit, monkeypatch):
+    # the exposure moments come from the mediator line's own passes
+    passes = []
+    pairwise_sum = stats._pairwise_sum
+    monkeypatch.setattr(stats, "_pairwise_sum", lambda n, leaf: passes.append(n) or pairwise_sum(n, leaf))
+    params = dh.estimate_frontdoor_params(frontdoor_dataset, frontdoor_fit)
+    assert passes == [frontdoor_dataset.n] * 3
+    x = frontdoor_dataset.column("x")
+    assert (params.mu_x, params.sigma_x) == (float(np.mean(x)), float(np.std(x, ddof=1)))
 
 
 def test_param_estimation_alpha_zero():

@@ -846,12 +846,19 @@ def test_load_never_reads_a_cache_without_its_csv(tmp_path):
 
 
 def test_load_takes_the_roles_from_the_csv_header(tmp_path):
-    # a covariate named u_latent is the hidden column once written as CSV;
+    # a CSV column named u_latent is the hidden column wherever it stands;
     # the cache holds the columns in the CSV's order, so it may be read only
-    # where that is the order of the loaded columns: u_latent last
+    # where that is the order of the loaded columns: u_latent last. Dataset
+    # refuses a covariate of that name, so the CSV and its cache are written
+    # here as save_dataset wrote them while it took one.
     path = tmp_path / "cohort.csv"
     for names, covariates in [(["u_latent"], [[0.5], [0.25]]), (["a", "u_latent", "b"], [[3.0, 0.5, 4.0], [5.0, 0.25, 6.0]])]:
-        dh.save_dataset(dh.Dataset(time=[1.0, 2.0], event=[1, 0], covariates=covariates, covariate_names=names), path)
+        rows = [["time", "event", *names]] + [[f"{t:.17g}", d, *(f"{v:.17g}" for v in row)]
+                                              for t, d, row in zip([1.0, 2.0], [1, 0], covariates)]
+        data = "".join(",".join(map(str, row)) + "\r\n" for row in rows).encode()
+        path.write_bytes(data)
+        columns = [np.array([1.0, 2.0]), np.array([True, False]), *np.array(covariates).T]
+        cohort._write_cache(columns, path, hashlib.sha256(data).digest())
         got = dh.load_dataset(path)
         assert got.covariate_names == [n for n in names if n != "u_latent"] and got.u_latent.tolist() == [0.5, 0.25]
         assert_same_cohort(got, load_csv(path))
@@ -1003,6 +1010,12 @@ def test_config_type_checks():
     raw["z_dist"] = {"kind": "poisson"}
     with pytest.raises(dh.ValidationError, match="z_dist"):
         dh.ScenarioConfig.from_dict(raw)
+    # a frontdoor Z is the mediator line: a Z law would be echoed, not drawn
+    raw = {**make_frontdoor_config().to_dict(), "z_dist": {"kind": "bernoulli", "p": 0.3}}
+    with pytest.raises(dh.ValidationError, match="z_dist"):
+        dh.ScenarioConfig.from_dict(raw)
+    with pytest.raises(dh.ValidationError, match="z_dist"):
+        make_frontdoor_config(z_dist=dh.BernoulliZ(0.3))
     # every scenario number is a finite JSON number, and a refusal names
     # its dotted field: no string, boolean, list or float-overflowing int
     # passes, and none escapes as a TypeError or an OverflowError
@@ -1046,6 +1059,11 @@ def test_dataset_validation():
             dh.Dataset(time=[1.0, 2.0, 3.0], event=event, covariates=np.zeros((3, 1)), covariate_names=["x"])
     ds = dh.Dataset(time=[1.0, 2.0, 3.0], event=[1, 0, 1], covariates=np.zeros((3, 1)), covariate_names=["x"])
     assert ds.event.tolist() == [True, False, True] and ds.n_events == 2
+    # save_dataset writes these columns beside the covariates, and a CSV
+    # that repeats a column name cannot be loaded
+    for name in ("time", "event", "u_latent"):
+        with pytest.raises(dh.ValidationError, match=name):
+            dh.Dataset(time=[1.0, 2.0], event=[1, 0], covariates=np.zeros((2, 2)), covariate_names=["x", name])
 
 
 def test_dataset_column_lookup():
@@ -1062,7 +1080,8 @@ def test_dataset_column_lookup():
 
 @st.composite
 def scm_scenarios(draw, **coefficient_overrides):
-    """A small scenario over both DAGs, both baseline kinds and both Z laws."""
+    """A small scenario over both DAGs, both baseline kinds and, for the
+    backdoor DAG, both Z laws."""
     moderate = st.floats(-1.0, 1.0)
     sd = st.floats(0.0, 1.5)
     if draw(st.sampled_from(["backdoor", "frontdoor"])) == "backdoor":
@@ -1079,7 +1098,10 @@ def scm_scenarios(draw, **coefficient_overrides):
         hazard = dh.ExponentialHazard(draw(st.floats(1e-3, 0.5)))
     else:
         hazard = dh.WeibullHazard(draw(st.floats(0.5, 3.0)), draw(st.floats(1.0, 50.0)))
-    z_dist = dh.BernoulliZ(draw(st.floats(0.0, 1.0))) if draw(st.booleans()) else dh.StandardNormalZ()
+    if dag_kind == "backdoor" and draw(st.booleans()):
+        z_dist = dh.BernoulliZ(draw(st.floats(0.0, 1.0)))
+    else:
+        z_dist = dh.StandardNormalZ()
     return dh.ScenarioConfig(
         dag_kind=dag_kind,
         n_subjects=draw(st.integers(1, 40)),

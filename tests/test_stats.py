@@ -82,14 +82,14 @@ def test_gaussian_moment_invalid_inputs():
 
 
 def test_ols_exact_line():
-    slope, intercept, resid_sd, _ = dh.ols_fit([0.0, 1.0, 2.0], [0.0, 2.0, 4.0])
+    slope, intercept, resid_sd, *_ = dh.ols_fit([0.0, 1.0, 2.0], [0.0, 2.0, 4.0])
     assert slope == pytest.approx(2.0, abs=1e-14)
     assert intercept == pytest.approx(0.0, abs=1e-14)
     assert resid_sd == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ols_three_point_example():
-    slope, intercept, resid_sd, slope_se = dh.ols_fit([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
+    slope, intercept, resid_sd, slope_se, *_ = dh.ols_fit([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
     assert slope == pytest.approx(1.5, rel=1e-14)
     assert intercept == pytest.approx(-1.0 / 6.0, rel=1e-12)
     assert resid_sd == pytest.approx(math.sqrt(1.0 / 6.0), rel=1e-12)
@@ -103,7 +103,7 @@ def test_ols_residual_orthogonality():
         n = int(rng.integers(3, 60))
         x = rng.normal(size=n)
         z = 0.7 * x + rng.normal(size=n)
-        slope, intercept, _, _ = dh.ols_fit(x, z)
+        slope, intercept, *_ = dh.ols_fit(x, z)
         resid = z - (intercept + slope * x)
         scale = max(1.0, float(np.abs(z).max())) * n
         assert abs(float(resid @ x)) <= 1e-9 * scale
@@ -119,26 +119,15 @@ def test_ols_errors():
         dh.ols_fit([0.0, 1.0, 2.0], [0.0, 1.0])
     with pytest.raises(dh.InvalidArgumentError):
         dh.ols_fit([0.0, 1.0, math.nan], [0.0, 1.0, 2.0])
+    with pytest.raises(dh.InvalidArgumentError):
+        dh.ols_fit([0.0, 1.0, math.inf], [0.0, 1.0, 2.0])
 
 
-def test_empirical_moments_example():
-    mean, sd = dh.empirical_moments([1.0, 2.0, 3.0, 4.0])
+def test_ols_fit_exposure_moments_example():
+    *_, mean, sd = dh.ols_fit([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 2.0])
     assert mean == pytest.approx(2.5, rel=1e-15)
     assert sd == pytest.approx(math.sqrt(5.0 / 3.0), rel=1e-14)
     assert sd == pytest.approx(1.29099, abs=5e-6)
-
-
-def test_empirical_moments_constant():
-    mean, sd = dh.empirical_moments([3.0, 3.0, 3.0])
-    assert mean == 3.0
-    assert sd == 0.0
-
-
-def test_empirical_moments_errors():
-    with pytest.raises(dh.InvalidArgumentError):
-        dh.empirical_moments([1.0])
-    with pytest.raises(dh.InvalidArgumentError):
-        dh.empirical_moments([1.0, math.inf])
 
 
 def test_stream_golden_values():
@@ -301,8 +290,8 @@ def test_ols_fit_and_moments_have_the_bits_of_whole_array_sums(n):
     # generate's covariates are row-major, a loaded cohort's column-major
     for dataset in (cohort, as_loaded(cohort)):
         x, z = dataset.column("x"), dataset.column("z")
-        assert [v.hex() for v in dh.ols_fit(x, z)] == [v.hex() for v in whole_array_ols(x, z)]
-        mean, sd = dh.empirical_moments(x)
+        *line, mean, sd = dh.ols_fit(x, z)
+        assert [v.hex() for v in line] == [v.hex() for v in whole_array_ols(x, z)]
         assert (mean.hex(), sd.hex()) == (float(np.mean(x)).hex(), float(np.std(x, ddof=1)).hex())
 
 
@@ -323,4 +312,3 @@ def test_ols_fit_and_moments_hold_no_cohort_sized_array():
     for dataset in (cohort, as_loaded(cohort)):
         x, z = dataset.column("x"), dataset.column("z")
         assert traced_peak(lambda: dh.ols_fit(x, z)) < 4 * 8 * _BLOCK
-        assert traced_peak(lambda: dh.empirical_moments(x)) < 4 * 8 * _BLOCK
