@@ -130,6 +130,17 @@ def test_ols_fit_exposure_moments_example():
     assert sd == pytest.approx(1.29099, abs=5e-6)
 
 
+def test_empirical_moments_errors():
+    # the exposure moments come from ols_fit, which refuses a sample too
+    # short for an n-1 sd or a non-finite exposure before summing anything
+    with pytest.raises(dh.InvalidArgumentError, match="length >= 3"):
+        dh.ols_fit([1.0], [0.0])
+    with pytest.raises(dh.InvalidArgumentError, match="non-finite"):
+        dh.ols_fit([1.0, math.inf, 2.0], [0.0, 1.0, 2.0])
+    with pytest.raises(dh.InvalidArgumentError, match="non-finite"):
+        dh.ols_fit([1.0, -math.inf, 2.0], [0.0, 1.0, 2.0])
+
+
 def test_stream_golden_values():
     s = dh.RngStream(42, 0)
     got = [s.uniform() for _ in range(3)]
