@@ -54,6 +54,11 @@ _CACHE_MAGIC = b"DOHCOLS1"
 class Dataset:
     """Column-oriented cohort with named covariates.
 
+    The covariates are stored column-major (order "F"), so each covariate
+    is one contiguous column: an input already laid out so, as generate
+    and load_dataset return, is not copied, and any other layout is copied
+    once.
+
     ``u_latent`` holds the hidden confounder of the mediated DAG. It is kept
     outside the covariate matrix, so estimators that select covariates by
     name can never see it; only the intervention oracle reads it.
@@ -71,7 +76,7 @@ class Dataset:
         if event.dtype != bool and not np.all((event == 0) | (event == 1)):
             raise ValidationError("event must hold only 0 and 1 (or booleans)")
         self.event = event.astype(bool, copy=False)
-        self.covariates = np.asarray(self.covariates, dtype=np.float64)
+        self.covariates = np.asarray(self.covariates, dtype=np.float64, order="F")
         if self.covariates.ndim != 2:
             raise ValidationError("covariates must be a 2-d matrix")
         n = self.time.shape[0]
@@ -230,7 +235,8 @@ def _csv_rows(columns):
     dropping every NUL byte of the buffer (bytes.translate) leaves the
     block's CSV bytes. A block's 8-byte temporaries stay at 64 KiB,
     below glibc's mmap threshold; the larger buffers are allocated once
-    here and reused for every block.
+    and reused for every block, _fixed_texts' only on the first block
+    that has a value from 10 up to lay out.
 
     A cohort of a rare outcome has most of its times at the horizon, where
     follow-up ends, bit for bit. So each float column's maximum is formatted
@@ -242,12 +248,8 @@ def _csv_rows(columns):
     seps = [b","] * (len(columns) - 1) + [b"\r\n"]
     slots = np.cumsum([0] + [3 if k == 1 else _FIELD for k in range(len(columns))])
     rows = np.empty((min(n, _BLOCK), slots[-1]), dtype=np.uint8)
-    scratch = (
-        np.empty((_BLOCK, _FIELD), dtype=np.uint8),
-        np.empty((_BLOCK, _FIELD), dtype=np.uint8),
-        np.empty((_BLOCK, _FIELD), dtype=np.intp),
-        np.empty((_BLOCK, _DIGIT_WORDS), dtype=np.uint32),
-    )
+    field = np.empty((_BLOCK, _FIELD), dtype=np.uint8)
+    scratch = []  # _fixed_texts' buffers, once a block needs them
     tops = {}  # column k -> (the bits of its maximum, that value's field)
     for k, (column, sep) in enumerate(zip(columns, seps)):
         if k != 1:
@@ -267,17 +269,18 @@ def _csv_rows(columns):
             if 2 * np.count_nonzero(tied) > len(values):
                 rest = np.flatnonzero(~tied)
                 slot[:] = top_field
-                slot[rest] = _format_floats(values[rest], sep, *scratch)
+                slot[rest] = _format_floats(values[rest], sep, field, scratch)
             else:
-                slot[:] = _format_floats(values, sep, *scratch)
+                slot[:] = _format_floats(values, sep, field, scratch)
         yield block.tobytes().translate(None, b"\0")
 
 
-def _format_floats(values, sep: bytes, field, texts, index, digits):
+def _format_floats(values, sep: bytes, field, scratch: list):
     """The %.17g text of each value followed by sep, as the rows of
     field[:len(values)]: _FIELD bytes each, with NULs where there is no
-    text. len(values) <= _BLOCK; field, texts, index and digits are scratch
-    buffers of _BLOCK rows that the caller reuses.
+    text. len(values) <= _BLOCK; field is a scratch buffer of _BLOCK rows,
+    and scratch the list of _fixed_texts' buffers, both reused by the
+    caller.
 
     A value takes the exact path below when it is a finite normal double
     with decimal exponent x in -4..16 and |v| < 2**52 (so that %.17g writes
@@ -347,7 +350,7 @@ def _format_floats(values, sep: bytes, field, texts, index, digits):
     above = np.flatnonzero(exact & (x > 0))
     if len(above):
         field[above] = _fixed_texts(
-            sign[above], x[above], d0[above], (c1[above], c2[above], c3[above], c4[above]), sep, texts, index, digits
+            sign[above], x[above], d0[above], (c1[above], c2[above], c3[above], c4[above]), sep, scratch
         )
     other = np.flatnonzero(~exact)
     if len(other):
@@ -355,12 +358,20 @@ def _format_floats(values, sep: bytes, field, texts, index, digits):
     return field[:n]
 
 
-def _fixed_texts(sign, x, d0, chunks, sep: bytes, texts, index, digits):
+def _fixed_texts(sign, x, d0, chunks, sep: bytes, scratch: list):
     """The texts of _format_floats' exact-path values with x in 1..16, with
     sep, as the rows of texts[:len(x)], left-aligned and NUL-padded: each
     digit row is laid out by _LAYOUT, keyed by the sign, x and the number
-    of digits left once trailing zeros are stripped. index and digits are
-    scratch buffers of _BLOCK rows."""
+    of digits left once trailing zeros are stripped. scratch holds the
+    buffers texts, index and digits, of _BLOCK rows each; when it is empty,
+    they are allocated into it, for the caller to pass again."""
+    if not scratch:
+        scratch += [
+            np.empty((_BLOCK, _FIELD), dtype=np.uint8),
+            np.empty((_BLOCK, _FIELD), dtype=np.intp),
+            np.empty((_BLOCK, _DIGIT_WORDS), dtype=np.uint32),
+        ]
+    texts, index, digits = scratch
     m = len(x)
     c1, c2, c3, c4 = chunks
     digits = digits[:m]

@@ -21,9 +21,10 @@ sums _head_sums reads at each event's tie head; the baseline takes s0
 from the same evaluation. In a rare-outcome cohort most rows are
 censored at the horizon, tied at the largest time, and every risk set
 holds all of them: so only the other rows are sorted and copied, and the
-tied rows' total is summed once per evaluation, pairwise. Beyond the
-cohort the one cohort-sized array is the mask of tied rows (n bytes); the
-rest is O(rows below the largest time * p + _BLOCK * p^2 + events * p^2).
+tied rows' total is summed once per evaluation, pairwise, read a chunk at
+a time from the cohort's contiguous columns (Dataset stores them
+column-major). Beyond the cohort no cohort-sized array is held: the fit's
+memory is O(rows below the largest time * p + _BLOCK * p^2 + events * p^2).
 """
 
 from __future__ import annotations
@@ -105,21 +106,21 @@ class _Sorted:
     """A cohort's named covariates in the order of one stable time sort,
     np.argsort(time, kind="stable"), without a sorted copy of the cohort.
 
-    That order is the rows below the largest time, stably sorted, then the
-    rows tied at the largest time in row order, which is where a stable
-    sort puts them. In a rare-outcome cohort most rows are censored at the
-    horizon, so only the others are sorted and copied, into x_below, one
-    contiguous row per name, and the tied rows are read from the cohort
-    through the mask tied. x_ev holds the event rows' covariates in time
-    order (C order, one row per event), head the tie head of each event row
-    (the sorted position of the first row of its time: rows sharing a time
-    share the risk set, so a reversed cumulative sum read at the head is
-    that risk set's sum; an event at the largest time has head n_below) and
-    event_times the time of each event row."""
+    That order is the rows below the largest time top, stably sorted, then
+    the rows tied at top in row order, which is where a stable sort puts
+    them. In a rare-outcome cohort most rows are censored at the horizon,
+    so only the others are sorted and copied, into x_below, one contiguous
+    row per name, and the tied rows are read from the cohort's contiguous
+    columns, a chunk at a time, where time == top. x_ev holds the event
+    rows' covariates in time order (C order, one row per event), head the
+    tie head of each event row (the sorted position of the first row of its
+    time: rows sharing a time share the risk set, so a reversed cumulative
+    sum read at the head is that risk set's sum; an event at the largest
+    time has head n_below) and event_times the time of each event row."""
 
     dataset: Dataset
     names: list
-    tied: np.ndarray
+    top: float
     x_below: np.ndarray
     x_ev: np.ndarray
     head: np.ndarray
@@ -128,10 +129,10 @@ class _Sorted:
 
 def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     """Every input check plus the stable time sort: (beta, sorted), sorted
-    the _Sorted cohort. Only the rows below the largest time are
-    sorted, and only their sorted times are kept to find the heads; beyond
-    the cohort, the mask of tied rows is the only cohort-sized array held.
-    beta, when given, must have one entry per design column."""
+    the _Sorted cohort. Only the rows below the largest time are sorted,
+    and their sorted times are kept only to find the heads; beyond the
+    cohort, no cohort-sized array is formed. beta, when given, must have
+    one entry per design column."""
     names = list(covariate_names) if covariate_names is not None else list(dataset.covariate_names)
     if not names:
         raise InvalidArgumentError("at least one covariate is required")
@@ -147,8 +148,16 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     if dataset.n_events == 0:
         raise NoEventsError("no events in the data; the partial likelihood and baseline hazard are undefined")
     time = dataset.time
-    tied = time == time.max()
-    below = np.flatnonzero(~tied)
+    top = float(time.max())
+    # the rows below top and the events at top, a _BLOCK-row chunk at a
+    # time, so that no mask of the whole cohort is formed
+    below, tied_events = [], []
+    for start in range(0, dataset.n, _BLOCK):
+        chunk = slice(start, start + _BLOCK)
+        tied = time[chunk] == top
+        below.append(np.flatnonzero(~tied) + start)
+        tied_events.append(np.flatnonzero(tied & dataset.event[chunk]) + start)
+    below, tied_events = np.concatenate(below), np.concatenate(tied_events)
     # Without tied times the sorted order is unique, so numpy's default sort
     # gives the stable sort's permutation; only ties need the stable one.
     # Either way the sorted times are the same values.
@@ -158,20 +167,25 @@ def _prepared(dataset: Dataset, covariate_names, beta=None) -> tuple:
     if np.any(t_sorted[1:] == t_sorted[:-1]):
         sort = np.argsort(t_below, kind="stable")
     below, t_below = below[sort], t_sorted
-    events = np.concatenate([below[dataset.event[below]], np.flatnonzero(dataset.event & tied)])
+    del sort, t_sorted  # each row-length temporary goes once used, before x_below and x_ev are formed
+    events = np.concatenate([below[dataset.event[below]], tied_events])
     event_times = time[events]
     # every time in t_below is below the largest, so an event at the largest
     # time finds its head just past them: the first tied row
     head = np.searchsorted(t_below, event_times, side="left")
+    del t_below
     x_below = np.empty((len(names), below.size))
-    for x, name in zip(x_below, names):
-        np.take(dataset.column(name), below, out=x)
+    x_ev = np.empty((events.size, len(names)))
+    for j, name in enumerate(names):
+        column = dataset.column(name)
+        np.take(column, below, out=x_below[j])
+        x_ev[:, j] = column[events]
     return beta, _Sorted(
         dataset=dataset,
         names=names,
-        tied=tied,
+        top=top,
         x_below=x_below,
-        x_ev=np.column_stack([dataset.column(name)[events] for name in names]),
+        x_ev=x_ev,
         head=head,
         event_times=event_times,
     )
@@ -225,10 +239,10 @@ def _head_sums(beta, cohort: _Sorted) -> np.ndarray:
     buf = np.empty((sums.shape[1], min(n, _BLOCK) + 1))
     total = buf[:, 0]
     total[:] = 0.0
-    columns = [cohort.dataset.column(c) for c in cohort.names]
+    time, columns = cohort.dataset.time, [cohort.dataset.column(c) for c in cohort.names]
     for start in range(0, n, _BLOCK):
         chunk = slice(start, start + _BLOCK)
-        rows = np.flatnonzero(cohort.tied[chunk])
+        rows = np.flatnonzero(time[chunk] == cohort.top)
         if not rows.size:
             continue
         block = buf[:, 1:rows.size + 1]

@@ -329,15 +329,17 @@ def generate(config: ScenarioConfig) -> Dataset:
     The columns are preallocated and filled block by block from
     _scm_blocks, each block censored by the next draws of one censoring
     stream; like the structural streams it is read on from block to block,
-    so the cohort is the censored whole-array draw bit for bit. Beyond the
-    returned columns, memory is a few blocks of temporaries. A cohort too
-    large to allocate raises ValidationError naming n_subjects.
+    so the cohort is the censored whole-array draw bit for bit. The
+    covariates are column-major, as Dataset stores them, so each block
+    fills a contiguous run of each column and Dataset copies nothing.
+    Beyond the returned columns, memory is a few blocks of temporaries. A
+    cohort too large to allocate raises ValidationError naming n_subjects.
     """
     n = config.n_subjects
     blocks = _scm_blocks(config, n, config.seed)
     censor = RngStream(config.seed, _STREAM_CENSOR)
     try:
-        time, event, covariates = np.empty(n), np.empty(n, dtype=bool), np.empty((n, 2))
+        time, event, covariates = np.empty(n), np.empty(n, dtype=bool), np.empty((n, 2), order="F")
         u_latent = np.empty(n) if config.dag_kind == "frontdoor" else None
     except (MemoryError, ValueError) as exc:
         raise ValidationError(f"n_subjects is too large to hold in memory, got {n}: {exc}") from None

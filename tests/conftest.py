@@ -95,18 +95,6 @@ def make_tiny_dataset(time, event, x, z=None, u=None):
     )
 
 
-def as_loaded(dataset):
-    """dataset with its covariates column-major, as load_dataset returns
-    a cohort."""
-    return dh.Dataset(
-        time=dataset.time,
-        event=dataset.event,
-        covariates=np.asfortranarray(dataset.covariates),
-        covariate_names=dataset.covariate_names,
-        u_latent=dataset.u_latent,
-    )
-
-
 @pytest.fixture(scope="session")
 def backdoor_config():
     return make_backdoor_config()

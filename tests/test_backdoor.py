@@ -7,7 +7,7 @@ import pytest
 import dohazard as dh
 from dohazard.stats import _BLOCK
 
-from conftest import as_loaded, make_backdoor_config, make_tiny_dataset
+from conftest import make_backdoor_config, make_tiny_dataset
 from truth import GaussianSpec, gaussian_exponential_moment, whole_array_eta
 
 
@@ -255,22 +255,17 @@ def test_naive_rr_single_covariate(backdoor_dataset):
 
 def test_compute_az_holds_one_cohort_sized_column(backdoor_fit):
     n = 200_000
-    cohort = dh.generate(make_backdoor_config(n_subjects=n))
-    results = []
-    # generate's covariates are row-major, a loaded cohort's column-major
-    for dataset in (cohort, as_loaded(cohort)):
-        dh.compute_az(dataset, backdoor_fit, ["z"])  # first-call allocations
-        tracemalloc.start()
-        try:
-            results.append(dh.compute_az(dataset, backdoor_fit, ["z"]))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one n-length float64 column is 1.6 MB; a copy of the cohort's
-        # covariates would add 3.2 MB, and exp(eta) beside eta 1.6 MB
-        assert peak < 8 * n + 64 * 1024
-    # the linear predictor is summed column by column, so the layout moves no bit
-    assert results[0] == results[1]
+    dataset = dh.generate(make_backdoor_config(n_subjects=n))
+    dh.compute_az(dataset, backdoor_fit, ["z"])  # first-call allocations
+    tracemalloc.start()
+    try:
+        dh.compute_az(dataset, backdoor_fit, ["z"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n-length float64 column is 1.6 MB; a copy of the cohort's
+    # covariates would add 3.2 MB, and exp(eta) beside eta 1.6 MB
+    assert peak < 8 * n + 64 * 1024
 
 
 @pytest.mark.parametrize("z_columns", [["z"], []])
@@ -284,10 +279,8 @@ def test_compute_az_has_the_bits_of_whole_array_means(backdoor_fit, n, z_columns
         float(np.max(joint_risk) * backdoor_fit.baseline_cumhaz(10.0)),
         float(np.mean(np.exp(whole_array_eta(cohort, z_columns, beta_z)))),
     )
-    # generate's covariates are row-major, a loaded cohort's column-major
-    for dataset in (cohort, as_loaded(cohort)):
-        s = dh.compute_az(dataset, backdoor_fit, z_columns, horizon_t=10.0)
-        assert [v.hex() for v in (s.mean_joint_risk, s.max_cumhaz, s.a_z)] == [v.hex() for v in want]
+    s = dh.compute_az(cohort, backdoor_fit, z_columns, horizon_t=10.0)
+    assert [v.hex() for v in (s.mean_joint_risk, s.max_cumhaz, s.a_z)] == [v.hex() for v in want]
     if not z_columns:
         assert s.a_z == 1.0
 
@@ -295,13 +288,12 @@ def test_compute_az_has_the_bits_of_whole_array_means(backdoor_fit, n, z_columns
 def test_compute_az_holds_no_cohort_sized_array(backdoor_fit):
     # one 200k-row float64 column is 1.6 MB; the bound is a few _BLOCK-row
     # temporaries and does not grow with n
-    cohort = dh.generate(make_backdoor_config(n_subjects=200_000))
-    for dataset in (cohort, as_loaded(cohort)):
-        dh.compute_az(dataset, backdoor_fit, ["z"])  # first-call allocations
-        tracemalloc.start()
-        try:
-            dh.compute_az(dataset, backdoor_fit, ["z"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 8 * _BLOCK
+    dataset = dh.generate(make_backdoor_config(n_subjects=200_000))
+    dh.compute_az(dataset, backdoor_fit, ["z"])  # first-call allocations
+    tracemalloc.start()
+    try:
+        dh.compute_az(dataset, backdoor_fit, ["z"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * _BLOCK

@@ -9,7 +9,7 @@ import pytest
 import dohazard as dh
 from dohazard import cli
 
-from conftest import make_backdoor_config, make_frontdoor_config, toolchain_note
+from conftest import PINNED_TOOLCHAIN, make_backdoor_config, make_frontdoor_config, toolchain_note
 
 
 def write_scenario(path, config):
@@ -568,6 +568,17 @@ PINNED_DIGESTS = {
     "simulate backdoor cohort.csv": "ea5c55f8b84d75989fcebb1d647be27531f7a8f274ea5b6549b096ef64917eba",
     "simulate frontdoor cohort.csv": "d704a4a7db273d2967b8c171c603b49c3a74017895d29041adbafa3744c2284d",
 }
+
+
+def test_ci_installs_the_pinned_toolchain():
+    # CI's Install step takes its numpy and scipy from constraints.txt, so
+    # those must be the versions the digests are pinned for
+    root = Path(__file__).parents[1]
+    lines = (root / "constraints.txt").read_text().splitlines()
+    pins = dict(line.split("==") for line in lines if line and not line.startswith("#"))
+    assert pins.keys() == {"numpy", "scipy"}
+    assert PINNED_TOOLCHAIN.startswith(f"numpy {pins['numpy']}, scipy {pins['scipy']}, ")
+    assert 'pip install -e ".[test]" -c constraints.txt' in (root / ".github/workflows/tests.yml").read_text()
 
 
 def test_cli_outputs_match_pinned_digests(tmp_path):

@@ -12,7 +12,7 @@ import dohazard as dh
 from dohazard import cox
 from dohazard.cox import _BLOCK, _breslow, _head_sums, _nlpl, _prepared, breslow_baseline, neg_log_partial_likelihood
 
-from conftest import make_backdoor_config, make_tiny_dataset
+from conftest import make_backdoor_config, make_frontdoor_config, make_tiny_dataset
 
 
 def three_subject_fixture():
@@ -544,14 +544,14 @@ def test_prepared_sorts_as_a_stable_argsort(case):
     time, event = case
     n = len(time)
     covariates = np.stack([np.arange(n), -np.arange(n), np.ones(n)], axis=1)
-    for layout in ("C", "F"):  # F: a loaded cohort's covariates are column-major
+    for layout in ("C", "F"):  # Dataset stores either column-major
         dataset = dh.Dataset(
             time=time,
             event=event,
             covariates=covariates.copy(order=layout),
             covariate_names=["row", "minus_row", "one"],
         )
-        assert dataset.covariates.flags[f"{layout}_CONTIGUOUS"]
+        assert dataset.covariates.flags.f_contiguous
         order = np.argsort(dataset.time, kind="stable")
         t_s = dataset.time[order]
         want_ev = np.flatnonzero(dataset.event[order])
@@ -564,7 +564,7 @@ def test_prepared_sorts_as_a_stable_argsort(case):
             # the sorted rows below the largest time, one contiguous row per name
             assert cohort.x_below.flags.c_contiguous and cohort.x_below.tobytes() == x_s[:n_below].T.tobytes()
             # the tied rows, read from the cohort in row order, end the sort
-            assert np.array_equal(cohort.tied, tied)
+            assert np.array_equal(dataset.time == cohort.top, tied)
             assert covariates[tied][:, columns].tobytes() == x_s[n_below:].tobytes()
             assert cohort.x_ev.flags.c_contiguous and cohort.x_ev.tobytes() == x_s[want_ev].tobytes()
             assert np.array_equal(cohort.head, np.searchsorted(t_s, t_s[want_ev], side="left"))
@@ -826,7 +826,7 @@ def test_head_sums_hold_only_their_block_buffers():
     event[np.flatnonzero(tied)[:5]] = True
     covariates = rng.normal(size=(n, p))
     beta = np.array([0.3, 0.4])
-    for layout in ("C", "F"):  # F: a loaded cohort's covariates are column-major
+    for layout in ("C", "F"):  # Dataset stores either column-major
         dataset = dh.Dataset(
             time=np.where(tied, 10.0, rng.uniform(0.1, 9.0, n)),
             event=event,
@@ -857,10 +857,27 @@ def test_fit_streams_risk_sets_in_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the fit holds the mask of rows at the largest time (0.2 MB), the rows
-    # below it and the event rows, and the blocks; a sorted copy of the
-    # covariates would take 3.2 MB and a whole-array eta 1.6 MB
+    # the fit holds the rows below the largest time and the event rows, and
+    # the blocks; a sorted copy of the covariates would take 3.2 MB and a
+    # whole-array eta 1.6 MB
     assert peak < 2 * 8 * n
+
+
+def test_fit_holds_no_cohort_sized_array_on_the_frontdoor_benchmark_cohort():
+    # the experiment_frontdoor cohort: 22% of its 200k rows lie below the
+    # largest time, and the fit holds their sorted copy (0.7 MB), the event
+    # rows and the blocks. A mask of the tied rows would add 0.2 MB, and a
+    # gather from a row-major column a 1.6 MB copy.
+    config = make_frontdoor_config(n_subjects=200_000, baseline_hazard=dh.WeibullHazard(1.5, 120.0), censor_rate=0.02)
+    dataset = dh.generate(config)
+    dh.fit_cox(dh.generate(make_frontdoor_config(n_subjects=1_000)))  # first-call allocations
+    tracemalloc.start()
+    try:
+        dh.fit_cox(dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])

@@ -10,12 +10,7 @@ import dohazard as dh
 from dohazard.oracle import _event_counts, oracle_paf, simulate_factual
 from dohazard.stats import _BLOCK
 
-from conftest import (
-    as_loaded,
-    make_backdoor_config,
-    make_frontdoor_config,
-    make_strong_confounding_config,
-)
+from conftest import make_backdoor_config, make_frontdoor_config, make_strong_confounding_config
 from truth import draw_scm, whole_array_eta
 
 
@@ -209,22 +204,17 @@ def test_approx_report_reference(backdoor_dataset, backdoor_fit, backdoor_summar
 
 def test_approx_report_holds_one_cohort_sized_column(backdoor_fit):
     n = 200_000
-    cohort = dh.generate(make_backdoor_config(n_subjects=n))
-    results = []
-    # generate's covariates are row-major, a loaded cohort's column-major
-    for dataset in (cohort, as_loaded(cohort)):
-        dh.approx_error_report(backdoor_fit, dataset, 10.0)  # first-call allocations
-        tracemalloc.start()
-        try:
-            results.append(dh.approx_error_report(backdoor_fit, dataset, 10.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one n-length float64 column is 1.6 MB; a copy of the cohort's
-        # covariates would add 3.2 MB, and exp(eta) or H beside eta 1.6 MB
-        assert peak < 8 * n + 64 * 1024
-    # the linear predictor is summed column by column, so the layout moves no bit
-    assert results[0] == results[1]
+    dataset = dh.generate(make_backdoor_config(n_subjects=n))
+    dh.approx_error_report(backdoor_fit, dataset, 10.0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        dh.approx_error_report(backdoor_fit, dataset, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n-length float64 column is 1.6 MB; a copy of the cohort's
+    # covariates would add 3.2 MB, and exp(eta) or H beside eta 1.6 MB
+    assert peak < 8 * n + 64 * 1024
 
 
 @pytest.mark.parametrize(
@@ -331,24 +321,19 @@ def test_approx_report_has_the_bits_of_whole_array_sums(backdoor_fit, n):
     cohort = dh.generate(make_backdoor_config(n_subjects=n))
     h = np.exp(whole_array_eta(cohort, backdoor_fit.covariate_names, backdoor_fit.beta))
     h *= backdoor_fit.baseline_cumhaz(10.0)
-    # generate's covariates are row-major, a loaded cohort's column-major
-    for dataset in (cohort, as_loaded(cohort)):
-        report = dh.approx_error_report(backdoor_fit, dataset, 10.0)
-        assert (report.max_cumhaz.hex(), report.mean_cumhaz.hex()) == (
-            float(np.max(h)).hex(), float(np.mean(h)).hex()
-        )
+    report = dh.approx_error_report(backdoor_fit, cohort, 10.0)
+    assert (report.max_cumhaz.hex(), report.mean_cumhaz.hex()) == (float(np.max(h)).hex(), float(np.mean(h)).hex())
 
 
 def test_approx_report_holds_no_cohort_sized_array(backdoor_fit):
     # one 200k-row float64 column is 1.6 MB; the bound is a few _BLOCK-row
     # temporaries and does not grow with n
-    cohort = dh.generate(make_backdoor_config(n_subjects=200_000))
-    for dataset in (cohort, as_loaded(cohort)):
-        dh.approx_error_report(backdoor_fit, dataset, 10.0)  # first-call allocations
-        tracemalloc.start()
-        try:
-            dh.approx_error_report(backdoor_fit, dataset, 10.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 8 * _BLOCK
+    dataset = dh.generate(make_backdoor_config(n_subjects=200_000))
+    dh.approx_error_report(backdoor_fit, dataset, 10.0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        dh.approx_error_report(backdoor_fit, dataset, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * _BLOCK

@@ -1074,6 +1074,31 @@ def test_dataset_column_lookup():
         ds.column("w")
 
 
+def test_generate_fills_column_major_covariates():
+    # as load_dataset does, so that Dataset copies neither cohort and each
+    # covariate is one contiguous column
+    assert dh.generate(make_frontdoor_config(n_subjects=_BLOCK + 3)).covariates.flags.f_contiguous
+
+
+def test_a_row_major_cohort_is_stored_column_major_with_the_same_outputs(backdoor_fit):
+    cohort = dh.generate(make_backdoor_config(n_subjects=2 * _BLOCK + 8))
+    row_major = np.ascontiguousarray(cohort.covariates)
+    dataset = dh.Dataset(cohort.time, cohort.event, row_major, cohort.covariate_names)
+    assert dataset.covariates.flags.f_contiguous and not row_major.flags.f_contiguous
+    assert dataset.covariates.tobytes(order="F") == cohort.covariates.tobytes(order="F")
+
+    def outputs(ds):
+        fit = dh.fit_cox(ds)
+        fitted = [np.asarray(f).tobytes() for f in (fit.beta, fit.covariance, fit.baseline_cumhaz.values)]
+        return fitted + [
+            repr(dh.compute_az(ds, backdoor_fit, ["z"])),
+            repr(dh.approx_error_report(backdoor_fit, ds, 10.0)),
+            repr(dh.ols_fit(ds.column("x"), ds.column("z"))),
+        ]
+
+    assert outputs(dataset) == outputs(cohort)
+
+
 # Property tests of the one structural model: draw_scm serves both the
 # cohort generator and the intervention oracle, so an intervention must
 # leave what X does not cause untouched, and generate must be its censoring.

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import dohazard as dh
 from dohazard.stats import _BLOCK, _pairwise_sum, _uniforms
 
-from conftest import as_loaded, make_frontdoor_config
+from conftest import make_frontdoor_config
 from truth import GaussianSpec, gaussian_exponential_moment
 
 # frozen first draws for seed 42, stream 0
@@ -298,12 +298,10 @@ def whole_array_ols(x, z):
 @pytest.mark.parametrize("n", [3, 129, 2 * _BLOCK + 8, 50_001])
 def test_ols_fit_and_moments_have_the_bits_of_whole_array_sums(n):
     cohort = dh.generate(make_frontdoor_config(n_subjects=n))
-    # generate's covariates are row-major, a loaded cohort's column-major
-    for dataset in (cohort, as_loaded(cohort)):
-        x, z = dataset.column("x"), dataset.column("z")
-        *line, mean, sd = dh.ols_fit(x, z)
-        assert [v.hex() for v in line] == [v.hex() for v in whole_array_ols(x, z)]
-        assert (mean.hex(), sd.hex()) == (float(np.mean(x)).hex(), float(np.std(x, ddof=1)).hex())
+    x, z = cohort.column("x"), cohort.column("z")
+    *line, mean, sd = dh.ols_fit(x, z)
+    assert [v.hex() for v in line] == [v.hex() for v in whole_array_ols(x, z)]
+    assert (mean.hex(), sd.hex()) == (float(np.mean(x)).hex(), float(np.std(x, ddof=1)).hex())
 
 
 def traced_peak(call):
@@ -320,6 +318,5 @@ def test_ols_fit_and_moments_hold_no_cohort_sized_array():
     # one 200k-row float64 column is 1.6 MB; the bound is a few _BLOCK-row
     # temporaries and does not grow with n
     cohort = dh.generate(make_frontdoor_config(n_subjects=200_000))
-    for dataset in (cohort, as_loaded(cohort)):
-        x, z = dataset.column("x"), dataset.column("z")
-        assert traced_peak(lambda: dh.ols_fit(x, z)) < 4 * 8 * _BLOCK
+    x, z = cohort.column("x"), cohort.column("z")
+    assert traced_peak(lambda: dh.ols_fit(x, z)) < 4 * 8 * _BLOCK
