@@ -15,6 +15,15 @@ that of a draw of the arm alone. A ratio or PAF compares two arms of that
 one draw, so it also counts the subjects failing under both, and its
 delta-method SE is the paired one.
 
+The structural model gives each subject's latent failure on the
+cumulative-hazard scale, H = H0(T). A subject fails by t when
+invert(H) <= t, and ``_event_counts`` decides that on the hazard scale:
+H below H0(t (1 - _BAND)) fails, H above H0(t (1 + _BAND)) does not, and
+only the few subjects inside that band are inverted to their failure
+time and compared with t. Where the band's edges do not invert back to
+within t _BAND / 2 of their times, and for an exponential baseline, whose
+inverse is one division, every subject is inverted once per arm.
+
 No random censoring is applied: the target is the latent failure CDF,
 so censoring cannot masquerade as estimator error.
 """
@@ -30,10 +39,13 @@ from .cohort import Dataset
 from .cox import CoxFit, _eta, _horizon
 from .errors import DegenerateOracleError, InvalidArgumentError
 from .results import CausalEstimate
-from .simulate import ScenarioConfig, _scm_blocks
+from .simulate import ExponentialHazard, ScenarioConfig, _scm_blocks
 from .stats import _pairwise_sum
 
 _FLAG_THRESHOLD = 0.05
+# Relative half-width, in time, of the band of latent cumulative hazards
+# around H0(t) whose subjects _event_counts inverts to failure times.
+_BAND = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,49 @@ def _result(events: int, n: int, x_value: float | None, t: float, seed: int) -> 
     return OracleResult(p, math.sqrt(p * (1.0 - p) / n), n, x_value, float(t), seed)
 
 
+def _bands(baseline, ts):
+    """Each horizon's (lo, hi) = H0(t (1 -+ _BAND)), or None where every
+    subject is inverted instead. Each edge of a returned band inverts to at
+    least t _BAND / 2 from t, some 2**21 ulps of t, and invert is monotone
+    to within a few ulps: so a latent hazard below lo fails by t, and one
+    above hi does not.
+
+    None when an edge does not invert to within t _BAND / 2 of its own time
+    (an extreme Weibull shape, an H0 that under- or overflows), and for an
+    exponential baseline: its inverse is one division per subject and arm,
+    which costs no more than the band's second comparison per horizon once
+    a request has two horizons or more."""
+    if isinstance(baseline, ExponentialHazard):
+        return None
+    bands = []
+    for t in ts:
+        edges = t * np.array([1.0 - _BAND, 1.0 + _BAND])
+        with np.errstate(over="ignore"):
+            band = baseline.cumulative(edges)
+            back = baseline.invert(band)
+        if not np.all(np.abs(back - edges) <= t * _BAND / 2):
+            return None
+        bands.append((float(band[0]), float(band[1])))
+    return bands
+
+
+def _failed_by(baseline, h: np.ndarray, ts, bands) -> list:
+    """[invert(h) <= t for t in ts] for the latent cumulative hazards h:
+    every subject inverted once when bands is None, or else h compared
+    with each horizon's band, and only the subjects inside it inverted."""
+    if bands is None:
+        failure = baseline.invert(h)
+        return [failure <= t for t in ts]
+    failed = []
+    for t, (lo, hi) in zip(ts, bands):
+        hit = h <= hi
+        edge = hit & (h >= lo)
+        if edge.any():
+            hit[edge] = baseline.invert(h[edge]) <= t
+        failed.append(hit)
+    return failed
+
+
 def _event_counts(config: ScenarioConfig, n: int, seed: int, offset: int, xs, ts, pairs=()) -> dict:
     """Subjects failing by t under do(X=x), keyed (x, t) for every x of xs
     and of pairs (None: the factual arm) and t of ts, and subjects failing
@@ -87,8 +142,12 @@ def _event_counts(config: ScenarioConfig, n: int, seed: int, offset: int, xs, ts
     _check_arms(config, xs, ts)
     ts, pairs = list(dict.fromkeys(ts)), list(dict.fromkeys(pairs))
     counts = dict.fromkeys([(x, t) for x in xs for t in ts] + [(x, x0, t) for x, x0 in pairs for t in ts], 0)
+    baseline = config.baseline_hazard
+    bands = _bands(baseline, ts)
     for arms in _scm_blocks(config, n, seed, offset, xs):
-        failed = {(x, t): failure <= t for x, (_, _, _, failure) in zip(xs, arms) for t in ts}
+        failed = {
+            (x, t): hit for x, (_, _, _, h) in zip(xs, arms) for t, hit in zip(ts, _failed_by(baseline, h, ts, bands))
+        }
         for key, hit in failed.items():
             counts[key] += int(np.count_nonzero(hit))
         for x, x0 in pairs:

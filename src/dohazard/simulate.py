@@ -3,15 +3,18 @@
 The confounded DAG draws a measured covariate Z that influences both the
 exposure X and the event hazard; the mediated DAG draws a hidden U that
 influences X and the hazard, with X acting on the hazard only through the
-mediator Z. Event times come from a proportional-hazards model
-h(t) = h0(t) * exp(eta) inverted by the standard uniform transform, with
-administrative censoring at the study horizon and optional independent
-exponential censoring.
+mediator Z. Events come from a proportional-hazards model
+h(t) = h0(t) * exp(eta): each subject's latent failure is drawn on the
+cumulative-hazard scale, H0(T) = -log(1 - u) * exp(-eta), and the baseline
+hazard's ``invert`` turns it into the failure time T, with administrative
+censoring at the study horizon and optional independent exponential
+censoring.
 
 ``_scm_blocks`` is the one home of the structural equations, drawn in
-blocks of ``_BLOCK`` subjects: ``generate`` censors them block by block
-into the cohort's columns, and the intervention oracle streams its arms
-through the blocks with X forced.
+blocks of ``_BLOCK`` subjects: ``generate`` inverts and censors them block
+by block into the cohort's columns, and the intervention oracle streams
+its arms through the blocks with X forced and counts failures from the
+latent hazards.
 ``generate`` holds no cohort-sized array beyond the columns it returns;
 ``cohort`` saves and loads them. Structural log-hazards live in
 ``_backdoor_log_hazard`` and ``_frontdoor_log_hazard``; the frontdoor one
@@ -261,10 +264,17 @@ def load_scenario_config(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(read_object(path, "scenario config"))
 
 
-def _failure_times(exponential, eta, baseline_hazard: BaselineHazard):  # exponential = -log(1 - u)
-    if not np.all(np.isfinite(eta)):
+def _latent_hazards(exponential, eta: np.ndarray) -> np.ndarray:
+    """Each subject's latent failure on the cumulative-hazard scale,
+    H0(T) = exponential * exp(-eta) for exponential = -log(1 - u), formed
+    in eta's own buffer, which it returns. baseline_hazard.invert turns it
+    into the failure time T."""
+    if not np.isfinite(eta).all():
         raise InvalidArgumentError("eta must be finite")
-    return baseline_hazard.invert(exponential * np.exp(-eta))
+    np.negative(eta, out=eta)
+    np.exp(eta, out=eta)
+    eta *= exponential
+    return eta
 
 
 def _censoring_times(config: ScenarioConfig, rng: RngStream, n: int) -> np.ndarray:
@@ -276,9 +286,10 @@ def _censoring_times(config: ScenarioConfig, rng: RngStream, n: int) -> np.ndarr
 
 def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(None,)):
     """The structural model for n subjects as consecutive blocks of at most
-    _BLOCK subjects: per block, one (x, z, u, failure) for each x of xs.
+    _BLOCK subjects: per block, one (x, z, u, hazard) for each x of xs.
     z is the measured covariate, u the hidden confounder (None for the
-    backdoor DAG) and failure the latent failure times. None in xs is the
+    backdoor DAG) and hazard the latent failures on the cumulative-hazard
+    scale, H0(T) (see _latent_hazards). None in xs is the
     factual arm, X drawn; a forced x simulates do(X=x): X is that float,
     not an array, its noise stream is not drawn, and every other variable
     keeps its draw. Variable v draws from stream (seed, offset + _STREAM_v),
@@ -316,7 +327,7 @@ def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(
             if frontdoor:
                 z = coef.alpha * x + mediator_noise
             eta = _frontdoor_log_hazard(coef, z, u) if frontdoor else _backdoor_log_hazard(coef, x, z)
-            arms.append((x, z, u, _failure_times(exponential, eta, config.baseline_hazard)))
+            arms.append((x, z, u, _latent_hazards(exponential, eta)))
         return arms
 
     return (block(min(_BLOCK, n - start)) for start in range(0, n, _BLOCK))
@@ -327,7 +338,8 @@ def generate(config: ScenarioConfig) -> Dataset:
     horizon and, when censor_rate > 0, at independent exponential times.
 
     The columns are preallocated and filled block by block from
-    _scm_blocks, each block censored by the next draws of one censoring
+    _scm_blocks, each block's latent hazards inverted to failure times by
+    the baseline hazard and censored by the next draws of one censoring
     stream; like the structural streams it is read on from block to block,
     so the cohort is the censored whole-array draw bit for bit. The
     covariates are column-major, as Dataset stores them, so each block
@@ -343,7 +355,8 @@ def generate(config: ScenarioConfig) -> Dataset:
         u_latent = np.empty(n) if config.dag_kind == "frontdoor" else None
     except (MemoryError, ValueError) as exc:
         raise ValidationError(f"n_subjects is too large to hold in memory, got {n}: {exc}") from None
-    for start, [(x, z, u, failure)] in zip(range(0, n, _BLOCK), blocks):
+    for start, [(x, z, u, hazard)] in zip(range(0, n, _BLOCK), blocks):
+        failure = config.baseline_hazard.invert(hazard)
         rows = slice(start, start + failure.size)
         censoring = _censoring_times(config, censor, failure.size)
         observed = failure <= censoring

@@ -544,31 +544,30 @@ def test_prepared_sorts_as_a_stable_argsort(case):
     time, event = case
     n = len(time)
     covariates = np.stack([np.arange(n), -np.arange(n), np.ones(n)], axis=1)
-    for layout in ("C", "F"):  # Dataset stores either column-major
-        dataset = dh.Dataset(
-            time=time,
-            event=event,
-            covariates=covariates.copy(order=layout),
-            covariate_names=["row", "minus_row", "one"],
-        )
-        assert dataset.covariates.flags.f_contiguous
-        order = np.argsort(dataset.time, kind="stable")
-        t_s = dataset.time[order]
-        want_ev = np.flatnonzero(dataset.event[order])
-        tied = dataset.time == dataset.time.max()
-        n_below = n - np.count_nonzero(tied)
-        # columns out of order, and a run of them in order
-        for names, columns in ((["minus_row", "row"], [1, 0]), (["row", "minus_row"], [0, 1])):
-            _, cohort = _prepared(dataset, names)
-            x_s = covariates[order][:, columns]
-            # the sorted rows below the largest time, one contiguous row per name
-            assert cohort.x_below.flags.c_contiguous and cohort.x_below.tobytes() == x_s[:n_below].T.tobytes()
-            # the tied rows, read from the cohort in row order, end the sort
-            assert np.array_equal(dataset.time == cohort.top, tied)
-            assert covariates[tied][:, columns].tobytes() == x_s[n_below:].tobytes()
-            assert cohort.x_ev.flags.c_contiguous and cohort.x_ev.tobytes() == x_s[want_ev].tobytes()
-            assert np.array_equal(cohort.head, np.searchsorted(t_s, t_s[want_ev], side="left"))
-            assert cohort.event_times.tobytes() == t_s[want_ev].tobytes()
+    dataset = dh.Dataset(
+        time=time,
+        event=event,
+        covariates=covariates,
+        covariate_names=["row", "minus_row", "one"],
+    )
+    assert dataset.covariates.flags.f_contiguous
+    order = np.argsort(dataset.time, kind="stable")
+    t_s = dataset.time[order]
+    want_ev = np.flatnonzero(dataset.event[order])
+    tied = dataset.time == dataset.time.max()
+    n_below = n - np.count_nonzero(tied)
+    # columns out of order, and a run of them in order
+    for names, columns in ((["minus_row", "row"], [1, 0]), (["row", "minus_row"], [0, 1])):
+        _, cohort = _prepared(dataset, names)
+        x_s = covariates[order][:, columns]
+        # the sorted rows below the largest time, one contiguous row per name
+        assert cohort.x_below.flags.c_contiguous and cohort.x_below.tobytes() == x_s[:n_below].T.tobytes()
+        # the tied rows, read from the cohort in row order, end the sort
+        assert np.array_equal(dataset.time == cohort.top, tied)
+        assert covariates[tied][:, columns].tobytes() == x_s[n_below:].tobytes()
+        assert cohort.x_ev.flags.c_contiguous and cohort.x_ev.tobytes() == x_s[want_ev].tobytes()
+        assert np.array_equal(cohort.head, np.searchsorted(t_s, t_s[want_ev], side="left"))
+        assert cohort.event_times.tobytes() == t_s[want_ev].tobytes()
 
 
 # The streamed risk-set sums against a reference built from their
@@ -669,8 +668,8 @@ def sorted_cohorts(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(sorted_cohorts(), st.booleans(), st.sampled_from("CF"))
-def test_blocked_tail_sums_equal_whole_array_sums(case, shuffle, layout):
+@given(sorted_cohorts(), st.booleans())
+def test_blocked_tail_sums_equal_whole_array_sums(case, shuffle):
     beta, t_s, d_s, x_s, p = case
     # the rows at the largest time are read from the cohort in row order:
     # shuffled, they fall in every chunk of the cohort
@@ -678,7 +677,7 @@ def test_blocked_tail_sums_equal_whole_array_sums(case, shuffle, layout):
     dataset = dh.Dataset(
         time=t_s[rows],
         event=d_s[rows],
-        covariates=x_s[rows].copy(order=layout),
+        covariates=x_s[rows],
         covariate_names=[f"c{j}" for j in range(x_s.shape[1])],
     )
     _, cohort = _prepared(dataset, None)
@@ -697,7 +696,7 @@ def test_blocked_tail_sums_equal_whole_array_sums(case, shuffle, layout):
 @st.composite
 def unsorted_cohorts(draw):
     """(dataset, names, beta): rows in any order, below the horizon 10 or
-    censored at it, with 1 to 4 covariates in C or F order. The rows below
+    censored at it, with 1 to 4 covariates. The rows below
     the largest time number 1 more than a multiple of _BLOCK at times, so
     that the last block of them is one row, and at times the first chunk of
     the cohort holds exactly one tied row; events fall at the largest time
@@ -720,7 +719,7 @@ def unsorted_cohorts(draw):
     if draw(st.booleans()):
         event[np.flatnonzero(tied)[0]] = True
     p = draw(st.integers(1, 4))
-    covariates = rng.normal(size=(n, p)).copy(order=draw(st.sampled_from("CF")))
+    covariates = rng.normal(size=(n, p))
     columns = ["x", "z", "w", "v"][:p]
     names = draw(st.sampled_from([None] + [["z", "x"]] * (p >= 2) + [columns[1:]] * (p >= 3)))
     beta = rng.uniform(-0.5, 0.5, len(names or columns))
@@ -783,12 +782,15 @@ def named_cohorts(draw):
                                  [0.6, -0.7, 0.4]],
                      covariate_names=["x", "z", "w"]), ["w", "x"]))
 def test_fit_bytes_do_not_depend_on_covariate_layout(case):
+    # Dataset stores a C- or an F-order input column-major: the fit of any
+    # named columns reads the same bytes from both
     dataset, names = case
     copies = [
         dh.Dataset(time=dataset.time, event=dataset.event, covariates=dataset.covariates.copy(order=layout),
                    covariate_names=dataset.covariate_names)
         for layout in "CF"
     ]
+    assert all(copy.covariates.flags.f_contiguous for copy in copies)
     assert fit_bytes(copies[0], names) == fit_bytes(copies[1], names)
 
 
@@ -826,25 +828,24 @@ def test_head_sums_hold_only_their_block_buffers():
     event[np.flatnonzero(tied)[:5]] = True
     covariates = rng.normal(size=(n, p))
     beta = np.array([0.3, 0.4])
-    for layout in ("C", "F"):  # Dataset stores either column-major
-        dataset = dh.Dataset(
-            time=np.where(tied, 10.0, rng.uniform(0.1, 9.0, n)),
-            event=event,
-            covariates=covariates.copy(order=layout),
-            covariate_names=["x", "z"],
-        )
-        _, cohort = _prepared(dataset, None)
-        assert cohort.x_below.shape[1] > _BLOCK
-        _head_sums(beta, cohort)  # first-call allocations
-        tracemalloc.start()
-        try:
-            sums = _head_sums(beta, cohort)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sums.shape == (cohort.head.size, k) and sums.base is None
-        returned = sums.nbytes
-        assert peak - returned <= (k * (_BLOCK + 1) + 2 * _BLOCK) * 8 + 64 * 1024
+    dataset = dh.Dataset(
+        time=np.where(tied, 10.0, rng.uniform(0.1, 9.0, n)),
+        event=event,
+        covariates=covariates,
+        covariate_names=["x", "z"],
+    )
+    _, cohort = _prepared(dataset, None)
+    assert cohort.x_below.shape[1] > _BLOCK
+    _head_sums(beta, cohort)  # first-call allocations
+    tracemalloc.start()
+    try:
+        sums = _head_sums(beta, cohort)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (cohort.head.size, k) and sums.base is None
+    returned = sums.nbytes
+    assert peak - returned <= (k * (_BLOCK + 1) + 2 * _BLOCK) * 8 + 64 * 1024
 
 
 def test_fit_streams_risk_sets_in_blocks():

@@ -1,13 +1,15 @@
+import contextlib
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dohazard as dh
-from dohazard.oracle import _event_counts, oracle_paf, simulate_factual
+from dohazard.oracle import _BAND, _bands, _event_counts, oracle_paf, simulate_factual
 from dohazard.stats import _BLOCK
 
 from conftest import make_backdoor_config, make_frontdoor_config, make_strong_confounding_config
@@ -298,6 +300,137 @@ def test_event_counts_equal_one_arm_draws(case):
     for x, x0 in pairs:
         for t in ts:
             assert counts[x, x0, t] == np.count_nonzero((failures[x] <= t) & (failures[x0] <= t)), (x, x0, t)
+
+
+@contextlib.contextmanager
+def inverted_sizes(hazard):
+    """A list that collects the size of every array the hazard's class
+    inverts while the with-block runs."""
+    sizes, invert = [], type(hazard).invert
+
+    def spy(self, h):
+        sizes.append(np.size(h))
+        return invert(self, h)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(hazard), "invert", spy)
+        yield sizes
+
+
+def band_scenarios(data):
+    """A scenario of either DAG whose baseline is exponential or Weibull
+    with a shape from 0.2 to 20, scaled so that H0(10) lies in [0.01, 3]."""
+    h0_at_horizon = data.draw(st.floats(0.01, 3.0))
+    if data.draw(st.booleans()):
+        hazard = dh.ExponentialHazard(h0_at_horizon / 10.0)
+    else:
+        shape = data.draw(st.floats(0.2, 20.0))
+        hazard = dh.WeibullHazard(shape, 10.0 / h0_at_horizon ** (1.0 / shape))
+    return data.draw(st.sampled_from([make_backdoor_config, make_frontdoor_config]))(baseline_hazard=hazard)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_event_counts_are_exact_at_the_horizons_edge(data):
+    # each horizon is the failure time of a drawn subject, whose latent
+    # hazard lies inside the band: the count must still be that of the
+    # failure times, and only subjects inside a band are inverted (every
+    # subject once per arm for an exponential baseline, which has no band)
+    config = band_scenarios(data)
+    n, seed = data.draw(st.sampled_from([500, _BLOCK + 1])), data.draw(st.integers(0, 2**32))
+    xs = data.draw(st.lists(st.none() | st.floats(-2.0, 2.0), min_size=1, max_size=3))
+    failures = {x: draw_scm(config, n, seed, 16, x_forced=x)[3] for x in xs}
+    within = np.concatenate([f[(f > 0) & (f <= config.horizon_t)] for f in failures.values()])
+    assume(within.size > 0)
+    ts = data.draw(st.lists(st.sampled_from(within.tolist()), min_size=1, max_size=3))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(xs)), max_size=2))
+    exponential = isinstance(config.baseline_hazard, dh.ExponentialHazard)
+    assert (_bands(config.baseline_hazard, ts) is None) == exponential
+    with inverted_sizes(config.baseline_hazard) as inverted:
+        counts = _event_counts(config, n, seed, 16, xs, ts, pairs)
+    if exponential:
+        assert sum(inverted) == len(dict.fromkeys(xs)) * n
+    else:
+        # each horizon's two band edges, then only the subjects inside a band
+        k = len(set(ts))
+        assert inverted[:k] == [2] * k and 0 < sum(inverted[k:]) < n
+    for x, failure in failures.items():
+        for t in ts:
+            assert counts[x, t] == np.count_nonzero(failure <= t), (x, t)
+    for x, x0 in pairs:
+        for t in ts:
+            assert counts[x, x0, t] == np.count_nonzero((failures[x] <= t) & (failures[x0] <= t)), (x, x0, t)
+
+
+@pytest.mark.parametrize(
+    "hazard",
+    [dh.WeibullHazard(1e-9, 10.0), dh.WeibullHazard(50.0, 1e-6), dh.WeibullHazard(50.0, 1e8),
+     dh.ExponentialHazard(0.002)],
+    ids=["flat", "overflowing", "underflowing", "exponential"],
+)
+def test_event_counts_invert_every_subject_where_the_band_does_not_hold(hazard):
+    # where H0 cannot tell t(1 - 2**-30) from t, or under- or overflows
+    # there, no band holds; an exponential baseline takes none. Each arm
+    # then inverts every subject once
+    config = make_frontdoor_config(baseline_hazard=hazard)
+    n, ts = _BLOCK + 1, [2.5, 10.0]
+    assert all(_bands(hazard, [t]) is None for t in ts)
+    with np.errstate(over="ignore"):
+        with inverted_sizes(hazard) as inverted:
+            counts = _event_counts(config, n, 3, 0, [1.0, None], ts)
+        failures = {x: draw_scm(config, n, 3, 0, x_forced=x)[3] for x in (1.0, None)}
+    # the band edges aside (two values each), two arms' two blocks
+    assert [size for size in inverted if size != 2] == [_BLOCK, _BLOCK, 1, 1]
+    for (x, t), count in counts.items():
+        assert count == np.count_nonzero(failures[x] <= t), (x, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(-12, 12).map(lambda k: 2.0**k) | st.floats(0.01, 100.0))
+def test_event_counts_do_not_depend_on_the_unit_of_time(data, c):
+    # a rate divided by c, or a Weibull scale multiplied by c, with the
+    # horizons multiplied by c, is the scenario in another unit of time.
+    # A power of two scales every failure time exactly; another c moves
+    # each by a few ulps, which can move across t only a subject whose
+    # failure time lies inside the band around t
+    config = band_scenarios(data)
+    hazard = config.baseline_hazard
+    if isinstance(hazard, dh.ExponentialHazard):
+        scaled_hazard = dh.ExponentialHazard(hazard.rate / c)
+    else:
+        scaled_hazard = dh.WeibullHazard(hazard.shape, hazard.scale * c)
+    scaled = dataclasses.replace(config, baseline_hazard=scaled_hazard, horizon_t=config.horizon_t * c)
+    n, seed = _BLOCK + 1, data.draw(st.integers(0, 2**32))
+    xs = data.draw(st.lists(st.none() | st.floats(-2.0, 2.0), min_size=1, max_size=3))
+    failures = {x: draw_scm(config, n, seed, 0, x_forced=x)[3] for x in xs}
+    within = np.concatenate([f[(f > 0) & (f <= config.horizon_t)] for f in failures.values()])
+    ts = data.draw(st.lists(st.sampled_from(within.tolist()) | st.floats(0.01, 10.0), min_size=1, max_size=3))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(xs)), max_size=2))
+    counts = _event_counts(config, n, seed, 0, xs, ts, pairs)
+    scaled_counts = _event_counts(scaled, n, seed, 0, xs, [c * t for t in ts], pairs)
+    exact = math.frexp(c)[0] == 0.5
+    for t in ts:
+        inside = {x: np.count_nonzero(np.abs(f - t) <= t * _BAND) for x, f in failures.items()}
+        for x in xs:
+            moved = abs(scaled_counts[x, c * t] - counts[x, t])
+            assert moved == 0 if exact else moved <= inside[x], (x, t)
+        for x, x0 in pairs:
+            moved = abs(scaled_counts[x, x0, c * t] - counts[x, x0, t])
+            assert moved == 0 if exact else moved <= inside[x] + inside[x0], (x, x0, t)
+
+
+@pytest.mark.parametrize("x, beta_x", [(1e308, 10.0), (-1e308, 10.0), (None, 0.0)], ids=["+inf", "-inf", "nan"])
+def test_non_finite_eta_is_refused(x, beta_x):
+    # every input is finite: X forced to +-1e308 with beta_x = 10 gives an
+    # eta of +-inf. X drawn with a_zx = 1e308 is infinite where |z| > 1.8,
+    # which beta_x = 0 makes a NaN eta in the factual oracle arm; generate
+    # draws X, so its eta is NaN or, with beta_x = 10, +-inf
+    config = make_backdoor_config(coefficients=dh.BackdoorCoefficients(1e308, 1.0, beta_x, 0.4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(dh.InvalidArgumentError, match="^eta must be finite$"):
+            _event_counts(config, 1_000, 7, 0, [x], [10.0])
+        with pytest.raises(dh.InvalidArgumentError, match="^eta must be finite$"):
+            dh.generate(config)
 
 
 def test_event_counts_check_every_argument_before_drawing(backdoor_config, monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import dohazard as dh
 from dohazard import cohort
-from dohazard.simulate import _failure_times, _frontdoor_log_hazard
+from dohazard.simulate import _frontdoor_log_hazard, _latent_hazards
 from dohazard.stats import _BLOCK
 
 from conftest import make_backdoor_config, make_frontdoor_config, toolchain_note
@@ -31,25 +31,40 @@ FRONTDOOR_EVENTS = 3680
 FRONTDOOR_FIRST = (10.0, 0.74532190738205462, 0.72291593477349925, 1.1874089802587715)
 
 
+def failure_times(exponential, eta, hazard):
+    """The failure times T = invert(H) of the latent hazards H; eta is
+    copied, since _latent_hazards forms H in its buffer."""
+    return hazard.invert(_latent_hazards(exponential, np.array(eta, dtype=np.float64, ndmin=1)))
+
+
+def structural_failure_times(exponential, eta, hazard):
+    """The failure times as H0^-1(exponential * exp(-eta)), with no buffer
+    reused: the reference for the bits of _latent_hazards then invert."""
+    return hazard.invert(exponential * np.exp(-eta))
+
+
 def test_inverse_time_exponential_identity():
-    # _failure_times takes the exponential variate -log(1 - u)
-    assert _failure_times(1.0, 0.0, dh.ExponentialHazard(1.0)) == pytest.approx(1.0, rel=1e-15)
-    assert _failure_times(1.0, math.log(2.0), dh.ExponentialHazard(1.0)) == pytest.approx(0.5, rel=1e-15)
-    with pytest.raises(dh.InvalidArgumentError, match="eta must be finite"):
-        _failure_times(1.0, math.nan, dh.ExponentialHazard(1.0))
+    # _latent_hazards takes the exponential variate -log(1 - u)
+    assert failure_times(1.0, 0.0, dh.ExponentialHazard(1.0)) == pytest.approx(1.0, rel=1e-15)
+    assert failure_times(1.0, math.log(2.0), dh.ExponentialHazard(1.0)) == pytest.approx(0.5, rel=1e-15)
+    for eta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(dh.InvalidArgumentError, match="eta must be finite"):
+            failure_times(1.0, [0.0, eta, 1.0], dh.ExponentialHazard(1.0))
 
 
 def test_inverse_time_weibull():
-    got = _failure_times(1.0, 0.0, dh.WeibullHazard(2.0, 1.0))
+    got = failure_times(1.0, 0.0, dh.WeibullHazard(2.0, 1.0))
     assert got == pytest.approx(1.0, rel=1e-15)
     # H0(T) e^eta = -log(1-u) holds for random draws
     rng = np.random.default_rng(3)
     haz = dh.WeibullHazard(1.7, 3.0)
     exponential = -np.log1p(-rng.uniform(0.01, 0.99, size=50))
     eta = rng.normal(size=50)
-    t = _failure_times(exponential, eta, haz)
+    t = failure_times(exponential, eta, haz)
     lhs = haz.cumulative(t) * np.exp(eta)
     assert np.allclose(lhs, exponential, rtol=1e-12)
+    # formed in eta's buffer, H has the bits of exponential * exp(-eta)
+    assert t.tobytes() == structural_failure_times(exponential, eta, haz).tobytes()
 
 
 def test_hazard_validation():
@@ -163,7 +178,7 @@ def test_exposure_excluded_from_frontdoor_hazard():
     ds = dh.generate(cfg)
     eta = _frontdoor_log_hazard(cfg.coefficients, ds.column("z"), ds.u_latent)
     u_fail = dh.RngStream(cfg.seed, 4).uniform(size=cfg.n_subjects)
-    failure = _failure_times(-np.log1p(-u_fail), eta, cfg.baseline_hazard)
+    failure = structural_failure_times(-np.log1p(-u_fail), eta, cfg.baseline_hazard)
     assert np.array_equal(np.minimum(failure, cfg.horizon_t), ds.time)
     assert np.array_equal(failure <= cfg.horizon_t, ds.event)
 
@@ -1087,10 +1102,12 @@ def test_a_row_major_cohort_is_stored_column_major_with_the_same_outputs(backdoo
     assert dataset.covariates.flags.f_contiguous and not row_major.flags.f_contiguous
     assert dataset.covariates.tobytes(order="F") == cohort.covariates.tobytes(order="F")
 
+    def fitted(ds, names=None):
+        fit = dh.fit_cox(ds, names)
+        return [np.asarray(f).tobytes() for f in (fit.beta, fit.covariance, fit.baseline_cumhaz.values)]
+
     def outputs(ds):
-        fit = dh.fit_cox(ds)
-        fitted = [np.asarray(f).tobytes() for f in (fit.beta, fit.covariance, fit.baseline_cumhaz.values)]
-        return fitted + [
+        return fitted(ds) + fitted(ds, ["z", "x"]) + [
             repr(dh.compute_az(ds, backdoor_fit, ["z"])),
             repr(dh.approx_error_report(backdoor_fit, ds, 10.0)),
             repr(dh.ols_fit(ds.column("x"), ds.column("z"))),
@@ -1230,7 +1247,7 @@ def whole_array_scm(config, n, seed, offset, x_forced):
         x = exposure(u, coef.c_ux)
         z = coef.alpha * x + stream(3).normal(0.0, coef.sigma_z, n)
         eta = coef.beta_z * z + coef.beta_u * u
-    failure = _failure_times(-np.log1p(-stream(4).uniform(n)), eta, config.baseline_hazard)
+    failure = structural_failure_times(-np.log1p(-stream(4).uniform(n)), eta, config.baseline_hazard)
     return x, z, u, failure
 
 

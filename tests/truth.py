@@ -123,11 +123,13 @@ def frontdoor_do_cdf_empirical(
 def draw_scm(config: ScenarioConfig, n: int, seed: int, offset: int = 0, x_forced: float | None = None):
     """One draw of the structural model for n subjects, as the columns
     (x, z, u, failure): the blocks of _scm_blocks for the one arm x_forced
-    (None: X drawn), joined. u is None for the backdoor DAG; a forced x is
-    broadcast into a column. Raises InvalidArgumentError when n < 1."""
-    x, z, u, failure = zip(*(arm for [arm] in _scm_blocks(config, n, seed, offset, (x_forced,))))
-    x = np.concatenate([np.broadcast_to(xb, fb.shape) for xb, fb in zip(x, failure)])
-    return x, np.concatenate(z), None if u[0] is None else np.concatenate(u), np.concatenate(failure)
+    (None: X drawn), joined, each block's latent hazards inverted to failure
+    times by the baseline hazard as generate inverts them. u is None for the
+    backdoor DAG; a forced x is broadcast into a column. Raises InvalidArgumentError when n < 1."""
+    x, z, u, hazard = zip(*(arm for [arm] in _scm_blocks(config, n, seed, offset, (x_forced,))))
+    x = np.concatenate([np.broadcast_to(xb, hb.shape) for xb, hb in zip(x, hazard)])
+    failure = np.concatenate([config.baseline_hazard.invert(hb) for hb in hazard])
+    return x, np.concatenate(z), None if u[0] is None else np.concatenate(u), failure
 
 
 def whole_array_eta(dataset: Dataset, names, beta) -> np.ndarray:
