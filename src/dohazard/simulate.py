@@ -269,8 +269,6 @@ def _latent_hazards(exponential, eta: np.ndarray) -> np.ndarray:
     H0(T) = exponential * exp(-eta) for exponential = -log(1 - u), formed
     in eta's own buffer, which it returns. baseline_hazard.invert turns it
     into the failure time T."""
-    if not np.isfinite(eta).all():
-        raise InvalidArgumentError("eta must be finite")
     np.negative(eta, out=eta)
     np.exp(eta, out=eta)
     eta *= exponential
@@ -293,7 +291,10 @@ def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(
     factual arm, X drawn; a forced x simulates do(X=x): X is that float,
     not an array, its noise stream is not drawn, and every other variable
     keeps its draw. Variable v draws from stream (seed, offset + _STREAM_v),
-    so an arm at another offset is an independent copy of the model.
+    so an arm at another offset is an independent copy of the model. An
+    arm whose log hazard is not finite, which finite coefficients can give
+    by overflow, raises InvalidArgumentError naming the field coefficients
+    and any forced x.
 
     Each exogenous stream is opened once, read on from block to block and
     shared by every x (common random numbers): only X and what it drives
@@ -311,6 +312,8 @@ def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(
     z_noise = RngStream(seed, offset + _STREAM_Z_NOISE) if frontdoor else None
     failure = RngStream(seed, offset + _STREAM_FAILURE)
 
+    # an overflow is refused below by field, not warned of by numpy
+    @np.errstate(over="ignore", invalid="ignore")
     def block(size: int) -> list:
         if frontdoor:
             u = cause = z_or_u.normal(0.0, 1.0, size)
@@ -327,6 +330,9 @@ def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(
             if frontdoor:
                 z = coef.alpha * x + mediator_noise
             eta = _frontdoor_log_hazard(coef, z, u) if frontdoor else _backdoor_log_hazard(coef, x, z)
+            if not np.isfinite(eta).all():
+                arm = "" if x_forced is None else f" under do(x={x})"
+                raise InvalidArgumentError(f"field 'coefficients' gives a non-finite log hazard{arm}")
             arms.append((x, z, u, _latent_hazards(exponential, eta)))
         return arms
 
