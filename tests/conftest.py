@@ -107,3 +107,11 @@ def frontdoor_fit(frontdoor_dataset):
 @pytest.fixture(scope="session")
 def frontdoor_params(frontdoor_dataset, frontdoor_fit):
     return dh.estimate_frontdoor_params(frontdoor_dataset, fit=frontdoor_fit)
+
+
+@pytest.fixture(scope="session")
+def pinned_sha256(tmp_path_factory):
+    """The sha256 of a pin's output; each command of pinned.py runs once a session."""
+    from pinned import Outputs  # pinned imports this module
+
+    return Outputs(tmp_path_factory.mktemp("pinned")).sha256

@@ -1,14 +1,19 @@
 """Every pinned output: the commands that write it and the sha256 of its bytes.
 
 Equal digests mean a change left every answer and every byte the package
-writes as it was. ``test_pinned.py`` runs the commands of ``PINS`` in one
-fresh directory, in table order, each once, and compares every digest.
+writes as it was. ``PINS`` is the one table, the concatenation of its
+groups: ``CLI_20K``, ``DRAW_SCM`` and ``BENCHMARK_SCALE``.
+``test_pinned.py`` checks the whole table; ``test_cli.py`` and
+``test_simulate.py`` check the first two groups. Through the session's
+``pinned_sha256`` fixture, each command runs once a session, in one fresh
+directory, whichever test asks for it first.
 
 A CLI command is an argv for ``dohazard.cli.main`` with ``--quiet`` added;
 a dict in it stands for a JSON file of that dict. An entry lists every
 command its output needs, so that one entry can be rerun alone. A
 ``DrawScm`` command is one ``truth.draw_scm`` call, and its outputs are the
-columns x, z, u and failure, each as its float64 bytes.
+columns x, z, u and failure, each as its float64 bytes (a pinned None: the
+call returns no such column).
 
 To re-pin, edit the sha256 of each entry that moved, and say in CHANGES.md
 why it moved. The digests hold for ``PINNED_TOOLCHAIN`` only.
@@ -16,13 +21,20 @@ why it moved. The digests hold for ``PINNED_TOOLCHAIN`` only.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 import dohazard as dh
 
+from dohazard import cli
+
 from conftest import make_backdoor_config, make_frontdoor_config
+from truth import draw_scm
 
 # numpy's exp, log, log1p, expm1 and power give other last bits where its
 # AVX512 loops are not dispatched.
@@ -64,7 +76,7 @@ class Pin:
     name: str
     command: tuple | DrawScm  # CLI argvs, run in order, or one draw_scm call
     output: str               # the file the last argv writes, or a draw_scm column
-    sha256: str
+    sha256: str | None        # None: the draw_scm column is None
 
 
 def experiment(scenario: dh.ScenarioConfig, contrasts, horizon_grid, oracle_n) -> dict:
@@ -102,10 +114,10 @@ def oracle(dag: str, arms: tuple, sha256: str) -> Pin:
     return Pin(name, (("oracle", SIMULATE[dag][1], *arms, "--n", "20000", "--out", out),), out, sha256)
 
 
-def draw_scm_pins(dag: str, config: dh.ScenarioConfig, **sha256) -> list:
+def draw_scm_pins(dag: str, config: dh.ScenarioConfig, **sha256) -> tuple:
     """One pin per named column of truth.draw_scm(config, 40_000, config.seed)."""
     call = DrawScm(config, 40_000, config.seed)
-    return [Pin(f"draw_scm {dag} {column}", call, column, digest) for column, digest in sha256.items()]
+    return tuple(Pin(f"draw_scm {dag} {column}", call, column, digest) for column, digest in sha256.items())
 
 
 # The benchmark's scenarios (perfbench/workloads.py) and a days-scale one.
@@ -142,7 +154,8 @@ BACKDOOR_RUN = ("experiment", experiment(make_backdoor_config(), [[1, 0], [2, 0]
 FRONTDOOR_RUN = ("experiment", experiment(EXPERIMENT_FRONTDOOR, [[1, 0]], [10], 1_000_000),
                  "--out-dir", "experiment_frontdoor")
 
-PINS = (
+# Every subcommand's outputs on those n=20_000 scenarios.
+CLI_20K = (
     Pin("simulate backdoor cohort.csv", (SIMULATE["backdoor"],), "backdoor.csv",
         "ea5c55f8b84d75989fcebb1d647be27531f7a8f274ea5b6549b096ef64917eba"),
     Pin("simulate frontdoor cohort.csv", (SIMULATE["frontdoor"],), "frontdoor.csv",
@@ -167,17 +180,25 @@ PINS = (
         "c173e55d18f4bf6ab5f6943002d685ab1ea50fdfe5cc561b4d041cfb4b297f8f"),
     Pin("experiment frontdoor report.json", (EXPERIMENT_20K["frontdoor"],), "frontdoor_20k/report.json",
         "383a6e734cc1c32c8133208ca8f6f9309fac7b53b6714f85771b278f832519bb"),
-    # the structural model's columns, frozen from the whole-array draw
-    # before it was drawn in blocks
-    *draw_scm_pins("backdoor", make_backdoor_config(),
+)
+
+# The structural model's columns, frozen from the whole-array draw before
+# it was drawn in blocks; the backdoor model has no U column.
+DRAW_SCM = {
+    "backdoor": draw_scm_pins("backdoor", make_backdoor_config(),
                    x="644ff50c4c20d8f66eccb2c88732e6cb3651e07e6c74569443a54d2cdbb61b41",
                    z="c430b9eeef8db172d01efc23f97bb035baa8230534fd81485e070e8d4a658b72",
+                   u=None,
                    failure="897d9084851ecfea1d7db38faa41a309de8d33ad0d7ea119814fcda84cf61ec6"),
-    *draw_scm_pins("frontdoor", make_frontdoor_config(),
+    "frontdoor": draw_scm_pins("frontdoor", make_frontdoor_config(),
                    x="3a4c6acb4bdf7267428419d1959976ca03314d447d41a411bb05779baebb81e4",
                    z="00a820a4b85e94d20e82467686b8645dd779c9e9a5b0a13c9c3c3079c76a14a5",
                    u="82180f8f2ce8fb42e4253f6a00179f18256197d96ccdc16fec7486e64ddec8e8",
                    failure="660a776d45b4c9b26a71afef0fe530552441c23f1740f9a769120be5a401bbc4"),
+}
+
+# The benchmark's scenarios and the days-scale one, described above.
+BENCHMARK_SCALE = (
     Pin("cohort_1e6 cohort.csv", (SIMULATE_1E6,), "cohort_1e6.csv",
         "770da9512d445c0a9bb3447b6377707709e79953ec653ca56ba78998f3259c0e"),
     Pin("cohort_1e6 fit.json", (SIMULATE_1E6, FIT_1E6), "cohort_1e6_fit.json",
@@ -204,3 +225,56 @@ PINS = (
     Pin("experiment_frontdoor report.json", (FRONTDOOR_RUN,), "experiment_frontdoor/report.json",
         "f9c4102d0c05742084fad668c320fe1ac0a065ce6350a6daf26e77d9629f5239"),
 )
+
+PINS = (*CLI_20K, *DRAW_SCM["backdoor"], *DRAW_SCM["frontdoor"], *BENCHMARK_SCALE)
+
+
+class Outputs:
+    """The sha256 of pinned outputs, made in one directory, work. Each
+    distinct command runs once, however many pins and tests need it."""
+
+    def __init__(self, work: Path):
+        self.work = work
+        self.ran = set()
+        self.drawn = {}
+
+    def argv(self, argv) -> list:
+        """argv as strings, each dict written to a JSON file in work named by
+        the hash of its text."""
+        out = []
+        for arg in argv:
+            if isinstance(arg, dict):
+                text = json.dumps(arg, indent=2)
+                path = self.work / f"{hashlib.sha256(text.encode()).hexdigest()[:16]}.json"
+                path.write_text(text)
+                arg = path.name
+            out.append(str(arg))
+        return out
+
+    def sha256(self, pin: Pin) -> str:
+        if isinstance(pin.command, DrawScm):
+            call = pin.command
+            if call not in self.drawn:
+                self.drawn[call] = dict(zip(("x", "z", "u", "failure"), draw_scm(call.config, call.n, call.seed)))
+            column = self.drawn[call][pin.output]
+            return None if column is None else hashlib.sha256(column.tobytes()).hexdigest()
+        cwd = os.getcwd()
+        os.chdir(self.work)
+        try:
+            for argv in pin.command:
+                argv = self.argv(argv)
+                if tuple(argv) not in self.ran:
+                    assert cli.main([*argv, "--quiet"]) == 0, (pin.name, argv)
+                    self.ran.add(tuple(argv))
+            return hashlib.sha256(Path(pin.output).read_bytes()).hexdigest()
+        finally:
+            os.chdir(cwd)
+
+
+def check(pins, sha256) -> None:
+    """Fail naming every pin whose output's sha256 (by sha256(pin)) differs
+    from its pinned one, with toolchain_note()."""
+    differ = [f"  {pin.name}: pinned {pin.sha256}, got {got}" for pin in pins if (got := sha256(pin)) != pin.sha256]
+    assert not differ, "\n".join(
+        [f"{len(differ)} of {len(pins)} outputs differ from their pinned digests:", *differ, toolchain_note()]
+    )

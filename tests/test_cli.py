@@ -11,7 +11,7 @@ import dohazard as dh
 from dohazard import cli
 
 from conftest import make_backdoor_config, make_frontdoor_config
-from pinned import PINNED_TOOLCHAIN
+from pinned import CLI_20K, PINNED_TOOLCHAIN, check
 
 
 def write_scenario(path, config):
@@ -577,6 +577,11 @@ def test_ci_installs_the_pinned_toolchain():
     steps = re.split(r"^      - ", workflow, flags=re.M)[1:]
     one_thread = [step for step in steps if re.search(r"OPENBLAS_NUM_THREADS(=|: \"?)1\b", step)]
     assert len(one_thread) == 1 and "tests/test_pinned.py" in one_thread[0]
+
+
+def test_cli_outputs_match_pinned_digests(pinned_sha256):
+    # every subcommand's outputs on the conftest scenarios at n=20_000
+    check(CLI_20K, pinned_sha256)
 
 
 @pytest.mark.parametrize(

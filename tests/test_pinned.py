@@ -1,48 +1,8 @@
 """Every output of the table in pinned.py has its pinned sha256."""
 
-import hashlib
-import json
-from pathlib import Path
-
-from dohazard import cli
-
-from pinned import PINS, DrawScm, toolchain_note
-from truth import draw_scm
+from pinned import PINS, check
 
 
-def argv_in(work: Path, argv) -> list:
-    """argv as strings, each dict written to a JSON file in work named by
-    the hash of its text."""
-    out = []
-    for arg in argv:
-        if isinstance(arg, dict):
-            text = json.dumps(arg, indent=2)
-            path = work / f"{hashlib.sha256(text.encode()).hexdigest()[:16]}.json"
-            path.write_text(text)
-            arg = path.name
-        out.append(str(arg))
-    return out
-
-
-def test_outputs_match_their_pinned_digests(tmp_path, monkeypatch):
+def test_outputs_match_their_pinned_digests(pinned_sha256):
     assert len({pin.name for pin in PINS}) == len(PINS)
-    monkeypatch.chdir(tmp_path)
-    ran, drawn, got = set(), {}, {}
-    for pin in PINS:
-        if isinstance(pin.command, DrawScm):
-            call = pin.command
-            if call not in drawn:
-                drawn[call] = dict(zip(("x", "z", "u", "failure"), draw_scm(call.config, call.n, call.seed)))
-            data = drawn[call][pin.output].tobytes()
-        else:
-            for argv in pin.command:
-                argv = argv_in(tmp_path, argv)
-                if tuple(argv) not in ran:
-                    assert cli.main([*argv, "--quiet"]) == 0, (pin.name, argv)
-                    ran.add(tuple(argv))
-            data = Path(pin.output).read_bytes()
-        got[pin.name] = hashlib.sha256(data).hexdigest()
-    differ = [f"  {pin.name}: pinned {pin.sha256}, got {got[pin.name]}" for pin in PINS if got[pin.name] != pin.sha256]
-    assert not differ, "\n".join(
-        [f"{len(differ)} of {len(PINS)} outputs differ from their pinned digests:", *differ, toolchain_note()]
-    )
+    check(PINS, pinned_sha256)

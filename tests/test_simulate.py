@@ -18,6 +18,7 @@ from dohazard.simulate import _frontdoor_log_hazard, _latent_hazards
 from dohazard.stats import _BLOCK
 
 from conftest import make_backdoor_config, make_frontdoor_config
+from pinned import DRAW_SCM, check
 from truth import draw_scm
 
 # save_dataset and load_dataset work in chunks of _BLOCK rows; this edge
@@ -1262,6 +1263,12 @@ def test_draw_scm_is_block_invariant(make_config, hazard, x_forced, n):
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.shape == (n,) and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("dag", ["backdoor", "frontdoor"])
+def test_draw_scm_pinned_digests(pinned_sha256, dag):
+    # the reference scenarios' columns at n=40_000
+    check(DRAW_SCM[dag], pinned_sha256)
 
 
 @pytest.mark.parametrize("n", [0, -5])
