@@ -298,10 +298,11 @@ def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(
 
     Each exogenous stream is opened once, read on from block to block and
     shared by every x (common random numbers): only X and what it drives
-    are formed per x, with the floats of a one-arm draw. Philox is
-    counter-based, so the blocks, joined, are the whole-array draw bit for
-    bit, whatever n. _BLOCK = 2**13 keeps every float64 temporary at 64 KiB,
-    below glibc's 128 KiB mmap threshold, and a block's working set in L2.
+    are formed per x, with the floats of a one-arm draw. A stream's draws
+    read on from where its last call stopped (see stats), so the blocks,
+    joined, are the whole-array draw bit for bit, whatever n. _BLOCK =
+    2**13 keeps every float64 temporary at 64 KiB, below glibc's 128 KiB
+    mmap threshold, and a block's working set in L2.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")

@@ -9,11 +9,18 @@ The random number scheme is pinned so that golden-value tests are portable:
   k = 2**53 - 1, where ``k + 0.5`` rounds up to 2**53, maps to the largest
   double below 1; so every draw lies strictly inside (0, 1) and
   ``-log(1 - u)`` is always finite;
-* normal variates use the inverse CDF (Cephes ``ndtri`` rational
-  approximation) applied to those uniforms.
+* normal variates are numpy's ziggurat sampler (Marsaglia and Tsang,
+  J. Stat. Software 5(8), 2000; ``Generator.standard_normal``) on the same
+  Philox bits. A draw takes one 64-bit word, or more on the rare rejection,
+  so a stream's uniforms and normals do not line up word for word; each
+  stream of the package draws one kind of variate. The sampler is numpy's
+  scalar C code, not a dispatched SIMD loop, so its bits do not depend on
+  the CPU features numpy takes.
 
 No global state: a stream is a value, and every draw sequence is a pure
-function of (seed, stream_id, position).
+function of (seed, stream_id, position). The bit generator reads on from
+call to call, so draws taken in blocks, joined, are the one whole-array
+draw bit for bit, whatever the block sizes.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateCovariateError, InvalidArgumentError
 
@@ -50,6 +56,7 @@ class RngStream:
         self.stream_id = int(stream_id)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._bits = np.random.Philox(key=key)
+        self._normals = np.random.Generator(self._bits).standard_normal
 
     def uniform(self, size: int | None = None):
         """Uniform draws strictly inside (0, 1)."""
@@ -59,7 +66,7 @@ class RngStream:
     def normal(self, mean: float = 0.0, sd: float = 1.0, size: int | None = None):
         if sd < 0:
             raise InvalidArgumentError(f"sd must be >= 0, got {sd}")
-        v = ndtri(self.uniform(size))
+        v = self._normals(size)
         v *= sd
         v += mean
         return v

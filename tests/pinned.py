@@ -157,73 +157,73 @@ FRONTDOOR_RUN = ("experiment", experiment(EXPERIMENT_FRONTDOOR, [[1, 0]], [10], 
 # Every subcommand's outputs on those n=20_000 scenarios.
 CLI_20K = (
     Pin("simulate backdoor cohort.csv", (SIMULATE["backdoor"],), "backdoor.csv",
-        "ea5c55f8b84d75989fcebb1d647be27531f7a8f274ea5b6549b096ef64917eba"),
+        "568a26d8f633f87be4b59968a607afaeabba38aed69677822588d8b9f8f1b618"),
     Pin("simulate frontdoor cohort.csv", (SIMULATE["frontdoor"],), "frontdoor.csv",
-        "d704a4a7db273d2967b8c171c603b49c3a74017895d29041adbafa3744c2284d"),
-    estimate("backdoor", "1,0", "10", "6fee546065d239f7543a0a84ecb284b65ed72e204ee1469e533dc755ae18d9f8"),
-    estimate("backdoor", "2,-1", "5", "44bee305689d1267bcf68ff7f0e906ae714469060fc493e2784141790773a331"),
-    estimate("backdoor", "1,0", "10", "6fee546065d239f7543a0a84ecb284b65ed72e204ee1469e533dc755ae18d9f8", fit=True),
-    estimate("backdoor", "2,-1", "5", "44bee305689d1267bcf68ff7f0e906ae714469060fc493e2784141790773a331", fit=True),
-    estimate("frontdoor", "1,0", "10", "1a3306b823b7c90e421d97652a3879b1e45fa1575164d88fa59f5ee2a5e11b4b"),
-    estimate("frontdoor", "2,-1", "5", "0d572dcca37c7f8cc44e787ea560a7abc22b01e71c15185faac71aac056ee24c"),
-    oracle("backdoor", ("--x", "1"), "5dcb31fce7b5ba6ae24bad054f92c60594fd87b71ea1893307f94c1689fbf05f"),
-    oracle("backdoor", ("--x", "1", "--x0", "0"), "3ea3285623e1d54360e90fdd853e9ae7c4603f6e60390c5cdafb87fd7b199baf"),
-    oracle("backdoor", ("--x", "2", "--x0", "-1"), "5c25fb35a330021c50404e1aaa8b23dd214c844bf31e304b02b8f4baaafd75a7"),
-    oracle("frontdoor", ("--x", "1"), "5aabc3c1fa0af91d556d6a03e62410173c675ef59ae0f9cb783c29881064bfc6"),
-    oracle("frontdoor", ("--x", "1", "--x0", "0"), "cf2e0cb7cef0ce4a021fc0bd1632b333c5325d4de636f3aac91bc39b3ec9a34f"),
-    oracle("frontdoor", ("--x", "2", "--x0", "-1"), "a179a02e8d78f7519a62efbd602ca93c2fce013ec2b1687abd93e811716f2641"),
+        "707fe1812727af503d67880d00ecbde85e1368888b8467258b28d165fec3c403"),
+    estimate("backdoor", "1,0", "10", "45b84ad9cbe8284bdce94e94ac846f2a0e24476eeccb7668e90f4769ced6c63c"),
+    estimate("backdoor", "2,-1", "5", "523e99b7959cd4ed13be60448879b773a788beb558cc2de55db01c46ebdab540"),
+    estimate("backdoor", "1,0", "10", "45b84ad9cbe8284bdce94e94ac846f2a0e24476eeccb7668e90f4769ced6c63c", fit=True),
+    estimate("backdoor", "2,-1", "5", "523e99b7959cd4ed13be60448879b773a788beb558cc2de55db01c46ebdab540", fit=True),
+    estimate("frontdoor", "1,0", "10", "d91b0a092140da16f661b843ad23bd3ebe92a92e123eb46ca5661de6a04c4542"),
+    estimate("frontdoor", "2,-1", "5", "b1b141d4ec9df838544240de532e6c15eedc1009bb8196eba93a55a5047e9cf1"),
+    oracle("backdoor", ("--x", "1"), "23f3f02e20da84c9d25dcc970cd9c83b1ded680ff90b6a19337701ccd88b335f"),
+    oracle("backdoor", ("--x", "1", "--x0", "0"), "cef5db76570bebe74455ef811a8c9da3eac935c39ba1e5c85bd6f0ad6eb25a3d"),
+    oracle("backdoor", ("--x", "2", "--x0", "-1"), "f764a4fb9365902ac8904c23f12643c6478b5313177e38a9596848ca05e759fb"),
+    oracle("frontdoor", ("--x", "1"), "e9f1177fc3cbbd491a22520b556f8d808f96f026f952b2699702dfe4a96330a2"),
+    oracle("frontdoor", ("--x", "1", "--x0", "0"), "a43aa844c4ce085c61d6b60e7ea2cdfbcce07488beb69398a8aed72abbc82261"),
+    oracle("frontdoor", ("--x", "2", "--x0", "-1"), "8380c6f73b9f0dd3abc1724b6db3384f22f8fa235a65b4efe9ab9314ce1cddb0"),
     Pin("experiment backdoor estimates.csv", (EXPERIMENT_20K["backdoor"],), "backdoor_20k/estimates.csv",
-        "3b1fa69c9f0aee79014c6cf2390ee76f40629050e0c4447c0008ca77314500f7"),
+        "0b9f32b46f7ec46bdfe782dd4cc3f92e8f9bc7a7b9e6a2a7242ad770703b1f81"),
     Pin("experiment backdoor report.json", (EXPERIMENT_20K["backdoor"],), "backdoor_20k/report.json",
-        "6af8ae912359327b6db1c78afbbea0b528af6bfea991c65f88472f964a0dc8a0"),
+        "4cfd34863bc7121d61c464c0e3c613dcdcb0877f13f36b3e7486794ce00b3f51"),
     Pin("experiment frontdoor estimates.csv", (EXPERIMENT_20K["frontdoor"],), "frontdoor_20k/estimates.csv",
-        "c173e55d18f4bf6ab5f6943002d685ab1ea50fdfe5cc561b4d041cfb4b297f8f"),
+        "09772bdd5dbacbff0919d23763376ce7af142fb43d8a4f0d481a45a0b2b89794"),
     Pin("experiment frontdoor report.json", (EXPERIMENT_20K["frontdoor"],), "frontdoor_20k/report.json",
-        "383a6e734cc1c32c8133208ca8f6f9309fac7b53b6714f85771b278f832519bb"),
+        "89b009f7c477f13d3731804fd61d82177661e7ca96e767a1726a870dee5048f3"),
 )
 
-# The structural model's columns, frozen from the whole-array draw before
-# it was drawn in blocks; the backdoor model has no U column.
+# The structural model's columns, which test_simulate checks to be the
+# whole-array draw; the backdoor model has no U column.
 DRAW_SCM = {
     "backdoor": draw_scm_pins("backdoor", make_backdoor_config(),
-                   x="644ff50c4c20d8f66eccb2c88732e6cb3651e07e6c74569443a54d2cdbb61b41",
-                   z="c430b9eeef8db172d01efc23f97bb035baa8230534fd81485e070e8d4a658b72",
+                   x="b2e7147568611291373ceb65cbee13056b7feccb4cfc0f350b7a6dfe3a92ae0d",
+                   z="f078a5f0af831f4e2ea56e2dfdb25f421d01ddbaa8dd5e883ab60c2a088991f9",
                    u=None,
-                   failure="897d9084851ecfea1d7db38faa41a309de8d33ad0d7ea119814fcda84cf61ec6"),
+                   failure="2316561f3606a7b11e31d94c3ec7076e0bdc9a12e0851e53635d20e7e95ff317"),
     "frontdoor": draw_scm_pins("frontdoor", make_frontdoor_config(),
-                   x="3a4c6acb4bdf7267428419d1959976ca03314d447d41a411bb05779baebb81e4",
-                   z="00a820a4b85e94d20e82467686b8645dd779c9e9a5b0a13c9c3c3079c76a14a5",
-                   u="82180f8f2ce8fb42e4253f6a00179f18256197d96ccdc16fec7486e64ddec8e8",
-                   failure="660a776d45b4c9b26a71afef0fe530552441c23f1740f9a769120be5a401bbc4"),
+                   x="695585279fdbf4a7bb1b49e8197983c137245c38d0947588e4d9578c94e7bbbb",
+                   z="8b10c559c0f44412e72f1f71b4ce7bb3edea43452e187b4704aba021a0bcdb00",
+                   u="c5e483bb8f73142c1f36354b4c70bf49f687bf5491df4024e0c443796eca933e",
+                   failure="ac70a1d7635ba0319d387154355e4f1ecee5c95689d458aa0e62f1f483855e0a"),
 }
 
 # The benchmark's scenarios and the days-scale one, described above.
 BENCHMARK_SCALE = (
     Pin("cohort_1e6 cohort.csv", (SIMULATE_1E6,), "cohort_1e6.csv",
-        "770da9512d445c0a9bb3447b6377707709e79953ec653ca56ba78998f3259c0e"),
+        "6f429c0eb04e07b58cba0febba8798a48fca40e02401c61e7bb26bceaceba873"),
     Pin("cohort_1e6 fit.json", (SIMULATE_1E6, FIT_1E6), "cohort_1e6_fit.json",
-        "4185e012ab7e61977d407a6f18921bd763ee6d967a230cb080613ef25e166d76"),
+        "7c73f15ffae2c09d15352ca91f709a291d2abd4a865ff7d51bd4c779ccb21b47"),
     Pin("cohort_1e6 backdoor.json",
         (SIMULATE_1E6, FIT_1E6, ("backdoor", "cohort_1e6.csv", "--fit", "cohort_1e6_fit.json", "--contrast", "1,0",
                                  "--t", "10", "--out", "cohort_1e6_backdoor.json")),
-        "cohort_1e6_backdoor.json", "bc13ce6002931f7f3414798510a88529a532ee9d1bb3630d2a21c35f6a86f466"),
+        "cohort_1e6_backdoor.json", "72e49647fb4bdd7c0d937804c9f4cdc958beafcedf196c45df9c66f5c936cb99"),
     Pin("experiment_frontdoor cohort.csv", (SIMULATE_FD,), "experiment_frontdoor.csv",
-        "b2f52c670320970a8d9dda0bc878e5a6658a9a76c178194a801abaad8849e865"),
+        "2ca011ea6a512936fa52aa2824e352e5a4551812f90a8bd49736ac74c4e5b1c4"),
     Pin("experiment_frontdoor fit.json",
         (SIMULATE_FD, ("fit", "experiment_frontdoor.csv", "--out", "experiment_frontdoor_fit.json")),
-        "experiment_frontdoor_fit.json", "5d6a3c2f381d4f856e52bc9b86cffd354e8e5029c395682f468503658585e09e"),
+        "experiment_frontdoor_fit.json", "364c65a64662b72e11305c774ea66ce1ff4aa6bd5bab2b81f8acfe0de6a52cee"),
     Pin("days-scale cohort.csv", (SIMULATE_DAYS,), "days.csv",
-        "664cb1c0ee238d190ba854cf24d504316fa23327636f41e83fcdd1834c04b44e"),
+        "4e1f62a464e6028174ac78b6922b4534bc427a5f9010e4a06ddde032d57dbf5c"),
     Pin("days-scale fit.json", (SIMULATE_DAYS, ("fit", "days.csv", "--out", "days_fit.json")), "days_fit.json",
-        "4d53feb1514340d9845aa787a9a529bc9d0ca01c3f7950bddbdc5bcccb0383d8"),
+        "46559a7aebeb96434e8d064a9ae023d823b14ac809399753de0fb46a7dce86c0"),
     Pin("experiment_backdoor estimates.csv", (BACKDOOR_RUN,), "experiment_backdoor/estimates.csv",
-        "d724f32bd8e3b510b0cd4c1e709bbbc8703acc04613e20dc05ce376e4b492eb1"),
+        "27bcc92bf5e9aadc8bc6ccd6a24f55742863684583d35deae0c89fb5a7a54a69"),
     Pin("experiment_backdoor report.json", (BACKDOOR_RUN,), "experiment_backdoor/report.json",
-        "e2b2818d8079519d1552ea6b527f4d3d662e2b7fa7cd3b7b505f97093b17d8de"),
+        "c1d4766824693d972883875cffaa008eb259ad87cdc3cf1903ef9eec37e8e7c5"),
     Pin("experiment_frontdoor estimates.csv", (FRONTDOOR_RUN,), "experiment_frontdoor/estimates.csv",
-        "b71e91b98a7472abee611ed35019dce8493ea8a7b0d841fad6d6a117ee0b0aea"),
+        "f83b61e725cb79ce961b67472b093f4e0cf90ee03d3b310e7e1554656974747a"),
     Pin("experiment_frontdoor report.json", (FRONTDOOR_RUN,), "experiment_frontdoor/report.json",
-        "f9c4102d0c05742084fad668c320fe1ac0a065ce6350a6daf26e77d9629f5239"),
+        "01202987805f87f8992c90af11aeadeb5eef237ce1b5612080ccd17365300715"),
 )
 
 PINS = (*CLI_20K, *DRAW_SCM["backdoor"], *DRAW_SCM["frontdoor"], *BENCHMARK_SCALE)

@@ -606,18 +606,24 @@ def test_experiment_draws_each_oracle_offset_once(tmp_path, monkeypatch, make_co
     }
     (tmp_path / "experiment.json").write_text(json.dumps(experiment))
     opened, drawn = [], []
-    init, uniform = dh.RngStream.__init__, dh.RngStream.uniform
+    init, uniform, normal = dh.RngStream.__init__, dh.RngStream.uniform, dh.RngStream.normal
 
     def spy_init(self, seed, stream_id=0):
         opened.append((seed, stream_id))
         init(self, seed, stream_id)
 
+    # every variate is a uniform or a normal draw; neither calls the other
     def spy_uniform(self, size=None):
         drawn.append(1 if size is None else size)
         return uniform(self, size)
 
+    def spy_normal(self, mean=0.0, sd=1.0, size=None):
+        drawn.append(1 if size is None else size)
+        return normal(self, mean, sd, size)
+
     monkeypatch.setattr(dh.RngStream, "__init__", spy_init)
     monkeypatch.setattr(dh.RngStream, "uniform", spy_uniform)
+    monkeypatch.setattr(dh.RngStream, "normal", spy_normal)
     assert run(["experiment", tmp_path / "experiment.json", "--out-dir", tmp_path, "--quiet"]) == 0
     oracle_seed = scenario.seed + cli._ORACLE_SEED_OFFSET
     oracle_streams = [stream for seed, stream in opened if seed == oracle_seed]

@@ -151,7 +151,7 @@ def test_fit_reference_recovery(backdoor_fit):
     assert abs(fit.coef("x") - 0.3) < 3.0 * fit.std_err("x")
     assert abs(fit.coef("z") - 0.4) < 3.0 * fit.std_err("z")
     assert fit.n == 100_000
-    assert fit.n_events == 2460
+    assert fit.n_events == 2393
     cov = fit.covariance
     assert np.allclose(cov, cov.T)
     assert np.all(np.diag(cov) > 0)

@@ -8,12 +8,15 @@ only the benchmark, so each one is checked here, and so is a span from each
 estimate layer it times. No package module keeps
 an import it does not use, so a moved or deleted name leaves no stray
 import behind, and the package exports no name that only the tests use.
+Every subcommand runs with numpy as the only third-party package.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,6 +80,40 @@ def test_every_dohazard_name_the_benchmark_imports_exists():
     for module, name in wanted:
         imported = importlib.import_module(module)
         assert name is None or hasattr(imported, name), f"{module}.{name}"
+
+
+# Each subcommand through dohazard.cli.main, from a fresh interpreter in
+# which any scipy import fails; prints each command's exit code.
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+from dohazard import cli
+for argv in (
+    ["simulate", "backdoor.json", "--out", "backdoor.csv"],
+    ["simulate", "frontdoor.json", "--out", "frontdoor.csv"],
+    ["fit", "backdoor.csv", "--out", "fit.json"],
+    ["backdoor", "backdoor.csv", "--fit", "fit.json", "--contrast", "1,0", "--t", "10", "--out", "backdoor_rr.json"],
+    ["frontdoor", "frontdoor.csv", "--contrast", "1,0", "--t", "10", "--out", "frontdoor_rr.json"],
+    ["oracle", "backdoor.json", "--x", "1", "--x0", "0", "--n", "5000", "--out", "oracle.json"],
+    ["experiment", "backdoor_experiment.json", "--out-dir", "backdoor_experiment"],
+    ["experiment", "frontdoor_experiment.json", "--out-dir", "frontdoor_experiment"],
+):
+    print(argv[0], cli.main([*argv, "--quiet"]))
+"""
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    for config in (make_backdoor_config(n_subjects=3_000), make_frontdoor_config(n_subjects=3_000)):
+        experiment = {"scenario": config.to_dict(), "contrasts": [[1, 0]], "horizon_grid": [10], "oracle_n": 5_000}
+        (tmp_path / f"{config.dag_kind}.json").write_text(json.dumps(config.to_dict()))
+        (tmp_path / f"{config.dag_kind}_experiment.json").write_text(json.dumps(experiment))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    commands = ["simulate", "simulate", "fit", "backdoor", "frontdoor", "oracle", "experiment", "experiment"]
+    assert proc.stdout.splitlines() == [f"{command} 0" for command in commands]
 
 
 @pytest.fixture()

@@ -26,10 +26,10 @@ from truth import draw_scm
 CHUNK_EDGE = 2 * _BLOCK
 
 # frozen regression values for the two reference cohorts
-BACKDOOR_EVENTS = 2460
-BACKDOOR_FIRST = (10.0, -0.25496111409417921, -0.14147609604383266)
-FRONTDOOR_EVENTS = 3680
-FRONTDOOR_FIRST = (10.0, 0.74532190738205462, 0.72291593477349925, 1.1874089802587715)
+BACKDOOR_EVENTS = 2393
+BACKDOOR_FIRST = (10.0, -0.046113629833785641, 0.86689246492167704)
+FRONTDOOR_EVENTS = 3676
+FRONTDOOR_FIRST = (10.0, -0.82547050458900406, -2.0085747891645545, -0.047391616732544842)
 
 
 def failure_times(exponential, eta, hazard):

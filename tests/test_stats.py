@@ -22,7 +22,14 @@ GOLDEN_UNIFORMS = [
     0.18924562408645501,
     0.8676608148821463,
 ]
-GOLDEN_NORMAL = 0.91612048563452264
+GOLDEN_NORMAL = 0.3375714466967798
+# the same stream's first normals, one array draw
+GOLDEN_NORMALS = [
+    0.3375714466967798,
+    -0.78215347844354133,
+    -0.3160252007782352,
+    -2.1012153395949684,
+]
 
 
 def quadrature_moment(beta, mean, sd, nodes=200):
@@ -146,6 +153,7 @@ def test_stream_golden_values():
     got = [s.uniform() for _ in range(3)]
     assert got == GOLDEN_UNIFORMS
     assert dh.RngStream(42, 0).normal() == GOLDEN_NORMAL
+    assert dh.RngStream(42, 0).normal(size=4).tolist() == GOLDEN_NORMALS
 
 
 @pytest.mark.parametrize("seed, stream_id", [(2**64, 0), (0, 2**64), (-1, 0), (0, -1)])
@@ -194,6 +202,57 @@ def test_uniform_map_at_the_edge_codes(code, expected):
         assert u[0] == expected
         assert 0.0 < u[0] < 1.0
     assert math.isfinite(-math.log1p(-expected))
+
+
+@pytest.mark.parametrize("chunk", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_normal_chunks_join_to_the_whole_array_draw(chunk):
+    # a ziggurat draw takes a second word on a rejection (about 1 draw in
+    # 100), so chunk edges land next to rejections too
+    n = 3 * _BLOCK + 5
+    whole = dh.RngStream(13, 2).normal(0.5, 2.0, size=n)
+    stream = dh.RngStream(13, 2)
+    chunks = [stream.normal(0.5, 2.0, size=min(chunk, n - start)) for start in range(0, n, chunk)]
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+
+# numpy's AVX512 dispatch targets; the pinned digests are taken with them on
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+NORMAL_COLUMNS_SCRIPT = """
+import hashlib
+from conftest import make_backdoor_config, make_frontdoor_config
+from pinned import toolchain
+from truth import draw_scm
+print(toolchain())
+for config in (make_backdoor_config(), make_frontdoor_config()):
+    for column in draw_scm(config, 40_000, config.seed)[:3]:
+        print(None if column is None else hashlib.sha256(column.tobytes()).hexdigest())
+"""
+
+
+def normal_column_digests(**env) -> list:
+    """The toolchain line, then the sha256 of draw_scm's x, z and u columns
+    for both reference scenarios, from a fresh interpreter with env added."""
+    tests = Path(__file__).resolve().parent
+    src = Path(dh.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{tests}", **env)
+    proc = subprocess.run(
+        [sys.executable, "-c", NORMAL_COLUMNS_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_normal_columns_keep_their_bits_without_avx512():
+    # the ziggurat sampler is scalar C, and x, z and u are its draws scaled
+    # and added, so they are not to depend on numpy's dispatch (the failure
+    # column does: exp and log1p have AVX512 loops)
+    toolchain, *digests = normal_column_digests()
+    if not set(AVX512_TARGETS) & set(toolchain.rsplit("[", 1)[1].rstrip("]").split()):
+        pytest.skip(f"numpy takes none of {AVX512_TARGETS} on this CPU")
+    toolchain_off, *digests_off = normal_column_digests(NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
+    assert "AVX512 loops not dispatched" in toolchain_off
+    assert digests_off == digests
 
 
 def test_normal_moments():
