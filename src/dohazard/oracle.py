@@ -1,7 +1,8 @@
 """Ground truth by brute force.
 
-Every arm is drawn through ``simulate._scm_blocks``, the structural model
-that also generates the observed cohort. An intervention do(X=x) severs
+Every arm is formed by ``simulate._arm`` from the blocks of
+``simulate._exogenous_blocks``, the structural model that also generates
+the observed cohort. An intervention do(X=x) severs
 every arrow into the exposure: the confounder (or hidden cause) is still
 drawn from its own equation, the exposure is set to the forced value, and
 everything downstream uses that value. The fraction of failures by the
@@ -20,9 +21,16 @@ cumulative-hazard scale, H = H0(T). A subject fails by t when
 invert(H) <= t, and ``_event_counts`` decides that on the hazard scale:
 H below H0(t (1 - _BAND)) fails, H above H0(t (1 + _BAND)) does not, and
 only the few subjects inside that band are inverted to their failure
-time and compared with t. Where the band's edges do not invert back to
-within t _BAND / 2 of their times, and for an exponential baseline, whose
-inverse is one division, every subject is inverted once per arm.
+time and compared with t. Every baseline takes a band, the exponential
+one too. Where the band's edges do not invert back to within t _BAND / 2
+of their times, every subject is inverted once per arm.
+
+Under do(x) the forced arms differ only by a constant shift of the log
+hazard. So a request with two forced arms or more forms only the first of
+them on a whole block, and counts every forced arm and pair of the block
+from one sort of its hazards (``_Screen``). Only the few subjects near a
+band's edge, scaled by an arm's shift, are formed under each forced arm
+and decided as above.
 
 No random censoring is applied: the target is the latent failure CDF,
 so censoring cannot masquerade as estimator error.
@@ -39,13 +47,18 @@ from .cohort import Dataset
 from .cox import CoxFit, _eta, _horizon
 from .errors import DegenerateOracleError, InvalidArgumentError
 from .results import CausalEstimate
-from .simulate import ExponentialHazard, ScenarioConfig, _scm_blocks
+from .simulate import ScenarioConfig, _arm, _Draws, _exogenous_blocks, _log_hazard
 from .stats import _pairwise_sum
 
 _FLAG_THRESHOLD = 0.05
 # Relative half-width, in time, of the band of latent cumulative hazards
 # around H0(t) whose subjects _event_counts inverts to failure times.
 _BAND = 2.0**-30
+# Relative margin of a _Screen's edges, and the bound on the terms of a
+# screened block's log hazards, which keeps its roundings well inside it.
+_MARGIN = 2.0**-30
+_TERMS = 2.0**9
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -96,13 +109,10 @@ def _bands(baseline, ts):
     to within a few ulps: so a latent hazard below lo fails by t, and one
     above hi does not.
 
-    None when an edge does not invert to within t _BAND / 2 of its own time
-    (an extreme Weibull shape, an H0 that under- or overflows), and for an
-    exponential baseline: its inverse is one division per subject and arm,
-    which costs no more than the band's second comparison per horizon once
-    a request has two horizons or more."""
-    if isinstance(baseline, ExponentialHazard):
-        return None
+    None when an edge does not invert to within t _BAND / 2 of its own time:
+    an extreme Weibull shape, or an H0 that under- or overflows. An
+    exponential baseline takes a band too, though its inverse is one
+    division: a _Screen needs the band of every baseline."""
     bands = []
     for t in ts:
         edges = t * np.array([1.0 - _BAND, 1.0 + _BAND])
@@ -117,8 +127,8 @@ def _bands(baseline, ts):
 
 def _failed_by(baseline, h: np.ndarray, ts, bands) -> list:
     """[invert(h) <= t for t in ts] for the latent cumulative hazards h:
-    every subject inverted once when bands is None, or else h compared
-    with each horizon's band, and only the subjects inside it inverted."""
+    h compared with each horizon's band, and only the subjects inside it
+    inverted, or every subject inverted once when bands is None."""
     if bands is None:
         failure = baseline.invert(h)
         return [failure <= t for t in ts]
@@ -132,21 +142,139 @@ def _failed_by(baseline, h: np.ndarray, ts, bands) -> list:
     return failed
 
 
+class _Screen:
+    """Every forced arm of a block counted from one, the reference: the
+    first forced x of the request.
+
+    Under do(x) the forced arms differ only by a constant shift of the log
+    hazard, eta_x = eta_ref + shift[x], which the structural equations give
+    on a row of zero draws. So arm x's latent hazards are the reference's H
+    times exp(-shift[x]): arm x fails by t where H < lower[x, t] =
+    lo exp(shift[x]) (1 - _MARGIN), and survives where H > upper[x, t] =
+    hi exp(shift[x]) (1 + _MARGIN), [lo, hi] being t's band. Both arms of a
+    pair fail where H is below the smaller of their lower edges. One sort
+    of the block's candidates, the H up to the largest upper edge (only
+    they can fail under a forced arm), and a searchsorted of every edge
+    count each forced (x, t) and pair. Only the few subjects between a
+    lower and an upper edge are formed under each forced arm (_arm) and
+    decided by _failed_by, so every count has the bits of the arm's own.
+    The factual arm is formed and counted as in a block without a screen.
+
+    The margin covers every rounding between H exp(-shift[x]) and the arm's
+    own hazard. A block is screened where the structural equations on the
+    coefficients' magnitudes, the largest forced |x| and the block's
+    largest draws are at most _TERMS. Then every term of a forced arm's
+    eta, and so eta, is within 2**9, and its exp and H are normal floats
+    (or H is 0 under every arm). The few roundings of two arms' eta and of
+    the shift, each within an ulp of 2**9, err by less than 2**-40 in all;
+    with exp's few ulps, the product with the failure variate and the
+    edges' own roundings, the screened hazard is within 2**-38 relative of
+    the arm's, far inside the margin, as long as the edges are normal
+    floats. A block the bound fails is counted arm by arm, which also
+    refuses a non-finite eta as a draw of the arm does.
+    """
+
+    def __init__(self, config: ScenarioConfig, xs: list, ts: list, pairs: list, bands: list, forced: list, shift):
+        coef = config.coefficients
+        self.ts, self.bands, self.forced = ts, bands, forced
+        self.frontdoor = config.dag_kind == "frontdoor"
+        self.magnitudes = type(coef)(**{name: abs(value) for name, value in vars(coef).items()})
+        self.x_abs = max(abs(x) for x in forced)
+        lo, hi = np.array(bands).T
+        scale = np.exp(shift)[:, None]
+        self.lower, self.upper = lo * scale * (1.0 - _MARGIN), hi * scale * (1.0 + _MARGIN)
+        self.reach = self.upper.max()
+        arm = {x: i for i, x in enumerate(forced)}
+        both = [(x, x0) for x, x0 in pairs if x is not None and x0 is not None]
+        self.pair_arms = np.array([[arm[x], arm[x0]] for x, x0 in both], dtype=np.intp).reshape(-1, 2)
+        self.pair_lower = np.minimum(self.lower[self.pair_arms[:, 0]], self.lower[self.pair_arms[:, 1]])
+        self.arm_keys = [(x, t) for x in forced for t in ts]
+        self.pair_keys = [(x, x0, t) for x, x0 in both for t in ts]
+        # the factual arm's pairs, each with the index of its other arm (None: factual too)
+        self.factual = None in xs
+        self.factual_pairs = [((x, x0), arm.get(x0 if x is None else x)) for x, x0 in pairs if None in (x, x0)]
+
+    @classmethod
+    def of(cls, config: ScenarioConfig, xs: list, ts: list, pairs: list, bands):
+        """The screen of a request with at least two forced arms, or None
+        where it has fewer, no band holds, or an edge is not a normal float."""
+        forced = [x for x in xs if x is not None]
+        if len(forced) < 2 or bands is None:
+            return None
+        frontdoor = config.dag_kind == "frontdoor"
+        zeros = _Draws(np.zeros(1), np.zeros(1) if frontdoor else None, None, None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = np.array([_log_hazard(config.coefficients, frontdoor, zeros, x)[3][0] for x in forced])
+            screen = cls(config, xs, ts, pairs, bands, forced, eta - eta[0])
+        normal = (screen.lower >= _TINY) & (screen.upper <= _HUGE)
+        return screen if normal.all() else None
+
+    def holds(self, draws: _Draws) -> bool:
+        """Whether the block's terms are within _TERMS (see the class)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _log_hazard(self.magnitudes, self.frontdoor, draws.largest(), self.x_abs)[3][0]
+        return bool(bound <= _TERMS)
+
+    def count(self, config: ScenarioConfig, draws: _Draws, counts: dict) -> None:
+        """Add the block's counts of every key to counts."""
+        baseline = config.baseline_hazard
+        h = _arm(config, draws, self.forced[0])[3]
+        candidates = np.flatnonzero(h <= self.reach)
+        hc = h[candidates]
+        ordered = np.sort(hc)
+        arms = ordered.searchsorted(self.lower)
+        both = ordered.searchsorted(self.pair_lower)
+        inside = ordered.searchsorted(self.upper, "right") > arms
+        edge = None
+        if inside.any():
+            edge = np.zeros(hc.size, dtype=bool)
+            for lower, upper in zip(self.lower[inside], self.upper[inside]):
+                edge |= (hc >= lower) & (hc <= upper)
+            he, rows = hc[edge], candidates[edge]
+            decided = np.array(
+                [_failed_by(baseline, _arm(config, draws, x, rows)[3], self.ts, self.bands) for x in self.forced]
+            ).reshape(len(self.forced), len(self.ts), -1)
+            arms += decided.sum(-1) - (he < self.lower[..., None]).sum(-1)
+            pair_decided = decided[self.pair_arms[:, 0]] & decided[self.pair_arms[:, 1]]
+            both += pair_decided.sum(-1) - (he < self.pair_lower[..., None]).sum(-1)
+        for key, count in zip(self.arm_keys + self.pair_keys, arms.ravel().tolist() + both.ravel().tolist()):
+            counts[key] += count
+        if not self.factual:
+            return
+        factual = _failed_by(baseline, _arm(config, draws, None)[3], self.ts, self.bands)
+        for j, t in enumerate(self.ts):
+            counts[None, t] += int(np.count_nonzero(factual[j]))
+            for (x, x0), i in self.factual_pairs:
+                if i is None:
+                    counts[x, x0, t] += int(np.count_nonzero(factual[j]))
+                    continue
+                hit = hc < self.lower[i, j]
+                if edge is not None:
+                    hit[edge] = decided[i, j]
+                counts[x, x0, t] += int(np.count_nonzero(factual[j][candidates] & hit))
+
+
 def _event_counts(config: ScenarioConfig, n: int, seed: int, offset: int, xs, ts, pairs=()) -> dict:
     """Subjects failing by t under do(X=x), keyed (x, t) for every x of xs
     and of pairs (None: the factual arm) and t of ts, and subjects failing
     by t under both arms of a pair (x, x0), keyed (x, x0, t), all from one
-    draw of the exogenous noise at offset. Every x and t is checked before
-    any stream opens."""
+    draw of the exogenous noise at offset, block by block. Every x and t is
+    checked before any stream opens. A block of a request with two forced
+    arms or more is counted through its _Screen where that holds, and arm
+    by arm elsewhere."""
     xs = list(dict.fromkeys([*xs, *(x for pair in pairs for x in pair)]))
     _check_arms(config, xs, ts)
     ts, pairs = list(dict.fromkeys(ts)), list(dict.fromkeys(pairs))
     counts = dict.fromkeys([(x, t) for x in xs for t in ts] + [(x, x0, t) for x, x0 in pairs for t in ts], 0)
     baseline = config.baseline_hazard
     bands = _bands(baseline, ts)
-    for arms in _scm_blocks(config, n, seed, offset, xs):
+    screen = _Screen.of(config, xs, ts, pairs, bands)
+    for draws in _exogenous_blocks(config, n, seed, offset, None in xs):
+        if screen is not None and screen.holds(draws):
+            screen.count(config, draws, counts)
+            continue
         failed = {
-            (x, t): hit for x, (_, _, _, h) in zip(xs, arms) for t, hit in zip(ts, _failed_by(baseline, h, ts, bands))
+            (x, t): hit for x in xs for t, hit in zip(ts, _failed_by(baseline, _arm(config, draws, x)[3], ts, bands))
         }
         for key, hit in failed.items():
             counts[key] += int(np.count_nonzero(hit))

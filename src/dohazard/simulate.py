@@ -10,11 +10,15 @@ hazard's ``invert`` turns it into the failure time T, with administrative
 censoring at the study horizon and optional independent exponential
 censoring.
 
-``_scm_blocks`` is the one home of the structural equations, drawn in
-blocks of ``_BLOCK`` subjects: ``generate`` inverts and censors them block
-by block into the cohort's columns, and the intervention oracle streams
-its arms through the blocks with X forced and counts failures from the
-latent hazards.
+The structural model is drawn in blocks of ``_BLOCK`` subjects, in two
+steps: ``_exogenous_blocks`` draws a block's exogenous noise once, which
+every arm of the block shares, and ``_arm``, the one home of the
+structural equations (``_log_hazard``), forms one arm from it, on all of
+the block's rows or some. ``_scm_blocks`` joins the two: ``generate``
+inverts and censors its blocks into the cohort's columns. The
+intervention oracle forms its arms with X forced and counts failures from
+the latent hazards, some arms only on the few subjects it cannot decide
+from another arm's.
 ``generate`` holds no cohort-sized array beyond the columns it returns;
 ``cohort`` saves and loads them. Structural log-hazards live in
 ``_backdoor_log_hazard`` and ``_frontdoor_log_hazard``; the frontdoor one
@@ -282,62 +286,106 @@ def _censoring_times(config: ScenarioConfig, rng: RngStream, n: int) -> np.ndarr
     return np.full(n, config.horizon_t)
 
 
-def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(None,)):
-    """The structural model for n subjects as consecutive blocks of at most
-    _BLOCK subjects: per block, one (x, z, u, hazard) for each x of xs.
-    z is the measured covariate, u the hidden confounder (None for the
-    backdoor DAG) and hazard the latent failures on the cumulative-hazard
-    scale, H0(T) (see _latent_hazards). None in xs is the
-    factual arm, X drawn; a forced x simulates do(X=x): X is that float,
-    not an array, its noise stream is not drawn, and every other variable
-    keeps its draw. Variable v draws from stream (seed, offset + _STREAM_v),
-    so an arm at another offset is an independent copy of the model. An
-    arm whose log hazard is not finite, which finite coefficients can give
-    by overflow, raises InvalidArgumentError naming the field coefficients
-    and any forced x.
+@dataclass(frozen=True)
+class _Draws:
+    """One block's exogenous draws, which every arm of the block shares:
+    the cause (the backdoor Z, or the frontdoor hidden U), the mediator's
+    noise (frontdoor; else None), X as drawn (None unless the factual arm
+    is asked for) and the failure variates -log(1 - u)."""
 
-    Each exogenous stream is opened once, read on from block to block and
-    shared by every x (common random numbers): only X and what it drives
-    are formed per x, with the floats of a one-arm draw. A stream's draws
-    read on from where its last call stopped (see stats), so the blocks,
-    joined, are the whole-array draw bit for bit, whatever n. _BLOCK =
-    2**13 keeps every float64 temporary at 64 KiB, below glibc's 128 KiB
-    mmap threshold, and a block's working set in L2.
+    cause: np.ndarray
+    mediator_noise: np.ndarray | None
+    x_drawn: np.ndarray | None
+    exponential: np.ndarray | None
+
+    def largest(self) -> "_Draws":
+        """One row holding the largest magnitude of the cause and of the
+        mediator's noise, the draws a forced arm's log hazard reads."""
+
+        def peak(a):
+            return None if a is None else np.abs(a).max(keepdims=True)
+
+        return _Draws(peak(self.cause), peak(self.mediator_noise), None, None)
+
+
+def _exogenous_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, factual: bool = True):
+    """The exogenous draws of the structural model for n subjects, as
+    consecutive _Draws blocks of at most _BLOCK subjects. X's noise is
+    drawn only for the factual arm; a forced arm does not read it. Variable
+    v draws from stream (seed, offset + _STREAM_v), so the draws at another
+    offset are an independent copy of the model.
+
+    Each stream is opened once and read on from block to block. A stream's
+    draws read on from where its last call stopped (see stats), so the
+    blocks, joined, are the whole-array draw bit for bit, whatever n.
+    _BLOCK = 2**13 keeps every float64 temporary at 64 KiB, below glibc's
+    128 KiB mmap threshold, and a block's working set in L2.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
     coef = config.coefficients
     frontdoor = config.dag_kind == "frontdoor"
     z_or_u = RngStream(seed, offset + _STREAM_Z_OR_U)
-    x_noise = RngStream(seed, offset + _STREAM_X_NOISE) if None in xs else None
+    x_noise = RngStream(seed, offset + _STREAM_X_NOISE) if factual else None
     z_noise = RngStream(seed, offset + _STREAM_Z_NOISE) if frontdoor else None
     failure = RngStream(seed, offset + _STREAM_FAILURE)
 
-    # an overflow is refused below by field, not warned of by numpy
+    # an overflow is refused by field in _arm, not warned of by numpy
     @np.errstate(over="ignore", invalid="ignore")
-    def block(size: int) -> list:
+    def block(size: int) -> _Draws:
         if frontdoor:
-            u = cause = z_or_u.normal(0.0, 1.0, size)
+            cause = z_or_u.normal(0.0, 1.0, size)
             mediator_noise = z_noise.normal(0.0, coef.sigma_z, size)
         else:
-            u = None
-            z = cause = config.z_dist.draw(z_or_u, size)
+            cause, mediator_noise = config.z_dist.draw(z_or_u, size), None
+        drawn = None
         if x_noise is not None:
             drawn = (coef.c_ux if frontdoor else coef.a_zx) * cause + x_noise.normal(0.0, coef.sigma_x, size)
-        exponential = -np.log1p(-failure.uniform(size))
-        arms = []
-        for x_forced in xs:
-            x = drawn if x_forced is None else float(x_forced)
-            if frontdoor:
-                z = coef.alpha * x + mediator_noise
-            eta = _frontdoor_log_hazard(coef, z, u) if frontdoor else _backdoor_log_hazard(coef, x, z)
-            if not np.isfinite(eta).all():
-                arm = "" if x_forced is None else f" under do(x={x})"
-                raise InvalidArgumentError(f"field 'coefficients' gives a non-finite log hazard{arm}")
-            arms.append((x, z, u, _latent_hazards(exponential, eta)))
-        return arms
+        return _Draws(cause, mediator_noise, drawn, -np.log1p(-failure.uniform(size)))
 
     return (block(min(_BLOCK, n - start)) for start in range(0, n, _BLOCK))
+
+
+def _log_hazard(coef, frontdoor: bool, draws: _Draws, x_forced, rows=slice(None)) -> tuple:
+    """The structural equations of one arm on draws' rows (an index array,
+    or every row): (x, z, u, eta). z is the measured covariate, u the
+    hidden confounder (None for the backdoor DAG) and eta the log relative
+    hazard. None for x_forced is the factual arm, X as drawn; a forced x
+    simulates do(X=x): X is that float, not an array, and every other
+    variable keeps its draw. Each equation is a sum of products, so on
+    the coefficients' magnitudes and draws' largest() it bounds every term
+    of eta for any forced x of magnitude at most x_forced."""
+    cause = draws.cause[rows]
+    x = draws.x_drawn[rows] if x_forced is None else float(x_forced)
+    if frontdoor:
+        z = coef.alpha * x + draws.mediator_noise[rows]
+        return x, z, cause, _frontdoor_log_hazard(coef, z, cause)
+    return x, cause, None, _backdoor_log_hazard(coef, x, cause)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _arm(config: ScenarioConfig, draws: _Draws, x_forced, rows=slice(None)) -> tuple:
+    """One arm of a block on draws' rows (an index array, or every row):
+    (x, z, u, hazard), _log_hazard's columns with eta turned into the
+    latent failures on the cumulative-hazard scale, H0(T) (see
+    _latent_hazards). Each element has the bits it has in the arm formed
+    on every row. An arm whose log hazard is not finite, which finite
+    coefficients can give by overflow, raises InvalidArgumentError naming
+    the field coefficients and any forced x."""
+    x, z, u, eta = _log_hazard(config.coefficients, config.dag_kind == "frontdoor", draws, x_forced, rows)
+    if not np.isfinite(eta).all():
+        arm = "" if x_forced is None else f" under do(x={x})"
+        raise InvalidArgumentError(f"field 'coefficients' gives a non-finite log hazard{arm}")
+    return x, z, u, _latent_hazards(draws.exponential[rows], eta)
+
+
+def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(None,)):
+    """The structural model for n subjects as consecutive blocks of at most
+    _BLOCK subjects: per block, the _arm (x, z, u, hazard) of each x of xs
+    (None: the factual arm), all formed from one _Draws of the exogenous
+    streams (common random numbers), each with the floats of a one-arm
+    draw."""
+    return ([_arm(config, draws, x) for x in xs] for draws in _exogenous_blocks(config, n, seed, offset, None in xs))
 
 
 def generate(config: ScenarioConfig) -> Dataset:

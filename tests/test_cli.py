@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -486,6 +487,60 @@ def test_experiment_warns_on_stderr(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "fit_cox", lambda dataset, names: dh.fit_cox(dataset, names, max_iter=1))
     assert run(["experiment", common, "--out-dir", tmp_path / "unconverged", "--quiet"]) == 0
     assert "warning: fit did not converge in 1 iterations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", [2.0**-2, 2.0, 2.0**10])
+@pytest.mark.parametrize("dag", ["backdoor", "frontdoor"])
+def test_experiment_does_not_depend_on_the_unit_of_time(tmp_path, dag, c):
+    # the whole scenario in another unit of time: every rate divided by c
+    # (a Weibull scale multiplied by c) and every horizon multiplied by c.
+    # A power of two scales each time, rate and band edge exactly, so the
+    # fit and the oracle's counts are the same: only the fields that hold a
+    # time or a rate move, each by exactly c
+    if dag == "backdoor":
+        config = make_backdoor_config(n_subjects=4_000, censor_rate=0.02, baseline_hazard=dh.ExponentialHazard(0.01))
+        hazard = dh.ExponentialHazard(0.01 / c)
+    else:
+        config = make_frontdoor_config(n_subjects=4_000, censor_rate=0.02, baseline_hazard=dh.WeibullHazard(1.5, 30.0))
+        hazard = dh.WeibullHazard(1.5, 30.0 * c)
+    scaled = dataclasses.replace(config, baseline_hazard=hazard, horizon_t=10.0 * c, censor_rate=0.02 / c)
+    outputs = []
+    for scenario, unit in ((config, 1.0), (scaled, c)):
+        experiment = {
+            "scenario": scenario.to_dict(),
+            "contrasts": [[1.0, 0.0], [2.0, -1.0]],
+            "horizon_grid": [5.0 * unit, 10.0 * unit],
+            "oracle_n": 20_000,
+        }
+        path = tmp_path / f"experiment_{unit}.json"
+        path.write_text(json.dumps(experiment))
+        assert run(["experiment", path, "--out-dir", tmp_path / str(unit), "--quiet"]) == 0
+        outputs.append((read_csv_rows(tmp_path / str(unit) / "estimates.csv"), json.loads((tmp_path / str(unit) / "report.json").read_text())))
+    ((header, rows), report), ((header_c, rows_c), report_c) = outputs
+    assert header_c == header and len(rows_c) == len(rows)
+    for row, row_c in zip(rows, rows_c):
+        assert float(row_c.pop("t")) == c * float(row.pop("t"))
+        assert row_c == row
+
+    def moved(report, unit):
+        """report with every time divided by unit and every rate multiplied by it."""
+        report = json.loads(json.dumps(report))
+        scenario = report["scenario"]
+        scenario["horizon_t"] /= unit
+        scenario["censor_rate"] *= unit
+        if "rate" in scenario["baseline_hazard"]:
+            scenario["baseline_hazard"]["rate"] *= unit
+        else:
+            scenario["baseline_hazard"]["scale"] /= unit
+        report["horizon_grid"] = [t / unit for t in report["horizon_grid"]]
+        for row in report["estimates"]:
+            row["t"] /= unit
+        report["approximation"]["horizon_t"] /= unit
+        if "backdoor_summary" in report:
+            report["backdoor_summary"]["horizon_t"] /= unit
+        return json.dumps(report, sort_keys=True)
+
+    assert moved(report_c, c) == json.dumps(report, sort_keys=True)
 
 
 def test_experiment_config_validation(tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dohazard as dh
-from dohazard.oracle import _BAND, _bands, _event_counts, oracle_paf, simulate_factual
+from dohazard import oracle
+from dohazard.oracle import _BAND, _TERMS, _bands, _event_counts, _paf, _ratio, oracle_paf, simulate_factual
 from dohazard.stats import _BLOCK
 
 from conftest import make_backdoor_config, make_frontdoor_config, make_strong_confounding_config
-from truth import draw_scm, whole_array_eta
+from truth import draw_scm, incidence, whole_array_eta
 
 
 def null_backdoor_config(**overrides):
@@ -330,13 +332,57 @@ def band_scenarios(data):
     return data.draw(st.sampled_from([make_backdoor_config, make_frontdoor_config]))(baseline_hazard=hazard)
 
 
+@contextlib.contextmanager
+def formed_arms():
+    """A list that collects (block, x, rows) for every arm the oracle forms
+    (simulate._arm) while the with-block runs: the block's index, the arm's
+    x, and None for an arm formed on every subject of the block, else the
+    indices in the whole draw of the subjects it is formed on."""
+    formed, arm, last = [], oracle._arm, []
+
+    def spy(config, draws, x_forced, rows=slice(None)):
+        if not last or last[-1][0] is not draws:
+            last.append((draws, sum(d.exponential.size for d, _ in last)))
+        start = last[-1][1]
+        formed.append((len(last) - 1, x_forced, None if isinstance(rows, slice) else start + rows))
+        return arm(config, draws, x_forced, rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_arm", spy)
+        yield formed
+
+
+def check_screened_arms(formed, xs, n, failures, ts):
+    """Each block of a request with two forced arms or more forms its
+    reference arm (the first forced x) and any factual arm on every
+    subject, in that order, and each forced arm, the reference among them,
+    only on the same few subjects: each one's latent hazard is at a band's
+    edge under some forced arm, its failure time within t 2**-26 of some t
+    (the band and the screen's margin, in time, for a Weibull shape from
+    0.2). Returns the subjects formed so."""
+    forced = [x for x in dict.fromkeys(xs) if x is not None]
+    edges = [np.zeros(0, dtype=np.intp)]
+    for block in range(-(-n // _BLOCK)):
+        calls = [(x, rows) for b, x, rows in formed if b == block]
+        assert [x for x, rows in calls if rows is None] == [forced[0]] + [None] * (None in xs)
+        subsets = [(x, rows) for x, rows in calls if rows is not None]
+        if subsets:
+            rows = subsets[0][1]
+            assert [x for x, _ in subsets] == forced and all(np.array_equal(r, rows) for _, r in subsets)
+            near = [np.abs(failures[x][rows] - t) <= t * 2.0**-26 for x in forced for t in ts]
+            assert np.any(near, axis=0).all()
+            edges.append(rows)
+    return np.concatenate(edges)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_event_counts_are_exact_at_the_horizons_edge(data):
     # each horizon is the failure time of a drawn subject, whose latent
     # hazard lies inside the band: the count must still be that of the
-    # failure times, and only subjects inside a band are inverted (every
-    # subject once per arm for an exponential baseline, which has no band)
+    # failure times. Every baseline takes a band, and only subjects inside
+    # one are inverted; with two forced arms or more, a forced arm other
+    # than the reference is formed only on subjects at a band's edge
     config = band_scenarios(data)
     n, seed = data.draw(st.sampled_from([500, _BLOCK + 1])), data.draw(st.integers(0, 2**32))
     xs = data.draw(st.lists(st.none() | st.floats(-2.0, 2.0), min_size=1, max_size=3))
@@ -345,16 +391,18 @@ def test_event_counts_are_exact_at_the_horizons_edge(data):
     assume(within.size > 0)
     ts = data.draw(st.lists(st.sampled_from(within.tolist()), min_size=1, max_size=3))
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(xs)), max_size=2))
-    exponential = isinstance(config.baseline_hazard, dh.ExponentialHazard)
-    assert (_bands(config.baseline_hazard, ts) is None) == exponential
-    with inverted_sizes(config.baseline_hazard) as inverted:
+    assert _bands(config.baseline_hazard, ts) is not None
+    with inverted_sizes(config.baseline_hazard) as inverted, formed_arms() as formed:
         counts = _event_counts(config, n, seed, 16, xs, ts, pairs)
-    if exponential:
-        assert sum(inverted) == len(dict.fromkeys(xs)) * n
+    # each horizon's two band edges, then only the subjects inside a band
+    k = len(set(ts))
+    assert inverted[:k] == [2] * k and 0 < sum(inverted[k:]) < n
+    arms = list(dict.fromkeys(xs))
+    if len([x for x in arms if x is not None]) >= 2:
+        check_screened_arms(formed, xs, n, failures, ts)
     else:
-        # each horizon's two band edges, then only the subjects inside a band
-        k = len(set(ts))
-        assert inverted[:k] == [2] * k and 0 < sum(inverted[k:]) < n
+        assert [(b, x) for b, x, rows in formed if rows is None] == [(b, x) for b in range(-(-n // _BLOCK)) for x in arms]
+        assert all(rows is None for *_, rows in formed)
     for x, failure in failures.items():
         for t in ts:
             assert counts[x, t] == np.count_nonzero(failure <= t), (x, t)
@@ -365,25 +413,104 @@ def test_event_counts_are_exact_at_the_horizons_edge(data):
 
 @pytest.mark.parametrize(
     "hazard",
-    [dh.WeibullHazard(1e-9, 10.0), dh.WeibullHazard(50.0, 1e-6), dh.WeibullHazard(50.0, 1e8),
-     dh.ExponentialHazard(0.002)],
-    ids=["flat", "overflowing", "underflowing", "exponential"],
+    [dh.WeibullHazard(1e-9, 10.0), dh.WeibullHazard(50.0, 1e-6), dh.WeibullHazard(50.0, 1e8)],
+    ids=["flat", "overflowing", "underflowing"],
 )
 def test_event_counts_invert_every_subject_where_the_band_does_not_hold(hazard):
     # where H0 cannot tell t(1 - 2**-30) from t, or under- or overflows
-    # there, no band holds; an exponential baseline takes none. Each arm
-    # then inverts every subject once
+    # there, no band holds. Each arm is then formed on every subject and
+    # inverts every subject once, with two forced arms as with one
     config = make_frontdoor_config(baseline_hazard=hazard)
-    n, ts = _BLOCK + 1, [2.5, 10.0]
+    n, ts, xs = _BLOCK + 1, [2.5, 10.0], [1.0, 0.0, None]
     assert all(_bands(hazard, [t]) is None for t in ts)
     with np.errstate(over="ignore"):
-        with inverted_sizes(hazard) as inverted:
-            counts = _event_counts(config, n, 3, 0, [1.0, None], ts)
-        failures = {x: draw_scm(config, n, 3, 0, x_forced=x)[3] for x in (1.0, None)}
-    # the band edges aside (two values each), two arms' two blocks
-    assert [size for size in inverted if size != 2] == [_BLOCK, _BLOCK, 1, 1]
+        with inverted_sizes(hazard) as inverted, formed_arms() as formed:
+            counts = _event_counts(config, n, 3, 0, xs, ts)
+        failures = {x: draw_scm(config, n, 3, 0, x_forced=x)[3] for x in xs}
+    # the band edges aside (two values each), three arms' two blocks
+    assert [size for size in inverted if size != 2] == [_BLOCK] * 3 + [1] * 3
+    assert formed == [(b, x, None) for b in (0, 1) for x in xs]
     for (x, t), count in counts.items():
         assert count == np.count_nonzero(failures[x] <= t), (x, t)
+
+
+def test_event_counts_take_a_band_for_an_exponential_baseline():
+    # an exponential baseline takes a band like any other: each arm
+    # inverts only the subjects inside one, and the forced arm after the
+    # reference is formed only on subjects at a band's edge
+    hazard = dh.ExponentialHazard(0.002)
+    config = make_frontdoor_config(baseline_hazard=hazard)
+    n, ts, xs = _BLOCK + 1, [2.5, 10.0], [1.0, 0.0, None]
+    failures = {x: draw_scm(config, n, 3, 0, x_forced=x)[3] for x in xs}
+    # a horizon at a failure time of each forced arm, so that both have
+    # subjects inside a band
+    ts += [float(failures[x][failures[x] <= 10.0].max()) for x in xs[:2]]
+    assert _bands(hazard, ts) is not None
+    with inverted_sizes(hazard) as inverted, formed_arms() as formed:
+        counts = _event_counts(config, n, 3, 0, xs, ts)
+    # each horizon's two band edges, then each forced arm's one subject
+    # inside a band, the one failing at its horizon: those two subjects
+    # are all that either forced arm is formed on beyond the reference
+    assert inverted == [2] * len(ts) + [1, 1]
+    at_horizon = [np.flatnonzero(failures[x] == t)[0] for x, t in zip(xs[:2], ts[2:])]
+    assert sorted(check_screened_arms(formed, xs, n, failures, ts).tolist()) == sorted(at_horizon)
+    for (x, t), count in counts.items():
+        assert count == np.count_nonzero(failures[x] <= t), (x, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_screen_is_exact_at_every_arms_edge(data):
+    # three forced arms or more and the factual one, with a horizon at a
+    # failure time of each arm but the reference, and every pair of arms:
+    # each forced arm is counted from the reference's hazards, so band
+    # edges fall on every arm and pair, (x, None) and (None, x) among them
+    config = band_scenarios(data)
+    n, seed = data.draw(st.sampled_from([500, _BLOCK + 1])), data.draw(st.integers(0, 2**32))
+    forced = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=4, unique=True))
+    xs = forced + [None]
+    failures = {x: draw_scm(config, n, seed, 16, x_forced=x)[3] for x in xs}
+    ts = []
+    for x in xs[1:]:
+        within = failures[x][(failures[x] > 0) & (failures[x] <= config.horizon_t)]
+        assume(within.size > 0)
+        ts.append(data.draw(st.sampled_from(within.tolist())))
+    pairs = [(x, x0) for x in xs for x0 in xs if x != x0]
+    with formed_arms() as formed:
+        counts = _event_counts(config, n, seed, 16, xs, ts, pairs)
+    edges = check_screened_arms(formed, xs, n, failures, ts)
+    for x, t in zip(forced[1:], ts):
+        assert np.isin(np.flatnonzero(failures[x] == t), edges).all(), (x, t)
+    for x, failure in failures.items():
+        for t in ts:
+            assert counts[x, t] == np.count_nonzero(failure <= t), (x, t)
+    for x, x0 in pairs:
+        for t in ts:
+            assert counts[x, x0, t] == np.count_nonzero((failures[x] <= t) & (failures[x0] <= t)), (x, x0, t)
+
+
+def test_blocks_past_the_screens_bound_are_counted_arm_by_arm():
+    # beta_z = 130 puts |beta_z z| past _TERMS = 2**9 in about half of the
+    # blocks, where the largest |z| passes 3.9: those blocks form every arm
+    # on every subject, the others only the reference and the factual arm
+    config = make_backdoor_config(coefficients=dh.BackdoorCoefficients(a_zx=0.5, sigma_x=1.0, beta_x=0.3, beta_z=130.0))
+    n, xs, ts = 12 * _BLOCK, [1.0, 0.0, -1.0, None], [2.5, 10.0]
+    pairs = [(1.0, 0.0), (None, -1.0)]
+    with formed_arms() as formed:
+        counts = _event_counts(config, n, 5, 0, xs, ts, pairs)
+    z = draw_scm(config, n, 5)[1]
+    beyond = [130.0 * np.abs(zb).max() + 0.3 * 1.0 > _TERMS for zb in np.split(z, 12)]
+    assert 0 < sum(beyond) < 12
+    for block, past in enumerate(beyond):
+        calls = [(x, rows) for b, x, rows in formed if b == block]
+        assert calls == ([(x, None) for x in xs] if past else [(1.0, None), (None, None)])
+    failures = {x: draw_scm(config, n, 5, x_forced=x)[3] for x in xs}
+    for x, failure in failures.items():
+        for t in ts:
+            assert counts[x, t] == np.count_nonzero(failure <= t), (x, t)
+    for x, x0 in pairs:
+        for t in ts:
+            assert counts[x, x0, t] == np.count_nonzero((failures[x] <= t) & (failures[x0] <= t)), (x, x0, t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -420,6 +547,71 @@ def test_event_counts_do_not_depend_on_the_unit_of_time(data, c):
             assert moved == 0 if exact else moved <= inside[x] + inside[x0], (x, x0, t)
 
 
+# The oracle against the quadrature truth: each scenario makes TRUTH_ROWS
+# comparisons (four arms' incidences, two ratios and a PAF, at two
+# horizons), and z is set as perfbench/workloads.py sets it, so that the
+# chance that any of them misses by noise is that of one 3-sigma test.
+TRUTH_SCENARIOS, TRUTH_ROWS, TRUTH_N = 200, 14, 200_000
+TRUTH_Z = NormalDist().inv_cdf(1 - 2 * (1 - NormalDist().cdf(3.0)) / (2 * TRUTH_SCENARIOS * TRUTH_ROWS))
+
+
+def signed(lo, hi):
+    """Floats whose magnitude lies in [lo, hi], of either sign."""
+    return st.tuples(st.floats(lo, hi), st.sampled_from([1.0, -1.0])).map(lambda pair: pair[0] * pair[1])
+
+
+@st.composite
+def truth_scenarios(draw):
+    """A scenario of either DAG, a Bernoulli confounder among them, with
+    H0(10) from 0.2 to 0.8 on an exponential or Weibull baseline, three
+    forced x at least 0.5 apart and two horizons. Each arm's incidence is
+    at least some 1.5%, and the effect of x on the log hazard, and the
+    spread of the drawn X, are bounded away from zero: so every count,
+    and the count of subjects failing under one arm of a pair only, is in
+    the hundreds or more, near normal at the test's z."""
+    h0_at_horizon = draw(st.floats(0.2, 0.8))
+    shape = draw(st.none() | st.floats(0.5, 2.0))
+    if shape is None:
+        hazard = dh.ExponentialHazard(h0_at_horizon / 10.0)
+    else:
+        hazard = dh.WeibullHazard(shape, 10.0 / h0_at_horizon ** (1.0 / shape))
+    sigma_x, confounding = draw(st.floats(0.5, 1.5)), st.floats(-0.7, 0.7)
+    if draw(st.booleans()):
+        coefficients = dh.BackdoorCoefficients(draw(st.floats(-1.0, 1.0)), sigma_x, draw(signed(0.2, 0.7)), draw(confounding))
+        z_dist = dh.BernoulliZ(draw(st.floats(0.0, 1.0))) if draw(st.booleans()) else dh.StandardNormalZ()
+        config = make_backdoor_config(baseline_hazard=hazard, coefficients=coefficients, z_dist=z_dist)
+    else:
+        coefficients = dh.FrontdoorCoefficients(
+            draw(st.floats(-1.0, 1.0)), sigma_x, draw(signed(0.5, 1.0)), draw(st.floats(0.2, 1.0)),
+            draw(signed(0.3, 0.7)), draw(confounding),
+        )
+        config = make_frontdoor_config(baseline_hazard=hazard, coefficients=coefficients)
+    xs = draw(st.lists(st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]), min_size=3, max_size=3, unique=True))
+    return config, xs, [draw(st.floats(5.0, 10.0)), 10.0], draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=TRUTH_SCENARIOS, deadline=None)
+@given(truth_scenarios())
+def test_oracle_is_within_noise_of_the_quadrature_truth(case):
+    # every incidence, paired ratio (on the log scale, where its SE is
+    # the delta method's) and PAF of one _event_counts call lies within
+    # TRUTH_Z of its SE from truth.incidence
+    config, (x1, x2, x0), ts, seed = case
+    n = TRUTH_N
+    counts = _event_counts(config, n, seed, 0, [x1, x2, x0, None], ts, [(x1, x0), (x2, x0), (None, x0)])
+    for t in ts:
+        truth = {x: incidence(config, x, t) for x in (x1, x2, x0, None)}
+        for x, p in truth.items():
+            assert min(p, 1.0 - p) > 0.015, (x, t)
+            estimate = counts[x, t] / n
+            assert abs(estimate - p) <= TRUTH_Z * math.sqrt(estimate * (1.0 - estimate) / n), (x, t)
+        for x in (x1, x2):
+            ratio = _ratio(counts, n, seed, x, x0, t)
+            assert abs(math.log(ratio.ratio * truth[x0] / truth[x])) <= TRUTH_Z * ratio.log_standard_error, (x, x0, t)
+        paf, se = _paf(counts, n, x0, t)
+        assert abs(paf - (1.0 - truth[x0] / truth[None])) <= TRUTH_Z * se, (x0, t)
+
+
 @pytest.mark.parametrize("x, beta_x", [(1e308, 10.0), (-1e308, 10.0), (None, 0.0)], ids=["+inf", "-inf", "nan"])
 def test_non_finite_eta_is_refused(x, beta_x):
     # every input is finite: X forced to +-1e308 with beta_x = 10 gives an
@@ -433,6 +625,24 @@ def test_non_finite_eta_is_refused(x, beta_x):
         _event_counts(config, 1_000, 7, 0, [x], [10.0])
     with pytest.raises(dh.InvalidArgumentError, match="^field 'coefficients' gives a non-finite log hazard$"):
         dh.generate(config)
+
+
+@pytest.mark.parametrize(
+    "xs, coefficients, named",
+    [
+        ([1.0, 2.0, 1e308], dh.BackdoorCoefficients(0.5, 1.0, 10.0, 0.4), 1e308),
+        ([0.0, 1.7, None], dh.BackdoorCoefficients(0.5, 1.0, 1e308, 1e307), 1.7),
+    ],
+    ids=["shift", "draws"],
+)
+def test_a_later_forced_arm_that_overflows_is_refused(xs, coefficients, named):
+    # the first forced arm is finite; a later one's eta is +inf everywhere
+    # (shift), or where 1e307 z passes 1.7e308's headroom (draws), which
+    # the factual arm after it would reach too: the later one is named
+    config = make_backdoor_config(coefficients=coefficients)
+    message = re.escape(f"field 'coefficients' gives a non-finite log hazard under do(x={named:g})")
+    with pytest.raises(dh.InvalidArgumentError, match=f"^{message}$"):
+        _event_counts(config, 1_000, 7, 0, xs, [10.0], [(xs[0], xs[1])])
 
 
 def test_event_counts_check_every_argument_before_drawing(backdoor_config, monkeypatch):

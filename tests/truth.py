@@ -20,6 +20,12 @@ array, the reference that the standardization's block-by-block sums
 ``draw_scm`` joins the blocks of ``dohazard.simulate._scm_blocks``, the
 one structural model, into whole columns, so that the tests can check an
 arm, or the cohort ``generate`` censors, against the draw itself.
+
+``incidence`` is the true P(T <= t) of an arm of a scenario, which the
+oracle's counts estimate: 1 - E[exp(-H0(t) exp(eta))] over the law of the
+log hazard eta, which is Gaussian in either DAG, under do(x) and in the
+factual arm alike, and a two-point mixture of Gaussians for a Bernoulli
+confounder. The expectation is a 64-node Gauss-Hermite sum.
 """
 
 from __future__ import annotations
@@ -32,7 +38,10 @@ import numpy as np
 from dohazard.cohort import Dataset
 from dohazard.cox import CoxFit, _horizon
 from dohazard.errors import InvalidArgumentError, NumericalError
-from dohazard.simulate import ScenarioConfig, _scm_blocks
+from dohazard.simulate import BernoulliZ, ScenarioConfig, _scm_blocks
+
+# Nodes and weights for the weight exp(-x^2 / 2), whose integral is sqrt(2 pi).
+_NODES, _WEIGHTS = np.polynomial.hermite_e.hermegauss(64)
 
 
 class EmptyStratumError(NumericalError):
@@ -141,3 +150,43 @@ def whole_array_eta(dataset: Dataset, names, beta) -> np.ndarray:
     for name, b in zip(names[1:], beta[1:]):
         eta += dataset.column(name) * b
     return eta
+
+
+def _gaussian_mean(f, mean: float, sd: float) -> float:
+    """E[f(Y)] for Y ~ N(mean, sd^2), by the 64-node Gauss-Hermite sum;
+    f(mean) exactly when sd is 0."""
+    return float(np.dot(_WEIGHTS, f(mean + sd * _NODES)) / math.sqrt(2.0 * math.pi))
+
+
+def incidence(config: ScenarioConfig, x: float | None, t: float) -> float:
+    """P(T <= t) under do(X=x), or in the factual world for x None:
+    E[1 - exp(-H0(t) exp(eta))] over the arm's law of the log hazard eta.
+
+    Backdoor: eta = beta_x x + beta_z Z under do(x), N(beta_x x, beta_z^2)
+    for a standard normal Z; with X drawn, X = a_zx Z + sigma_x e, so eta =
+    (beta_x a_zx + beta_z) Z + beta_x sigma_x e. A Bernoulli(p) Z gives the
+    two-point mixture over Z = 0, 1 of the Gaussian in e. Frontdoor:
+    eta = beta_z (alpha x + sigma_z e_z) + beta_u U under do(x), so
+    N(beta_z alpha x, beta_z^2 sigma_z^2 + beta_u^2); with X = c_ux U +
+    sigma_x e_x drawn, eta = (beta_z alpha c_ux + beta_u) U +
+    beta_z alpha sigma_x e_x + beta_z sigma_z e_z."""
+    h0 = float(config.baseline_hazard.cumulative(t))
+
+    def failed(eta):
+        return -np.expm1(-h0 * np.exp(eta))
+
+    c = config.coefficients
+    if config.dag_kind == "frontdoor":
+        if x is None:
+            sd = math.hypot(c.beta_z * c.alpha * c.c_ux + c.beta_u, c.beta_z * c.alpha * c.sigma_x, c.beta_z * c.sigma_z)
+            return _gaussian_mean(failed, 0.0, sd)
+        return _gaussian_mean(failed, c.beta_z * c.alpha * x, math.hypot(c.beta_z * c.sigma_z, c.beta_u))
+    # eta = mean + slope * Z + N(0, sd^2)
+    if x is None:
+        mean, slope, sd = 0.0, c.beta_x * c.a_zx + c.beta_z, abs(c.beta_x) * c.sigma_x
+    else:
+        mean, slope, sd = c.beta_x * x, c.beta_z, 0.0
+    if isinstance(config.z_dist, BernoulliZ):
+        p = config.z_dist.p
+        return (1.0 - p) * _gaussian_mean(failed, mean, sd) + p * _gaussian_mean(failed, mean + slope, sd)
+    return _gaussian_mean(failed, mean, math.hypot(slope, sd))
