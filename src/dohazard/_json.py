@@ -79,8 +79,9 @@ def _write(write, value, newline: str) -> None:
 
 
 def _finite_floats(values) -> bool:
-    """Every item of values is a float (not a subclass) and finite."""
-    return all(type(v) is float for v in values) and all(map(math.isfinite, values))
+    """Every item of values is a float (not a subclass) and finite; both
+    checks run in C, with no Python step per item."""
+    return set(map(type, values)) <= {float} and all(map(math.isfinite, values))
 
 
 def refuse_unknown(raw: dict, known, what: str) -> None:

@@ -12,15 +12,16 @@ cohort a hash and a copy.
 
 The CSV holds each float as Python's ``'%.17g' %`` writes it, byte for
 byte, but ``save_dataset`` formats them in numpy (``_format_floats``):
-exact integer arithmetic gives the 17 digits of every finite normal value
-from 1e-4 up to 2**52. A value below 10 is then written as whole words
-looked up in tables (a lead word, four 4-digit chunks, the separator),
-with NULs for the zeros %.17g strips, and a value from 10 up is laid out
-byte by byte by a lookup table; the few other values (zeros, subnormals,
-smaller or larger magnitudes) go to Python's own formatter. Most times of
-a rare-outcome cohort are the horizon, bit for bit, so each column's
-maximum is formatted once and its text copied into the rows that hold it
-(``_csv_rows``).
+Dekker's exact two-product of |v| and a power of ten gives the 17 digits
+of every finite normal value from 1e-4 up to 1e17. A value below 10 is
+then written as whole words looked up in tables (a lead word, four 4-digit
+chunks, the separator), with NULs for the zeros %.17g strips, and a value
+from 10 up is laid out byte by byte by a lookup table; the few other
+values (zeros, subnormals, smaller or larger magnitudes) go to Python's
+own formatter. One call formats a block's floats of every column. Most
+times of a rare-outcome cohort are the horizon, bit for bit, so each
+column's maximum is formatted once and its text copied into the rows that
+hold it (``_csv_rows``).
 """
 
 from __future__ import annotations
@@ -129,23 +130,26 @@ _FIELD = 26
 # _LEAD8[((sign * 5 + x + 4) * 10 + d0) * 2 + fraction], which holds "-"
 # for a negative value, "0." and -x - 1 zeros when x < 0, the leading digit
 # d0 and, when x == 0 and any later digit is not zero, the point; then one
-# word per chunk of four digits; then the two separator bytes. _DIGITS4[c]
-# is the four digits of c in 0..9999 as one word, and _DIGITS4[10000 + c]
-# the same word with c's trailing zero digits as NULs, which a chunk takes
-# once every later chunk is zero, so that %.17g's stripped zeros are NULs.
+# word per chunk of four digits; then the separator, one 2-byte word
+# (_COMMA or _CRLF). _DIGITS4[c] is the four digits of c in 0..9999 as one
+# word, and _DIGITS4[10000 + c] the same word with c's trailing zero digits
+# as NULs, which a chunk takes once every later chunk is zero, so that
+# %.17g's stripped zeros are NULs.
 #
 # A value from 10 up is laid out byte by byte from a row of the digits
 # buffer, _DIGIT_WORDS uint32 words, 24 bytes in memory order: two NULs,
 # "-", the 17 digits of D, ".", the two separator bytes (the second NUL
 # after a comma) and NUL. _LEAD[d] is the first word for leading digit d;
-# _ZEROS4[c] the number of trailing zero digits of c's four.
+# _ZEROS4[c] the number of trailing zero digits of c's four; _POINT_SEP
+# the last word after a comma and after a CRLF.
 _WORDS = np.dtype(
-    {"names": ["lead", "chunks", "sep"], "formats": [np.uint64, (np.uint32, 4), (np.uint8, 2)],
+    {"names": ["lead", "chunks", "sep"], "formats": [np.uint64, (np.uint32, 4), np.uint16],
      "offsets": [0, 8, 24], "itemsize": _FIELD}
 )
 _DIGIT_WORDS = 6
 _NUL, _MINUS, _DIGIT, _POINT, _SEP = 0, 2, 3, 20, 21
-_POW5 = 5 ** np.arange(21, dtype=np.uint64)
+_COMMA, _CRLF = np.frombuffer(b",\0\r\n", dtype=np.uint16)
+_POINT_SEP = np.frombuffer(b".,\0\0.\r\n\0", dtype=np.uint32)
 _C = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row c: the four digits of c
 _ZEROS4 = np.logical_and.accumulate(_C[:, ::-1] == 0, axis=1).sum(axis=1, dtype=np.uint8)
 _DIGITS4 = np.concatenate([_C + ord("0"), np.where(np.arange(4) < 4 - _ZEROS4[:, None], _C + ord("0"), 0)])
@@ -162,9 +166,19 @@ _LEAD8 = np.frombuffer(
     ),
     dtype=np.uint64,
 )
-# the offset of each row of a _BLOCK-row digits buffer, in bytes
-_DIGIT_ROWS = (np.arange(_BLOCK) * 4 * _DIGIT_WORDS)[:, None]
 del _C
+
+
+def _split(a):
+    """Veltkamp's split of each a into hi + lo == a, each of at most 26
+    significant bits, so that a product of two halves is exact."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_TENS = np.array([float(10**q) for q in range(21)])  # exact in binary64 up to 10**22
+_TENS_HI, _TENS_LO = _split(_TENS)
 
 
 def _float_layouts() -> np.ndarray:
@@ -223,20 +237,21 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def _csv_rows(columns):
     """The CSV rows of the columns, _BLOCK rows at a time, each block as
-    its bytes. columns[1] is the event column
-    (bool), written as 0 or 1 (%d); every other column is float64, written
-    as %.17g; fields are joined by commas and rows end in CRLF.
+    its bytes. columns[1] is the event column (bool), written as 0 or 1
+    (%d); every other column is float64, written as %.17g; fields are
+    joined by commas and rows end in CRLF.
 
     Each field, with the separator after it, is written into a fixed slot
     of the block's row buffer (_FIELD bytes for a float, 3 for an event:
-    its digit and up to two separator bytes), with NULs wherever it has no
-    text: after the text, and, for a float below 10, which _format_floats
-    writes as whole words, between its words. No text holds a NUL, so
-    dropping every NUL byte of the buffer (bytes.translate) leaves the
-    block's CSV bytes. A block's 8-byte temporaries stay at 64 KiB,
-    below glibc's mmap threshold; the larger buffers are allocated once
-    and reused for every block, _fixed_texts' only on the first block
-    that has a value from 10 up to lay out.
+    its digit and up to two separator bytes, written once), with NULs
+    wherever it has no text: after the text, and, for a float below 10,
+    which _format_floats writes as whole words, between its words. No text
+    holds a NUL, so dropping every NUL byte of the buffer (bytes.translate)
+    leaves the block's CSV bytes. One _format_floats call formats a block's
+    floats, column after column, and each text is copied into its slot as
+    one _FIELD-byte record. The buffers, for every float column of a block,
+    are allocated once and reused for every block, _fixed_texts' on the
+    first block that has a value from 10 up to lay out.
 
     A cohort of a rare outcome has most of its times at the horizon, where
     follow-up ends, bit for bit. So each float column's maximum is formatted
@@ -245,56 +260,59 @@ def _csv_rows(columns):
     "-0" and "0"), its field is copied into every row and only the other
     values are formatted."""
     n = len(columns[0])
-    seps = [b","] * (len(columns) - 1) + [b"\r\n"]
+    last = len(columns) - 1
+    floats = [k for k in range(len(columns)) if k != 1]
     slots = np.cumsum([0] + [3 if k == 1 else _FIELD for k in range(len(columns))])
-    rows = np.empty((min(n, _BLOCK), slots[-1]), dtype=np.uint8)
-    field = np.empty((_BLOCK, _FIELD), dtype=np.uint8)
+    rows = np.zeros((min(n, _BLOCK), slots[-1]), dtype=np.uint8)
+    rows[:, slots[1] + 1:slots[2]] = np.frombuffer(b"\r\n" if last == 1 else b",\0", dtype=np.uint8)
+    record = np.dtype(f"V{_FIELD}")  # a float's field, copied whole
+    fields = [rows[:, slots[k]:slots[k + 1]].view(record)[:, 0] for k in floats]
+    pool = np.empty(len(floats) * len(rows))  # a block's values to format, column after column
+    texts = np.empty((len(pool), _FIELD), dtype=np.uint8)
     scratch = []  # _fixed_texts' buffers, once a block needs them
-    tops = {}  # column k -> (the bits of its maximum, that value's field)
-    for k, (column, sep) in enumerate(zip(columns, seps)):
-        if k != 1:
-            top = column.max(keepdims=True)
-            tops[k] = top.view(np.uint64)[0], _python_formatted(top, sep)[0]
+    tops = []  # per float column: the bits of its maximum and that value's field
+    for k in floats:
+        top = columns[k].max(keepdims=True)
+        tops.append((top.view(np.uint64)[0], _python_formatted(top, int(k != last)).view(record)[0]))
     for start in range(0, n, _BLOCK):
-        block = rows[:min(_BLOCK, n - start)]
-        for k, (column, sep) in enumerate(zip(columns, seps)):
-            slot = block[:, slots[k]:slots[k + 1]]
-            values = column[start:start + len(block)]
-            if k == 1:
-                slot[:, 0] = values.view(np.uint8) + ord("0")
-                slot[:, 1:] = np.frombuffer(sep.ljust(2, b"\0"), dtype=np.uint8)
-                continue
-            top_bits, top_field = tops[k]
+        m = min(_BLOCK, n - start)
+        rows[:m, slots[1]] = columns[1][start:start + m].view(np.uint8) + ord("0")
+        parts, end = [], 0  # per float column: its rows to format and their place in pool
+        for k, slot, (top_bits, top) in zip(floats, fields, tops):
+            values = columns[k][start:start + m]
             tied = values.view(np.uint64) == top_bits
-            if 2 * np.count_nonzero(tied) > len(values):
+            rest = slice(m)
+            if 2 * np.count_nonzero(tied) > m:
                 rest = np.flatnonzero(~tied)
-                slot[:] = top_field
-                slot[rest] = _format_floats(values[rest], sep, field, scratch)
-            else:
-                slot[:] = _format_floats(values, sep, field, scratch)
-        yield block.tobytes().translate(None, b"\0")
+                slot[:m] = top
+            values = values[rest]
+            parts.append((rest, end, end + len(values)))
+            pool[end:end + len(values)] = values
+            end += len(values)
+        crlf = parts[-1][1] if floats[-1] == last else end
+        done = _format_floats(pool[:end], crlf, texts, scratch).view(record)[:, 0]
+        for slot, (rest, begin, stop) in zip(fields, parts):
+            slot[rest] = done[begin:stop]
+        yield rows[:m].tobytes().translate(None, b"\0")
 
 
-def _format_floats(values, sep: bytes, field, scratch: list):
-    """The %.17g text of each value followed by sep, as the rows of
-    field[:len(values)]: _FIELD bytes each, with NULs where there is no
-    text. len(values) <= _BLOCK; field is a scratch buffer of _BLOCK rows,
-    and scratch the list of _fixed_texts' buffers, both reused by the
-    caller.
+def _format_floats(values, crlf: int, field, scratch: list):
+    """The %.17g text of each value followed by its separator, a comma for
+    values[:crlf] and a CRLF after, as the rows of field[:len(values)]:
+    _FIELD bytes each, with NULs where there is no text. field is a buffer
+    of at least len(values) rows, and scratch the list of _fixed_texts'
+    buffers, both reused by the caller.
 
     A value takes the exact path below when it is a finite normal double
-    with decimal exponent x in -4..16 and |v| < 2**52 (so that %.17g writes
-    it in fixed notation and the product below needs no left shift). With
-    v = M * 2**e (M the 53-bit significand) and q = 16 - x, the digit string
-    is D = round(|v| * 10**q) = round(M * 5**q / 2**s), s = -(e + q). M * 5**q
-    (q <= 20, so < 2**100) is formed exactly in two uint64 limbs and shifted
-    right by s, rounding half to even on the exact remainder, as Python's
-    correctly rounded conversion does. x is floor(log10|v|) in float
-    arithmetic, which may be off by one next to a power of ten; the path
-    therefore also requires floor(|v| * 10**q) >= 10**16 and D < 10**17,
-    which hold only when x is the exponent of the value rounded to 17
-    digits. D is split into its leading digit d0 and four chunks of four
-    digits by intp division.
+    with decimal exponent x in -4..16, so that %.17g writes it in fixed
+    notation: from 1e-4 up to 1e17. Its digit string is D = round(|v| *
+    10**(16 - x)), rounded half to even as Python's correctly rounded
+    conversion does, from a two-product (_digits). x is floor(log10|v|) in
+    float arithmetic, which may be off by one next to a power of ten; the
+    path therefore also requires 10**16 <= D < 10**17, which holds only
+    when x is the exponent of the value rounded to 17 digits. D is split
+    into its leading digit d0 and four chunks of four digits by intp
+    division.
 
     Below 10 (x <= 0) the field is written as words: a lead word from
     _LEAD8 (sign, "0." and zeros, d0, point), a word per chunk from
@@ -302,34 +320,20 @@ def _format_floats(values, sep: bytes, field, scratch: list):
     and the separator; the NULs in between are dropped with the padding.
     From 10 up (1 <= x <= 16) the point falls among the chunks, and
     _fixed_texts lays the text out byte by byte. Every other value (zeros,
-    subnormals, |v| < 1e-4 or >= 2**52, a failed check, inf, nan) is
-    written by Python's own '%.17g' %, so no value is ever approximated."""
+    subnormals, |v| < 1e-4 or >= 1e17, a failed check, inf, nan) is written
+    by Python's own '%.17g' %, so no value is ever approximated."""
     n = len(values)
     bits = values.view(np.uint64)
     biased = (bits >> 52) & 0x7FF
     normal = (biased != 0) & (biased != 0x7FF)
-    x = _decimal_exponents(np.where(normal, np.abs(values), 1.0))
-    s = 1075 - biased.astype(np.intp) - 16 + x  # -(e + q), e = biased - 1075
-    exact = normal & (x >= -4) & (x <= 16) & (s >= 0) & (s < 64)
+    magnitudes = np.abs(values)
+    x = _decimal_exponents(np.where(normal, magnitudes, 1.0))
+    exact = normal & (x >= -4) & (x <= 16)  # before x indexes a table
     x = np.where(exact, x, 0)
-    s = np.where(exact, s, 0).astype(np.uint64)
-    # M * 5**q in two limbs: (M_hi 2**32 + M_lo)(F_hi 2**32 + F_lo), with
-    # M_hi < 2**21 and F_hi < 2**15, so no partial product overflows
-    m = (bits & ((1 << 52) - 1)) | (1 << 52)
-    f = _POW5[16 - x]
-    m_lo, m_hi, f_lo, f_hi = m & 0xFFFFFFFF, m >> 32, f & 0xFFFFFFFF, f >> 32
-    mid = m_hi * f_lo + m_lo * f_hi
-    low = m_lo * f_lo
-    lo = low + (mid << 32)
-    hi = m_hi * f_hi + (mid >> 32) + (lo < low)
-    floor = ((hi << 1) << (63 - s)) | (lo >> s)  # two shifts: hi << 64 is undefined
-    unit = np.uint64(1) << s
-    twice = (lo & (unit - 1)) << 1  # twice the remainder, against the divisor 2**s
-    d = floor + ((twice > unit) | ((twice == unit) & ((floor & 1) == 1)))
-    exact &= ((hi >> s) == 0) & (floor >= 10**16) & (d < 10**17)
-    del m, f, m_lo, m_hi, f_lo, f_hi, mid, low, lo, hi, floor, unit, twice  # keeps the live temporaries few
+    d = _digits(np.where(exact, magnitudes, 1.0), 16 - x)
+    exact &= (d >= 10**16) & (d < 10**17)
     # D = d0 c1 c2 c3 c4: a leading digit and four chunks of four digits
-    d = np.where(exact, d, 10**16).astype(np.intp)
+    d = np.where(exact, d, 10**16).astype(np.intp, copy=False)
     d0 = d // 10**16
     fraction = d - d0 * 10**16
     top = fraction // 10**8
@@ -346,46 +350,61 @@ def _format_floats(values, sep: bytes, field, scratch: list):
     chunks[:, 1] = _DIGITS4[c2 + 10**4 * (bottom == 0)]
     chunks[:, 2] = _DIGITS4[c3 + 10**4 * (c4 == 0)]
     chunks[:, 3] = _DIGITS4[c4 + 10**4]
-    words["sep"] = np.frombuffer(sep.ljust(2, b"\0"), dtype=np.uint8)
+    words["sep"][:crlf] = _COMMA
+    words["sep"][crlf:] = _CRLF
     above = np.flatnonzero(exact & (x > 0))
     if len(above):
         field[above] = _fixed_texts(
-            sign[above], x[above], d0[above], (c1[above], c2[above], c3[above], c4[above]), sep, scratch
+            sign[above], x[above], d0[above], (c1[above], c2[above], c3[above], c4[above]),
+            np.searchsorted(above, crlf), scratch,
         )
     other = np.flatnonzero(~exact)
     if len(other):
-        field[other] = _python_formatted(values[other], sep)
+        field[other] = _python_formatted(values[other], np.searchsorted(other, crlf))
     return field[:n]
 
 
-def _fixed_texts(sign, x, d0, chunks, sep: bytes, scratch: list):
-    """The texts of _format_floats' exact-path values with x in 1..16, with
-    sep, as the rows of texts[:len(x)], left-aligned and NUL-padded: each
-    digit row is laid out by _LAYOUT, keyed by the sign, x and the number
-    of digits left once trailing zeros are stripped. scratch holds the
-    buffers texts, index and digits, of _BLOCK rows each; when it is empty,
-    they are allocated into it, for the caller to pass again."""
-    if not scratch:
-        scratch += [
-            np.empty((_BLOCK, _FIELD), dtype=np.uint8),
-            np.empty((_BLOCK, _FIELD), dtype=np.intp),
-            np.empty((_BLOCK, _DIGIT_WORDS), dtype=np.uint32),
-        ]
-    texts, index, digits = scratch
+def _digits(magnitudes, q) -> np.ndarray:
+    """round(a * 10**q), half to even, as int64, of each a >= 1e-4 and q in
+    0..20 with a * 10**q < 1e18: exact wherever it is in [10**16, 10**17),
+    and elsewhere outside that range. Dekker's two-product of a and 10**q,
+    from their halves (_split), gives p + err == a * 10**q exactly. Such a
+    result has p >= 10**16 > 2**53, an even integer, so p + rint(err) rounds
+    half to even; where p < 2**53, the sum stays below 10**16."""
+    p = magnitudes * _TENS[q]
+    hi, lo = _split(magnitudes)
+    ten_hi, ten_lo = _TENS_HI[q], _TENS_LO[q]
+    err = ((hi * ten_hi - p) + hi * ten_lo + lo * ten_hi) + lo * ten_lo
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _fixed_texts(sign, x, d0, chunks, crlf: int, scratch: list):
+    """The texts of _format_floats' exact-path values with x in 1..16, each
+    followed by a comma, or by a CRLF from row crlf on, as the rows of
+    texts[:len(x)], left-aligned and NUL-padded: each digit row is laid out
+    by _LAYOUT, keyed by the sign, x and the number of digits left once
+    trailing zeros are stripped. scratch holds the buffers texts, index,
+    digits and each digit row's byte offset, of at least len(x) rows, or
+    is allocated into here, for the caller to pass again."""
     m = len(x)
+    if not scratch or len(scratch[0]) < m:
+        rows = max(m, _BLOCK)
+        scratch[:] = [np.empty((rows, _FIELD), dtype=np.uint8), np.empty((rows, _FIELD), dtype=np.intp),
+                      np.empty((rows, _DIGIT_WORDS), dtype=np.uint32), np.arange(rows)[:, None] * 4 * _DIGIT_WORDS]
+    texts, index, digits, offsets = scratch
     c1, c2, c3, c4 = chunks
     digits = digits[:m]
     digits[:, 0] = _LEAD[d0]
     for word, chunk in enumerate(chunks, start=1):
         digits[:, word] = _DIGITS4[chunk]
-    digits[:, 5] = np.frombuffer(b"." + sep.ljust(2, b"\0") + b"\0", dtype=np.uint32)[0]
+    digits[:crlf, 5], digits[crlf:, 5] = _POINT_SEP
     zeros = _ZEROS4[c4] + (c4 == 0) * (_ZEROS4[c3] + (c3 == 0) * (_ZEROS4[c2] + (c2 == 0) * _ZEROS4[c1]))
     key = (sign * 16 + x - 1) * 17 + 16 - zeros
     # byte j of row i of the text is byte _LAYOUT[key[i], j] of digits row
     # i; every index is in range, and mode="clip" spares take's buffering
     texts = texts[:m]
     np.take(_LAYOUT, key, axis=0, out=texts, mode="clip")
-    index = np.add(texts, _DIGIT_ROWS[:m], out=index[:m])
+    index = np.add(texts, offsets[:m], out=index[:m])
     np.take(digits.view(np.uint8).ravel(), index, out=texts, mode="clip")
     return texts
 
@@ -398,11 +417,13 @@ def _decimal_exponents(magnitudes) -> np.ndarray:
     return np.floor(np.log10(magnitudes)).astype(np.intp)
 
 
-def _python_formatted(values, sep: bytes) -> np.ndarray:
-    """Python's own '%.17g' % of each value followed by sep, as the rows of
-    a uint8 array, left-aligned and NUL-padded to _FIELD bytes: the values
-    _format_floats does not take on its exact path."""
-    texts = [("%.17g" % v).encode() + sep for v in values.tolist()]
+def _python_formatted(values, crlf: int) -> np.ndarray:
+    """Python's own '%.17g' % of each value followed by a comma, or by a
+    CRLF from values[crlf] on, as the rows of a uint8 array, left-aligned
+    and NUL-padded to _FIELD bytes: the values _format_floats does not take
+    on its exact path."""
+    seps = [b","] * crlf + [b"\r\n"] * (len(values) - crlf)
+    texts = [("%.17g" % v).encode() + sep for v, sep in zip(values.tolist(), seps)]
     return np.array(texts, dtype=f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
 
 
@@ -425,8 +446,10 @@ def _write_cache(columns, path, digest: bytes) -> None:
             crc = 0
             for column in columns:
                 rows = _CACHE_CHUNK // column.itemsize
+                little = column.dtype.newbyteorder("<")
                 for start in range(0, len(column), rows):
-                    data = column[start:start + rows].astype(column.dtype.newbyteorder("<"), copy=False).tobytes()
+                    # read in place by crc32 and write, copied only when strided or big-endian
+                    data = memoryview(np.ascontiguousarray(column[start:start + rows], dtype=little))
                     crc = zlib.crc32(data, crc)
                     fc.write(data)
             fc.seek(40)

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 import zlib
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -270,6 +271,16 @@ def test_save_writes_pinned_bytes(tmp_path):
     assert cache_of(path).read_bytes() == b"DOHCOLS1" + hashlib.sha256(path.read_bytes()).digest() + crc + payload
 
 
+def test_cache_holds_little_endian_bytes_of_any_column(tmp_path):
+    # strided and big-endian columns, as a column of another layout or a
+    # big-endian host gives them, are written as the same little-endian bytes
+    path = tmp_path / "cohort.csv"
+    time, x = np.linspace(1.0, 2.0, 2 * cohort._CACHE_CHUNK // 8 + 3), np.arange(3.0)
+    cohort._write_cache([time[::-1].astype(">f8"), np.array([True, False]), x[::-1]], path, bytes(32))
+    payload = time[::-1].astype("<f8").tobytes() + b"\1\0" + x[::-1].astype("<f8").tobytes()
+    assert cache_of(path).read_bytes() == b"DOHCOLS1" + bytes(32) + zlib.crc32(payload).to_bytes(4, "little") + payload
+
+
 def percent_template_body(dataset):
     """The rows as save_dataset wrote them with a repeated '%.17g'/'%d'
     row template, one %-substitution per value: the reference its numpy
@@ -299,7 +310,7 @@ def assert_saved_as_percent_template(path, dataset):
 
 
 # %.17g's edges: zeros, subnormals, the switch between fixed and exponent
-# notation at 1e-4 and 1e17, the exact path's limits at 1e-4 and 2**52,
+# notation at 1e-4 and 1e17, the exact path's limits at 1e-4 and 1e17,
 # powers of ten and their neighbours (where a float log10 overshoots), and
 # exact ties that round half to even, down and up
 FORMAT_EDGES = sorted(
@@ -372,6 +383,83 @@ def test_save_checks_its_exponent_estimate(tmp_path, monkeypatch, off):
         time=drawn.time, event=drawn.event, covariates=edges[:, None], covariate_names=["x"], u_latent=drawn.u_latent
     )
     assert_saved_as_percent_template(tmp_path / "cohort.csv", ds)
+
+
+def decimal_exponent(v):
+    """floor(log10(v)) of a positive double, exactly."""
+    x = math.floor(math.log10(v))
+    while Fraction(10) ** (x + 1) <= v:
+        x += 1
+    while Fraction(10) ** x > v:
+        x -= 1
+    return x
+
+
+def digit_cases():
+    """Doubles from 1e-4 up to 1e17: random bit patterns over every decimal
+    exponent, exact ties (j / 2**(q + 1) for odd j, whose product with 10**q
+    ends in .5) and the doubles next to every power of ten."""
+    rng = np.random.default_rng(35)
+    values = []
+    for x in range(-4, 17):
+        low, high = 10.0**x, min(10.0 ** (x + 1), 1e17)
+        values += rng.uniform(low, high, 150).tolist()
+        scale = 2 ** (16 - x + 1)
+        first, end = math.ceil(low * scale), min(int(high * scale), 2**53)
+        if first < end:
+            values += ((rng.integers(first, end, 40) | 1) / scale).tolist()
+    for k in range(-4, 18):
+        below = above = float(f"1e{k}")
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            values += [below, above]
+        values.append(float(f"1e{k}"))
+    values += [123456789012345.625, 123456789012345.875, 2.0**52, 2.0**53]
+    return np.array(sorted(v for v in set(values) if 1e-4 <= v < 1e17))
+
+
+def test_formatter_digits_are_the_exactly_rounded_product():
+    # _digits(a, q) is round(a * 10**q), half to even, exactly wherever that
+    # has 17 digits; for q one off the exponent the digit count it gives is
+    # the one the exact product rounds to, so the check in _format_floats
+    # sends the value to Python's formatter
+    values = digit_cases()
+    exponents = np.array([decimal_exponent(v) for v in values])
+    ties = 0
+    for off in (-1, 0, 1):
+        q = 16 - exponents + off
+        keep = (q >= 0) & (q <= 20)
+        got = cohort._digits(values[keep], q[keep]).tolist()
+        for v, power, d in zip(values[keep].tolist(), q[keep].tolist(), got):
+            want = round(Fraction(v) * 10**power)  # Fraction rounds half to even
+            ties += (Fraction(v) * 10**power).denominator == 2
+            if 10**16 <= want < 10**17:
+                assert d == want, (v, power)
+            else:
+                assert not 10**16 <= d < 10**17, (v, power)
+    assert ties > 500
+
+
+def test_save_takes_the_exact_path_up_to_1e17(tmp_path):
+    # from 2**52 up to the double below 1e17 the digits come from the
+    # two-product too; only each column's maximum goes to Python's formatter
+    rng = np.random.default_rng(17)
+    big = rng.uniform(2.0**52, 9.9e16, CHUNK_EDGE + 1) * rng.choice([-1.0, 1.0], CHUNK_EDGE + 1)
+    ds = dh.Dataset(
+        time=np.abs(big[::-1]), event=rng.random(len(big)) < 0.5, covariates=big[:, None], covariate_names=["x"]
+    )
+    assert assert_saved_as_percent_template(tmp_path / "cohort.csv", ds) == 2
+
+
+def test_save_writes_1e17_and_the_double_below_it_as_python_does(tmp_path):
+    # log10 of the double below 1e17 may round to 17, an exponent outside
+    # the exact path's tables; with 1e17 itself, where %.17g switches to
+    # exponent notation, both are written as '%.17g' % writes them, and
+    # with no warning (warnings are errors in this test suite)
+    below = math.nextafter(1e17, 0.0)
+    values = np.array([below, 1e17, -below, -1e17, 0.5])
+    ds = dh.Dataset(time=np.abs(values), event=np.ones(len(values)), covariates=values[:, None], covariate_names=["x"])
+    assert assert_saved_as_percent_template(tmp_path / "cohort.csv", ds) >= 2
 
 
 def test_save_takes_both_paths_on_the_edges(tmp_path):
