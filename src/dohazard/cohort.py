@@ -62,7 +62,7 @@ class Dataset:
 
     ``u_latent`` holds the hidden confounder of the mediated DAG. It is kept
     outside the covariate matrix, so estimators that select covariates by
-    name can never see it; only the intervention oracle reads it.
+    name can never see it; only save_dataset and load_dataset read it.
     """
 
     time: np.ndarray
@@ -550,7 +550,8 @@ def _cached_columns(path, fb, p: int, has_u: bool) -> tuple | None:
     binary handle. None, so that the CSV is parsed, unless the cache has the
     magic, the sha256 of the CSV's bytes, a payload of at least one whole
     row, the recorded CRC-32 and only 0 or 1 in its event bytes, and the
-    host is little-endian, as the payload is."""
+    host is little-endian, as the payload is. The cache records no names or
+    sizes: the CSV's header, which the digest covers, gives them."""
     try:
         with open(_cache_path(path), "rb") as fc:
             head = fc.read(44)  # magic, sha256, CRC-32

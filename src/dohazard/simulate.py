@@ -14,8 +14,8 @@ The structural model is drawn in blocks of ``_BLOCK`` subjects, in two
 steps: ``_exogenous_blocks`` draws a block's exogenous noise once, which
 every arm of the block shares, and ``_arm``, the one home of the
 structural equations (``_log_hazard``), forms one arm from it, on all of
-the block's rows or some. ``_scm_blocks`` joins the two: ``generate``
-inverts and censors its blocks into the cohort's columns. The
+the block's rows or some. ``generate`` forms the factual arm of each
+block and inverts and censors it into the cohort's columns. The
 intervention oracle forms its arms with X forced and counts failures from
 the latent hazards, some arms only on the few subjects it cannot decide
 from another arm's.
@@ -379,38 +379,29 @@ def _arm(config: ScenarioConfig, draws: _Draws, x_forced, rows=slice(None)) -> t
     return x, z, u, _latent_hazards(draws.exponential[rows], eta)
 
 
-def _scm_blocks(config: ScenarioConfig, n: int, seed: int, offset: int = 0, xs=(None,)):
-    """The structural model for n subjects as consecutive blocks of at most
-    _BLOCK subjects: per block, the _arm (x, z, u, hazard) of each x of xs
-    (None: the factual arm), all formed from one _Draws of the exogenous
-    streams (common random numbers), each with the floats of a one-arm
-    draw."""
-    return ([_arm(config, draws, x) for x in xs] for draws in _exogenous_blocks(config, n, seed, offset, None in xs))
-
-
 def generate(config: ScenarioConfig) -> Dataset:
     """Observed cohort: one draw of the structural model, censored at the
     horizon and, when censor_rate > 0, at independent exponential times.
 
     The columns are preallocated and filled block by block from
-    _scm_blocks, each block's latent hazards inverted to failure times by
-    the baseline hazard and censored by the next draws of one censoring
-    stream; like the structural streams it is read on from block to block,
-    so the cohort is the censored whole-array draw bit for bit. The
-    covariates are column-major, as Dataset stores them, so each block
-    fills a contiguous run of each column and Dataset copies nothing.
+    _exogenous_blocks, each block's factual _arm's latent hazards inverted
+    to failure times by the baseline hazard and censored by the next draws
+    of one censoring stream; like the structural streams it is read on from
+    block to block, so the cohort is the censored whole-array draw bit for
+    bit. The covariates are column-major, as Dataset stores them, so each
+    block fills a contiguous run of each column and Dataset copies nothing.
     Beyond the returned columns, memory is a few blocks of temporaries. A
     cohort too large to allocate raises ValidationError naming n_subjects.
     """
     n = config.n_subjects
-    blocks = _scm_blocks(config, n, config.seed)
     censor = RngStream(config.seed, _STREAM_CENSOR)
     try:
         time, event, covariates = np.empty(n), np.empty(n, dtype=bool), np.empty((n, 2), order="F")
         u_latent = np.empty(n) if config.dag_kind == "frontdoor" else None
     except (MemoryError, ValueError) as exc:
         raise ValidationError(f"n_subjects is too large to hold in memory, got {n}: {exc}") from None
-    for start, [(x, z, u, hazard)] in zip(range(0, n, _BLOCK), blocks):
+    for start, draws in zip(range(0, n, _BLOCK), _exogenous_blocks(config, n, config.seed)):
+        x, z, u, hazard = _arm(config, draws, None)
         failure = config.baseline_hazard.invert(hazard)
         rows = slice(start, start + failure.size)
         censoring = _censoring_times(config, censor, failure.size)

@@ -38,7 +38,7 @@ _BELOW_ONE = 1.0 - _U53
 SEED_LIMIT = 1 << 64
 
 # Rows per block of the structural model, the Cox risk-set sums and the
-# cohort CSV's float formatting (see simulate._scm_blocks).
+# cohort CSV's float formatting (see simulate._exogenous_blocks).
 _BLOCK = 1 << 13
 
 

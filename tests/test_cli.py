@@ -1,7 +1,11 @@
+import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +17,8 @@ from dohazard import cli
 
 from conftest import make_backdoor_config, make_frontdoor_config
 from pinned import CLI_20K, PINNED_TOOLCHAIN, check
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_scenario(path, config):
@@ -274,6 +280,60 @@ def test_outputs_do_not_depend_on_the_column_cache(tmp_path, scenario_path, fd_s
         assert run(estimate + (["--fit", tmp_path / "fit.json"] if dag == "backdoor" else [])) == 0
         outputs.append([(tmp_path / name).read_bytes() for name in ("fit.json", f"{dag}.json")])
     assert outputs[0] == outputs[1]
+
+
+# The two n=20_000 scenarios of the cross-process cache check: 20000 rows
+# are two of the CSV reader's chunks, and the frontdoor cohort's cache also
+# holds u_latent.
+CACHE_CHECK_SCENARIOS = {
+    "scenario.json": {
+        "dag_kind": "backdoor", "n_subjects": 20000, "seed": 42,
+        "baseline_hazard": {"kind": "exponential", "rate": 0.002}, "horizon_t": 10.0,
+        "coefficients": {"a_zx": 0.5, "sigma_x": 1.0, "beta_x": 0.3, "beta_z": 0.4},
+    },
+    "fd_scenario.json": {
+        "dag_kind": "frontdoor", "n_subjects": 20000, "seed": 7,
+        "baseline_hazard": {"kind": "weibull", "shape": 1.5, "scale": 120.0}, "horizon_t": 10.0,
+        "censor_rate": 0.02,
+        "coefficients": {"c_ux": 0.8, "sigma_x": 0.6, "alpha": 1.0, "sigma_z": 0.5, "beta_z": 0.5, "beta_u": 0.7},
+    },
+}
+
+
+def test_same_outputs_with_and_without_the_cohort_column_cache(tmp_path):
+    # simulate, fit and backdoor, and simulate and frontdoor, each command a
+    # separate process, must write the same bytes reading the cohorts from
+    # their column caches, from the CSVs alone once the caches are deleted,
+    # and from the CSVs rewritten with every field quoted
+    for name, scenario in CACHE_CHECK_SCENARIOS.items():
+        (tmp_path / name).write_text(json.dumps(scenario))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def dohazard(*argv):
+        command = [sys.executable, "-m", "dohazard.cli", *map(str, argv), "--quiet"]
+        proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (argv, proc.stderr)
+
+    for source in ("cache", "csv", "quoted"):
+        out = tmp_path / source
+        dohazard("simulate", tmp_path / "scenario.json", "--out-dir", out)
+        dohazard("simulate", tmp_path / "fd_scenario.json", "--out", "fd_cohort.csv", "--out-dir", out)
+        cohorts = [out / "cohort.csv", out / "fd_cohort.csv"]
+        if source != "cache":
+            for cohort in cohorts:
+                Path(f"{cohort}.cols").unlink()
+        if source == "quoted":
+            for cohort in cohorts:
+                with open(cohort, newline="") as fh:
+                    rows = list(csv.reader(fh))
+                with open(cohort, "w", newline="") as fh:
+                    csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+        dohazard("fit", out / "cohort.csv", "--out-dir", out)
+        dohazard("backdoor", out / "cohort.csv", "--fit", out / "fit.json", "--contrast", "1,0", "--t", 10, "--out-dir", out)
+        dohazard("frontdoor", out / "fd_cohort.csv", "--contrast", "1,0", "--t", 10, "--out-dir", out)
+    for source in ("csv", "quoted"):
+        for name in ("fit.json", "backdoor.json", "frontdoor.json"):
+            assert (tmp_path / source / name).read_bytes() == (tmp_path / "cache" / name).read_bytes(), (source, name)
 
 
 def test_exit_2_on_a_seed_philox_cannot_hold(tmp_path, scenario_path, monkeypatch, capsys):
@@ -619,12 +679,11 @@ def test_experiment_config_validation(tmp_path, monkeypatch, capsys):
 def test_ci_installs_the_pinned_toolchain():
     # CI's Install step takes its numpy and scipy from constraints.txt, so
     # those must be the versions the digests are pinned for
-    root = Path(__file__).parents[1]
-    lines = (root / "constraints.txt").read_text().splitlines()
+    lines = (ROOT / "constraints.txt").read_text().splitlines()
     pins = dict(line.split("==") for line in lines if line and not line.startswith("#"))
     assert pins.keys() == {"numpy", "scipy"}
     assert PINNED_TOOLCHAIN.startswith(f"numpy {pins['numpy']}, scipy {pins['scipy']}, ")
-    workflow = (root / ".github/workflows/tests.yml").read_text()
+    workflow = (ROOT / ".github/workflows/tests.yml").read_text()
     assert 'pip install -e ".[test]" -c constraints.txt' in workflow
     # every digest lives in tests/pinned.py, and the step that runs under one
     # BLAS thread checks that table
@@ -632,6 +691,14 @@ def test_ci_installs_the_pinned_toolchain():
     steps = re.split(r"^      - ", workflow, flags=re.M)[1:]
     one_thread = [step for step in steps if re.search(r"OPENBLAS_NUM_THREADS(=|: \"?)1\b", step)]
     assert len(one_thread) == 1 and "tests/test_pinned.py" in one_thread[0]
+
+
+def test_ci_runs_the_column_cache_check():
+    # the workflow's cache step runs this test, so CI and a local run check the same
+    workflow = (ROOT / ".github/workflows/tests.yml").read_text()
+    steps = re.split(r"^      - ", workflow, flags=re.M)[1:]
+    [step] = [step for step in steps if "name: Same outputs with and without the cohort column cache" in step]
+    assert "tests/test_cli.py::test_same_outputs_with_and_without_the_cohort_column_cache" in step
 
 
 def test_cli_outputs_match_pinned_digests(pinned_sha256):

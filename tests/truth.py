@@ -17,9 +17,10 @@ Criterion 6 of ``test_acceptance.py`` checks
 array, the reference that the standardization's block-by-block sums
 (``dohazard.stats._pairwise_sum``) must match bit for bit.
 
-``draw_scm`` joins the blocks of ``dohazard.simulate._scm_blocks``, the
-one structural model, into whole columns, so that the tests can check an
-arm, or the cohort ``generate`` censors, against the draw itself.
+``draw_scm`` forms one arm of each block of
+``dohazard.simulate._exogenous_blocks`` with ``_arm``, the one structural
+model, and joins the blocks into whole columns, so that the tests can
+check an arm, or the cohort ``generate`` censors, against the draw itself.
 
 ``incidence`` is the true P(T <= t) of an arm of a scenario, which the
 oracle's counts estimate: 1 - E[exp(-H0(t) exp(eta))] over the law of the
@@ -38,7 +39,7 @@ import numpy as np
 from dohazard.cohort import Dataset
 from dohazard.cox import CoxFit, _horizon
 from dohazard.errors import InvalidArgumentError, NumericalError
-from dohazard.simulate import BernoulliZ, ScenarioConfig, _scm_blocks
+from dohazard.simulate import BernoulliZ, ScenarioConfig, _arm, _exogenous_blocks
 
 # Nodes and weights for the weight exp(-x^2 / 2), whose integral is sqrt(2 pi).
 _NODES, _WEIGHTS = np.polynomial.hermite_e.hermegauss(64)
@@ -131,11 +132,12 @@ def frontdoor_do_cdf_empirical(
 
 def draw_scm(config: ScenarioConfig, n: int, seed: int, offset: int = 0, x_forced: float | None = None):
     """One draw of the structural model for n subjects, as the columns
-    (x, z, u, failure): the blocks of _scm_blocks for the one arm x_forced
-    (None: X drawn), joined, each block's latent hazards inverted to failure
+    (x, z, u, failure): the _arm x_forced (None: X drawn) of each block of
+    _exogenous_blocks, joined, each block's latent hazards inverted to failure
     times by the baseline hazard as generate inverts them. u is None for the
     backdoor DAG; a forced x is broadcast into a column. Raises InvalidArgumentError when n < 1."""
-    x, z, u, hazard = zip(*(arm for [arm] in _scm_blocks(config, n, seed, offset, (x_forced,))))
+    blocks = _exogenous_blocks(config, n, seed, offset, factual=x_forced is None)
+    x, z, u, hazard = zip(*(_arm(config, draws, x_forced) for draws in blocks))
     x = np.concatenate([np.broadcast_to(xb, hb.shape) for xb, hb in zip(x, hazard)])
     failure = np.concatenate([config.baseline_hazard.invert(hb) for hb in hazard])
     return x, np.concatenate(z), None if u[0] is None else np.concatenate(u), failure
