@@ -81,7 +81,9 @@ def compute_az(dataset: Dataset, fit: CoxFit, z_columns, horizon_t: float | None
     Each mean has the bits of np.mean over the whole cohort's array.
     """
     z_columns = tuple(z_columns)
-    for name in z_columns:
+    for k, name in enumerate(z_columns):
+        if name in z_columns[:k]:
+            raise InvalidArgumentError(f"adjustment column {name!r} is named more than once")
         fit._index(name)  # raises InvalidArgumentError for unknown names
         dataset.column_index(name)
     if horizon_t is None:

@@ -27,10 +27,11 @@ of their times, every subject is inverted once per arm.
 
 Under do(x) the forced arms differ only by a constant shift of the log
 hazard. So a request with two forced arms or more forms only the first of
-them on a whole block, and counts every forced arm and pair of the block
-from one sort of its hazards (``_Screen``). Only the few subjects near a
-band's edge, scaled by an arm's shift, are formed under each forced arm
-and decided as above.
+them on a whole block, and decides every forced arm from its hazards
+(``_Screen``). Only the few subjects near a band's edge, scaled by an
+arm's shift, are formed under each forced arm and decided as above. The
+screen only decides: ``_event_counts`` counts every arm and pair of a
+block from one array of decisions, screened or not.
 
 No random censoring is applied: the target is the latent failure CDF,
 so censoring cannot masquerade as estimator error.
@@ -143,22 +144,22 @@ def _failed_by(baseline, h: np.ndarray, ts, bands) -> list:
 
 
 class _Screen:
-    """Every forced arm of a block counted from one, the reference: the
-    first forced x of the request.
+    """A block's failures under every arm of a request, each forced arm
+    decided from one, the reference: the first forced x of the request.
+    The screen only decides; _event_counts counts.
 
     Under do(x) the forced arms differ only by a constant shift of the log
     hazard, eta_x = eta_ref + shift[x], which the structural equations give
     on a row of zero draws. So arm x's latent hazards are the reference's H
     times exp(-shift[x]): arm x fails by t where H < lower[x, t] =
     lo exp(shift[x]) (1 - _MARGIN), and survives where H > upper[x, t] =
-    hi exp(shift[x]) (1 + _MARGIN), [lo, hi] being t's band. Both arms of a
-    pair fail where H is below the smaller of their lower edges. One sort
-    of the block's candidates, the H up to the largest upper edge (only
-    they can fail under a forced arm), and a searchsorted of every edge
-    count each forced (x, t) and pair. Only the few subjects between a
-    lower and an upper edge are formed under each forced arm (_arm) and
-    decided by _failed_by, so every count has the bits of the arm's own.
-    The factual arm is formed and counted as in a block without a screen.
+    hi exp(shift[x]) (1 + _MARGIN), [lo, hi] being t's band. Only the
+    candidates, the H up to the largest upper edge, can fail under a forced
+    arm. A candidate off every edge fails where its H is below the lower
+    edge. Only the few candidates between a lower and an upper edge are
+    formed under each forced arm (_arm) and decided by _failed_by, so every
+    decision has the bits of the arm's own. The factual arm is formed and
+    decided on every subject, as in a block without a screen.
 
     The margin covers every rounding between H exp(-shift[x]) and the arm's
     own hazard. A block is screened where the structural equations on the
@@ -170,32 +171,24 @@ class _Screen:
     with exp's few ulps, the product with the failure variate and the
     edges' own roundings, the screened hazard is within 2**-38 relative of
     the arm's, far inside the margin, as long as the edges are normal
-    floats. A block the bound fails is counted arm by arm, which also
+    floats. A block the bound fails is decided arm by arm, which also
     refuses a non-finite eta as a draw of the arm does.
     """
 
-    def __init__(self, config: ScenarioConfig, xs: list, ts: list, pairs: list, bands: list, forced: list, shift):
+    def __init__(self, config: ScenarioConfig, ts: list, bands: list, forced: list, shift):
         coef = config.coefficients
         self.ts, self.bands, self.forced = ts, bands, forced
         self.frontdoor = config.dag_kind == "frontdoor"
         self.magnitudes = type(coef)(**{name: abs(value) for name, value in vars(coef).items()})
         self.x_abs = max(abs(x) for x in forced)
-        lo, hi = np.array(bands).T
-        scale = np.exp(shift)[:, None]
+        # each edge is [arm, t, 1], against a block's row of hazards
+        lo, hi = np.array(bands).T[..., None]
+        scale = np.exp(shift)[:, None, None]
         self.lower, self.upper = lo * scale * (1.0 - _MARGIN), hi * scale * (1.0 + _MARGIN)
         self.reach = self.upper.max()
-        arm = {x: i for i, x in enumerate(forced)}
-        both = [(x, x0) for x, x0 in pairs if x is not None and x0 is not None]
-        self.pair_arms = np.array([[arm[x], arm[x0]] for x, x0 in both], dtype=np.intp).reshape(-1, 2)
-        self.pair_lower = np.minimum(self.lower[self.pair_arms[:, 0]], self.lower[self.pair_arms[:, 1]])
-        self.arm_keys = [(x, t) for x in forced for t in ts]
-        self.pair_keys = [(x, x0, t) for x, x0 in both for t in ts]
-        # the factual arm's pairs, each with the index of its other arm (None: factual too)
-        self.factual = None in xs
-        self.factual_pairs = [((x, x0), arm.get(x0 if x is None else x)) for x, x0 in pairs if None in (x, x0)]
 
     @classmethod
-    def of(cls, config: ScenarioConfig, xs: list, ts: list, pairs: list, bands):
+    def of(cls, config: ScenarioConfig, xs: list, ts: list, bands):
         """The screen of a request with at least two forced arms, or None
         where it has fewer, no band holds, or an edge is not a normal float."""
         forced = [x for x in xs if x is not None]
@@ -205,7 +198,7 @@ class _Screen:
         zeros = _Draws(np.zeros(1), np.zeros(1) if frontdoor else None, None, None)
         with np.errstate(over="ignore", invalid="ignore"):
             eta = np.array([_log_hazard(config.coefficients, frontdoor, zeros, x)[3][0] for x in forced])
-            screen = cls(config, xs, ts, pairs, bands, forced, eta - eta[0])
+            screen = cls(config, ts, bands, forced, eta - eta[0])
         normal = (screen.lower >= _TINY) & (screen.upper <= _HUGE)
         return screen if normal.all() else None
 
@@ -215,43 +208,31 @@ class _Screen:
             bound = _log_hazard(self.magnitudes, self.frontdoor, draws.largest(), self.x_abs)[3][0]
         return bool(bound <= _TERMS)
 
-    def count(self, config: ScenarioConfig, draws: _Draws, counts: dict) -> None:
-        """Add the block's counts of every key to counts."""
+    def failed(self, config: ScenarioConfig, draws: _Draws, xs: list) -> np.ndarray:
+        """failed[arm, t, row], whether row fails by t under arm, for the
+        arms of xs in their order (None: the factual arm). The rows are
+        every row that can fail under one of them, in the block's order:
+        the candidates and the factual arm's failures."""
         baseline = config.baseline_hazard
         h = _arm(config, draws, self.forced[0])[3]
-        candidates = np.flatnonzero(h <= self.reach)
-        hc = h[candidates]
-        ordered = np.sort(hc)
-        arms = ordered.searchsorted(self.lower)
-        both = ordered.searchsorted(self.pair_lower)
-        inside = ordered.searchsorted(self.upper, "right") > arms
-        edge = None
-        if inside.any():
-            edge = np.zeros(hc.size, dtype=bool)
-            for lower, upper in zip(self.lower[inside], self.upper[inside]):
-                edge |= (hc >= lower) & (hc <= upper)
-            he, rows = hc[edge], candidates[edge]
-            decided = np.array(
-                [_failed_by(baseline, _arm(config, draws, x, rows)[3], self.ts, self.bands) for x in self.forced]
-            ).reshape(len(self.forced), len(self.ts), -1)
-            arms += decided.sum(-1) - (he < self.lower[..., None]).sum(-1)
-            pair_decided = decided[self.pair_arms[:, 0]] & decided[self.pair_arms[:, 1]]
-            both += pair_decided.sum(-1) - (he < self.pair_lower[..., None]).sum(-1)
-        for key, count in zip(self.arm_keys + self.pair_keys, arms.ravel().tolist() + both.ravel().tolist()):
-            counts[key] += count
-        if not self.factual:
-            return
-        factual = _failed_by(baseline, _arm(config, draws, None)[3], self.ts, self.bands)
-        for j, t in enumerate(self.ts):
-            counts[None, t] += int(np.count_nonzero(factual[j]))
-            for (x, x0), i in self.factual_pairs:
-                if i is None:
-                    counts[x, x0, t] += int(np.count_nonzero(factual[j]))
-                    continue
-                hit = hc < self.lower[i, j]
-                if edge is not None:
-                    hit[edge] = decided[i, j]
-                counts[x, x0, t] += int(np.count_nonzero(factual[j][candidates] & hit))
+        rows = h <= self.reach
+        if None in xs:
+            factual = np.array(_failed_by(baseline, _arm(config, draws, None)[3], self.ts, self.bands))
+            rows |= factual.any(0)
+        rows = rows.nonzero()[0]
+        hc = h[rows]
+        failed = hc < self.lower
+        # a row is at an edge where it is below an upper edge, not a lower one
+        edge = (hc <= self.upper) != failed
+        if np.count_nonzero(edge):
+            edge = edge.any((0, 1))
+            failed[..., edge] = [
+                _failed_by(baseline, _arm(config, draws, x, rows[edge])[3], self.ts, self.bands) for x in self.forced
+            ]
+        if None not in xs:
+            return failed
+        i = xs.index(None)
+        return np.concatenate((failed[:i], factual.take(rows, axis=1)[None], failed[i:]))
 
 
 def _event_counts(config: ScenarioConfig, n: int, seed: int, offset: int, xs, ts, pairs=()) -> dict:
@@ -259,29 +240,29 @@ def _event_counts(config: ScenarioConfig, n: int, seed: int, offset: int, xs, ts
     and of pairs (None: the factual arm) and t of ts, and subjects failing
     by t under both arms of a pair (x, x0), keyed (x, x0, t), all from one
     draw of the exogenous noise at offset, block by block. Every x and t is
-    checked before any stream opens. A block of a request with two forced
-    arms or more is counted through its _Screen where that holds, and arm
-    by arm elsewhere."""
+    checked before any stream opens.
+
+    Each block gives failed[arm, t, row] in the order of xs: from its
+    _Screen where the request has two forced arms or more and the screen
+    holds, else from each arm formed on every row. Its arms and pairs are
+    counted from that one array."""
     xs = list(dict.fromkeys([*xs, *(x for pair in pairs for x in pair)]))
     _check_arms(config, xs, ts)
     ts, pairs = list(dict.fromkeys(ts)), list(dict.fromkeys(pairs))
-    counts = dict.fromkeys([(x, t) for x in xs for t in ts] + [(x, x0, t) for x, x0 in pairs for t in ts], 0)
     baseline = config.baseline_hazard
     bands = _bands(baseline, ts)
-    screen = _Screen.of(config, xs, ts, pairs, bands)
+    screen = _Screen.of(config, xs, ts, bands)
+    left, right = np.array([[xs.index(x), xs.index(x0)] for x, x0 in pairs], dtype=np.intp).reshape(-1, 2).T
+    arms = both = 0
     for draws in _exogenous_blocks(config, n, seed, offset, None in xs):
         if screen is not None and screen.holds(draws):
-            screen.count(config, draws, counts)
-            continue
-        failed = {
-            (x, t): hit for x in xs for t, hit in zip(ts, _failed_by(baseline, _arm(config, draws, x)[3], ts, bands))
-        }
-        for key, hit in failed.items():
-            counts[key] += int(np.count_nonzero(hit))
-        for x, x0 in pairs:
-            for t in ts:
-                counts[x, x0, t] += int(np.count_nonzero(failed[x, t] & failed[x0, t]))
-    return counts
+            failed = screen.failed(config, draws, xs)
+        else:
+            failed = np.array([_failed_by(baseline, _arm(config, draws, x)[3], ts, bands) for x in xs])
+        arms += np.add.reduce(failed, -1)
+        both += np.add.reduce(failed[left] & failed[right], -1)
+    keys = [(x, t) for x in xs for t in ts] + [(x, x0, t) for x, x0 in pairs for t in ts]
+    return dict(zip(keys, arms.ravel().tolist() + both.ravel().tolist()))
 
 
 def simulate_do(

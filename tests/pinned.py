@@ -39,6 +39,9 @@ from truth import draw_scm
 # numpy's exp, log, log1p, expm1 and power give other last bits where its
 # AVX512 loops are not dispatched.
 PINNED_TOOLCHAIN = "numpy 2.4.6, scipy 1.17.1, AVX512 loops dispatched"
+# numpy's AVX512 dispatch targets; the pinned digests are taken with them on,
+# and NPY_DISABLE_CPU_FEATURES naming them puts numpy at its AVX2 level
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
 def toolchain():
@@ -54,6 +57,11 @@ def toolchain():
     avx512 = any(target == "X86_V4" or target.startswith("AVX512") for target in taken)
     return (f"numpy {np.__version__}, scipy {scipy.__version__}, "
             f"AVX512 loops {'dispatched' if avx512 else 'not dispatched'} [{' '.join(taken)}]")
+
+
+def takes_avx512(toolchain_line: str) -> bool:
+    """Whether a toolchain() line has numpy take one of AVX512_TARGETS."""
+    return bool(set(AVX512_TARGETS) & set(toolchain_line.rsplit("[", 1)[1].rstrip("]").split()))
 
 
 def toolchain_note():

@@ -84,6 +84,12 @@ def test_az_unknown_column():
         dh.compute_az(ds, fit, ["z"], horizon_t=-1.0)
 
 
+def test_az_refuses_a_repeated_column(backdoor_dataset, backdoor_fit):
+    # a repeated column doubled its term in eta_z, and a_z with it
+    with pytest.raises(dh.InvalidArgumentError, match="^adjustment column 'z' is named more than once$"):
+        dh.compute_az(backdoor_dataset, backdoor_fit, ["z", "z"], horizon_t=10.0)
+
+
 def test_az_default_horizon_is_last_event(backdoor_dataset, backdoor_fit):
     summary = dh.compute_az(backdoor_dataset, backdoor_fit, ["z"])
     assert summary.horizon_t == float(backdoor_fit.baseline_cumhaz.knots[-1])

@@ -446,6 +446,18 @@ def test_exit_2_on_repeated_covariate(tmp_path, scenario_path, capsys):
     assert not (tmp_path / "fit.json").exists()
 
 
+def test_exit_2_on_repeated_adjustment_column(tmp_path, scenario_path, capsys):
+    # the repeated column doubled its term in eta_z and exited 0
+    run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
+    rc = run([
+        "backdoor", tmp_path / "cohort.csv", "--contrast", "1,0", "--t", 10, "--z-columns", "z,z",
+        "--out-dir", tmp_path, "--quiet",
+    ])
+    assert rc == 2
+    assert "adjustment column 'z' is named more than once" in capsys.readouterr().err
+    assert not (tmp_path / "backdoor.json").exists()
+
+
 @pytest.mark.parametrize(
     "header, role",
     [("time,event,x,event", "event"), ("time,time,event,x", "time"), ("time,event,x,x", "x")],

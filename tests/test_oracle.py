@@ -462,9 +462,10 @@ def test_event_counts_take_a_band_for_an_exponential_baseline():
 @given(st.data())
 def test_screen_is_exact_at_every_arms_edge(data):
     # three forced arms or more and the factual one, with a horizon at a
-    # failure time of each arm but the reference, and every pair of arms:
-    # each forced arm is counted from the reference's hazards, so band
-    # edges fall on every arm and pair, (x, None) and (None, x) among them
+    # failure time of each arm but the reference, and every ordered pair of
+    # arms: each forced arm is counted from the reference's hazards, so band
+    # edges fall on every arm and pair, (x, None), (None, x) and the
+    # self-pairs (x, x) and (None, None) among them
     config = band_scenarios(data)
     n, seed = data.draw(st.sampled_from([500, _BLOCK + 1])), data.draw(st.integers(0, 2**32))
     forced = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=4, unique=True))
@@ -475,7 +476,7 @@ def test_screen_is_exact_at_every_arms_edge(data):
         within = failures[x][(failures[x] > 0) & (failures[x] <= config.horizon_t)]
         assume(within.size > 0)
         ts.append(data.draw(st.sampled_from(within.tolist())))
-    pairs = [(x, x0) for x in xs for x0 in xs if x != x0]
+    pairs = [(x, x0) for x in xs for x0 in xs]
     with formed_arms() as formed:
         counts = _event_counts(config, n, seed, 16, xs, ts, pairs)
     edges = check_screened_arms(formed, xs, n, failures, ts)

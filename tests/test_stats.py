@@ -14,6 +14,7 @@ import dohazard as dh
 from dohazard.stats import _BLOCK, _pairwise_sum, _uniforms
 
 from conftest import make_frontdoor_config
+from pinned import AVX512_TARGETS, takes_avx512
 from truth import GaussianSpec, gaussian_exponential_moment
 
 # frozen first draws for seed 42, stream 0
@@ -215,9 +216,6 @@ def test_normal_chunks_join_to_the_whole_array_draw(chunk):
     assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
 
-# numpy's AVX512 dispatch targets; the pinned digests are taken with them on
-AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-
 NORMAL_COLUMNS_SCRIPT = """
 import hashlib
 from conftest import make_backdoor_config, make_frontdoor_config
@@ -248,7 +246,7 @@ def test_normal_columns_keep_their_bits_without_avx512():
     # and added, so they are not to depend on numpy's dispatch (the failure
     # column does: exp and log1p have AVX512 loops)
     toolchain, *digests = normal_column_digests()
-    if not set(AVX512_TARGETS) & set(toolchain.rsplit("[", 1)[1].rstrip("]").split()):
+    if not takes_avx512(toolchain):
         pytest.skip(f"numpy takes none of {AVX512_TARGETS} on this CPU")
     toolchain_off, *digests_off = normal_column_digests(NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
     assert "AVX512 loops not dispatched" in toolchain_off
