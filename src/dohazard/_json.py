@@ -14,11 +14,12 @@ from .errors import ParseError, ValidationError
 
 
 def read_object(path, what: str) -> dict:
-    """The JSON object stored at path; ParseError for malformed JSON (with
+    """The JSON object stored at path, past a leading UTF-8 byte order mark
+    (RFC 8259 lets a parser skip one); ParseError for malformed JSON (with
     its line number), bytes that are not UTF-8 or an integer past Python's
     digit limit; ValidationError when the top level is not an object."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc

@@ -11,17 +11,16 @@ digits is most of a CSV read, so the cache makes each read of a saved
 cohort a hash and a copy.
 
 The CSV holds each float as Python's ``'%.17g' %`` writes it, byte for
-byte, but ``save_dataset`` formats them in numpy (``_format_floats``):
-Dekker's exact two-product of |v| and a power of ten gives the 17 digits
-of every finite normal value from 1e-4 up to 1e17. A value below 10 is
-then written as whole words looked up in tables (a lead word, four 4-digit
-chunks, the separator), with NULs for the zeros %.17g strips, and a value
-from 10 up is laid out byte by byte by a lookup table; the few other
-values (zeros, subnormals, smaller or larger magnitudes) go to Python's
-own formatter. One call formats a block's floats of every column. Most
-times of a rare-outcome cohort are the horizon, bit for bit, so each
-column's maximum is formatted once and its text copied into the rows that
-hold it (``_csv_rows``).
+byte, but ``save_dataset`` formats in numpy (``_format_floats``) every
+finite normal value from 1e-4 up to 10: Dekker's exact two-product of |v|
+and a power of ten gives its 17 digits, which are written as whole words
+looked up in tables (a lead word, four 4-digit chunks, the separator),
+with NULs for the zeros %.17g strips. Every other value (zeros,
+subnormals, smaller magnitudes and magnitudes from 10 up) goes to
+Python's own formatter. One call formats a block's floats of every
+column. Most times of a rare-outcome cohort are the horizon, bit for bit,
+so each column's maximum is formatted once and its text copied into the
+rows that hold it (``_csv_rows``).
 """
 
 from __future__ import annotations
@@ -125,38 +124,26 @@ _FIELD = 26
 
 # Tables of _format_floats, built at import.
 #
-# A value below 10 (decimal exponent x in -4..0) is written as words, the
-# field's bytes in memory order (_WORDS): the 8-byte lead word
-# _LEAD8[((sign * 5 + x + 4) * 10 + d0) * 2 + fraction], which holds "-"
-# for a negative value, "0." and -x - 1 zeros when x < 0, the leading digit
-# d0 and, when x == 0 and any later digit is not zero, the point; then one
-# word per chunk of four digits; then the separator, one 2-byte word
-# (_COMMA or _CRLF). _DIGITS4[c] is the four digits of c in 0..9999 as one
-# word, and _DIGITS4[10000 + c] the same word with c's trailing zero digits
-# as NULs, which a chunk takes once every later chunk is zero, so that
-# %.17g's stripped zeros are NULs.
-#
-# A value from 10 up is laid out byte by byte from a row of the digits
-# buffer, _DIGIT_WORDS uint32 words, 24 bytes in memory order: two NULs,
-# "-", the 17 digits of D, ".", the two separator bytes (the second NUL
-# after a comma) and NUL. _LEAD[d] is the first word for leading digit d;
-# _ZEROS4[c] the number of trailing zero digits of c's four; _POINT_SEP
-# the last word after a comma and after a CRLF.
+# The exact path's values, below 10 (decimal exponent x in -4..0), are
+# written as words, the field's bytes in memory order (_WORDS): the 8-byte
+# lead word _LEAD8[((sign * 5 + x + 4) * 10 + d0) * 2 + fraction], which
+# holds "-" for a negative value, "0." and -x - 1 zeros when x < 0, the
+# leading digit d0 and, when x == 0 and any later digit is not zero, the
+# point; then one word per chunk of four digits; then the separator, one
+# 2-byte word (_COMMA or _CRLF). _DIGITS4[c] is the four digits of c in
+# 0..9999 as one word, and _DIGITS4[10000 + c] the same word with c's
+# trailing zero digits as NULs, which a chunk takes once every later chunk
+# is zero, so that %.17g's stripped zeros are NULs. Every other value is
+# Python's own text.
 _WORDS = np.dtype(
     {"names": ["lead", "chunks", "sep"], "formats": [np.uint64, (np.uint32, 4), np.uint16],
      "offsets": [0, 8, 24], "itemsize": _FIELD}
 )
-_DIGIT_WORDS = 6
-_NUL, _MINUS, _DIGIT, _POINT, _SEP = 0, 2, 3, 20, 21
 _COMMA, _CRLF = np.frombuffer(b",\0\r\n", dtype=np.uint16)
-_POINT_SEP = np.frombuffer(b".,\0\0.\r\n\0", dtype=np.uint32)
 _C = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row c: the four digits of c
-_ZEROS4 = np.logical_and.accumulate(_C[:, ::-1] == 0, axis=1).sum(axis=1, dtype=np.uint8)
-_DIGITS4 = np.concatenate([_C + ord("0"), np.where(np.arange(4) < 4 - _ZEROS4[:, None], _C + ord("0"), 0)])
+_STRIPPED = np.logical_and.accumulate(_C[:, ::-1] == 0, axis=1)[:, ::-1]  # c's trailing zero digits
+_DIGITS4 = np.concatenate([_C + ord("0"), np.where(_STRIPPED, 0, _C + ord("0"))])
 _DIGITS4 = np.ascontiguousarray(_DIGITS4, dtype=np.uint8).view(np.uint32).ravel()
-_LEAD = np.zeros((10, 4), dtype=np.uint8)
-_LEAD[:, _MINUS], _LEAD[:, _DIGIT] = ord("-"), ord("0") + np.arange(10)
-_LEAD = _LEAD.view(np.uint32).ravel()
 _LEAD8 = np.frombuffer(
     b"".join(
         ("-" * sign + ("0." + "0" * (-x - 1) if x < 0 else "") + str(d0) + "." * (x == 0 and fraction))
@@ -166,7 +153,7 @@ _LEAD8 = np.frombuffer(
     ),
     dtype=np.uint64,
 )
-del _C
+del _C, _STRIPPED
 
 
 def _split(a):
@@ -179,32 +166,6 @@ def _split(a):
 
 _TENS = np.array([float(10**q) for q in range(21)])  # exact in binary64 up to 10**22
 _TENS_HI, _TENS_LO = _split(_TENS)
-
-
-def _float_layouts() -> np.ndarray:
-    """The rows of _LAYOUT: row (sign * 16 + x - 1) * 17 + k - 1 lists, for
-    each byte of a _FIELD-byte field, the byte of a digits row that goes
-    there, for a value with that sign (1 when negative), decimal exponent x
-    in 1..16 and k significant digits once trailing zeros are stripped
-    (1..17): %.17g's fixed notation, then the separator and NUL padding.
-
-    The text is the first x + 1 digits, then, when any of the k digits is
-    left, the point and those digits; a negative value has "-" in front."""
-    sign = np.arange(2)[:, None, None, None]
-    x = np.arange(1, 17)[None, :, None, None]
-    k = np.arange(1, 18)[None, None, :, None]
-    j = np.arange(_FIELD) - sign  # the byte's place in the unsigned text
-    whole = x + 1  # digits before the point
-    fixed = np.where(k > whole, k + 1, whole)  # the text's length
-    table = np.select(
-        [j < 0, j < whole, (j == whole) & (j < fixed), j < fixed, j == fixed, j == fixed + 1],
-        [_MINUS, _DIGIT + j, _POINT, _DIGIT + j - 1, _SEP, _SEP + 1],
-        _NUL,
-    )
-    return table.reshape(-1, _FIELD).astype(np.uint8)
-
-
-_LAYOUT = _float_layouts()
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -245,13 +206,13 @@ def _csv_rows(columns):
     of the block's row buffer (_FIELD bytes for a float, 3 for an event:
     its digit and up to two separator bytes, written once), with NULs
     wherever it has no text: after the text, and, for a float below 10,
-    which _format_floats writes as whole words, between its words. No text
-    holds a NUL, so dropping every NUL byte of the buffer (bytes.translate)
+    which _format_floats' one exact path writes as whole words, between its
+    words; every other float is Python's own '%.17g' % text. No text holds
+    a NUL, so dropping every NUL byte of the buffer (bytes.translate)
     leaves the block's CSV bytes. One _format_floats call formats a block's
     floats, column after column, and each text is copied into its slot as
     one _FIELD-byte record. The buffers, for every float column of a block,
-    are allocated once and reused for every block, _fixed_texts' on the
-    first block that has a value from 10 up to lay out.
+    are allocated once and reused for every block.
 
     A cohort of a rare outcome has most of its times at the horizon, where
     follow-up ends, bit for bit. So each float column's maximum is formatted
@@ -269,7 +230,6 @@ def _csv_rows(columns):
     fields = [rows[:, slots[k]:slots[k + 1]].view(record)[:, 0] for k in floats]
     pool = np.empty(len(floats) * len(rows))  # a block's values to format, column after column
     texts = np.empty((len(pool), _FIELD), dtype=np.uint8)
-    scratch = []  # _fixed_texts' buffers, once a block needs them
     tops = []  # per float column: the bits of its maximum and that value's field
     for k in floats:
         top = columns[k].max(keepdims=True)
@@ -290,45 +250,40 @@ def _csv_rows(columns):
             pool[end:end + len(values)] = values
             end += len(values)
         crlf = parts[-1][1] if floats[-1] == last else end
-        done = _format_floats(pool[:end], crlf, texts, scratch).view(record)[:, 0]
+        done = _format_floats(pool[:end], crlf, texts).view(record)[:, 0]
         for slot, (rest, begin, stop) in zip(fields, parts):
             slot[rest] = done[begin:stop]
         yield rows[:m].tobytes().translate(None, b"\0")
 
 
-def _format_floats(values, crlf: int, field, scratch: list):
+def _format_floats(values, crlf: int, field):
     """The %.17g text of each value followed by its separator, a comma for
     values[:crlf] and a CRLF after, as the rows of field[:len(values)]:
     _FIELD bytes each, with NULs where there is no text. field is a buffer
-    of at least len(values) rows, and scratch the list of _fixed_texts'
-    buffers, both reused by the caller.
+    of at least len(values) rows, reused by the caller.
 
-    A value takes the exact path below when it is a finite normal double
-    with decimal exponent x in -4..16, so that %.17g writes it in fixed
-    notation: from 1e-4 up to 1e17. Its digit string is D = round(|v| *
-    10**(16 - x)), rounded half to even as Python's correctly rounded
-    conversion does, from a two-product (_digits). x is floor(log10|v|) in
-    float arithmetic, which may be off by one next to a power of ten; the
-    path therefore also requires 10**16 <= D < 10**17, which holds only
-    when x is the exponent of the value rounded to 17 digits. D is split
-    into its leading digit d0 and four chunks of four digits by intp
-    division.
-
-    Below 10 (x <= 0) the field is written as words: a lead word from
-    _LEAD8 (sign, "0." and zeros, d0, point), a word per chunk from
-    _DIGITS4 (its trailing zeros as NULs once every later chunk is zero)
-    and the separator; the NULs in between are dropped with the padding.
-    From 10 up (1 <= x <= 16) the point falls among the chunks, and
-    _fixed_texts lays the text out byte by byte. Every other value (zeros,
-    subnormals, |v| < 1e-4 or >= 1e17, a failed check, inf, nan) is written
-    by Python's own '%.17g' %, so no value is ever approximated."""
+    A value takes the one exact path when it is a finite normal double
+    with decimal exponent x in -4..0, from 1e-4 up to 10. Its digit string
+    is D = round(|v| * 10**(16 - x)), rounded half to even as Python's
+    correctly rounded conversion does, from a two-product (_digits). x is
+    floor(log10|v|) in float arithmetic, which may be off by one next to a
+    power of ten; the path therefore also requires 10**16 <= D < 10**17,
+    which holds only when x is the exponent of the value rounded to 17
+    digits. D is split into its leading digit d0 and four chunks of four
+    digits by intp division, and the field is written as words: a lead
+    word from _LEAD8 (sign, "0." and zeros, d0, point), a word per chunk
+    from _DIGITS4 (its trailing zeros as NULs once every later chunk is
+    zero) and the separator; the NULs in between are dropped with the
+    padding. Every other value (zeros, subnormals, |v| < 1e-4 or >= 10, a
+    failed check, inf, nan) is written by Python's own '%.17g' %
+    (_python_formatted), so no value is ever approximated."""
     n = len(values)
     bits = values.view(np.uint64)
     biased = (bits >> 52) & 0x7FF
     normal = (biased != 0) & (biased != 0x7FF)
     magnitudes = np.abs(values)
     x = _decimal_exponents(np.where(normal, magnitudes, 1.0))
-    exact = normal & (x >= -4) & (x <= 16)  # before x indexes a table
+    exact = normal & (x >= -4) & (x <= 0)  # before x indexes a table
     x = np.where(exact, x, 0)
     d = _digits(np.where(exact, magnitudes, 1.0), 16 - x)
     exact &= (d >= 10**16) & (d < 10**17)
@@ -344,7 +299,7 @@ def _format_floats(values, crlf: int, field, scratch: list):
     c4 = bottom - c3 * 10**4
     sign = (bits >> 63).astype(np.intp)
     words = field[:n].view(_WORDS)[:, 0]
-    words["lead"] = _LEAD8[((sign * 5 + np.minimum(x, 0) + 4) * 10 + d0) * 2 + (fraction != 0)]
+    words["lead"] = _LEAD8[((sign * 5 + x + 4) * 10 + d0) * 2 + (fraction != 0)]
     chunks = words["chunks"]
     chunks[:, 0] = _DIGITS4[c1 + 10**4 * ((c2 == 0) & (bottom == 0))]
     chunks[:, 1] = _DIGITS4[c2 + 10**4 * (bottom == 0)]
@@ -352,12 +307,6 @@ def _format_floats(values, crlf: int, field, scratch: list):
     chunks[:, 3] = _DIGITS4[c4 + 10**4]
     words["sep"][:crlf] = _COMMA
     words["sep"][crlf:] = _CRLF
-    above = np.flatnonzero(exact & (x > 0))
-    if len(above):
-        field[above] = _fixed_texts(
-            sign[above], x[above], d0[above], (c1[above], c2[above], c3[above], c4[above]),
-            np.searchsorted(above, crlf), scratch,
-        )
     other = np.flatnonzero(~exact)
     if len(other):
         field[other] = _python_formatted(values[other], np.searchsorted(other, crlf))
@@ -376,37 +325,6 @@ def _digits(magnitudes, q) -> np.ndarray:
     ten_hi, ten_lo = _TENS_HI[q], _TENS_LO[q]
     err = ((hi * ten_hi - p) + hi * ten_lo + lo * ten_hi) + lo * ten_lo
     return p.astype(np.int64) + np.rint(err).astype(np.int64)
-
-
-def _fixed_texts(sign, x, d0, chunks, crlf: int, scratch: list):
-    """The texts of _format_floats' exact-path values with x in 1..16, each
-    followed by a comma, or by a CRLF from row crlf on, as the rows of
-    texts[:len(x)], left-aligned and NUL-padded: each digit row is laid out
-    by _LAYOUT, keyed by the sign, x and the number of digits left once
-    trailing zeros are stripped. scratch holds the buffers texts, index,
-    digits and each digit row's byte offset, of at least len(x) rows, or
-    is allocated into here, for the caller to pass again."""
-    m = len(x)
-    if not scratch or len(scratch[0]) < m:
-        rows = max(m, _BLOCK)
-        scratch[:] = [np.empty((rows, _FIELD), dtype=np.uint8), np.empty((rows, _FIELD), dtype=np.intp),
-                      np.empty((rows, _DIGIT_WORDS), dtype=np.uint32), np.arange(rows)[:, None] * 4 * _DIGIT_WORDS]
-    texts, index, digits, offsets = scratch
-    c1, c2, c3, c4 = chunks
-    digits = digits[:m]
-    digits[:, 0] = _LEAD[d0]
-    for word, chunk in enumerate(chunks, start=1):
-        digits[:, word] = _DIGITS4[chunk]
-    digits[:crlf, 5], digits[crlf:, 5] = _POINT_SEP
-    zeros = _ZEROS4[c4] + (c4 == 0) * (_ZEROS4[c3] + (c3 == 0) * (_ZEROS4[c2] + (c2 == 0) * _ZEROS4[c1]))
-    key = (sign * 16 + x - 1) * 17 + 16 - zeros
-    # byte j of row i of the text is byte _LAYOUT[key[i], j] of digits row
-    # i; every index is in range, and mode="clip" spares take's buffering
-    texts = texts[:m]
-    np.take(_LAYOUT, key, axis=0, out=texts, mode="clip")
-    index = np.add(texts, offsets[:m], out=index[:m])
-    np.take(digits.view(np.uint8).ravel(), index, out=texts, mode="clip")
-    return texts
 
 
 def _decimal_exponents(magnitudes) -> np.ndarray:
@@ -474,16 +392,18 @@ def load_dataset(path) -> Dataset:
     cohort is built. numpy reads quoted fields, LF, CRLF and lone CR line
     ends, and skips blank lines; a row takes at least one line, so the
     columns always hold the rows, and they are cut to the rows read. When
-    numpy refuses the body, one csv scan from its start names the line of
-    the first bad record (_first_bad_record).
+    numpy refuses the body, or it holds a value no Dataset takes (one that
+    is not finite, or a time <= 0), one csv scan from its start names the
+    line and column of the first bad record (_first_bad_record).
 
-    Bytes that are not UTF-8, in the header or the body, raise ParseError
-    naming the line they are on (_not_utf8).
+    A UTF-8 byte order mark before the header is skipped. Bytes that are
+    not UTF-8, in the header or the body, raise ParseError naming the line
+    they are on (_not_utf8).
 
     Every column of the returned Dataset owns its memory.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             # readline, not iteration over fh, so that tell() still works
             reader = csv.reader(iter(fh.readline, ""))
             try:
@@ -512,7 +432,7 @@ def load_dataset(path) -> Dataset:
                     raise
                 except ValueError as exc:
                     fh.seek(body)
-                    bad = _first_bad_record(path, csv.reader(fh), len(header), sources[1], reader.line_num, exc)
+                    bad = _first_bad_record(path, csv.reader(fh), header, sources, reader.line_num, exc)
                     raise bad from None
                 if not rows:
                     raise ValidationError(f"{path}: no data rows")
@@ -623,9 +543,9 @@ def _fill(columns, sources, start: int, table) -> None:
 def _read_chunks(fh, columns, sources, width: int) -> int:
     """Fill the columns from the body by np.loadtxt, _BLOCK rows per call,
     and return the number of rows read. Raises ValueError when a chunk
-    fails to parse, has the wrong width or an event other than 0 or 1, or
-    holds more rows than the columns (the file changed since its lines
-    were counted)."""
+    fails to parse, has the wrong width, an event other than 0 or 1, a
+    value that is not finite or a time <= 0, or holds more rows than the
+    columns (the file changed since its lines were counted)."""
     n = len(columns[0])
     filled = 0
     with warnings.catch_warnings():
@@ -640,6 +560,8 @@ def _read_chunks(fh, columns, sources, width: int) -> int:
                 break
             if chunk.shape[1] != width or not np.all(np.isin(chunk[:, sources[1]], (0.0, 1.0))):
                 raise ValueError(f"a row with other than {width} fields or an event other than 0 or 1")
+            if not np.all(np.isfinite(chunk)) or not np.all(chunk[:, sources[0]] > 0):
+                raise ValueError("a value that is not finite or a time <= 0")
             if filled + len(chunk) > n:
                 raise ValueError("more rows than lines: the file changed while it was read")
             _fill(columns, sources, filled, chunk)
@@ -649,28 +571,35 @@ def _read_chunks(fh, columns, sources, width: int) -> int:
     return filled
 
 
-def _first_bad_record(path, reader, width: int, event: int, header_lines: int, refusal: ValueError) -> Exception:
+def _first_bad_record(path, reader, header, sources, header_lines: int, refusal: ValueError) -> Exception:
     """The error for the first bad record of the body, which reader reads
-    from its start: ParseError for a record with other than width fields or
-    a field that is not a number (_float), ValidationError for an event
-    (field event) other than 0 or 1. It names the line the record starts
-    on: the header takes lines 1 to header_lines, and a quoted field may
-    span lines, so this is the reader's line count, not a count of records.
-    When every record passes (the file changed since numpy read it), it is
-    ParseError with numpy's refusal."""
+    from its start: ParseError for a record with other than len(header)
+    fields or a field that is not a number (_float), ValidationError for an
+    event (column sources[1]) other than 0 or 1, or naming the column of a
+    value that is not finite or a time (sources[0]) <= 0. It names the line
+    the record starts on: the header takes lines 1 to header_lines, and a
+    quoted field may span lines, so this is the reader's line count, not a
+    count of records. When every record passes (the file changed since
+    numpy read it), it is ParseError with numpy's refusal."""
+    time, event = sources[:2]
     read = 0  # the body's lines before the record
     for row in reader:
         line_no, read = header_lines + read + 1, reader.line_num
         if not row:
             continue
-        if len(row) != width:
-            return ParseError(f"{path}:{line_no}: expected {width} fields, got {len(row)}")
+        if len(row) != len(header):
+            return ParseError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
         try:
             values = [_float(field) for field in row]
         except ValueError as exc:
             return ParseError(f"{path}:{line_no}: {exc}")
         if values[event] not in (0.0, 1.0):
             return ValidationError(f"{path}:{line_no}: event must be 0 or 1")
+        for name, field, value in zip(header, row, values):
+            if not np.isfinite(value):
+                return ValidationError(f"{path}:{line_no}: column '{name}' must be finite, got {field!r}")
+        if values[time] <= 0:
+            return ValidationError(f"{path}:{line_no}: column 'time' must be positive, got {row[time]!r}")
     return ParseError(f"{path}: {refusal}")
 
 

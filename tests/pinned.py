@@ -134,8 +134,9 @@ def draw_scm_pins(dag: str, config: dh.ScenarioConfig, **sha256) -> tuple:
 #   times are the horizon, which the writer formats once per column and
 #   copies, so its CSV guards that tied-time path; the experiment_frontdoor
 #   cohort (u_latent, random censoring) guards it where 78% of the times tie.
-#   Values from 10 up are laid out byte by byte, and 58.3% of the days-scale
-#   cohort's rows are untied times from 10 up.
+#   Values from 10 up go to Python's formatter too, and 58.3% of the
+#   days-scale cohort's rows are untied times from 10 up, so its CSV guards
+#   that path at scale.
 # - The Cox fit sorts only the rows below the largest time, sums the rows
 #   tied there pairwise, chunk by chunk, and sums the linear predictor
 #   column by column with no BLAS, as the standardization does. So the fits

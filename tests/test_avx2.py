@@ -7,9 +7,12 @@ and in a subset; save_dataset writes %.17g's digits from IEEE multiply,
 add and rint alone, and takes log10 only as an estimate it checks. Each
 test reruns those tests in a fresh interpreter with numpy's AVX512 targets
 disabled, where its SIMD loops differ, and is skipped where numpy takes
-none of them. CI's steps of the same names run these tests.
+none of them. CI's steps of the same names run these tests. The
+formatter's rerun selects its tests by name, and a check here keeps that
+selection whole.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -17,10 +20,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from _pytest.mark.expression import Expression  # what pytest's -k compiles
 
 from pinned import AVX512_TARGETS, takes_avx512, toolchain
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# The tests of tests/test_simulate.py that the formatter's rerun selects,
+# as pytest's -k expression
+FORMATTER_TESTS = "save or percent or format"
 
 # pytest on the arguments, then the toolchain line of the same interpreter
 PYTEST_THEN_TOOLCHAIN = """
@@ -57,7 +65,44 @@ def test_oracle_counts_at_numpys_avx2_level():
 
 
 def test_csv_formatter_at_numpys_avx2_level():
-    pytest_without_avx512("tests/test_simulate.py", "-k", "save or percent or format")
+    pytest_without_avx512("tests/test_simulate.py", "-k", FORMATTER_TESTS)
+
+
+def formatter_internals() -> set:
+    """The module-level names of dohazard/cohort.py that _csv_rows reaches,
+    itself included: the CSV formatter's functions and tables."""
+    tree = ast.parse((ROOT / "src/dohazard/cohort.py").read_text())
+    defined = {}  # each name a function or an assignment defines -> its node
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            names = [name.id for target in node.targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            defined.update(dict.fromkeys(names, node))
+    reached, todo = set(), ["_csv_rows"]
+    while todo:
+        name = todo.pop()
+        if name in defined and name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(defined[name]) if isinstance(node, ast.Name)]
+    return reached
+
+
+def test_the_formatter_rerun_selects_every_formatter_test():
+    # a formatter test renamed outside FORMATTER_TESTS would drop out of the
+    # AVX2 rerun without notice: every test that checks a save against the
+    # percent template or names a formatter internal, as an attribute of
+    # cohort or as a string to patch, must match it by its name
+    names = formatter_internals() | {"assert_saved_as_percent_template"}
+    selects = Expression.compile(FORMATTER_TESTS)
+    tree = ast.parse((ROOT / "tests/test_simulate.py").read_text())
+    tests = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")]
+    formatter_tests = [
+        test.name for test in tests
+        if names & {getattr(node, field, None) for node in ast.walk(test) for field in ("id", "attr", "value")}
+    ]
+    assert "test_save_matches_the_percent_template" in formatter_tests
+    assert [name for name in formatter_tests if not selects.evaluate(lambda word: word.lower() in name.lower())] == []
 
 
 @pytest.mark.parametrize(

@@ -267,6 +267,53 @@ def test_exit_2_on_a_cohort_that_is_not_utf8(tmp_path, capsys, text, line):
     assert not (tmp_path / "fit.json").exists()
 
 
+def test_fit_reads_a_cohort_after_a_byte_order_mark(tmp_path, scenario_path):
+    # Excel's "CSV UTF-8" export starts with one
+    run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "cohort.csv").read_bytes())
+    assert run(["fit", tmp_path / "cohort.csv", "--out-dir", tmp_path, "--out", "fit.json", "--quiet"]) == 0
+    assert run(["fit", bom, "--out-dir", tmp_path, "--out", "bom_fit.json", "--quiet"]) == 0
+    assert (tmp_path / "bom_fit.json").read_bytes() == (tmp_path / "fit.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [(b"time,event,x\r\n1.0,1,2\r\n\xef\xbb\xbf2.0,0,1\r\n", 3), (b"time,event,x\r\n1.0,1,\"\xef\xbb\xbf2\"\r\n", 2)],
+    ids=["row", "quoted_field"],
+)
+def test_exit_2_on_a_byte_order_mark_past_the_first_byte(tmp_path, capsys, text, line):
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(text)
+    assert run(["fit", path, "--out-dir", tmp_path, "--quiet"]) == 2
+    assert f"cohort.csv:{line}: could not convert string to float: " in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["scenario", "experiment", "fit"])
+def test_json_inputs_may_start_with_a_byte_order_mark(tmp_path, scenario_path, kind):
+    # RFC 8259 lets a parser skip one; each run reads the file with and
+    # without it and writes the same bytes
+    if kind == "scenario":
+        source, argv, output = Path(scenario_path), ["simulate", "{}"], "cohort.csv"
+    elif kind == "experiment":
+        source = experiment_config(tmp_path, n_subjects=2_000, oracle_n=20_000)
+        argv, output = ["experiment", "{}"], "estimates.csv"
+    else:
+        run(["simulate", scenario_path, "--out-dir", tmp_path, "--quiet"])
+        run(["fit", tmp_path / "cohort.csv", "--out-dir", tmp_path, "--quiet"])
+        source, output = tmp_path / "fit.json", "backdoor.json"
+        argv = ["backdoor", tmp_path / "cohort.csv", "--fit", "{}", "--contrast", "1,0", "--t", 10]
+    bom = tmp_path / f"bom_{source.name}"
+    bom.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    written = []
+    for path in (source, bom):
+        out = tmp_path / path.stem
+        assert run([str(a).format(path) for a in argv] + ["--out-dir", out, "--quiet"]) == 0
+        written.append((out / output).read_bytes())
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("dag", ["backdoor", "frontdoor"])
 def test_outputs_do_not_depend_on_the_column_cache(tmp_path, scenario_path, fd_scenario_path, dag):
     # the frontdoor cohort's cache also holds u_latent

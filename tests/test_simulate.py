@@ -310,7 +310,7 @@ def assert_saved_as_percent_template(path, dataset):
 
 
 # %.17g's edges: zeros, subnormals, the switch between fixed and exponent
-# notation at 1e-4 and 1e17, the exact path's limits at 1e-4 and 1e17,
+# notation at 1e-4 and 1e17, the exact path's limits at 1e-4 and 10,
 # powers of ten and their neighbours (where a float log10 overshoots), and
 # exact ties that round half to even, down and up
 FORMAT_EDGES = sorted(
@@ -440,15 +440,20 @@ def test_formatter_digits_are_the_exactly_rounded_product():
     assert ties > 500
 
 
-def test_save_takes_the_exact_path_up_to_1e17(tmp_path):
-    # from 2**52 up to the double below 1e17 the digits come from the
-    # two-product too; only each column's maximum goes to Python's formatter
+def test_save_hands_python_every_value_from_10_up(tmp_path):
+    # the exact path ends below 10: every value from 10 up, here from 2**52
+    # up to the double below 1e17, goes to Python's formatter, while the
+    # same values scaled below 10 take the exact path; only each column's
+    # maximum is handed to Python besides
     rng = np.random.default_rng(17)
     big = rng.uniform(2.0**52, 9.9e16, CHUNK_EDGE + 1) * rng.choice([-1.0, 1.0], CHUNK_EDGE + 1)
     ds = dh.Dataset(
-        time=np.abs(big[::-1]), event=rng.random(len(big)) < 0.5, covariates=big[:, None], covariate_names=["x"]
+        time=np.abs(big[::-1]),
+        event=rng.random(len(big)) < 0.5,
+        covariates=np.stack([big, big / 1e16], axis=1),
+        covariate_names=["x", "small"],
     )
-    assert assert_saved_as_percent_template(tmp_path / "cohort.csv", ds) == 2
+    assert assert_saved_as_percent_template(tmp_path / "cohort.csv", ds) == 2 * len(big) + 3
 
 
 def test_save_writes_1e17_and_the_double_below_it_as_python_does(tmp_path):
@@ -504,27 +509,25 @@ def test_save_formats_a_tied_maximum_once_per_column(tmp_path):
     assert handed < 1.5 * n
 
 
-def test_save_lays_out_only_values_from_10_up_byte_by_byte(tmp_path):
-    # a value below 10 is written as words; only an exact-path value from
-    # 10 up goes through the _LAYOUT gather (_fixed_texts). A rare-outcome
-    # cohort with horizon 10 has no such value, its horizon being formatted
-    # once per column; the same cohort's times in days, times 36.5, have one
-    # per time that is neither tied at the horizon nor below 10
-    laid_out = []
-    real = cohort._fixed_texts
-
-    def fixed_texts(sign, *args):
-        laid_out.append(len(sign))
-        return real(sign, *args)
-
+def test_save_hands_python_only_what_its_exact_path_cannot_write(tmp_path):
+    # the exact path writes every finite normal value from 1e-4 up to 10. A
+    # rare-outcome cohort with horizon 10 has every value below 10 but its
+    # horizon, which is formatted once per column, so it hands Python only
+    # its column maxima and its values below 1e-4; the same cohort's times
+    # in days, times 36.5, hand it also every time that is neither tied at
+    # the horizon nor below 10
     drawn = dh.generate(make_backdoor_config(n_subjects=CHUNK_EDGE + 1))
+    days = dh.Dataset(drawn.time * 36.5, drawn.event, drawn.covariates, drawn.covariate_names)
     assert drawn.time.max() == 10.0 and np.abs(drawn.covariates).max() < 10.0
-    with mock.patch.object(cohort, "_fixed_texts", fixed_texts):
-        assert_saved_as_percent_template(tmp_path / "cohort.csv", drawn)
-        assert laid_out == []
-        days = dh.Dataset(drawn.time * 36.5, drawn.event, drawn.covariates, drawn.covariate_names)
-        assert_saved_as_percent_template(tmp_path / "days.csv", days)
-    assert sum(laid_out) == np.count_nonzero((days.time >= 10.0) & (days.time < days.time.max())) > 0
+    maxima = 1 + drawn.covariates.shape[1]
+    small = np.count_nonzero(np.abs(drawn.covariates) < 1e-4)
+    assert small > 0
+    handed = assert_saved_as_percent_template(tmp_path / "cohort.csv", drawn)
+    assert handed == maxima + small + np.count_nonzero(drawn.time < 1e-4)
+    untied = np.count_nonzero((days.time >= 10.0) & (days.time < days.time.max()))
+    assert untied > 0
+    handed = assert_saved_as_percent_template(tmp_path / "days.csv", days)
+    assert handed == maxima + small + np.count_nonzero(days.time < 1e-4) + untied
 
 
 # finite float64 values, with the edges of the format drawn often
@@ -1049,6 +1052,37 @@ def test_load_names_the_line_a_bad_record_starts_on(tmp_path, text, line):
     path.write_bytes(text)
     with pytest.raises(dh.ParseError, match=rf":{line}: could not convert string to float: 'oops'"):
         dh.load_dataset(path)
+
+
+def test_load_skips_a_byte_order_mark_before_the_header(tmp_path):
+    # Excel's "CSV UTF-8" export starts with one; the copy has no cache of
+    # its own, so numpy parses it, across chunk edges
+    dataset, path = saved_cohort(tmp_path, CHUNK_EDGE + 1)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert_same_cohort(dh.load_dataset(bom), dataset)
+
+
+@pytest.mark.parametrize(
+    "row, column, message",
+    [
+        (b"nan,0,0.1", "time", "must be finite, got 'nan'"),
+        (b"-2,0,0.1", "time", "must be positive, got '-2'"),
+        (b"1.5,0,inf", "x", "must be finite, got 'inf'"),
+    ],
+    ids=["nan_time", "negative_time", "inf_covariate"],
+)
+@pytest.mark.parametrize("at", [3, CHUNK_EDGE + 2])
+def test_load_names_the_line_and_column_of_a_value_no_dataset_takes(tmp_path, row, column, message, at):
+    # numpy parses these as numbers; the Dataset would refuse them with no
+    # line, so the load names it, in the first chunk or a later one
+    rows = [b"time,event,x"] + [b"%d.5,1,0.25" % k for k in range(1, CHUNK_EDGE + 4)]
+    rows[at - 1] = row
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(b"\r\n".join(rows) + b"\r\n")
+    with pytest.raises(dh.ValidationError) as refused:
+        dh.load_dataset(path)
+    assert str(refused.value) == f"{path}:{at}: column '{column}' {message}"
 
 
 def test_config_json_roundtrip(tmp_path):
